@@ -9,7 +9,8 @@ use lpb_core::JoinQuery;
 use lpb_data::Norm;
 use lpb_datagen::{graph_catalog, PowerLawGraphConfig};
 use lpb_exec::{
-    execute_plan, partitioned_join_count, wcoj_count, yannakakis_count, JoinPlan, PartitionSpec,
+    execute_physical_mode, partitioned_join_count, wcoj_count, yannakakis_count, ExecMode,
+    PartitionSpec, PhysicalPlan,
 };
 
 fn graph(nodes: usize, edges: usize) -> lpb_data::Catalog {
@@ -29,9 +30,11 @@ fn bench_joins(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("triangle_algorithms");
     group.sample_size(10);
+    // Left-deep hash chains in query order.
+    let in_order = PhysicalPlan::hash_chain(vec![0, 1, 2]);
     group.bench_function("hash_join_plan", |b| {
         b.iter(|| {
-            execute_plan(&triangle, &catalog, &JoinPlan::in_query_order(&triangle))
+            execute_physical_mode(&triangle, &catalog, &in_order, ExecMode::Vectorized)
                 .unwrap()
                 .output_size()
         })
@@ -59,7 +62,7 @@ fn bench_joins(c: &mut Criterion) {
     });
     group.bench_function("hash_join_path3", |b| {
         b.iter(|| {
-            execute_plan(&path3, &catalog, &JoinPlan::in_query_order(&path3))
+            execute_physical_mode(&path3, &catalog, &in_order, ExecMode::Vectorized)
                 .unwrap()
                 .output_size()
         })

@@ -13,17 +13,17 @@
 //!    is measured against — and the best **monolithic** plan (partitioning
 //!    disabled) — the baseline degree-partitioned plans are measured
 //!    against,
-//! 3. re-executes the chosen plan through the vectorized columnar engine
-//!    and the morsel-parallel engine ([`lpb_exec::execute_physical_mode`]),
-//!    asserting all three agree on the result multiset with zero
-//!    certificate violations, and wall-clocks each mode,
+//! 3. re-executes the chosen plan under the morsel-parallel mode
+//!    ([`lpb_exec::execute_physical_mode`]), asserting both modes agree on
+//!    the output with zero certificate violations, and wall-clocks each
+//!    mode (the output itself is pinned against the nested-loop oracle by
+//!    the `lpb-exec` tests, not here),
 //! 4. emits `BENCH_planner.json` at the workspace root with plan time,
 //!    chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
 //!    certificate-violation counts (asserted zero), the estimator's
 //!    shape-cache hit counters, and the per-mode execution times
-//!    (`exec_scalar_us` / `exec_vectorized_us` / `exec_parallel_us`) with
-//!    `speedup_vs_scalar` = scalar over the best vectorized mode, plus the
+//!    (`exec_vectorized_us` / `exec_parallel_us`), plus the
 //!    adaptive-execution columns `replans` / `violations_handled` /
 //!    `adaptive_vs_static_peak` / `adaptive_vs_coldreplan_us`.
 //!
@@ -47,10 +47,11 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lpb_datagen::{
     job_like_catalog, job_like_queries, planner_workloads, stale_stats_workload, JobLikeConfig,
+    PlannerWorkload,
 };
 use lpb_exec::{
-    execute_physical, execute_physical_mode, execute_plan, AdaptiveExecutor, CertificatePolicy,
-    ExecMode, ExecState, ExecStatus, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
+    execute_physical_mode, AdaptiveExecutor, CertificatePolicy, ColumnRun, ExecMode, ExecState,
+    ExecStatus, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
 };
 use std::time::Instant;
 
@@ -70,10 +71,8 @@ struct PlannerRow {
     subqueries_bounded: usize,
     bound_fallbacks: usize,
     shape_cache_hits: usize,
-    exec_scalar_us: f64,
     exec_vectorized_us: f64,
     exec_parallel_us: f64,
-    speedup_vs_scalar: f64,
     replans: usize,
     violations_handled: usize,
     adaptive_vs_static_peak: f64,
@@ -96,6 +95,10 @@ fn time_exec_us(mut run: impl FnMut() -> usize) -> f64 {
     started.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
 }
 
+fn exec(w: &PlannerWorkload, plan: &PhysicalPlan, mode: ExecMode, what: &str) -> ColumnRun {
+    execute_physical_mode(&w.query, &w.catalog, plan, mode).expect(what)
+}
+
 fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
     let scale = if smoke { 1 } else { 4 };
     let mut workloads = planner_workloads(scale);
@@ -107,7 +110,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         ..JobLikeConfig::default()
     });
     if let Some(jq) = job_like_queries().into_iter().nth(3) {
-        workloads.push(lpb_datagen::PlannerWorkload {
+        workloads.push(PlannerWorkload {
             name: "job-like",
             query: jq.query,
             catalog: job,
@@ -136,7 +139,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // blow through its certificates — that is what the adaptive executor
         // reacts to — so its violation asserts run inverted.
         let reactive = w.name == "stale-stats";
-        let chosen = execute_physical(&w.query, &w.catalog, &plan.physical).expect("chosen plan");
+        let chosen = exec(w, &plan.physical, ExecMode::Vectorized, "chosen plan");
         if reactive {
             assert!(
                 chosen.certificate_violations() > 0,
@@ -171,8 +174,12 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             })
             .plan(&w.query, &w.catalog)
             .expect("monolithic planning");
-        let mono =
-            execute_physical(&w.query, &w.catalog, &mono_plan.physical).expect("monolithic plan");
+        let mono = exec(
+            w,
+            &mono_plan.physical,
+            ExecMode::Vectorized,
+            "monolithic plan",
+        );
         assert_eq!(
             chosen.output_size(),
             mono.output_size(),
@@ -180,15 +187,20 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             w.name
         );
         let greedy_plan = JoinPlan::greedy_by_size(&w.query, &w.catalog).expect("greedy");
-        let greedy = execute_plan(&w.query, &w.catalog, &greedy_plan).expect("greedy plan");
+        let greedy = exec(
+            w,
+            &PhysicalPlan::hash_chain(greedy_plan.order().to_vec()),
+            ExecMode::Vectorized,
+            "greedy plan",
+        );
         // The join-tree-shape baseline: the best left-deep order the same
         // bounds produce, evaluated as a pure hash chain.
-        let leftdeep = execute_physical(
-            &w.query,
-            &w.catalog,
+        let leftdeep = exec(
+            w,
             &PhysicalPlan::hash_chain(plan.leftdeep_order.clone()),
-        )
-        .expect("left-deep plan");
+            ExecMode::Vectorized,
+            "left-deep plan",
+        );
         assert_eq!(
             chosen.output_size(),
             greedy.output_size(),
@@ -202,48 +214,29 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             w.name
         );
 
-        // Executor wall-clock: the same chosen plan through the legacy
-        // scalar engine and the vectorized engine (single-threaded and
-        // morsel-parallel).  Before timing, assert the engines agree on the
-        // result multiset and that no mode violates a certificate — the
-        // speedup column is only meaningful over bit-identical answers.
-        let mut chosen_rows = chosen.output.rows().to_vec();
-        chosen_rows.sort_unstable();
-        for mode in [ExecMode::Vectorized, ExecMode::Parallel] {
-            let run = execute_physical_mode(&w.query, &w.catalog, &plan.physical, mode)
-                .expect("vectorized plan");
-            if !reactive {
-                assert_eq!(
-                    run.certificate_violations(),
-                    0,
-                    "{}: {mode:?} execution violated a bound certificate",
-                    w.name
-                );
-            }
-            let mut rows = run.output.to_tuples().rows().to_vec();
-            rows.sort_unstable();
+        // Executor wall-clock: the same chosen plan under both scheduling
+        // modes.  Before timing, assert the parallel run reproduces the
+        // vectorized one and violates no certificate.
+        let parallel = exec(w, &plan.physical, ExecMode::Parallel, "parallel plan");
+        if !reactive {
             assert_eq!(
-                rows, chosen_rows,
-                "{}: {mode:?} execution disagrees with the scalar engine",
+                parallel.certificate_violations(),
+                0,
+                "{}: parallel execution violated a bound certificate",
                 w.name
             );
         }
-        let exec_scalar_us = time_exec_us(|| {
-            execute_physical(&w.query, &w.catalog, &plan.physical)
-                .expect("scalar exec")
-                .output_size()
-        });
+        assert_eq!(
+            parallel.output, chosen.output,
+            "{}: parallel execution disagrees with vectorized",
+            w.name
+        );
         let exec_vectorized_us = time_exec_us(|| {
-            execute_physical_mode(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)
-                .expect("vectorized exec")
-                .output_size()
+            exec(w, &plan.physical, ExecMode::Vectorized, "vectorized exec").output_size()
         });
         let exec_parallel_us = time_exec_us(|| {
-            execute_physical_mode(&w.query, &w.catalog, &plan.physical, ExecMode::Parallel)
-                .expect("parallel exec")
-                .output_size()
+            exec(w, &plan.physical, ExecMode::Parallel, "parallel exec").output_size()
         });
-        let speedup_vs_scalar = exec_scalar_us / exec_vectorized_us.min(exec_parallel_us).max(1e-9);
 
         // Adaptive-execution columns.  On ordinary workloads no certificate
         // fires, so the adaptive run degenerates to the static one (replans
@@ -323,14 +316,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
                     let cold_plan = Optimizer::new()
                         .plan(&w.query, &refreshed)
                         .expect("cold re-plan");
-                    execute_physical_mode(
-                        &w.query,
-                        &w.catalog,
-                        &cold_plan.physical,
-                        ExecMode::Vectorized,
-                    )
-                    .expect("cold re-exec")
-                    .output_size()
+                    exec(w, &cold_plan.physical, ExecMode::Vectorized, "cold re-exec").output_size()
                 });
                 (
                     adaptive.replans,
@@ -370,10 +356,8 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             subqueries_bounded: plan.subqueries_bounded,
             bound_fallbacks: plan.bound_fallbacks,
             shape_cache_hits,
-            exec_scalar_us,
             exec_vectorized_us,
             exec_parallel_us,
-            speedup_vs_scalar,
             replans,
             violations_handled,
             adaptive_vs_static_peak,
@@ -396,9 +380,8 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"partitioned_vs_monolithic_peak\": {:.2}, \"parts_planned\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
              \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
-             \"shape_cache_hits\": {}, \"exec_scalar_us\": {:.1}, \
-             \"exec_vectorized_us\": {:.1}, \"exec_parallel_us\": {:.1}, \
-             \"speedup_vs_scalar\": {:.2}, \"replans\": {}, \
+             \"shape_cache_hits\": {}, \"exec_vectorized_us\": {:.1}, \
+             \"exec_parallel_us\": {:.1}, \"replans\": {}, \
              \"violations_handled\": {}, \"adaptive_vs_static_peak\": {:.2}, \
              \"adaptive_vs_coldreplan_us\": {:.1}}}{}\n",
             r.workload,
@@ -431,10 +414,8 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.subqueries_bounded,
             r.bound_fallbacks,
             r.shape_cache_hits,
-            r.exec_scalar_us,
             r.exec_vectorized_us,
             r.exec_parallel_us,
-            r.speedup_vs_scalar,
             r.replans,
             r.violations_handled,
             r.adaptive_vs_static_peak,

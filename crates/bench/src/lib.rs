@@ -18,9 +18,10 @@
 //!
 //! Each module exposes a `run(scale)` function returning structured rows (so
 //! the experiments are unit-testable) and the `experiments` binary prints
-//! them as tables.  The `benches/` directory holds one Criterion benchmark
-//! per experiment plus micro-benchmarks of the LP solver and the join
-//! algorithms.
+//! them as tables.  The `benches/` directory holds one table-driven
+//! Criterion benchmark over all experiments (`experiments`) plus
+//! micro-benchmarks of the LP solver and the join algorithms and the
+//! planner / serve emitters.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

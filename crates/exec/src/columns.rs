@@ -1,12 +1,8 @@
-//! Columnar intermediates: the vectorized executor's data layout.
+//! Columnar intermediates: the executor's data layout.
 //!
-//! The scalar pipeline materializes every intermediate as a
-//! `Vec<Vec<u64>>` — one heap allocation *per output tuple*, which is where
-//! its wall-clock goes (the planner's bound-certified plans already keep the
-//! row counts small; the per-row allocation and pointer chasing dominate
-//! what is left).  The vectorized engine works over [`ColumnTable`] instead:
-//! one dense `Vec<u64>` per query variable, processed a fixed-size
-//! [`ColumnBatch`] (≤ [`BATCH_ROWS`] rows) at a time, so operators
+//! Every intermediate is a [`ColumnTable`]: one dense `Vec<u64>` per query
+//! variable (no per-row allocation, no pointer chasing), processed a
+//! fixed-size [`ColumnBatch`] (≤ [`BATCH_ROWS`] rows) at a time, so operators
 //!
 //! * **scan** by cloning whole columns (a relation is already columnar —
 //!   binding an atom is `arity` memcpys, not `n` row allocations),
@@ -15,30 +11,29 @@
 //! * **filter** through bitmaps (one `bool` per row of a batch, then one
 //!   compaction pass per column),
 //! * **intersect** dictionary-encoded sorted `u64` runs with galloping
-//!   ([`gallop_ge`]) — the leapfrog primitive of the vectorized WCOJ
-//!   ([`crate::RunTrie`]).
+//!   ([`gallop_ge`]) — the leapfrog primitive of the WCOJ
+//!   (`RunTrie` in the `trie` module).
 //!
-//! Values are dictionary codes (`u64`) throughout, exactly like the scalar
-//! path — the dictionary lives in `lpb-data`; this module only fixes the
-//! layout.  [`ColumnTable`] and [`crate::Tuples`] convert losslessly in both
-//! directions, which is what the differential tests (vectorized vs. scalar
-//! executors, bit-identical multisets) are built on.
+//! Values are dictionary codes (`u64`) throughout — the dictionary lives in
+//! `lpb-data`; this module only fixes the layout.  Tests read results back
+//! row-wise through [`ColumnTable::sorted_rows`], which is what the
+//! differential tests against the nested-loop oracle ([`crate::oracle`])
+//! compare.
 
 use crate::error::ExecError;
-use crate::tuples::Tuples;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation};
 
 /// Rows per [`ColumnBatch`]: operators process at most this many rows per
 /// inner loop, keeping the working set (a few columns × 1024 × 8 bytes) in
 /// L1/L2 while amortizing per-batch setup.
-pub const BATCH_ROWS: usize = 1024;
+pub(crate) const BATCH_ROWS: usize = 1024;
 
 /// A materialized columnar intermediate: named columns (query variables),
 /// one dense `u64` vector per column.
 ///
-/// The columnar twin of [`Tuples`]; row `i` is `(cols[0][i], …,
-/// cols[k-1][i])`.  All columns always have equal length.
+/// Row `i` is `(cols[0][i], …, cols[k-1][i])`.  All columns always have
+/// equal length.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ColumnTable {
     vars: Vec<String>,
@@ -49,13 +44,6 @@ impl ColumnTable {
     /// An empty table with the given variables.
     pub fn empty(vars: Vec<String>) -> Self {
         let cols = vec![Vec::new(); vars.len()];
-        ColumnTable { vars, cols }
-    }
-
-    /// An empty table whose columns are pre-sized for `rows` rows — the
-    /// "pre-sized output buffer" every vectorized operator fills.
-    pub fn with_capacity(vars: Vec<String>, rows: usize) -> Self {
-        let cols = vec![Vec::with_capacity(rows); vars.len()];
         ColumnTable { vars, cols }
     }
 
@@ -99,29 +87,6 @@ impl ColumnTable {
         })
     }
 
-    /// Convert a row-major [`Tuples`] into columns.
-    pub fn from_tuples(tuples: &Tuples) -> Self {
-        let mut cols = vec![Vec::with_capacity(tuples.len()); tuples.vars().len()];
-        for row in tuples.rows() {
-            for (c, &v) in row.iter().enumerate() {
-                cols[c].push(v);
-            }
-        }
-        ColumnTable {
-            vars: tuples.vars().to_vec(),
-            cols,
-        }
-    }
-
-    /// Convert back to row-major [`Tuples`] (used by cross-checking tests
-    /// and by callers that still want row-at-a-time access).
-    pub fn to_tuples(&self) -> Tuples {
-        let rows: Vec<Vec<u64>> = (0..self.len())
-            .map(|i| self.cols.iter().map(|c| c[i]).collect())
-            .collect();
-        Tuples::new(self.vars.clone(), rows)
-    }
-
     /// Column (variable) names.
     pub fn vars(&self) -> &[String] {
         &self.vars
@@ -142,14 +107,24 @@ impl ColumnTable {
         self.len() == 0
     }
 
+    /// The rows in row-major form, sorted — the one row accessor, for tests
+    /// and reports that compare result multisets.
+    pub fn sorted_rows(&self) -> Vec<Vec<u64>> {
+        let mut rows: Vec<Vec<u64>> = (0..self.len())
+            .map(|i| self.cols.iter().map(|c| c[i]).collect())
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
     /// Position of variable `var`, if present.
     pub fn position(&self, var: &str) -> Option<usize> {
         self.vars.iter().position(|v| v == var)
     }
 
     /// The variables shared with `other`, as (position here, position
-    /// there) — identical to [`Tuples::shared_positions`].
-    pub fn shared_positions(&self, other: &ColumnTable) -> Vec<(usize, usize)> {
+    /// there).
+    pub(crate) fn shared_positions(&self, other: &ColumnTable) -> Vec<(usize, usize)> {
         self.vars
             .iter()
             .enumerate()
@@ -159,7 +134,7 @@ impl ColumnTable {
 
     /// Iterate over the table in fixed-size [`ColumnBatch`] views of at most
     /// [`BATCH_ROWS`] rows each.
-    pub fn batches(&self) -> impl Iterator<Item = ColumnBatch<'_>> {
+    pub(crate) fn batches(&self) -> impl Iterator<Item = ColumnBatch<'_>> {
         let n = self.len();
         (0..n).step_by(BATCH_ROWS).map(move |start| ColumnBatch {
             table: self,
@@ -171,7 +146,7 @@ impl ColumnTable {
     /// Append one row (used by the vectorized WCOJ's output writer, which
     /// emits assignments variable-wise).
     #[inline]
-    pub fn push_row(&mut self, row: &[u64]) {
+    pub(crate) fn push_row(&mut self, row: &[u64]) {
         debug_assert_eq!(row.len(), self.cols.len());
         for (c, &v) in row.iter().enumerate() {
             self.cols[c].push(v);
@@ -182,14 +157,14 @@ impl ColumnTable {
     /// table's column `dst` — the columnar join's output move: one tight
     /// loop per column, no per-row allocation.
     #[inline]
-    pub fn gather(&mut self, dst: usize, from: &ColumnTable, src: usize, indices: &[u32]) {
+    pub(crate) fn gather(&mut self, dst: usize, from: &ColumnTable, src: usize, indices: &[u32]) {
         let source = &from.cols[src];
         self.cols[dst].extend(indices.iter().map(|&i| source[i as usize]));
     }
 
     /// Keep exactly the rows whose bitmap entry is `true` (the semi-join
     /// filter).  `bitmap.len()` must equal the row count.
-    pub fn retain_rows(&mut self, bitmap: &[bool]) {
+    pub(crate) fn retain_rows(&mut self, bitmap: &[bool]) {
         debug_assert_eq!(bitmap.len(), self.len());
         for col in &mut self.cols {
             let mut write = 0usize;
@@ -223,8 +198,8 @@ impl ColumnTable {
     /// Append `other`'s rows, reordering its columns to this table's
     /// variable order (both must cover the same variable set).  No
     /// deduplication — the partitioned-union executor relies on disjoint
-    /// parts, exactly like the scalar [`Tuples::extend_reordered`].
-    pub fn extend_reordered(&mut self, other: &ColumnTable) {
+    /// parts.
+    pub(crate) fn extend_reordered(&mut self, other: &ColumnTable) {
         for (dst, var) in self.vars.clone().iter().enumerate() {
             let src = other
                 .position(var)
@@ -237,7 +212,7 @@ impl ColumnTable {
 /// A borrowed view of up to [`BATCH_ROWS`] consecutive rows of a
 /// [`ColumnTable`] — the unit of work of every vectorized operator.
 #[derive(Debug, Clone, Copy)]
-pub struct ColumnBatch<'a> {
+pub(crate) struct ColumnBatch<'a> {
     table: &'a ColumnTable,
     start: usize,
     end: usize,
@@ -254,12 +229,6 @@ impl<'a> ColumnBatch<'a> {
         self.end - self.start
     }
 
-    /// True when the batch is empty (never produced by
-    /// [`ColumnTable::batches`]).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
     /// The batch's slice of column `i`.
     pub fn col(&self, i: usize) -> &'a [u64] {
         &self.table.col(i)[self.start..self.end]
@@ -272,7 +241,7 @@ impl<'a> ColumnBatch<'a> {
 /// is what makes leapfrog seeks over long sorted runs cheap.  `run` must be
 /// sorted ascending.
 #[inline]
-pub fn gallop_ge(run: &[u64], from: usize, target: u64) -> usize {
+pub(crate) fn gallop_ge(run: &[u64], from: usize, target: u64) -> usize {
     let n = run.len();
     if from >= n || run[from] >= target {
         return from;
@@ -306,15 +275,18 @@ mod tests {
     }
 
     #[test]
-    fn tuples_roundtrip_is_lossless() {
-        let t = Tuples::new(
+    fn sorted_rows_reads_the_table_back_row_major() {
+        let c = ColumnTable::new(
             vec!["X".into(), "Y".into()],
-            vec![vec![1, 10], vec![2, 20], vec![3, 30]],
+            vec![vec![3, 1, 2, 1], vec![30, 10, 20, 5]],
         );
-        let c = ColumnTable::from_tuples(&t);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.col(1), &[10, 20, 30]);
-        assert_eq!(c.to_tuples(), t);
+        assert_eq!(
+            c.sorted_rows(),
+            vec![vec![1, 5], vec![1, 10], vec![2, 20], vec![3, 30]]
+        );
+        assert!(ColumnTable::empty(vec!["X".into()])
+            .sorted_rows()
+            .is_empty());
     }
 
     #[test]
@@ -339,7 +311,7 @@ mod tests {
             vec!["X".into(), "Y".into()],
             vec![vec![1, 2, 3, 4], vec![10, 20, 30, 40]],
         );
-        let mut out = ColumnTable::with_capacity(vec!["Y".into()], 3);
+        let mut out = ColumnTable::empty(vec!["Y".into()]);
         out.gather(0, &src, 1, &[3, 0, 3]);
         assert_eq!(out.col(0), &[40, 10, 40]);
 

@@ -1,24 +1,19 @@
-//! In-memory hash join of two intermediates on their shared variables.
+//! In-memory hash join of two columnar intermediates on their shared
+//! variables.
 //!
-//! Two generations live side by side: the original tuple-at-a-time
-//! [`hash_join`]/[`semi_join`] over [`Tuples`] (the `ExecMode::Scalar`
-//! cross-checking fallback), and the vectorized
-//! [`hash_join_columns`]/[`semi_join_columns`] over [`ColumnTable`], which
-//! build from column slices, probe a batch at a time, and move matches with
-//! column-wise gathers instead of allocating a `Vec<u64>` per output tuple.
-//! Both produce identical multisets of rows with identical output schemas —
-//! the differential property tests pin that down.
+//! [`hash_join_columns`] / [`semi_join_columns`] build from column slices,
+//! probe a batch at a time, and move matches with column-wise gathers
+//! instead of allocating a `Vec<u64>` per output tuple.  The unit tests pin
+//! both against the nested-loop oracle ([`crate::oracle`]).
 
 use crate::columns::{ColumnBatch, ColumnTable};
-use crate::tuples::Tuples;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A multiply-rotate hasher (rustc's FxHash recipe) for the columnar join
 /// tables.  The probe loop is hash-lookup bound, and SipHash's DoS
 /// resistance buys nothing for in-memory `u64` join keys — swapping it out
-/// is worth ~30% on join-heavy plans.  The scalar [`hash_join`] keeps the
-/// default hasher: it is the cross-checking fallback, not the fast path.
+/// is worth ~30% on join-heavy plans.
 #[derive(Default)]
 struct JoinHasher(u64);
 
@@ -52,91 +47,6 @@ impl Hasher for JoinHasher {
 
 /// A join hash table keyed by `K` with the fast hasher.
 type JoinMap<K> = HashMap<K, Vec<u32>, BuildHasherDefault<JoinHasher>>;
-
-/// Join two intermediates on all variables they share (natural join).
-///
-/// The output schema is `left.vars()` followed by the variables of `right`
-/// that are not in `left`.  If the two sides share no variables this is the
-/// cartesian product.
-pub fn hash_join(left: &Tuples, right: &Tuples) -> Tuples {
-    let shared = left.shared_positions(right);
-    let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
-    let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
-    let right_extra_pos: Vec<usize> = (0..right.vars().len())
-        .filter(|p| !right_key_pos.contains(p))
-        .collect();
-
-    let mut out_vars: Vec<String> = left.vars().to_vec();
-    out_vars.extend(right_extra_pos.iter().map(|&p| right.vars()[p].clone()));
-
-    // Build side: the smaller input.
-    let (build, probe, build_is_left) = if left.len() <= right.len() {
-        (left, right, true)
-    } else {
-        (right, left, false)
-    };
-    let (build_key_pos, probe_key_pos) = if build_is_left {
-        (&left_key_pos, &right_key_pos)
-    } else {
-        (&right_key_pos, &left_key_pos)
-    };
-
-    let mut table: HashMap<Vec<u64>, Vec<usize>> = HashMap::new();
-    for (i, row) in build.rows().iter().enumerate() {
-        let key: Vec<u64> = build_key_pos.iter().map(|&p| row[p]).collect();
-        table.entry(key).or_default().push(i);
-    }
-
-    let mut out_rows: Vec<Vec<u64>> = Vec::new();
-    for probe_row in probe.rows() {
-        let key: Vec<u64> = probe_key_pos.iter().map(|&p| probe_row[p]).collect();
-        let Some(matches) = table.get(&key) else {
-            continue;
-        };
-        for &build_idx in matches {
-            let build_row = &build.rows()[build_idx];
-            let (left_row, right_row) = if build_is_left {
-                (build_row, probe_row)
-            } else {
-                (probe_row, build_row)
-            };
-            let mut out = left_row.clone();
-            out.extend(right_extra_pos.iter().map(|&p| right_row[p]));
-            out_rows.push(out);
-        }
-    }
-    Tuples::new(out_vars, out_rows)
-}
-
-/// Left semi-join: the rows of `left` that have at least one match in
-/// `right` on the shared variables.  Used by the Yannakakis full reducer.
-pub fn semi_join(left: &Tuples, right: &Tuples) -> Tuples {
-    let shared = left.shared_positions(right);
-    if shared.is_empty() {
-        return if right.is_empty() {
-            Tuples::empty(left.vars().to_vec())
-        } else {
-            left.clone()
-        };
-    }
-    let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
-    let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
-    let keys: std::collections::HashSet<Vec<u64>> = right
-        .rows()
-        .iter()
-        .map(|r| right_key_pos.iter().map(|&p| r[p]).collect())
-        .collect();
-    let rows = left
-        .rows()
-        .iter()
-        .filter(|r| {
-            let key: Vec<u64> = left_key_pos.iter().map(|&p| r[p]).collect();
-            keys.contains(&key)
-        })
-        .cloned()
-        .collect();
-    Tuples::new(left.vars().to_vec(), rows)
-}
 
 /// The hash table of a columnar join build: row indices of the build side
 /// keyed by join key, with a dedicated single-column fast path (one `u64`,
@@ -216,15 +126,14 @@ impl BuildTable {
     }
 }
 
-/// Vectorized natural join over columnar intermediates.
+/// Natural join of two columnar intermediates on all variables they share.
 ///
-/// Same contract as [`hash_join`] — output schema is `left.vars()` followed
-/// by `right`'s extra variables, the smaller side is built, no shared
-/// variables means cartesian product — but executed batch-at-a-time: the
-/// probe side is walked in [`ColumnBatch`]es, matches accumulate as index
-/// pairs, and each output column is filled with one gather per batch.  The
-/// output row *multiset* is identical to the scalar join's.
-pub fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
+/// The output schema is `left.vars()` followed by the variables of `right`
+/// that are not in `left`; the smaller side is built; no shared variables
+/// means cartesian product.  Executed batch-at-a-time: the probe side is
+/// walked in [`ColumnBatch`]es, matches accumulate as index pairs, and each
+/// output column is filled with one gather per batch.
+pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
     let shared = left.shared_positions(right);
     let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
     let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
@@ -287,22 +196,22 @@ pub fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable
     out
 }
 
-/// Vectorized left semi-join: same contract as [`semi_join`], executed as a
-/// bitmap filter — probe every batch of `left` against a key set built from
-/// `right`'s columns, mark survivors in a `Vec<bool>`, then compact each
-/// column in one pass.
-pub fn semi_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
+/// Left semi-join: the rows of `left` that have at least one match in
+/// `right` on the shared variables (the Yannakakis full reducer's pass),
+/// executed as a bitmap filter — probe every batch of `left` against a key
+/// set built from `right`'s columns, mark survivors in a `Vec<bool>`, then
+/// compact each column in one pass.
+pub(crate) fn semi_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
     let mut filtered = left.clone();
     let bitmap = semi_join_bitmap(left, right);
     filtered.retain_rows(&bitmap);
     filtered
 }
 
-/// The bitmap of a vectorized semi-join: `true` at the rows of `left` with
-/// at least one match in `right` on the shared variables.  Mirrors
-/// [`semi_join`]'s no-shared-variable convention (all-true when `right` is
-/// non-empty, all-false when it is empty).
-pub fn semi_join_bitmap(left: &ColumnTable, right: &ColumnTable) -> Vec<bool> {
+/// The bitmap of a semi-join: `true` at the rows of `left` with at least
+/// one match in `right` on the shared variables.  With no shared variable
+/// it is all-true when `right` is non-empty and all-false when it is empty.
+fn semi_join_bitmap(left: &ColumnTable, right: &ColumnTable) -> Vec<bool> {
     let shared = left.shared_positions(right);
     if shared.is_empty() {
         return vec![!right.is_empty(); left.len()];
@@ -340,95 +249,41 @@ pub fn semi_join_bitmap(left: &ColumnTable, right: &ColumnTable) -> Vec<bool> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle::nested_loop_join;
+    use lpb_core::{Atom, JoinQuery};
+    use lpb_data::{Catalog, RelationBuilder};
 
-    fn t(vars: &[&str], rows: &[&[u64]]) -> Tuples {
-        Tuples::new(
-            vars.iter().map(|s| s.to_string()).collect(),
-            rows.iter().map(|r| r.to_vec()).collect(),
-        )
+    fn t(vars: &[&str], rows: &[&[u64]]) -> ColumnTable {
+        let mut out = ColumnTable::empty(vars.iter().map(|s| s.to_string()).collect());
+        for row in rows {
+            out.push_row(row);
+        }
+        out
+    }
+
+    /// What the nested-loop oracle says `l ⋈ r` is, with columns in
+    /// `out_vars` order: the two tables become relations `L` and `R` of a
+    /// two-atom query.
+    fn oracle_join(l: &ColumnTable, r: &ColumnTable, out_vars: &[String]) -> Vec<Vec<u64>> {
+        let mut catalog = Catalog::new();
+        let mut atoms = Vec::new();
+        for (name, table) in [("L", l), ("R", r)] {
+            let vars: Vec<&str> = table.vars().iter().map(String::as_str).collect();
+            let mut b = RelationBuilder::new(name, vars.iter().copied())
+                .unwrap()
+                .keep_duplicates();
+            for row in table.sorted_rows() {
+                b.push_codes(&row).unwrap();
+            }
+            catalog.insert(b.build());
+            atoms.push(Atom::new(name, &vars));
+        }
+        let query = JoinQuery::new("l-join-r", atoms).unwrap();
+        nested_loop_join(&query, &catalog, out_vars).unwrap()
     }
 
     #[test]
-    fn natural_join_on_one_variable() {
-        let r = t(&["X", "Y"], &[&[1, 10], &[2, 10], &[3, 20]]);
-        let s = t(&["Y", "Z"], &[&[10, 100], &[10, 101], &[30, 100]]);
-        let mut out = hash_join(&r, &s);
-        assert_eq!(
-            out.vars(),
-            &["X".to_string(), "Y".to_string(), "Z".to_string()]
-        );
-        out.deduplicate();
-        assert_eq!(out.len(), 4); // (1,10,100),(1,10,101),(2,10,100),(2,10,101)
-    }
-
-    #[test]
-    fn join_without_shared_variables_is_cartesian_product() {
-        let r = t(&["X"], &[&[1], &[2]]);
-        let s = t(&["Y"], &[&[7], &[8], &[9]]);
-        let out = hash_join(&r, &s);
-        assert_eq!(out.len(), 6);
-        assert_eq!(out.vars().len(), 2);
-    }
-
-    #[test]
-    fn join_on_two_shared_variables() {
-        let r = t(&["X", "Y", "A"], &[&[1, 2, 5], &[1, 3, 6]]);
-        let s = t(&["Y", "X", "B"], &[&[2, 1, 7], &[3, 9, 8]]);
-        let out = hash_join(&r, &s);
-        // Only (X=1, Y=2) matches.
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.rows()[0], vec![1, 2, 5, 7]);
-    }
-
-    #[test]
-    fn empty_inputs_produce_empty_outputs() {
-        let r = t(&["X", "Y"], &[]);
-        let s = t(&["Y", "Z"], &[&[1, 2]]);
-        assert!(hash_join(&r, &s).is_empty());
-        assert!(hash_join(&s, &r).is_empty());
-    }
-
-    #[test]
-    fn join_is_symmetric_up_to_column_order() {
-        let r = t(&["X", "Y"], &[&[1, 10], &[2, 20], &[2, 10]]);
-        let s = t(&["Y", "Z"], &[&[10, 7], &[20, 8]]);
-        let mut a = hash_join(&r, &s);
-        let mut b = hash_join(&s, &r).reorder(&["X", "Y", "Z"]);
-        a.deduplicate();
-        b.deduplicate();
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn semi_join_filters_dangling_rows() {
-        let r = t(&["X", "Y"], &[&[1, 10], &[2, 20], &[3, 30]]);
-        let s = t(&["Y", "Z"], &[&[10, 1], &[30, 2]]);
-        let out = semi_join(&r, &s);
-        assert_eq!(out.len(), 2);
-        // Semi-join with no shared vars keeps everything when the right side
-        // is non-empty, nothing when it is empty.
-        let unrelated = t(&["W"], &[&[5]]);
-        assert_eq!(semi_join(&r, &unrelated).len(), 3);
-        let empty = t(&["W"], &[]);
-        assert_eq!(semi_join(&r, &empty).len(), 0);
-    }
-
-    /// Sorted-row multiset of either representation, for differential
-    /// comparison.
-    fn sorted_rows_c(c: &ColumnTable) -> Vec<Vec<u64>> {
-        let mut rows = c.to_tuples().rows().to_vec();
-        rows.sort_unstable();
-        rows
-    }
-
-    fn sorted_rows_t(t: &Tuples) -> Vec<Vec<u64>> {
-        let mut rows = t.rows().to_vec();
-        rows.sort_unstable();
-        rows
-    }
-
-    #[test]
-    fn columnar_join_matches_scalar_join() {
+    fn join_matches_the_oracle() {
         let cases = [
             // One shared variable, duplicates on both sides.
             (
@@ -446,44 +301,54 @@ mod tests {
             (t(&["X", "Y"], &[]), t(&["Y", "Z"], &[&[1, 2]])),
         ];
         for (l, r) in &cases {
-            let scalar = hash_join(l, r);
-            let cols =
-                hash_join_columns(&ColumnTable::from_tuples(l), &ColumnTable::from_tuples(r));
-            assert_eq!(cols.vars(), scalar.vars());
-            assert_eq!(sorted_rows_c(&cols), sorted_rows_t(&scalar));
+            // Both argument orders: either side may be the build side.
+            for (a, b) in [(l, r), (r, l)] {
+                let out = hash_join_columns(a, b);
+                let mut expect_vars = a.vars().to_vec();
+                expect_vars.extend(b.vars().iter().filter(|v| !a.vars().contains(v)).cloned());
+                assert_eq!(out.vars(), expect_vars.as_slice());
+                assert_eq!(out.sorted_rows(), oracle_join(a, b, out.vars()));
+            }
         }
     }
 
     #[test]
-    fn columnar_join_crosses_batch_boundaries() {
-        // More probe rows than one batch, matching a small build side.
-        let n = 3000u64;
-        let l = Tuples::new(
-            vec!["X".into(), "Y".into()],
-            (0..n).map(|i| vec![i, i % 5]).collect(),
+    fn join_on_two_shared_variables() {
+        let r = t(&["X", "Y", "A"], &[&[1, 2, 5], &[1, 3, 6]]);
+        let s = t(&["Y", "X", "B"], &[&[2, 1, 7], &[3, 9, 8]]);
+        // Only (X=1, Y=2) matches.
+        assert_eq!(
+            hash_join_columns(&r, &s).sorted_rows(),
+            vec![vec![1, 2, 5, 7]]
         );
-        let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
-        let scalar = hash_join(&l, &r);
-        let cols = hash_join_columns(&ColumnTable::from_tuples(&l), &ColumnTable::from_tuples(&r));
-        assert_eq!(sorted_rows_c(&cols), sorted_rows_t(&scalar));
-        assert_eq!(cols.len() as u64, n / 5 * 3);
     }
 
     #[test]
-    fn columnar_semi_join_matches_scalar() {
+    fn join_crosses_batch_boundaries() {
+        // More probe rows than one batch, matching a small build side.
+        let n = 3000u64;
+        let l = ColumnTable::new(
+            vec!["X".into(), "Y".into()],
+            vec![(0..n).collect(), (0..n).map(|i| i % 5).collect()],
+        );
+        let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
+        let out = hash_join_columns(&l, &r);
+        assert_eq!(out.len() as u64, n / 5 * 3);
+        assert_eq!(out.sorted_rows(), oracle_join(&l, &r, out.vars()));
+    }
+
+    #[test]
+    fn semi_join_filters_dangling_rows() {
         let r = t(&["X", "Y"], &[&[1, 10], &[2, 20], &[3, 30], &[4, 10]]);
         let s = t(&["Y", "Z"], &[&[10, 1], &[30, 2]]);
-        let rc = ColumnTable::from_tuples(&r);
-        let sc = ColumnTable::from_tuples(&s);
+        assert_eq!(semi_join_bitmap(&r, &s), vec![true, false, true, true]);
         assert_eq!(
-            sorted_rows_c(&semi_join_columns(&rc, &sc)),
-            sorted_rows_t(&semi_join(&r, &s))
+            semi_join_columns(&r, &s).sorted_rows(),
+            vec![vec![1, 10], vec![3, 30], vec![4, 10]]
         );
-        // No-shared-vars conventions match the scalar path.
-        let unrelated = ColumnTable::from_tuples(&t(&["W"], &[&[5]]));
-        assert_eq!(semi_join_columns(&rc, &unrelated).len(), 4);
-        let empty = ColumnTable::from_tuples(&t(&["W"], &[]));
-        assert_eq!(semi_join_columns(&rc, &empty).len(), 0);
-        assert_eq!(semi_join_bitmap(&rc, &sc), vec![true, false, true, true]);
+        // With no shared variables everything survives a non-empty right
+        // side and nothing survives an empty one.
+        assert_eq!(semi_join_columns(&r, &t(&["W"], &[&[5]])).len(), 4);
+        assert_eq!(semi_join_columns(&r, &t(&["W"], &[])).len(), 0);
     }
 }

@@ -4,18 +4,24 @@
 //! (PODS 2024) needs to evaluate queries for two reasons: every experiment
 //! compares a bound against the **true** output cardinality, and the paper's
 //! second contribution (§2.2) is an evaluation *algorithm* whose running time
-//! matches the new bounds.  This crate provides:
+//! matches the new bounds.  This crate provides **one executor** and the
+//! planner that drives it:
 //!
-//! * [`Tuples`] — materialized intermediates keyed by query variables;
-//! * [`hash_join`] / [`semi_join`] and left-deep [`JoinPlan`]s — the baseline
-//!   evaluation strategy (and the source of true cardinalities for small
-//!   queries);
 //! * a two-level plan IR: [`LogicalPlan`] (the join graph over atoms, with
 //!   connected-subset enumeration and cyclic-core detection) lowered to a
 //!   [`PhysicalPlan`] strategy tree (hash chains, **bushy** binary hash
-//!   joins, leapfrog WCOJ cores, Yannakakis-reduced residues), executed by
-//!   [`execute_physical`] with [`IntermediateCounters`] threaded through
-//!   every node;
+//!   joins, leapfrog WCOJ cores, Yannakakis-reduced residues,
+//!   degree-partitioned unions); a left-deep [`JoinPlan`] is the hash chain
+//!   `PhysicalPlan::hash_chain(plan.order().to_vec())`;
+//! * **one engine, two modes** — [`execute_physical_mode`] is the single
+//!   entry point.  Every intermediate is a columnar [`ColumnTable`] and
+//!   every operator is columnar: batch-at-a-time hash joins, galloping
+//!   leapfrog over CSR run tries, bitmap semi-joins.  [`ExecMode`] only
+//!   chooses the scheduling policy over those kernels: `Vectorized` runs
+//!   stages in plan order on one worker, `Parallel` forks independent
+//!   sub-plans (partition parts, bushy branches) onto morsel workers whose
+//!   per-worker [`IntermediateCounters`] merge into the identical
+//!   recording;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
 //!   bounded in one warm-started [`lpb_core::BatchEstimator`] batch and a
 //!   bottleneck DP over **bushy trees** (left-deep extension *and*
@@ -31,30 +37,23 @@
 //!   emitted plan nodes, and execution checks every observed intermediate
 //!   against them ([`IntermediateCounters::certificate_violations`] stays
 //!   zero exactly because the paper's bounds are guarantees);
-//! * [`yannakakis_count`] — output-size counting for α-acyclic queries by
-//!   weighted message passing over a GYO join tree, used for the JOB-like
-//!   acyclic suite whose outputs are too large to materialize;
-//! * [`wcoj_count`] / [`wcoj_materialize`] — a generic worst-case-optimal
-//!   join (attribute-at-a-time over hash tries);
-//! * [`triangle_count`], [`path2_count`], [`cycle_count`] — specialized
-//!   counters for the experiment query shapes;
+//! * the **truth counters** the experiments compare bounds against:
+//!   [`yannakakis_count`] (weighted message passing over a GYO join tree,
+//!   for the JOB-like acyclic suite whose outputs are too large to
+//!   materialize), [`wcoj_count`] (the generic worst-case-optimal join),
+//!   [`true_cardinality`] (dispatching between the two), and the
+//!   specialized [`triangle_count`], [`path2_count`], [`cycle_count`];
 //! * [`partition_by_degree`] (Lemma 2.5) and [`partitioned_join_count`]
 //!   (Theorem 2.6) — the paper's reduction from ℓp statistics to ℓ1 + ℓ∞
 //!   statistics by degree bucketing, evaluated part-by-part with the WCOJ;
-//! * a **vectorized, morsel-parallel engine** ([`execute_physical_mode`]):
-//!   the same certified plans executed over columnar [`ColumnTable`]
-//!   intermediates — batch-at-a-time hash joins ([`hash_join_columns`]),
-//!   galloping leapfrog over CSR [`RunTrie`]s, bitmap semi-joins
-//!   ([`full_reducer_columns`]) — with independent sub-plans (partition
-//!   parts, bushy branches) forked onto morsel workers whose per-worker
-//!   [`IntermediateCounters`] merge through the same roll-up logic
-//!   ([`IntermediateCounters::merge`]); the scalar path stays available as
-//!   [`ExecMode::Scalar`] for differential cross-checking;
+//! * [`oracle::nested_loop_join`] — the **differential reference**: a naive
+//!   nested-loop join that shares no code with any operator, against which
+//!   the unit, integration and property tests compare every plan's output;
 //! * **adaptive execution** — the state-machine layering that turns the
 //!   bound certificates into a mid-query feedback controller:
 //!   - [`ExecState`] (the `state` module): every plan is lowered to a flat
 //!     stage DAG and executed resumably — [`ExecState::run_until`] suspends
-//!     at any stage boundary and resumes bit-identically in all three
+//!     at any stage boundary and resumes bit-identically in both
 //!     [`ExecMode`]s (`Parallel` drains its current morsel batch before
 //!     yielding);
 //!   - [`CertificatePolicy`]: `Ignore` records sizes only, `Count` (the
@@ -81,24 +80,23 @@ mod hash_join;
 mod logical;
 mod morsel;
 mod optimizer;
+pub mod oracle;
 mod panda_eval;
 mod partition;
 mod physical;
 mod plan_cache;
 mod state;
 mod trie;
-mod tuples;
 mod wcoj;
 mod yannakakis;
 
-pub use columns::{gallop_ge, ColumnBatch, ColumnTable, BATCH_ROWS};
+pub use columns::ColumnTable;
 pub use counters::{
     cycle_count, join2_count, path2_count, triangle_count, BoundViolation, CertificatePolicy,
     IntermediateCounters, StepCount, CERTIFICATE_SLACK,
 };
 pub use error::ExecError;
-pub use hash_join::{hash_join, hash_join_columns, semi_join, semi_join_bitmap, semi_join_columns};
-pub use logical::{validate_atom_permutation, JoinPlan, LogicalPlan};
+pub use logical::{JoinPlan, LogicalPlan};
 pub use morsel::{execute_physical_mode, ColumnRun, ExecMode};
 pub use optimizer::{
     AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig,
@@ -106,22 +104,11 @@ pub use optimizer::{
 };
 pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
 pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
-pub use physical::{
-    execute_physical, execute_plan, join_size, PartitionBranch, PhysicalNode, PhysicalPlan,
-    PhysicalRun, PlanResult,
-};
-pub use plan_cache::{canonical_shape, PlanCache};
+pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
+pub use plan_cache::PlanCache;
 pub use state::{ExecState, ExecStatus, LiveSlot};
-pub use trie::{AtomTrie, RunRange, RunTrie, TrieNode};
-pub use tuples::Tuples;
-pub use wcoj::{
-    build_run_tries, build_tries, generic_join_runs, generic_join_with, wcoj_count,
-    wcoj_count_tries, wcoj_materialize, wcoj_materialize_columns,
-};
-pub use yannakakis::{
-    full_reducer, full_reducer_columns, full_reducer_counted, gyo_join_tree, is_acyclic,
-    yannakakis_count, JoinTree,
-};
+pub use wcoj::wcoj_count;
+pub use yannakakis::{is_acyclic, yannakakis_count};
 
 /// Compute the true output cardinality of a query with the most appropriate
 /// algorithm: the Yannakakis counter for α-acyclic queries, the generic

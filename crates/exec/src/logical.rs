@@ -17,7 +17,7 @@ use lpb_entropy::VarSet;
 /// Check that `order` mentions every atom index below `n_atoms` exactly
 /// once.  Shared by [`JoinPlan::with_order`] and the optimizer's order
 /// construction, so both reject malformed permutations identically.
-pub fn validate_atom_permutation(n_atoms: usize, order: &[usize]) -> Result<(), ExecError> {
+pub(crate) fn validate_atom_permutation(n_atoms: usize, order: &[usize]) -> Result<(), ExecError> {
     if order.len() != n_atoms {
         return Err(ExecError::NotApplicable {
             reason: "join order must mention every atom exactly once".into(),
@@ -132,9 +132,9 @@ impl LogicalPlan {
     /// The GYO-irreducible **cyclic core** of the query: repeatedly remove
     /// ears (atoms whose shared variables are covered by a single other
     /// atom) and return what is left.  Empty for α-acyclic queries; the
-    /// whole atom set for cores like triangles and cycles.  Mirrors
-    /// [`crate::gyo_join_tree`], which additionally records the join tree
-    /// when the reduction succeeds.
+    /// whole atom set for cores like triangles and cycles.  Mirrors the GYO
+    /// reduction behind [`crate::is_acyclic`], which additionally records
+    /// the join tree when the reduction succeeds.
     pub fn cyclic_core(&self) -> Vec<usize> {
         let m = self.n_atoms();
         let mut alive = vec![true; m];

@@ -1,31 +1,32 @@
-//! The vectorized, morsel-driven executor: [`execute_physical_mode`] runs
-//! the same certified [`PhysicalPlan`]s as [`crate::execute_physical`], in
-//! one of three [`ExecMode`]s.
+//! The executor's front end: [`execute_physical_mode`] runs a certified
+//! [`PhysicalPlan`] to completion in one of two [`ExecMode`]s.
 //!
-//! * [`ExecMode::Scalar`] — the legacy tuple-at-a-time engine, kept as the
-//!   cross-checking fallback (row-major [`crate::Tuples`] intermediates).
-//! * [`ExecMode::Vectorized`] — one worker, columnar operators throughout:
-//!   scans clone relation columns ([`ColumnTable::from_atom`]), hash joins
-//!   probe batch-at-a-time with columnar gathers
-//!   ([`crate::hash_join_columns`]), the WCOJ leapfrogs over CSR
-//!   [`crate::RunTrie`]s with galloping seeks, and Yannakakis reduction
-//!   filters through bitmaps ([`crate::yannakakis::full_reducer_columns`]).
-//! * [`ExecMode::Parallel`] — the vectorized operators plus morsel-driven
-//!   parallelism: the stage machine's **ready set** (stages whose inputs
-//!   are all complete — bushy [`crate::PhysicalNode::HashJoin`] branches,
+//! There is one engine — columnar operators over [`ColumnTable`]
+//! intermediates: scans clone relation columns
+//! ([`ColumnTable::from_atom`]), hash joins probe batch-at-a-time with
+//! columnar gathers, the WCOJ leapfrogs over CSR run tries with galloping
+//! seeks, and Yannakakis reduction filters through bitmaps.  The mode only
+//! picks the **scheduling policy** over those kernels:
+//!
+//! * [`ExecMode::Vectorized`] — one worker, stages in plan order.
+//! * [`ExecMode::Parallel`] — morsel-driven parallelism: the stage
+//!   machine's **ready set** (stages whose inputs are all complete — bushy
+//!   [`crate::PhysicalNode::HashJoin`] branches,
 //!   [`crate::PhysicalNode::PartitionedUnion`] parts) fans out as one
 //!   morsel batch onto the thread-backed rayon shim.  Every worker records
 //!   into its **own** [`IntermediateCounters`], and the per-stage
 //!   recordings are assembled in stage (= plan) order, so the merged
 //!   recording is identical to the sequential one.
 //!
-//! All three modes are thin front ends over the resumable
-//! [`crate::ExecState`] stage machine (see the `state` module), run to
-//! completion under the default [`crate::CertificatePolicy::Count`].  They
-//! produce the same output schema, the same result multiset, and the same
-//! counter steps (labels and sizes) — the differential property tests in
-//! `tests/proptest_exec_modes.rs` and `tests/proptest_suspend_resume.rs`
-//! pin all three down on random skewed inputs.
+//! Both modes are thin front ends over the resumable [`crate::ExecState`]
+//! stage machine (see the `state` module), run to completion under the
+//! default [`crate::CertificatePolicy::Count`].  They produce the same
+//! output schema, the same result multiset, and bit-identical counter
+//! recordings; `tests/proptest_exec_modes.rs` pins the output against the
+//! nested-loop oracle ([`crate::oracle`]) and the two recordings against
+//! each other on random skewed inputs, and
+//! `tests/proptest_suspend_resume.rs` does the same across every
+//! suspension point.
 
 use crate::columns::ColumnTable;
 use crate::counters::{CertificatePolicy, IntermediateCounters};
@@ -35,11 +36,9 @@ use crate::state::ExecState;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 
-/// Which engine executes a [`PhysicalPlan`].
+/// How the stages of a [`PhysicalPlan`] are scheduled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Legacy tuple-at-a-time execution (the cross-checking fallback).
-    Scalar,
     /// Columnar batch-at-a-time execution on one worker.
     Vectorized,
     /// Columnar execution with independent sub-plans (partition parts,
@@ -47,8 +46,8 @@ pub enum ExecMode {
     Parallel,
 }
 
-/// Result of a columnar plan execution: the output in columnar form plus
-/// the recorded (and, under [`ExecMode::Parallel`], merged) counters.
+/// Result of a plan execution: the output in columnar form plus the
+/// recorded (and, under [`ExecMode::Parallel`], merged) counters.
 #[derive(Debug, Clone)]
 pub struct ColumnRun {
     /// The materialized output (columns in the order the plan produced).
@@ -89,15 +88,15 @@ pub fn execute_physical_mode(
     let counters = state.counters();
     let output = state
         .take_output()
-        .expect("an unlimited Count run completes")
-        .into_columns();
+        .expect("an unlimited Count run completes");
     Ok(ColumnRun { output, counters })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::{execute_physical, PhysicalNode};
+    use crate::oracle::nested_loop_join;
+    use crate::physical::PhysicalNode;
     use lpb_data::RelationBuilder;
 
     fn catalog() -> Catalog {
@@ -123,19 +122,21 @@ mod tests {
         c
     }
 
-    /// Every mode must agree with the scalar engine step for step: same
-    /// output rows, same counter labels and sizes.
+    /// Both modes must produce the oracle's rows, and agree with each
+    /// other step for step: same output, same counter labels and sizes.
     fn assert_modes_agree(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) {
-        let scalar = execute_physical(query, catalog, plan).unwrap();
-        for mode in [ExecMode::Scalar, ExecMode::Vectorized, ExecMode::Parallel] {
-            let run = execute_physical_mode(query, catalog, plan, mode).unwrap();
-            assert_eq!(
-                run.output.to_tuples(),
-                scalar.output,
-                "{mode:?} output differs"
-            );
-            assert_eq!(run.counters, scalar.counters, "{mode:?} counters differ");
-        }
+        let vectorized = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
+        let parallel = execute_physical_mode(query, catalog, plan, ExecMode::Parallel).unwrap();
+        let truth = nested_loop_join(query, catalog, vectorized.output.vars()).unwrap();
+        assert_eq!(vectorized.output.sorted_rows(), truth, "output differs");
+        assert_eq!(
+            parallel.output, vectorized.output,
+            "parallel output differs"
+        );
+        assert_eq!(
+            parallel.counters, vectorized.counters,
+            "parallel counters differ"
+        );
     }
 
     #[test]

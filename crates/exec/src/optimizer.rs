@@ -38,7 +38,7 @@
 //! Every bound is a provable upper bound on the sub-join's true size, so a
 //! plan chosen here comes with a guarantee — and the guarantee is carried
 //! into the plan as **bound certificates**: every emitted node is annotated
-//! with its sub-join's `log₂` bound, and [`crate::execute_physical`] checks
+//! with its sub-join's `log₂` bound, and [`crate::execute_physical_mode`] checks
 //! each observed intermediate against it (see
 //! [`crate::IntermediateCounters::certificate_violations`]).
 //!
@@ -1292,9 +1292,7 @@ impl AdaptiveExecutor {
             }
         }
         merged.merge(state.counters());
-        let output = state
-            .output_columns()
-            .expect("a completed run has an output");
+        let output = state.take_output().expect("a completed run has an output");
         Ok(AdaptiveRun {
             output,
             counters: merged,
@@ -1609,8 +1607,13 @@ fn build_bushy(mask: u64, best: &HashMap<u64, (f64, Choice)>, bounds: &Bounds) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::execute_physical;
+    use crate::morsel::{execute_physical_mode, ColumnRun};
+    use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
+
+    fn exec(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
+        execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap()
+    }
 
     fn clique_catalog() -> Catalog {
         let mut edges = Vec::new();
@@ -1646,7 +1649,7 @@ mod tests {
         );
         // The chosen plan executes to the right answer, and its WCOJ output
         // is certified by the full query's bound.
-        let run = execute_physical(&q, &catalog, &plan.physical).unwrap();
+        let run = exec(&q, &catalog, &plan.physical);
         assert_eq!(run.output_size(), 6 * 5 * 4);
         assert!(run.counters.certificates_checked() > 0);
         assert_eq!(run.certificate_violations(), 0);
@@ -1659,7 +1662,7 @@ mod tests {
         let plan = Optimizer::new().plan(&q, &catalog).unwrap();
         assert_eq!(plan.strategy(), "yannakakis");
         assert_eq!(plan.order.len(), 3);
-        let run = execute_physical(&q, &catalog, &plan.physical).unwrap();
+        let run = exec(&q, &catalog, &plan.physical);
         assert!(run.output_size() > 0);
         // Semi-join passes and chain steps all checked their certificates.
         assert!(run.counters.certificates_checked() >= 3);
@@ -1703,7 +1706,7 @@ mod tests {
         let q = JoinQuery::new("one", vec![lpb_core::Atom::new("E", &["X", "Y"])]).unwrap();
         let plan = Optimizer::new().plan(&q, &catalog).unwrap();
         assert_eq!(plan.strategy(), "scan");
-        let run = execute_physical(&q, &catalog, &plan.physical).unwrap();
+        let run = exec(&q, &catalog, &plan.physical);
         assert_eq!(run.output_size(), 1);
     }
 
@@ -1738,7 +1741,7 @@ mod tests {
             assert_eq!(plan.strategy(), "partitioned");
             assert!(plan.predicted_log2_cost < plan.monolithic_predicted_log2_cost);
             assert!(plan.partition_subqueries_bounded > 0);
-            let run = execute_physical(&q, &skewed, &plan.physical).unwrap();
+            let run = exec(&q, &skewed, &plan.physical);
             assert_eq!(run.certificate_violations(), 0);
             assert_eq!(run.counters.parts_executed(), plan.parts_planned);
         }
@@ -1858,13 +1861,11 @@ mod tests {
         // the actual R ⋈ S rows as a pseudo-relation with exact statistics.
         let sub = q.subquery(&[0, 1]).unwrap();
         let sub_plan = optimizer.plan(&sub, &catalog).unwrap();
-        let rows = execute_physical(&sub, &catalog, &sub_plan.physical)
-            .unwrap()
-            .output;
+        let rows = exec(&sub, &catalog, &sub_plan.physical).output;
         let vars: Vec<&str> = rows.vars().iter().map(String::as_str).collect();
         let mut builder = RelationBuilder::new("I", vars.iter().copied()).unwrap();
-        for row in rows.rows() {
-            builder.push_codes(row).unwrap();
+        for row in rows.sorted_rows() {
+            builder.push_codes(&row).unwrap();
         }
         let observed = catalog.absorb_observed(builder.build(), 4).unwrap();
 
@@ -1891,8 +1892,8 @@ mod tests {
         assert!(delta.predicted_log2_cost.is_finite());
         // The delta plan executes to the same output the full query has.
         let full_plan = optimizer.plan(&q, &catalog).unwrap();
-        let full = execute_physical(&q, &catalog, &full_plan.physical).unwrap();
-        let run = execute_physical(&new_q, &observed, &delta.physical).unwrap();
+        let full = exec(&q, &catalog, &full_plan.physical);
+        let run = exec(&new_q, &observed, &delta.physical);
         assert_eq!(run.output_size(), full.output_size());
         assert_eq!(run.certificate_violations(), 0);
         // The delta's own bound table works as the next round's prior.
@@ -1906,14 +1907,14 @@ mod tests {
         let q = JoinQuery::path(&["E", "E", "E"]);
         let optimizer = Optimizer::new();
         let plan = optimizer.plan(&q, &catalog).unwrap();
-        let static_run = execute_physical(&q, &catalog, &plan.physical).unwrap();
+        let static_run = exec(&q, &catalog, &plan.physical);
         let adaptive = AdaptiveExecutor::new(optimizer)
             .run(&q, &catalog, &plan.physical, ExecMode::Vectorized)
             .unwrap();
         assert_eq!(adaptive.replans, 0);
         assert_eq!(adaptive.violations_handled, 0);
         assert_eq!(adaptive.unhandled_violations(), 0);
-        assert_eq!(adaptive.output.to_tuples(), static_run.output);
+        assert_eq!(adaptive.output, static_run.output);
         assert_eq!(adaptive.counters, static_run.counters);
     }
 
@@ -1932,11 +1933,7 @@ mod tests {
             atoms: vec![1, 2, 3],
             step_bounds: vec![Some(0.0), None, None],
         });
-        let optimizer = Optimizer::new();
-        let full_plan = optimizer.plan(&q, &catalog).unwrap();
-        let truth = execute_physical(&q, &catalog, &full_plan.physical).unwrap();
-
-        let adaptive = AdaptiveExecutor::new(optimizer)
+        let adaptive = AdaptiveExecutor::new(Optimizer::new())
             .run(&q, &catalog, &lying, ExecMode::Vectorized)
             .unwrap();
         assert_eq!(adaptive.replans, 1);
@@ -1944,13 +1941,9 @@ mod tests {
         assert_eq!(adaptive.unhandled_violations(), 0);
         assert!(adaptive.bounds_reused > 0, "untouched sub-joins must reuse");
         assert_eq!(adaptive.bound_fallbacks, 0);
-        // Same answer as the sound static plan, row for row.
-        let vars: Vec<&str> = truth.output.vars().iter().map(String::as_str).collect();
-        let mut got = adaptive.output.to_tuples().reorder(&vars).rows().to_vec();
-        let mut want = truth.output.rows().to_vec();
-        got.sort();
-        want.sort();
-        assert_eq!(got, want);
+        // The spliced run still computes the query, row for row.
+        let truth = nested_loop_join(&q, &catalog, adaptive.output.vars()).unwrap();
+        assert_eq!(adaptive.output.sorted_rows(), truth);
     }
 
     #[test]
@@ -1967,7 +1960,7 @@ mod tests {
         });
         let adaptive = AdaptiveExecutor::new(Optimizer::new())
             .with_max_replans(0)
-            .run(&q, &catalog, &lying, ExecMode::Scalar)
+            .run(&q, &catalog, &lying, ExecMode::Parallel)
             .unwrap();
         // No budget: every violation is recorded, none handled, and the run
         // still finishes with the right cardinality.
@@ -1975,7 +1968,7 @@ mod tests {
         assert_eq!(adaptive.violations_handled, 0);
         assert!(adaptive.unhandled_violations() > 0);
         let full_plan = Optimizer::new().plan(&q, &catalog).unwrap();
-        let truth = execute_physical(&q, &catalog, &full_plan.physical).unwrap();
+        let truth = exec(&q, &catalog, &full_plan.physical);
         assert_eq!(adaptive.output.len(), truth.output_size());
     }
 

@@ -10,11 +10,11 @@
 //! query-dependent constant and a polylog factor), which experiment E8
 //! verifies empirically.
 
+use crate::columns::ColumnTable;
 use crate::error::ExecError;
-use crate::partition::{partition_by_degree, DegreePart};
-use crate::trie::AtomTrie;
-use crate::tuples::Tuples;
-use crate::wcoj::wcoj_count_tries;
+use crate::partition::partition_by_degree;
+use crate::trie::RunTrie;
+use crate::wcoj::wcoj_count_runs;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 
@@ -63,9 +63,9 @@ pub fn partitioned_join_count(
     catalog: &Catalog,
     specs: &[PartitionSpec],
 ) -> Result<PartitionedRun, ExecError> {
-    // Materialize the parts of each partitioned atom (as Tuples in query-
-    // variable space), and the whole relation for the others.
-    let mut per_atom_parts: Vec<Vec<Tuples>> = Vec::with_capacity(query.n_atoms());
+    // One trie per (atom, part): the parts of each partitioned atom (bound
+    // to the atom's query variables), the whole relation for the others.
+    let mut tries_per_atom: Vec<Vec<RunTrie>> = Vec::with_capacity(query.n_atoms());
     let mut parts_per_atom = Vec::new();
     for j in 0..query.n_atoms() {
         let atom = &query.atoms()[j];
@@ -73,29 +73,19 @@ pub fn partitioned_join_count(
             let rel = catalog.get(&atom.relation)?;
             let v: Vec<&str> = spec.v.iter().map(String::as_str).collect();
             let u: Vec<&str> = spec.u.iter().map(String::as_str).collect();
-            let parts: Vec<DegreePart> = partition_by_degree(&rel, &v, &u)?;
-            let tuples: Vec<Tuples> = parts
+            let tries: Vec<RunTrie> = partition_by_degree(&rel, &v, &u)?
                 .iter()
-                .map(|p| Tuples::from_relation(&p.relation, &atom.vars))
-                .collect::<Result<_, _>>()?;
-            parts_per_atom.push(tuples.len());
-            per_atom_parts.push(tuples);
+                .map(|p| {
+                    let cols = ColumnTable::from_relation(&p.relation, &atom.vars)?;
+                    Ok(RunTrie::from_columns(query, j, &cols))
+                })
+                .collect::<Result<_, ExecError>>()?;
+            parts_per_atom.push(tries.len());
+            tries_per_atom.push(tries);
         } else {
-            per_atom_parts.push(vec![Tuples::from_atom(query, catalog, j)?]);
+            tries_per_atom.push(vec![RunTrie::build(query, catalog, j)?]);
         }
     }
-
-    // Pre-build a trie per (atom, part).
-    let tries_per_atom: Vec<Vec<AtomTrie>> = per_atom_parts
-        .iter()
-        .enumerate()
-        .map(|(j, parts)| {
-            parts
-                .iter()
-                .map(|t| AtomTrie::from_tuples(query, j, t))
-                .collect()
-        })
-        .collect();
 
     // Enumerate every combination of parts (odometer) and sum the counts.
     let m = query.n_atoms();
@@ -104,10 +94,8 @@ pub fn partitioned_join_count(
     let mut max_sub: u128 = 0;
     let mut sub_queries = 0usize;
     loop {
-        let combo: Vec<AtomTrie> = (0..m)
-            .map(|j| tries_per_atom[j][indices[j]].clone())
-            .collect();
-        let count = wcoj_count_tries(query, &combo);
+        let combo: Vec<&RunTrie> = (0..m).map(|j| &tries_per_atom[j][indices[j]]).collect();
+        let count = wcoj_count_runs(query, &combo);
         total += count;
         max_sub = max_sub.max(count);
         sub_queries += 1;

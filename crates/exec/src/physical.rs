@@ -25,31 +25,22 @@
 //!
 //! Every node can carry a **bound certificate**: `log₂` of a provable upper
 //! bound on what the node materializes, threaded in from the optimizer's
-//! per-sub-join ℓp-norm bounds.  [`execute_physical`] lowers the tree into
-//! the resumable stage machine ([`crate::ExecState`]) and runs it to
-//! completion with the scalar engine under the default
-//! [`crate::CertificatePolicy::Count`]: every observed intermediate is
-//! checked against its certificate in every build profile, with violations
-//! tallied in the counters (`React` policies additionally suspend — see the
-//! `state` module).  The legacy [`execute_plan`] / [`join_size`] entry
-//! points lower a `JoinPlan` to an uncertified hash chain and report the
-//! identical per-step sizes they always did.
-
-use crate::counters::{CertificatePolicy, IntermediateCounters};
-use crate::error::ExecError;
-use crate::logical::JoinPlan;
-use crate::morsel::ExecMode;
-use crate::state::ExecState;
-use crate::tuples::Tuples;
-use lpb_core::JoinQuery;
-use lpb_data::Catalog;
+//! per-sub-join ℓp-norm bounds.  [`crate::execute_physical_mode`] lowers
+//! the tree into the resumable stage machine ([`crate::ExecState`]) and runs
+//! it to completion under the default [`crate::CertificatePolicy::Count`]:
+//! every observed intermediate is checked against its certificate in every
+//! build profile, with violations tallied in the counters (`React` policies
+//! additionally suspend — see the `state` module).  A left-deep
+//! [`crate::JoinPlan`] runs as the uncertified chain
+//! `PhysicalPlan::hash_chain(plan.order().to_vec())`, which records the
+//! first scan and then every join result.
 
 /// One node of a physical plan; see the module docs.
 ///
 /// The `log2_bound` / `step_bounds` fields are optional bound certificates:
 /// `log₂` of a provable upper bound on the rows the node (or each of its
 /// steps) materializes.  `None` / empty means uncertified, which is how the
-/// legacy constructors build plans; the bound-driven [`crate::Optimizer`]
+/// shape constructors build plans; the bound-driven [`crate::Optimizer`]
 /// fills them in from its DP's sub-join bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhysicalNode {
@@ -115,7 +106,8 @@ pub enum PhysicalNode {
         /// Index of the query atom whose relation was partitioned.
         atom: usize,
         /// One branch per part; every branch is executed with its own
-        /// [`IntermediateCounters`], rolled up into the parent recording.
+        /// [`crate::IntermediateCounters`], rolled up into the parent
+        /// recording.
         parts: Vec<PartitionBranch>,
         /// Certificate on the union output: `log₂` of the **sum** of the
         /// per-part output bounds (the PANDA-style sum-of-parts bound that
@@ -386,7 +378,7 @@ impl PhysicalPlan {
     }
 
     /// Every certificate attached to the plan, as `(what, log2_bound)`
-    /// pairs in tree order.  Empty for uncertified (legacy) plans.
+    /// pairs in tree order.  Empty for uncertified plans.
     pub fn certificates(&self) -> Vec<(String, f64)> {
         let mut out = Vec::new();
         self.root.collect_certificates(&mut out);
@@ -406,58 +398,12 @@ impl PhysicalPlan {
     }
 }
 
-/// Result of executing a physical plan: the materialized output plus the
-/// per-node intermediate sizes recorded along the way.
-#[derive(Debug, Clone)]
-pub struct PhysicalRun {
-    /// The materialized output (columns in the order produced by the plan).
-    pub output: Tuples,
-    /// What every plan node materialized, in execution order.
-    pub counters: IntermediateCounters,
-}
-
-impl PhysicalRun {
-    /// Number of output tuples.
-    pub fn output_size(&self) -> usize {
-        self.output.len()
-    }
-
-    /// The largest intermediate any node materialized.
-    pub fn max_intermediate(&self) -> usize {
-        self.counters.max_intermediate()
-    }
-
-    /// How many executed steps exceeded their bound certificate (always zero
-    /// when the planner's bounds are sound).
-    pub fn certificate_violations(&self) -> usize {
-        self.counters.certificate_violations()
-    }
-}
-
-/// Execute a physical plan with the scalar engine, threading
-/// intermediate-size tracking through every node.  One-shot front end over
-/// the resumable [`ExecState`] stage machine (default `Count` policy).
-pub fn execute_physical(
-    query: &JoinQuery,
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-) -> Result<PhysicalRun, ExecError> {
-    let mut state = ExecState::new(plan, ExecMode::Scalar, CertificatePolicy::default());
-    state.run(query, catalog)?;
-    let counters = state.counters();
-    let output = state
-        .take_output()
-        .expect("an unlimited Count run completes")
-        .into_tuples();
-    Ok(PhysicalRun { output, counters })
-}
-
 /// The union of a [`PhysicalNode::PartitionedUnion`] is exact only because
 /// the parts partition the original relation's tuples; a shared row would
 /// double-count its output tuples.  The O(rows) scan is debug-only, like
 /// the per-step certificate asserts — release executions trust the
 /// planner's split (which debug-asserts the same property when the parts
-/// are built).  Shared by the scalar and vectorized executors.
+/// are built).
 #[allow(unused_variables)]
 pub(crate) fn assert_parts_disjoint(atom: usize, parts: &[PartitionBranch]) {
     #[cfg(debug_assertions)]
@@ -474,59 +420,25 @@ pub(crate) fn assert_parts_disjoint(atom: usize, parts: &[PartitionBranch]) {
     }
 }
 
-/// Result of executing a left-deep [`JoinPlan`]: the full output plus
-/// per-step intermediate sizes (useful for demonstrating how misestimation
-/// blows up memory).
-#[derive(Debug, Clone)]
-pub struct PlanResult {
-    /// The materialized output, columns in the order produced by the plan.
-    pub output: Tuples,
-    /// Row counts of every intermediate (after each join step, including the
-    /// initial scan).
-    pub intermediate_sizes: Vec<usize>,
-}
-
-impl PlanResult {
-    /// Number of output tuples (the true cardinality `|Q(D)|`).
-    pub fn output_size(&self) -> usize {
-        self.output.len()
-    }
-
-    /// The largest intermediate produced while executing the plan.
-    pub fn max_intermediate(&self) -> usize {
-        self.intermediate_sizes.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Execute a left-deep hash-join plan and return the output with
-/// per-intermediate statistics.  (Lowered to a [`PhysicalPlan`] hash chain
-/// under the hood; the recorded sizes are unchanged from the historical
-/// implementation: the first scan, then every join result.)
-pub fn execute_plan(
-    query: &JoinQuery,
-    catalog: &Catalog,
-    plan: &JoinPlan,
-) -> Result<PlanResult, ExecError> {
-    let physical = PhysicalPlan::hash_chain(plan.order().to_vec());
-    let run = execute_physical(query, catalog, &physical)?;
-    Ok(PlanResult {
-        output: run.output,
-        intermediate_sizes: run.counters.sizes(),
-    })
-}
-
-/// Convenience: the true output cardinality `|Q(D)|` via a left-deep plan in
-/// greedy order.  Because the query is full (every variable is an output
-/// variable) the hash-join result has no duplicates.
-pub fn join_size(query: &JoinQuery, catalog: &Catalog) -> Result<usize, ExecError> {
-    let plan = JoinPlan::greedy_by_size(query, catalog)?;
-    Ok(execute_plan(query, catalog, &plan)?.output_size())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpb_data::RelationBuilder;
+    use crate::logical::JoinPlan;
+    use crate::morsel::{execute_physical_mode, ColumnRun, ExecMode};
+    use lpb_core::JoinQuery;
+    use lpb_data::{Catalog, RelationBuilder};
+
+    fn exec(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
+        execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap()
+    }
+
+    fn run_order(query: &JoinQuery, catalog: &Catalog, plan: &JoinPlan) -> ColumnRun {
+        exec(
+            query,
+            catalog,
+            &PhysicalPlan::hash_chain(plan.order().to_vec()),
+        )
+    }
 
     fn triangle_catalog() -> Catalog {
         // A clique on 4 nodes (directed, no self loops): 12 edges,
@@ -545,34 +457,26 @@ mod tests {
     }
 
     #[test]
-    fn triangle_join_size_on_a_clique() {
-        let catalog = triangle_catalog();
-        let q = JoinQuery::triangle("E", "E", "E");
-        assert_eq!(join_size(&q, &catalog).unwrap(), 24);
-    }
-
-    #[test]
     fn plan_orders_agree_on_the_output() {
         let catalog = triangle_catalog();
         let q = JoinQuery::triangle("E", "E", "E");
-        let a = execute_plan(&q, &catalog, &JoinPlan::in_query_order(&q)).unwrap();
-        let b = execute_plan(
+        let a = run_order(&q, &catalog, &JoinPlan::in_query_order(&q));
+        let b = run_order(
             &q,
             &catalog,
             &JoinPlan::with_order(&q, vec![2, 0, 1]).unwrap(),
-        )
-        .unwrap();
-        let c = execute_plan(
+        );
+        let c = run_order(
             &q,
             &catalog,
             &JoinPlan::greedy_by_size(&q, &catalog).unwrap(),
-        )
-        .unwrap();
+        );
         assert_eq!(a.output_size(), 24);
         assert_eq!(b.output_size(), 24);
         assert_eq!(c.output_size(), 24);
         assert!(a.max_intermediate() >= a.output_size());
-        assert_eq!(a.intermediate_sizes.len(), 3);
+        // The first scan, then every join result.
+        assert_eq!(a.counters.sizes().len(), 3);
     }
 
     #[test]
@@ -585,27 +489,31 @@ mod tests {
             (0..20u64).map(|i| (i % 5, i % 7)),
         ));
         let q = JoinQuery::path(&["E", "E", "E"]);
-        let r = execute_plan(&q, &catalog, &JoinPlan::in_query_order(&q)).unwrap();
-        assert_eq!(r.intermediate_sizes.len(), 3);
+        let r = run_order(&q, &catalog, &JoinPlan::in_query_order(&q));
+        assert_eq!(r.counters.sizes().len(), 3);
         assert!(r.output_size() > 0);
         // Greedy plan computes the same output size.
-        assert_eq!(join_size(&q, &catalog).unwrap(), r.output_size());
+        let greedy = JoinPlan::greedy_by_size(&q, &catalog).unwrap();
+        assert_eq!(
+            run_order(&q, &catalog, &greedy).output_size(),
+            r.output_size()
+        );
     }
 
     #[test]
     fn missing_relation_errors() {
         let catalog = Catalog::new();
         let q = JoinQuery::triangle("E", "E", "E");
-        assert!(join_size(&q, &catalog).is_err());
+        let plan = PhysicalPlan::hash_chain(vec![0, 1, 2]);
+        assert!(execute_physical_mode(&q, &catalog, &plan, ExecMode::Vectorized).is_err());
     }
 
     #[test]
     fn every_strategy_computes_the_same_triangle_output() {
         let catalog = triangle_catalog();
         let q = JoinQuery::triangle("E", "E", "E");
-        let chain =
-            execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2])).unwrap();
-        let wcoj = execute_physical(&q, &catalog, &PhysicalPlan::wcoj(vec![0, 1, 2])).unwrap();
+        let chain = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2]));
+        let wcoj = exec(&q, &catalog, &PhysicalPlan::wcoj(vec![0, 1, 2]));
         assert_eq!(chain.output_size(), 24);
         assert_eq!(wcoj.output_size(), 24);
         // The WCOJ never materializes the two-edge intermediate.
@@ -632,8 +540,8 @@ mod tests {
             vec![(10, 100), (10, 101), (40, 400)],
         ));
         let q = JoinQuery::single_join("R", "S");
-        let chain = execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1])).unwrap();
-        let reduced = execute_physical(&q, &catalog, &PhysicalPlan::reduced(vec![0, 1])).unwrap();
+        let chain = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1]));
+        let reduced = exec(&q, &catalog, &PhysicalPlan::reduced(vec![0, 1]));
         assert_eq!(chain.output_size(), 2);
         assert_eq!(reduced.output_size(), 2);
         // The reducer drops dangling tuples before joining: no reduced
@@ -682,9 +590,8 @@ mod tests {
         assert_eq!(bushy.strategy(), "bushy");
         assert_eq!(bushy.atom_order(), vec![0, 1, 2, 3]);
         assert!(bushy.describe().contains("⋈"));
-        let run = execute_physical(&q, &catalog, &bushy).unwrap();
-        let chain =
-            execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2, 3])).unwrap();
+        let run = exec(&q, &catalog, &bushy);
+        let chain = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2, 3]));
         assert_eq!(run.output_size(), chain.output_size());
         // Four scans + three joins are recorded (both branches count).
         assert_eq!(run.counters.len(), 7);
@@ -705,14 +612,13 @@ mod tests {
             atoms: vec![1, 2],
             step_bounds: vec![Some(2.0 * scan_log2), Some(3.0 * scan_log2)],
         });
-        let run = execute_physical(&q, &catalog, &certified).unwrap();
+        let run = exec(&q, &catalog, &certified);
         assert_eq!(run.output_size(), 24);
         assert_eq!(run.counters.certificates_checked(), 3);
         assert_eq!(run.certificate_violations(), 0);
         assert_eq!(certified.certificates().len(), 3);
         // Uncertified plans check nothing.
-        let plain =
-            execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2])).unwrap();
+        let plain = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2]));
         assert_eq!(plain.counters.certificates_checked(), 0);
         assert!(PhysicalPlan::hash_chain(vec![0, 1, 2])
             .certificates()
@@ -743,9 +649,8 @@ mod tests {
         assert_eq!(hybrid.strategy(), "wcoj+hash-chain");
         assert_eq!(hybrid.atom_order(), vec![0, 1, 2, 3]);
         assert!(hybrid.describe().contains("wcoj[0,1,2]"));
-        let run = execute_physical(&q, &catalog, &hybrid).unwrap();
-        let chain =
-            execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2, 3])).unwrap();
+        let run = exec(&q, &catalog, &hybrid);
+        let chain = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2, 3]));
         assert_eq!(run.output_size(), chain.output_size());
         assert_eq!(run.output_size(), 24); // every triangle extends uniquely
     }
@@ -787,8 +692,8 @@ mod tests {
         // (the inner chains are uncertified).
         assert_eq!(union.certificates().len(), 3);
 
-        let run = execute_physical(&q, &catalog, &union).unwrap();
-        let mono = execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1])).unwrap();
+        let run = exec(&q, &catalog, &union);
+        let mono = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1]));
         assert_eq!(run.output_size(), mono.output_size());
         assert!(run.output_size() > 0);
         assert_eq!(run.counters.parts_planned(), 2);
@@ -822,7 +727,7 @@ mod tests {
             parts: vec![branch("E#light"), branch("E#heavy")],
             log2_bound: None,
         });
-        let _ = execute_physical(&q, &catalog, &union);
+        let _ = exec(&q, &catalog, &union);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use std::sync::{Arc, Mutex};
 /// equal canons are interchangeable to the planner (same relations, same
 /// sharing pattern ⇒ same statistics ⇒ same plan) and to the executor
 /// (plans address atoms by index).
-pub fn canonical_shape(query: &JoinQuery) -> String {
+pub(crate) fn canonical_shape(query: &JoinQuery) -> String {
     let mut interned: HashMap<&str, usize> = HashMap::new();
     let mut out = String::new();
     for atom in query.atoms() {
@@ -259,8 +259,20 @@ mod tests {
         let (shared, hit) = cache.get_or_plan(&optimizer, &iso, &catalog).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &shared));
-        let run = crate::physical::execute_physical(&iso, &catalog, &shared.physical).unwrap();
-        let direct = crate::physical::execute_physical(&q, &catalog, &first.physical).unwrap();
+        let run = crate::morsel::execute_physical_mode(
+            &iso,
+            &catalog,
+            &shared.physical,
+            crate::morsel::ExecMode::Vectorized,
+        )
+        .unwrap();
+        let direct = crate::morsel::execute_physical_mode(
+            &q,
+            &catalog,
+            &first.physical,
+            crate::morsel::ExecMode::Vectorized,
+        )
+        .unwrap();
         assert_eq!(run.output_size(), direct.output_size());
         assert_eq!(cache.hits(), 2);
         assert_eq!(cache.misses(), 1);

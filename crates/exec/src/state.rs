@@ -2,25 +2,24 @@
 //! a flat DAG of **stages**, executed by an explicit [`ExecState`] that can
 //! suspend at any stage boundary and resume bit-identically.
 //!
-//! Execution used to be a one-shot recursive walk (`eval` in `physical.rs`,
-//! `eval_columns` in `morsel.rs`).  That shape cannot stop halfway: a blown
-//! bound certificate could only be *counted*, never acted on.  The stage
-//! machine replaces both walks:
+//! A one-shot recursive walk over the plan tree cannot stop halfway: a
+//! blown bound certificate could only be *counted*, never acted on.  The
+//! stage machine is the crate's one executor:
 //!
 //! * **Lowering** flattens the strategy tree depth-first into `Vec<Stage>`:
 //!   one stage per scan, per hash-chain step, per bushy join, per WCOJ
 //!   core, per Yannakakis-reduced residue, per partition branch, and per
 //!   partitioned union.  Stage ids are DFS order, so executing stages in id
-//!   order reproduces the recursive walk *exactly* — same operator calls,
-//!   same step labels, same recorded sizes.
-//! * **Slots** hold completed intermediates ([`SlotValue`]: scalar
-//!   [`Tuples`] or columnar [`ColumnTable`], depending on [`ExecMode`]),
-//!   each with the [`IntermediateCounters`] its stage recorded.  The run's
+//!   order is *exactly* the depth-first walk of the tree — same operator
+//!   calls, same step labels, same recorded sizes.
+//! * **Slots** hold completed intermediates (one [`ColumnTable`] each),
+//!   with the [`IntermediateCounters`] its stage recorded.  The run's
 //!   counters are assembled by merging per-stage recordings in stage-id
 //!   order, which makes them independent of *when* (or on which worker) a
 //!   stage actually ran — the key to bit-identical suspend/resume and
-//!   scalar/vectorized/parallel agreement.
-//! * **Scheduling**: `Scalar` and `Vectorized` run the lowest incomplete
+//!   vectorized/parallel agreement.
+//! * **Scheduling** is the only thing [`ExecMode`] chooses — both modes run
+//!   the same columnar kernels: `Vectorized` runs the lowest incomplete
 //!   stage; `Parallel` runs every ready stage (dependencies complete) as
 //!   one morsel batch via the rayon shim.  A batch always drains before the
 //!   state yields, so a `Parallel` suspension never strands half a batch.
@@ -39,60 +38,14 @@
 use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
-use crate::hash_join::{hash_join, hash_join_columns};
+use crate::hash_join::hash_join_columns;
 use crate::morsel::ExecMode;
 use crate::physical::{assert_parts_disjoint, PartitionBranch, PhysicalNode, PhysicalPlan};
-use crate::tuples::Tuples;
-use crate::wcoj::{wcoj_materialize, wcoj_materialize_columns};
-use crate::yannakakis::{full_reducer_columns, full_reducer_counted};
+use crate::wcoj::wcoj_materialize_columns;
+use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use rayon::prelude::*;
-
-/// A completed intermediate: scalar rows under [`ExecMode::Scalar`],
-/// columnar otherwise.  Both carry the same logical content; keeping the
-/// native representation per mode means resumed execution reuses exactly
-/// the operator kernels the uninterrupted run would have.
-#[derive(Debug, Clone)]
-pub(crate) enum SlotValue {
-    /// Row-major tuples (scalar engine).
-    Rows(Tuples),
-    /// Columnar table (vectorized / parallel engines).
-    Cols(ColumnTable),
-}
-
-impl SlotValue {
-    fn len(&self) -> usize {
-        match self {
-            SlotValue::Rows(t) => t.len(),
-            SlotValue::Cols(c) => c.len(),
-        }
-    }
-
-    /// The intermediate in columnar form (cloning/converting as needed).
-    fn to_columns(&self) -> ColumnTable {
-        match self {
-            SlotValue::Rows(t) => ColumnTable::from_tuples(t),
-            SlotValue::Cols(c) => c.clone(),
-        }
-    }
-
-    /// The intermediate in row form (cloning/converting as needed).
-    pub(crate) fn into_tuples(self) -> Tuples {
-        match self {
-            SlotValue::Rows(t) => t,
-            SlotValue::Cols(c) => c.to_tuples(),
-        }
-    }
-
-    /// The intermediate in columnar form, consuming the slot.
-    pub(crate) fn into_columns(self) -> ColumnTable {
-        match self {
-            SlotValue::Rows(t) => ColumnTable::from_tuples(&t),
-            SlotValue::Cols(c) => c,
-        }
-    }
-}
 
 /// One executable unit of the lowered plan.
 #[derive(Debug, Clone)]
@@ -155,8 +108,8 @@ impl StageOp {
     }
 }
 
-/// A stage plus the original-query atom indices its output covers (in the
-/// order the recursive walk would have joined them).
+/// A stage plus the original-query atom indices its output covers, in join
+/// order.
 #[derive(Debug, Clone)]
 struct Stage {
     op: StageOp,
@@ -166,13 +119,12 @@ struct Stage {
 /// What a completed stage produced.
 #[derive(Debug, Clone)]
 struct StageOutput {
-    value: SlotValue,
+    value: ColumnTable,
     /// Steps this stage recorded, assembled into the run's counters in
     /// stage-id order.  Empty for `Branch` stages (see `branch`).
     counters: IntermediateCounters,
     /// For `Branch` stages only: the part name and the branch's raw
-    /// recording, rolled up (re-labelled) by the consuming `Union` stage —
-    /// exactly like the recursive executor's `absorb_part`.
+    /// recording, rolled up (re-labelled) by the consuming `Union` stage.
     branch: Option<(String, IntermediateCounters)>,
 }
 
@@ -220,8 +172,8 @@ pub struct ExecState {
 impl ExecState {
     /// Lower a plan into its stage DAG (no execution happens yet).
     ///
-    /// Panics like the recursive executor did when a partitioned node's
-    /// parts are not disjoint (debug builds only).
+    /// Panics when a partitioned node's parts are not disjoint (debug
+    /// builds only).
     pub fn new(plan: &PhysicalPlan, mode: ExecMode, policy: CertificatePolicy) -> Self {
         let mut stages = Vec::new();
         let root = lower(plan.root(), &mut stages);
@@ -301,9 +253,9 @@ impl ExecState {
                     ExecStatus::Paused
                 });
             }
-            // Scalar/Vectorized execute the lowest ready stage (= exact DFS
-            // order); Parallel fans the whole ready antichain out as one
-            // morsel batch.
+            // Vectorized executes the lowest ready stage (= exact DFS order);
+            // Parallel fans the whole ready antichain out as one morsel
+            // batch.
             let batch: Vec<usize> = if self.mode == ExecMode::Parallel {
                 ready
             } else {
@@ -338,10 +290,10 @@ impl ExecState {
         }
     }
 
-    /// The counters recorded so far, assembled in stage-id order — after a
-    /// complete run, bit-identical to what the recursive executors
-    /// recorded.  Branch recordings not yet absorbed by their union are
-    /// rolled up (re-labelled) at the branch's position.
+    /// The counters recorded so far, assembled in stage-id order — hence
+    /// identical however the run was scheduled or chopped up.  Branch
+    /// recordings not yet absorbed by their union are rolled up
+    /// (re-labelled) at the branch's position.
     pub fn counters(&self) -> IntermediateCounters {
         let mut absorbed = vec![false; self.stages.len()];
         for (id, stage) in self.stages.iter().enumerate() {
@@ -365,13 +317,13 @@ impl ExecState {
         total
     }
 
-    /// The output in columnar form, once [`is_done`](Self::is_done).
+    /// A copy of the output, once [`is_done`](Self::is_done).
     pub fn output_columns(&self) -> Option<ColumnTable> {
-        self.slots[self.root].as_ref().map(|o| o.value.to_columns())
+        self.slots[self.root].as_ref().map(|o| o.value.clone())
     }
 
-    /// Take the root output out of the state (native representation).
-    pub(crate) fn take_output(&mut self) -> Option<SlotValue> {
+    /// Take the root output out of the state.
+    pub(crate) fn take_output(&mut self) -> Option<ColumnTable> {
         self.slots[self.root].take().map(|o| o.value)
     }
 
@@ -397,7 +349,7 @@ impl ExecState {
                 }
                 Some(LiveSlot {
                     atoms: self.stages[id].atoms.clone(),
-                    table: out.value.to_columns(),
+                    table: out.value.clone(),
                     partial: out.branch.is_some(),
                 })
             })
@@ -429,21 +381,16 @@ impl ExecState {
         query: &JoinQuery,
         catalog: &Catalog,
     ) -> Result<StageOutput, ExecError> {
-        let scalar = self.mode == ExecMode::Scalar;
         let policy = self.policy;
         let mut counters = IntermediateCounters::new();
-        let plain = |value: SlotValue, counters: IntermediateCounters| StageOutput {
+        let plain = |value: ColumnTable, counters: IntermediateCounters| StageOutput {
             value,
             counters,
             branch: None,
         };
         match &self.stages[id].op {
             StageOp::Scan { atom, log2_bound } => {
-                let value = if scalar {
-                    SlotValue::Rows(Tuples::from_atom(query, catalog, *atom)?)
-                } else {
-                    SlotValue::Cols(ColumnTable::from_atom(query, catalog, *atom)?)
-                };
+                let value = ColumnTable::from_atom(query, catalog, *atom)?;
                 let _ = counters.record_with_policy(
                     format!("scan {}", query.atoms()[*atom].relation),
                     value.len(),
@@ -457,16 +404,8 @@ impl ExecState {
                 atom,
                 log2_bound,
             } => {
-                let value = match self.slot_value(*input) {
-                    SlotValue::Rows(acc) => {
-                        let next = Tuples::from_atom(query, catalog, *atom)?;
-                        SlotValue::Rows(hash_join(acc, &next))
-                    }
-                    SlotValue::Cols(acc) => {
-                        let next = ColumnTable::from_atom(query, catalog, *atom)?;
-                        SlotValue::Cols(hash_join_columns(acc, &next))
-                    }
-                };
+                let next = ColumnTable::from_atom(query, catalog, *atom)?;
+                let value = hash_join_columns(self.slot_value(*input), &next);
                 let _ = counters.record_with_policy(
                     format!("⋈ {}", query.atoms()[*atom].relation),
                     value.len(),
@@ -481,24 +420,14 @@ impl ExecState {
                 label,
                 log2_bound,
             } => {
-                let value = match (self.slot_value(*left), self.slot_value(*right)) {
-                    (SlotValue::Rows(l), SlotValue::Rows(r)) => SlotValue::Rows(hash_join(l, r)),
-                    (SlotValue::Cols(l), SlotValue::Cols(r)) => {
-                        SlotValue::Cols(hash_join_columns(l, r))
-                    }
-                    _ => unreachable!("one execution mode, one slot representation"),
-                };
+                let value = hash_join_columns(self.slot_value(*left), self.slot_value(*right));
                 let _ =
                     counters.record_with_policy(label.clone(), value.len(), *log2_bound, policy);
                 Ok(plain(value, counters))
             }
             StageOp::Wcoj { atoms, log2_bound } => {
                 let sub = query.subquery(atoms)?;
-                let value = if scalar {
-                    SlotValue::Rows(wcoj_materialize(&sub, catalog)?)
-                } else {
-                    SlotValue::Cols(wcoj_materialize_columns(&sub, catalog)?)
-                };
+                let value = wcoj_materialize_columns(&sub, catalog)?;
                 let _ = counters.record_with_policy(
                     format!("wcoj {}", sub.name()),
                     value.len(),
@@ -512,25 +441,14 @@ impl ExecState {
                 scan_bounds,
                 step_bounds,
             } => {
-                let value = if scalar {
-                    self.exec_reduced_rows(
-                        query,
-                        catalog,
-                        atoms,
-                        scan_bounds,
-                        step_bounds,
-                        &mut counters,
-                    )?
-                } else {
-                    self.exec_reduced_cols(
-                        query,
-                        catalog,
-                        atoms,
-                        scan_bounds,
-                        step_bounds,
-                        &mut counters,
-                    )?
-                };
+                let value = exec_reduced(
+                    query,
+                    catalog,
+                    atoms,
+                    scan_bounds,
+                    step_bounds,
+                    &mut counters,
+                )?;
                 if matches!(policy, CertificatePolicy::Ignore) {
                     counters = strip_checks(&counters);
                 }
@@ -568,16 +486,14 @@ impl ExecState {
                 log2_bound,
             } => {
                 counters.note_parts_planned(branch_slots.len());
-                let mut union: Option<SlotValue> = None;
+                let mut union: Option<ColumnTable> = None;
                 for &b in branch_slots {
                     let out = self.slots[b].as_ref().expect("union deps complete");
                     let (name, rec) = out.branch.as_ref().expect("union deps are branches");
                     counters.absorb_part(name, rec.clone());
-                    match (&mut union, &out.value) {
-                        (None, v) => union = Some(v.clone()),
-                        (Some(SlotValue::Rows(acc)), SlotValue::Rows(r)) => acc.extend_reordered(r),
-                        (Some(SlotValue::Cols(acc)), SlotValue::Cols(c)) => acc.extend_reordered(c),
-                        _ => unreachable!("one execution mode, one slot representation"),
+                    match &mut union {
+                        None => union = Some(out.value.clone()),
+                        Some(acc) => acc.extend_reordered(&out.value),
                     }
                 }
                 let value = union.expect("a partitioned union has at least one part");
@@ -588,77 +504,44 @@ impl ExecState {
         }
     }
 
-    fn slot_value(&self, id: usize) -> &SlotValue {
+    fn slot_value(&self, id: usize) -> &ColumnTable {
         &self.slots[id].as_ref().expect("dependency completed").value
     }
+}
 
-    fn exec_reduced_rows(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        atoms: &[usize],
-        scan_bounds: &[Option<f64>],
-        step_bounds: &[Option<f64>],
-        counters: &mut IntermediateCounters,
-    ) -> Result<SlotValue, ExecError> {
-        let sub = query.subquery(atoms)?;
-        let reduced = full_reducer_counted(&sub, catalog, counters, scan_bounds)?;
-        let mut iter = reduced.into_iter().enumerate();
-        let (_, mut acc) = iter.next().expect("reduction has at least one atom");
+/// Yannakakis: full reducer over the acyclic sub-join, then a hash chain
+/// over the reduced relations in the given order.
+fn exec_reduced(
+    query: &JoinQuery,
+    catalog: &Catalog,
+    atoms: &[usize],
+    scan_bounds: &[Option<f64>],
+    step_bounds: &[Option<f64>],
+    counters: &mut IntermediateCounters,
+) -> Result<ColumnTable, ExecError> {
+    let sub = query.subquery(atoms)?;
+    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds)?;
+    let mut iter = reduced.into_iter().enumerate();
+    let (_, mut acc) = iter.next().expect("reduction has at least one atom");
+    counters.record_checked(
+        format!("reduce {}", query.atoms()[atoms[0]].relation),
+        acc.len(),
+        scan_bounds.first().copied().flatten(),
+    );
+    for (i, next) in iter {
         counters.record_checked(
-            format!("reduce {}", query.atoms()[atoms[0]].relation),
-            acc.len(),
-            scan_bounds.first().copied().flatten(),
+            format!("reduce {}", query.atoms()[atoms[i]].relation),
+            next.len(),
+            scan_bounds.get(i).copied().flatten(),
         );
-        for (i, next) in iter {
-            counters.record_checked(
-                format!("reduce {}", query.atoms()[atoms[i]].relation),
-                next.len(),
-                scan_bounds.get(i).copied().flatten(),
-            );
-            acc = hash_join(&acc, &next);
-            counters.record_checked(
-                format!("⋈ {}", query.atoms()[atoms[i]].relation),
-                acc.len(),
-                step_bounds.get(i).copied().flatten(),
-            );
-        }
-        Ok(SlotValue::Rows(acc))
-    }
-
-    fn exec_reduced_cols(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        atoms: &[usize],
-        scan_bounds: &[Option<f64>],
-        step_bounds: &[Option<f64>],
-        counters: &mut IntermediateCounters,
-    ) -> Result<SlotValue, ExecError> {
-        let sub = query.subquery(atoms)?;
-        let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds)?;
-        let mut iter = reduced.into_iter().enumerate();
-        let (_, mut acc) = iter.next().expect("reduction has at least one atom");
+        acc = hash_join_columns(&acc, &next);
         counters.record_checked(
-            format!("reduce {}", query.atoms()[atoms[0]].relation),
+            format!("⋈ {}", query.atoms()[atoms[i]].relation),
             acc.len(),
-            scan_bounds.first().copied().flatten(),
+            step_bounds.get(i).copied().flatten(),
         );
-        for (i, next) in iter {
-            counters.record_checked(
-                format!("reduce {}", query.atoms()[atoms[i]].relation),
-                next.len(),
-                scan_bounds.get(i).copied().flatten(),
-            );
-            acc = hash_join_columns(&acc, &next);
-            counters.record_checked(
-                format!("⋈ {}", query.atoms()[atoms[i]].relation),
-                acc.len(),
-                step_bounds.get(i).copied().flatten(),
-            );
-        }
-        Ok(SlotValue::Cols(acc))
     }
+    Ok(acc)
 }
 
 /// First step in `counters` whose observed size exceeds its certificate by
@@ -694,7 +577,7 @@ fn strip_checks(counters: &IntermediateCounters) -> IntermediateCounters {
 }
 
 /// Depth-first lowering: children push their stages before the parent, so
-/// stage-id order equals the recursive walk's recording order.
+/// stage-id order is the plan tree's depth-first recording order.
 fn lower(node: &PhysicalNode, stages: &mut Vec<Stage>) -> usize {
     let push = |stages: &mut Vec<Stage>, op: StageOp, atoms: Vec<usize>| {
         stages.push(Stage { op, atoms });

@@ -1,120 +1,15 @@
 //! Tries over atom tuples, ordered by the global variable order — the
-//! access structures used by the generic worst-case-optimal join.
+//! access structure of the generic worst-case-optimal join.
 //!
-//! Two layouts: the pointer-chasing [`TrieNode`]/[`AtomTrie`] (BTreeMap per
-//! node, used by the scalar executor), and the vectorized [`RunTrie`] — a
-//! CSR layout holding each level's keys as one dense sorted `u64` run plus
-//! a child-offset array, so leapfrog seeks become galloping searches over
-//! contiguous memory ([`crate::columns::gallop_ge`]) instead of B-tree
-//! descents.
+//! [`RunTrie`] is a CSR layout holding each level's keys as one dense sorted
+//! `u64` run plus a child-offset array, so leapfrog seeks are galloping
+//! searches over contiguous memory ([`crate::columns::gallop_ge`]) instead
+//! of pointer-chasing tree descents.
 
 use crate::columns::{gallop_ge, ColumnTable};
 use crate::error::ExecError;
-use crate::tuples::Tuples;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
-use std::collections::BTreeMap;
-
-/// One level of a trie: children keyed by the value of the next variable,
-/// stored in sorted key order so that iteration is deterministic and
-/// intersections can advance in lockstep (leapfrog-style).
-#[derive(Debug, Default, Clone)]
-pub struct TrieNode {
-    children: BTreeMap<u64, TrieNode>,
-}
-
-impl TrieNode {
-    /// A leaf/empty node.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a path of values.
-    pub fn insert(&mut self, path: &[u64]) {
-        if let Some((&head, rest)) = path.split_first() {
-            self.children.entry(head).or_default().insert(rest);
-        }
-    }
-
-    /// Child node for a value.
-    pub fn child(&self, value: u64) -> Option<&TrieNode> {
-        self.children.get(&value)
-    }
-
-    /// Number of children at this level.
-    pub fn fanout(&self) -> usize {
-        self.children.len()
-    }
-
-    /// Iterate over (value, child) pairs in ascending value order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &TrieNode)> {
-        self.children.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// The smallest child value `>= lower` together with its node, if any
-    /// (the leapfrog "seek" primitive — one tree descent yields both).
-    pub fn seek(&self, lower: u64) -> Option<(u64, &TrieNode)> {
-        self.children.range(lower..).next().map(|(&k, v)| (k, v))
-    }
-
-    /// True when a value is present.
-    pub fn contains(&self, value: u64) -> bool {
-        self.children.contains_key(&value)
-    }
-}
-
-/// A trie over one atom's tuples, with levels ordered by the *global*
-/// variable order of the query (so that the generic join can advance every
-/// atom's trie in lockstep).
-#[derive(Debug, Clone)]
-pub struct AtomTrie {
-    /// The atom's variables as global indices, sorted ascending — one trie
-    /// level per entry.
-    pub var_order: Vec<usize>,
-    /// Root node.
-    pub root: TrieNode,
-}
-
-impl AtomTrie {
-    /// Build the trie for atom `atom_idx` of `query` from the catalog.
-    pub fn build(query: &JoinQuery, catalog: &Catalog, atom_idx: usize) -> Result<Self, ExecError> {
-        let tuples = Tuples::from_atom(query, catalog, atom_idx)?;
-        Ok(Self::from_tuples(query, atom_idx, &tuples))
-    }
-
-    /// Build the trie for atom `atom_idx` from an already-materialized (and
-    /// possibly partitioned) set of tuples whose columns are the atom's
-    /// variables.
-    pub fn from_tuples(query: &JoinQuery, atom_idx: usize, tuples: &Tuples) -> Self {
-        let reg = query.registry();
-        // Global indices of the atom's variables, ascending.
-        let mut var_order: Vec<usize> = query.atom_vars(atom_idx).iter().collect();
-        var_order.sort_unstable();
-        // Column position in `tuples` of each trie level.
-        let level_positions: Vec<usize> = var_order
-            .iter()
-            .map(|&v| {
-                tuples
-                    .position(reg.name(v))
-                    .expect("atom variable is a column")
-            })
-            .collect();
-        let mut root = TrieNode::new();
-        let mut path = vec![0u64; level_positions.len()];
-        for row in tuples.rows() {
-            for (lvl, &pos) in level_positions.iter().enumerate() {
-                path[lvl] = row[pos];
-            }
-            root.insert(&path);
-        }
-        AtomTrie { var_order, root }
-    }
-
-    /// Depth (number of levels).
-    pub fn depth(&self) -> usize {
-        self.var_order.len()
-    }
-}
 
 /// One level of a [`RunTrie`] in CSR form: all the level's keys
 /// concatenated into one sorted run per parent node, plus the offsets into
@@ -129,16 +24,15 @@ struct RunLevel {
     child_start: Vec<u32>,
 }
 
-/// A cache-friendly trie over one atom's tuples: the [`AtomTrie`] contract
-/// (levels in sorted global variable order, deduplicated paths) in a
-/// flat CSR layout.  A "node" is just a `(level, lo, hi)` range over that
-/// level's key run, so the leapfrog join's seek is a galloping search over
-/// a dense slice — no per-node allocation, no pointer chasing.
-#[derive(Debug, Clone)]
-pub struct RunTrie {
-    /// The atom's variables as global indices, sorted ascending — one trie
-    /// level per entry.
-    pub var_order: Vec<usize>,
+/// A cache-friendly trie over one atom's tuples: levels in sorted *global*
+/// variable order (so the generic join can advance every atom's trie in
+/// lockstep), deduplicated paths, flat CSR layout.  A "node" is just a
+/// `(level, lo, hi)` range over that level's key run, so the leapfrog join's
+/// seek is a galloping search over a dense slice — no per-node allocation,
+/// no pointer chasing.
+#[derive(Debug)]
+pub(crate) struct RunTrie {
+    /// One level per variable of the atom, in ascending global index.
     levels: Vec<RunLevel>,
 }
 
@@ -175,7 +69,7 @@ impl RunTrie {
         let depth = var_order.len();
         let mut levels = vec![RunLevel::default(); depth];
         if depth == 0 || rows.is_empty() {
-            return RunTrie { var_order, levels };
+            return RunTrie { levels };
         }
         // Level l's keys are the distinct prefixes of length l+1, in order;
         // a key's children are the level-(l+1) keys extending its prefix.
@@ -203,12 +97,7 @@ impl RunTrie {
             let end = levels[l + 1].keys.len() as u32;
             levels[l].child_start.push(end);
         }
-        RunTrie { var_order, levels }
-    }
-
-    /// Depth (number of levels).
-    pub fn depth(&self) -> usize {
-        self.var_order.len()
+        RunTrie { levels }
     }
 
     /// The root "node": the whole key run of level 0.
@@ -221,8 +110,8 @@ impl RunTrie {
     }
 
     /// The key slice of a node (empty below the deepest level).
-    #[inline]
-    pub fn keys(&self, node: RunRange) -> &[u64] {
+    #[cfg(test)]
+    fn keys(&self, node: RunRange) -> &[u64] {
         match self.levels.get(node.level as usize) {
             Some(level) => &level.keys[node.lo as usize..node.hi as usize],
             None => &[],
@@ -263,25 +152,13 @@ impl RunTrie {
 }
 
 /// A node of a [`RunTrie`]: a `(level, lo, hi)` window over that level's
-/// key run.  Copy-sized — the vectorized join keeps one per atom per
-/// recursion level with zero allocation.
+/// key run.  Copy-sized — the join keeps one per atom per recursion level
+/// with zero allocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunRange {
+pub(crate) struct RunRange {
     level: u32,
     lo: u32,
     hi: u32,
-}
-
-impl RunRange {
-    /// Number of keys in the node.
-    pub fn len(&self) -> usize {
-        (self.hi - self.lo) as usize
-    }
-
-    /// True when the node has no keys.
-    pub fn is_empty(&self) -> bool {
-        self.lo == self.hi
-    }
 }
 
 #[cfg(test)]
@@ -290,38 +167,7 @@ mod tests {
     use lpb_data::RelationBuilder;
 
     #[test]
-    fn trie_insert_and_lookup() {
-        let mut root = TrieNode::new();
-        root.insert(&[1, 10]);
-        root.insert(&[1, 11]);
-        root.insert(&[2, 10]);
-        assert_eq!(root.fanout(), 2);
-        assert!(root.contains(1));
-        assert!(!root.contains(3));
-        assert_eq!(root.child(1).unwrap().fanout(), 2);
-        assert_eq!(root.child(2).unwrap().fanout(), 1);
-        assert_eq!(root.iter().count(), 2);
-        // Duplicate insertion is idempotent.
-        root.insert(&[1, 10]);
-        assert_eq!(root.child(1).unwrap().fanout(), 2);
-    }
-
-    #[test]
-    fn iteration_is_sorted_and_seek_finds_lower_bounds() {
-        let mut root = TrieNode::new();
-        for v in [42u64, 7, 19, 3, 25] {
-            root.insert(&[v]);
-        }
-        let keys: Vec<u64> = root.iter().map(|(k, _)| k).collect();
-        assert_eq!(keys, vec![3, 7, 19, 25, 42]);
-        assert_eq!(root.seek(0).map(|(k, _)| k), Some(3));
-        assert_eq!(root.seek(7).map(|(k, _)| k), Some(7));
-        assert_eq!(root.seek(8).map(|(k, _)| k), Some(19));
-        assert!(root.seek(43).is_none());
-    }
-
-    #[test]
-    fn atom_trie_uses_global_variable_order() {
+    fn run_trie_uses_global_variable_order() {
         // T(Z, X): in the triangle query the global order is X=0, Y=1, Z=2,
         // so the trie's first level is X even though the relation stores Z
         // first.
@@ -345,18 +191,9 @@ mod tests {
             vec![(2, 30)],
         ));
         let q = JoinQuery::triangle("R", "S", "T");
-        let trie = AtomTrie::build(&q, &catalog, 2).unwrap();
-        assert_eq!(trie.depth(), 2);
-        // Levels are (X, Z): X ∈ {1, 2}.
-        assert_eq!(trie.var_order, vec![0, 2]);
-        assert_eq!(trie.root.fanout(), 2);
-        assert_eq!(trie.root.child(1).unwrap().fanout(), 2); // z ∈ {30, 40}
-        assert_eq!(trie.root.child(2).unwrap().fanout(), 1);
-
-        // The CSR trie mirrors the same structure.
         let run = RunTrie::build(&q, &catalog, 2).unwrap();
-        assert_eq!(run.depth(), 2);
-        assert_eq!(run.var_order, vec![0, 2]);
+        // Levels are (X, Z): X ∈ {1, 2}.
+        assert_eq!(run.levels.len(), 2);
         let root = run.root();
         assert_eq!(run.keys(root), &[1, 2]);
         let (k, idx) = run.seek(root, 0).unwrap();
@@ -370,37 +207,51 @@ mod tests {
     }
 
     #[test]
-    fn run_trie_matches_btree_trie_on_random_paths() {
-        // Ternary atom, shuffled duplicated rows: the CSR trie must agree
-        // with the BTreeMap trie at every node.
+    fn run_trie_nodes_hold_the_sorted_distinct_extensions_of_their_prefix() {
+        // Ternary atom, shuffled duplicated rows.  The reference is computed
+        // straight from the rows: a node's keys are the sorted distinct
+        // next values among the rows extending its prefix.
         let mut b = RelationBuilder::new("A", ["p", "q", "r"]).unwrap();
         for i in 0..200u64 {
             b.push_codes(&[(i * 7) % 9, (i * 5) % 6, (i * 11) % 8])
                 .unwrap();
             b.push_codes(&[(i * 3) % 9, (i * 13) % 6, i % 8]).unwrap();
         }
+        let rel = b.build();
+        let rows: Vec<Vec<u64>> = rel.rows().collect();
         let mut catalog = Catalog::new();
-        catalog.insert(b.build());
+        catalog.insert(rel);
         // A single-atom "query" over A(p, q, r).
         let q = JoinQuery::new(
             "single-atom",
             vec![lpb_core::Atom::new("A", &["P", "Q", "R"])],
         )
         .unwrap();
-        let trie = AtomTrie::build(&q, &catalog, 0).unwrap();
         let run = RunTrie::build(&q, &catalog, 0).unwrap();
-        assert_eq!(run.var_order, trie.var_order);
+        assert_eq!(run.levels.len(), 3);
 
-        fn check(trie_node: &TrieNode, run: &RunTrie, node: crate::trie::RunRange) {
-            let expect: Vec<u64> = trie_node.iter().map(|(k, _)| k).collect();
-            assert_eq!(run.keys(node), expect.as_slice());
-            for (k, child) in trie_node.iter() {
+        fn check(rows: &[Vec<u64>], prefix: &mut Vec<u64>, run: &RunTrie, node: RunRange) {
+            let depth = prefix.len();
+            let mut expect: Vec<u64> = rows
+                .iter()
+                .filter(|r| r[..depth] == prefix[..])
+                .map(|r| r[depth])
+                .collect();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(run.keys(node), expect.as_slice(), "prefix {prefix:?}");
+            if depth + 1 == run.levels.len() {
+                return;
+            }
+            for k in expect {
                 let (found, idx) = run.seek(node, k).unwrap();
                 assert_eq!(found, k);
-                check(child, run, run.child(node, idx));
+                prefix.push(k);
+                check(rows, prefix, run, run.child(node, idx));
+                prefix.pop();
             }
         }
-        check(&trie.root, &run, run.root());
+        check(&rows, &mut Vec::new(), &run, run.root());
     }
 
     #[test]
@@ -421,8 +272,7 @@ mod tests {
         ));
         let q = JoinQuery::triangle("R", "S", "E");
         let run = RunTrie::build(&q, &catalog, 2).unwrap();
-        assert!(run.root().is_empty());
+        assert!(run.keys(run.root()).is_empty());
         assert!(run.seek(run.root(), 0).is_none());
-        assert_eq!(run.root().len(), 0);
     }
 }

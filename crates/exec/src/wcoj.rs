@@ -11,16 +11,21 @@
 
 use crate::columns::ColumnTable;
 use crate::error::ExecError;
-use crate::trie::{AtomTrie, RunRange, RunTrie, TrieNode};
-use crate::tuples::Tuples;
+use crate::trie::{RunRange, RunTrie};
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
+use std::borrow::Borrow;
 
-/// Run the generic join, invoking `on_tuple` once per output tuple; the
-/// argument is the full assignment indexed by global variable index.
-pub fn generic_join_with<F: FnMut(&[u64])>(
+/// Run the generic join over CSR [`RunTrie`]s, invoking `on_tuple` once per
+/// output tuple (in ascending lexicographic order of the global variable
+/// order); the argument is the full assignment indexed by global variable
+/// index.  Each seek is a galloping search over a trie level's dense sorted
+/// key run, with copy-sized `(level, lo, hi)` ranges standing in for node
+/// pointers.  `tries` may own or borrow its tries (the partitioned
+/// evaluation re-combines the same part tries many times).
+pub(crate) fn generic_join_runs<T: Borrow<RunTrie>, F: FnMut(&[u64])>(
     query: &JoinQuery,
-    tries: &[AtomTrie],
+    tries: &[T],
     on_tuple: &mut F,
 ) {
     let n = query.n_vars();
@@ -34,84 +39,13 @@ pub fn generic_join_with<F: FnMut(&[u64])>(
                 .collect()
         })
         .collect();
-    // Current trie node per atom, as a stack of references per recursion
-    // level; we use indices into a scratch Vec of node pointers.
-    let roots: Vec<&TrieNode> = tries.iter().map(|t| &t.root).collect();
-    recurse(&active_per_var, &roots, 0, &mut assignment, on_tuple);
-}
-
-fn recurse<F: FnMut(&[u64])>(
-    active_per_var: &[Vec<usize>],
-    nodes: &[&TrieNode],
-    var: usize,
-    assignment: &mut Vec<u64>,
-    on_tuple: &mut F,
-) {
-    if var == active_per_var.len() {
-        on_tuple(assignment);
-        return;
-    }
-    let active = &active_per_var[var];
-    debug_assert!(!active.is_empty(), "every variable occurs in some atom");
-
-    // Leapfrog intersection over the atoms' sorted child lists: every atom
-    // seeks to the current candidate, and whoever overshoots raises it, so
-    // runs of non-matching values are skipped in O(log fanout) rather than
-    // probed one by one.  Each seek hands back the child node, so a matched
-    // value costs one tree descent per atom.
-    let mut next_nodes: Vec<&TrieNode> = nodes.to_vec();
-    let mut candidate = 0u64;
-    'outer: loop {
-        let mut agreed = true;
-        for &j in active {
-            match nodes[j].seek(candidate) {
-                None => break 'outer,
-                Some((k, child)) if k == candidate => next_nodes[j] = child,
-                Some((k, _)) => {
-                    candidate = k;
-                    agreed = false;
-                    break;
-                }
-            }
-        }
-        if !agreed {
-            continue;
-        }
-        assignment[var] = candidate;
-        recurse(active_per_var, &next_nodes, var + 1, assignment, on_tuple);
-        // Non-active entries always mirror `nodes`, and every future agreed
-        // pass rewrites the active entries before recursing — no restore
-        // needed; just move past the matched value.
-        match candidate.checked_add(1) {
-            Some(next) => candidate = next,
-            None => break,
-        }
-    }
-}
-
-/// Run the generic join over CSR [`RunTrie`]s — the vectorized twin of
-/// [`generic_join_with`].  Identical recursion and identical output order
-/// (ascending lexicographic in the global variable order); what changes is
-/// the seek: a galloping search over each trie level's dense sorted key
-/// run instead of a B-tree descent, with copy-sized `(level, lo, hi)`
-/// ranges standing in for node pointers.
-pub fn generic_join_runs<F: FnMut(&[u64])>(query: &JoinQuery, tries: &[RunTrie], on_tuple: &mut F) {
-    let n = query.n_vars();
-    let mut assignment = vec![0u64; n];
-    let active_per_var: Vec<Vec<usize>> = (0..n)
-        .map(|var| {
-            (0..tries.len())
-                .filter(|&j| query.atom_vars(j).contains(var))
-                .collect()
-        })
-        .collect();
-    let roots: Vec<RunRange> = tries.iter().map(|t| t.root()).collect();
+    let roots: Vec<RunRange> = tries.iter().map(|t| t.borrow().root()).collect();
     recurse_runs(&active_per_var, tries, &roots, 0, &mut assignment, on_tuple);
 }
 
-fn recurse_runs<F: FnMut(&[u64])>(
+fn recurse_runs<T: Borrow<RunTrie>, F: FnMut(&[u64])>(
     active_per_var: &[Vec<usize>],
-    tries: &[RunTrie],
+    tries: &[T],
     nodes: &[RunRange],
     var: usize,
     assignment: &mut Vec<u64>,
@@ -124,18 +58,21 @@ fn recurse_runs<F: FnMut(&[u64])>(
     let active = &active_per_var[var];
     debug_assert!(!active.is_empty(), "every variable occurs in some atom");
 
-    // Leapfrog over the active atoms' key runs; `seek` gallops within the
-    // node's (lo, hi) window, and a matched key's child range is two array
-    // reads.
+    // Leapfrog intersection over the active atoms' key runs: every atom
+    // seeks to the current candidate, and whoever overshoots raises it, so
+    // runs of non-matching values are skipped in O(log distance) rather than
+    // probed one by one.  `seek` gallops within the node's (lo, hi) window,
+    // and a matched key's child range is two array reads.
     let mut next_nodes: Vec<RunRange> = nodes.to_vec();
     let mut candidate = 0u64;
     'outer: loop {
         let mut agreed = true;
         for &j in active {
-            match tries[j].seek(nodes[j], candidate) {
+            let trie: &RunTrie = tries[j].borrow();
+            match trie.seek(nodes[j], candidate) {
                 None => break 'outer,
                 Some((k, idx)) if k == candidate => {
-                    next_nodes[j] = tries[j].child(nodes[j], idx);
+                    next_nodes[j] = trie.child(nodes[j], idx);
                 }
                 Some((k, _)) => {
                     candidate = k;
@@ -156,6 +93,9 @@ fn recurse_runs<F: FnMut(&[u64])>(
             assignment,
             on_tuple,
         );
+        // Non-active entries always mirror `nodes`, and every future agreed
+        // pass rewrites the active entries before recursing — no restore
+        // needed; just move past the matched value.
         match candidate.checked_add(1) {
             Some(next) => candidate = next,
             None => break,
@@ -163,53 +103,31 @@ fn recurse_runs<F: FnMut(&[u64])>(
     }
 }
 
-/// Build the tries for every atom of the query from the catalog.
-pub fn build_tries(query: &JoinQuery, catalog: &Catalog) -> Result<Vec<AtomTrie>, ExecError> {
-    (0..query.n_atoms())
-        .map(|j| AtomTrie::build(query, catalog, j))
-        .collect()
-}
-
-/// Count the output size with the generic join.
-pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecError> {
-    let tries = build_tries(query, catalog)?;
-    let mut count: u128 = 0;
-    generic_join_with(query, &tries, &mut |_| count += 1);
-    Ok(count)
-}
-
-/// Count the output size with the generic join over pre-built tries (used by
-/// the partitioned evaluation, which joins parts of relations).
-pub fn wcoj_count_tries(query: &JoinQuery, tries: &[AtomTrie]) -> u128 {
-    let mut count: u128 = 0;
-    generic_join_with(query, tries, &mut |_| count += 1);
-    count
-}
-
-/// Materialize the output with the generic join; columns are the query
-/// variables in registry order.
-pub fn wcoj_materialize(query: &JoinQuery, catalog: &Catalog) -> Result<Tuples, ExecError> {
-    let tries = build_tries(query, catalog)?;
-    let vars: Vec<String> = (0..query.n_vars())
-        .map(|i| query.registry().name(i).to_string())
-        .collect();
-    let mut rows: Vec<Vec<u64>> = Vec::new();
-    generic_join_with(query, &tries, &mut |t| rows.push(t.to_vec()));
-    Ok(Tuples::new(vars, rows))
-}
-
 /// Build the CSR run tries for every atom of the query from the catalog.
-pub fn build_run_tries(query: &JoinQuery, catalog: &Catalog) -> Result<Vec<RunTrie>, ExecError> {
+fn build_run_tries(query: &JoinQuery, catalog: &Catalog) -> Result<Vec<RunTrie>, ExecError> {
     (0..query.n_atoms())
         .map(|j| RunTrie::build(query, catalog, j))
         .collect()
 }
 
-/// Materialize the output with the vectorized generic join over run tries,
-/// directly into columnar form: same columns (query variables in registry
-/// order) and same row order as [`wcoj_materialize`], with each output
-/// assignment appended variable-wise — no per-tuple `Vec` allocation.
-pub fn wcoj_materialize_columns(
+/// Count the output size with the generic join over pre-built tries (the
+/// partitioned evaluation joins parts of relations).
+pub(crate) fn wcoj_count_runs<T: Borrow<RunTrie>>(query: &JoinQuery, tries: &[T]) -> u128 {
+    let mut count: u128 = 0;
+    generic_join_runs(query, tries, &mut |_| count += 1);
+    count
+}
+
+/// Count the output size with the generic join.
+pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecError> {
+    Ok(wcoj_count_runs(query, &build_run_tries(query, catalog)?))
+}
+
+/// Materialize the output with the generic join, directly into columnar
+/// form: columns are the query variables in registry order, rows are in
+/// ascending lexicographic order, and each output assignment is appended
+/// variable-wise — no per-tuple `Vec` allocation.
+pub(crate) fn wcoj_materialize_columns(
     query: &JoinQuery,
     catalog: &Catalog,
 ) -> Result<ColumnTable, ExecError> {
@@ -225,8 +143,7 @@ pub fn wcoj_materialize_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::logical::JoinPlan;
-    use crate::physical::execute_plan;
+    use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
 
     fn clique_catalog(k: u64) -> Catalog {
@@ -243,6 +160,14 @@ mod tests {
         catalog
     }
 
+    /// The table's rows in emission order (the WCOJ promises ascending
+    /// lexicographic order, which `sorted_rows` would hide).
+    fn rows_in_order(t: &ColumnTable) -> Vec<Vec<u64>> {
+        (0..t.len())
+            .map(|i| (0..t.vars().len()).map(|c| t.col(c)[i]).collect())
+            .collect()
+    }
+
     #[test]
     fn triangle_count_on_cliques() {
         for k in [3u64, 4, 5, 6] {
@@ -254,7 +179,7 @@ mod tests {
     }
 
     #[test]
-    fn wcoj_matches_hash_join_plans_on_random_data() {
+    fn wcoj_matches_the_oracle_rows_and_order_on_random_data() {
         let mut catalog = Catalog::new();
         catalog.insert(RelationBuilder::binary_from_pairs(
             "R",
@@ -280,12 +205,15 @@ mod tests {
             JoinQuery::path(&["R", "S", "T"]),
             JoinQuery::cycle(&["R", "S", "T", "R"]),
         ] {
-            let truth = execute_plan(&q, &catalog, &JoinPlan::in_query_order(&q))
-                .unwrap()
-                .output_size() as u128;
+            let out = wcoj_materialize_columns(&q, &catalog).unwrap();
+            assert_eq!(out.vars(), q.registry().names(), "query {}", q.name());
+            // The oracle's sorted rows in registry order are exactly the
+            // leapfrog emission order: same rows *in the same order*.
+            let truth = nested_loop_join(&q, &catalog, out.vars()).unwrap();
+            assert_eq!(rows_in_order(&out), truth, "query {}", q.name());
             assert_eq!(
                 wcoj_count(&q, &catalog).unwrap(),
-                truth,
+                truth.len() as u128,
                 "query {}",
                 q.name()
             );
@@ -296,14 +224,14 @@ mod tests {
     fn materialized_output_matches_count_and_has_global_column_order() {
         let catalog = clique_catalog(4);
         let q = JoinQuery::triangle("E", "E", "E");
-        let out = wcoj_materialize(&q, &catalog).unwrap();
+        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
         assert_eq!(out.len() as u128, wcoj_count(&q, &catalog).unwrap());
         assert_eq!(
             out.vars(),
             &["X".to_string(), "Y".to_string(), "Z".to_string()]
         );
         // Every output tuple is a genuine triangle.
-        for row in out.rows() {
+        for row in out.sorted_rows() {
             let (x, y, z) = (row[0], row[1], row[2]);
             assert_ne!(x, y);
             assert_ne!(y, z);
@@ -313,7 +241,7 @@ mod tests {
 
     #[test]
     fn higher_arity_atoms_join_correctly() {
-        // Loomis-Whitney on a tiny instance, cross-checked against hash joins.
+        // Loomis-Whitney on a tiny instance, cross-checked against the oracle.
         let mut catalog = Catalog::new();
         let mut tuples = Vec::new();
         for i in 0..4u64 {
@@ -329,10 +257,10 @@ mod tests {
             catalog.insert(b.build());
         }
         let q = JoinQuery::loomis_whitney_4("A", "B", "C", "D");
-        let truth = execute_plan(&q, &catalog, &JoinPlan::in_query_order(&q))
-            .unwrap()
-            .output_size() as u128;
-        assert_eq!(wcoj_count(&q, &catalog).unwrap(), truth);
+        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
+        let truth = nested_loop_join(&q, &catalog, out.vars()).unwrap();
+        assert_eq!(rows_in_order(&out), truth);
+        assert_eq!(wcoj_count(&q, &catalog).unwrap(), truth.len() as u128);
     }
 
     #[test]
@@ -348,63 +276,5 @@ mod tests {
         let q = JoinQuery::single_join("R", "S");
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), 0);
         assert!(wcoj_materialize_columns(&q, &catalog).unwrap().is_empty());
-    }
-
-    #[test]
-    fn run_trie_join_is_identical_to_btree_trie_join() {
-        // Same relations as the hash-join cross-check, all four query
-        // shapes: the vectorized join must produce the *same rows in the
-        // same order*, not just the same multiset.
-        let mut catalog = Catalog::new();
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "R",
-            "a",
-            "b",
-            (0..80u64).map(|i| (i % 13, (i * 7) % 17)),
-        ));
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "S",
-            "a",
-            "b",
-            (0..90u64).map(|i| ((i * 3) % 17, i % 11)),
-        ));
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "T",
-            "a",
-            "b",
-            (0..70u64).map(|i| (i % 11, (i * 5) % 13)),
-        ));
-        for q in [
-            JoinQuery::triangle("R", "S", "T"),
-            JoinQuery::single_join("R", "S"),
-            JoinQuery::path(&["R", "S", "T"]),
-            JoinQuery::cycle(&["R", "S", "T", "R"]),
-        ] {
-            let scalar = wcoj_materialize(&q, &catalog).unwrap();
-            let cols = wcoj_materialize_columns(&q, &catalog).unwrap();
-            assert_eq!(cols.vars(), scalar.vars(), "query {}", q.name());
-            assert_eq!(&cols.to_tuples(), &scalar, "query {}", q.name());
-        }
-    }
-
-    #[test]
-    fn run_trie_join_handles_higher_arity_atoms() {
-        let mut catalog = Catalog::new();
-        let mut tuples = Vec::new();
-        for i in 0..4u64 {
-            for j in 0..3u64 {
-                tuples.push(vec![i, j, (i + j) % 3]);
-            }
-        }
-        for name in ["A", "B", "C", "D"] {
-            let mut b = RelationBuilder::new(name, ["p", "q", "r"]).unwrap();
-            for t in &tuples {
-                b.push_codes(t).unwrap();
-            }
-            catalog.insert(b.build());
-        }
-        let q = JoinQuery::loomis_whitney_4("A", "B", "C", "D");
-        let cols = wcoj_materialize_columns(&q, &catalog).unwrap();
-        assert_eq!(cols.len() as u128, wcoj_count(&q, &catalog).unwrap());
     }
 }

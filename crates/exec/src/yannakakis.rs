@@ -8,8 +8,7 @@
 
 use crate::columns::ColumnTable;
 use crate::error::ExecError;
-use crate::hash_join::{semi_join, semi_join_columns};
-use crate::tuples::Tuples;
+use crate::hash_join::semi_join_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use lpb_entropy::VarSet;
@@ -18,7 +17,7 @@ use std::collections::HashMap;
 /// A join tree over the query atoms: `parent[i]` is the parent atom of atom
 /// `i` (`None` for the root).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JoinTree {
+pub(crate) struct JoinTree {
     /// Parent pointers, indexed by atom.
     pub parent: Vec<Option<usize>>,
     /// Atoms in the order they were removed by the GYO reduction (leaves
@@ -43,7 +42,7 @@ impl JoinTree {
 
 /// Attempt to build a join tree with the GYO (Graham–Yu–Özsoyoğlu) ear
 /// reduction.  Returns `None` when the query is not α-acyclic.
-pub fn gyo_join_tree(query: &JoinQuery) -> Option<JoinTree> {
+pub(crate) fn gyo_join_tree(query: &JoinQuery) -> Option<JoinTree> {
     let m = query.n_atoms();
     if m == 1 {
         return Some(JoinTree {
@@ -127,132 +126,80 @@ pub fn yannakakis_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, Ex
     let children = tree.children();
 
     for &atom in &tree.elimination_order {
-        let tuples = Tuples::from_atom(query, catalog, atom)?;
-        // Weight of each tuple: the product of child-message weights for the
-        // tuple's separator keys (0 when a child has no matching key).
-        let mut weighted: Vec<(Vec<u64>, u128)> = Vec::with_capacity(tuples.len());
-        for row in tuples.rows() {
+        let cols = ColumnTable::from_atom(query, catalog, atom)?;
+        let key_of = |positions: &[usize], row: usize| -> Vec<u64> {
+            positions.iter().map(|&p| cols.col(p)[row]).collect()
+        };
+        let child_separators: Vec<(usize, Vec<usize>)> = children[atom]
+            .iter()
+            .map(|&c| (c, separator_positions(query, atom, c, &cols)))
+            .collect();
+        let parent_separator =
+            tree.parent[atom].map(|p| separator_positions(query, atom, p, &cols));
+
+        // Group the atom's weighted tuples by the separator with the parent
+        // (at the root: sum them).
+        let mut message: HashMap<Vec<u64>, u128> = HashMap::new();
+        let mut total: u128 = 0;
+        for row in 0..cols.len() {
+            // Weight of the tuple: the product of child-message weights for
+            // its separator keys (0 when a child has no matching key).
             let mut weight: u128 = 1;
-            for &c in &children[atom] {
-                let msg = messages[c].as_ref().expect("children processed first");
-                let sep_positions = separator_positions(query, atom, c, &tuples);
-                let key: Vec<u64> = sep_positions.iter().map(|&p| row[p]).collect();
-                weight = weight.saturating_mul(msg.get(&key).copied().unwrap_or(0));
+            for (c, separator) in &child_separators {
+                let msg = messages[*c].as_ref().expect("children processed first");
+                let matched = msg.get(&key_of(separator, row)).copied().unwrap_or(0);
+                weight = weight.saturating_mul(matched);
                 if weight == 0 {
                     break;
                 }
             }
-            if weight > 0 {
-                weighted.push((row.clone(), weight));
+            if weight == 0 {
+                continue;
+            }
+            match &parent_separator {
+                Some(separator) => *message.entry(key_of(separator, row)).or_insert(0) += weight,
+                None => total += weight,
             }
         }
-
-        match tree.parent[atom] {
-            Some(parent) => {
-                // Group by the separator with the parent.
-                let sep_vars = query.atom_vars(atom).intersect(query.atom_vars(parent));
-                let positions: Vec<usize> = var_positions(query, atom, sep_vars, &tuples);
-                let mut msg: HashMap<Vec<u64>, u128> = HashMap::new();
-                for (row, w) in weighted {
-                    let key: Vec<u64> = positions.iter().map(|&p| row[p]).collect();
-                    *msg.entry(key).or_insert(0) += w;
-                }
-                messages[atom] = Some(msg);
-            }
-            None => {
-                // Root: sum all weights.
-                return Ok(weighted.into_iter().map(|(_, w)| w).sum());
-            }
+        match parent_separator {
+            Some(_) => messages[atom] = Some(message),
+            None => return Ok(total),
         }
     }
     unreachable!("the elimination order always ends at the root")
 }
 
-/// Positions (within `tuples`, whose columns are the atom's variables) of the
-/// separator variables between `atom` and its child `child`.
+/// Positions (within `cols`, whose columns are `atom`'s variables) of the
+/// separator variables between `atom` and its join-tree neighbour `other`.
 fn separator_positions(
     query: &JoinQuery,
     atom: usize,
-    child: usize,
-    tuples: &Tuples,
+    other: usize,
+    cols: &ColumnTable,
 ) -> Vec<usize> {
-    let sep = query.atom_vars(atom).intersect(query.atom_vars(child));
-    var_positions(query, atom, sep, tuples)
-}
-
-fn var_positions(query: &JoinQuery, _atom: usize, vars: VarSet, tuples: &Tuples) -> Vec<usize> {
     let reg = query.registry();
-    vars.iter()
+    query
+        .atom_vars(atom)
+        .intersect(query.atom_vars(other))
+        .iter()
         .map(|v| {
-            tuples
-                .position(reg.name(v))
+            cols.position(reg.name(v))
                 .expect("separator variable is a column of the atom")
         })
         .collect()
 }
 
 /// Run the Yannakakis *full reducer* (two semi-join passes over the join
-/// tree) and return the reduced, dangling-tuple-free intermediates, one per
-/// atom.  Provided for completeness of the classical algorithm and used in
-/// tests to validate the counter.
-pub fn full_reducer(query: &JoinQuery, catalog: &Catalog) -> Result<Vec<Tuples>, ExecError> {
-    let mut scratch = crate::counters::IntermediateCounters::new();
-    full_reducer_counted(query, catalog, &mut scratch, &[])
-}
-
-/// [`full_reducer`], with every semi-join pass recorded in `counters` — the
-/// reducer's passes materialize real intermediates and the bound-driven
-/// planner costs them instead of assuming them free.  `scan_bounds[j]`, when
-/// provided (one entry per atom, or empty for uncertified runs), certifies
-/// every pass targeting atom `j`: semi-joins only shrink, so the atom's scan
-/// size is a provable upper bound on each pass result.
-pub fn full_reducer_counted(
-    query: &JoinQuery,
-    catalog: &Catalog,
-    counters: &mut crate::counters::IntermediateCounters,
-    scan_bounds: &[Option<f64>],
-) -> Result<Vec<Tuples>, ExecError> {
-    let Some(tree) = gyo_join_tree(query) else {
-        return Err(ExecError::NotApplicable {
-            reason: "the full reducer needs an acyclic query".into(),
-        });
-    };
-    let mut rels: Vec<Tuples> = (0..query.n_atoms())
-        .map(|j| Tuples::from_atom(query, catalog, j))
-        .collect::<Result<_, _>>()?;
-    let pass = |rels: &mut Vec<Tuples>,
-                target: usize,
-                other: usize,
-                counters: &mut crate::counters::IntermediateCounters| {
-        rels[target] = semi_join(&rels[target], &rels[other]);
-        counters.record_checked(
-            format!("⋉ {}", query.atoms()[target].relation),
-            rels[target].len(),
-            scan_bounds.get(target).copied().flatten(),
-        );
-    };
-
-    // Upward pass (leaves to root): parent ⋉ child.
-    for &atom in &tree.elimination_order {
-        if let Some(parent) = tree.parent[atom] {
-            pass(&mut rels, parent, atom, counters);
-        }
-    }
-    // Downward pass (root to leaves): child ⋉ parent.
-    for &atom in tree.elimination_order.iter().rev() {
-        if let Some(parent) = tree.parent[atom] {
-            pass(&mut rels, atom, parent, counters);
-        }
-    }
-    Ok(rels)
-}
-
-/// The vectorized full reducer: [`full_reducer_counted`] with every
-/// semi-join pass executed as a bitmap filter over columns
-/// ([`semi_join_columns`]) instead of a row-at-a-time hash filter.  Pass
-/// order, recorded labels, recorded sizes, and certificates are identical
-/// to the scalar reducer — only the inner loops changed.
-pub fn full_reducer_columns(
+/// tree, each a bitmap filter over columns — [`semi_join_columns`]) and
+/// return the reduced, dangling-tuple-free intermediates, one per atom.
+///
+/// Every pass is recorded in `counters`: the passes materialize real
+/// intermediates and the bound-driven planner costs them instead of
+/// assuming them free.  `scan_bounds[j]`, when provided (one entry per atom,
+/// or empty for uncertified runs), certifies every pass targeting atom `j`:
+/// semi-joins only shrink, so the atom's scan size is a provable upper bound
+/// on each pass result.
+pub(crate) fn full_reducer_columns(
     query: &JoinQuery,
     catalog: &Catalog,
     counters: &mut crate::counters::IntermediateCounters,
@@ -278,11 +225,13 @@ pub fn full_reducer_columns(
         );
     };
 
+    // Upward pass (leaves to root): parent ⋉ child.
     for &atom in &tree.elimination_order {
         if let Some(parent) = tree.parent[atom] {
             pass(&mut rels, parent, atom, counters);
         }
     }
+    // Downward pass (root to leaves): child ⋉ parent.
     for &atom in tree.elimination_order.iter().rev() {
         if let Some(parent) = tree.parent[atom] {
             pass(&mut rels, atom, parent, counters);
@@ -294,8 +243,16 @@ pub fn full_reducer_columns(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physical::join_size;
+    use crate::counters::IntermediateCounters;
+    use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
+
+    /// `|Q(D)|` by nested loops.
+    fn oracle_count(q: &JoinQuery, catalog: &Catalog) -> u128 {
+        nested_loop_join(q, catalog, q.registry().names())
+            .unwrap()
+            .len() as u128
+    }
 
     fn catalog_with_edges(name: &str, edges: Vec<(u64, u64)>) -> Catalog {
         let mut c = Catalog::new();
@@ -345,7 +302,7 @@ mod tests {
             JoinQuery::path(&["E", "E", "E"]),
             JoinQuery::path(&["E", "E", "E", "E"]),
         ] {
-            let truth = join_size(&q, &catalog).unwrap() as u128;
+            let truth = oracle_count(&q, &catalog);
             let counted = yannakakis_count(&q, &catalog).unwrap();
             assert_eq!(counted, truth, "query {}", q.name());
         }
@@ -380,7 +337,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let truth = join_size(&q, &catalog).unwrap() as u128;
+        let truth = oracle_count(&q, &catalog);
         assert_eq!(yannakakis_count(&q, &catalog).unwrap(), truth);
         assert!(truth > 0);
     }
@@ -411,16 +368,17 @@ mod tests {
             vec![(10, 100), (40, 400)],
         ));
         let q = JoinQuery::single_join("R", "S");
-        let reduced = full_reducer(&q, &catalog).unwrap();
+        let reduced =
+            full_reducer_columns(&q, &catalog, &mut IntermediateCounters::new(), &[]).unwrap();
         // Only R(1,10) and S(10,100) survive.
-        assert_eq!(reduced[0].len(), 1);
-        assert_eq!(reduced[1].len(), 1);
+        assert_eq!(reduced[0].sorted_rows(), vec![vec![1, 10]]);
+        assert_eq!(reduced[1].sorted_rows(), vec![vec![10, 100]]);
         // Count agrees with the reduced product.
         assert_eq!(yannakakis_count(&q, &catalog).unwrap(), 1);
     }
 
     #[test]
-    fn columnar_reducer_matches_scalar_reducer_exactly() {
+    fn reducer_leaves_exactly_the_tuples_of_the_oracle_output() {
         let mut catalog = Catalog::new();
         catalog.insert(RelationBuilder::binary_from_pairs(
             "R",
@@ -442,19 +400,45 @@ mod tests {
         ));
         let q = JoinQuery::path(&["R", "S", "T"]);
         let bounds = vec![Some(10.0), Some(10.0), Some(10.0)];
-        let mut scalar_counters = crate::counters::IntermediateCounters::new();
-        let scalar = full_reducer_counted(&q, &catalog, &mut scalar_counters, &bounds).unwrap();
-        let mut col_counters = crate::counters::IntermediateCounters::new();
-        let cols = full_reducer_columns(&q, &catalog, &mut col_counters, &bounds).unwrap();
-        // Same pass labels, sizes, and certificate tallies…
-        assert_eq!(scalar_counters, col_counters);
-        // …and the same reduced relations, row for row.
-        for (s, c) in scalar.iter().zip(&cols) {
-            let mut srows = s.rows().to_vec();
-            let mut crows = c.to_tuples().rows().to_vec();
-            srows.sort_unstable();
-            crows.sort_unstable();
-            assert_eq!(srows, crows);
+        let mut counters = IntermediateCounters::new();
+        let reduced = full_reducer_columns(&q, &catalog, &mut counters, &bounds).unwrap();
+        // A fully reduced atom holds exactly the projection of the join
+        // output onto its variables.
+        let names = q.registry().names();
+        let output = nested_loop_join(&q, &catalog, names).unwrap();
+        assert!(!output.is_empty());
+        for (j, table) in reduced.iter().enumerate() {
+            let positions: Vec<usize> = table
+                .vars()
+                .iter()
+                .map(|v| names.iter().position(|n| n == v).unwrap())
+                .collect();
+            let mut expect: Vec<Vec<u64>> = output
+                .iter()
+                .map(|row| positions.iter().map(|&p| row[p]).collect())
+                .collect();
+            expect.sort_unstable();
+            expect.dedup();
+            assert_eq!(table.sorted_rows(), expect, "atom {j}");
+        }
+        // Two passes per join-tree edge, each recorded under its target's
+        // name and checked against that atom's scan certificate.
+        assert_eq!(counters.len(), 4);
+        assert_eq!(counters.certificates_checked(), 4);
+        assert_eq!(counters.certificate_violations(), 0);
+        assert!(counters.steps().iter().all(|s| s.label.starts_with("⋉ ")));
+        let last_pass_of = |rel: &str| {
+            let label = format!("⋉ {rel}");
+            counters
+                .steps()
+                .iter()
+                .rev()
+                .find(|s| s.label == label)
+                .unwrap()
+                .rows
+        };
+        for (j, rel) in ["R", "S", "T"].iter().enumerate() {
+            assert_eq!(last_pass_of(rel), reduced[j].len(), "final pass on {rel}");
         }
     }
 

@@ -13,16 +13,20 @@ use lpb_datagen::{
     skewed_triangle_workload,
 };
 use lpb_exec::{
-    execute_physical, execute_plan, true_cardinality, JoinPlan, LogicalPlan, Optimizer,
+    execute_physical_mode, true_cardinality, ColumnRun, ExecMode, JoinPlan, LogicalPlan, Optimizer,
     PhysicalPlan, PlannerConfig,
 };
+
+fn exec(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
+    execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap()
+}
 
 /// Measured peak intermediates of the optimizer's plan vs greedy-by-size.
 /// Also asserts that no executed node violates its bound certificate.
 fn measured_peaks(query: &JoinQuery, catalog: &Catalog) -> (usize, usize, usize) {
     let optimizer = Optimizer::new();
     let plan = optimizer.plan(query, catalog).unwrap();
-    let chosen = execute_physical(query, catalog, &plan.physical).unwrap();
+    let chosen = exec(query, catalog, &plan.physical);
     assert_eq!(
         chosen.certificate_violations(),
         0,
@@ -30,7 +34,11 @@ fn measured_peaks(query: &JoinQuery, catalog: &Catalog) -> (usize, usize, usize)
         query.name()
     );
     let greedy = JoinPlan::greedy_by_size(query, catalog).unwrap();
-    let greedy_run = execute_plan(query, catalog, &greedy).unwrap();
+    let greedy_run = exec(
+        query,
+        catalog,
+        &PhysicalPlan::hash_chain(greedy.order().to_vec()),
+    );
     assert_eq!(
         chosen.output_size(),
         greedy_run.output_size(),
@@ -113,16 +121,15 @@ fn bushy_plan_beats_every_left_deep_order_on_bridged_chains() {
     assert!(plan.predicted_log2_cost <= plan.leftdeep_predicted_log2_cost);
     assert!(!plan.physical.certificates().is_empty());
 
-    let bushy = execute_physical(&w.query, &w.catalog, &plan.physical).unwrap();
+    let bushy = exec(&w.query, &w.catalog, &plan.physical);
     assert_eq!(bushy.certificate_violations(), 0);
     // The best *left-deep* plan the same bounds produce: the bottleneck
     // DP's left-deep order, evaluated as a hash chain.
-    let leftdeep = execute_physical(
+    let leftdeep = exec(
         &w.query,
         &w.catalog,
         &PhysicalPlan::hash_chain(plan.leftdeep_order.clone()),
-    )
-    .unwrap();
+    );
     assert_eq!(bushy.output_size(), leftdeep.output_size());
     assert!(bushy.output_size() > 0);
     assert!(
@@ -158,7 +165,7 @@ fn partitioned_plan_beats_the_best_monolithic_plan_on_partition_skew() {
     assert!(plan.partition_subqueries_bounded > 0);
     assert!(!plan.physical.certificates().is_empty());
 
-    let run = execute_physical(&w.query, &w.catalog, &plan.physical).unwrap();
+    let run = exec(&w.query, &w.catalog, &plan.physical);
     assert_eq!(run.certificate_violations(), 0);
     assert!(run.counters.certificates_checked() > 0);
     assert_eq!(run.counters.parts_planned(), 2);
@@ -175,7 +182,7 @@ fn partitioned_plan_beats_the_best_monolithic_plan_on_partition_skew() {
         .unwrap();
     assert_ne!(mono_plan.strategy(), "partitioned");
     assert_eq!(mono_plan.parts_planned, 0);
-    let mono = execute_physical(&w.query, &w.catalog, &mono_plan.physical).unwrap();
+    let mono = exec(&w.query, &w.catalog, &mono_plan.physical);
     assert_eq!(mono.counters.parts_planned(), 0);
     assert_eq!(run.output_size(), mono.output_size());
     assert!(run.output_size() > 0);
@@ -202,7 +209,7 @@ fn disabling_bushy_falls_back_to_the_left_deep_dp() {
         .unwrap();
     assert_ne!(plan.strategy(), "bushy");
     assert_eq!(plan.predicted_log2_cost, plan.leftdeep_predicted_log2_cost);
-    let run = execute_physical(&w.query, &w.catalog, &plan.physical).unwrap();
+    let run = exec(&w.query, &w.catalog, &plan.physical);
     assert_eq!(run.certificate_violations(), 0);
 }
 
@@ -270,8 +277,8 @@ fn disconnected_queries_plan_and_execute_end_to_end() {
     assert!(plan.leftdeep_predicted_log2_cost.is_nan());
     assert_eq!(plan.subqueries_bounded, 0);
     assert_eq!(plan.bound_fallbacks, 0);
-    let run = execute_physical(&q, &catalog, &plan.physical).unwrap();
-    let rs = execute_physical(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2])).unwrap();
+    let run = exec(&q, &catalog, &plan.physical);
+    let rs = exec(&q, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2]));
     assert_eq!(run.output_size(), rs.output_size());
     let joined = lpb_exec::join2_count(&catalog.get("R").unwrap(), &catalog.get("S").unwrap())
         .unwrap() as usize;
@@ -299,7 +306,7 @@ fn disconnected_queries_plan_and_execute_end_to_end() {
     .unwrap();
     let plan = optimizer.plan(&q, &catalog).unwrap();
     assert!(plan.predicted_log2_cost.is_nan());
-    let run = execute_physical(&q, &catalog, &plan.physical).unwrap();
+    let run = exec(&q, &catalog, &plan.physical);
     assert_eq!(run.output_size(), 24 * 3);
 
     // cost_order still costs orders of disconnected queries — crossing

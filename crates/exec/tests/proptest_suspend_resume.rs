@@ -3,7 +3,7 @@
 //! boundary, then resuming to completion, must produce exactly what the
 //! uninterrupted run produces — the same output rows and the bit-identical
 //! counter recording (labels, sizes, certificate tallies, part roll-ups) —
-//! in all three [`ExecMode`]s.  This is what makes the adaptive
+//! in both [`ExecMode`]s.  This is what makes the adaptive
 //! controller's mid-query suspensions safe: a resumed state is
 //! indistinguishable from one that never stopped.
 
@@ -32,7 +32,7 @@ fn assert_suspend_resume_is_lossless(
     catalog: &Catalog,
     plan: &PhysicalPlan,
 ) -> Result<(), TestCaseError> {
-    for mode in [ExecMode::Scalar, ExecMode::Vectorized, ExecMode::Parallel] {
+    for mode in [ExecMode::Vectorized, ExecMode::Parallel] {
         let mut straight = ExecState::new(plan, mode, CertificatePolicy::default());
         let status = straight.run(query, catalog).unwrap();
         prop_assert_eq!(status, ExecStatus::Done, "{:?} uninterrupted", mode);

@@ -516,6 +516,7 @@ fn choose_entering(tab: &Tableau, phase1: bool, bland: bool) -> Option<usize> {
 fn pivot(tab: &mut Tableau, row: usize, col: usize) {
     let p = tab.t.get(row, col);
     debug_assert!(p.abs() > tab.tol, "pivot element too small");
+    crate::stats::record_primal_pivot();
     tab.t.scale_row(row, p);
     for i in 0..tab.t.rows() {
         if i != row {
@@ -594,6 +595,23 @@ mod tests {
         let dual_obj = s.duals[0] * 4.0 + s.duals[1] * 12.0 + s.duals[2] * 18.0;
         assert_close(dual_obj, 36.0);
         assert!(s.duals.iter().all(|&d| d >= -1e-9));
+    }
+
+    #[test]
+    fn dense_routed_solves_report_their_pivots() {
+        // Three rows, no warm-start token: `SolverKind::Auto` takes the
+        // dense tableau, whose pivots must show up in the work counters.
+        let mut p = Problem::maximize(2);
+        p.set_objective(0, 3.0);
+        p.set_objective(1, 5.0);
+        p.add_constraint(&[(0, 1.0)], Sense::Le, 4.0);
+        p.add_constraint(&[(1, 2.0)], Sense::Le, 12.0);
+        p.add_constraint(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0);
+        assert!(p.n_rows_total() < DENSE_SMALL_LP_ROWS);
+        let (solution, work) = crate::SolverStats::on_thread(|| p.solve().unwrap());
+        assert_eq!(solution.status, Status::Optimal);
+        assert!(work.primal_pivots > 0, "dense pivots went unrecorded");
+        assert_eq!(work.total_pivots(), work.primal_pivots);
     }
 
     #[test]

@@ -249,7 +249,10 @@ mod tests {
     #[test]
     fn a_singleton_round_plans_and_accounts() {
         let coalescer = Coalescer::new(Duration::ZERO);
-        let optimizer = Optimizer::new();
+        // Sequential like the service's: `batch_stats` is a thread-local
+        // delta, so the LP work must stay on the submitting thread.
+        let optimizer =
+            Optimizer::new().with_estimator(lpb_core::BatchEstimator::default().sequential());
         let catalog = catalog();
         let q = JoinQuery::triangle("E", "E", "E");
         let out = coalescer

@@ -1,33 +1,30 @@
-//! Run one certified plan through all three execution engines — the legacy
-//! tuple-at-a-time engine, the vectorized columnar engine, and the
-//! morsel-parallel engine — and check they agree tuple for tuple.
+//! Run one certified plan through the executor's two modes — vectorized
+//! (one worker) and morsel-parallel — check the answer against the naive
+//! nested-loop oracle, and check the two modes agree bit for bit.
 //!
 //! The plan is whatever the bound-driven optimizer picks for the
 //! partition-skew workload (a `PartitionedUnion` over the light/heavy parts
-//! of the skewed middle relation).  The three [`ExecMode`]s then differ only
-//! in *how* they run it:
+//! of the skewed middle relation).  There is one engine: intermediates are
+//! columnar (`ColumnTable`), hash joins probe a batch at a time with
+//! column-wise gathers, and WCOJ cores leapfrog over CSR run-tries with
+//! galloping seeks.  The two [`ExecMode`]s differ only in *scheduling*:
 //!
-//! * `Scalar` materializes every intermediate as `Vec<Vec<u64>>` rows;
-//! * `Vectorized` keeps intermediates columnar ([`ColumnTable`]), probes
-//!   hash joins a [`BATCH_ROWS`]-sized batch at a time with column-wise
-//!   gathers, and leapfrogs WCOJ cores over CSR run-tries with galloping
-//!   seeks;
-//! * `Parallel` additionally forks independent sub-plans — the union's
-//!   parts, a bushy join's branches — onto morsel workers, each recording
-//!   into its own [`IntermediateCounters`], merged back in plan order.
+//! * `Vectorized` runs the plan's stages in order on one worker;
+//! * `Parallel` forks independent sub-plans — the union's parts, a bushy
+//!   join's branches — onto morsel workers, each recording into its own
+//!   `IntermediateCounters`, merged back in plan order.
 //!
-//! Because the columnar operators enumerate matches in exactly the scalar
-//! order, all three modes produce the same output rows **and the same
-//! counter recording** — same step labels, same sizes, same certificate
-//! tallies — which is what lets the benchmarks quote a speedup over
-//! bit-identical work.
+//! Because the same kernels run on the same inputs either way, both modes
+//! produce the same output rows **and the same counter recording** — same
+//! step labels, same sizes, same certificate tallies.
 //!
 //! ```text
 //! cargo run --release --example exec_vectorized
 //! ```
 
 use lpbound::datagen::partition_skew_workload;
-use lpbound::exec::{execute_physical_mode, ExecError, ExecMode, Optimizer, BATCH_ROWS};
+use lpbound::exec::oracle::nested_loop_join;
+use lpbound::exec::{execute_physical_mode, ExecError, ExecMode, Optimizer};
 use std::time::Instant;
 
 fn main() -> Result<(), ExecError> {
@@ -37,15 +34,14 @@ fn main() -> Result<(), ExecError> {
     // 1. One plan, certified by the planner's ℓp-norm bounds.
     let plan = Optimizer::new().plan(&w.query, &w.catalog)?;
     println!(
-        "chosen plan: {} ({}), batch size {} rows\n",
+        "chosen plan: {} ({})\n",
         plan.physical.describe(),
         plan.strategy(),
-        BATCH_ROWS,
     );
 
-    // 2. The same plan through all three engines.
+    // 2. The same plan under both scheduling modes.
     let mut runs = Vec::new();
-    for mode in [ExecMode::Scalar, ExecMode::Vectorized, ExecMode::Parallel] {
+    for mode in [ExecMode::Vectorized, ExecMode::Parallel] {
         let started = Instant::now();
         let run = execute_physical_mode(&w.query, &w.catalog, &plan.physical, mode)?;
         let elapsed = started.elapsed();
@@ -62,30 +58,33 @@ fn main() -> Result<(), ExecError> {
         runs.push(run);
     }
 
-    // 3. Agreement is exact: same output rows in the same order, and the
-    //    parallel roll-up reproduces the sequential counter recording bit
-    //    for bit.
-    let scalar = &runs[0];
-    for run in &runs[1..] {
-        assert_eq!(
-            run.output.to_tuples(),
-            scalar.output.to_tuples(),
-            "engines must agree tuple for tuple"
-        );
-        assert_eq!(
-            run.counters, scalar.counters,
-            "engines must record identical steps"
-        );
-    }
-    println!("\nall three engines agree on every tuple and every recorded step:");
-    for step in scalar.counters.steps().iter().take(8) {
+    // 3. The answer is the nested-loop oracle's, and agreement between the
+    //    modes is exact: same output columns, and the parallel roll-up
+    //    reproduces the sequential counter recording bit for bit.
+    let (vectorized, parallel) = (&runs[0], &runs[1]);
+    let truth = nested_loop_join(&w.query, &w.catalog, vectorized.output.vars())?;
+    assert_eq!(
+        vectorized.output.sorted_rows(),
+        truth,
+        "the executor must compute the oracle's rows"
+    );
+    assert_eq!(
+        parallel.output, vectorized.output,
+        "modes must agree tuple for tuple"
+    );
+    assert_eq!(
+        parallel.counters, vectorized.counters,
+        "modes must record identical steps"
+    );
+    println!("\nboth modes match the nested-loop oracle and agree on every recorded step:");
+    for step in vectorized.counters.steps().iter().take(8) {
         match step.log2_bound {
             Some(b) => println!("    {:>8} rows  (≤ 2^{:.2}) {}", step.rows, b, step.label),
             None => println!("    {:>8} rows  {}", step.rows, step.label),
         }
     }
-    if scalar.counters.steps().len() > 8 {
-        println!("    ... {} steps total", scalar.counters.steps().len());
+    if vectorized.counters.steps().len() > 8 {
+        println!("    ... {} steps total", vectorized.counters.steps().len());
     }
     Ok(())
 }

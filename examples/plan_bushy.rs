@@ -14,7 +14,7 @@
 //! ```
 
 use lpbound::datagen::bridged_chains_workload;
-use lpbound::exec::{execute_physical, ExecError, Optimizer, PhysicalPlan};
+use lpbound::exec::{execute_physical_mode, ExecError, ExecMode, Optimizer, PhysicalPlan};
 
 fn main() -> Result<(), ExecError> {
     let w = bridged_chains_workload(1);
@@ -45,7 +45,7 @@ fn main() -> Result<(), ExecError> {
 
     // 3. Execute the bushy plan; every step is checked against its
     //    certificate as it materializes.
-    let bushy = execute_physical(&w.query, &w.catalog, &plan.physical)?;
+    let bushy = execute_physical_mode(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)?;
     println!("bushy execution ({} output tuples):", bushy.output_size());
     for step in bushy.counters.steps() {
         match step.log2_bound {
@@ -61,10 +61,11 @@ fn main() -> Result<(), ExecError> {
     );
 
     // 4. The best left-deep plan materializes the bridge-crossing prefix.
-    let leftdeep = execute_physical(
+    let leftdeep = execute_physical_mode(
         &w.query,
         &w.catalog,
         &PhysicalPlan::hash_chain(plan.leftdeep_order.clone()),
+        ExecMode::Vectorized,
     )?;
     assert_eq!(bushy.output_size(), leftdeep.output_size());
     println!(

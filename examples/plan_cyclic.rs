@@ -14,7 +14,9 @@
 //! ```
 
 use lpbound::datagen::skewed_triangle_workload;
-use lpbound::exec::{execute_physical, execute_plan, ExecError, JoinPlan, LogicalPlan, Optimizer};
+use lpbound::exec::{
+    execute_physical_mode, ExecError, ExecMode, JoinPlan, LogicalPlan, Optimizer, PhysicalPlan,
+};
 
 fn main() -> Result<(), ExecError> {
     // 1. A planner-adversarial workload: heavy-tailed symmetric graph,
@@ -51,7 +53,7 @@ fn main() -> Result<(), ExecError> {
     );
 
     // 4. Execute the chosen plan, counters threaded through every node.
-    let chosen = execute_physical(&w.query, &w.catalog, &plan.physical)?;
+    let chosen = execute_physical_mode(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)?;
     println!("chosen execution ({} output tuples):", chosen.output_size());
     for step in chosen.counters.steps() {
         println!("    {:>10} rows  {}", step.rows, step.label);
@@ -59,7 +61,12 @@ fn main() -> Result<(), ExecError> {
 
     // 5. The greedy-by-size baseline materializes the two-edge path.
     let greedy = JoinPlan::greedy_by_size(&w.query, &w.catalog)?;
-    let baseline = execute_plan(&w.query, &w.catalog, &greedy)?;
+    let baseline = execute_physical_mode(
+        &w.query,
+        &w.catalog,
+        &PhysicalPlan::hash_chain(greedy.order().to_vec()),
+        ExecMode::Vectorized,
+    )?;
     println!(
         "greedy baseline (order {:?}): peak intermediate {} rows",
         greedy.order(),

@@ -17,7 +17,7 @@
 //! ```
 
 use lpbound::datagen::partition_skew_workload;
-use lpbound::exec::{execute_physical, ExecError, Optimizer, PlannerConfig};
+use lpbound::exec::{execute_physical_mode, ExecError, ExecMode, Optimizer, PlannerConfig};
 
 fn main() -> Result<(), ExecError> {
     let w = partition_skew_workload(1);
@@ -51,7 +51,7 @@ fn main() -> Result<(), ExecError> {
 
     // 3. Execute: each part runs its own plan with its own counters, rolled
     //    up into the parent, every step checked against its certificate.
-    let run = execute_physical(&w.query, &w.catalog, &plan.physical)?;
+    let run = execute_physical_mode(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)?;
     println!(
         "partitioned execution ({} output tuples):",
         run.output_size()
@@ -77,7 +77,12 @@ fn main() -> Result<(), ExecError> {
             ..PlannerConfig::default()
         })
         .plan(&w.query, &w.catalog)?;
-    let mono = execute_physical(&w.query, &w.catalog, &mono_plan.physical)?;
+    let mono = execute_physical_mode(
+        &w.query,
+        &w.catalog,
+        &mono_plan.physical,
+        ExecMode::Vectorized,
+    )?;
     assert_eq!(run.output_size(), mono.output_size());
     println!(
         "measured peaks: partitioned {} rows vs best monolithic {} rows ({:.1}x win)",

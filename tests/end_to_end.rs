@@ -8,8 +8,8 @@ use lpbound::datagen::{
     JobLikeConfig, PowerLawGraphConfig,
 };
 use lpbound::exec::{
-    execute_plan, is_acyclic, partitioned_join_count, wcoj_count, yannakakis_count, JoinPlan,
-    PartitionSpec,
+    execute_physical_mode, is_acyclic, partitioned_join_count, wcoj_count, yannakakis_count,
+    ExecMode, JoinPlan, PartitionSpec, PhysicalPlan,
 };
 use lpbound::{
     agm_bound, collect_simple_statistics, compute_bound, dsb_bound, panda_bound, textbook_estimate,
@@ -40,7 +40,8 @@ fn bounds_are_sound_and_evaluators_agree() {
     ];
     for query in queries {
         let truth_wcoj = wcoj_count(&query, &catalog).unwrap();
-        let truth_hash = execute_plan(&query, &catalog, &JoinPlan::in_query_order(&query))
+        let in_order = PhysicalPlan::hash_chain(JoinPlan::in_query_order(&query).order().to_vec());
+        let truth_hash = execute_physical_mode(&query, &catalog, &in_order, ExecMode::Vectorized)
             .unwrap()
             .output_size() as u128;
         assert_eq!(truth_wcoj, truth_hash, "{}", query.name());
