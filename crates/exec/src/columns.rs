@@ -4,12 +4,13 @@
 //! variable (no per-row allocation, no pointer chasing), processed a
 //! fixed-size [`ColumnBatch`] (≤ [`BATCH_ROWS`] rows) at a time, so operators
 //!
-//! * **scan** by cloning whole columns (a relation is already columnar —
-//!   binding an atom is `arity` memcpys, not `n` row allocations),
-//! * **probe** hash tables batch-at-a-time, gathering matches into
-//!   pre-sized output columns through index lists,
-//! * **filter** through bitmaps (one `bool` per row of a batch, then one
-//!   compaction pass per column),
+//! * **scan** by copying whole columns into buffers of exactly the
+//!   relation's length (a relation is already columnar — binding an atom is
+//!   `arity` memcpys, not `n` row allocations),
+//! * **probe** hash tables batch-at-a-time, gathering matches through index
+//!   lists into output columns sized exactly to the match count,
+//! * **filter** through bitmaps (one `bool` per row, then one pass per
+//!   column that writes only the surviving rows),
 //! * **intersect** dictionary-encoded sorted `u64` runs with galloping
 //!   ([`gallop_ge`]) — the leapfrog primitive of the WCOJ
 //!   (`RunTrie` in the `trie` module).
@@ -19,7 +20,22 @@
 //! row-wise through [`ColumnTable::sorted_rows`], which is what the
 //! differential tests against the nested-loop oracle ([`crate::oracle`])
 //! compare.
+//!
+//! **Buffer lifecycle.**  Every table carries the [`ColumnBuffers`] handle
+//! it was built with.  Each construction site here — the scan
+//! ([`ColumnTable::from_relation`]), the exactly-sized operator output
+//! (`with_rows_in`: hash join, semi-join filter, union, [`reorder`]) and
+//! `Clone` — takes its columns from that handle, and `Drop` gives them
+//! back.  Operators know their output's row count before they write a
+//! value, so every column of a table has the same capacity and a buffer one
+//! request returns fits the same column of the next.  With the default
+//! handle all of this is `Vec::with_capacity` and `drop`; with a serving
+//! worker's handle the large columns circulate on its free list (see the
+//! `buffers` module) and a request in steady state maps no new memory.
+//!
+//! [`reorder`]: ColumnTable::reorder
 
+use crate::buffers::ColumnBuffers;
 use crate::error::ExecError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation};
@@ -33,18 +49,45 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// one dense `u64` vector per column.
 ///
 /// Row `i` is `(cols[0][i], …, cols[k-1][i])`.  All columns always have
-/// equal length.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// equal length.  Equality compares variables and values, not where the
+/// columns were allocated.
+#[derive(Debug, Default)]
 pub struct ColumnTable {
     vars: Vec<String>,
     cols: Vec<Vec<u64>>,
+    buffers: ColumnBuffers,
+}
+
+impl PartialEq for ColumnTable {
+    fn eq(&self, other: &Self) -> bool {
+        self.vars == other.vars && self.cols == other.cols
+    }
+}
+
+impl Eq for ColumnTable {}
+
+impl Clone for ColumnTable {
+    fn clone(&self) -> Self {
+        let mut copy = Self::with_rows_in(self.vars.clone(), self.len(), &self.buffers);
+        for (dst, src) in copy.cols.iter_mut().zip(&self.cols) {
+            dst.extend_from_slice(src);
+        }
+        copy
+    }
+}
+
+impl Drop for ColumnTable {
+    fn drop(&mut self) {
+        for col in self.cols.drain(..) {
+            self.buffers.give(col);
+        }
+    }
 }
 
 impl ColumnTable {
     /// An empty table with the given variables.
     pub fn empty(vars: Vec<String>) -> Self {
-        let cols = vec![Vec::new(); vars.len()];
-        ColumnTable { vars, cols }
+        Self::with_rows_in(vars, 0, &ColumnBuffers::default())
     }
 
     /// Build from raw parts; all columns must have equal length.
@@ -55,7 +98,23 @@ impl ColumnTable {
             cols.iter().all(|c| c.len() == n),
             "all columns must have equal length"
         );
-        ColumnTable { vars, cols }
+        ColumnTable {
+            vars,
+            cols,
+            buffers: ColumnBuffers::default(),
+        }
+    }
+
+    /// An empty table whose columns each have room for exactly `rows`
+    /// values, taken from `buffers` — what every operator that knows its
+    /// output size starts from.
+    pub(crate) fn with_rows_in(vars: Vec<String>, rows: usize, buffers: &ColumnBuffers) -> Self {
+        let cols = vars.iter().map(|_| buffers.take(rows)).collect();
+        ColumnTable {
+            vars,
+            cols,
+            buffers: buffers.clone(),
+        }
     }
 
     /// Bind atom `atom_idx` of `query`: borrow its relation from the catalog
@@ -66,13 +125,31 @@ impl ColumnTable {
         catalog: &Catalog,
         atom_idx: usize,
     ) -> Result<Self, ExecError> {
+        Self::from_atom_in(query, catalog, atom_idx, &ColumnBuffers::default())
+    }
+
+    /// [`from_atom`](Self::from_atom) with the columns taken from `buffers`.
+    pub(crate) fn from_atom_in(
+        query: &JoinQuery,
+        catalog: &Catalog,
+        atom_idx: usize,
+        buffers: &ColumnBuffers,
+    ) -> Result<Self, ExecError> {
         let atom = &query.atoms()[atom_idx];
         let rel = catalog.get(&atom.relation)?;
-        Self::from_relation(&rel, &atom.vars)
+        Self::from_relation_in(&rel, &atom.vars, buffers)
     }
 
     /// Rename a relation's columns to the given query variables.
     pub fn from_relation(rel: &Relation, vars: &[String]) -> Result<Self, ExecError> {
+        Self::from_relation_in(rel, vars, &ColumnBuffers::default())
+    }
+
+    fn from_relation_in(
+        rel: &Relation,
+        vars: &[String],
+        buffers: &ColumnBuffers,
+    ) -> Result<Self, ExecError> {
         if rel.arity() != vars.len() {
             return Err(ExecError::AtomArityMismatch {
                 relation: rel.name().to_string(),
@@ -80,11 +157,11 @@ impl ColumnTable {
                 relation_arity: rel.arity(),
             });
         }
-        let cols: Vec<Vec<u64>> = (0..rel.arity()).map(|a| rel.column(a).to_vec()).collect();
-        Ok(ColumnTable {
-            vars: vars.to_vec(),
-            cols,
-        })
+        let mut scan = Self::with_rows_in(vars.to_vec(), rel.len(), buffers);
+        for (a, col) in scan.cols.iter_mut().enumerate() {
+            col.extend_from_slice(rel.column(a));
+        }
+        Ok(scan)
     }
 
     /// Column (variable) names.
@@ -162,50 +239,50 @@ impl ColumnTable {
         self.cols[dst].extend(indices.iter().map(|&i| source[i as usize]));
     }
 
-    /// Keep exactly the rows whose bitmap entry is `true` (the semi-join
-    /// filter).  `bitmap.len()` must equal the row count.
-    pub(crate) fn retain_rows(&mut self, bitmap: &[bool]) {
+    /// The rows whose bitmap entry is `true` (the semi-join filter), as a
+    /// new table from `buffers` sized to the survivor count: only surviving
+    /// rows are ever written.  `bitmap.len()` must equal the row count.
+    pub(crate) fn filtered(&self, bitmap: &[bool], buffers: &ColumnBuffers) -> ColumnTable {
         debug_assert_eq!(bitmap.len(), self.len());
-        for col in &mut self.cols {
-            let mut write = 0usize;
-            for (read, &keep) in bitmap.iter().enumerate() {
-                if keep {
-                    col[write] = col[read];
-                    write += 1;
-                }
-            }
-            col.truncate(write);
+        let kept = bitmap.iter().filter(|&&keep| keep).count();
+        let mut out = Self::with_rows_in(self.vars.clone(), kept, buffers);
+        for (dst, src) in out.cols.iter_mut().zip(&self.cols) {
+            dst.extend(
+                src.iter()
+                    .zip(bitmap)
+                    .filter_map(|(&v, &keep)| keep.then_some(v)),
+            );
         }
+        out
     }
 
     /// Reorder columns to match `vars` (a permutation of this table's
     /// variables).
     pub fn reorder(&self, vars: &[&str]) -> ColumnTable {
         assert_eq!(vars.len(), self.vars.len(), "reorder needs a permutation");
-        let cols = vars
-            .iter()
-            .map(|v| {
-                let p = self.position(v).expect("reorder variable exists");
-                self.cols[p].clone()
-            })
-            .collect();
-        ColumnTable {
-            vars: vars.iter().map(|s| s.to_string()).collect(),
-            cols,
-        }
+        let names = vars.iter().map(|s| s.to_string()).collect();
+        Self::concat(names, &[self], &self.buffers)
     }
 
-    /// Append `other`'s rows, reordering its columns to this table's
-    /// variable order (both must cover the same variable set).  No
+    /// The rows of all `parts` under `vars`, in part order: columns sized
+    /// once to the total, one copy per part, each part's columns matched to
+    /// `vars` by name (every part must cover exactly these variables).  No
     /// deduplication — the partitioned-union executor relies on disjoint
     /// parts.
-    pub(crate) fn extend_reordered(&mut self, other: &ColumnTable) {
-        for (dst, var) in self.vars.clone().iter().enumerate() {
-            let src = other
-                .position(var)
-                .expect("union covers the same variables");
-            self.cols[dst].extend_from_slice(&other.cols[src]);
+    pub(crate) fn concat(
+        vars: Vec<String>,
+        parts: &[&ColumnTable],
+        buffers: &ColumnBuffers,
+    ) -> ColumnTable {
+        let rows = parts.iter().map(|p| p.len()).sum();
+        let mut out = Self::with_rows_in(vars, rows, buffers);
+        for part in parts {
+            for (dst, var) in out.cols.iter_mut().zip(&out.vars) {
+                let src = part.position(var).expect("parts cover the same variables");
+                dst.extend_from_slice(&part.cols[src]);
+            }
         }
+        out
     }
 }
 
@@ -315,8 +392,8 @@ mod tests {
         out.gather(0, &src, 1, &[3, 0, 3]);
         assert_eq!(out.col(0), &[40, 10, 40]);
 
-        let mut filtered = src.clone();
-        filtered.retain_rows(&[true, false, false, true]);
+        let filtered = src.filtered(&[true, false, false, true], &ColumnBuffers::default());
+        assert_eq!(filtered.vars(), src.vars());
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.col(0), &[1, 4]);
         assert_eq!(filtered.col(1), &[10, 40]);
@@ -328,8 +405,7 @@ mod tests {
         let b = ColumnTable::new(vec!["Y".into(), "X".into()], vec![vec![30], vec![3]]);
         let r = b.reorder(&["X", "Y"]);
         assert_eq!(r.col(0), &[3]);
-        let mut u = a.clone();
-        u.extend_reordered(&b);
+        let u = ColumnTable::concat(a.vars().to_vec(), &[&a, &b], &ColumnBuffers::default());
         assert_eq!(u.len(), 3);
         assert_eq!(u.col(0), &[1, 2, 3]);
         assert_eq!(u.col(1), &[10, 20, 30]);

@@ -3,9 +3,12 @@
 //!
 //! [`hash_join_columns`] / [`semi_join_columns`] build from column slices,
 //! probe a batch at a time, and move matches with column-wise gathers
-//! instead of allocating a `Vec<u64>` per output tuple.  The unit tests pin
-//! both against the nested-loop oracle ([`crate::oracle`]).
+//! instead of allocating a `Vec<u64>` per output tuple.  Both know their
+//! output's row count before they write it, so every output column is taken
+//! from the caller's [`ColumnBuffers`] at exactly that size.  The unit
+//! tests pin both against the nested-loop oracle ([`crate::oracle`]).
 
+use crate::buffers::ColumnBuffers;
 use crate::columns::{ColumnBatch, ColumnTable};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -45,95 +48,156 @@ impl Hasher for JoinHasher {
     }
 }
 
-/// A join hash table keyed by `K` with the fast hasher.
-type JoinMap<K> = HashMap<K, Vec<u32>, BuildHasherDefault<JoinHasher>>;
+/// Distinct join keys of type `K`, numbered in first-seen order, with the
+/// fast hasher.
+type KeyMap<K> = HashMap<K, u32, BuildHasherDefault<JoinHasher>>;
 
-/// The hash table of a columnar join build: row indices of the build side
-/// keyed by join key, with a dedicated single-column fast path (one `u64`,
-/// no key allocation at all — the common case for graph-shaped queries).
-enum BuildTable {
+/// The distinct keys of a build side, with a dedicated single-column fast
+/// path (one `u64`, no key allocation at all — the common case for
+/// graph-shaped queries).
+enum KeyIndex {
     /// Keyed by one column's value.
-    Single(JoinMap<u64>),
+    Single(KeyMap<u64>),
     /// Keyed by a composite of several columns.
-    Multi(JoinMap<Vec<u64>>),
+    Multi(KeyMap<Vec<u64>>),
 }
 
-impl BuildTable {
-    /// Insert every build-side row, reading the key columns as slices.
-    fn build(side: &ColumnTable, key_pos: &[usize]) -> BuildTable {
+impl KeyIndex {
+    /// Number the distinct keys of `side`, reading the key columns as
+    /// slices, and report every row's key number to `key_of_row`, in row
+    /// order.
+    fn build(side: &ColumnTable, key_pos: &[usize], mut key_of_row: impl FnMut(u32)) -> KeyIndex {
         if let [pos] = key_pos {
             let col = side.col(*pos);
-            let mut table: JoinMap<u64> =
-                JoinMap::with_capacity_and_hasher(col.len(), BuildHasherDefault::default());
-            for (i, &v) in col.iter().enumerate() {
-                table.entry(v).or_default().push(i as u32);
+            let mut keys: KeyMap<u64> =
+                KeyMap::with_capacity_and_hasher(col.len(), BuildHasherDefault::default());
+            for &v in col {
+                let next = keys.len() as u32;
+                key_of_row(*keys.entry(v).or_insert(next));
             }
-            BuildTable::Single(table)
+            KeyIndex::Single(keys)
         } else {
-            let mut table: JoinMap<Vec<u64>> =
-                JoinMap::with_capacity_and_hasher(side.len(), BuildHasherDefault::default());
+            let mut keys: KeyMap<Vec<u64>> =
+                KeyMap::with_capacity_and_hasher(side.len(), BuildHasherDefault::default());
             let mut key = vec![0u64; key_pos.len()];
             for i in 0..side.len() {
                 for (k, &p) in key_pos.iter().enumerate() {
                     key[k] = side.col(p)[i];
                 }
-                table.entry(key.clone()).or_default().push(i as u32);
+                let next = keys.len() as u32;
+                // Look up by slice first: only a new key pays for a clone.
+                key_of_row(match keys.get(key.as_slice()) {
+                    Some(&number) => number,
+                    None => {
+                        keys.insert(key.clone(), next);
+                        next
+                    }
+                });
             }
-            BuildTable::Multi(table)
+            KeyIndex::Multi(keys)
         }
     }
 
-    /// Probe one batch: for every batch row with matches, push one
-    /// (probe row, build row) index pair per match.  `scratch` is a reused
-    /// key buffer, so the multi-key probe allocates nothing per row.
+    fn len(&self) -> usize {
+        match self {
+            KeyIndex::Single(keys) => keys.len(),
+            KeyIndex::Multi(keys) => keys.len(),
+        }
+    }
+
+    /// Look up every row of `batch` (key columns at `key_pos`), in row
+    /// order.  `scratch` is a reused key buffer, so the multi-key probe
+    /// allocates nothing per row.
     fn probe_batch(
         &self,
         batch: &ColumnBatch<'_>,
         key_pos: &[usize],
         scratch: &mut Vec<u64>,
-        probe_idx: &mut Vec<u32>,
-        build_idx: &mut Vec<u32>,
+        mut found: impl FnMut(Option<u32>),
     ) {
-        let base = batch.start() as u32;
         match self {
-            BuildTable::Single(table) => {
-                let col = batch.col(key_pos[0]);
-                for (i, v) in col.iter().enumerate() {
-                    if let Some(matches) = table.get(v) {
-                        for &b in matches {
-                            probe_idx.push(base + i as u32);
-                            build_idx.push(b);
-                        }
-                    }
+            KeyIndex::Single(keys) => {
+                for v in batch.col(key_pos[0]) {
+                    found(keys.get(v).copied());
                 }
             }
-            BuildTable::Multi(table) => {
+            KeyIndex::Multi(keys) => {
                 scratch.clear();
                 scratch.resize(key_pos.len(), 0);
                 for i in 0..batch.len() {
                     for (k, &p) in key_pos.iter().enumerate() {
                         scratch[k] = batch.col(p)[i];
                     }
-                    if let Some(matches) = table.get(scratch.as_slice()) {
-                        for &b in matches {
-                            probe_idx.push(base + i as u32);
-                            build_idx.push(b);
-                        }
-                    }
+                    found(keys.get(scratch.as_slice()).copied());
                 }
             }
         }
     }
 }
 
+/// The hash table of a columnar join build in CSR form: the rows of key
+/// number `k` are `rows[starts[k]..starts[k + 1]]`, ascending.  Two flat
+/// arrays instead of one `Vec` per key, and a probe hit is a `(start, len)`
+/// pair that can be stored and expanded later without a second lookup.
+struct BuildTable {
+    keys: KeyIndex,
+    starts: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl BuildTable {
+    fn build(side: &ColumnTable, key_pos: &[usize]) -> BuildTable {
+        let mut key_of_row: Vec<u32> = Vec::with_capacity(side.len());
+        let keys = KeyIndex::build(side, key_pos, |k| key_of_row.push(k));
+        let n_keys = keys.len();
+        // Counting sort by key number: count, prefix-sum, scatter.
+        let mut starts = vec![0u32; n_keys + 1];
+        for &k in &key_of_row {
+            starts[k as usize + 1] += 1;
+        }
+        for k in 0..n_keys {
+            starts[k + 1] += starts[k];
+        }
+        let mut cursor = starts.clone();
+        let mut rows = vec![0u32; key_of_row.len()];
+        for (row, &k) in key_of_row.iter().enumerate() {
+            rows[cursor[k as usize] as usize] = row as u32;
+            cursor[k as usize] += 1;
+        }
+        BuildTable { keys, starts, rows }
+    }
+
+    /// `(start, len)` of key number `k`'s rows, packed into one word.
+    #[inline]
+    fn packed_range(&self, k: u32) -> u64 {
+        let start = self.starts[k as usize];
+        let len = self.starts[k as usize + 1] - start;
+        u64::from(start) << 32 | u64::from(len)
+    }
+}
+
+/// The `(start, len)` of a [`BuildTable::packed_range`]; `0` unpacks to an
+/// empty range.
+#[inline]
+fn unpack_range(range: u64) -> (usize, usize) {
+    ((range >> 32) as usize, (range & 0xffff_ffff) as usize)
+}
+
 /// Natural join of two columnar intermediates on all variables they share.
 ///
 /// The output schema is `left.vars()` followed by the variables of `right`
 /// that are not in `left`; the smaller side is built; no shared variables
-/// means cartesian product.  Executed batch-at-a-time: the probe side is
-/// walked in [`ColumnBatch`]es, matches accumulate as index pairs, and each
-/// output column is filled with one gather per batch.
-pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
+/// means cartesian product.  Two passes over the probe side, both
+/// batch-at-a-time: the first looks every row up once and keeps its matches
+/// as a packed `(start, len)` range into the build table, which also gives
+/// the output's row count; the second expands each [`ColumnBatch`]'s ranges
+/// into index pairs and fills the exactly-sized output columns with one
+/// gather per column.
+pub(crate) fn hash_join_columns(
+    left: &ColumnTable,
+    right: &ColumnTable,
+    buffers: &ColumnBuffers,
+) -> ColumnTable {
     let shared = left.shared_positions(right);
     let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
     let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
@@ -143,7 +207,6 @@ pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> Colu
 
     let mut out_vars: Vec<String> = left.vars().to_vec();
     out_vars.extend(right_extra_pos.iter().map(|&p| right.vars()[p].clone()));
-    let mut out = ColumnTable::empty(out_vars);
 
     let (build, probe, build_is_left) = if left.len() <= right.len() {
         (left, right, true)
@@ -156,26 +219,39 @@ pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> Colu
         (&right_key_pos, &left_key_pos)
     };
     if build.is_empty() || probe.is_empty() {
-        return out;
+        return ColumnTable::with_rows_in(out_vars, 0, buffers);
     }
 
     let table = BuildTable::build(build, build_key_pos);
 
-    // Index pairs for one probe batch, reused across batches.
+    // Pass 1: one packed range per probe row (0 = no match).
+    let mut ranges = buffers.take(probe.len());
+    let mut out_rows = 0usize;
+    let mut scratch: Vec<u64> = Vec::new();
+    for batch in probe.batches() {
+        table
+            .keys
+            .probe_batch(&batch, probe_key_pos, &mut scratch, |hit| {
+                let range = hit.map_or(0, |k| table.packed_range(k));
+                out_rows += unpack_range(range).1;
+                ranges.push(range);
+            });
+    }
+
+    // Pass 2: index pairs for one probe batch, reused across batches.
+    let mut out = ColumnTable::with_rows_in(out_vars, out_rows, buffers);
     let mut probe_idx: Vec<u32> = Vec::new();
     let mut build_idx: Vec<u32> = Vec::new();
-    let mut scratch: Vec<u64> = Vec::new();
     let n_left = left.vars().len();
     for batch in probe.batches() {
         probe_idx.clear();
         build_idx.clear();
-        table.probe_batch(
-            &batch,
-            probe_key_pos,
-            &mut scratch,
-            &mut probe_idx,
-            &mut build_idx,
-        );
+        let base = batch.start();
+        for (i, &range) in ranges[base..base + batch.len()].iter().enumerate() {
+            let (start, len) = unpack_range(range);
+            probe_idx.extend(std::iter::repeat_n((base + i) as u32, len));
+            build_idx.extend_from_slice(&table.rows[start..start + len]);
+        }
         if probe_idx.is_empty() {
             continue;
         }
@@ -193,19 +269,21 @@ pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> Colu
             out.gather(n_left + o, right, p, right_idx);
         }
     }
+    buffers.give(ranges);
     out
 }
 
 /// Left semi-join: the rows of `left` that have at least one match in
 /// `right` on the shared variables (the Yannakakis full reducer's pass),
-/// executed as a bitmap filter — probe every batch of `left` against a key
-/// set built from `right`'s columns, mark survivors in a `Vec<bool>`, then
-/// compact each column in one pass.
-pub(crate) fn semi_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
-    let mut filtered = left.clone();
-    let bitmap = semi_join_bitmap(left, right);
-    filtered.retain_rows(&bitmap);
-    filtered
+/// executed as a bitmap filter — probe every batch of `left` against the
+/// key set of `right`'s columns, mark survivors in a `Vec<bool>`, then write
+/// the surviving rows of each column in one pass.
+pub(crate) fn semi_join_columns(
+    left: &ColumnTable,
+    right: &ColumnTable,
+    buffers: &ColumnBuffers,
+) -> ColumnTable {
+    left.filtered(&semi_join_bitmap(left, right), buffers)
 }
 
 /// The bitmap of a semi-join: `true` at the rows of `left` with at least
@@ -218,30 +296,14 @@ fn semi_join_bitmap(left: &ColumnTable, right: &ColumnTable) -> Vec<bool> {
     }
     let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
     let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
-    let keys = BuildTable::build(right, &right_key_pos);
+    let keys = KeyIndex::build(right, &right_key_pos, |_| {});
 
-    let mut bitmap = vec![false; left.len()];
+    let mut bitmap = Vec::with_capacity(left.len());
     let mut scratch: Vec<u64> = Vec::new();
     for batch in left.batches() {
-        let base = batch.start();
-        match &keys {
-            BuildTable::Single(table) => {
-                let col = batch.col(left_key_pos[0]);
-                for (i, v) in col.iter().enumerate() {
-                    bitmap[base + i] = table.contains_key(v);
-                }
-            }
-            BuildTable::Multi(table) => {
-                scratch.clear();
-                scratch.resize(left_key_pos.len(), 0);
-                for i in 0..batch.len() {
-                    for (k, &p) in left_key_pos.iter().enumerate() {
-                        scratch[k] = batch.col(p)[i];
-                    }
-                    bitmap[base + i] = table.contains_key(scratch.as_slice());
-                }
-            }
-        }
+        keys.probe_batch(&batch, &left_key_pos, &mut scratch, |hit| {
+            bitmap.push(hit.is_some())
+        });
     }
     bitmap
 }
@@ -303,7 +365,7 @@ mod tests {
         for (l, r) in &cases {
             // Both argument orders: either side may be the build side.
             for (a, b) in [(l, r), (r, l)] {
-                let out = hash_join_columns(a, b);
+                let out = hash_join_columns(a, b, &ColumnBuffers::default());
                 let mut expect_vars = a.vars().to_vec();
                 expect_vars.extend(b.vars().iter().filter(|v| !a.vars().contains(v)).cloned());
                 assert_eq!(out.vars(), expect_vars.as_slice());
@@ -318,7 +380,7 @@ mod tests {
         let s = t(&["Y", "X", "B"], &[&[2, 1, 7], &[3, 9, 8]]);
         // Only (X=1, Y=2) matches.
         assert_eq!(
-            hash_join_columns(&r, &s).sorted_rows(),
+            hash_join_columns(&r, &s, &ColumnBuffers::default()).sorted_rows(),
             vec![vec![1, 2, 5, 7]]
         );
     }
@@ -332,7 +394,7 @@ mod tests {
             vec![(0..n).collect(), (0..n).map(|i| i % 5).collect()],
         );
         let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
-        let out = hash_join_columns(&l, &r);
+        let out = hash_join_columns(&l, &r, &ColumnBuffers::default());
         assert_eq!(out.len() as u64, n / 5 * 3);
         assert_eq!(out.sorted_rows(), oracle_join(&l, &r, out.vars()));
     }
@@ -343,12 +405,18 @@ mod tests {
         let s = t(&["Y", "Z"], &[&[10, 1], &[30, 2]]);
         assert_eq!(semi_join_bitmap(&r, &s), vec![true, false, true, true]);
         assert_eq!(
-            semi_join_columns(&r, &s).sorted_rows(),
+            semi_join_columns(&r, &s, &ColumnBuffers::default()).sorted_rows(),
             vec![vec![1, 10], vec![3, 30], vec![4, 10]]
         );
         // With no shared variables everything survives a non-empty right
         // side and nothing survives an empty one.
-        assert_eq!(semi_join_columns(&r, &t(&["W"], &[&[5]])).len(), 4);
-        assert_eq!(semi_join_columns(&r, &t(&["W"], &[])).len(), 0);
+        assert_eq!(
+            semi_join_columns(&r, &t(&["W"], &[&[5]]), &ColumnBuffers::default()).len(),
+            4
+        );
+        assert_eq!(
+            semi_join_columns(&r, &t(&["W"], &[]), &ColumnBuffers::default()).len(),
+            0
+        );
     }
 }

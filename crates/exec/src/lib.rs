@@ -22,6 +22,13 @@
 //!   sub-plans (partition parts, bushy branches) onto morsel workers whose
 //!   per-worker [`IntermediateCounters`] merge into the identical
 //!   recording;
+//! * **recycled column buffers** — every operator sizes its output columns
+//!   exactly and takes them from a [`ColumnBuffers`] handle, and a dropped
+//!   table gives them back.  The default handle is the allocator;
+//!   [`execute_physical_with_buffers`] runs on a caller-owned, bounded free
+//!   list instead (one per serving worker in `lpb-serve`), so a steady
+//!   stream of requests stops mapping and unmapping its multi-megabyte
+//!   intermediates;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
 //!   bounded in one warm-started [`lpb_core::BatchEstimator`] batch and a
 //!   bottleneck DP over **bushy trees** (left-deep extension *and*
@@ -73,6 +80,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod buffers;
 mod columns;
 mod counters;
 mod error;
@@ -90,6 +98,7 @@ mod trie;
 mod wcoj;
 mod yannakakis;
 
+pub use buffers::{BufferCounters, ColumnBuffers};
 pub use columns::ColumnTable;
 pub use counters::{
     cycle_count, join2_count, path2_count, triangle_count, BoundViolation, CertificatePolicy,
@@ -97,7 +106,7 @@ pub use counters::{
 };
 pub use error::ExecError;
 pub use logical::{JoinPlan, LogicalPlan};
-pub use morsel::{execute_physical_mode, ColumnRun, ExecMode};
+pub use morsel::{execute_physical_mode, execute_physical_with_buffers, ColumnRun, ExecMode};
 pub use optimizer::{
     AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig,
     SubjoinBounds,

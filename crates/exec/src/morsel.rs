@@ -2,7 +2,7 @@
 //! [`PhysicalPlan`] to completion in one of two [`ExecMode`]s.
 //!
 //! There is one engine — columnar operators over [`ColumnTable`]
-//! intermediates: scans clone relation columns
+//! intermediates: scans copy relation columns
 //! ([`ColumnTable::from_atom`]), hash joins probe batch-at-a-time with
 //! columnar gathers, the WCOJ leapfrogs over CSR run tries with galloping
 //! seeks, and Yannakakis reduction filters through bitmaps.  The mode only
@@ -28,6 +28,7 @@
 //! `tests/proptest_suspend_resume.rs` does the same across every
 //! suspension point.
 
+use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{CertificatePolicy, IntermediateCounters};
 use crate::error::ExecError;
@@ -76,14 +77,31 @@ impl ColumnRun {
 
 /// Execute a physical plan under the chosen [`ExecMode`].  One-shot front
 /// end over the resumable [`ExecState`] stage machine (default `Count`
-/// policy).
+/// policy).  Every column comes from the allocator and goes back to it:
+/// nothing is retained once the returned [`ColumnRun`] is dropped.
 pub fn execute_physical_mode(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
     mode: ExecMode,
 ) -> Result<ColumnRun, ExecError> {
-    let mut state = ExecState::new(plan, mode, CertificatePolicy::default());
+    execute_physical_with_buffers(query, catalog, plan, mode, &ColumnBuffers::default())
+}
+
+/// [`execute_physical_mode`] with every intermediate's and the output's
+/// large columns drawn from `buffers` and returned to it when they are
+/// dropped — the entry point of a serving worker that keeps one
+/// [`ColumnBuffers`] free list across requests.  Same operators, same
+/// output, same counters.
+pub fn execute_physical_with_buffers(
+    query: &JoinQuery,
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    mode: ExecMode,
+    buffers: &ColumnBuffers,
+) -> Result<ColumnRun, ExecError> {
+    let mut state =
+        ExecState::new(plan, mode, CertificatePolicy::default()).with_buffers(buffers.clone());
     state.run(query, catalog)?;
     let counters = state.counters();
     let output = state

@@ -13,7 +13,10 @@
 //!   order is *exactly* the depth-first walk of the tree — same operator
 //!   calls, same step labels, same recorded sizes.
 //! * **Slots** hold completed intermediates (one [`ColumnTable`] each),
-//!   with the [`IntermediateCounters`] its stage recorded.  The run's
+//!   with the [`IntermediateCounters`] its stage recorded.  A slot's table
+//!   is released as soon as its single consumer has completed (the slot and
+//!   its counters stay), so a hash chain holds two intermediates at a time,
+//!   not all of them.  The run's
 //!   counters are assembled by merging per-stage recordings in stage-id
 //!   order, which makes them independent of *when* (or on which worker) a
 //!   stage actually ran — the key to bit-identical suspend/resume and
@@ -35,6 +38,7 @@
 //! branch drains its whole sub-plan before yielding); a violation inside
 //! one surfaces when the stage completes.
 
+use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
@@ -167,6 +171,8 @@ pub struct ExecState {
     stages: Vec<Stage>,
     slots: Vec<Option<StageOutput>>,
     root: usize,
+    /// Where every intermediate's columns come from and go back to.
+    buffers: ColumnBuffers,
 }
 
 impl ExecState {
@@ -184,7 +190,15 @@ impl ExecState {
             stages,
             slots,
             root,
+            buffers: ColumnBuffers::default(),
         }
+    }
+
+    /// Draw every intermediate's large columns from `buffers` (a serving
+    /// worker's free list) instead of the allocator.
+    pub(crate) fn with_buffers(mut self, buffers: ColumnBuffers) -> Self {
+        self.buffers = buffers;
+        self
     }
 
     /// Number of stages in the lowered plan.
@@ -274,6 +288,11 @@ impl ExecState {
             };
             for (&id, res) in batch.iter().zip(results) {
                 self.slots[id] = Some(res?);
+                // Each slot has one consumer: its table is dead now.
+                for dep in self.stages[id].op.deps() {
+                    let consumed = self.slots[dep].as_mut().expect("dependency completed");
+                    drop(std::mem::take(&mut consumed.value));
+                }
             }
             // The batch has drained; under React, surface the violation of
             // the lowest newly-completed violating stage (deterministic
@@ -390,7 +409,7 @@ impl ExecState {
         };
         match &self.stages[id].op {
             StageOp::Scan { atom, log2_bound } => {
-                let value = ColumnTable::from_atom(query, catalog, *atom)?;
+                let value = ColumnTable::from_atom_in(query, catalog, *atom, &self.buffers)?;
                 let _ = counters.record_with_policy(
                     format!("scan {}", query.atoms()[*atom].relation),
                     value.len(),
@@ -404,8 +423,8 @@ impl ExecState {
                 atom,
                 log2_bound,
             } => {
-                let next = ColumnTable::from_atom(query, catalog, *atom)?;
-                let value = hash_join_columns(self.slot_value(*input), &next);
+                let next = ColumnTable::from_atom_in(query, catalog, *atom, &self.buffers)?;
+                let value = hash_join_columns(self.slot_value(*input), &next, &self.buffers);
                 let _ = counters.record_with_policy(
                     format!("⋈ {}", query.atoms()[*atom].relation),
                     value.len(),
@@ -420,14 +439,18 @@ impl ExecState {
                 label,
                 log2_bound,
             } => {
-                let value = hash_join_columns(self.slot_value(*left), self.slot_value(*right));
+                let value = hash_join_columns(
+                    self.slot_value(*left),
+                    self.slot_value(*right),
+                    &self.buffers,
+                );
                 let _ =
                     counters.record_with_policy(label.clone(), value.len(), *log2_bound, policy);
                 Ok(plain(value, counters))
             }
             StageOp::Wcoj { atoms, log2_bound } => {
                 let sub = query.subquery(atoms)?;
-                let value = wcoj_materialize_columns(&sub, catalog)?;
+                let value = wcoj_materialize_columns(&sub, catalog, &self.buffers)?;
                 let _ = counters.record_with_policy(
                     format!("wcoj {}", sub.name()),
                     value.len(),
@@ -448,6 +471,7 @@ impl ExecState {
                     scan_bounds,
                     step_bounds,
                     &mut counters,
+                    &self.buffers,
                 )?;
                 if matches!(policy, CertificatePolicy::Ignore) {
                     counters = strip_checks(&counters);
@@ -464,7 +488,8 @@ impl ExecState {
                     CertificatePolicy::React { .. } => CertificatePolicy::Count,
                     p => p,
                 };
-                let mut nested = ExecState::new(&branch.plan, self.mode, nested_policy);
+                let mut nested = ExecState::new(&branch.plan, self.mode, nested_policy)
+                    .with_buffers(self.buffers.clone());
                 let status = nested.run(&part_query, &part_catalog)?;
                 debug_assert_eq!(status, ExecStatus::Done);
                 let mut rec = nested.counters();
@@ -486,17 +511,17 @@ impl ExecState {
                 log2_bound,
             } => {
                 counters.note_parts_planned(branch_slots.len());
-                let mut union: Option<ColumnTable> = None;
+                let mut parts: Vec<&ColumnTable> = Vec::with_capacity(branch_slots.len());
                 for &b in branch_slots {
                     let out = self.slots[b].as_ref().expect("union deps complete");
                     let (name, rec) = out.branch.as_ref().expect("union deps are branches");
                     counters.absorb_part(name, rec.clone());
-                    match &mut union {
-                        None => union = Some(out.value.clone()),
-                        Some(acc) => acc.extend_reordered(&out.value),
-                    }
+                    parts.push(&out.value);
                 }
-                let value = union.expect("a partitioned union has at least one part");
+                let first = parts
+                    .first()
+                    .expect("a partitioned union has at least one part");
+                let value = ColumnTable::concat(first.vars().to_vec(), &parts, &self.buffers);
                 let _ =
                     counters.record_with_policy("∪ partitioned", value.len(), *log2_bound, policy);
                 Ok(plain(value, counters))
@@ -518,9 +543,10 @@ fn exec_reduced(
     scan_bounds: &[Option<f64>],
     step_bounds: &[Option<f64>],
     counters: &mut IntermediateCounters,
+    buffers: &ColumnBuffers,
 ) -> Result<ColumnTable, ExecError> {
     let sub = query.subquery(atoms)?;
-    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds)?;
+    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds, buffers)?;
     let mut iter = reduced.into_iter().enumerate();
     let (_, mut acc) = iter.next().expect("reduction has at least one atom");
     counters.record_checked(
@@ -534,7 +560,7 @@ fn exec_reduced(
             next.len(),
             scan_bounds.get(i).copied().flatten(),
         );
-        acc = hash_join_columns(&acc, &next);
+        acc = hash_join_columns(&acc, &next, buffers);
         counters.record_checked(
             format!("⋈ {}", query.atoms()[atoms[i]].relation),
             acc.len(),
@@ -696,5 +722,46 @@ fn lower(node: &PhysicalNode, stages: &mut Vec<Stage>) -> usize {
                 cover,
             )
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use lpb_data::RelationBuilder;
+
+    /// A consumed intermediate is released the moment its consumer has
+    /// completed — at every pause a hash chain holds one table, not all of
+    /// them — while the slot itself stays: stage counts, the frontier and
+    /// the counters read as if nothing had been dropped.
+    #[test]
+    fn consumed_slots_release_their_tables_and_keep_their_counters() {
+        let mut catalog = Catalog::new();
+        for name in ["R", "S", "T"] {
+            catalog.insert(RelationBuilder::binary_from_pairs(
+                name,
+                "a",
+                "b",
+                (0..30u64).map(|i| (i % 6, (i * 5) % 6)),
+            ));
+        }
+        let query = JoinQuery::path(&["R", "S", "T"]);
+        let plan = PhysicalPlan::hash_chain(vec![0, 1, 2]);
+        let mut state = ExecState::new(&plan, ExecMode::Vectorized, CertificatePolicy::Count);
+        for limit in 1..=state.n_stages() {
+            state.run_until(&query, &catalog, limit).unwrap();
+            assert_eq!(state.completed_stages(), limit);
+            let held: Vec<usize> = (0..limit)
+                .filter(|&id| !state.slot_value(id).vars().is_empty())
+                .collect();
+            assert_eq!(held, [limit - 1], "only the newest table is held");
+            assert_eq!(state.live_slots().len(), 1);
+            assert_eq!(state.counters().steps().len(), limit);
+        }
+        assert!(state.is_done());
+        let one_shot =
+            crate::execute_physical_mode(&query, &catalog, &plan, ExecMode::Vectorized).unwrap();
+        assert_eq!(state.counters(), one_shot.counters);
+        assert_eq!(state.output_columns(), Some(one_shot.output));
     }
 }

@@ -6,6 +6,7 @@
 //! the JOB-like acyclic suite (Figure 1), whose outputs are far too large to
 //! materialize.
 
+use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::error::ExecError;
 use crate::hash_join::semi_join_columns;
@@ -204,6 +205,7 @@ pub(crate) fn full_reducer_columns(
     catalog: &Catalog,
     counters: &mut crate::counters::IntermediateCounters,
     scan_bounds: &[Option<f64>],
+    buffers: &ColumnBuffers,
 ) -> Result<Vec<ColumnTable>, ExecError> {
     let Some(tree) = gyo_join_tree(query) else {
         return Err(ExecError::NotApplicable {
@@ -211,13 +213,13 @@ pub(crate) fn full_reducer_columns(
         });
     };
     let mut rels: Vec<ColumnTable> = (0..query.n_atoms())
-        .map(|j| ColumnTable::from_atom(query, catalog, j))
+        .map(|j| ColumnTable::from_atom_in(query, catalog, j, buffers))
         .collect::<Result<_, _>>()?;
     let pass = |rels: &mut Vec<ColumnTable>,
                 target: usize,
                 other: usize,
                 counters: &mut crate::counters::IntermediateCounters| {
-        rels[target] = semi_join_columns(&rels[target], &rels[other]);
+        rels[target] = semi_join_columns(&rels[target], &rels[other], buffers);
         counters.record_checked(
             format!("⋉ {}", query.atoms()[target].relation),
             rels[target].len(),
@@ -368,8 +370,14 @@ mod tests {
             vec![(10, 100), (40, 400)],
         ));
         let q = JoinQuery::single_join("R", "S");
-        let reduced =
-            full_reducer_columns(&q, &catalog, &mut IntermediateCounters::new(), &[]).unwrap();
+        let reduced = full_reducer_columns(
+            &q,
+            &catalog,
+            &mut IntermediateCounters::new(),
+            &[],
+            &ColumnBuffers::default(),
+        )
+        .unwrap();
         // Only R(1,10) and S(10,100) survive.
         assert_eq!(reduced[0].sorted_rows(), vec![vec![1, 10]]);
         assert_eq!(reduced[1].sorted_rows(), vec![vec![10, 100]]);
@@ -401,7 +409,14 @@ mod tests {
         let q = JoinQuery::path(&["R", "S", "T"]);
         let bounds = vec![Some(10.0), Some(10.0), Some(10.0)];
         let mut counters = IntermediateCounters::new();
-        let reduced = full_reducer_columns(&q, &catalog, &mut counters, &bounds).unwrap();
+        let reduced = full_reducer_columns(
+            &q,
+            &catalog,
+            &mut counters,
+            &bounds,
+            &ColumnBuffers::default(),
+        )
+        .unwrap();
         // A fully reduced atom holds exactly the projection of the join
         // output onto its variables.
         let names = q.registry().names();

@@ -6,7 +6,7 @@
 //! microseconds ago.  This crate adds the resident process the "millions
 //! of users" north star needs — a thread-per-worker service in front of the
 //! planner/executor stack that turns *per-query* amortization into
-//! *per-fleet* amortization.  Three layers:
+//! *per-fleet* amortization.  Four layers:
 //!
 //! 1. **Plan cache** ([`lpb_exec::PlanCache`], owned by [`QueryService`]) —
 //!    [`lpb_exec::OptimizedPlan`]s keyed by canonicalized query shape +
@@ -52,9 +52,32 @@
 //!    `Arc`'d plans.  A window of zero disables gathering without
 //!    changing semantics.
 //!
+//! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by
+//!    each [`Worker`]) — a served join materializes its intermediates and
+//!    its output into columns of up to a few MB each, and the service
+//!    answers with the output's *size*.  Left to the allocator, every one
+//!    of those columns is mapped, page-faulted and unmapped per request,
+//!    which on an all-cache-hit workload was ~60 % of the executor's
+//!    wall-clock.  A worker instead keeps a free list across requests:
+//!    every large column of a request is taken from it and drops back into
+//!    it, so steady-state execution maps no new memory.
+//!
+//!    *Retention rules*: only columns large enough for the allocator to go
+//!    to the kernel are recycled (small ones use `malloc` as before); a
+//!    list holds at most a fixed number of bytes (24 MiB, see
+//!    `lpb_exec`'s `buffers` module) and never more than the largest set
+//!    of buffers one request held at once; it belongs to the worker, never
+//!    to the service or the thread, so [`QueryService::execute`] without a
+//!    worker retains nothing and dropping the worker releases everything.
+//!    [`ServeStats::buffers_reused`] / [`ServeStats::buffers_fresh`] /
+//!    [`ServeStats::bytes_retained`] (summed over workers) and
+//!    [`QueryResponse::exec_time`] make the mechanism readable from the
+//!    service: in steady state `buffers_fresh` stops moving.
+//!
 //! Entry points: [`QueryService`] (shared, `Arc` it across threads) and
 //! [`Worker`] (one per serving thread; adds the lock-free
-//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition).
+//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition and the
+//! column-buffer free list).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -7,7 +7,9 @@
 //! execute immediately (zero LP work) → on a miss, enter the
 //! [`Coalescer`]'s gather window and receive the plan from the round's
 //! batch → execute the certified plan **on the admission snapshot** in the
-//! configured [`ExecMode`].  Writers never disturb any of this: they build
+//! configured [`ExecMode`], with the large columns of every intermediate
+//! drawn from (and afterwards returned to) the serving [`Worker`]'s
+//! [`ColumnBuffers`] free list.  Writers never disturb any of this: they build
 //! successor catalogs aside and publish through the
 //! [`SnapshotCatalog`] cell, which bumps the statistics epoch and thereby
 //! invalidates every stale plan-cache entry.
@@ -17,7 +19,8 @@ use crate::ServeError;
 use lpb_core::{BatchEstimator, JoinQuery};
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
 use lpb_exec::{
-    execute_physical_mode, ExecMode, OptimizedPlan, Optimizer, PlanCache, PlannerConfig,
+    execute_physical_with_buffers, BufferCounters, ColumnBuffers, ExecMode, OptimizedPlan,
+    Optimizer, PlanCache, PlannerConfig,
 };
 use lpb_lp::SolverStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,6 +75,9 @@ pub struct QueryResponse {
     /// Wall-clock time from admission to plan-in-hand (cache probe, or
     /// probe + round wait + batch planning).
     pub plan_time: Duration,
+    /// Wall-clock time from plan-in-hand to the output counted and its
+    /// columns released; zero for a plan-only request.
+    pub exec_time: Duration,
     /// The (shared) plan that served this request.
     pub plan: Arc<OptimizedPlan>,
 }
@@ -101,6 +107,15 @@ pub struct ServeStats {
     pub publishes: u64,
     /// Statistics epoch of the currently published snapshot.
     pub epoch: u64,
+    /// Large column buffers the workers' free lists served (summed over
+    /// workers, like the next two).
+    pub buffers_reused: u64,
+    /// Large column buffers no free list could serve, so the allocator —
+    /// and behind it the kernel — did.  Flat in steady state.
+    pub buffers_fresh: u64,
+    /// Bytes sitting in live workers' free lists right now (bounded per
+    /// worker; a dropped worker's share is gone).
+    pub bytes_retained: u64,
 }
 
 /// The shared, long-lived query service; see the crate docs for the three
@@ -115,6 +130,8 @@ pub struct QueryService {
     exec_mode: ExecMode,
     requests: AtomicU64,
     violations: AtomicU64,
+    /// What every [`Worker`]'s free list reports into.
+    buffer_counters: Arc<BufferCounters>,
 }
 
 impl QueryService {
@@ -141,6 +158,7 @@ impl QueryService {
             exec_mode: config.exec_mode,
             requests: AtomicU64::new(0),
             violations: AtomicU64::new(0),
+            buffer_counters: Arc::default(),
         }
     }
 
@@ -170,9 +188,11 @@ impl QueryService {
     }
 
     /// Plan **and execute** `query` on one snapshot of the current catalog.
+    /// Without a [`Worker`] there is no free list: every column comes from
+    /// the allocator and nothing is retained after the call.
     pub fn execute(&self, query: &JoinQuery) -> Result<QueryResponse, ServeError> {
         let snapshot = self.cell.load();
-        self.execute_on(query, &snapshot)
+        self.execute_on(query, &snapshot, &ColumnBuffers::default())
     }
 
     /// Replace one relation: publishes an epoch-bumped successor snapshot.
@@ -206,23 +226,38 @@ impl QueryService {
             certificate_violations: self.violations.load(Ordering::Relaxed),
             publishes: self.cell.publishes(),
             epoch: self.cell.epoch(),
+            buffers_reused: self.buffer_counters.reused(),
+            buffers_fresh: self.buffer_counters.fresh(),
+            bytes_retained: self.buffer_counters.bytes_retained(),
         }
     }
 
     /// Execute on an explicit admission snapshot (the [`Worker`] fast
-    /// path).
+    /// path), columns from `buffers`.  The service answers with the output's
+    /// size, so the run — and with it every column still out — is dropped
+    /// back into `buffers` before the response leaves.
     fn execute_on(
         &self,
         query: &JoinQuery,
         snapshot: &Arc<Catalog>,
+        buffers: &ColumnBuffers,
     ) -> Result<QueryResponse, ServeError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let mut response = self.plan_on(query, snapshot)?;
-        let run = execute_physical_mode(query, snapshot, &response.plan.physical, self.exec_mode)?;
+        let planned = Instant::now();
+        let run = execute_physical_with_buffers(
+            query,
+            snapshot,
+            &response.plan.physical,
+            self.exec_mode,
+            buffers,
+        )?;
         response.output_size = run.output_size();
         response.certificate_violations = run.certificate_violations();
+        drop(run);
+        response.exec_time = planned.elapsed();
         self.violations
-            .fetch_add(run.certificate_violations() as u64, Ordering::Relaxed);
+            .fetch_add(response.certificate_violations as u64, Ordering::Relaxed);
         Ok(response)
     }
 
@@ -245,6 +280,7 @@ impl QueryService {
                 coalesced_batch: 0,
                 plan_stats: SolverStats::default(),
                 plan_time: admitted.elapsed(),
+                exec_time: Duration::ZERO,
                 plan,
             });
         }
@@ -271,25 +307,34 @@ impl QueryService {
             coalesced_batch: coalesced.batch_size,
             plan_stats: coalesced.batch_stats,
             plan_time: admitted.elapsed(),
+            exec_time: Duration::ZERO,
             plan: coalesced.plan,
         })
     }
 }
 
-/// One serving thread's handle: an `Arc`'d service plus a per-thread
-/// [`SnapshotReader`], so steady-state snapshot acquisition is lock-free.
-/// Deliberately not `Sync` — build one per thread.
+/// One serving thread's handle: an `Arc`'d service plus what the thread
+/// keeps to itself across requests — a [`SnapshotReader`], so steady-state
+/// snapshot acquisition is lock-free, and a [`ColumnBuffers`] free list, so
+/// steady-state execution maps no new memory (bounded; released when the
+/// worker is dropped).  Deliberately not `Sync` — build one per thread.
 #[derive(Debug)]
 pub struct Worker {
     service: Arc<QueryService>,
     reader: SnapshotReader,
+    buffers: ColumnBuffers,
 }
 
 impl Worker {
     /// A worker over `service`.
     pub fn new(service: Arc<QueryService>) -> Self {
         let reader = SnapshotReader::new(Arc::clone(service.snapshot_cell()));
-        Worker { service, reader }
+        let buffers = ColumnBuffers::recycling(Arc::clone(&service.buffer_counters));
+        Worker {
+            service,
+            reader,
+            buffers,
+        }
     }
 
     /// The shared service.
@@ -301,7 +346,7 @@ impl Worker {
     /// lock-free when no publish happened since the last request).
     pub fn execute(&self, query: &JoinQuery) -> Result<QueryResponse, ServeError> {
         let snapshot = self.reader.snapshot();
-        self.service.execute_on(query, &snapshot)
+        self.service.execute_on(query, &snapshot, &self.buffers)
     }
 }
 
@@ -412,6 +457,80 @@ mod tests {
         // Same base data, so the answer is unchanged — only the plan was
         // re-proved against the new statistics epoch.
         assert_eq!(after.output_size, before.output_size);
+    }
+
+    /// Every other pair of 40 nodes is an edge: 800 rows, 20 per node, so a
+    /// 2-path has 16 000 rows and a 3-path 320 000 — columns well above the
+    /// size from which a worker recycles them.
+    fn dense_catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.insert(RelationBuilder::binary_from_pairs(
+            "E",
+            "a",
+            "b",
+            (0..40u64).flat_map(|a| {
+                (0..40)
+                    .filter(move |b| (a + b) % 2 == 0)
+                    .map(move |b| (a, b))
+            }),
+        ));
+        c
+    }
+
+    /// The buffer layer, read from the service alone: a worker's second
+    /// rotation over its shapes allocates no large buffer, what it keeps is
+    /// bounded, requests without a worker keep nothing, and dropping the
+    /// worker releases everything.
+    #[test]
+    fn workers_recycle_column_buffers_and_release_them_on_drop() {
+        let service = Arc::new(QueryService::with_config(
+            ServeConfig {
+                gather_window: Duration::ZERO,
+                ..ServeConfig::default()
+            },
+            dense_catalog(),
+        ));
+        let shapes = [
+            JoinQuery::path(&["E", "E", "E"]),
+            JoinQuery::path(&["E", "E"]),
+            JoinQuery::triangle("E", "E", "E"),
+        ];
+        // Warm-up without a worker, as a set-up thread would do it.
+        let sizes: Vec<usize> = shapes
+            .iter()
+            .map(|q| service.execute(q).unwrap().output_size)
+            .collect();
+        assert_eq!(sizes[..2], [320_000, 16_000]);
+        let idle = service.stats();
+        assert_eq!(
+            (idle.buffers_reused, idle.buffers_fresh, idle.bytes_retained),
+            (0, 0, 0),
+            "no worker, no free list"
+        );
+
+        let worker = Worker::new(Arc::clone(&service));
+        let rotate = || {
+            for (q, &size) in shapes.iter().zip(&sizes) {
+                let r = worker.execute(q).unwrap();
+                assert!(r.cache_hit);
+                assert_eq!(r.output_size, size);
+                assert_eq!(r.certificate_violations, 0);
+                assert!(r.exec_time > Duration::ZERO);
+            }
+            service.stats()
+        };
+        let first = rotate();
+        assert!(first.buffers_fresh > 0);
+        let second = rotate();
+        assert_eq!(second.buffers_fresh, first.buffers_fresh, "steady state");
+        assert!(second.buffers_reused > first.buffers_reused);
+        // The private per-worker bound is 24 MiB.
+        assert!(second.bytes_retained > 0 && second.bytes_retained <= 24 << 20);
+
+        // Plan-only requests execute nothing.
+        assert_eq!(service.plan(&shapes[0]).unwrap().exec_time, Duration::ZERO);
+        drop(worker);
+        assert_eq!(service.stats().bytes_retained, 0);
     }
 
     /// Writers never disturb in-flight readers: a worker that grabbed a

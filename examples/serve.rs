@@ -1,7 +1,7 @@
 //! The `lpb-serve` query service end to end: a resident [`QueryService`]
 //! over the JOB-like catalog, serving threads with per-thread snapshot
-//! readers, the plan cache's hit path, a live epoch-bumping publish, and
-//! cross-query LP coalescing.
+//! readers, the plan cache's hit path, a live epoch-bumping publish,
+//! cross-query LP coalescing, and per-worker column-buffer recycling.
 //!
 //! The walkthrough:
 //!
@@ -19,6 +19,11 @@
 //!    once; requests landing in the same gather window are planned as one
 //!    warm-started [`Optimizer::plan_many`] batch
 //!    (`coalesced_batch ≥ 2`).
+//! 4. **Buffer recycling** — one worker rotates over the shapes three
+//!    times.  The first rotation fills its free list of large column
+//!    buffers from the allocator; after that every large column is a
+//!    reused one (`buffers_fresh` stops moving, `exec_time` drops), and
+//!    dropping the worker releases all of it.
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -103,6 +108,32 @@ fn main() -> Result<(), ServeError> {
             });
         }
     });
+
+    // 4. One worker, three rotations: large columns come from the worker's
+    //    free list once it has seen the shapes.
+    println!();
+    let worker = Worker::new(Arc::clone(&service));
+    for rotation in 1..=3 {
+        let before = service.stats();
+        let mut exec_time = Duration::ZERO;
+        for q in &queries {
+            exec_time += worker.execute(q)?.exec_time;
+        }
+        let after = service.stats();
+        println!(
+            "  rotation {rotation}: {:>6.1}ms executing, {:>3} large buffers fresh, \
+             {:>3} reused, {:.1} MiB retained",
+            exec_time.as_secs_f64() * 1e3,
+            after.buffers_fresh - before.buffers_fresh,
+            after.buffers_reused - before.buffers_reused,
+            after.bytes_retained as f64 / (1 << 20) as f64,
+        );
+    }
+    drop(worker);
+    println!(
+        "  worker dropped: {} bytes retained",
+        service.stats().bytes_retained
+    );
 
     let stats = service.stats();
     println!(
