@@ -21,6 +21,8 @@
 //! 4. emits `BENCH_planner.json` at the workspace root with plan time,
 //!    chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
+//!    the partition search's work counters (`partition_candidates`,
+//!    `partition_candidates_refused`, `partition_subqueries_bounded`),
 //!    certificate-violation counts (asserted zero), the estimator's
 //!    shape-cache hit counters, and the per-mode execution times
 //!    (`exec_vectorized_us` / `exec_parallel_us`), plus the
@@ -65,6 +67,9 @@ struct PlannerRow {
     leftdeep_max_intermediate: usize,
     monolithic_max_intermediate: usize,
     parts_planned: usize,
+    partition_candidates: usize,
+    partition_candidates_refused: usize,
+    partition_subqueries_bounded: usize,
     certificate_violations: usize,
     certificates_checked: usize,
     output_size: usize,
@@ -342,6 +347,9 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             leftdeep_max_intermediate: leftdeep.max_intermediate(),
             monolithic_max_intermediate: mono.max_intermediate(),
             parts_planned: plan.parts_planned,
+            partition_candidates: plan.partition_candidates,
+            partition_candidates_refused: plan.partition_candidates_refused,
+            partition_subqueries_bounded: plan.partition_subqueries_bounded,
             // The stale-stats row reports *unhandled* violations (asserted
             // zero above — every one was answered with a re-plan); the raw
             // handled count lives in `violations_handled`.  This keeps CI's
@@ -378,6 +386,8 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"greedy_max_intermediate\": {}, \"peak_ratio_greedy_over_chosen\": {:.2}, \
              \"leftdeep_max_intermediate\": {}, \"bushy_vs_leftdeep_peak\": {:.2}, \
              \"partitioned_vs_monolithic_peak\": {:.2}, \"parts_planned\": {}, \
+             \"partition_candidates\": {}, \"partition_candidates_refused\": {}, \
+             \"partition_subqueries_bounded\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
              \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
              \"shape_cache_hits\": {}, \"exec_vectorized_us\": {:.1}, \
@@ -408,6 +418,9 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
                 1.0
             },
             r.parts_planned,
+            r.partition_candidates,
+            r.partition_candidates_refused,
+            r.partition_subqueries_bounded,
             r.certificates_checked,
             r.certificate_violations,
             r.output_size,

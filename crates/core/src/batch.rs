@@ -5,7 +5,12 @@
 //! call. [`BatchEstimator`] evaluates many `(query, statistics)` pairs at
 //! once:
 //!
-//! * items are fanned out across cores with `rayon`'s parallel iterators;
+//! * items are fanned out across cores with `rayon`'s parallel iterators,
+//!   one *lane* per core: items that can warm each other — the same variable
+//!   count and cone — stay together and in input order on one lane, so a
+//!   parallel batch does exactly the solver work, and returns bit for bit
+//!   the bounds, of the same batch on one thread, however the threads are
+//!   scheduled (a batch of a single such family is not split);
 //! * all items share the globally cached Shannon and step-function
 //!   skeletons of [`crate::skeleton`], so the exponential row block for
 //!   each variable count is built at most once per process;
@@ -74,7 +79,7 @@ use crate::statistics::StatisticsSet;
 use lpb_data::Catalog;
 use lpb_lp::{solve_sparse_with_handle, LpError, SolverKind, SolverOptions, WarmHandle};
 use rayon::prelude::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -84,7 +89,7 @@ use std::sync::{Arc, Mutex};
 /// objective and — up to row order and right-hand sides — the same
 /// constraint matrix, so a [`WarmHandle`] recorded under the key is
 /// (almost always; see the module docs) directly reusable.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct LpShape {
     n_vars: usize,
     cone: &'static str,
@@ -130,6 +135,21 @@ fn is_sorted_multiset_subset<T: Ord>(a: &[T], b: &[T]) -> bool {
     true
 }
 
+/// Columns × rows of the bound LP over `n_vars` variables and `n_stats`
+/// statistics: one column per non-empty variable set (per variable on the
+/// modular cone), one row per statistic, plus the elemental Shannon rows
+/// `n + C(n,2)·2^(n−2)` on the polymatroid cone.  Cold solve times track it
+/// across both exponential cones (measured on `large-mixed-12`: 8-variable
+/// polymatroid and 12-variable normal LPs are both ≈ 0.5 M and ≈ 12 ms).
+fn lp_size(n_vars: usize, cone: Cone, n_stats: usize) -> f64 {
+    let (n, stats) = (n_vars as f64, n_stats as f64);
+    match cone {
+        Cone::Modular => n * stats,
+        Cone::Normal => n.exp2() * stats,
+        Cone::Polymatroid => n.exp2() * (stats + n + n * (n - 1.0) / 2.0 * (n - 2.0).exp2()),
+    }
+}
+
 /// One unit of work for [`BatchEstimator::estimate`].
 #[derive(Debug, Clone)]
 pub struct BatchItem {
@@ -161,7 +181,9 @@ impl BatchItem {
 /// the same instant, or the test times out).
 #[derive(Default)]
 struct WarmCache {
-    handles: Mutex<HashMap<LpShape, Arc<WarmHandle>>>,
+    /// Ordered, so [`BatchEstimator::grown_candidate`] meets equally large
+    /// candidates in key order rather than in a per-instance hash order.
+    handles: Mutex<BTreeMap<LpShape, Arc<WarmHandle>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
     lps_estimated: AtomicUsize,
@@ -288,7 +310,10 @@ impl BatchEstimator {
     /// Largest cached snapshot whose statistic shape is a strict multiset
     /// subset of `shape` and whose matrix actually embeds into `problem`
     /// (checked row-for-row by [`WarmHandle::matches_superset`]).  Growing
-    /// the biggest subset appends the fewest rows.
+    /// the biggest subset appends the fewest rows; among equally large ones
+    /// the smallest shape key wins (the stable sort keeps the map's order),
+    /// so the basis a solve starts from — hence its pivots, its cost and
+    /// the last bits of its bound — is a function of the cache's content.
     ///
     /// The cache mutex is held only while collecting candidate handles; the
     /// per-candidate matrix comparisons run on cloned `Arc`s after it is
@@ -328,32 +353,38 @@ impl BatchEstimator {
     /// inconsistent statistics) are reported positionally and do not abort
     /// the rest of the batch.
     pub fn estimate(&self, items: &[BatchItem]) -> Vec<Result<BoundResult, CoreError>> {
+        let workers = if self.parallel {
+            rayon::current_num_threads()
+        } else {
+            1
+        };
+        self.estimate_on(items, workers)
+    }
+
+    /// [`estimate`](Self::estimate) over at most `workers` lanes.
+    fn estimate_on(
+        &self,
+        items: &[BatchItem],
+        workers: usize,
+    ) -> Vec<Result<BoundResult, CoreError>> {
         self.cache
             .lps_estimated
             .fetch_add(items.len(), Ordering::Relaxed);
         let run_one = |item: &BatchItem| -> Result<BoundResult, CoreError> {
-            let cone = self
-                .cone
-                .unwrap_or_else(|| Cone::auto(&item.query, &item.stats));
-            if cone == Cone::Polymatroid && item.query.n_vars() > POLYMATROID_MATERIALIZE_LIMIT {
-                // No materialized skeleton exists at this size; the bound is
-                // computed by lazy constraint generation, whose core LP is
-                // too query-specific for the per-shape snapshot cache.
+            let cone = self.cone_of(item);
+            if !self.uses_shape_cache(item, cone) {
+                // Past the materialized sizes the bound is computed by lazy
+                // constraint generation, whose core LP is too query-specific
+                // for the per-shape snapshot cache.  Otherwise (warm starts
+                // off, dense solver) keep the cold reference on the same
+                // materialized LP as the warm-started path below, for
+                // bit-comparable results.
+                let lazy_size = cone == Cone::Polymatroid
+                    && item.query.n_vars() > POLYMATROID_MATERIALIZE_LIMIT;
                 let options = BoundOptions {
                     solver: self.solver,
                     warm_start: None,
-                    lazy: None,
-                };
-                return compute_bound_with(&item.query, &item.stats, cone, &options);
-            }
-            if !self.warm_start || self.solver == SolverKind::Dense {
-                let options = BoundOptions {
-                    solver: self.solver,
-                    warm_start: None,
-                    // The warm-started shape cache below is the reference
-                    // full-skeleton path; keep the cold/dense reference on
-                    // the same materialized LP for bit-comparable results.
-                    lazy: Some(false),
+                    lazy: if lazy_size { None } else { Some(false) },
                 };
                 return compute_bound_with(&item.query, &item.stats, cone, &options);
             }
@@ -432,11 +463,90 @@ impl BatchEstimator {
             }
             solution_to_result(&solution, &item.stats, cone)
         };
-        if self.parallel && items.len() > 1 {
-            items.par_iter().map(run_one).collect()
-        } else {
-            items.iter().map(run_one).collect()
+        if workers < 2 || items.len() < 2 {
+            return items.iter().map(run_one).collect();
         }
+        let solved: Vec<Vec<(usize, Result<BoundResult, CoreError>)>> = self
+            .lanes(items, workers)
+            .par_iter()
+            .map(|lane| lane.iter().map(|&i| (i, run_one(&items[i]))).collect())
+            .collect();
+        let mut out: Vec<Option<Result<BoundResult, CoreError>>> =
+            items.iter().map(|_| None).collect();
+        for (i, result) in solved.into_iter().flatten() {
+            out[i] = Some(result);
+        }
+        out.into_iter()
+            .map(|r| r.expect("every item is in exactly one lane"))
+            .collect()
+    }
+
+    fn cone_of(&self, item: &BatchItem) -> Cone {
+        self.cone
+            .unwrap_or_else(|| Cone::auto(&item.query, &item.stats))
+    }
+
+    /// Whether `item`'s LP is solved through the per-shape warm-start cache
+    /// (as opposed to cold, touching no state shared with other items).
+    fn uses_shape_cache(&self, item: &BatchItem, cone: Cone) -> bool {
+        self.warm_start
+            && self.solver != SolverKind::Dense
+            && !(cone == Cone::Polymatroid && item.query.n_vars() > POLYMATROID_MATERIALIZE_LIMIT)
+    }
+
+    /// Split a batch into at most `workers` lanes of item indices that share
+    /// no warm-start state, so that running the lanes concurrently gives
+    /// every item the result, and the solver the work, of running the whole
+    /// batch in input order on one thread.
+    ///
+    /// A cached handle is only ever read or replaced by items of its own
+    /// variable count and cone (see [`grown_candidate`](Self::grown_candidate)
+    /// and the exact-shape lookup), so the items of one `(n_vars, cone)`
+    /// *family* must stay together and in input order, and nothing else
+    /// must: families — and items that bypass the cache, each a family of
+    /// its own — are independent.  Which lane a family lands in therefore
+    /// only decides wall-clock time.  Families go heaviest first onto the
+    /// lightest lane, weighed by the dense size (columns × rows) of the LPs
+    /// they solve cold — one per distinct shape; the re-solves from a
+    /// snapshot are an order cheaper and not counted.
+    fn lanes(&self, items: &[BatchItem], workers: usize) -> Vec<Vec<usize>> {
+        struct Family {
+            shapes: BTreeSet<LpShape>,
+            weight: f64,
+            items: Vec<usize>,
+        }
+        let mut families: BTreeMap<(usize, &'static str, Option<usize>), Family> = BTreeMap::new();
+        for (i, item) in items.iter().enumerate() {
+            let (n, cone) = (item.query.n_vars(), self.cone_of(item));
+            let alone = (!self.uses_shape_cache(item, cone)).then_some(i);
+            let family = families
+                .entry((n, cone.name(), alone))
+                .or_insert_with(|| Family {
+                    shapes: BTreeSet::new(),
+                    weight: 0.0,
+                    items: Vec::new(),
+                });
+            family.items.push(i);
+            if family.shapes.insert(LpShape::of(n, cone, &item.stats)) {
+                family.weight += lp_size(n, cone, item.stats.len());
+            }
+        }
+        let mut families: Vec<Family> = families.into_values().collect();
+        families.sort_by(|a, b| b.weight.total_cmp(&a.weight));
+        let mut lanes: Vec<(f64, Vec<usize>)> = vec![(0.0, Vec::new()); workers.max(1)];
+        for family in families {
+            let lightest = lanes
+                .iter_mut()
+                .min_by(|a, b| a.0.total_cmp(&b.0))
+                .expect("at least one lane");
+            lightest.0 += family.weight;
+            lightest.1.extend(family.items);
+        }
+        lanes
+            .into_iter()
+            .map(|(_, lane)| lane)
+            .filter(|lane| !lane.is_empty())
+            .collect()
     }
 
     /// Bound every sub-join of a plan enumeration in one warm-started batch:
@@ -1012,6 +1122,143 @@ mod tests {
             .estimate(&[BatchItem::new(query.clone(), variant)]);
         let (a, b) = (again[0].as_ref().unwrap(), cold_again[0].as_ref().unwrap());
         assert!((a.log2_bound - b.log2_bound).abs() < 1e-9);
+    }
+
+    /// Paths of 2–4 atoms, each as harvested, with one statistic more (a
+    /// shape that grows from the harvested one) and with other right-hand
+    /// sides (an exact hit), interleaved so every family's items are spread
+    /// over the whole batch.
+    fn mixed_items() -> Vec<BatchItem> {
+        let mut out = Vec::new();
+        for round in 0..3 {
+            for item in items().into_iter().take(3) {
+                let stats = match round {
+                    0 => item.stats.clone(),
+                    1 => {
+                        let mut grown = item.stats.as_slice().to_vec();
+                        grown.push(ConcreteStatistic::new(
+                            Conditional::new(item.query.atom_vars(0), lpb_entropy::VarSet::EMPTY),
+                            Norm::L1,
+                            0,
+                            3.0,
+                        ));
+                        StatisticsSet::from_vec(grown)
+                    }
+                    _ => item.stats.amplify(1.1),
+                };
+                out.push(BatchItem::new(item.query, stats));
+            }
+        }
+        out
+    }
+
+    /// Lanes never split a family, keep its input order, cover every item
+    /// once, and put the heaviest family first on its own lane.
+    #[test]
+    fn lanes_keep_families_whole_and_in_input_order() {
+        let items = mixed_items();
+        let est = BatchEstimator::new();
+        for workers in [1, 2, 3, 8] {
+            let lanes = est.lanes(&items, workers);
+            assert!(
+                lanes.len() <= workers.min(3),
+                "three families, {workers} workers"
+            );
+            let mut seen: Vec<usize> = lanes.iter().flatten().copied().collect();
+            seen.sort_unstable();
+            assert_eq!(seen, (0..items.len()).collect::<Vec<_>>());
+            for n_vars in [3, 4, 5] {
+                let of_family = |lane: &Vec<usize>| -> Vec<usize> {
+                    lane.iter()
+                        .copied()
+                        .filter(|&i| items[i].query.n_vars() == n_vars)
+                        .collect()
+                };
+                let holders: Vec<Vec<usize>> = lanes
+                    .iter()
+                    .map(of_family)
+                    .filter(|l| !l.is_empty())
+                    .collect();
+                assert_eq!(holders.len(), 1, "family {n_vars} is on one lane");
+                assert!(holders[0].windows(2).all(|w| w[0] < w[1]));
+            }
+            assert_eq!(items[lanes[0][0]].query.n_vars(), 5, "the widest LPs lead");
+        }
+        // Items that bypass the shape cache share nothing: each is a lane.
+        let cold = BatchEstimator::new().without_warm_start();
+        assert_eq!(cold.lanes(&items, 64).len(), items.len());
+    }
+
+    /// However many lanes a batch runs on, every item gets bit for bit the
+    /// bound of the one-thread run, from the same number of cold solves and
+    /// snapshot re-solves.
+    #[test]
+    fn lanes_do_the_work_and_return_the_bits_of_one_thread() {
+        let items = mixed_items();
+        let reference = BatchEstimator::new().sequential();
+        let expected: Vec<u64> = reference
+            .estimate(&items)
+            .into_iter()
+            .map(|r| r.unwrap().log2_bound.to_bits())
+            .collect();
+        assert!(
+            reference.shape_cache_hits() >= 6,
+            "grown and exact re-solves"
+        );
+        for workers in [2, 3, 8] {
+            for _ in 0..3 {
+                let est = BatchEstimator::new();
+                let got: Vec<u64> = est
+                    .estimate_on(&items, workers)
+                    .into_iter()
+                    .map(|r| r.unwrap().log2_bound.to_bits())
+                    .collect();
+                assert_eq!(got, expected, "{workers} lanes");
+                assert_eq!(est.shape_cache_misses(), reference.shape_cache_misses());
+                assert_eq!(est.shape_cache_hits(), reference.shape_cache_hits());
+            }
+        }
+    }
+
+    /// Among equally large cached sub-shapes the grown solve starts from the
+    /// smallest shape key, whatever order they were cached in.
+    #[test]
+    fn equally_large_grow_candidates_are_tried_in_key_order() {
+        let catalog = catalog();
+        let query = JoinQuery::path(&["E", "E"]);
+        let base =
+            collect_simple_statistics(&query, &catalog, &CollectConfig::with_max_norm(2)).unwrap();
+        let with = |extra: &[Norm]| {
+            let mut stats = base.as_slice().to_vec();
+            for &norm in extra {
+                stats.push(ConcreteStatistic::new(
+                    Conditional::new(query.atom_vars(0), lpb_entropy::VarSet::EMPTY),
+                    norm,
+                    0,
+                    3.0,
+                ));
+            }
+            BatchItem::new(query.clone(), StatisticsSet::from_vec(stats))
+        };
+        let (a, b) = (with(&[Norm::L1]), with(&[Norm::Finite(3.0)]));
+        let both = with(&[Norm::L1, Norm::Finite(3.0)]);
+        let mut bounds = Vec::new();
+        for first_two in [[&a, &b], [&b, &a]] {
+            let est = BatchEstimator::new().sequential();
+            for item in first_two {
+                est.estimate(std::slice::from_ref(item))[0]
+                    .as_ref()
+                    .unwrap();
+            }
+            let (grown, work) = lpb_lp::SolverStats::on_thread(|| {
+                est.estimate(std::slice::from_ref(&both))
+                    .pop()
+                    .unwrap()
+                    .unwrap()
+            });
+            bounds.push((grown.log2_bound.to_bits(), work));
+        }
+        assert_eq!(bounds[0], bounds[1]);
     }
 
     /// Polymatroid items past the materialization limit route through lazy

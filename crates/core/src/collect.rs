@@ -160,8 +160,8 @@ pub fn collect_simple_statistics(
             }
             let v_names = attr_names_of(query, catalog, j, rest)?;
             let v_refs: Vec<&str> = v_names.iter().map(String::as_str).collect();
-            for &norm in &config.norms {
-                let b = catalog.log_norm(rel_name, &v_refs, &x_refs, norm)?;
+            let bs = catalog.log_norms(rel_name, &v_refs, &x_refs, &config.norms)?;
+            for (&norm, b) in config.norms.iter().zip(bs) {
                 stats.push(ConcreteStatistic::new(
                     Conditional::new(rest, x_set),
                     norm,

@@ -4,7 +4,10 @@
 //! The paper assumes that ℓp-norms of degree sequences are precomputed and
 //! available at estimation time (§2.1).  [`Catalog`] plays that role: the
 //! first request for `log₂‖deg_R(V|U)‖_p` computes the degree sequence and
-//! caches the value; later requests are served from the cache.
+//! caches the value; later requests are served from the cache.  A caller
+//! that wants several norms of the same conditional asks
+//! [`Catalog::log_norms`], which derives the degree sequence once for all
+//! of them.
 //!
 //! Two system-catalog features ride on top of the cache:
 //!
@@ -68,15 +71,11 @@ impl StatsKey {
         let mut u: Vec<String> = u.iter().map(|s| s.to_string()).collect();
         v.sort();
         u.sort();
-        let norm_bits = match norm {
-            Norm::Infinity => u64::MAX,
-            Norm::Finite(p) => p.to_bits(),
-        };
         StatsKey {
             relation: relation.to_string(),
             v,
             u,
-            norm_bits,
+            norm_bits: norm_bits(norm),
         }
     }
 
@@ -87,6 +86,14 @@ impl StatsKey {
         } else {
             Norm::Finite(f64::from_bits(self.norm_bits))
         }
+    }
+}
+
+/// The hashable encoding of a norm in [`StatsKey::norm_bits`].
+fn norm_bits(norm: Norm) -> u64 {
+    match norm {
+        Norm::Infinity => u64::MAX,
+        Norm::Finite(p) => p.to_bits(),
     }
 }
 
@@ -160,21 +167,51 @@ impl Catalog {
         u: &[&str],
         norm: Norm,
     ) -> Result<f64, DataError> {
-        let key = StatsKey::new(relation, v, u, norm);
-        if let Some(&cached) = self
-            .stats
-            .read()
-            .expect("statistics cache lock poisoned")
-            .values
-            .get(&key)
-        {
-            return Ok(cached);
+        Ok(self.log_norms(relation, v, u, &[norm])?[0])
+    }
+
+    /// [`log_norm`](Self::log_norm) for several norms of **one**
+    /// conditional, positionally: `out[i] = log₂ ‖deg_R(V | U)‖_{norms[i]}`,
+    /// bit-for-bit what the per-norm calls return.  The cache is probed for
+    /// all norms under one read lock, and when any is missing the degree
+    /// sequence is derived **once** and answers every missing norm — a
+    /// collector asking for `{1, …, p, ∞}` pays one pass over the relation
+    /// per conditional instead of one per norm.  Computed values go through
+    /// [`record_statistic`](Self::record_statistic) as non-exact writes, so
+    /// exact observed entries stay protected.
+    pub fn log_norms(
+        &self,
+        relation: &str,
+        v: &[&str],
+        u: &[&str],
+        norms: &[Norm],
+    ) -> Result<Vec<f64>, DataError> {
+        let Some(&first) = norms.first() else {
+            return Ok(Vec::new());
+        };
+        let mut key = StatsKey::new(relation, v, u, first);
+        let mut values: Vec<Option<f64>> = {
+            let stats = self.stats.read().expect("statistics cache lock poisoned");
+            norms
+                .iter()
+                .map(|&norm| {
+                    key.norm_bits = norm_bits(norm);
+                    stats.values.get(&key).copied()
+                })
+                .collect()
+        };
+        if values.iter().any(Option::is_none) {
+            let deg = self.get(relation)?.degree_sequence(v, u)?;
+            for (value, &norm) in values.iter_mut().zip(norms) {
+                if value.is_none() {
+                    let computed = deg.log2_lp_norm(norm).unwrap_or(0.0);
+                    key.norm_bits = norm_bits(norm);
+                    self.record_statistic(key.clone(), computed, false);
+                    *value = Some(computed);
+                }
+            }
         }
-        let rel = self.get(relation)?;
-        let deg = rel.degree_sequence(v, u)?;
-        let value = deg.log2_lp_norm(norm).unwrap_or(0.0);
-        self.record_statistic(key, value, false);
-        Ok(value)
+        Ok(values.into_iter().flatten().collect())
     }
 
     /// Write one statistic into the cache.  Non-exact writes (recomputed
@@ -663,6 +700,43 @@ mod tests {
         assert_eq!(absorbed.epoch(), epoch + 1);
         assert_eq!(absorbed.exact_stats(), 0);
         assert!(absorbed.record_statistic(key, 99.0, false));
+    }
+
+    #[test]
+    fn log_norms_fills_misses_without_touching_exact_entries() {
+        let c = catalog();
+        let observed =
+            RelationBuilder::binary_from_pairs("I", "y", "z", vec![(10, 1), (10, 2), (11, 1)]);
+        // ℓ1, ℓ2, ℓ∞ of I's conditionals are now exact; ℓ3 is not cached.
+        let absorbed = c.absorb_observed(observed, 2).unwrap();
+        let (exact, cached) = (absorbed.exact_stats(), absorbed.cached_stats());
+        // Mark the exact ℓ2 entry with a value no recomputation would give.
+        let l2 = StatsKey::new("I", &["z"], &["y"], Norm::L2);
+        assert!(absorbed.record_statistic(l2, 42.0, true));
+
+        let norms = [Norm::L1, Norm::L2, Norm::Finite(3.0), Norm::Infinity];
+        let got = absorbed.log_norms("I", &["z"], &["y"], &norms).unwrap();
+        // The ℓ3 miss derived the degree sequence [2, 1]; the exact ℓ2
+        // entry was served as it stands and not rewritten.
+        assert_eq!(got[1], 42.0);
+        assert!((got[0] - 3.0f64.log2()).abs() < 1e-12);
+        assert!((got[2] - 9.0f64.log2() / 3.0).abs() < 1e-12);
+        assert!((got[3] - 1.0).abs() < 1e-12);
+        assert_eq!(
+            absorbed.log_norm("I", &["z"], &["y"], Norm::L2).unwrap(),
+            42.0
+        );
+        assert_eq!(absorbed.exact_stats(), exact);
+        assert_eq!(absorbed.cached_stats(), cached + 1);
+        // Errors surface as from `log_norm`; no norms asks for nothing.
+        assert!(absorbed
+            .log_norms("missing", &["z"], &["y"], &norms)
+            .is_err());
+        assert!(absorbed.log_norms("I", &[], &["y"], &norms).is_err());
+        assert!(absorbed
+            .log_norms("missing", &["z"], &["y"], &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

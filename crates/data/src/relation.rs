@@ -170,29 +170,89 @@ impl Relation {
         }
         let u_pos = self.schema.positions(u.iter().copied())?;
         let v_pos = self.schema.positions(v.iter().copied())?;
-
-        // Deduplicated projection onto U ∪ V, keyed as (U-part, V-part).
-        let mut pairs: Vec<(Vec<u64>, Vec<u64>)> = (0..self.n_rows)
-            .map(|r| (self.key(r, &u_pos), self.key(r, &v_pos)))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-
-        if u.is_empty() {
-            return Ok(DegreeSequence::from_counts(vec![pairs.len() as u64]));
-        }
-
         let mut counts = Vec::new();
-        let mut i = 0;
-        while i < pairs.len() {
-            let mut j = i + 1;
-            while j < pairs.len() && pairs[j].0 == pairs[i].0 {
-                j += 1;
-            }
-            counts.push((j - i) as u64);
-            i = j;
-        }
+        self.for_each_u_group(&v_pos, &u_pos, |_, degree| counts.push(degree));
         Ok(DegreeSequence::from_counts(counts))
+    }
+
+    /// The degree of every **row**'s `U`-value in `deg_R(V | U)`:
+    /// `out[r]` is the number of distinct `V`-values paired with row `r`'s
+    /// `U`-value — the same grouping as
+    /// [`degree_sequence`](Self::degree_sequence), reported per row instead
+    /// of per group.  This is what a degree partition needs to route rows to
+    /// parts.  An empty `V` gives degree 1 everywhere (one empty tuple per
+    /// `U`-value).
+    pub fn row_degrees(&self, v: &[&str], u: &[&str]) -> Result<Vec<u64>, DataError> {
+        let u_pos = self.schema.positions(u.iter().copied())?;
+        let v_pos = self.schema.positions(v.iter().copied())?;
+        let mut degrees = vec![0u64; self.n_rows];
+        self.for_each_u_group(&v_pos, &u_pos, |rows, degree| {
+            for &r in rows {
+                degrees[r] = degree;
+            }
+        });
+        Ok(degrees)
+    }
+
+    /// The row indices of the distinct rows in lexicographic (schema-order)
+    /// order — the order [`RelationBuilder`](crate::RelationBuilder) stores
+    /// rows in.  On a builder-made relation this is `0..len()`; gathering
+    /// any subsequence of it yields a relation the builder would have built
+    /// from the same rows.
+    pub fn distinct_row_order(&self) -> Vec<usize> {
+        let all: Vec<AttrId> = (0..self.arity()).collect();
+        let mut order = self.order_by(&all);
+        order.dedup_by(|a, b| self.same_on(*a, *b, &all));
+        order
+    }
+
+    /// Row indices sorted lexicographically by the values in `cols`.  The
+    /// rows are compared in place — no per-row key vectors — and the sort is
+    /// skipped when storage order already is that order (builder-made
+    /// relations conditioned on a schema prefix).
+    fn order_by(&self, cols: &[AttrId]) -> Vec<usize> {
+        let cmp = |a: &usize, b: &usize| {
+            cols.iter()
+                .map(|&c| self.columns[c][*a].cmp(&self.columns[c][*b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(std::cmp::Ordering::Equal)
+        };
+        let mut order: Vec<usize> = (0..self.n_rows).collect();
+        if !order.windows(2).all(|w| cmp(&w[0], &w[1]).is_le()) {
+            order.sort_unstable_by(cmp);
+        }
+        order
+    }
+
+    /// True when rows `a` and `b` agree on every column of `cols`.
+    fn same_on(&self, a: usize, b: usize, cols: &[AttrId]) -> bool {
+        cols.iter()
+            .all(|&c| self.columns[c][a] == self.columns[c][b])
+    }
+
+    /// One pass over the relation grouped by `U`: calls `f(rows, degree)`
+    /// per distinct `U`-value with the rows carrying it and the number of
+    /// distinct `V`-values among them.  With `U = ∅` there is one group.
+    fn for_each_u_group(
+        &self,
+        v_pos: &[AttrId],
+        u_pos: &[AttrId],
+        mut f: impl FnMut(&[usize], u64),
+    ) {
+        let order = self.order_by(&[u_pos, v_pos].concat());
+        let mut start = 0;
+        while start < order.len() {
+            let mut end = start + 1;
+            let mut degree = 1u64;
+            while end < order.len() && self.same_on(order[start], order[end], u_pos) {
+                if !self.same_on(order[end - 1], order[end], v_pos) {
+                    degree += 1;
+                }
+                end += 1;
+            }
+            f(&order[start..end], degree);
+            start = end;
+        }
     }
 
     fn from_sorted_rows(name: String, schema: Schema, rows: Vec<Vec<u64>>) -> Relation {

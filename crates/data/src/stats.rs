@@ -11,7 +11,9 @@
 //! plus the cardinality conditionals `(all | ∅)` and `({x} | ∅)` — and
 //! materializes `log₂ ‖deg(V|U)‖_p` for a configurable norm set
 //! ([`Norm::standard_set`] by default) into the catalog's cache and into a
-//! [`StatisticsSet`] snapshot with direct lookup.
+//! [`StatisticsSet`] snapshot with direct lookup.  Each conditional's norms
+//! come from one [`Catalog::log_norms`] call, i.e. one degree-sequence pass
+//! over the relation per conditional, whatever the size of the norm set.
 //!
 //! After [`StatisticsCollector::materialize_catalog`] runs, every plan-time
 //! statistics harvest over base relations is a pure hash-map lookup.
@@ -127,8 +129,8 @@ impl StatisticsCollector {
             if rest.is_empty() {
                 continue;
             }
-            for &norm in &self.norms {
-                let b = catalog.log_norm(relation, &rest, &x_ref, norm)?;
+            let bs = catalog.log_norms(relation, &rest, &x_ref, &self.norms)?;
+            for (&norm, b) in self.norms.iter().zip(bs) {
                 out.push(StatsKey::new(relation, &rest, &x_ref, norm), b);
             }
         }

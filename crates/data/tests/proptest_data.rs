@@ -1,7 +1,8 @@
 //! Property tests for degree sequences, norms and relation invariants.
 
-use lpb_data::{DegreeSequence, Norm, Relation, RelationBuilder, Schema};
+use lpb_data::{Catalog, DegreeSequence, Norm, Relation, RelationBuilder, Schema};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 
 fn arb_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
     proptest::collection::vec((0u64..50, 0u64..50), 0..200)
@@ -11,8 +12,101 @@ fn arb_degrees() -> impl Strategy<Value = Vec<u64>> {
     proptest::collection::vec(1u64..1000, 1..60)
 }
 
+/// A raw relation of arity 1–3 over attributes `a, b, c`: rows in random
+/// order, duplicates kept, possibly empty — nothing the builder would have
+/// normalized.
+fn arb_raw_relation() -> impl Strategy<Value = Relation> {
+    (1usize..4).prop_flat_map(|arity| {
+        proptest::collection::vec(proptest::collection::vec(0u64..6, arity), 0..60).prop_map(
+            move |rows| {
+                let attrs = &["a", "b", "c"][..arity];
+                let columns = (0..arity)
+                    .map(|c| rows.iter().map(|r| r[c]).collect())
+                    .collect();
+                Relation::from_columns("T", Schema::new(attrs.iter().copied()).unwrap(), columns)
+                    .unwrap()
+            },
+        )
+    })
+}
+
+/// The attribute names selected by the low bits of `mask`, in schema order.
+fn attrs_of(rel: &Relation, mask: usize) -> Vec<&str> {
+    (0..rel.arity())
+        .filter(|i| mask & (1 << i) != 0)
+        .map(|i| rel.schema().name(i))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// `degree_sequence`, `row_degrees` and `distinct_row_order` against the
+    /// definitions, on unsorted duplicate-bearing relations: group the
+    /// distinct `(U, V)` pairs by `U`; every `U ⊆ attrs` (including `∅`) and
+    /// every non-empty `V`.
+    #[test]
+    fn degree_sequence_matches_the_definition(
+        rel in arb_raw_relation(),
+        v_mask in 1usize..8,
+        u_mask in 0usize..8,
+    ) {
+        let all = (1usize << rel.arity()) - 1;
+        // V must be non-empty: an out-of-schema pick falls back to all attributes.
+        let v_mask = if v_mask & all == 0 { all } else { v_mask & all };
+        let u_mask = u_mask & all;
+        let v = attrs_of(&rel, v_mask);
+        let u = attrs_of(&rel, u_mask);
+        let key = |row: &[u64], mask: usize| -> Vec<u64> {
+            (0..row.len()).filter(|i| mask & (1 << i) != 0).map(|i| row[i]).collect()
+        };
+        let mut groups: BTreeMap<Vec<u64>, BTreeSet<Vec<u64>>> = BTreeMap::new();
+        for row in rel.rows() {
+            groups.entry(key(&row, u_mask)).or_default().insert(key(&row, v_mask));
+        }
+        let expected =
+            DegreeSequence::from_counts(groups.values().map(|vs| vs.len() as u64).collect());
+        prop_assert_eq!(rel.degree_sequence(&v, &u).unwrap(), expected);
+
+        let per_row: Vec<u64> = rel
+            .rows()
+            .map(|row| groups[&key(&row, u_mask)].len() as u64)
+            .collect();
+        prop_assert_eq!(rel.row_degrees(&v, &u).unwrap(), per_row);
+
+        // The distinct rows in builder order.
+        let gathered: Vec<Vec<u64>> =
+            rel.distinct_row_order().into_iter().map(|r| rel.row(r)).collect();
+        let distinct: Vec<Vec<u64>> = rel.rows().collect::<BTreeSet<_>>().into_iter().collect();
+        prop_assert_eq!(gathered, distinct);
+    }
+
+    /// `log_norms` answers every norm bit-for-bit like the per-norm
+    /// `log_norm`, caches the same entries, and serves a second call from
+    /// the cache.
+    #[test]
+    fn log_norms_equals_per_norm_log_norm(pairs in arb_pairs()) {
+        let norms = Norm::standard_set(4);
+        let mut one_by_one = Catalog::new();
+        let mut batched = Catalog::new();
+        one_by_one.insert(RelationBuilder::binary_from_pairs("R", "x", "y", pairs.clone()));
+        batched.insert(RelationBuilder::binary_from_pairs("R", "x", "y", pairs));
+        for (v, u) in [(&["y"][..], &["x"][..]), (&["x"][..], &["y"][..]), (&["x", "y"][..], &[][..])] {
+            let expected: Vec<u64> = norms
+                .iter()
+                .map(|&n| one_by_one.log_norm("R", v, u, n).unwrap().to_bits())
+                .collect();
+            let got: Vec<u64> =
+                batched.log_norms("R", v, u, &norms).unwrap().iter().map(|b| b.to_bits()).collect();
+            prop_assert_eq!(&got, &expected);
+            prop_assert_eq!(batched.cached_stats(), one_by_one.cached_stats());
+            let again: Vec<u64> =
+                batched.log_norms("R", v, u, &norms).unwrap().iter().map(|b| b.to_bits()).collect();
+            prop_assert_eq!(&again, &expected);
+            prop_assert_eq!(batched.cached_stats(), one_by_one.cached_stats());
+        }
+        prop_assert!(batched.log_norms("R", &["y"], &["x"], &[]).unwrap().is_empty());
+    }
 
     /// ‖d‖_p is non-increasing in p and bounded between max-degree and total.
     #[test]

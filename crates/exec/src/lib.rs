@@ -37,8 +37,9 @@
 //!   semi-join passes rather than assuming them free; when a skewed
 //!   relation makes the monolithic bound loose, the planner splits it
 //!   light/heavy ([`split_light_heavy`]), re-runs the same DP per part on
-//!   per-part statistics (one warm-started batch covers parts ×
-//!   sub-joins), and emits a [`PhysicalNode::PartitionedUnion`] whenever
+//!   per-part statistics (the parts' full-query bounds first, then one
+//!   warm-started batch over parts × the sub-joins through the split
+//!   atom), and emits a [`PhysicalNode::PartitionedUnion`] whenever
 //!   the max-over-parts bottleneck beats the monolithic one;
 //! * **bound certificates** — the DP's sub-join bounds are attached to the
 //!   emitted plan nodes, and execution checks every observed intermediate

@@ -47,18 +47,28 @@
 //! degrees are homogeneous, so when an atom's relation is skewed
 //! (`log₂(max/avg degree)` past [`PlannerConfig::partition_skew_log2`])
 //! the planner splits it into a light and a heavy part
-//! ([`crate::split_light_heavy`]), derives a per-part sub-catalog
-//! ([`lpb_data::Catalog::derive_with`]) with per-part statistics, bounds
-//! the **cross product of parts × connected sub-joins in one warm-started
-//! batch** (same LP shapes, per-part right-hand sides — the dual
-//! warm-start sweet spot), and runs the same bottleneck DP independently
-//! per part.  Each part may choose a *different* join order — the whole
-//! point under two-sided skew.  The partitioned plan (max-over-parts
-//! bottleneck, plus the sum-of-parts union bound) replaces the monolithic
-//! pick exactly when its predicted cost is lower, so the decision is made
-//! from LP bounds alone; per-part bounds ride into the
-//! [`crate::PhysicalNode::PartitionedUnion`] as certificates like
-//! everywhere else.
+//! ([`crate::split_light_heavy`]) and derives a per-part sub-catalog
+//! ([`lpb_data::Catalog::derive_with`]) with per-part statistics.  Lemma 2.5
+//! bounds the split relation's query by the **sum** of its parts' bounds,
+//! and that sum is part of a partitioned plan's cost (the union
+//! materializes it), so the search computes it *first*: one batch bounds
+//! the full query on each part, and a candidate whose sum already reaches
+//! the monolithic bottleneck is refused for the price of one LP per part.
+//! A surviving candidate re-bounds — in one more warm-started batch, same
+//! LP shapes with per-part right-hand sides — only the connected sub-joins
+//! **through the split atom**; every other sub-join is the same sub-join in
+//! every part and keeps its bound from the monolithic table, the reuse
+//! [`Optimizer::plan_delta`] applies to re-plans.  The same bottleneck DP
+//! then runs independently per part, and each part may choose a
+//! *different* join order — the whole point under two-sided skew.  The
+//! partitioned plan (max-over-parts bottleneck, plus the sum-of-parts union
+//! bound) replaces the monolithic pick exactly when its predicted cost is
+//! lower, so the decision is made from LP bounds alone; per-part bounds
+//! ride into the [`crate::PhysicalNode::PartitionedUnion`] as certificates
+//! like everywhere else.  [`OptimizedPlan::partition_candidates`],
+//! [`partition_candidates_refused`](OptimizedPlan::partition_candidates_refused)
+//! and [`partition_subqueries_bounded`](OptimizedPlan::partition_subqueries_bounded)
+//! count what the search paid.
 
 use crate::columns::ColumnTable;
 use crate::counters::{CertificatePolicy, IntermediateCounters};
@@ -69,8 +79,9 @@ use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::state::{ExecState, ExecStatus};
 use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, CoreError, JoinQuery};
-use lpb_data::{Catalog, Norm, RelationBuilder, StatisticsCollector};
+use lpb_data::{Catalog, Norm, Relation, RelationBuilder, StatisticsCollector};
 use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Planner knobs.
@@ -98,8 +109,10 @@ pub struct PlannerConfig {
     /// bound) beats the monolithic one.
     pub enable_partitioning: bool,
     /// How many skew candidates (atom, conditional) the partitioned search
-    /// tries per planning call, most-skewed first.  Each candidate costs one
-    /// extra warm-started bound batch over parts × connected sub-joins.
+    /// tries per planning call, most-skewed first.  Each candidate costs the
+    /// split, the parts' statistics and one LP per part; only a candidate
+    /// whose sum-of-parts output bound beats the cost so far also costs a
+    /// batch over parts × the connected sub-joins through the split atom.
     pub max_partition_candidates: usize,
     /// Minimum skew — `log₂(max degree / average degree)` of a conditional —
     /// before an atom is considered for partitioning.  The default of 2
@@ -170,9 +183,19 @@ pub struct OptimizedPlan {
     /// Number of degree-partition parts the chosen plan evaluates (zero for
     /// monolithic plans, the light/heavy part count otherwise).
     pub parts_planned: usize,
+    /// Partition candidates the search split and bounded (skewed atoms whose
+    /// light/heavy split left two non-empty parts), at most
+    /// [`PlannerConfig::max_partition_candidates`].
+    pub partition_candidates: usize,
+    /// Candidates refused by the bound-first test: the sum of their parts'
+    /// full-query bounds alone already reached the cost to beat, so no
+    /// per-part planning was paid for them.
+    pub partition_candidates_refused: usize,
     /// Sub-joins successfully bounded **for per-part planning** (across all
     /// partition candidates tried), on top of
-    /// [`subqueries_bounded`](Self::subqueries_bounded).
+    /// [`subqueries_bounded`](Self::subqueries_bounded): per part, the full
+    /// query, and for candidates that survive the bound-first test the
+    /// other connected sub-joins through the split atom.
     pub partition_subqueries_bounded: usize,
     /// Per-part bound attempts that fell back to the pessimistic product
     /// bound.  Zero on healthy corpora, like
@@ -219,10 +242,28 @@ struct Bounds {
 /// The estimator is shared state: keeping one `Optimizer` alive across
 /// planning calls (or handing clones to threads) pools the per-shape dual
 /// warm starts of its [`BatchEstimator`].
-#[derive(Debug, Clone, Default)]
+///
+/// By default a planning call solves its LPs on the calling thread.  A
+/// parallel estimator ([`with_estimator`](Self::with_estimator) with
+/// `BatchEstimator::new()`) returns the same plans bit for bit — a batch is
+/// split into lanes that share no warm-start state — and roughly halves a
+/// wide cold plan on an idle two-core machine (`large-mixed-12`: 270 → 150
+/// ms), but it spawns threads on every batch and its latency then moves
+/// with whatever else wants those cores; a server gets its parallelism from
+/// concurrent requests instead, as `lpb-serve` does.
+#[derive(Debug, Clone)]
 pub struct Optimizer {
     estimator: BatchEstimator,
     config: PlannerConfig,
+}
+
+impl Default for Optimizer {
+    fn default() -> Self {
+        Optimizer {
+            estimator: BatchEstimator::default().sequential(),
+            config: PlannerConfig::default(),
+        }
+    }
 }
 
 impl Optimizer {
@@ -265,45 +306,15 @@ impl Optimizer {
         catalog: &Catalog,
         logical: &LogicalPlan,
     ) -> Result<Bounds, ExecError> {
-        let mut all = self.harvest_bounds_multi(&[(query, catalog)], logical)?;
-        Ok(all.pop().expect("one bound table per run"))
-    }
-
-    /// [`harvest_bounds`](Self::harvest_bounds) over several runs at once:
-    /// the cross product of runs × connected sub-joins goes through **one**
-    /// warm-started [`BatchEstimator::bound_subqueries_multi`] batch.  All
-    /// runs must share the query's join graph (`logical`) — exactly the
-    /// situation of a degree partition, where every part poses the same
-    /// query (one atom rebound to the part) over a per-part sub-catalog, so
-    /// each sub-join's LP shape is solved cold once and every other part
-    /// re-solves it from the shared warm handle with a new RHS.
-    fn harvest_bounds_multi(
-        &self,
-        runs: &[(&JoinQuery, &Catalog)],
-        logical: &LogicalPlan,
-    ) -> Result<Vec<Bounds>, ExecError> {
         let subsets = logical.connected_subsets();
-        let multi: Vec<u64> = subsets
-            .iter()
-            .copied()
-            .filter(|s| s.count_ones() >= 2)
-            .collect();
-        let subset_atoms: Vec<Vec<usize>> = multi
-            .iter()
-            .map(|&mask| logical.atoms_of(mask).collect())
-            .collect();
-        let config = CollectConfig::with_max_norm(self.config.max_norm);
-        let grouped = self
-            .estimator
-            .bound_subqueries_multi(runs, &subset_atoms, &config);
-
-        let mut out = Vec::with_capacity(runs.len());
-        for ((query, catalog), bounds) in runs.iter().zip(grouped) {
-            out.push(fold_bounds(
-                query, catalog, logical, &multi, &subsets, &bounds,
-            )?);
-        }
-        Ok(out)
+        let multi = multi_atom(&subsets);
+        let results = self.estimator.bound_subqueries(
+            query,
+            catalog,
+            &atom_lists(logical, &multi),
+            &CollectConfig::with_max_norm(self.config.max_norm),
+        );
+        fold_bounds(query, catalog, logical, subsets, &[], &multi, &results)
     }
 
     /// Predicted `log₂` bottleneck of evaluating `order` as a left-deep
@@ -429,75 +440,26 @@ impl Optimizer {
             });
         }
 
+        // Reuse every sub-join the re-plan left untouched; one warm-started
+        // batch bounds exactly the rest.
         let subsets = logical.connected_subsets();
-        let mut scan_log2 = Vec::with_capacity(m);
-        let mut log2: HashMap<u64, f64> = HashMap::new();
-        for j in 0..m {
-            let size = catalog.get(&query.atoms()[j].relation)?.len();
-            let s = (size.max(1) as f64).log2();
-            scan_log2.push(s);
-            log2.insert(1u64 << j, s);
-        }
-
-        // Split the connected multi-atom subsets into prior-table reuses
-        // (every atom maps, so the sub-join is unchanged) and fresh bounds.
-        let mut bounds_reused = 0usize;
-        let mut fresh_masks: Vec<u64> = Vec::new();
-        let mut fresh_atoms: Vec<Vec<usize>> = Vec::new();
-        for &mask in subsets.iter().filter(|s| s.count_ones() >= 2) {
-            let remapped = logical
-                .atoms_of(mask)
-                .try_fold(0u64, |acc, j| match atom_map[j] {
-                    Some(old) if old < prior.n_atoms => Some(acc | (1u64 << old)),
-                    _ => None,
-                });
-            if let Some(v) = remapped.and_then(|old_mask| prior.log2.get(&old_mask)) {
-                log2.insert(mask, *v);
-                bounds_reused += 1;
-            } else {
-                fresh_masks.push(mask);
-                fresh_atoms.push(logical.atoms_of(mask).collect());
-            }
-        }
-
-        // One warm-started batch over exactly the touched sub-joins.
-        let mut bounded = 0usize;
-        let mut fallbacks = 0usize;
-        if !fresh_masks.is_empty() {
-            let config = CollectConfig::with_max_norm(self.config.max_norm);
-            let fresh = self
-                .estimator
-                .bound_subqueries(query, catalog, &fresh_atoms, &config);
-            for (&mask, bound) in fresh_masks.iter().zip(&fresh) {
-                let value = match bound {
-                    Ok(b) if b.is_bounded() => {
-                        bounded += 1;
-                        b.log2_bound
-                    }
-                    _ => {
-                        fallbacks += 1;
-                        logical.atoms_of(mask).map(|j| scan_log2[j]).sum()
-                    }
-                };
-                log2.insert(mask, value);
-            }
-        }
-
-        let bounds = Bounds {
-            log2,
-            scan_log2,
-            subsets,
-            bounded,
-            fallbacks,
-        };
+        let (reused, fresh) =
+            reusable_bounds(&logical, &subsets, &prior.log2, prior.n_atoms, atom_map);
+        let results = self.estimator.bound_subqueries(
+            query,
+            catalog,
+            &atom_lists(&logical, &fresh),
+            &CollectConfig::with_max_norm(self.config.max_norm),
+        );
+        let bounds = fold_bounds(query, catalog, &logical, subsets, &reused, &fresh, &results)?;
         let chosen = self.choose(&logical, &bounds);
         Ok(DeltaPlan {
             physical: chosen.physical,
             order: chosen.order,
             predicted_log2_cost: chosen.predicted,
-            subqueries_bounded: bounded,
-            bound_fallbacks: fallbacks,
-            bounds_reused,
+            subqueries_bounded: bounds.bounded,
+            bound_fallbacks: bounds.fallbacks,
+            bounds_reused: reused.len(),
             plan_time: started.elapsed(),
             bounds: SubjoinBounds {
                 log2: bounds.log2,
@@ -613,15 +575,8 @@ impl Optimizer {
                 continue;
             }
             let subsets = logical.connected_subsets();
-            let multi: Vec<u64> = subsets
-                .iter()
-                .copied()
-                .filter(|s| s.count_ones() >= 2)
-                .collect();
-            let subset_atoms: Vec<Vec<usize>> = multi
-                .iter()
-                .map(|&mask| logical.atoms_of(mask).collect())
-                .collect();
+            let multi = multi_atom(&subsets);
+            let subset_atoms = atom_lists(&logical, &multi);
             preps.push(Prep::Batched {
                 logical,
                 greedy,
@@ -661,7 +616,8 @@ impl Optimizer {
                     let results = grouped
                         .next()
                         .expect("one result group per batched request");
-                    let bounds = fold_bounds(query, catalog, &logical, &multi, &subsets, &results)?;
+                    let bounds =
+                        fold_bounds(query, catalog, &logical, subsets, &[], &multi, &results)?;
                     self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
                 }
             })
@@ -673,9 +629,7 @@ impl Optimizer {
     /// the per-subset statistics harvest is pure lookups.
     fn prewarm(&self, query: &JoinQuery, catalog: &Catalog) -> Result<(), ExecError> {
         if self.config.prewarm_statistics {
-            let collector = StatisticsCollector::with_norms(
-                CollectConfig::with_max_norm(self.config.max_norm).norms,
-            );
+            let collector = self.collector();
             let mut seen = std::collections::BTreeSet::new();
             for atom in query.atoms() {
                 if seen.insert(atom.relation.clone()) {
@@ -684,6 +638,11 @@ impl Optimizer {
             }
         }
         Ok(())
+    }
+
+    /// The collector for the planner's norm budget.
+    fn collector(&self) -> StatisticsCollector {
+        StatisticsCollector::with_norms(CollectConfig::with_max_norm(self.config.max_norm).norms)
     }
 
     /// The greedy plan for queries the DP cannot bound: single atoms,
@@ -712,6 +671,8 @@ impl Optimizer {
             bound_fallbacks: 0,
             monolithic_predicted_log2_cost: f64::NAN,
             parts_planned: 0,
+            partition_candidates: 0,
+            partition_candidates_refused: 0,
             partition_subqueries_bounded: 0,
             partition_bound_fallbacks: 0,
             plan_time: started.elapsed(),
@@ -748,9 +709,14 @@ impl Optimizer {
         let mut parts_planned = 0usize;
         let mut partition_stats = PartitionSearchStats::default();
         if self.config.enable_partitioning {
-            if let Some(pick) =
-                self.partitioned_plan(query, catalog, logical, predicted, &mut partition_stats)?
-            {
+            if let Some(pick) = self.partitioned_plan(
+                query,
+                catalog,
+                logical,
+                bounds,
+                predicted,
+                &mut partition_stats,
+            )? {
                 let plan = PhysicalPlan::from_root(pick.node);
                 order = plan.atom_order();
                 physical = plan;
@@ -771,6 +737,8 @@ impl Optimizer {
             bound_fallbacks: bounds.fallbacks,
             monolithic_predicted_log2_cost: monolithic_predicted,
             parts_planned,
+            partition_candidates: partition_stats.candidates,
+            partition_candidates_refused: partition_stats.refused,
             partition_subqueries_bounded: partition_stats.bounded,
             partition_bound_fallbacks: partition_stats.fallbacks,
             plan_time: started.elapsed(),
@@ -983,36 +951,19 @@ impl Optimizer {
         }
     }
 
-    /// Search for a degree-partitioned plan that beats `monolithic_cost`.
-    ///
-    /// Candidates are the query atoms whose relation has a skewed simple
-    /// conditional (`log₂(max/avg degree) ≥`
-    /// [`PlannerConfig::partition_skew_log2`]), most-skewed first.  For each
-    /// candidate the relation is split light/heavy
-    /// ([`crate::split_light_heavy`]), per-part sub-catalogs are derived and
-    /// their statistics materialized, **one** warm-started batch bounds the
-    /// cross product of parts × connected sub-joins, and the shared
-    /// [`Optimizer::choose`] DP plans each part independently.  The
-    /// partitioned cost is the max over parts of the per-part bottleneck,
-    /// combined with the sum-of-parts output bound that certifies the final
-    /// union; the best candidate is returned only when that cost strictly
-    /// beats the monolithic prediction — so the decision is made from LP
-    /// bounds alone.
-    fn partitioned_plan(
+    /// The atoms worth splitting: every `(atom, conditional)` whose relation
+    /// has a skewed simple conditional (`log₂(max/avg degree) ≥`
+    /// [`PlannerConfig::partition_skew_log2`]), most-skewed first, cut to
+    /// [`PlannerConfig::max_partition_candidates`].  Pure lookups on the
+    /// prewarmed statistics.
+    fn skew_candidates(
         &self,
         query: &JoinQuery,
         catalog: &Catalog,
-        logical: &LogicalPlan,
-        monolithic_cost: f64,
-        stats: &mut PartitionSearchStats,
-    ) -> Result<Option<PartitionedPick>, ExecError> {
-        if !monolithic_cost.is_finite() {
-            return Ok(None);
-        }
-        // --- Skew detection over the prewarmed simple conditionals. ---
-        let mut candidates: Vec<(f64, usize, Vec<String>, Vec<String>)> = Vec::new();
-        for j in 0..query.n_atoms() {
-            let rel_name = &query.atoms()[j].relation;
+    ) -> Result<Vec<SkewCandidate>, ExecError> {
+        let mut candidates: Vec<(f64, SkewCandidate)> = Vec::new();
+        for atom in 0..query.n_atoms() {
+            let rel_name = &query.atoms()[atom].relation;
             let rel = catalog.get(rel_name)?;
             if rel.arity() < 2 || rel.is_empty() {
                 continue;
@@ -1034,74 +985,171 @@ impl Optimizer {
                 if skew >= self.config.partition_skew_log2 {
                     candidates.push((
                         skew,
-                        j,
-                        v.iter().map(|s| s.to_string()).collect(),
-                        vec![u_attr.clone()],
+                        SkewCandidate {
+                            atom,
+                            v: v.iter().map(|s| s.to_string()).collect(),
+                            u: vec![u_attr.clone()],
+                        },
                     ));
                 }
             }
         }
-        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.atom.cmp(&b.1.atom)));
         candidates.truncate(self.config.max_partition_candidates);
+        Ok(candidates.into_iter().map(|(_, c)| c).collect())
+    }
 
+    /// Split a candidate's relation light/heavy
+    /// ([`crate::split_light_heavy`]) and pose the query once per non-empty
+    /// part: the atom rebound to the part, over a derived sub-catalog that
+    /// shares every other relation (and its cached statistics) and
+    /// materializes the part's own degree norms.  `None` when the split
+    /// leaves fewer than two parts.  The part's tuples sit behind one `Arc`
+    /// shared by the sub-catalog and, later, the plan's
+    /// [`PartitionBranch`].
+    fn split_candidate(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+        candidate: &SkewCandidate,
+    ) -> Result<Option<Vec<PartRun>>, ExecError> {
+        let rel = catalog.get(&query.atoms()[candidate.atom].relation)?;
+        let v: Vec<&str> = candidate.v.iter().map(String::as_str).collect();
+        let u: Vec<&str> = candidate.u.iter().map(String::as_str).collect();
+        let Some((light, heavy)) = split_light_heavy(&rel, &v, &u)? else {
+            return Ok(None);
+        };
+        let mut runs = Vec::with_capacity(2);
+        for part in [light, heavy] {
+            if part.is_empty() {
+                continue;
+            }
+            let relation = Arc::new(part);
+            let part_catalog = catalog.derive_with(Arc::clone(&relation));
+            if self.config.prewarm_statistics {
+                self.collector()
+                    .materialize_relation(&part_catalog, relation.name())?;
+            }
+            runs.push(PartRun {
+                query: query.with_atom_relation(candidate.atom, relation.name())?,
+                catalog: part_catalog,
+                relation,
+            });
+        }
+        Ok((runs.len() >= 2).then_some(runs))
+    }
+
+    /// Search for a degree-partitioned plan that beats `monolithic_cost`,
+    /// paying only for what can change the answer.
+    ///
+    /// Per [skew candidate](Self::skew_candidates), after the
+    /// [split](Self::split_candidate):
+    ///
+    /// 1. **Bound first.**  Only the *full* query is bounded on each part
+    ///    (one batch of `parts` LPs).  Their `log₂`-sum is the union bound
+    ///    the partitioned plan is charged anyway, so a candidate whose
+    ///    union bound already reaches the monolithic bottleneck — or the
+    ///    best candidate so far — can never be picked and is refused here.
+    /// 2. **Reuse.**  A surviving candidate bounds, in one more batch, only
+    ///    the connected sub-joins that contain the split atom.  Every other
+    ///    sub-join has the same atoms, relations and statistics in every
+    ///    part, so its entry is the monolithic table's
+    ///    ([`reusable_bounds`]).
+    /// 3. The shared [`Optimizer::choose`] DP plans each part on its table.
+    ///
+    /// The partitioned cost is the max over parts of the per-part
+    /// bottleneck, combined with the union bound that certifies the final
+    /// union; the best candidate is returned only when that cost strictly
+    /// beats the monolithic prediction — so the decision is made from LP
+    /// bounds alone.
+    fn partitioned_plan(
+        &self,
+        query: &JoinQuery,
+        catalog: &Catalog,
+        logical: &LogicalPlan,
+        monolithic: &Bounds,
+        monolithic_cost: f64,
+        stats: &mut PartitionSearchStats,
+    ) -> Result<Option<PartitionedPick>, ExecError> {
+        if !monolithic_cost.is_finite() {
+            return Ok(None);
+        }
         let m = query.n_atoms();
         let full: u64 = (1u64 << m) - 1;
+        let config = CollectConfig::with_max_norm(self.config.max_norm);
         let mut best: Option<PartitionedPick> = None;
-        for (_skew, j, v, u) in candidates {
-            let rel = catalog.get(&query.atoms()[j].relation)?;
-            let v_refs: Vec<&str> = v.iter().map(String::as_str).collect();
-            let u_refs: Vec<&str> = u.iter().map(String::as_str).collect();
-            let Some((light, heavy)) = split_light_heavy(&rel, &v_refs, &u_refs)? else {
+        for candidate in self.skew_candidates(query, catalog)? {
+            let Some(runs) = self.split_candidate(query, catalog, &candidate)? else {
                 continue;
             };
-            // Per-part sub-catalogs with per-part statistics: the derived
-            // catalog shares every other relation (and its cached
-            // statistics) and materializes the part's own degree norms.
-            let mut runs: Vec<(JoinQuery, Catalog, lpb_data::Relation)> = Vec::new();
-            for part in [light, heavy] {
-                if part.is_empty() {
-                    continue;
-                }
-                let part_catalog = catalog.derive_with(part.clone());
-                if self.config.prewarm_statistics {
-                    let collector = StatisticsCollector::with_norms(
-                        CollectConfig::with_max_norm(self.config.max_norm).norms,
-                    );
-                    collector.materialize_relation(&part_catalog, part.name())?;
-                }
-                let part_query = query.with_atom_relation(j, part.name())?;
-                runs.push((part_query, part_catalog, part));
+            stats.candidates += 1;
+            let j = candidate.atom;
+            let run_refs: Vec<(&JoinQuery, &Catalog)> =
+                runs.iter().map(|r| (&r.query, &r.catalog)).collect();
+
+            // --- Bound first: the full query on every part. ---
+            let full_results =
+                self.estimator
+                    .bound_subqueries_multi(&run_refs, &[(0..m).collect()], &config);
+            let mut union_bound = f64::NEG_INFINITY;
+            let mut part_output_bounds = Vec::with_capacity(runs.len());
+            for (run, results) in runs.iter().zip(&full_results) {
+                let mut scan_log2 = monolithic.scan_log2.clone();
+                scan_log2[j] = (run.relation.len().max(1) as f64).log2();
+                let (value, by_lp) = bound_or_product(&results[0], full, logical, &scan_log2);
+                stats.bounded += usize::from(by_lp);
+                stats.fallbacks += usize::from(!by_lp);
+                union_bound = log2_sum(union_bound, value);
+                part_output_bounds.push(value);
             }
-            if runs.len() < 2 {
+            // The union materializes the sum of the parts' outputs, so the
+            // candidate's cost is at least `union_bound`.
+            let to_beat = best.as_ref().map_or(monolithic_cost, |b| b.cost);
+            if union_bound >= to_beat {
+                stats.refused += 1;
                 continue;
             }
-            // One warm-started batch across parts × connected sub-joins:
-            // same LP shapes, per-part right-hand sides.
-            let run_refs: Vec<(&JoinQuery, &Catalog)> =
-                runs.iter().map(|(q, c, _)| (q, c)).collect();
-            let part_bounds = self.harvest_bounds_multi(&run_refs, logical)?;
+
+            // --- Reuse: only sub-joins through atom `j` are re-bounded. ---
+            let atom_map: Vec<Option<usize>> = (0..m).map(|a| (a != j).then_some(a)).collect();
+            let (reused, mut fresh) =
+                reusable_bounds(logical, &monolithic.subsets, &monolithic.log2, m, &atom_map);
+            fresh.retain(|&mask| mask != full);
+            let fresh_results = self.estimator.bound_subqueries_multi(
+                &run_refs,
+                &atom_lists(logical, &fresh),
+                &config,
+            );
 
             // Plan each part independently with the shared DP.
             let mut cost = f64::NEG_INFINITY;
-            let mut union_bound = f64::NEG_INFINITY;
             let mut branches = Vec::with_capacity(runs.len());
-            for ((_, _, part), bounds) in runs.into_iter().zip(&part_bounds) {
+            for ((run, results), output_bound) in
+                runs.into_iter().zip(&fresh_results).zip(part_output_bounds)
+            {
+                let mut known = reused.clone();
+                known.push((full, output_bound));
+                let bounds = fold_bounds(
+                    &run.query,
+                    &run.catalog,
+                    logical,
+                    monolithic.subsets.clone(),
+                    &known,
+                    &fresh,
+                    results,
+                )?;
                 stats.bounded += bounds.bounded;
                 stats.fallbacks += bounds.fallbacks;
-                let part_output_bound = bounds.log2.get(&full).copied();
-                let chosen = self.choose(logical, bounds);
+                let chosen = self.choose(logical, &bounds);
                 cost = cost.max(chosen.predicted);
-                union_bound = log2_sum(union_bound, part_output_bound.unwrap_or(f64::INFINITY));
                 branches.push(PartitionBranch {
-                    relation: part.into(),
+                    relation: run.relation,
                     plan: chosen.physical,
-                    log2_bound: part_output_bound,
+                    log2_bound: Some(output_bound),
                 });
             }
-            // The union materializes the sum of the parts' outputs; charge
-            // it so a partition never hides its own final materialization.
             let total_cost = cost.max(union_bound);
-            if total_cost < monolithic_cost && best.as_ref().is_none_or(|b| total_cost < b.cost) {
+            if total_cost < to_beat {
                 best = Some(PartitionedPick {
                     parts: branches.len(),
                     node: PhysicalNode::PartitionedUnion {
@@ -1460,56 +1508,134 @@ struct PartitionedPick {
     parts: usize,
 }
 
-/// Bound-work accounting for the partitioned search (across every candidate
+/// An atom the partition search may split, with the skewed simple
+/// conditional `(v | u)` of its relation to split on.
+struct SkewCandidate {
+    atom: usize,
+    v: Vec<String>,
+    u: Vec<String>,
+}
+
+/// One part of a split candidate posed as a planning run: the query with
+/// the split atom rebound to the part, the per-part sub-catalog, and the
+/// part itself.
+struct PartRun {
+    query: JoinQuery,
+    catalog: Catalog,
+    relation: Arc<Relation>,
+}
+
+/// Work accounting for the partitioned search (across every candidate
 /// tried, picked or not).
 #[derive(Debug, Default)]
 struct PartitionSearchStats {
+    candidates: usize,
+    refused: usize,
     bounded: usize,
     fallbacks: usize,
 }
 
-/// Fold one batch's per-subset results into the DP's [`Bounds`] table:
-/// singletons cost their scan size; a multi-atom subset whose bound attempt
-/// failed (or came back unbounded) costs the pessimistic per-atom product.
-/// `multi` lists the masks `results` is positionally aligned with.
+/// The multi-atom masks among `subsets` — the sub-joins an LP bounds
+/// (singletons cost their scan size).
+fn multi_atom(subsets: &[u64]) -> Vec<u64> {
+    subsets
+        .iter()
+        .copied()
+        .filter(|s| s.count_ones() >= 2)
+        .collect()
+}
+
+/// The atom list of every mask, in the form the batch estimator takes.
+fn atom_lists(logical: &LogicalPlan, masks: &[u64]) -> Vec<Vec<usize>> {
+    masks
+        .iter()
+        .map(|&mask| logical.atoms_of(mask).collect())
+        .collect()
+}
+
+/// Split the connected multi-atom `subsets` of a re-posed query into the
+/// entries a prior bound table already proved and the masks to bound
+/// afresh.  `atom_map[j]` is atom `j`'s index in the prior query, `None`
+/// for an atom whose relation (hence statistics) changed.  A subset whose
+/// atoms all map kept its atoms, relations and shared variables, so the
+/// sub-join — and its LP — is literally the one the prior table bounded,
+/// and its entry is copied through a mask remap.  Both incremental
+/// planners go through here: [`Optimizer::plan_delta`] (observed
+/// intermediates spliced in) and the partition search (one atom rebound to
+/// a degree part).
+fn reusable_bounds(
+    logical: &LogicalPlan,
+    subsets: &[u64],
+    prior_log2: &HashMap<u64, f64>,
+    prior_atoms: usize,
+    atom_map: &[Option<usize>],
+) -> (Vec<(u64, f64)>, Vec<u64>) {
+    let mut reused = Vec::new();
+    let mut fresh = Vec::new();
+    for mask in multi_atom(subsets) {
+        let remapped = logical
+            .atoms_of(mask)
+            .try_fold(0u64, |acc, j| match atom_map[j] {
+                Some(old) if old < prior_atoms => Some(acc | (1u64 << old)),
+                _ => None,
+            });
+        match remapped.and_then(|old_mask| prior_log2.get(&old_mask)) {
+            Some(&v) => reused.push((mask, v)),
+            None => fresh.push(mask),
+        }
+    }
+    (reused, fresh)
+}
+
+/// The value a bound attempt contributes to the DP table, and whether the
+/// LP produced it: the `log₂` bound, or — when the attempt failed or came
+/// back unbounded — the pessimistic per-atom product of `mask`'s scans.
+fn bound_or_product(
+    result: &Result<BoundResult, CoreError>,
+    mask: u64,
+    logical: &LogicalPlan,
+    scan_log2: &[f64],
+) -> (f64, bool) {
+    match result {
+        Ok(b) if b.is_bounded() => (b.log2_bound, true),
+        _ => (logical.atoms_of(mask).map(|j| scan_log2[j]).sum(), false),
+    }
+}
+
+/// Assemble the DP's [`Bounds`] table over `subsets`: singletons cost their
+/// scan size, `reused` entries are taken as given, and `results[i]` bounds
+/// the multi-atom mask `fresh[i]` (see [`bound_or_product`] for failures).
 fn fold_bounds(
     query: &JoinQuery,
     catalog: &Catalog,
     logical: &LogicalPlan,
-    multi: &[u64],
-    subsets: &[u64],
+    subsets: Vec<u64>,
+    reused: &[(u64, f64)],
+    fresh: &[u64],
     results: &[Result<BoundResult, CoreError>],
 ) -> Result<Bounds, ExecError> {
     let m = logical.n_atoms();
     let mut scan_log2 = Vec::with_capacity(m);
-    let mut log2: HashMap<u64, f64> = HashMap::new();
+    let mut log2: HashMap<u64, f64> = reused.iter().copied().collect();
     for j in 0..m {
         let size = catalog.get(&query.atoms()[j].relation)?.len();
         let s = (size.max(1) as f64).log2();
         scan_log2.push(s);
         log2.insert(1u64 << j, s);
     }
+    debug_assert_eq!(fresh.len(), results.len());
     let mut bounded = 0usize;
-    let mut fallbacks = 0usize;
-    for (i, &mask) in multi.iter().enumerate() {
-        let value = match &results[i] {
-            Ok(b) if b.is_bounded() => {
-                bounded += 1;
-                b.log2_bound
-            }
-            _ => {
-                fallbacks += 1;
-                logical.atoms_of(mask).map(|j| scan_log2[j]).sum()
-            }
-        };
+    for (&mask, result) in fresh.iter().zip(results) {
+        let (value, by_lp) = bound_or_product(result, mask, logical, &scan_log2);
+        bounded += usize::from(by_lp);
         log2.insert(mask, value);
     }
     Ok(Bounds {
         log2,
         scan_log2,
-        subsets: subsets.to_vec(),
+        subsets,
         bounded,
-        fallbacks,
+        fallbacks: fresh.len() - bounded,
     })
 }
 
@@ -1756,6 +1882,184 @@ mod tests {
         assert_eq!(off.parts_planned, 0);
         assert_ne!(off.strategy(), "partitioned");
         assert_eq!(off.partition_subqueries_bounded, 0);
+    }
+
+    impl Optimizer {
+        /// The partition search before it became bound-first and
+        /// incremental: a full bound table over **every** connected
+        /// sub-join of every part of every candidate, the union bound
+        /// formed last.  Kept as the reference the incremental
+        /// [`Optimizer::partitioned_plan`] must agree with.
+        fn partitioned_plan_exhaustive(
+            &self,
+            query: &JoinQuery,
+            catalog: &Catalog,
+            logical: &LogicalPlan,
+            monolithic_cost: f64,
+        ) -> Option<PartitionedPick> {
+            let full: u64 = (1u64 << query.n_atoms()) - 1;
+            let mut best: Option<PartitionedPick> = None;
+            for candidate in self.skew_candidates(query, catalog).unwrap() {
+                let Some(runs) = self.split_candidate(query, catalog, &candidate).unwrap() else {
+                    continue;
+                };
+                let mut cost = f64::NEG_INFINITY;
+                let mut union_bound = f64::NEG_INFINITY;
+                let mut branches = Vec::new();
+                for run in runs {
+                    let bounds = self
+                        .harvest_bounds(&run.query, &run.catalog, logical)
+                        .unwrap();
+                    let chosen = self.choose(logical, &bounds);
+                    cost = cost.max(chosen.predicted);
+                    union_bound = log2_sum(union_bound, bounds.log2[&full]);
+                    branches.push(PartitionBranch {
+                        relation: run.relation,
+                        plan: chosen.physical,
+                        log2_bound: Some(bounds.log2[&full]),
+                    });
+                }
+                let total_cost = cost.max(union_bound);
+                if total_cost < monolithic_cost && best.as_ref().is_none_or(|b| total_cost < b.cost)
+                {
+                    best = Some(PartitionedPick {
+                        parts: branches.len(),
+                        node: PhysicalNode::PartitionedUnion {
+                            atom: candidate.atom,
+                            parts: branches,
+                            log2_bound: Some(union_bound),
+                        },
+                        cost: total_cost,
+                    });
+                }
+            }
+            best
+        }
+    }
+
+    /// Run the incremental and the exhaustive partition search over one
+    /// monolithic bound table and assert they decide alike: same pick or no
+    /// pick, and for a pick the same split atom, part count, predicted cost
+    /// and physical plan (tree, part relations, every certificate; LP bounds
+    /// compared to 1e-9 because the two searches warm-start their solves in
+    /// different orders).  Returns whether a partition was picked.
+    fn assert_searches_agree(query: &JoinQuery, catalog: &Catalog) -> bool {
+        let optimizer = Optimizer::new();
+        let logical = LogicalPlan::of(query);
+        optimizer.prewarm(query, catalog).unwrap();
+        let bounds = optimizer.harvest_bounds(query, catalog, &logical).unwrap();
+        let cost = optimizer.choose(&logical, &bounds).predicted;
+        let mut stats = PartitionSearchStats::default();
+        let new = optimizer
+            .partitioned_plan(query, catalog, &logical, &bounds, cost, &mut stats)
+            .unwrap();
+        let old = optimizer.partitioned_plan_exhaustive(query, catalog, &logical, cost);
+        assert_eq!(
+            new.is_some(),
+            old.is_some(),
+            "{}: only one of the searches picked a partition",
+            query.name()
+        );
+        let (Some(new), Some(old)) = (new, old) else {
+            return false;
+        };
+        assert_eq!(new.parts, old.parts, "{}", query.name());
+        assert!((new.cost - old.cost).abs() < 1e-9, "{}", query.name());
+        let (
+            PhysicalNode::PartitionedUnion {
+                atom,
+                parts: new_parts,
+                ..
+            },
+            PhysicalNode::PartitionedUnion {
+                atom: old_atom,
+                parts: old_parts,
+                ..
+            },
+        ) = (&new.node, &old.node)
+        else {
+            panic!("a partitioned pick is a PartitionedUnion");
+        };
+        assert_eq!(atom, old_atom, "{}", query.name());
+        for (a, b) in new_parts.iter().zip(old_parts) {
+            assert_eq!(a.relation, b.relation, "{}", query.name());
+        }
+        let (new, old) = (
+            PhysicalPlan::from_root(new.node),
+            PhysicalPlan::from_root(old.node),
+        );
+        assert_eq!(new.describe(), old.describe(), "{}", query.name());
+        let (new_certs, old_certs) = (new.certificates(), old.certificates());
+        assert_eq!(new_certs.len(), old_certs.len(), "{}", query.name());
+        for ((what, a), (old_what, b)) in new_certs.iter().zip(&old_certs) {
+            assert_eq!(what, old_what, "{}", query.name());
+            assert!((a - b).abs() < 1e-9, "{}: {what}: {a} vs {b}", query.name());
+        }
+        true
+    }
+
+    #[test]
+    fn incremental_partition_search_matches_the_exhaustive_one_on_the_planner_workloads() {
+        let mut partitioned = Vec::new();
+        for w in lpb_datagen::planner_workloads(1) {
+            if assert_searches_agree(&w.query, &w.catalog) {
+                partitioned.push(w.name);
+            }
+        }
+        assert_eq!(partitioned, vec!["skewed-triangle", "partition-skew"]);
+    }
+
+    #[test]
+    fn incremental_partition_search_matches_the_exhaustive_one_on_the_served_shapes() {
+        let catalog = lpb_datagen::job_like_catalog(&lpb_datagen::JobLikeConfig {
+            movies: 200,
+            link_fanout: 2,
+            seed: 23,
+            ..lpb_datagen::JobLikeConfig::default()
+        });
+        for q in lpb_datagen::job_like_queries().into_iter().take(6) {
+            assert_searches_agree(&q.query, &catalog);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        /// Random skewed middle relation of a chain `R ⋈ S ⋈ T` and of a
+        /// triangle over `S` alone: whatever the searches decide, they
+        /// decide alike.
+        #[test]
+        fn incremental_partition_search_matches_the_exhaustive_one_on_skewed_pairs(
+            hubs in 1u64..4,
+            fanout in 8u64..40,
+            background in 1usize..120,
+            seed in 0u64..1_000_000,
+        ) {
+            let mut catalog = Catalog::new();
+            catalog.insert(RelationBuilder::binary_from_pairs(
+                "S", "b", "c",
+                lpb_datagen::skewed_pairs(hubs, fanout, background, seed),
+            ));
+            catalog.insert(RelationBuilder::binary_from_pairs(
+                "R", "a", "b",
+                (0..60u64).map(|i| (i, 1000 + (i * 7) % 300)),
+            ));
+            catalog.insert(RelationBuilder::binary_from_pairs(
+                "T", "c", "d",
+                (0..24u64).map(|i| (i % 12, i)),
+            ));
+            let chain = JoinQuery::new(
+                "skewed-chain",
+                vec![
+                    lpb_core::Atom::new("R", &["A", "B"]),
+                    lpb_core::Atom::new("S", &["B", "C"]),
+                    lpb_core::Atom::new("T", &["C", "D"]),
+                ],
+            )
+            .unwrap();
+            assert_searches_agree(&chain, &catalog);
+            assert_searches_agree(&JoinQuery::triangle("S", "S", "S"), &catalog);
+        }
     }
 
     #[test]

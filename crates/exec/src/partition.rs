@@ -80,15 +80,6 @@ pub fn partition_by_degree(
         degree_of.insert(key, vals.len() as u64);
     }
 
-    // Bucket index of a degree d ≥ 1: ⌈log₂ d⌉ with bucket 1 for d ∈ {1, 2}.
-    let bucket_of = |d: u64| -> u32 {
-        let mut b = 1u32;
-        while (1u64 << b) < d {
-            b += 1;
-        }
-        b
-    };
-
     // Distribute rows into buckets.
     let mut rows_per_bucket: HashMap<u32, Vec<Vec<u64>>> = HashMap::new();
     for row in 0..rel.len() {
@@ -202,49 +193,78 @@ pub fn partition_for_statistic(
     Ok(parts)
 }
 
+/// Bucket index of a degree `d ≥ 1`: `⌈log₂ d⌉`, with bucket 1 for
+/// `d ∈ {1, 2}`.
+fn bucket_of(d: u64) -> u32 {
+    let mut b = 1u32;
+    while (1u64 << b) < d {
+        b += 1;
+    }
+    b
+}
+
 /// Coarsen the degree buckets of `(V | U)` into a two-way **light/heavy**
-/// split: bucket the `U`-values by degree ([`partition_by_degree`]), then
-/// merge every bucket whose maximum degree is at most the geometric mean of
-/// the extreme bucket maxima into the *light* part and the rest into the
-/// *heavy* part.  Returns `None` when the relation has fewer than two
-/// degree buckets (no skew worth splitting).
+/// split: bucket the `U`-values by degree (the buckets of
+/// [`partition_by_degree`]), then merge every bucket whose maximum degree
+/// is at most the geometric mean of the extreme bucket maxima into the
+/// *light* part and the rest into the *heavy* part.  Returns `None` when
+/// the relation has fewer than two degree buckets (no skew worth
+/// splitting).
 ///
 /// The parts are named `{rel}#light` / `{rel}#heavy`, keep the input
-/// schema, and partition the input tuples (disjoint and complete) — the
-/// shape [`crate::Optimizer`] feeds per-part planning and the
+/// schema, hold their rows sorted and deduplicated like any built relation,
+/// and partition the input tuples (disjoint and complete) — the shape
+/// [`crate::Optimizer`] feeds per-part planning and the
 /// [`crate::PhysicalNode::PartitionedUnion`] executor.
+///
+/// This runs once per partition candidate inside planning, so it takes one
+/// [`Relation::row_degrees`] pass and gathers the two parts' columns
+/// directly instead of materializing the buckets.
 pub fn split_light_heavy(
     rel: &Relation,
     v: &[&str],
     u: &[&str],
 ) -> Result<Option<(Relation, Relation)>, ExecError> {
-    let parts = partition_by_degree(rel, v, u)?;
-    if parts.len() < 2 {
+    let degrees = rel.row_degrees(v, u)?;
+    // Maximum degree per bucket; every row of a `U`-value shares its degree,
+    // so this is the `max_degree` of the bucket's `DegreePart`.
+    let mut bucket_max = [0u64; 65];
+    for &d in &degrees {
+        let slot = &mut bucket_max[bucket_of(d) as usize];
+        *slot = (*slot).max(d);
+    }
+    let log_deg: Vec<f64> = bucket_max
+        .iter()
+        .filter(|&&d| d > 0)
+        .map(|&d| (d as f64).log2())
+        .collect();
+    if log_deg.len() < 2 {
         return Ok(None);
     }
-    let log_deg = |p: &DegreePart| (p.max_degree.max(1) as f64).log2();
-    let dmin = parts.iter().map(&log_deg).fold(f64::INFINITY, f64::min);
-    let dmax = parts.iter().map(&log_deg).fold(f64::NEG_INFINITY, f64::max);
-    if dmax <= dmin {
-        return Ok(None);
-    }
-    let tau = (dmin + dmax) / 2.0;
-    let attrs: Vec<String> = rel.schema().attrs().to_vec();
-    let merge = |label: &str, keep: &dyn Fn(&DegreePart) -> bool| -> Relation {
-        let mut builder =
-            lpb_data::RelationBuilder::new(format!("{}#{label}", rel.name()), attrs.clone())
-                .expect("schema attribute names are valid");
-        for part in parts.iter().filter(|p| keep(p)) {
-            for row in part.relation.rows() {
-                builder.push_codes(&row).expect("row arity matches schema");
-            }
-        }
-        builder.build()
+    // Bucket maxima grow with the bucket index, so the extremes are the
+    // first and last non-empty buckets and differ.
+    let tau = (log_deg[0] + log_deg[log_deg.len() - 1]) / 2.0;
+    let light_bucket = bucket_max.map(|d| (d as f64).log2() <= tau);
+    let is_light = |row: usize| light_bucket[bucket_of(degrees[row]) as usize];
+
+    let (light_rows, heavy_rows): (Vec<usize>, Vec<usize>) = rel
+        .distinct_row_order()
+        .into_iter()
+        .partition(|&row| is_light(row));
+    let gather = |label: &str, rows: &[usize]| -> Result<Relation, ExecError> {
+        let columns = (0..rel.arity())
+            .map(|c| rows.iter().map(|&r| rel.value(r, c)).collect())
+            .collect();
+        Ok(Relation::from_columns(
+            format!("{}#{label}", rel.name()),
+            rel.schema().clone(),
+            columns,
+        )?)
     };
-    let light = merge("light", &|p| log_deg(p) <= tau);
-    let heavy = merge("heavy", &|p| log_deg(p) > tau);
-    debug_assert_eq!(light.len() + heavy.len(), rel.len());
-    Ok(Some((light, heavy)))
+    Ok(Some((
+        gather("light", &light_rows)?,
+        gather("heavy", &heavy_rows)?,
+    )))
 }
 
 #[cfg(test)]
@@ -374,6 +394,85 @@ mod tests {
             heavy.degree_sequence(&["x"], &["y"]).unwrap().max_degree(),
             16
         );
+    }
+
+    /// The split as it was first written — merge the materialized
+    /// [`partition_by_degree`] buckets through the builder — kept as the
+    /// reference the one-pass gather must reproduce exactly.
+    fn split_by_merging_buckets(
+        rel: &Relation,
+        v: &[&str],
+        u: &[&str],
+    ) -> Option<(Relation, Relation)> {
+        let parts = partition_by_degree(rel, v, u).unwrap();
+        if parts.len() < 2 {
+            return None;
+        }
+        let log_deg = |p: &DegreePart| (p.max_degree.max(1) as f64).log2();
+        let dmin = parts.iter().map(log_deg).fold(f64::INFINITY, f64::min);
+        let dmax = parts.iter().map(log_deg).fold(f64::NEG_INFINITY, f64::max);
+        let tau = (dmin + dmax) / 2.0;
+        let merge = |label: &str, light: bool| -> Relation {
+            let mut builder = RelationBuilder::new(
+                format!("{}#{label}", rel.name()),
+                rel.schema().attrs().to_vec(),
+            )
+            .unwrap();
+            for part in parts.iter().filter(|p| (log_deg(p) <= tau) == light) {
+                for row in part.relation.rows() {
+                    builder.push_codes(&row).unwrap();
+                }
+            }
+            builder.build()
+        };
+        Some((merge("light", true), merge("heavy", false)))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Same rows, same order, same names as the bucket-merging
+        /// reference, in both directions of a skewed binary relation, on a
+        /// raw (unsorted, duplicate-bearing) copy of it, and on a ternary
+        /// relation split on one attribute.
+        #[test]
+        fn one_pass_split_equals_the_bucket_merging_reference(
+            hubs in 0u64..4,
+            fanout in 1u64..40,
+            background in 0usize..120,
+            seed in 0u64..1_000_000,
+        ) {
+            let pairs = lpb_datagen::skewed_pairs(hubs, fanout, background, seed);
+            let built = RelationBuilder::binary_from_pairs("R", "x", "y", pairs.clone());
+            // Storage order reversed and every row twice.
+            let raw = Relation::from_columns(
+                "R",
+                built.schema().clone(),
+                (0..2)
+                    .map(|c| {
+                        pairs.iter().rev().chain(pairs.iter()).map(|p| [p.0, p.1][c]).collect()
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let mut ternary = RelationBuilder::new("T", ["x", "y", "z"]).unwrap();
+            for &(x, y) in &pairs {
+                ternary.push_codes(&[x, y, (x + y) % 3]).unwrap();
+            }
+            let ternary = ternary.build();
+            for (rel, v, u) in [
+                (&built, &["x"][..], &["y"][..]),
+                (&built, &["y"][..], &["x"][..]),
+                (&raw, &["x"][..], &["y"][..]),
+                (&ternary, &["x", "z"][..], &["y"][..]),
+                (&ternary, &["y"][..], &["x", "z"][..]),
+            ] {
+                proptest::prop_assert_eq!(
+                    split_light_heavy(rel, v, u).unwrap(),
+                    split_by_merging_buckets(rel, v, u)
+                );
+            }
+        }
     }
 
     #[test]

@@ -400,10 +400,12 @@ impl PhysicalPlan {
 
 /// The union of a [`PhysicalNode::PartitionedUnion`] is exact only because
 /// the parts partition the original relation's tuples; a shared row would
-/// double-count its output tuples.  The O(rows) scan is debug-only, like
-/// the per-step certificate asserts — release executions trust the
-/// planner's split (which debug-asserts the same property when the parts
-/// are built).
+/// double-count its output tuples.  The O(rows) scan is debug-only
+/// (`#[cfg(debug_assertions)]`), like the per-step certificate asserts —
+/// release executions trust the planner's split, whose parts are disjoint
+/// by construction ([`crate::split_light_heavy`] routes each distinct row
+/// to exactly one part).  The test that feeds it overlapping parts is
+/// therefore compiled for debug builds only.
 #[allow(unused_variables)]
 pub(crate) fn assert_parts_disjoint(atom: usize, parts: &[PartitionBranch]) {
     #[cfg(debug_assertions)]
@@ -709,6 +711,9 @@ mod tests {
             .any(|s| s.label.starts_with("[E#light]")));
     }
 
+    // Relies on the debug-only scan in `assert_parts_disjoint`: under
+    // `cargo test --release` nothing panics, so the test does not exist.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "not disjoint")]
     fn overlapping_partition_parts_are_rejected() {

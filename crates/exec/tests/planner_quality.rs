@@ -194,6 +194,139 @@ fn partitioned_plan_beats_the_best_monolithic_plan_on_partition_skew() {
     );
 }
 
+/// The partition search pays per candidate for the sub-joins through the
+/// split atom only.  A 6-atom chain around partition-skew's `S` — key
+/// relations (one row per join value) extend both ends, so the partition
+/// still wins exactly as on the 3-atom chain — has 15 connected multi-atom
+/// sub-joins, 11 of them through `S`: with one candidate the search solves
+/// `parts × 11` LPs (full query first, the other ten after the bound-first
+/// test), not `parts × 15`.
+#[test]
+fn partition_search_bounds_only_subjoins_through_the_split_atom() {
+    let w = partition_skew_workload(1);
+    let mut catalog = Catalog::new();
+    for name in ["R", "S", "T"] {
+        catalog.insert((*w.catalog.get(name).unwrap()).clone());
+    }
+    let keys = |rel: &str, attr: &str| -> Vec<u64> {
+        let rel = catalog.get(rel).unwrap();
+        let pos = rel.schema().positions([attr]).unwrap()[0];
+        let mut values = rel.column(pos).to_vec();
+        values.sort_unstable();
+        values.dedup();
+        values
+    };
+    let (a_keys, d_keys) = (keys("R", "a"), keys("T", "d"));
+    let key_relation = |name: &str, from: &str, to: &str, keys: &[u64]| {
+        RelationBuilder::binary_from_pairs(name, from, to, keys.iter().map(|&k| (k, k)))
+    };
+    catalog.insert(key_relation("P", "p", "a", &a_keys));
+    catalog.insert(key_relation("U", "d", "e", &d_keys));
+    catalog.insert(key_relation("W", "e", "f", &d_keys));
+    let query = JoinQuery::new(
+        "partition-skew-6",
+        vec![
+            Atom::new("P", &["Z", "A"]),
+            Atom::new("R", &["A", "B"]),
+            Atom::new("S", &["B", "C"]),
+            Atom::new("T", &["C", "D"]),
+            Atom::new("U", &["D", "E"]),
+            Atom::new("W", &["E", "F"]),
+        ],
+    )
+    .unwrap();
+    let split_atom = 2;
+    let through_split = LogicalPlan::of(&query)
+        .connected_subsets()
+        .into_iter()
+        .filter(|s| s.count_ones() >= 2 && s & (1 << split_atom) != 0)
+        .count();
+    assert_eq!(through_split, 11);
+
+    let plan = Optimizer::new()
+        .with_config(PlannerConfig {
+            max_partition_candidates: 1,
+            ..PlannerConfig::default()
+        })
+        .plan(&query, &catalog)
+        .unwrap();
+    assert_eq!(
+        plan.strategy(),
+        "partitioned",
+        "{}",
+        plan.physical.describe()
+    );
+    assert_eq!(plan.parts_planned, 2);
+    assert_eq!(plan.subqueries_bounded, 15);
+    assert_eq!(plan.partition_candidates, 1);
+    assert_eq!(plan.partition_candidates_refused, 0);
+    assert_eq!(plan.partition_bound_fallbacks, 0);
+    assert_eq!(
+        plan.partition_subqueries_bounded,
+        plan.parts_planned * through_split
+    );
+    let run = exec(&query, &catalog, &plan.physical);
+    assert_eq!(run.certificate_violations(), 0);
+    assert_eq!(
+        run.output_size() as u128,
+        true_cardinality(&query, &catalog).unwrap()
+    );
+}
+
+/// `large-mixed-12` has two skew candidates and neither can win: the sum of
+/// the parts' full-query bounds alone exceeds the monolithic bottleneck.
+/// The bound-first test refuses both after two LPs each, where the search
+/// used to bound 220 sub-joins per part first.
+#[test]
+fn hopeless_partition_candidates_are_refused_after_one_lp_per_part() {
+    let w = planner_workloads(1)
+        .into_iter()
+        .find(|w| w.name == "large-mixed-12")
+        .unwrap();
+    let plan = Optimizer::new().plan(&w.query, &w.catalog).unwrap();
+    assert_eq!(plan.parts_planned, 0);
+    assert_eq!(plan.partition_candidates, 2);
+    assert_eq!(plan.partition_candidates_refused, 2);
+    assert_eq!(plan.partition_subqueries_bounded, 4);
+    assert_eq!(plan.partition_bound_fallbacks, 0);
+    assert_eq!(plan.subqueries_bounded, 220);
+    assert_eq!(
+        plan.predicted_log2_cost,
+        plan.monolithic_predicted_log2_cost
+    );
+}
+
+/// Planning is a function of its input: fresh optimizers plan
+/// `large-mixed-12` — 220 sub-join LPs over ten variable counts, two cones
+/// and dozens of grown warm starts — to the same tree and the same predicted
+/// cost bit for bit, from the same number of cold and warm solves, whether
+/// the batch runs on the calling thread or on one lane per core.  (Hash-order
+/// ties among grow candidates and a thread race on the warm cache used to
+/// make this one of several outcomes, at 1.5x different cost.)
+#[test]
+fn cold_plans_of_one_query_are_identical() {
+    let w = planner_workloads(1)
+        .into_iter()
+        .find(|w| w.name == "large-mixed-12")
+        .unwrap();
+    let outcome = |optimizer: Optimizer| {
+        let plan = optimizer.plan(&w.query, &w.catalog).unwrap();
+        (
+            plan.physical.describe(),
+            plan.predicted_log2_cost.to_bits(),
+            plan.monolithic_predicted_log2_cost.to_bits(),
+            optimizer.estimator().shape_cache_misses(),
+            optimizer.estimator().shape_cache_hits(),
+        )
+    };
+    let reference = outcome(Optimizer::new());
+    assert_eq!(outcome(Optimizer::new()), reference);
+    for _ in 0..2 {
+        let parallel = Optimizer::new().with_estimator(BatchEstimator::new());
+        assert_eq!(outcome(parallel), reference);
+    }
+}
+
 /// With bushy splits disabled the planner must still work (and report the
 /// same left-deep order it would otherwise compare against).
 #[test]

@@ -4,12 +4,14 @@
 //! small slice of the rayon API the workspace uses — `par_iter()` /
 //! `into_par_iter()` on slices and vectors followed by `map(...).collect()`
 //! — on top of `std::thread::scope`. Items are split into one contiguous
-//! chunk per available core; `collect` preserves input order.
+//! chunk per available core, the first of which runs on the calling thread;
+//! `collect` preserves input order.
 //!
 //! It is a real data-parallel implementation (not a sequential fake), so
 //! `lpb-core`'s `BatchEstimator` genuinely fans out across cores, but it
-//! makes no attempt at rayon's work stealing: chunks are static. That is a
-//! good fit for batch bound computation, where items have similar cost.
+//! makes no attempt at rayon's work stealing: chunks are static. Callers
+//! whose items differ in cost balance them beforehand (`BatchEstimator`
+//! hands over one pre-weighed lane per thread, see [`current_num_threads`]).
 //!
 //! Beyond the iterator surface, the shim also provides [`join`] and
 //! [`scope`] — the structured fork/join primitives the morsel-driven
@@ -76,11 +78,16 @@ where
     std::thread::scope(|inner| op(&Scope { inner }))
 }
 
-fn worker_count(items: usize) -> usize {
-    let cores = std::thread::available_parallelism()
+/// How many threads a parallel iterator fans out over: one per available
+/// core (rayon's default pool size).
+pub fn current_num_threads() -> usize {
+    std::thread::available_parallelism()
         .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    cores.min(items).max(1)
+        .unwrap_or(1)
+}
+
+fn worker_count(items: usize) -> usize {
+    current_num_threads().min(items).max(1)
 }
 
 /// Run `f` over `items` with one thread per chunk, preserving order.
@@ -98,14 +105,22 @@ where
     }
     let chunk = n.div_ceil(workers);
     let f = &f;
+    let mut chunks = items.chunks(chunk);
+    let first = chunks.next().expect("at least one item");
     let mut parts: Vec<Vec<O>> = Vec::with_capacity(workers);
+    // The caller's thread takes the first chunk itself instead of idling in
+    // `join`: one spawn fewer per call, and on a two-core machine the single
+    // spawned worker lands on the other core.
     std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
+        let handles: Vec<_> = chunks
             .map(|slice| scope.spawn(move || slice.iter().map(f).collect::<Vec<O>>()))
             .collect();
+        parts.push(first.iter().map(f).collect());
         for h in handles {
-            parts.push(h.join().expect("parallel map worker panicked"));
+            match h.join() {
+                Ok(part) => parts.push(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
         }
     });
     parts.into_iter().flatten().collect()
@@ -185,6 +200,19 @@ mod tests {
         let input: Vec<u64> = (0..1000).collect();
         let out: Vec<u64> = input.par_iter().map(|x| x * 2).collect();
         assert_eq!(out, (0..1000).map(|x| x * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn the_first_chunk_runs_on_the_calling_thread() {
+        let input: Vec<u64> = (0..64).collect();
+        let ran_on: Vec<std::thread::ThreadId> = input
+            .par_iter()
+            .map(|_| std::thread::current().id())
+            .collect();
+        let chunk = input.len().div_ceil(super::current_num_threads());
+        let caller = std::thread::current().id();
+        assert!(ran_on[..chunk].iter().all(|&id| id == caller));
+        assert!(ran_on[chunk..].iter().all(|&id| id != caller));
     }
 
     #[test]

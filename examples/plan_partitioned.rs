@@ -25,7 +25,7 @@ fn main() -> Result<(), ExecError> {
     println!("query:    {}", w.query);
 
     // 1. Plan.  The optimizer detects the skewed conditional, splits S
-    //    light/heavy, bounds parts × sub-joins in one warm-started batch,
+    //    light/heavy, bounds the sub-joins through S once per part,
     //    runs the bottleneck DP per part, and picks the partitioned plan
     //    because the LP bounds alone prove it smaller.
     let optimizer = Optimizer::new();
