@@ -21,9 +21,12 @@
 //!
 //! plus a **lazy constraint-generation** scaling table (cold polymatroid
 //! bounds at n = 9..12, with pivot / rows-generated work counters and an
-//! independent cross-check per size), a Devex-vs-Dantzig pricing
-//! head-to-head on the largest materialized LP, and a
-//! sequential-vs-parallel `BatchEstimator` run over a mixed batch.
+//! independent cross-check per size), a **normal-cone** table (the
+//! column-generated bound at n = 3..15 on the statistics of the first
+//! table, with generation rounds and master width, against the fully
+//! enumerated `2^n − 1`-column LP up to n = 12), a Devex-vs-Dantzig pricing
+//! head-to-head on the largest materialized LP, and a cold / warm /
+//! warm-in-lanes `BatchEstimator` run over a mixed batch.
 //!
 //! Passing `--smoke` (the CI mode: `cargo bench --bench lp_scaling --
 //! --smoke`) runs the same code over the two smallest sizes with the same
@@ -332,6 +335,101 @@ fn lazy_scaling_table(c: &mut Criterion, smoke: bool) -> Vec<LazyRow> {
     rows
 }
 
+struct NormalRow {
+    n_vars: usize,
+    n_stats: usize,
+    normal_us: f64,
+    rounds: u64,
+    columns: u64,
+    /// `None` past the sizes the enumerated LP is still built at.
+    full_enumeration_us: Option<f64>,
+}
+
+/// Largest `n` at which the in-bench oracle still enumerates all `2^n − 1`
+/// columns (4 095 × ~190 rows at 12; the next sizes double it each for a
+/// number that is only there for contrast).
+const FULL_ENUMERATION_LIMIT: usize = 12;
+
+/// The normal-cone LP with every step-function column written out — the
+/// way it was solved before columns were generated, and this table's
+/// oracle.  `h_W(U) = [W∩U ≠ ∅]`, so a statistic `((V|U), p)` prices column
+/// `W` at `1/p`, `1` or `0`.
+fn full_normal_problem(n: usize, stats: &StatisticsSet) -> Problem {
+    let n_subsets = (1usize << n) - 1;
+    let mut p = Problem::maximize(n_subsets);
+    for j in 0..n_subsets {
+        p.set_objective(j, 1.0);
+    }
+    for s in stats.iter() {
+        let (u, v) = (s.stat.conditional.u, s.stat.conditional.v);
+        let inv_p = s.stat.norm.reciprocal();
+        let coeffs: Vec<(usize, f64)> = (1..=n_subsets as u32)
+            .filter_map(|mask| {
+                let w = VarSet(mask);
+                let c = if !w.intersect(u).is_empty() {
+                    inv_p
+                } else if !w.intersect(v).is_empty() {
+                    1.0
+                } else {
+                    0.0
+                };
+                (c != 0.0).then_some((mask as usize - 1, c))
+            })
+            .collect();
+        p.add_constraint(&coeffs, Sense::Le, s.log_bound);
+    }
+    p
+}
+
+/// The column-generated normal-cone bound on path queries of 3..15
+/// variables, on the statistics of [`comparison_table`] (norm budget 6), so
+/// that its n = 3..8 rows read against `sparse_skeleton_us` there: the
+/// normal-cone column the cone crossover (`POLYMATROID_AUTO_PREFERRED`) is
+/// to be re-derived from.  `rounds` and `columns` are work: master solves,
+/// and the width of the last master (seed + generated) against the
+/// `2^n − 1` columns of the enumerated LP.
+fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
+    let catalog = catalog();
+    let ns: Vec<usize> = if smoke {
+        vec![3, 8, 15]
+    } else {
+        (3..=15).collect()
+    };
+    let mut rows = Vec::new();
+    for n in ns {
+        let q = JoinQuery::path(&vec!["E"; n - 1]);
+        assert_eq!(q.n_vars(), n);
+        let stats =
+            collect_simple_statistics(&q, &catalog, &CollectConfig::with_max_norm(6)).unwrap();
+        let (bound, work) =
+            SolverStats::on_thread(|| compute_bound(&q, &stats, Cone::Normal).unwrap());
+        let full_enumeration_us = (n <= FULL_ENUMERATION_LIMIT).then(|| {
+            let reference = full_normal_problem(n, &stats).solve().expect("oracle");
+            assert!(
+                (reference.objective - bound.log2_bound).abs() <= 1e-6,
+                "n={n}: generated {} vs enumerated {}",
+                bound.log2_bound,
+                reference.objective
+            );
+            median_us(|| {
+                full_normal_problem(n, &stats).solve().expect("oracle");
+            })
+        });
+        let normal_us = median_us(|| {
+            compute_bound(&q, &stats, Cone::Normal).unwrap();
+        });
+        rows.push(NormalRow {
+            n_vars: n,
+            n_stats: stats.len(),
+            normal_us,
+            rounds: work.generation_rounds,
+            columns: work.columns_generated + n as u64 + 1,
+            full_enumeration_us,
+        });
+    }
+    rows
+}
+
 struct PricingRow {
     n_vars: usize,
     devex_us: f64,
@@ -380,9 +478,14 @@ fn pricing_comparison() -> PricingRow {
 
 struct BatchTiming {
     items: usize,
+    /// One thread, every item solved cold.
     sequential_ms: f64,
-    parallel_ms: f64,
+    /// One thread, per-shape dual warm starts (the default estimator on
+    /// one lane).
     dual_warm_ms: f64,
+    /// Warm starts again, the batch split into lanes: against
+    /// `dual_warm_ms` this measures the lanes and nothing else.
+    parallel_ms: f64,
 }
 
 fn batch_comparison(smoke: bool) -> BatchTiming {
@@ -408,23 +511,24 @@ fn batch_comparison(smoke: bool) -> BatchTiming {
     let sequential_ms = median_us(|| {
         sequential.estimate(&items);
     }) / 1e3;
-    let parallel_ms = median_us(|| {
-        parallel.estimate(&items);
-    }) / 1e3;
     let dual_warm_ms = median_us(|| {
         dual_warm.estimate(&items);
+    }) / 1e3;
+    let parallel_ms = median_us(|| {
+        parallel.estimate(&items);
     }) / 1e3;
     BatchTiming {
         items: items.len(),
         sequential_ms,
-        parallel_ms,
         dual_warm_ms,
+        parallel_ms,
     }
 }
 
 fn write_bench_json(
     rows: &[ComparisonRow],
     lazy_rows: &[LazyRow],
+    normal_rows: &[NormalRow],
     pricing: &PricingRow,
     batch: &BatchTiming,
     smoke: bool,
@@ -468,6 +572,23 @@ fn write_bench_json(
             if i + 1 == lazy_rows.len() { "" } else { "," }
         ));
     }
+    out.push_str("  ],\n  \"normal_rows\": [\n");
+    for (i, r) in normal_rows.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"n_vars\": {}, \"n_stats\": {}, \"normal_us\": {:.1}, \
+             \"rounds\": {}, \"columns\": {}, \"full_columns\": {}, \
+             \"full_enumeration_us\": {}}}{}\n",
+            r.n_vars,
+            r.n_stats,
+            r.normal_us,
+            r.rounds,
+            r.columns,
+            (1u64 << r.n_vars) - 1,
+            r.full_enumeration_us
+                .map_or("null".to_string(), |us| format!("{us:.1}")),
+            if i + 1 == normal_rows.len() { "" } else { "," }
+        ));
+    }
     out.push_str("  ],\n");
     out.push_str(&format!(
         "  \"pricing\": {{\"n_vars\": {}, \"devex_us\": {:.1}, \"dantzig_us\": {:.1}, \
@@ -479,18 +600,25 @@ fn write_bench_json(
         pricing.dantzig_pivots,
         pricing.dantzig_pivots as f64 / pricing.devex_pivots.max(1) as f64
     ));
+    // `parallel_ms` runs warm starts too, so it reads against `dual_warm_ms`
+    // — and on one worker there are no lanes to measure at all.
     let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let parallel_speedup = if workers > 1 {
+        format!("{:.2}", batch.dual_warm_ms / batch.parallel_ms)
+    } else {
+        "null".to_string()
+    };
     out.push_str(&format!(
         "  \"batch\": {{\"items\": {}, \"workers\": {}, \"sequential_ms\": {:.2}, \
-         \"parallel_ms\": {:.2}, \"dual_warm_ms\": {:.2}, \
-         \"parallel_speedup\": {:.2}, \"dual_warm_speedup\": {:.2}}}\n}}\n",
+         \"dual_warm_ms\": {:.2}, \"parallel_ms\": {:.2}, \
+         \"dual_warm_speedup\": {:.2}, \"parallel_speedup\": {}}}\n}}\n",
         batch.items,
         workers,
         batch.sequential_ms,
-        batch.parallel_ms,
         batch.dual_warm_ms,
-        batch.sequential_ms / batch.parallel_ms,
-        batch.sequential_ms / batch.dual_warm_ms
+        batch.parallel_ms,
+        batch.sequential_ms / batch.dual_warm_ms,
+        parallel_speedup
     ));
     // Smoke runs exercise the emitter end-to-end but must not overwrite the
     // committed trajectory file with reduced-size numbers.
@@ -546,9 +674,10 @@ fn bench(c: &mut Criterion) {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let rows = comparison_table(c, smoke);
     let lazy_rows = lazy_scaling_table(c, smoke);
+    let normal_rows = normal_scaling_table(smoke);
     let pricing = pricing_comparison();
     let batch = batch_comparison(smoke);
-    write_bench_json(&rows, &lazy_rows, &pricing, &batch, smoke);
+    write_bench_json(&rows, &lazy_rows, &normal_rows, &pricing, &batch, smoke);
     if !smoke {
         bench_norm_budget(c);
     }

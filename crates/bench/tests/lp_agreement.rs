@@ -1,6 +1,6 @@
 //! The LP test battery: regression and property tests locking down the
-//! sparse solver, the cached skeletons (Shannon shared tail + normal-cone
-//! step blocks) and the dual-simplex warm-start path, over the e1–e8
+//! sparse solver, the cached Shannon skeleton, the column-generated
+//! normal-cone bound and the dual-simplex warm-start path, over the e1–e8
 //! experiment query shapes and random LP corpora.
 //!
 //! Invariants:
@@ -10,8 +10,11 @@
 //! 2. a second solve through the globally cached Shannon skeleton (and the
 //!    `BatchEstimator`'s warm-started path) equals the from-scratch bound;
 //! 3. the witness stays a valid dual: `Σ wᵢ·bᵢ == log₂ bound`;
-//! 4. the normal-cone skeleton path is **bit-for-bit** identical to the
-//!    direct per-column step-function enumeration it replaced;
+//! 4. the column-generated normal-cone bound equals the fully enumerated
+//!    `2^n − 1`-column LP ([`direct_normal_problem`], which shares no code
+//!    with it) in status and value, and its witness satisfies the witness
+//!    inequality on **every** one of that LP's columns — on the e1–e8
+//!    corpus and on random, also non-simple, statistics;
 //! 5. `Cone::Normal ≤ Cone::Polymatroid` never inverts (`Nₙ ⊆ Γₙ`);
 //! 6. dual-simplex re-solves from a `WarmHandle` after arbitrary RHS
 //!    perturbations agree with cold primal solves on status, objective and
@@ -30,7 +33,8 @@ use lpb_datagen::{
 };
 use lpb_entropy::{step_conditional, step_value};
 use lpb_lp::{
-    solve_sparse, solve_sparse_with_handle, Problem, Sense, SolverKind, SolverOptions, Status,
+    solve_sparse, solve_sparse_with_handle, Problem, Sense, SolverKind, SolverOptions, SolverStats,
+    Status,
 };
 use proptest::prelude::*;
 
@@ -187,9 +191,10 @@ fn batch_estimator_matches_single_estimates_on_experiment_queries() {
     }
 }
 
-/// Rebuild the normal-cone LP the way the seed did — one `step_value` /
-/// `step_conditional` evaluation per (column, statistic) pair — to pin the
-/// skeleton path bit-for-bit.
+/// The fully enumerated normal-cone LP, built the way the seed did — one
+/// `step_value` / `step_conditional` evaluation per (column, statistic)
+/// pair.  The oracle for the column-generated solve: it shares no code with
+/// it beyond the LP solver both hand their problems to.
 fn direct_normal_problem(n: usize, stats: &StatisticsSet) -> Problem {
     let n_subsets = (1usize << n) - 1;
     let var_of = |s: VarSet| -> usize { s.index() - 1 };
@@ -214,9 +219,41 @@ fn direct_normal_problem(n: usize, stats: &StatisticsSet) -> Problem {
     p
 }
 
-/// The normal-cone skeleton path must reproduce the direct (non-skeleton)
-/// construction bit-for-bit on the e1–e8 corpus: identical status, `log₂`
-/// bound and witness weights, compared with exact `==`.
+/// `Err` unless `weights` is a witness of `bound` on the enumerated LP
+/// `oracle`: `Σ wᵢ·bᵢ = bound` and `Σᵢ wᵢ·cᵢ(W) ≥ 1` on every column `W`
+/// (both to 1e-9), the columns read off the oracle's own rows.
+fn check_witness(oracle: &Problem, weights: &[f64], bound: f64) -> Result<(), String> {
+    let rows = oracle.constraints();
+    if weights.len() != rows.len() || weights.iter().any(|&w| w < 0.0) {
+        return Err(format!("malformed witness {weights:?}"));
+    }
+    let dual: f64 = rows.iter().zip(weights).map(|(r, w)| w * r.rhs).sum();
+    if (dual - bound).abs() > 1e-9 {
+        return Err(format!("Σ wᵢ·bᵢ = {dual} but the bound is {bound}"));
+    }
+    let mut lhs = vec![0.0; oracle.n_vars()];
+    for (row, w) in rows.iter().zip(weights) {
+        for &(j, c) in &row.coeffs {
+            lhs[j] += w * c;
+        }
+    }
+    match lhs.iter().position(|&v| v < 1.0 - 1e-9) {
+        Some(j) => Err(format!(
+            "witness inequality fails on W = {:#b}: {} < 1",
+            j + 1,
+            lhs[j]
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The column-generated normal-cone bound against the fully enumerated LP on
+/// the e1–e8 corpus: same status, same `log₂` bound, and a witness that is
+/// dual-feasible on every one of the `2^n − 1` columns.  (The name is from
+/// when a cached skeleton of that LP was compared with `==`, witness
+/// weights included; the LPs are degenerate, their optimal duals are not
+/// unique, and the generated master is a different LP — what carries over
+/// is the value and the *validity* of the witness.)
 #[test]
 fn normal_cone_skeleton_is_bit_for_bit_with_direct_construction() {
     let mut checked = 0usize;
@@ -225,22 +262,24 @@ fn normal_cone_skeleton_is_bit_for_bit_with_direct_construction() {
         if n > lpb_core::NORMAL_VAR_LIMIT {
             continue;
         }
-        let skeleton = compute_bound(query, stats, Cone::Normal)
+        let generated = compute_bound(query, stats, Cone::Normal)
             .unwrap_or_else(|e| panic!("{name}: normal solve failed: {e}"));
-        let direct_sol = direct_normal_problem(n, stats)
+        let direct = direct_normal_problem(n, stats);
+        let direct_sol = direct
             .solve()
             .unwrap_or_else(|e| panic!("{name}: direct normal solve failed: {e}"));
-        match skeleton.status {
+        match generated.status {
             lpb_core::BoundStatus::Bounded => {
                 assert_eq!(direct_sol.status, Status::Optimal, "{name}");
-                assert_eq!(
-                    skeleton.log2_bound, direct_sol.objective,
-                    "{name}: skeleton bound differs from direct construction"
+                assert!(
+                    (generated.log2_bound - direct_sol.objective).abs() <= 1e-9,
+                    "{name}: generated {} vs enumerated {}",
+                    generated.log2_bound,
+                    direct_sol.objective
                 );
-                for (i, w) in skeleton.witness.weights.iter().enumerate() {
-                    let direct_w = direct_sol.duals.get(i).copied().unwrap_or(0.0).max(0.0);
-                    assert_eq!(*w, direct_w, "{name}: witness weight {i}");
-                }
+                check_witness(&direct, &generated.witness.weights, generated.log2_bound)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+                assert_eq!(generated.primal.len(), direct.n_vars(), "{name}");
             }
             lpb_core::BoundStatus::Unbounded => {
                 assert_eq!(direct_sol.status, Status::Unbounded, "{name}");
@@ -251,14 +290,13 @@ fn normal_cone_skeleton_is_bit_for_bit_with_direct_construction() {
     assert!(checked >= 14, "expected a broad normal-cone case set");
 }
 
-/// The normal LP's statistic rows are now built once per `(U, V, norm)`
-/// shape and shared — including the whole per-shape matrix, attached to
-/// problems as a sparse-column [`lpb_lp::SharedRowBlock`] tail.  Both the
-/// cached rows and the shared matrix must stay **bit for bit** identical to
-/// the dense per-column enumeration across the e1–e8 corpus.
+/// The normal LP's matrix is no longer stored anywhere — not as cached rows,
+/// not as a shared block: `normal_step_coefficient` *is* the matrix.  It
+/// must stay **bit for bit** identical to the dense per-column enumeration,
+/// cell by cell, across the e1–e8 corpus.
 #[test]
 fn normal_stat_rows_and_shared_matrix_match_dense_rows_bit_for_bit() {
-    use lpb_core::skeleton::NormalLpSkeleton;
+    use lpb_core::skeleton::normal_step_coefficient;
 
     let mut checked_rows = 0usize;
     for (name, query, stats) in &experiment_cases() {
@@ -266,39 +304,61 @@ fn normal_stat_rows_and_shared_matrix_match_dense_rows_bit_for_bit() {
         if n > lpb_core::NORMAL_VAR_LIMIT {
             continue;
         }
-        let skeleton = NormalLpSkeleton::normal(n).unwrap();
         let dense_reference = direct_normal_problem(n, stats);
         for (i, s) in stats.iter().enumerate() {
             let dense_row = &dense_reference.constraints()[i].coeffs;
-            let cached = skeleton.stat_row(s);
+            let row: Vec<(usize, f64)> = (1u32..1 << n)
+                .map(|mask| (mask as usize - 1, normal_step_coefficient(s, VarSet(mask))))
+                .filter(|&(_, c)| c != 0.0)
+                .collect();
             assert_eq!(
-                cached.as_slice(),
-                dense_row.as_slice(),
-                "{name}: cached row {i} differs from the dense enumeration"
+                &row, dense_row,
+                "{name}: row {i} differs from the dense enumeration"
             );
+            assert_eq!(dense_reference.constraints()[i].rhs, s.log_bound);
             checked_rows += 1;
-        }
-        // The instantiated problem carries the same rows as a shared tail
-        // (when the log-bounds permit it) with the bounds as its rhs.
-        let p = skeleton.instantiate(stats);
-        if let Some(tail) = p.shared_tail() {
-            assert_eq!(tail.n_rows(), stats.len(), "{name}");
-            for (i, s) in stats.iter().enumerate() {
-                assert_eq!(
-                    tail.row(i),
-                    dense_reference.constraints()[i].coeffs.as_slice(),
-                    "{name}: shared-tail row {i}"
-                );
-                assert_eq!(p.tail_rhs().unwrap()[i], s.log_bound, "{name}: rhs {i}");
-            }
-        } else {
-            assert_eq!(p.n_constraints(), stats.len(), "{name}");
         }
     }
     assert!(
         checked_rows > 100,
         "expected a broad row corpus, checked {checked_rows}"
     );
+}
+
+/// Work ceiling (counters, not wall-clock) on the widest queries of the
+/// `bound-only` workload — the three 15-variable JOB-like queries whose
+/// enumerated LP was 147 rows × 32 767 columns: each bound generates at
+/// most 64 columns and no LP it solves is wider than 4 096 columns (the
+/// summed width of all its solves stays below that).
+#[test]
+fn widest_job_like_bounds_stay_narrow() {
+    let catalog = job_like_catalog(&JobLikeConfig {
+        movies: 500,
+        link_fanout: 2,
+        seed: 23,
+        ..JobLikeConfig::default()
+    });
+    let mut seen = 0;
+    for jq in job_like_queries() {
+        if ![28, 31, 33].contains(&jq.id) {
+            continue;
+        }
+        assert_eq!(jq.query.n_vars(), 15, "query {}", jq.id);
+        let stats =
+            collect_simple_statistics(&jq.query, &catalog, &CollectConfig::with_max_norm(4))
+                .expect("harvest");
+        assert_eq!(Cone::auto(&jq.query, &stats), Cone::Normal);
+        let (bound, work) = SolverStats::on_thread(|| {
+            compute_bound(&jq.query, &stats, Cone::Normal).expect("bound")
+        });
+        assert!(bound.is_bounded(), "query {}", jq.id);
+        assert!(work.generation_rounds >= 1, "query {}: {work:?}", jq.id);
+        assert!(work.columns_generated <= 64, "query {}: {work:?}", jq.id);
+        assert!(work.solve_columns <= 4096, "query {}: {work:?}", jq.id);
+        assert_eq!(work.total_solves(), work.generation_rounds);
+        seen += 1;
+    }
+    assert_eq!(seen, 3);
 }
 
 /// `Nₙ ⊆ Γₙ`, so maximizing over the normal cone can never exceed the
@@ -431,6 +491,97 @@ proptest! {
                 let gap = (dual_objective(&perturbed, &sol.duals) - sol.objective).abs();
                 prop_assert!(gap <= 1e-5 * (1.0 + sol.objective.abs()),
                     "{} duals violate strong duality: gap {}", label, gap);
+            }
+        }
+    }
+
+    /// The column-generated normal-cone bound against the fully enumerated
+    /// LP on random statistics over 2–9 variables: conditionals with up to
+    /// three conditioning variables (so non-simple ones too), every norm
+    /// kind, log-bounds including 0, variables left uncovered (unbounded)
+    /// and a negative log-bound (inconsistent).  Same status, same bound,
+    /// `Σ wᵢ·bᵢ` equal to it, and the witness valid on every column.
+    #[test]
+    fn normal_generated_matches_full_enumeration(
+        n in 2usize..10,
+        words in proptest::collection::vec(0u64..u64::MAX, 1..12),
+        cover in 0u8..4,
+        negative in 0u8..6,
+    ) {
+        let names: Vec<String> = (0..n).map(|i| format!("A{i}")).collect();
+        let name_refs: Vec<&str> = names.iter().map(String::as_str).collect();
+        let q = JoinQuery::new("wide-atom", vec![lpb_core::Atom::new("R", &name_refs)]).unwrap();
+        let full = VarSet::full(n);
+        let norms = [
+            Norm::L1,
+            Norm::L2,
+            Norm::finite(3.0),
+            Norm::finite(4.0),
+            Norm::finite(2.5),
+            Norm::Infinity,
+        ];
+        let bounds = [0.0, 0.5, 1.0, 2.25, 3.0, 4.5, 6.0, 7.5];
+        let mut stats = StatisticsSet::new();
+        for &word in &words {
+            let v = VarSet(word as u32 & full.0);
+            // Three 4-bit picks; a pick past the last variable adds nothing,
+            // so |U| ranges over 0..=3.
+            let u = VarSet::from_indices(
+                (0..3)
+                    .map(|k| ((word >> (16 + 4 * k)) & 0xf) as usize)
+                    .filter(|&i| i < n),
+            );
+            stats.push(lpb_core::ConcreteStatistic::new(
+                Conditional::new(v, u),
+                norms[((word >> 32) % 6) as usize],
+                0,
+                bounds[((word >> 40) % 8) as usize],
+            ));
+        }
+        if cover != 0 {
+            // Three cases in four, bound every variable; the fourth leaves
+            // whatever the random statistics happen to miss uncovered.
+            for i in 0..n {
+                stats.push(lpb_core::ConcreteStatistic::new(
+                    Conditional::new(VarSet::singleton(i), VarSet::EMPTY),
+                    Norm::L1,
+                    0,
+                    bounds[(i + cover as usize) % 8],
+                ));
+            }
+        }
+        if negative == 0 {
+            let mut all = stats.as_slice().to_vec();
+            all[0].log_bound = -1.0;
+            stats = StatisticsSet::from_vec(all);
+        }
+
+        let oracle = direct_normal_problem(n, &stats);
+        let expected = oracle.solve().unwrap();
+        match compute_bound(&q, &stats, Cone::Normal) {
+            Err(lpb_core::CoreError::InconsistentStatistics) => {
+                prop_assert_eq!(expected.status, Status::Infeasible);
+            }
+            Err(e) => prop_assert!(false, "unexpected error {e}"),
+            Ok(r) if !r.is_bounded() => {
+                prop_assert_eq!(expected.status, Status::Unbounded);
+            }
+            Ok(r) => {
+                prop_assert_eq!(expected.status, Status::Optimal);
+                prop_assert!((r.log2_bound - expected.objective).abs() <= 1e-9,
+                    "generated {} vs enumerated {}", r.log2_bound, expected.objective);
+                if let Err(e) = check_witness(&oracle, &r.witness.weights, r.log2_bound) {
+                    prop_assert!(false, "{e}");
+                }
+                // The primal is feasible for the enumerated LP and attains
+                // the bound: α_W sits at index W − 1.
+                prop_assert_eq!(r.primal.len(), oracle.n_vars());
+                prop_assert!(r.primal.iter().all(|&a| a >= 0.0));
+                prop_assert!((r.primal.iter().sum::<f64>() - r.log2_bound).abs() <= 1e-9);
+                for row in oracle.constraints() {
+                    let lhs: f64 = row.coeffs.iter().map(|&(j, c)| c * r.primal[j]).sum();
+                    prop_assert!(lhs <= row.rhs + 1e-9, "row violated: {lhs} > {}", row.rhs);
+                }
             }
         }
     }

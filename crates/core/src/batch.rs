@@ -11,15 +11,22 @@
 //!   parallel batch does exactly the solver work, and returns bit for bit
 //!   the bounds, of the same batch on one thread, however the threads are
 //!   scheduled (a batch of a single such family is not split);
-//! * all items share the globally cached Shannon and step-function
-//!   skeletons of [`crate::skeleton`], so the exponential row block for
-//!   each variable count is built at most once per process;
-//! * **warm starting is on by default**: the first solve of each LP
-//!   *shape* publishes a [`lpb_lp::WarmHandle`] — a snapshot of the
-//!   factorized simplex engine at the optimum — and every later item of
-//!   the same shape re-solves from it with a single FTRAN plus a few dual
-//!   pivots instead of a cold solve (measured well under the cold cost;
-//!   see `BENCH_lp.json`, `dual_warm_us` vs `sparse_skeleton_us`).
+//! * all items share the globally cached Shannon skeleton of
+//!   [`crate::skeleton`], so the exponential row block for each variable
+//!   count is built at most once per process;
+//! * **warm starting is on by default** for the materialized LPs
+//!   (polymatroid up to [`POLYMATROID_MATERIALIZE_LIMIT`] variables,
+//!   modular): the first solve of each LP *shape* publishes a
+//!   [`lpb_lp::WarmHandle`] — a snapshot of the factorized simplex engine
+//!   at the optimum — and every later item of the same shape re-solves from
+//!   it with a single FTRAN plus a few dual pivots instead of a cold solve
+//!   (measured well under the cold cost; see `BENCH_lp.json`,
+//!   `dual_warm_us` vs `sparse_skeleton_us`);
+//! * **normal-cone items are solved cold, each on its own**: their bound
+//!   is column-generated over a master LP of a few dozen query-specific
+//!   columns (see [`crate::compute_bound_with`]), which costs less cold
+//!   than re-solving a snapshotted `2^n`-column engine cost warm, so they
+//!   neither read nor write the cache and count as neither hit nor miss.
 //!
 //! The warm cache lives inside the estimator (shared by clones via `Arc`),
 //! so it persists across [`BatchEstimator::estimate`] calls: a query
@@ -135,17 +142,18 @@ fn is_sorted_multiset_subset<T: Ord>(a: &[T], b: &[T]) -> bool {
     true
 }
 
-/// Columns × rows of the bound LP over `n_vars` variables and `n_stats`
-/// statistics: one column per non-empty variable set (per variable on the
+/// The work of bounding `n_vars` variables from `n_stats` statistics cold,
+/// in matrix cells.  On the materialized cones that is columns × rows of
+/// the LP: one column per non-empty variable set (per variable on the
 /// modular cone), one row per statistic, plus the elemental Shannon rows
-/// `n + C(n,2)·2^(n−2)` on the polymatroid cone.  Cold solve times track it
-/// across both exponential cones (measured on `large-mixed-12`: 8-variable
-/// polymatroid and 12-variable normal LPs are both ≈ 0.5 M and ≈ 12 ms).
+/// `n + C(n,2)·2^(n−2)` on the polymatroid cone.  The normal cone stores no
+/// `2^n`-wide matrix: a generation round is one `n`-pass sweep of a
+/// `2^n`-entry pricing table plus a master LP of about `n` columns.
 fn lp_size(n_vars: usize, cone: Cone, n_stats: usize) -> f64 {
     let (n, stats) = (n_vars as f64, n_stats as f64);
     match cone {
         Cone::Modular => n * stats,
-        Cone::Normal => n.exp2() * stats,
+        Cone::Normal => n.exp2() * n + stats * (stats + n),
         Cone::Polymatroid => n.exp2() * (stats + n + n * (n - 1.0) / 2.0 * (n - 2.0).exp2()),
     }
 }
@@ -373,12 +381,12 @@ impl BatchEstimator {
         let run_one = |item: &BatchItem| -> Result<BoundResult, CoreError> {
             let cone = self.cone_of(item);
             if !self.uses_shape_cache(item, cone) {
-                // Past the materialized sizes the bound is computed by lazy
-                // constraint generation, whose core LP is too query-specific
-                // for the per-shape snapshot cache.  Otherwise (warm starts
-                // off, dense solver) keep the cold reference on the same
-                // materialized LP as the warm-started path below, for
-                // bit-comparable results.
+                // The normal cone and, past the materialized sizes, the
+                // polymatroid cone are bounded by generation loops whose
+                // LPs are too query-specific for the per-shape snapshot
+                // cache.  Otherwise (warm starts off, dense solver) keep
+                // the cold reference on the same materialized LP as the
+                // warm-started path below, for bit-comparable results.
                 let lazy_size = cone == Cone::Polymatroid
                     && item.query.n_vars() > POLYMATROID_MATERIALIZE_LIMIT;
                 let options = BoundOptions {
@@ -461,7 +469,7 @@ impl BatchEstimator {
                     .expect("warm-start cache poisoned")
                     .insert(shape, Arc::new(new_handle));
             }
-            solution_to_result(&solution, &item.stats, cone)
+            solution_to_result(solution, &item.stats, cone)
         };
         if workers < 2 || items.len() < 2 {
             return items.iter().map(run_one).collect();
@@ -491,6 +499,7 @@ impl BatchEstimator {
     fn uses_shape_cache(&self, item: &BatchItem, cone: Cone) -> bool {
         self.warm_start
             && self.solver != SolverKind::Dense
+            && cone != Cone::Normal
             && !(cone == Cone::Polymatroid && item.query.n_vars() > POLYMATROID_MATERIALIZE_LIMIT)
     }
 
@@ -503,12 +512,13 @@ impl BatchEstimator {
     /// variable count and cone (see [`grown_candidate`](Self::grown_candidate)
     /// and the exact-shape lookup), so the items of one `(n_vars, cone)`
     /// *family* must stay together and in input order, and nothing else
-    /// must: families — and items that bypass the cache, each a family of
-    /// its own — are independent.  Which lane a family lands in therefore
-    /// only decides wall-clock time.  Families go heaviest first onto the
-    /// lightest lane, weighed by the dense size (columns × rows) of the LPs
-    /// they solve cold — one per distinct shape; the re-solves from a
-    /// snapshot are an order cheaper and not counted.
+    /// must: families — and items that bypass the cache (every normal-cone
+    /// item among them), each a family of its own — are independent.  Which
+    /// lane a family lands in therefore only decides wall-clock time.
+    /// Families go heaviest first onto the lightest lane, weighed by the
+    /// size ([`lp_size`]) of the LPs they solve cold — one per distinct
+    /// shape; the re-solves from a snapshot are an order cheaper and not
+    /// counted.
     fn lanes(&self, items: &[BatchItem], workers: usize) -> Vec<Vec<usize>> {
         struct Family {
             shapes: BTreeSet<LpShape>,
@@ -1187,6 +1197,49 @@ mod tests {
         // Items that bypass the shape cache share nothing: each is a lane.
         let cold = BatchEstimator::new().without_warm_start();
         assert_eq!(cold.lanes(&items, 64).len(), items.len());
+        // So is every normal-cone item, warm starts on or not: its master LP
+        // is its own.
+        let normal = BatchEstimator::new().with_cone(Cone::Normal);
+        assert_eq!(normal.lanes(&items, 64).len(), items.len());
+    }
+
+    /// Normal-cone items never touch the shape cache — no hit, no miss, no
+    /// snapshot — and a batch of them, sequential or in lanes, returns bit
+    /// for bit what `compute_bound` returns one at a time.
+    #[test]
+    fn normal_items_bypass_the_shape_cache() {
+        let items = mixed_items();
+        let expected: Vec<u64> = items
+            .iter()
+            .map(|i| {
+                compute_bound(&i.query, &i.stats, Cone::Normal)
+                    .unwrap()
+                    .log2_bound
+                    .to_bits()
+            })
+            .collect();
+        for workers in [1, 2, 8] {
+            let est = BatchEstimator::new().with_cone(Cone::Normal);
+            let got: Vec<u64> = est
+                .estimate_on(&items, workers)
+                .into_iter()
+                .map(|r| r.unwrap().log2_bound.to_bits())
+                .collect();
+            assert_eq!(got, expected, "{workers} lanes");
+            assert_eq!(est.lps_estimated(), items.len());
+            assert_eq!(
+                (
+                    est.shape_cache_hits(),
+                    est.shape_cache_misses(),
+                    est.shape_cache_len()
+                ),
+                (0, 0, 0)
+            );
+        }
+        // A 2^n-entry pricing table swept n times, not a 2^n-column matrix.
+        assert!(lp_size(12, Cone::Normal, 90) < lp_size(12, Cone::Normal, 9_000));
+        assert!(lp_size(12, Cone::Normal, 90) < 1e-2 * lp_size(12, Cone::Polymatroid, 90));
+        assert!(lp_size(12, Cone::Normal, 90) < lp_size(13, Cone::Normal, 90));
     }
 
     /// However many lanes a batch runs on, every item gets bit for bit the

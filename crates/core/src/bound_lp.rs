@@ -3,10 +3,11 @@
 
 use crate::error::CoreError;
 use crate::query::JoinQuery;
-use crate::skeleton::{BoundLpSkeleton, NormalLpSkeleton};
+use crate::skeleton::{normal_step_coefficient, BoundLpSkeleton, StepColumnPricer};
 use crate::statistics::StatisticsSet;
 use lpb_data::Norm;
-use lpb_lp::{Problem, Sense, Solution, SolverKind, SolverOptions, Status};
+use lpb_entropy::VarSet;
+use lpb_lp::{Problem, Sense, Solution, SolverKind, SolverOptions, SolverStats, Status};
 
 /// Maximum number of query variables supported by the polymatroid (Γₙ) cone.
 /// The LP has `2^n − 1` variables and `n + C(n,2)·2^{n−2}` Shannon rows;
@@ -30,8 +31,13 @@ pub const POLYMATROID_MATERIALIZE_LIMIT: usize = 10;
 /// the separation loop solves the same LP from a few hundred rows.
 pub const POLYMATROID_LAZY_FROM: usize = 9;
 
-/// Maximum number of query variables supported by the normal (Nₙ) cone: the
-/// LP has `2^n − 1` columns but only one row per statistic.
+/// Maximum number of query variables supported by the normal (Nₙ) cone.  The
+/// LP has one row per statistic and `2^n − 1` step-function columns, but the
+/// columns are generated, never stored ([`compute_bound_with`] solves a
+/// master LP over a few dozen of them): what grows with `n` is the pricing
+/// pass over a `2^n`-entry table (2 MiB, `n·2^{n−1}` additions per round at
+/// the limit) and [`BoundResult::primal`], which stays a dense
+/// `2^n − 1`-vector.
 pub const NORMAL_VAR_LIMIT: usize = 18;
 
 /// Largest variable count at which [`Cone::auto`] still prefers the
@@ -39,14 +45,19 @@ pub const NORMAL_VAR_LIMIT: usize = 18;
 /// when every statistic is simple, Theorem 6.1).  Up to this size the
 /// polymatroid LP is cheap and its primal solution (the full entropy
 /// vector) is the more useful artifact; beyond it the normal cone is far
-/// faster for an identical bound, so `auto` switches over.  Re-checked
-/// after lazy constraint generation landed (`BENCH_lp.json`): generation
-/// closes most of the gap the materialized block had — 20ms vs the old
-/// *seconds* at n = 10–12 — but the normal cone still answers the same
-/// simple-statistics instances in 2–4ms (one row per statistic, no
-/// separation), so the crossover stays at 8.  Non-simple statistics have
-/// no such choice — only the polymatroid cone is sound — and remain on it
-/// up to [`POLYMATROID_VAR_LIMIT`].
+/// faster for an identical bound, so `auto` switches over.  **The value is
+/// stale**: it was set when the normal cone solved a fully enumerated
+/// `2^n − 1`-column LP.  With generated columns the normal cone answers in
+/// 0.03–0.04 ms at n = 8 where the polymatroid LP takes 11–15 ms, and is
+/// ahead from n = 3 on (`BENCH_lp.json`: `normal_us` in `normal_rows`
+/// against `sparse_skeleton_us` in `rows`, same statistics), so on simple
+/// statistics it now wins at every size the table covers.  The constant is
+/// deliberately not moved together with the solver that made it stale:
+/// moving it changes the last bits of every planner sub-join bound at
+/// n ≤ 8 — plans, ties and `bound_slack_log2` with them — and wants its own
+/// measured change.
+/// Non-simple statistics have no such choice — only the polymatroid cone is
+/// sound — and remain on it up to [`POLYMATROID_VAR_LIMIT`].
 pub const POLYMATROID_AUTO_PREFERRED: usize = 8;
 
 // The crossover must never point `auto` at a cone the engine refuses, and
@@ -63,7 +74,8 @@ pub enum Cone {
     Polymatroid,
     /// Nₙ — normal polymatroids (positive combinations of step functions).
     /// Equal to the Γₙ bound whenever all statistics are simple (Theorem
-    /// 6.1); one LP row per statistic, so it scales to wide acyclic queries.
+    /// 6.1); one LP row per statistic and columns generated on demand, so it
+    /// scales to wide acyclic queries.
     Normal,
     /// Mₙ — modular functions only.  This reproduces the LP of Jayaraman et
     /// al. (Appendix B) and is **not sound in general**; it is provided for
@@ -194,7 +206,9 @@ pub struct BoundOptions {
     /// dense tableau remains available for cross-checking).
     pub solver: SolverKind,
     /// Warm-start token from a previous [`BoundResult::warm_basis`] of a
-    /// same-shaped estimate; only the sparse solver uses it.
+    /// same-shaped estimate; only the sparse solver uses it, and only on
+    /// the materialized LPs: the normal cone (whose master LP has its own,
+    /// query-specific columns) and the lazy polymatroid loop ignore it.
     pub warm_start: Option<Vec<(usize, usize)>>,
     /// Lazy constraint generation for the polymatroid cone.  `None` (the
     /// default) decides automatically: lazy from [`POLYMATROID_LAZY_FROM`]
@@ -256,28 +270,33 @@ pub fn compute_bound_with(
 ) -> Result<BoundResult, CoreError> {
     validate_guards(query, stats)?;
     let n = query.n_vars();
-    if cone == Cone::Polymatroid && options.use_lazy(n) {
-        if n > POLYMATROID_VAR_LIMIT {
-            return Err(CoreError::TooManyVariables {
-                n_vars: n,
-                limit: POLYMATROID_VAR_LIMIT,
-                cone: "polymatroid",
-            });
+    // Neither generation loop can use a basis-replay token: their LPs have
+    // their own rows (lazy polymatroid) or columns (normal).
+    let generated = || SolverOptions {
+        warm_start: None,
+        ..options.solver_options()
+    };
+    let sol = match cone {
+        Cone::Normal => solve_normal(n, stats, &generated())?,
+        Cone::Polymatroid if options.use_lazy(n) => {
+            if n > POLYMATROID_VAR_LIMIT {
+                return Err(CoreError::TooManyVariables {
+                    n_vars: n,
+                    limit: POLYMATROID_VAR_LIMIT,
+                    cone: "polymatroid",
+                });
+            }
+            // The lazy loop drives the sparse incremental engine directly;
+            // the `solver` knob (dense vs sparse) has no meaning for it.
+            let lp_options = generated();
+            let anchor = normal_anchor(n, stats, &lp_options);
+            crate::cgen::solve_lazy(n, stats, &lp_options, anchor)?
         }
-        // The lazy loop drives the sparse incremental engine directly; the
-        // `solver` knob (dense vs sparse) has no meaning for it and the
-        // basis-replay token does not transfer to the smaller core LP.
-        let lp_options = SolverOptions {
-            warm_start: None,
-            ..options.solver_options()
-        };
-        let anchor = normal_anchor(n, stats, &lp_options);
-        let sol = crate::cgen::solve_lazy(n, stats, &lp_options, anchor)?;
-        return solution_to_result(&sol, stats, cone);
-    }
-    let p = build_bound_problem(n, stats, cone)?;
-    let sol = p.solve_with(&options.solver_options())?;
-    solution_to_result(&sol, stats, cone)
+        Cone::Polymatroid | Cone::Modular => {
+            build_bound_problem(n, stats, cone)?.solve_with(&options.solver_options())?
+        }
+    };
+    solution_to_result(sol, stats, cone)
 }
 
 /// The sandwich anchor for lazy constraint generation: the normal-cone
@@ -285,18 +304,124 @@ pub fn compute_bound_with(
 /// and equals it whenever every statistic is simple (Theorem 6.1), which
 /// lets the generation loop stop the moment its relaxation value descends
 /// to the anchor instead of separating to full point feasibility.  `None`
-/// when the anchor LP cannot be built or has no finite optimum; the loop
+/// when the anchor LP cannot be solved or has no finite optimum; the loop
 /// then simply runs to separation-certified termination.
 fn normal_anchor(n: usize, stats: &StatisticsSet, options: &SolverOptions) -> Option<f64> {
-    let p = build_bound_problem(n, stats, Cone::Normal).ok()?;
-    let sol = p.solve_with(options).ok()?;
+    let sol = solve_normal(n, stats, options).ok()?;
     (sol.status == Status::Optimal).then_some(sol.objective)
 }
 
-/// Build the bound LP for `n` query variables over `cone` without solving
-/// it: statistic rows first (their duals are the witness weights), cone
-/// structure after.  Shared with [`crate::BatchEstimator`], which solves the
-/// problem through its dual-simplex warm-start cache instead of cold.
+/// Most columns one pricing pass adds to the master LP.  The cap only
+/// matters when hundreds price out at once, where adding them all would
+/// rebuild the wide LP this loop exists to avoid (1 296 columns in one
+/// round at n = 16 uncapped).  Measured on 40 random cyclic instances per
+/// size with mutual near-functional dependencies, n = 8..16 (harvested
+/// statistics certify on the seed columns and never reach it): caps 16, 32
+/// and 64 tie within noise (203 / 193 / 217 µs at n = 14, ~2.1 rounds),
+/// 1 and 4 pay 3.5x and 1.8x the rounds, 256 and up only widen the master.
+const MAX_COLUMNS_PER_ROUND: usize = 32;
+
+/// A column enters the master only if `w·c(W) < 1 −` this: the solver's own
+/// optimality tolerance ([`SolverOptions::tolerance`]'s default), so the
+/// loop never generates a column the master would decline to pivot on, and
+/// the returned witness satisfies the witness inequality on every step
+/// function to the accuracy the LP itself was solved to.
+const PRICING_TOLERANCE: f64 = 1e-9;
+
+/// The normal-cone bound LP `max Σ_W α_W  s.t.  Σ_W α_W·c_i(W) ≤ b_i, α ≥ 0`
+/// over all `2^n − 1` step functions, solved by column generation.
+///
+/// A master LP over a working set of columns — seeded with the `n`
+/// singletons and the full set — is solved with the ordinary solver; its
+/// duals `w` are priced against *every* column in one zeta transform
+/// ([`StepColumnPricer`]); the most violated columns join the master and it
+/// is solved again, until none is left.  That last pass is the optimality
+/// certificate: `w` satisfies the witness inequality (8) on every extreme
+/// ray of `Nₙ`, so the master's optimum is the full LP's.  An all-zero
+/// column (a variable no statistic covers) makes the master — and the full
+/// LP — unbounded; a negative log-bound makes both infeasible whatever the
+/// columns, since no coefficient is negative.
+///
+/// An optimal solution comes back in the full LP's coordinates:
+/// `x[W − 1] = α_W`, basis columns likewise, duals per statistic.  (On any
+/// other status `x` is the solver's placeholder for the last master.)
+pub(crate) fn solve_normal(
+    n: usize,
+    stats: &StatisticsSet,
+    options: &SolverOptions,
+) -> Result<Solution, CoreError> {
+    if n == 0 {
+        return Err(CoreError::InvalidQuery {
+            reason: "the normal-cone LP needs at least one variable".into(),
+        });
+    }
+    if n > NORMAL_VAR_LIMIT {
+        return Err(CoreError::TooManyVariables {
+            n_vars: n,
+            limit: NORMAL_VAR_LIMIT,
+            cone: "normal",
+        });
+    }
+    let mut columns: Vec<VarSet> = (0..n).map(VarSet::singleton).collect();
+    if n > 1 {
+        columns.push(VarSet::full(n));
+    }
+    let mut pricer = StepColumnPricer::new(n);
+    loop {
+        let mut sol = normal_master(&columns, stats).solve_with(options)?;
+        if sol.status != Status::Optimal {
+            SolverStats::record_generation_round(0);
+            return Ok(sol);
+        }
+        let weights: Vec<f64> = sol.duals.iter().map(|w| w.max(0.0)).collect();
+        pricer.price(stats, &weights);
+        let entering = pricer.violated(&columns, PRICING_TOLERANCE, MAX_COLUMNS_PER_ROUND);
+        SolverStats::record_generation_round(entering.len());
+        if entering.is_empty() {
+            let mut alpha = vec![0.0; (1usize << n) - 1];
+            for (w, a) in columns.iter().zip(&sol.x) {
+                alpha[w.index() - 1] = *a;
+            }
+            sol.x = alpha;
+            for (_, col) in sol.basis.iter_mut() {
+                *col = columns[*col].index() - 1;
+            }
+            return Ok(sol);
+        }
+        columns.extend(entering);
+    }
+}
+
+/// The master LP over `columns`: one row per statistic, in statistics order
+/// (so the duals are the witness weights), log-bounds on the right.
+pub(crate) fn normal_master(columns: &[VarSet], stats: &StatisticsSet) -> Problem {
+    let mut p = Problem::maximize(columns.len());
+    for j in 0..columns.len() {
+        // Every non-empty W meets the full variable set: h_W(X) = 1.
+        p.set_objective(j, 1.0);
+    }
+    let mut row: Vec<(usize, f64)> = Vec::with_capacity(columns.len());
+    for s in stats.iter() {
+        row.clear();
+        row.extend(columns.iter().enumerate().filter_map(|(j, &w)| {
+            let c = normal_step_coefficient(s, w);
+            (c != 0.0).then_some((j, c))
+        }));
+        p.add_constraint(&row, Sense::Le, s.log_bound);
+    }
+    p
+}
+
+/// Build the *materialized* bound LP for `n` query variables without
+/// solving it: statistic rows first (their duals are the witness weights),
+/// cone structure after.  Shared with [`crate::BatchEstimator`], which
+/// solves the problem through its dual-simplex warm-start cache instead of
+/// cold.
+///
+/// # Panics
+///
+/// Panics on [`Cone::Normal`], which has no materialized LP
+/// ([`solve_normal`] generates its columns); both callers dispatch it first.
 pub(crate) fn build_bound_problem(
     n: usize,
     stats: &StatisticsSet,
@@ -304,9 +429,8 @@ pub(crate) fn build_bound_problem(
 ) -> Result<Problem, CoreError> {
     match cone {
         Cone::Polymatroid => {
-            // This is the *materialized* path: the full Shannon block as a
-            // shared tail.  Sizes beyond it are served by the lazy loop in
-            // `compute_bound_with`, which never calls here.
+            // Sizes beyond the full Shannon block are served by the lazy
+            // loop in `compute_bound_with`, which never calls here.
             if n > POLYMATROID_MATERIALIZE_LIMIT {
                 return Err(CoreError::TooManyVariables {
                     n_vars: n,
@@ -316,16 +440,7 @@ pub(crate) fn build_bound_problem(
             }
             Ok(BoundLpSkeleton::polymatroid(n)?.instantiate(stats))
         }
-        Cone::Normal => {
-            if n > NORMAL_VAR_LIMIT {
-                return Err(CoreError::TooManyVariables {
-                    n_vars: n,
-                    limit: NORMAL_VAR_LIMIT,
-                    cone: "normal",
-                });
-            }
-            Ok(NormalLpSkeleton::normal(n)?.instantiate(stats))
-        }
+        Cone::Normal => unreachable!("the normal cone has no materialized LP"),
         Cone::Modular => Ok(build_modular_problem(n, stats)),
     }
 }
@@ -381,7 +496,7 @@ fn build_modular_problem(n: usize, stats: &StatisticsSet) -> Problem {
 /// Interpret an LP solution of a bound problem (statistic rows first) as a
 /// [`BoundResult`].
 pub(crate) fn solution_to_result(
-    sol: &Solution,
+    sol: Solution,
     stats: &StatisticsSet,
     cone: Cone,
 ) -> Result<BoundResult, CoreError> {
@@ -395,8 +510,8 @@ pub(crate) fn solution_to_result(
                 log2_bound: sol.objective,
                 cone,
                 witness: Witness { weights },
-                primal: sol.x.clone(),
-                warm_basis: sol.basis.clone(),
+                primal: sol.x,
+                warm_basis: sol.basis,
             })
         }
         Status::Unbounded => Ok(BoundResult {
@@ -623,6 +738,57 @@ mod tests {
             a.log2_bound,
             b.log2_bound
         );
+    }
+
+    /// Two mutual functional dependencies `X → Y`, `Y → X` forbid every step
+    /// function that separates X from Y, both singletons among them; with
+    /// unit cardinalities on X, Y, Z the optimum `α_{XY} = α_Z = 1` needs
+    /// the column `{X, Y}`, which is not a seed.  The seed master stops at
+    /// `α_Z + α_{XYZ} ≤ 1`, so the loop must price, generate and re-solve.
+    #[test]
+    fn normal_bound_generates_the_column_its_optimum_needs() {
+        use crate::query::Atom;
+        let q = JoinQuery::new(
+            "mutual-fd",
+            vec![Atom::new("R", &["X", "Y"]), Atom::new("S", &["Z"])],
+        )
+        .unwrap();
+        let reg = q.registry();
+        let set = |names: &[&str]| reg.set_of(names).unwrap();
+        let mut stats = StatisticsSet::new();
+        for (v, u, norm, atom, b) in [
+            (set(&["X"]), VarSet::EMPTY, Norm::L1, 0, 1.0),
+            (set(&["Y"]), VarSet::EMPTY, Norm::L1, 0, 1.0),
+            (set(&["Z"]), VarSet::EMPTY, Norm::L1, 1, 1.0),
+            (set(&["Y"]), set(&["X"]), Norm::Infinity, 0, 0.0),
+            (set(&["X"]), set(&["Y"]), Norm::Infinity, 0, 0.0),
+        ] {
+            stats.push(ConcreteStatistic::new(
+                Conditional::new(v, u),
+                norm,
+                atom,
+                b,
+            ));
+        }
+        let (r, work) = SolverStats::on_thread(|| compute_bound(&q, &stats, Cone::Normal).unwrap());
+        assert!(close(r.log2_bound, 2.0), "got {}", r.log2_bound);
+        assert!(work.generation_rounds >= 2, "{work:?}");
+        assert!(work.columns_generated >= 1, "{work:?}");
+        assert_eq!(work.total_solves(), work.generation_rounds);
+        // The primal is in the full LP's coordinates: α_W at index W − 1.
+        assert_eq!(r.primal.len(), 7);
+        let alpha = |names: &[&str]| r.primal[set(names).index() - 1];
+        assert!(close(alpha(&["X", "Y"]), 1.0) && close(alpha(&["Z"]), 1.0));
+        assert!(close(r.primal.iter().sum::<f64>(), 2.0));
+        for &(_, col) in &r.warm_basis {
+            assert!(
+                r.primal[col] >= 0.0,
+                "basis column {col} is a full-LP index"
+            );
+        }
+        // Same bound as the polymatroid cone: the statistics are simple.
+        let poly = compute_bound(&q, &stats, Cone::Polymatroid).unwrap();
+        assert!(close(poly.log2_bound, 2.0));
     }
 
     /// Guard validation rejects statistics not covered by their atom, and the

@@ -18,8 +18,10 @@
 //! * [`compute_bound`] / [`Cone`] — the bound `Log-L-Bound_K` of §5, over the
 //!   polymatroid cone Γₙ (Shannon inequalities), the normal cone Nₙ
 //!   (step-function combinations; exact for simple statistics by Theorem
-//!   6.1 and scalable to wide queries), or the modular cone Mₙ (for the
-//!   Appendix-B comparison with Jayaraman et al.).
+//!   6.1 and scalable to wide queries: its `2^n − 1` columns are generated
+//!   on demand into a master LP of a few dozen, priced all at once by a
+//!   zeta transform), or the modular cone Mₙ (for the Appendix-B comparison
+//!   with Jayaraman et al.).
 //! * [`Witness`] — the dual solution: the coefficients `w_i` of the witness
 //!   information inequality (8) and hence *which norms* the optimal bound
 //!   uses (the "Norms" column of Figure 1).
@@ -34,9 +36,11 @@
 //!   database construction of §6 (Lemma 6.2, Corollary 6.3, Example 6.7).
 //! * [`newton`] — the norms ↔ degree-sequence bijection of Appendix A.
 //! * [`estimator`] — a small trait unifying all estimators for experiments.
-//! * [`skeleton`] — cached polymatroid LP skeletons: the Shannon elemental
-//!   block is built once per variable count and shared process-wide, so
-//!   repeated estimates only fill in `O(#stats)` rows.
+//! * [`skeleton`] — the structure of the two exponential LPs: the Shannon
+//!   elemental block, built once per variable count and shared process-wide
+//!   so repeated estimates only fill in `O(#stats)` rows; its lazy
+//!   separation oracle; and the normal cone's coefficient function and
+//!   column-pricing oracle, which store nothing.
 //! * `cgen` (via [`compute_bound_with`]'s `lazy` knob) — lazy constraint
 //!   generation for the polymatroid cone past the materialization ceiling:
 //!   a small implied-inequality core, violated Shannon elementals appended
@@ -45,8 +49,8 @@
 //!   milliseconds without ever building the `n·2^{n−1}`-row block.
 //! * [`batch`] — [`BatchEstimator`], the parallel batch bound engine:
 //!   many `(query, statistics)` pairs at once, fanned out across cores and
-//!   sharing skeletons, with opt-in per-shape warm starting of the sparse
-//!   simplex.
+//!   sharing skeletons, with per-shape warm starting of the sparse simplex
+//!   on the materialized LPs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,5 @@
-//! Reusable, cached LP skeletons for the polymatroid and normal bounds.
+//! The structure of the polymatroid and normal bound LPs: a cached skeleton
+//! for the rows worth storing, oracles for the rest.
 //!
 //! The polymatroid LP of Theorem 5.2 has two very different kinds of rows:
 //!
@@ -28,19 +29,20 @@
 //! the violated ones, which the constraint-generation driver in `cgen`
 //! appends to a small core LP until optimality is certified.
 //!
-//! The normal-cone LP gets the same treatment from [`NormalLpSkeleton`]:
-//! its rows price the `2^n − 1` step-function columns per statistic, which
-//! the seed implementation re-enumerated with `O(2^n · #stats)`
-//! `step_value` evaluations on every query.  [`NormalStepBlock`] caches the
-//! step-function *column supports* per variable count (one sorted mask list
-//! per conditioning set), so after the first solve at a given `n` building
-//! a statistic row is a cache lookup plus a linear merge — no step-value
-//! enumeration at all.
+//! The normal-cone LP is the transposed problem — one row per statistic but
+//! `2^n − 1` step-function *columns*, of which an optimal basis uses at most
+//! one per statistic — and gets the transposed treatment: no column is ever
+//! stored.  [`normal_step_coefficient`] is the whole matrix as a function,
+//! and [`StepColumnPricer`] is the pricing oracle that, given a dual vector,
+//! evaluates the witness inequality (8) on every step function with one
+//! zeta transform and returns the violated columns, which the
+//! column-generation driver in `bound_lp` adds to a small master LP until
+//! none is left.
 
 use crate::bound_lp::{NORMAL_VAR_LIMIT, POLYMATROID_MATERIALIZE_LIMIT, POLYMATROID_VAR_LIMIT};
 use crate::error::CoreError;
 use crate::statistics::{ConcreteStatistic, StatisticsSet};
-use lpb_entropy::{elemental_inequalities, step_support, VarSet};
+use lpb_entropy::{elemental_inequalities, VarSet};
 use lpb_lp::{Problem, Sense, SharedRowBlock};
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -400,285 +402,131 @@ impl LazyElementalOracle {
     }
 }
 
-/// Cache key of one normal-LP statistic row: the conditioning set `U`, the
-/// dependent set `V` and the norm (IEEE bits; `u64::MAX` for ℓ∞).  The row's
-/// coefficients are fully determined by this triple — the statistic's
-/// log-bound only moves the right-hand side.
-type NormalRowKey = (u32, u32, u64);
-
-fn normal_row_key(s: &ConcreteStatistic) -> NormalRowKey {
-    let norm_bits = match s.stat.norm {
-        lpb_data::Norm::Finite(p) => p.to_bits(),
-        lpb_data::Norm::Infinity => u64::MAX,
-    };
-    (s.stat.conditional.u.0, s.stat.conditional.v.0, norm_bits)
+/// Coefficient of the step-function column `W` in the normal-cone LP row of
+/// statistic `((V|U), p)`: `(1/p)·h_W(U) + h_W(V|U)` — `1/p` when `W` meets
+/// `U`, `1` when it meets `V` but not `U`, `0` when it misses `U∪V`.
+///
+/// This is the whole constraint matrix of the normal-cone bound: row `i`,
+/// column `W` of `max Σ_W α_W  s.t.  Σ_W α_W·c_i(W) ≤ b_i`.  Nothing ever
+/// stores that matrix; [`StepColumnPricer`] prices its `2^n − 1` columns in
+/// one pass and the few that enter a master LP are evaluated here.
+pub fn normal_step_coefficient(s: &ConcreteStatistic, w: VarSet) -> f64 {
+    let u = s.stat.conditional.u;
+    if !w.intersect(u).is_empty() {
+        s.stat.norm.reciprocal()
+    } else if !w.intersect(s.stat.conditional.v).is_empty() {
+        1.0
+    } else {
+        0.0
+    }
 }
 
-/// A cached sparse statistic row of the normal LP.
-type SharedNormalRow = Arc<Vec<(usize, f64)>>;
-
-/// Cached step-function column supports for one variable count: for each
-/// conditioning set `S` encountered so far, the sorted list of masks `W`
-/// with `W ∩ S ≠ ∅` (see [`lpb_entropy::step_support`]).
+/// Prices every step-function column of the normal-cone LP against a dual
+/// vector at once — the column-generation counterpart of
+/// [`LazyElementalOracle`].
 ///
-/// Statistic rows of the normal-cone LP are linear merges of two supports
-/// (`S = U` and `S = U∪V`), so once a support is cached, building a row
-/// never evaluates a step function again.  Supports are shared process-wide
-/// per `n` (like the Shannon blocks) because conditioning sets repeat
-/// heavily across statistics, norms and queries.
+/// Writing `W̄` for the complement of `W`, the coefficient above is
 ///
-/// Two further caches ride on top of the supports:
+/// ```text
+/// c_i(W) = 1/p_i − (1/p_i − 1)·[U_i ⊆ W̄] − [U_i∪V_i ⊆ W̄]
+/// ```
 ///
-/// * **rows** — the merged sparse row per `(U, V, norm)` triple, shared by
-///   `Arc` so repeated statistics never re-merge their supports;
-/// * **matrices** — the whole statistic-row matrix per *ordered shape list*,
-///   packaged as a [`SharedRowBlock`] whose compressed sparse **column**
-///   form is built once and reused verbatim by every solve
-///   ([`NormalLpSkeleton::instantiate`] attaches it as the problem's shared
-///   tail with a per-query right-hand-side override).  This is the sparse
-///   column representation of the normal LP's dense rows: per-query work
-///   drops from `O(nnz)` row building plus a CSR→CSC transpose per solve to
-///   a hash lookup plus copying `#stats` right-hand sides.
+/// so for weights `w ≥ 0` the left-hand side of the witness inequality (8)
+/// at `h_W` is `w·c(W) = Σ_i w_i/p_i + Σ_{T ⊆ W̄} β(T)` with
+/// `β(U_i) += w_i·(1 − 1/p_i)` and `β(U_i∪V_i) −= w_i`: one scatter per
+/// statistic and one subset-sum (zeta) transform, `n·2^{n−1}` additions,
+/// whatever the statistics look like — simple or not.  A column with
+/// `w·c(W) < 1` is a violated dual constraint, i.e. a step function on
+/// which `w` is not yet a valid witness.
 #[derive(Debug)]
-pub struct NormalStepBlock {
+pub struct StepColumnPricer {
     n: usize,
-    supports: Mutex<HashMap<u32, Arc<Vec<u32>>>>,
-    rows: Mutex<HashMap<NormalRowKey, SharedNormalRow>>,
-    matrices: Mutex<HashMap<Vec<NormalRowKey>, Arc<SharedRowBlock>>>,
+    /// After [`price`](Self::price): entry `S` is `w·c(W)` for `W = X∖S`.
+    sums: Vec<f64>,
 }
 
-impl NormalStepBlock {
-    fn new(n: usize) -> Self {
-        NormalStepBlock {
+impl StepColumnPricer {
+    /// A pricer over `n` query variables (`1..=`[`NORMAL_VAR_LIMIT`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics outside that range (the table has `2^n` entries);
+    /// [`crate::compute_bound`] checks first.
+    pub fn new(n: usize) -> Self {
+        assert!(
+            (1..=NORMAL_VAR_LIMIT).contains(&n),
+            "StepColumnPricer supports 1..={NORMAL_VAR_LIMIT} variables, got {n}"
+        );
+        StepColumnPricer {
             n,
-            supports: Mutex::new(HashMap::new()),
-            rows: Mutex::new(HashMap::new()),
-            matrices: Mutex::new(HashMap::new()),
+            sums: vec![0.0; 1 << n],
         }
     }
 
-    /// Number of query variables this block is for.
-    pub fn n_vars(&self) -> usize {
-        self.n
-    }
-
-    /// Most supports cached per variable count.  Conditioning sets repeat
-    /// heavily in practice (a few dozen per workload), but the key space is
-    /// `2^n` — without a cap, a long-running service cycling through
-    /// distinct sets at `n` near [`NORMAL_VAR_LIMIT`] would pin gigabytes.
-    /// Past the cap, supports are enumerated per call instead of cached.
-    const MAX_CACHED_SUPPORTS: usize = 4096;
-
-    /// The cached support of column set `s`, enumerating it on first use.
-    pub fn support(&self, s: VarSet) -> Arc<Vec<u32>> {
-        let mut cache = self.supports.lock().expect("step support cache poisoned");
-        if let Some(hit) = cache.get(&s.0) {
-            return Arc::clone(hit);
+    /// Price all `2^n − 1` columns against `weights` (one per statistic).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a statistic mentions a variable outside `0..n`
+    /// ([`crate::compute_bound`] validates guards first, which rules it out).
+    pub fn price(&mut self, stats: &StatisticsSet, weights: &[f64]) {
+        debug_assert_eq!(stats.len(), weights.len());
+        self.sums.fill(0.0);
+        for (s, &w) in stats.iter().zip(weights) {
+            if w == 0.0 {
+                continue;
+            }
+            let inv_p = s.stat.norm.reciprocal();
+            let u = s.stat.conditional.u;
+            // The constant term rides on β(∅), which every subset sum sees.
+            self.sums[0] += w * inv_p;
+            self.sums[u.0 as usize] += w * (1.0 - inv_p);
+            self.sums[u.union(s.stat.conditional.v).0 as usize] -= w;
         }
-        let support = Arc::new(step_support(self.n, s));
-        if cache.len() < Self::MAX_CACHED_SUPPORTS {
-            cache.insert(s.0, Arc::clone(&support));
-        }
-        support
-    }
-
-    /// Number of distinct conditioning sets cached so far.
-    pub fn cached_supports(&self) -> usize {
-        self.supports
-            .lock()
-            .expect("step support cache poisoned")
-            .len()
-    }
-
-    /// Most merged rows / shape matrices cached per variable count, for the
-    /// same reason as [`Self::MAX_CACHED_SUPPORTS`].
-    const MAX_CACHED_ROWS: usize = 4096;
-    const MAX_CACHED_MATRICES: usize = 256;
-
-    /// The cached sparse row of one statistic shape, merging the supports on
-    /// first use (see [`NormalLpSkeleton::stat_row`] for the semantics).
-    fn row(&self, s: &ConcreteStatistic) -> SharedNormalRow {
-        let key = normal_row_key(s);
-        if let Some(hit) = self
-            .rows
-            .lock()
-            .expect("normal row cache poisoned")
-            .get(&key)
-        {
-            return Arc::clone(hit);
-        }
-        let row = Arc::new(self.merge_row(s));
-        let mut cache = self.rows.lock().expect("normal row cache poisoned");
-        if cache.len() < Self::MAX_CACHED_ROWS {
-            cache.insert(key, Arc::clone(&row));
-        }
-        row
-    }
-
-    /// Merge the two supports of a statistic into its sparse LP row.
-    fn merge_row(&self, s: &ConcreteStatistic) -> Vec<(usize, f64)> {
-        let u = s.stat.conditional.u;
-        let uv = u.union(s.stat.conditional.v);
-        let inv_p = s.stat.norm.reciprocal();
-        let support_uv = self.support(uv);
-        let support_u = if u.is_empty() {
-            None
-        } else {
-            Some(self.support(u))
-        };
-        let mut coeffs: Vec<(usize, f64)> = Vec::with_capacity(support_uv.len());
-        let mut u_iter = support_u.as_deref().map(|v| v.iter().peekable());
-        for &w in support_uv.iter() {
-            // `U ⊆ U∪V` makes support(U) a sorted subsequence of
-            // support(U∪V), so one forward scan classifies every column.
-            let in_u = match &mut u_iter {
-                Some(it) => {
-                    while it.peek().is_some_and(|&&m| m < w) {
-                        it.next();
-                    }
-                    if it.peek() == Some(&&w) {
-                        it.next();
-                        true
-                    } else {
-                        false
-                    }
+        for bit in 0..self.n {
+            let half = 1usize << bit;
+            for block in self.sums.chunks_exact_mut(2 * half) {
+                let (without, with) = block.split_at_mut(half);
+                for (hi, lo) in with.iter_mut().zip(without.iter()) {
+                    *hi += *lo;
                 }
-                None => false,
-            };
-            let c = if in_u { inv_p } else { 1.0 };
-            if c != 0.0 {
-                coeffs.push((w as usize - 1, c));
             }
         }
-        coeffs
     }
 
-    /// The statistic-row matrix for an ordered shape list, as a shareable
-    /// block (placeholder rhs of zero; callers override it per query), built
-    /// — including its CSC transpose — at most once per shape list.
-    fn matrix(&self, stats: &StatisticsSet) -> Arc<SharedRowBlock> {
-        let key: Vec<NormalRowKey> = stats.iter().map(normal_row_key).collect();
-        if let Some(hit) = self
-            .matrices
-            .lock()
-            .expect("normal matrix cache poisoned")
-            .get(&key)
-        {
-            return Arc::clone(hit);
-        }
-        let rows: Vec<Vec<(usize, f64)>> =
-            stats.iter().map(|s| self.row(s).as_ref().clone()).collect();
-        let n_cols = (1usize << self.n) - 1;
-        let block = Arc::new(SharedRowBlock::new(n_cols, rows, vec![0.0; stats.len()]));
-        let mut cache = self.matrices.lock().expect("normal matrix cache poisoned");
-        if cache.len() < Self::MAX_CACHED_MATRICES {
-            cache.insert(key, Arc::clone(&block));
-        }
-        block
-    }
-}
-
-fn normal_step_cache() -> &'static Mutex<HashMap<usize, Arc<NormalStepBlock>>> {
-    static CACHE: OnceLock<Mutex<HashMap<usize, Arc<NormalStepBlock>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The shared step block for `n` variables, creating it on first use.
-///
-/// # Panics
-///
-/// Panics when `n` is 0 or exceeds [`NORMAL_VAR_LIMIT`]; the supports hold
-/// up to `2^n` masks each.  [`NormalLpSkeleton::normal`] is the checked,
-/// error-returning entry point.
-pub fn normal_step_block(n: usize) -> Arc<NormalStepBlock> {
-    assert!(
-        (1..=NORMAL_VAR_LIMIT).contains(&n),
-        "normal_step_block supports 1..={NORMAL_VAR_LIMIT} variables, got {n}"
-    );
-    let mut cache = normal_step_cache().lock().expect("step cache poisoned");
-    Arc::clone(
-        cache
-            .entry(n)
-            .or_insert_with(|| Arc::new(NormalStepBlock::new(n))),
-    )
-}
-
-/// A reusable skeleton of the normal-cone bound LP for one variable count —
-/// the [`BoundLpSkeleton`] counterpart for [`crate::Cone::Normal`].
-#[derive(Debug, Clone)]
-pub struct NormalLpSkeleton {
-    block: Arc<NormalStepBlock>,
-}
-
-impl NormalLpSkeleton {
-    /// Skeleton of the normal-cone LP over `n` query variables.
-    ///
-    /// Fails with [`CoreError::TooManyVariables`] beyond
-    /// [`NORMAL_VAR_LIMIT`], like [`crate::compute_bound`].
-    pub fn normal(n: usize) -> Result<Self, CoreError> {
-        if n == 0 {
-            return Err(CoreError::InvalidQuery {
-                reason: "the normal-cone LP needs at least one variable".into(),
-            });
-        }
-        if n > NORMAL_VAR_LIMIT {
-            return Err(CoreError::TooManyVariables {
-                n_vars: n,
-                limit: NORMAL_VAR_LIMIT,
-                cone: "normal",
-            });
-        }
-        Ok(NormalLpSkeleton {
-            block: normal_step_block(n),
-        })
+    /// `w·c(W)` as of the last [`price`](Self::price) call.
+    pub fn price_of(&self, w: VarSet) -> f64 {
+        self.sums[self.sums.len() - 1 - w.0 as usize]
     }
 
-    /// Number of query variables.
-    pub fn n_vars(&self) -> usize {
-        self.block.n_vars()
-    }
-
-    /// The sparse row of one statistic `((V|U), p, b)`: coefficient `1/p`
-    /// on every column in the support of `U` and `1` on the columns in the
-    /// support of `U∪V` but not of `U` — numerically identical (bit for
-    /// bit) to evaluating `(1/p)·h_W(U) + h_W(V|U)` per column, which the
-    /// regression tests assert.  Rows are cached per `(U, V, norm)` shape
-    /// and shared by `Arc`, so a repeated shape never re-merges supports.
-    pub fn stat_row(&self, s: &ConcreteStatistic) -> Arc<Vec<(usize, f64)>> {
-        self.block.row(s)
-    }
-
-    /// Build the normal-cone LP for one statistics set: maximize `Σ_W α_W`
-    /// subject to one row per statistic (in statistics order, so the duals
-    /// are the witness weights).
-    ///
-    /// The statistic rows depend only on the statistics' *shapes*; the
-    /// log-bounds are pure right-hand sides.  When every log-bound is
-    /// non-negative (always true for norms harvested from real relations)
-    /// the whole matrix is therefore attached as a shape-cached
-    /// [`SharedRowBlock`] — sparse columns prebuilt, shared across queries —
-    /// with a per-query rhs override; synthetic negative log-bounds fall
-    /// back to explicit per-problem rows, which the solvers sign-normalize.
-    pub fn instantiate(&self, stats: &StatisticsSet) -> Problem {
-        let n = self.n_vars();
-        let n_subsets = (1usize << n) - 1;
-        let mut p = Problem::maximize(n_subsets);
-        for mask in 1..=n_subsets {
-            // Every non-empty W intersects the full variable set, so
-            // h_W(X) = 1.
-            p.set_objective(mask - 1, 1.0);
+    /// The columns outside `present` priced below `1 − tol`, most violated
+    /// first (ties: smaller mask first, so the choice is a function of the
+    /// prices alone), at most `max` of them.  An empty result certifies the
+    /// weights as a dual-feasible witness on every extreme ray of `Nₙ`
+    /// outside `present`.
+    pub fn violated(&self, present: &[VarSet], tol: f64, max: usize) -> Vec<VarSet> {
+        let full = self.sums.len() - 1;
+        let mut found: Vec<(f64, u32)> = self.sums[..full]
+            .iter()
+            .enumerate()
+            .filter(|(_, &price)| price < 1.0 - tol)
+            .map(|(complement, &price)| (price, (full - complement) as u32))
+            .collect();
+        let by_violation = |a: &(f64, u32), b: &(f64, u32)| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1));
+        // Only the head can be taken: `max` columns plus, at worst, every
+        // present one ahead of them.
+        let head = max + present.len();
+        if found.len() > head {
+            found.select_nth_unstable_by(head, by_violation);
+            found.truncate(head);
         }
-        let rhs: Vec<f64> = stats.iter().map(|s| s.log_bound).collect();
-        if !stats.is_empty() && rhs.iter().all(|&b| b.is_finite() && b >= 0.0) {
-            p.set_shared_tail(self.block.matrix(stats));
-            p.set_shared_tail_rhs(rhs);
-        } else {
-            for s in stats.iter() {
-                let row = self.stat_row(s);
-                p.add_constraint(&row, Sense::Le, s.log_bound);
-            }
-        }
-        p
+        found.sort_unstable_by(by_violation);
+        found
+            .into_iter()
+            .map(|(_, w)| VarSet(w))
+            .filter(|w| !present.contains(w))
+            .take(max)
+            .collect()
     }
 }
 
@@ -801,141 +649,198 @@ mod tests {
         assert!(Arc::ptr_eq(tail, shannon_rows(3).shared_tail()));
     }
 
+    /// Statistics `((V|U), norm, log-bound)`, all guarded by atom 0.
+    fn stats_of(cases: &[(VarSet, VarSet, lpb_data::Norm, f64)]) -> StatisticsSet {
+        use lpb_entropy::Conditional;
+        StatisticsSet::from_vec(
+            cases
+                .iter()
+                .map(|&(v, u, norm, log_bound)| {
+                    ConcreteStatistic::new(Conditional::new(v, u), norm, 0, log_bound)
+                })
+                .collect(),
+        )
+    }
+
+    /// Four statistic shapes over four variables: conditioned and not,
+    /// ℓ1 / ℓ2 / ℓ3 / ℓ∞, and one with `|U∪V| = 3`.
+    fn coefficient_cases() -> StatisticsSet {
+        use lpb_data::Norm;
+        let set = |vars: &[usize]| VarSet::from_indices(vars.iter().copied());
+        stats_of(&[
+            (set(&[1]), set(&[0]), Norm::L2, 1.0),
+            (set(&[2, 3]), VarSet::EMPTY, Norm::L1, 1.0),
+            (set(&[3]), set(&[1]), Norm::Infinity, 1.0),
+            (set(&[0, 2]), set(&[3]), Norm::finite(3.0), 1.0),
+        ])
+    }
+
+    /// No support list is cached or shared any more: the support of a
+    /// statistic's row is a function of `U∪V`, namely
+    /// [`lpb_entropy::step_support`].
     #[test]
     fn normal_step_block_is_cached_and_supports_are_shared() {
-        let a = normal_step_block(5);
-        let b = normal_step_block(5);
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.n_vars(), 5);
-        let s1 = a.support(VarSet::from_indices([0, 2]));
-        let s2 = a.support(VarSet::from_indices([0, 2]));
-        assert!(Arc::ptr_eq(&s1, &s2));
-        assert!(a.cached_supports() >= 1);
+        let n = 5;
+        let stats = stats_of(&[(
+            VarSet::from_indices([2]),
+            VarSet::from_indices([0]),
+            lpb_data::Norm::L2,
+            1.0,
+        )]);
+        let stat = &stats.as_slice()[0];
+        let support: Vec<u32> = (1u32..1 << n)
+            .filter(|&mask| normal_step_coefficient(stat, VarSet(mask)) != 0.0)
+            .collect();
+        assert_eq!(
+            support,
+            lpb_entropy::step_support(n, VarSet::from_indices([0, 2]))
+        );
         // |{W : W ∩ S ≠ ∅}| = 2^n − 2^(n−|S|).
-        assert_eq!(s1.len(), (1 << 5) - (1 << 3));
+        assert_eq!(support.len(), (1 << 5) - (1 << 3));
     }
 
     #[test]
     fn normal_skeleton_rejects_oversized_and_empty() {
-        assert!(NormalLpSkeleton::normal(0).is_err());
-        assert!(NormalLpSkeleton::normal(NORMAL_VAR_LIMIT + 1).is_err());
-        let s = NormalLpSkeleton::normal(4).unwrap();
-        assert_eq!(s.n_vars(), 4);
+        use crate::bound_lp::solve_normal;
+        let (none, options) = (StatisticsSet::new(), lpb_lp::SolverOptions::default());
+        assert!(matches!(
+            solve_normal(0, &none, &options),
+            Err(CoreError::InvalidQuery { .. })
+        ));
+        assert!(matches!(
+            solve_normal(NORMAL_VAR_LIMIT + 1, &none, &options),
+            Err(CoreError::TooManyVariables { .. })
+        ));
+        // In range, without statistics, nothing bounds the query.
+        let open = solve_normal(4, &none, &options).unwrap();
+        assert_eq!(open.status, lpb_lp::Status::Unbounded);
     }
 
+    /// The coefficient function is bit for bit the per-column step-function
+    /// evaluation, and the zeta-transform pricing is the per-column dot
+    /// product `Σ_i w_i·c_i(W)` on every one of the `2^n − 1` columns.
     #[test]
     fn normal_stat_row_matches_step_function_pricing() {
-        use lpb_entropy::{step_conditional, step_value, Conditional};
+        use lpb_entropy::{step_conditional, step_value};
 
-        let skeleton = NormalLpSkeleton::normal(4).unwrap();
-        let cases = [
-            (
-                VarSet::from_indices([1]),
-                VarSet::from_indices([0]),
-                lpb_data::Norm::L2,
-            ),
-            (
-                VarSet::from_indices([2, 3]),
-                VarSet::EMPTY,
-                lpb_data::Norm::L1,
-            ),
-            (
-                VarSet::from_indices([3]),
-                VarSet::from_indices([1]),
-                lpb_data::Norm::Infinity,
-            ),
-            (
-                VarSet::from_indices([0, 2]),
-                VarSet::from_indices([3]),
-                lpb_data::Norm::finite(3.0),
-            ),
-        ];
-        for (v, u, norm) in cases {
-            let stat = ConcreteStatistic::new(Conditional::new(v, u), norm, 0, 1.0);
-            let row = skeleton.stat_row(&stat);
-            // Reference: the direct per-column enumeration the seed used.
-            let u = stat.stat.conditional.u;
-            let v = stat.stat.conditional.v;
+        let n = 4;
+        let stats = coefficient_cases();
+        for stat in stats.iter() {
+            let (u, v) = (stat.stat.conditional.u, stat.stat.conditional.v);
             let inv_p = stat.stat.norm.reciprocal();
-            let mut expected: Vec<(usize, f64)> = Vec::new();
-            for mask in 1u32..(1 << 4) {
+            for mask in 1u32..(1 << n) {
                 let w = VarSet(mask);
-                let c = inv_p * step_value(w, u) + step_conditional(w, v, u);
-                if c != 0.0 {
-                    expected.push((mask as usize - 1, c));
+                // Reference: the direct per-column enumeration the seed used.
+                let expected = inv_p * step_value(w, u) + step_conditional(w, v, u);
+                assert_eq!(
+                    normal_step_coefficient(stat, w).to_bits(),
+                    expected.to_bits(),
+                    "({v:?}|{u:?}) at {w:?}"
+                );
+            }
+        }
+        let mut pricer = StepColumnPricer::new(n);
+        for weights in [[0.5, 1.25, 0.0, 2.0], [1.0, 0.0, 3.0, 0.125]] {
+            pricer.price(&stats, &weights);
+            let mut below_one = Vec::new();
+            for mask in 1u32..(1 << n) {
+                let w = VarSet(mask);
+                let direct: f64 = stats
+                    .iter()
+                    .zip(&weights)
+                    .map(|(s, wt)| wt * normal_step_coefficient(s, w))
+                    .sum();
+                assert!(
+                    (pricer.price_of(w) - direct).abs() < 1e-12,
+                    "{w:?}: zeta {} vs direct {direct}",
+                    pricer.price_of(w)
+                );
+                if direct < 1.0 - 1e-9 {
+                    below_one.push((direct, w));
                 }
             }
-            assert_eq!(*row, expected, "({v:?}|{u:?}) with {norm:?}");
-            // The cache hands back the same shared row on a repeat request.
-            let again = skeleton.stat_row(&stat);
-            assert!(Arc::ptr_eq(&row, &again));
+            // `violated` returns exactly those, most violated first, minus
+            // the ones already present, capped.
+            below_one.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            let all: Vec<VarSet> = below_one.iter().map(|&(_, w)| w).collect();
+            assert_eq!(pricer.violated(&[], 1e-9, usize::MAX >> 1), all);
+            if let Some((first, rest)) = all.split_first() {
+                assert_eq!(
+                    pricer.violated(&[*first], 1e-9, 2),
+                    rest[..rest.len().min(2)]
+                );
+            }
         }
     }
 
-    fn two_stats() -> crate::statistics::StatisticsSet {
-        use crate::statistics::StatisticsSet;
-        use lpb_entropy::Conditional;
-
-        let mut stats = StatisticsSet::new();
-        stats.push(ConcreteStatistic::new(
-            Conditional::new(VarSet::from_indices([0, 1]), VarSet::EMPTY),
-            lpb_data::Norm::L1,
-            0,
-            4.0,
-        ));
-        stats.push(ConcreteStatistic::new(
-            Conditional::new(VarSet::from_indices([2]), VarSet::from_indices([0])),
-            lpb_data::Norm::L2,
-            0,
-            2.0,
-        ));
-        stats
+    fn two_stats() -> StatisticsSet {
+        use lpb_data::Norm;
+        stats_of(&[
+            (VarSet::from_indices([0, 1]), VarSet::EMPTY, Norm::L1, 4.0),
+            (
+                VarSet::from_indices([2]),
+                VarSet::from_indices([0]),
+                Norm::L2,
+                2.0,
+            ),
+        ])
     }
 
+    /// The master LP carries one row per statistic, in statistics order,
+    /// whose cells are the coefficient function and whose right-hand sides
+    /// are the log-bounds — which are all that changes with them.
     #[test]
     fn normal_skeleton_instantiates_one_shared_row_per_statistic() {
+        use crate::bound_lp::normal_master;
         let stats = two_stats();
-        let skeleton = NormalLpSkeleton::normal(3).unwrap();
-        let p = skeleton.instantiate(&stats);
-        assert_eq!(p.n_vars(), 7);
+        let columns: Vec<VarSet> = (0..3)
+            .map(VarSet::singleton)
+            .chain([VarSet::full(3), VarSet::from_indices([1, 2])])
+            .collect();
+        let p = normal_master(&columns, &stats);
+        assert_eq!(p.n_vars(), columns.len());
+        assert!(p.objective().iter().all(|&c| c == 1.0));
         assert_eq!(p.n_rows_total(), 2);
-        // The statistic rows live in a shape-cached shared block (sparse
-        // columns prebuilt) with the log-bounds as a per-query rhs override.
-        assert_eq!(p.n_constraints(), 0);
-        let tail = p.shared_tail().expect("statistic rows shared as a tail");
-        assert_eq!(tail.n_rows(), 2);
-        assert_eq!(p.tail_rhs(), Some(&[4.0, 2.0][..]));
-        // Same shape list → the very same cached block; changed log-bounds
-        // only move the rhs.
-        let q = skeleton.instantiate(&stats.amplify(1.5));
-        assert!(Arc::ptr_eq(tail, q.shared_tail().unwrap()));
-        assert_eq!(q.tail_rhs(), Some(&[6.0, 3.0][..]));
-        // Tail rows are bit-for-bit the cached stat rows.
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(tail.row(i), skeleton.stat_row(s).as_slice());
+        assert!(p.shared_tail().is_none());
+        for (row, s) in p.constraints().iter().zip(stats.iter()) {
+            assert_eq!(row.sense, Sense::Le);
+            assert_eq!(row.rhs, s.log_bound);
+            let expected: Vec<(usize, f64)> = columns
+                .iter()
+                .enumerate()
+                .map(|(j, &w)| (j, normal_step_coefficient(s, w)))
+                .filter(|&(_, c)| c != 0.0)
+                .collect();
+            assert_eq!(row.coeffs, expected);
+        }
+        let q = normal_master(&columns, &stats.amplify(1.5));
+        for (a, b) in p.constraints().iter().zip(q.constraints()) {
+            assert_eq!(a.coeffs, b.coeffs);
+            assert_eq!(b.rhs, 1.5 * a.rhs);
         }
     }
 
+    /// Negative log-bounds need no second representation: the master is
+    /// infeasible on its seed columns already (no coefficient is negative).
+    /// On sign-safe data the generated solve returns the full LP's shape and,
+    /// the statistics being simple, the polymatroid bound (Theorem 6.1).
     #[test]
     fn normal_skeleton_falls_back_to_explicit_rows_for_negative_bounds() {
-        let stats = two_stats().amplify(-1.0);
-        let skeleton = NormalLpSkeleton::normal(3).unwrap();
-        let p = skeleton.instantiate(&stats);
-        assert!(p.shared_tail().is_none());
-        assert_eq!(p.n_constraints(), 2);
-        assert_eq!(p.constraints()[0].rhs, -4.0);
-        // Both representations solve to the same bound on sign-safe data.
+        use crate::bound_lp::solve_normal;
+        let options = lpb_lp::SolverOptions::default();
+        let negative = solve_normal(3, &two_stats().amplify(-1.0), &options).unwrap();
+        assert_eq!(negative.status, lpb_lp::Status::Infeasible);
+
         let pos = two_stats();
-        let shared = skeleton.instantiate(&pos).solve().unwrap();
-        let mut explicit = Problem::maximize(7);
-        for mask in 1..=7usize {
-            explicit.set_objective(mask - 1, 1.0);
-        }
-        for s in pos.iter() {
-            explicit.add_constraint(&skeleton.stat_row(s), Sense::Le, s.log_bound);
-        }
-        let explicit = explicit.solve().unwrap();
-        assert_eq!(shared.status, explicit.status);
-        assert!((shared.objective - explicit.objective).abs() < 1e-9);
+        let generated = solve_normal(3, &pos, &options).unwrap();
+        let polymatroid = BoundLpSkeleton::polymatroid(3)
+            .unwrap()
+            .instantiate(&pos)
+            .solve()
+            .unwrap();
+        assert_eq!(generated.status, polymatroid.status);
+        assert!((generated.objective - polymatroid.objective).abs() < 1e-9);
+        assert_eq!(generated.x.len(), 7);
+        assert_eq!(generated.duals.len(), pos.len());
     }
 }

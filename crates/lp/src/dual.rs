@@ -29,6 +29,7 @@ use crate::revised::{
 };
 use crate::simplex::{Solution, SolverOptions, Status};
 use crate::sparse::CsrMatrix;
+use crate::stats::{record_solve, SolvePath};
 use std::sync::Arc;
 
 /// Outcome of a [`dual_simplex`] run.
@@ -306,6 +307,7 @@ impl WarmHandle {
         if !self.matches(problem) {
             return solve_sparse(problem, options);
         }
+        record_solve(SolvePath::DualWarm, self.n);
 
         let mut engine = self.engine.clone();
         // New RHS in the snapshot's row orientation (and, for grown
@@ -499,6 +501,7 @@ impl WarmHandle {
         if !engine.append_le_rows(&appended) {
             return crate::solve_sparse_with_handle(problem, options);
         }
+        record_solve(SolvePath::AppendWarm, self.n);
         let mut cost2 = self.cost2.clone();
         cost2.resize(engine.n_cols, 0.0);
         let max_iter = 200 * (engine.m + engine.n_cols).max(100);

@@ -25,6 +25,7 @@ use crate::revised::{
     extract_solution, infeasible_solution, prepare, ColKind, Prep, Prepared, PRIMAL_FEAS_TOL,
 };
 use crate::simplex::{Solution, SolverOptions, Status};
+use crate::stats::{record_solve, SolvePath};
 
 /// A sparse revised-simplex solve that stays alive after the optimum so
 /// `<=` rows can be appended and re-solved in place.
@@ -59,6 +60,7 @@ impl IncrementalSolver {
     /// (there is no basis to grow).
     pub fn solve(problem: &Problem, options: &SolverOptions) -> Result<Self, LpError> {
         problem.validate()?;
+        record_solve(SolvePath::RevisedCold, problem.n_vars());
         let mut p = match prepare(problem, options, None) {
             Prep::Trivial(_) => return Err(LpError::EmptyProblem),
             Prep::Ready(p) => *p,
@@ -172,6 +174,7 @@ impl IncrementalSolver {
                 detail: "refactorization of the row-extended basis failed".into(),
             });
         }
+        record_solve(SolvePath::AppendWarm, n);
         p.cost2.resize(p.engine.n_cols, 0.0);
         p.m = p.engine.m;
         let max_iter = self

@@ -22,9 +22,11 @@
 //!   new `≤` rows join a solved LP by extending the factorized basis with
 //!   their slacks and dual-repairing, the primitive behind both lazy
 //!   constraint generation and grown-shape warm starts,
-//! * process-wide **work counters** ([`SolverStats`]): pivot,
-//!   refactorization and row-append counts, so benchmarks can assert on
-//!   work instead of noisy wall-clock,
+//! * process-wide and per-thread **work counters** ([`SolverStats`]):
+//!   pivot, refactorization and row-append counts, solves by path (dense,
+//!   revised-cold, dual-warm, append-warm) with their summed widths, and
+//!   column-generation rounds, so benchmarks can assert on work instead of
+//!   noisy wall-clock,
 //! * a dense, two-phase tableau **simplex** method with Bland's
 //!   anti-cycling rule ([`solve_dense`]), kept as a cross-checking
 //!   fallback — property tests assert the two solvers agree on status,
@@ -74,7 +76,8 @@ pub use matrix::DenseMatrix;
 pub use problem::{Constraint, Direction, Problem, Sense, SharedRowBlock};
 pub use revised::{eta_refactorization_count, solve_sparse, solve_sparse_with_handle};
 pub use simplex::{
-    solve, solve_dense, Pricing, Solution, SolverKind, SolverOptions, Status, DENSE_SMALL_LP_ROWS,
+    solve, solve_dense, Pricing, Solution, SolverKind, SolverOptions, Status,
+    DENSE_MAX_COLS_PER_ROW, DENSE_SMALL_LP_ROWS,
 };
 pub use sparse::{CscMatrix, CsrMatrix};
 pub use stats::SolverStats;

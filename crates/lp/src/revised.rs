@@ -1049,6 +1049,7 @@ fn solve_sparse_inner(
     options: &SolverOptions,
     want_handle: bool,
 ) -> Result<(Solution, Option<crate::dual::WarmHandle>), LpError> {
+    stats::record_solve(stats::SolvePath::RevisedCold, problem.n_vars());
     let mut p = match prepare(problem, options, None) {
         Prep::Trivial(solution) => return Ok((solution, None)),
         Prep::Ready(p) => *p,

@@ -1,8 +1,10 @@
 //! Process-wide and per-thread solver work counters.
 //!
 //! Wall-clock timings are noisy in CI, so the benchmarks assert on *work*
-//! instead: pivot counts, refactorizations and row-append (constraint
-//! generation) activity.  Two views exist over the same recordings:
+//! instead: pivot counts, refactorizations, row-append (constraint
+//! generation) activity, which of the crate's four solve paths each solve
+//! took and how wide it was, and column-generation rounds.  Two views exist
+//! over the same recordings:
 //!
 //! * **Process-wide** ([`SolverStats::snapshot`]) — relaxed atomics shared
 //!   by every engine in the process.  Callers take a snapshot before a
@@ -27,6 +29,13 @@ static DUAL_PIVOTS: AtomicU64 = AtomicU64::new(0);
 static REFACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
 static APPEND_BATCHES: AtomicU64 = AtomicU64::new(0);
 static ROWS_APPENDED: AtomicU64 = AtomicU64::new(0);
+static DENSE_SOLVES: AtomicU64 = AtomicU64::new(0);
+static REVISED_COLD_SOLVES: AtomicU64 = AtomicU64::new(0);
+static DUAL_WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
+static APPEND_WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
+static SOLVE_COLUMNS: AtomicU64 = AtomicU64::new(0);
+static GENERATION_ROUNDS: AtomicU64 = AtomicU64::new(0);
+static COLUMNS_GENERATED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static TL_PRIMAL_PIVOTS: Cell<u64> = const { Cell::new(0) };
@@ -34,6 +43,13 @@ thread_local! {
     static TL_REFACTORIZATIONS: Cell<u64> = const { Cell::new(0) };
     static TL_APPEND_BATCHES: Cell<u64> = const { Cell::new(0) };
     static TL_ROWS_APPENDED: Cell<u64> = const { Cell::new(0) };
+    static TL_DENSE_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static TL_REVISED_COLD_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static TL_DUAL_WARM_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static TL_APPEND_WARM_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static TL_SOLVE_COLUMNS: Cell<u64> = const { Cell::new(0) };
+    static TL_GENERATION_ROUNDS: Cell<u64> = const { Cell::new(0) };
+    static TL_COLUMNS_GENERATED: Cell<u64> = const { Cell::new(0) };
 }
 
 fn bump(global: &AtomicU64, local: &'static std::thread::LocalKey<Cell<u64>>, by: u64) {
@@ -58,6 +74,27 @@ pub(crate) fn record_append(rows: usize) {
     bump(&ROWS_APPENDED, &TL_ROWS_APPENDED, rows as u64);
 }
 
+/// The path one solve took through the crate (see the `*_solves` fields of
+/// [`SolverStats`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum SolvePath {
+    Dense,
+    RevisedCold,
+    DualWarm,
+    AppendWarm,
+}
+
+/// Count one solve over `columns` structural columns on `path`.
+pub(crate) fn record_solve(path: SolvePath, columns: usize) {
+    match path {
+        SolvePath::Dense => bump(&DENSE_SOLVES, &TL_DENSE_SOLVES, 1),
+        SolvePath::RevisedCold => bump(&REVISED_COLD_SOLVES, &TL_REVISED_COLD_SOLVES, 1),
+        SolvePath::DualWarm => bump(&DUAL_WARM_SOLVES, &TL_DUAL_WARM_SOLVES, 1),
+        SolvePath::AppendWarm => bump(&APPEND_WARM_SOLVES, &TL_APPEND_WARM_SOLVES, 1),
+    }
+    bump(&SOLVE_COLUMNS, &TL_SOLVE_COLUMNS, columns as u64);
+}
+
 pub(crate) fn refactorization_count() -> u64 {
     REFACTORIZATIONS.load(Ordering::Relaxed)
 }
@@ -80,6 +117,32 @@ pub struct SolverStats {
     pub append_batches: u64,
     /// Total rows added across all append batches.
     pub rows_appended: u64,
+    /// Solves by the dense two-phase tableau (routed there by
+    /// [`crate::SolverKind::Auto`], asked for explicitly, or as the
+    /// fallback of a numerically failed sparse solve).
+    pub dense_solves: u64,
+    /// Cold solves by the sparse revised simplex, from the slack (or
+    /// replayed-token) basis — including the cold fallbacks of the two warm
+    /// paths below.
+    pub revised_cold_solves: u64,
+    /// Re-solves of a snapshotted factorization after right-hand-side
+    /// changes ([`crate::WarmHandle::resolve`]).
+    pub dual_warm_solves: u64,
+    /// Re-solves after appending rows to a factorized basis
+    /// ([`crate::WarmHandle::resolve_grown`],
+    /// [`crate::IncrementalSolver::append_le_rows`]).
+    pub append_warm_solves: u64,
+    /// Structural columns summed over the solves counted in the four
+    /// `*_solves` fields: the mean LP width is this over their sum, and a
+    /// delta of at most `k` proves no solve inside it was wider than `k`.
+    pub solve_columns: u64,
+    /// Column-generation rounds: restricted master solves each followed by
+    /// one pricing pass over the full column family
+    /// ([`SolverStats::record_generation_round`]).
+    pub generation_rounds: u64,
+    /// Columns those pricing passes added to their masters (seed columns
+    /// not counted).
+    pub columns_generated: u64,
 }
 
 impl SolverStats {
@@ -91,6 +154,13 @@ impl SolverStats {
             refactorizations: REFACTORIZATIONS.load(Ordering::Relaxed),
             append_batches: APPEND_BATCHES.load(Ordering::Relaxed),
             rows_appended: ROWS_APPENDED.load(Ordering::Relaxed),
+            dense_solves: DENSE_SOLVES.load(Ordering::Relaxed),
+            revised_cold_solves: REVISED_COLD_SOLVES.load(Ordering::Relaxed),
+            dual_warm_solves: DUAL_WARM_SOLVES.load(Ordering::Relaxed),
+            append_warm_solves: APPEND_WARM_SOLVES.load(Ordering::Relaxed),
+            solve_columns: SOLVE_COLUMNS.load(Ordering::Relaxed),
+            generation_rounds: GENERATION_ROUNDS.load(Ordering::Relaxed),
+            columns_generated: COLUMNS_GENERATED.load(Ordering::Relaxed),
         }
     }
 
@@ -105,7 +175,28 @@ impl SolverStats {
             refactorizations: TL_REFACTORIZATIONS.with(Cell::get),
             append_batches: TL_APPEND_BATCHES.with(Cell::get),
             rows_appended: TL_ROWS_APPENDED.with(Cell::get),
+            dense_solves: TL_DENSE_SOLVES.with(Cell::get),
+            revised_cold_solves: TL_REVISED_COLD_SOLVES.with(Cell::get),
+            dual_warm_solves: TL_DUAL_WARM_SOLVES.with(Cell::get),
+            append_warm_solves: TL_APPEND_WARM_SOLVES.with(Cell::get),
+            solve_columns: TL_SOLVE_COLUMNS.with(Cell::get),
+            generation_rounds: TL_GENERATION_ROUNDS.with(Cell::get),
+            columns_generated: TL_COLUMNS_GENERATED.with(Cell::get),
         }
+    }
+
+    /// Count one column-generation round that added `new_columns` columns
+    /// to its master LP.  The loop lives with the column family it prices
+    /// (`lpb-core`'s normal-cone bound), outside this crate, so unlike the
+    /// other recorders this one is public; the master solves themselves are
+    /// counted by the solver paths they take.
+    pub fn record_generation_round(new_columns: usize) {
+        bump(&GENERATION_ROUNDS, &TL_GENERATION_ROUNDS, 1);
+        bump(
+            &COLUMNS_GENERATED,
+            &TL_COLUMNS_GENERATED,
+            new_columns as u64,
+        );
     }
 
     /// Run `f` and return its result together with the solver work the
@@ -121,15 +212,29 @@ impl SolverStats {
     /// Field-wise difference `self - earlier` (saturating, so a stale
     /// `earlier` never underflows).
     pub fn since(&self, earlier: &SolverStats) -> SolverStats {
+        let sub = |field: fn(&SolverStats) -> u64| field(self).saturating_sub(field(earlier));
         SolverStats {
-            primal_pivots: self.primal_pivots.saturating_sub(earlier.primal_pivots),
-            dual_pivots: self.dual_pivots.saturating_sub(earlier.dual_pivots),
-            refactorizations: self
-                .refactorizations
-                .saturating_sub(earlier.refactorizations),
-            append_batches: self.append_batches.saturating_sub(earlier.append_batches),
-            rows_appended: self.rows_appended.saturating_sub(earlier.rows_appended),
+            primal_pivots: sub(|s| s.primal_pivots),
+            dual_pivots: sub(|s| s.dual_pivots),
+            refactorizations: sub(|s| s.refactorizations),
+            append_batches: sub(|s| s.append_batches),
+            rows_appended: sub(|s| s.rows_appended),
+            dense_solves: sub(|s| s.dense_solves),
+            revised_cold_solves: sub(|s| s.revised_cold_solves),
+            dual_warm_solves: sub(|s| s.dual_warm_solves),
+            append_warm_solves: sub(|s| s.append_warm_solves),
+            solve_columns: sub(|s| s.solve_columns),
+            generation_rounds: sub(|s| s.generation_rounds),
+            columns_generated: sub(|s| s.columns_generated),
         }
+    }
+
+    /// Every solve, whichever path it took.
+    pub fn total_solves(&self) -> u64 {
+        self.dense_solves
+            + self.revised_cold_solves
+            + self.dual_warm_solves
+            + self.append_warm_solves
     }
 
     /// Primal plus dual pivots.
@@ -150,6 +255,8 @@ mod tests {
             refactorizations: 2,
             append_batches: 1,
             rows_appended: 7,
+            revised_cold_solves: 2,
+            ..SolverStats::default()
         };
         let b = SolverStats {
             primal_pivots: 13,
@@ -157,12 +264,18 @@ mod tests {
             refactorizations: 3,
             append_batches: 2,
             rows_appended: 30,
+            revised_cold_solves: 5,
+            solve_columns: 40,
+            ..SolverStats::default()
         };
         let d = b.since(&a);
         assert_eq!(d.primal_pivots, 3);
         assert_eq!(d.dual_pivots, 0);
         assert_eq!(d.total_pivots(), 3);
         assert_eq!(d.rows_appended, 23);
+        assert_eq!(d.revised_cold_solves, 3);
+        assert_eq!(d.solve_columns, 40);
+        assert_eq!(d.total_solves(), 3);
         // Reversed order saturates instead of wrapping.
         assert_eq!(a.since(&b).primal_pivots, 0);
     }
@@ -194,6 +307,9 @@ mod tests {
                 record_primal_pivot();
             }
             record_append(5);
+            record_solve(SolvePath::Dense, 12);
+            record_solve(SolvePath::DualWarm, 30);
+            SolverStats::record_generation_round(4);
         });
         go_tx.send(()).unwrap();
         let theirs = other.join().unwrap();
@@ -203,6 +319,10 @@ mod tests {
         assert_eq!(mine.dual_pivots, 0);
         assert_eq!(mine.append_batches, 1);
         assert_eq!(mine.rows_appended, 5);
+        assert_eq!((mine.dense_solves, mine.dual_warm_solves), (1, 1));
+        assert_eq!(mine.solve_columns, 42);
+        assert_eq!((mine.generation_rounds, mine.columns_generated), (1, 4));
+        assert_eq!(theirs.total_solves(), 0);
         assert_eq!(theirs.dual_pivots, 7);
         assert_eq!(theirs.primal_pivots, 0);
         // ...while the process-wide delta is at least the sum (other tests
