@@ -9,15 +9,9 @@
 //!
 //! * **dense rebuild** — the seed behaviour: regenerate every Shannon
 //!   elemental row and solve the dense two-phase tableau, per estimate;
-//! * **sparse + cached skeleton** — the current default `compute_bound`:
-//!   cached Shannon block (shared CSC tail) + sparse revised simplex;
-//! * **sparse + basis replay** — the same, warm-started by replaying the
-//!   previous solve's basis token (kept as the historical comparison: the
-//!   replay is a throughput wash);
-//! * **dual warm start** — the `BatchEstimator` steady state: per-shape
-//!   factorization snapshots re-solved with dual pivots as the statistics'
-//!   log-bounds change (`dual_warm_us`, with `dual_vs_cold_ratio` < 1 the
-//!   acceptance bar);
+//! * **sparse + cached skeleton** — the materialized polymatroid
+//!   `compute_bound`: cached Shannon block (shared CSC tail) + sparse
+//!   revised simplex;
 //!
 //! plus a **lazy constraint-generation** scaling table (cold polymatroid
 //! bounds at n = 9..12, with pivot / rows-generated work counters and an
@@ -25,8 +19,9 @@
 //! column-generated bound at n = 3..15 on the statistics of the first
 //! table, with generation rounds and master width, against the fully
 //! enumerated `2^n − 1`-column LP up to n = 12), a Devex-vs-Dantzig pricing
-//! head-to-head on the largest materialized LP, and a cold / warm /
-//! warm-in-lanes `BatchEstimator` run over a mixed batch.
+//! head-to-head on the largest materialized LP, and a mixed
+//! `BatchEstimator` batch on the normal cone (the planner's choice: the
+//! statistics are simple) against the same batch on the polymatroid cone.
 //!
 //! Passing `--smoke` (the CI mode: `cargo bench --bench lp_scaling --
 //! --smoke`) runs the same code over the two smallest sizes with the same
@@ -111,20 +106,6 @@ struct ComparisonRow {
     n_stats: usize,
     dense_us: f64,
     sparse_us: f64,
-    warm_us: f64,
-    dual_warm_us: f64,
-}
-
-/// Same-shape items whose statistics differ only in their log-bounds (the
-/// RHS of the bound LP): the dual warm-start steady state.
-fn rhs_perturbed_items(q: &JoinQuery, stats: &StatisticsSet, count: usize) -> Vec<BatchItem> {
-    (0..count)
-        .map(|k| {
-            // Deterministic per-item scaling in [0.92, 1.08].
-            let factor = 1.0 + 0.02 * (k as f64 - (count as f64 - 1.0) / 2.0);
-            BatchItem::new(q.clone(), stats.amplify(factor))
-        })
-        .collect()
 }
 
 fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
@@ -139,11 +120,10 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
         let stats =
             collect_simple_statistics(&q, &catalog, &CollectConfig::with_max_norm(6)).unwrap();
 
-        // Cross-check all three paths agree before timing them.
+        // Cross-check the two paths agree before timing them.
         let reference = seed_dense_bound(n, &stats);
         let sparse_only = BoundOptions {
             solver: SolverKind::SparseRevised,
-            warm_start: None,
             lazy: None,
         };
         let sparse = compute_bound_with(&q, &stats, Cone::Polymatroid, &sparse_only).unwrap();
@@ -152,13 +132,6 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
             "n={n}: dense {reference} vs sparse {}",
             sparse.log2_bound
         );
-        let warm_opts = BoundOptions {
-            solver: SolverKind::SparseRevised,
-            warm_start: Some(sparse.warm_basis.clone()),
-            lazy: None,
-        };
-        let warm = compute_bound_with(&q, &stats, Cone::Polymatroid, &warm_opts).unwrap();
-        assert!((warm.log2_bound - sparse.log2_bound).abs() <= 1e-6);
 
         let dense_us = median_us(|| {
             seed_dense_bound(n, &stats);
@@ -166,38 +139,6 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
         let sparse_us = median_us(|| {
             compute_bound_with(&q, &stats, Cone::Polymatroid, &sparse_only).unwrap();
         });
-        let warm_us = median_us(|| {
-            compute_bound_with(&q, &stats, Cone::Polymatroid, &warm_opts).unwrap();
-        });
-
-        // Dual warm starts: a sequential same-shape batch with perturbed
-        // log-bounds; the first item solves cold and publishes its
-        // factorization, the rest re-solve via dual pivots.  Cross-check
-        // against the cold path before timing.
-        let warm_items = rhs_perturbed_items(&q, &stats, 6);
-        let warm_est = BatchEstimator::new()
-            .sequential()
-            .with_cone(Cone::Polymatroid);
-        let cold_est = BatchEstimator::new()
-            .sequential()
-            .without_warm_start()
-            .with_cone(Cone::Polymatroid);
-        for (w, cold) in warm_est
-            .estimate(&warm_items)
-            .iter()
-            .zip(cold_est.estimate(&warm_items).iter())
-        {
-            let (w, cold) = (w.as_ref().unwrap(), cold.as_ref().unwrap());
-            assert!(
-                (w.log2_bound - cold.log2_bound).abs() <= 1e-6,
-                "n={n}: dual warm {} vs cold {}",
-                w.log2_bound,
-                cold.log2_bound
-            );
-        }
-        let dual_warm_us = median_us(|| {
-            warm_est.estimate(&warm_items);
-        }) / warm_items.len() as f64;
         group.bench_with_input(BenchmarkId::new("dense_rebuild", n), &n, |b, _| {
             b.iter(|| seed_dense_bound(n, &stats))
         });
@@ -215,8 +156,6 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
             n_stats: stats.len(),
             dense_us,
             sparse_us,
-            warm_us,
-            dual_warm_us,
         });
     }
     group.finish();
@@ -257,7 +196,6 @@ fn lazy_scaling_table(c: &mut Criterion, smoke: bool) -> Vec<LazyRow> {
             collect_simple_statistics(&q, &catalog, &CollectConfig::with_max_norm(2)).unwrap();
         let lazy_opts = BoundOptions {
             solver: SolverKind::SparseRevised,
-            warm_start: None,
             lazy: Some(true),
         };
         let lazy = compute_bound_with(&q, &stats, Cone::Polymatroid, &lazy_opts).unwrap();
@@ -384,8 +322,8 @@ fn full_normal_problem(n: usize, stats: &StatisticsSet) -> Problem {
 /// The column-generated normal-cone bound on path queries of 3..15
 /// variables, on the statistics of [`comparison_table`] (norm budget 6), so
 /// that its n = 3..8 rows read against `sparse_skeleton_us` there: the
-/// normal-cone column the cone crossover (`POLYMATROID_AUTO_PREFERRED`) is
-/// to be re-derived from.  `rounds` and `columns` are work: master solves,
+/// evidence that simple statistics belong on the normal cone at every size
+/// (where the planner sends them; `POLYMATROID_AUTO_PREFERRED` is to go).  `rounds` and `columns` are work: master solves,
 /// and the width of the last master (seed + generated) against the
 /// `2^n − 1` columns of the enumerated LP.
 fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
@@ -478,14 +416,10 @@ fn pricing_comparison() -> PricingRow {
 
 struct BatchTiming {
     items: usize,
-    /// One thread, every item solved cold.
-    sequential_ms: f64,
-    /// One thread, per-shape dual warm starts (the default estimator on
-    /// one lane).
-    dual_warm_ms: f64,
-    /// Warm starts again, the batch split into lanes: against
-    /// `dual_warm_ms` this measures the lanes and nothing else.
-    parallel_ms: f64,
+    /// Every item on the normal cone, as the planner bounds them.
+    normal_ms: f64,
+    /// The same items forced onto the polymatroid cone.
+    polymatroid_ms: f64,
 }
 
 fn batch_comparison(smoke: bool) -> BatchTiming {
@@ -505,23 +439,31 @@ fn batch_comparison(smoke: bool) -> BatchTiming {
             items.push(BatchItem::new(q, stats));
         }
     }
-    let sequential = BatchEstimator::new().sequential().without_warm_start();
-    let parallel = BatchEstimator::new();
-    let dual_warm = BatchEstimator::new().sequential();
-    let sequential_ms = median_us(|| {
-        sequential.estimate(&items);
+    let normal = BatchEstimator::new().with_cone(Cone::Normal);
+    let polymatroid = BatchEstimator::new().with_cone(Cone::Polymatroid);
+    for (a, p) in normal
+        .estimate(&items)
+        .iter()
+        .zip(&polymatroid.estimate(&items))
+    {
+        let (a, p) = (a.as_ref().unwrap(), p.as_ref().unwrap());
+        assert!(
+            (a.log2_bound - p.log2_bound).abs() <= 1e-6,
+            "normal {} vs polymatroid {}",
+            a.log2_bound,
+            p.log2_bound
+        );
+    }
+    let normal_ms = median_us(|| {
+        normal.estimate(&items);
     }) / 1e3;
-    let dual_warm_ms = median_us(|| {
-        dual_warm.estimate(&items);
-    }) / 1e3;
-    let parallel_ms = median_us(|| {
-        parallel.estimate(&items);
+    let polymatroid_ms = median_us(|| {
+        polymatroid.estimate(&items);
     }) / 1e3;
     BatchTiming {
         items: items.len(),
-        sequential_ms,
-        dual_warm_ms,
-        parallel_ms,
+        normal_ms,
+        polymatroid_ms,
     }
 }
 
@@ -537,18 +479,12 @@ fn write_bench_json(
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"n_vars\": {}, \"n_stats\": {}, \"dense_rebuild_us\": {:.1}, \
-             \"sparse_skeleton_us\": {:.1}, \"sparse_warm_us\": {:.1}, \
-             \"dual_warm_us\": {:.1}, \"speedup_sparse\": {:.2}, \
-             \"speedup_warm\": {:.2}, \"dual_vs_cold_ratio\": {:.3}}}{}\n",
+             \"sparse_skeleton_us\": {:.1}, \"speedup_sparse\": {:.2}}}{}\n",
             r.n_vars,
             r.n_stats,
             r.dense_us,
             r.sparse_us,
-            r.warm_us,
-            r.dual_warm_us,
             r.dense_us / r.sparse_us,
-            r.dense_us / r.warm_us,
-            r.dual_warm_us / r.sparse_us,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }
@@ -600,25 +536,13 @@ fn write_bench_json(
         pricing.dantzig_pivots,
         pricing.dantzig_pivots as f64 / pricing.devex_pivots.max(1) as f64
     ));
-    // `parallel_ms` runs warm starts too, so it reads against `dual_warm_ms`
-    // — and on one worker there are no lanes to measure at all.
-    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let parallel_speedup = if workers > 1 {
-        format!("{:.2}", batch.dual_warm_ms / batch.parallel_ms)
-    } else {
-        "null".to_string()
-    };
     out.push_str(&format!(
-        "  \"batch\": {{\"items\": {}, \"workers\": {}, \"sequential_ms\": {:.2}, \
-         \"dual_warm_ms\": {:.2}, \"parallel_ms\": {:.2}, \
-         \"dual_warm_speedup\": {:.2}, \"parallel_speedup\": {}}}\n}}\n",
+        "  \"batch\": {{\"items\": {}, \"normal_ms\": {:.2}, \"polymatroid_ms\": {:.2}, \
+         \"normal_speedup\": {:.2}}}\n}}\n",
         batch.items,
-        workers,
-        batch.sequential_ms,
-        batch.dual_warm_ms,
-        batch.parallel_ms,
-        batch.sequential_ms / batch.dual_warm_ms,
-        parallel_speedup
+        batch.normal_ms,
+        batch.polymatroid_ms,
+        batch.polymatroid_ms / batch.normal_ms
     ));
     // Smoke runs exercise the emitter end-to-end but must not overwrite the
     // committed trajectory file with reduced-size numbers.

@@ -5,7 +5,7 @@
 //! acyclic query), this harness:
 //!
 //! 1. plans with [`lpb_exec::Optimizer`] (timing the call — this includes
-//!    batch-bounding every connected sub-join through the warm-started
+//!    batch-bounding every connected sub-join through the
 //!    `BatchEstimator`),
 //! 2. executes the chosen physical plan (checking every node's bound
 //!    certificate), the greedy-by-size hash chain, the best **left-deep**
@@ -23,8 +23,8 @@
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
 //!    the partition search's work counters (`partition_candidates`,
 //!    `partition_candidates_refused`, `partition_subqueries_bounded`),
-//!    certificate-violation counts (asserted zero), the estimator's
-//!    shape-cache hit counters, and the per-mode execution times
+//!    certificate-violation counts (asserted zero), and the per-mode
+//!    execution times
 //!    (`exec_vectorized_us` / `exec_parallel_us`), plus the
 //!    adaptive-execution columns `replans` / `violations_handled` /
 //!    `adaptive_vs_static_peak` / `adaptive_vs_coldreplan_us`.
@@ -32,7 +32,7 @@
 //! One workload — `stale-stats`, whose persisted statistics lie about
 //! today's data — deliberately violates its certificates under static
 //! execution.  There the harness asserts the [`AdaptiveExecutor`] detects
-//! the violation, re-plans through the warm delta bound API with zero
+//! the violation, re-plans through the delta bound API with zero
 //! product-bound fallbacks, handles every violation (the JSON's
 //! `certificate_violations` column reports *unhandled* ones, asserted
 //! zero), and finishes with a peak intermediate at least 2x below blind
@@ -75,7 +75,6 @@ struct PlannerRow {
     output_size: usize,
     subqueries_bounded: usize,
     bound_fallbacks: usize,
-    shape_cache_hits: usize,
     exec_vectorized_us: f64,
     exec_parallel_us: f64,
     replans: usize,
@@ -130,16 +129,13 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
     let mut group = c.benchmark_group("planner_quality");
     group.sample_size(10);
     for w in &workloads {
-        // One optimizer per workload: the first plan() call is the cold
-        // measurement, the criterion loop below shows the warm steady state.
+        // One optimizer per workload: the first plan() call is the
+        // measurement with cold catalog statistics, the criterion loop
+        // below plans on cached ones.
         let optimizer = Optimizer::new();
         let started = Instant::now();
         let plan = optimizer.plan(&w.query, &w.catalog).expect("planning");
         let plan_us = started.elapsed().as_secs_f64() * 1e6;
-        // Hits of the cold planning call alone (the criterion loop below
-        // would inflate them).
-        let shape_cache_hits = optimizer.estimator().shape_cache_hits();
-
         // On the stale-statistics adversary the static plan is *supposed* to
         // blow through its certificates — that is what the adaptive executor
         // reacts to — so its violation asserts run inverted.
@@ -252,7 +248,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // least 2x below blind static execution.  The cold-re-plan baseline
         // answers "what would suspending, refreshing every statistic, and
         // re-planning from scratch have cost?" — its wall-clock minus the
-        // adaptive controller's is the saving the warm delta path buys.
+        // adaptive controller's is the saving the delta path buys.
         let (replans, violations_handled, adaptive_vs_static_peak, adaptive_vs_coldreplan_us) =
             if reactive {
                 let adaptive_exec = AdaptiveExecutor::new(Optimizer::new());
@@ -363,7 +359,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             output_size: chosen.output_size(),
             subqueries_bounded: plan.subqueries_bounded,
             bound_fallbacks: plan.bound_fallbacks,
-            shape_cache_hits,
             exec_vectorized_us,
             exec_parallel_us,
             replans,
@@ -390,7 +385,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"partition_subqueries_bounded\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
              \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
-             \"shape_cache_hits\": {}, \"exec_vectorized_us\": {:.1}, \
+             \"exec_vectorized_us\": {:.1}, \
              \"exec_parallel_us\": {:.1}, \"replans\": {}, \
              \"violations_handled\": {}, \"adaptive_vs_static_peak\": {:.2}, \
              \"adaptive_vs_coldreplan_us\": {:.1}}}{}\n",
@@ -426,7 +421,6 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.output_size,
             r.subqueries_bounded,
             r.bound_fallbacks,
-            r.shape_cache_hits,
             r.exec_vectorized_us,
             r.exec_parallel_us,
             r.replans,

@@ -1,25 +1,21 @@
 //! The LP test battery: regression and property tests locking down the
-//! sparse solver, the cached Shannon skeleton, the column-generated
-//! normal-cone bound and the dual-simplex warm-start path, over the e1–e8
-//! experiment query shapes and random LP corpora.
+//! sparse solver, the cached Shannon skeleton and the column-generated
+//! normal-cone bound, over the e1–e8 experiment query shapes and random
+//! statistics.
 //!
 //! Invariants:
 //!
 //! 1. the sparse revised solver and the dense tableau solver agree on the
 //!    `log₂` bound to `1e-6` (acceptance criterion of the sparse-solver PR);
 //! 2. a second solve through the globally cached Shannon skeleton (and the
-//!    `BatchEstimator`'s warm-started path) equals the from-scratch bound;
+//!    `BatchEstimator`) equals the from-scratch bound;
 //! 3. the witness stays a valid dual: `Σ wᵢ·bᵢ == log₂ bound`;
 //! 4. the column-generated normal-cone bound equals the fully enumerated
 //!    `2^n − 1`-column LP ([`direct_normal_problem`], which shares no code
 //!    with it) in status and value, and its witness satisfies the witness
 //!    inequality on **every** one of that LP's columns — on the e1–e8
 //!    corpus and on random, also non-simple, statistics;
-//! 5. `Cone::Normal ≤ Cone::Polymatroid` never inverts (`Nₙ ⊆ Γₙ`);
-//! 6. dual-simplex re-solves from a `WarmHandle` after arbitrary RHS
-//!    perturbations agree with cold primal solves on status, objective and
-//!    the strong-duality identity, across feasible, infeasible and
-//!    unbounded instances.
+//! 5. `Cone::Normal ≤ Cone::Polymatroid` never inverts (`Nₙ ⊆ Γₙ`).
 
 use lpb_bench::experiments::e7_nonshannon;
 use lpb_core::{
@@ -32,10 +28,7 @@ use lpb_datagen::{
     JobLikeConfig, PowerLawGraphConfig,
 };
 use lpb_entropy::{step_conditional, step_value};
-use lpb_lp::{
-    solve_sparse, solve_sparse_with_handle, Problem, Sense, SolverKind, SolverOptions, SolverStats,
-    Status,
-};
+use lpb_lp::{Problem, Sense, SolverKind, SolverStats, Status};
 use proptest::prelude::*;
 
 fn graph() -> Catalog {
@@ -122,7 +115,6 @@ fn sparse_dense_and_cached_skeleton_agree_on_experiment_queries() {
             cone,
             &BoundOptions {
                 solver: SolverKind::Dense,
-                warm_start: None,
                 lazy: None,
             },
         )
@@ -130,7 +122,6 @@ fn sparse_dense_and_cached_skeleton_agree_on_experiment_queries() {
         // First sparse solve fills the skeleton cache; the second consumes it.
         let sparse_options = BoundOptions {
             solver: SolverKind::SparseRevised,
-            warm_start: None,
             lazy: None,
         };
         let sparse_scratch = compute_bound_with(query, stats, cone, &sparse_options)
@@ -387,113 +378,8 @@ fn normal_bound_never_exceeds_polymatroid_on_experiment_queries() {
     }
 }
 
-/// A random all-`≤` LP with non-negative RHS (so the cold solve needs no
-/// phase 1 and yields a `WarmHandle` when bounded) plus a signed RHS
-/// perturbation that can make the re-solved instance infeasible.
-#[derive(Debug, Clone)]
-struct PerturbedLp {
-    n_vars: usize,
-    objective: Vec<f64>,
-    rows: Vec<(Vec<f64>, f64)>,
-    deltas: Vec<f64>,
-}
-
-fn perturbed_lp() -> impl Strategy<Value = PerturbedLp> {
-    (1usize..5).prop_flat_map(|n_vars| {
-        let obj = proptest::collection::vec(-4.0f64..4.0, n_vars);
-        let rows = proptest::collection::vec(
-            (
-                proptest::collection::vec(-3.0f64..3.0, n_vars),
-                0.0f64..10.0,
-            ),
-            1..6,
-        );
-        (obj, rows).prop_flat_map(move |(objective, rows)| {
-            let n_rows = rows.len();
-            let rows_for_map = rows;
-            let obj_for_map = objective;
-            proptest::collection::vec(-6.0f64..6.0, n_rows).prop_map(move |deltas| PerturbedLp {
-                n_vars,
-                objective: obj_for_map.clone(),
-                rows: rows_for_map.clone(),
-                deltas,
-            })
-        })
-    })
-}
-
-fn build_le_problem(n_vars: usize, objective: &[f64], rows: &[(Vec<f64>, f64)]) -> Problem {
-    let mut p = Problem::maximize(n_vars);
-    for (j, &c) in objective.iter().enumerate() {
-        p.set_objective(j, c);
-    }
-    for (coeffs, rhs) in rows {
-        let sparse: Vec<(usize, f64)> = coeffs
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c != 0.0)
-            .map(|(j, &c)| (j, c))
-            .collect();
-        p.add_constraint(&sparse, Sense::Le, *rhs);
-    }
-    p
-}
-
-fn dual_objective(p: &Problem, duals: &[f64]) -> f64 {
-    p.constraints()
-        .iter()
-        .zip(duals)
-        .map(|(c, d)| c.rhs * d)
-        .sum()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
-
-    /// Dual-simplex re-solves after random RHS perturbations agree with a
-    /// cold primal solve on status, objective (to 1e-6) and the duals'
-    /// strong-duality identity — across feasible, infeasible and unbounded
-    /// instances (unbounded originals yield no handle; perturbed instances
-    /// may turn infeasible via negative RHS).
-    #[test]
-    fn dual_resolve_agrees_with_cold_solve(lp in perturbed_lp()) {
-        let sparse = SolverOptions {
-            solver: SolverKind::SparseRevised,
-            ..SolverOptions::default()
-        };
-        let base = build_le_problem(lp.n_vars, &lp.objective, &lp.rows);
-        let (base_sol, handle) = solve_sparse_with_handle(&base, &sparse).unwrap();
-        if base_sol.status != Status::Optimal {
-            prop_assert_eq!(base_sol.status, Status::Unbounded);
-            prop_assert!(handle.is_none(), "non-optimal solves must not yield handles");
-            return Ok(());
-        }
-        let handle = handle.expect("optimal artificial-free solve yields a handle");
-
-        let perturbed_rows: Vec<(Vec<f64>, f64)> = lp
-            .rows
-            .iter()
-            .zip(&lp.deltas)
-            .map(|((coeffs, rhs), d)| (coeffs.clone(), rhs + d))
-            .collect();
-        let perturbed = build_le_problem(lp.n_vars, &lp.objective, &perturbed_rows);
-        prop_assert!(handle.matches(&perturbed));
-        let warm = handle.resolve(&perturbed, &sparse).unwrap();
-        let cold = solve_sparse(&perturbed, &sparse).unwrap();
-
-        prop_assert_eq!(warm.status, cold.status,
-            "status mismatch on {:?}", lp);
-        if cold.status == Status::Optimal {
-            prop_assert!(
-                (warm.objective - cold.objective).abs() <= 1e-6 * (1.0 + cold.objective.abs()),
-                "objective mismatch: warm {} vs cold {}", warm.objective, cold.objective);
-            for (label, sol) in [("warm", &warm), ("cold", &cold)] {
-                let gap = (dual_objective(&perturbed, &sol.duals) - sol.objective).abs();
-                prop_assert!(gap <= 1e-5 * (1.0 + sol.objective.abs()),
-                    "{} duals violate strong duality: gap {}", label, gap);
-            }
-        }
-    }
 
     /// The column-generated normal-cone bound against the fully enumerated
     /// LP on random statistics over 2–9 variables: conditionals with up to

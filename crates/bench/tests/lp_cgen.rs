@@ -13,14 +13,12 @@
 //! 2. the same agreement holds on proptest-random path and cycle queries up
 //!    to the n = 8 routing crossover, with random norms and log-bounds;
 //! 3. the lazy path's witness is still a valid dual certificate
-//!    (`Σ wᵢ·bᵢ == log₂ bound`);
-//! 4. growing a cached shape through the `BatchEstimator` (warm row-append
-//!    onto a snapshotted basis) matches a cold solve of the grown shape.
+//!    (`Σ wᵢ·bᵢ == log₂ bound`).
 
 use lpb_bench::experiments::e7_nonshannon;
 use lpb_core::{
-    collect_simple_statistics, BatchEstimator, BatchItem, BoundOptions, CollectConfig,
-    ConcreteStatistic, Conditional, Cone, JoinQuery, Norm, StatisticsSet, VarSet,
+    collect_simple_statistics, BoundOptions, CollectConfig, ConcreteStatistic, Conditional, Cone,
+    JoinQuery, Norm, StatisticsSet, VarSet,
 };
 use lpb_data::Catalog;
 use lpb_datagen::{graph_catalog, PowerLawGraphConfig};
@@ -40,7 +38,6 @@ fn graph() -> Catalog {
 fn lazy_options() -> BoundOptions {
     BoundOptions {
         solver: SolverKind::SparseRevised,
-        warm_start: None,
         lazy: Some(true),
     }
 }
@@ -48,7 +45,6 @@ fn lazy_options() -> BoundOptions {
 fn full_options() -> BoundOptions {
     BoundOptions {
         solver: SolverKind::SparseRevised,
-        warm_start: None,
         lazy: Some(false),
     }
 }
@@ -123,62 +119,6 @@ fn constraint_generation_matches_full_skeleton_on_experiment_queries() {
         bounded >= 8,
         "expected a broad bounded corpus, got {bounded}"
     );
-}
-
-#[test]
-fn growing_a_cached_shape_matches_cold_solves_of_the_grown_shape() {
-    let catalog = graph();
-    let query = JoinQuery::path(&["E"; 5]);
-    let base =
-        collect_simple_statistics(&query, &catalog, &CollectConfig::with_max_norm(2)).unwrap();
-
-    // Two successive growths of the same shape: each adds statistics the
-    // snapshotted basis has never seen, forcing warm row-appends.
-    let mut grown1: Vec<ConcreteStatistic> = base.as_slice().to_vec();
-    grown1.push(ConcreteStatistic::new(
-        Conditional::new(query.atom_vars(0), VarSet::EMPTY),
-        Norm::L1,
-        0,
-        5.0,
-    ));
-    let grown1 = StatisticsSet::from_vec(grown1);
-    let mut grown2: Vec<ConcreteStatistic> = grown1.as_slice().to_vec();
-    grown2.push(ConcreteStatistic::new(
-        Conditional::new(query.atom_vars(1), VarSet::EMPTY),
-        Norm::L1,
-        1,
-        4.5,
-    ));
-    let grown2 = StatisticsSet::from_vec(grown2);
-
-    let est = BatchEstimator::new()
-        .sequential()
-        .with_cone(Cone::Polymatroid);
-    // Prime the shape cache, then run the growth chain warm.
-    for r in est.estimate(&[BatchItem::new(query.clone(), base.clone())]) {
-        r.unwrap();
-    }
-    let warm = est.estimate(&[
-        BatchItem::new(query.clone(), grown1.clone()),
-        BatchItem::new(query.clone(), grown2.clone()),
-    ]);
-    let cold_est = BatchEstimator::new()
-        .sequential()
-        .without_warm_start()
-        .with_cone(Cone::Polymatroid);
-    let cold = cold_est.estimate(&[
-        BatchItem::new(query.clone(), grown1),
-        BatchItem::new(query, grown2),
-    ]);
-    for (i, (w, c)) in warm.iter().zip(cold.iter()).enumerate() {
-        let (w, c) = (w.as_ref().unwrap(), c.as_ref().unwrap());
-        assert!(
-            (w.log2_bound - c.log2_bound).abs() <= 1e-9,
-            "growth {i}: warm-append {} vs cold {}",
-            w.log2_bound,
-            c.log2_bound
-        );
-    }
 }
 
 proptest! {

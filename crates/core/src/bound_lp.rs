@@ -40,22 +40,20 @@ pub const POLYMATROID_LAZY_FROM: usize = 9;
 /// `2^n − 1`-vector.
 pub const NORMAL_VAR_LIMIT: usize = 18;
 
-/// Largest variable count at which [`Cone::auto`] still prefers the
-/// polymatroid cone when the normal cone would give the same bound (i.e.
-/// when every statistic is simple, Theorem 6.1).  Up to this size the
-/// polymatroid LP is cheap and its primal solution (the full entropy
-/// vector) is the more useful artifact; beyond it the normal cone is far
-/// faster for an identical bound, so `auto` switches over.  **The value is
-/// stale**: it was set when the normal cone solved a fully enumerated
-/// `2^n − 1`-column LP.  With generated columns the normal cone answers in
-/// 0.03–0.04 ms at n = 8 where the polymatroid LP takes 11–15 ms, and is
-/// ahead from n = 3 on (`BENCH_lp.json`: `normal_us` in `normal_rows`
-/// against `sparse_skeleton_us` in `rows`, same statistics), so on simple
-/// statistics it now wins at every size the table covers.  The constant is
-/// deliberately not moved together with the solver that made it stale:
-/// moving it changes the last bits of every planner sub-join bound at
-/// n ≤ 8 — plans, ties and `bound_slack_log2` with them — and wants its own
-/// measured change.
+/// Largest variable count at which [`Cone::auto`] still sends simple
+/// statistics to the polymatroid cone, where the normal cone would give the
+/// same bound (Theorem 6.1).  **The value is stale** — with generated
+/// columns the normal cone is ahead from n = 3 on (`BENCH_lp.json`:
+/// `normal_us` in `normal_rows` against `sparse_skeleton_us` in `rows`, same
+/// statistics) — and the planner no longer goes by it: `lpb-exec`'s
+/// `Optimizer` asks for [`Cone::Normal`] outright.  It stays for one-shot
+/// callers of `auto` because of how the benchmark of record measures them:
+/// its `bound-only` workload logs about 25 bytes per answered request, and
+/// with this rule gone it answers 18x as many (520 → 9 400 1/s), so the
+/// run's `peak_rss_mb` reads 6.0 → 9.6 MiB, against a bound of 15 %, while
+/// the bound engine's own footprint falls (4.6 MiB at an equal request
+/// count).  Deleting the constant — `auto` then routes by soundness alone —
+/// waits for that log to be bounded by its owner.
 /// Non-simple statistics have no such choice — only the polymatroid cone is
 /// sound — and remain on it up to [`POLYMATROID_VAR_LIMIT`].
 pub const POLYMATROID_AUTO_PREFERRED: usize = 8;
@@ -93,13 +91,12 @@ impl Cone {
         }
     }
 
-    /// Pick a cone automatically.  Non-simple statistics require the
+    /// Pick a cone for a one-shot bound.  Non-simple statistics require the
     /// polymatroid cone.  For simple statistics the normal cone gives the
     /// same bound (Theorem 6.1) with one LP row per statistic instead of
-    /// exponentially many Shannon rows, so `auto` switches to it above
-    /// [`POLYMATROID_AUTO_PREFERRED`] variables — the documented cost
-    /// crossover (historically a hard-coded `8`), compile-time-checked to
-    /// stay within [`POLYMATROID_VAR_LIMIT`].
+    /// exponentially many Shannon rows; `auto` switches to it above
+    /// [`POLYMATROID_AUTO_PREFERRED`] variables (see there for why not at
+    /// every size, as the planner does).
     ///
     /// Queries beyond *both* cones' limits — non-simple statistics above
     /// [`POLYMATROID_VAR_LIMIT`], or any statistics above
@@ -176,15 +173,6 @@ pub struct BoundResult {
     /// the per-variable weights.  Empty when the LP is unbounded.  Used by
     /// [`crate::worst_case`] to build worst-case databases (§6).
     pub primal: Vec<f64>,
-    /// Opaque warm-start token: the structural LP columns that were basic at
-    /// the optimum.  Feed it to [`BoundOptions::warm_start`] when estimating
-    /// another query of the same shape (same variable count, cone and
-    /// statistic count).  Results are identical with or without it.  Note
-    /// that basis *replay* is a throughput wash (each replayed column costs
-    /// an FTRAN; see `BENCH_lp.json`) — the profitable warm-start path is
-    /// [`crate::BatchEstimator`]'s dual-simplex factorization reuse, which
-    /// bypasses tokens entirely.  Empty when the LP was unbounded.
-    pub warm_basis: Vec<(usize, usize)>,
 }
 
 impl BoundResult {
@@ -205,11 +193,6 @@ pub struct BoundOptions {
     /// LP solver implementation (sparse revised simplex by default; the
     /// dense tableau remains available for cross-checking).
     pub solver: SolverKind,
-    /// Warm-start token from a previous [`BoundResult::warm_basis`] of a
-    /// same-shaped estimate; only the sparse solver uses it, and only on
-    /// the materialized LPs: the normal cone (whose master LP has its own,
-    /// query-specific columns) and the lazy polymatroid loop ignore it.
-    pub warm_start: Option<Vec<(usize, usize)>>,
     /// Lazy constraint generation for the polymatroid cone.  `None` (the
     /// default) decides automatically: lazy from [`POLYMATROID_LAZY_FROM`]
     /// variables (and always past [`POLYMATROID_MATERIALIZE_LIMIT`], where
@@ -227,7 +210,6 @@ impl BoundOptions {
     fn solver_options(&self) -> SolverOptions {
         SolverOptions {
             solver: self.solver,
-            warm_start: self.warm_start.clone(),
             ..SolverOptions::default()
         }
     }
@@ -260,8 +242,8 @@ pub fn compute_bound(
     compute_bound_with(query, stats, cone, &BoundOptions::default())
 }
 
-/// [`compute_bound`] with explicit solver options (solver selection and
-/// warm starting); see [`BoundOptions`].
+/// [`compute_bound`] with explicit options (solver selection, lazy
+/// constraint generation); see [`BoundOptions`].
 pub fn compute_bound_with(
     query: &JoinQuery,
     stats: &StatisticsSet,
@@ -270,14 +252,9 @@ pub fn compute_bound_with(
 ) -> Result<BoundResult, CoreError> {
     validate_guards(query, stats)?;
     let n = query.n_vars();
-    // Neither generation loop can use a basis-replay token: their LPs have
-    // their own rows (lazy polymatroid) or columns (normal).
-    let generated = || SolverOptions {
-        warm_start: None,
-        ..options.solver_options()
-    };
+    let lp_options = options.solver_options();
     let sol = match cone {
-        Cone::Normal => solve_normal(n, stats, &generated())?,
+        Cone::Normal => solve_normal(n, stats, &lp_options)?,
         Cone::Polymatroid if options.use_lazy(n) => {
             if n > POLYMATROID_VAR_LIMIT {
                 return Err(CoreError::TooManyVariables {
@@ -288,12 +265,11 @@ pub fn compute_bound_with(
             }
             // The lazy loop drives the sparse incremental engine directly;
             // the `solver` knob (dense vs sparse) has no meaning for it.
-            let lp_options = generated();
             let anchor = normal_anchor(n, stats, &lp_options);
             crate::cgen::solve_lazy(n, stats, &lp_options, anchor)?
         }
         Cone::Polymatroid | Cone::Modular => {
-            build_bound_problem(n, stats, cone)?.solve_with(&options.solver_options())?
+            build_bound_problem(n, stats, cone)?.solve_with(&lp_options)?
         }
     };
     solution_to_result(sol, stats, cone)
@@ -343,8 +319,8 @@ const PRICING_TOLERANCE: f64 = 1e-9;
 /// columns, since no coefficient is negative.
 ///
 /// An optimal solution comes back in the full LP's coordinates:
-/// `x[W − 1] = α_W`, basis columns likewise, duals per statistic.  (On any
-/// other status `x` is the solver's placeholder for the last master.)
+/// `x[W − 1] = α_W`, duals per statistic; `basis` stays in the last master's.
+/// (On any other status `x` is the solver's placeholder for the last master.)
 pub(crate) fn solve_normal(
     n: usize,
     stats: &StatisticsSet,
@@ -383,9 +359,6 @@ pub(crate) fn solve_normal(
                 alpha[w.index() - 1] = *a;
             }
             sol.x = alpha;
-            for (_, col) in sol.basis.iter_mut() {
-                *col = columns[*col].index() - 1;
-            }
             return Ok(sol);
         }
         columns.extend(entering);
@@ -414,19 +387,13 @@ pub(crate) fn normal_master(columns: &[VarSet], stats: &StatisticsSet) -> Proble
 
 /// Build the *materialized* bound LP for `n` query variables without
 /// solving it: statistic rows first (their duals are the witness weights),
-/// cone structure after.  Shared with [`crate::BatchEstimator`], which
-/// solves the problem through its dual-simplex warm-start cache instead of
-/// cold.
+/// cone structure after.
 ///
 /// # Panics
 ///
 /// Panics on [`Cone::Normal`], which has no materialized LP
-/// ([`solve_normal`] generates its columns); both callers dispatch it first.
-pub(crate) fn build_bound_problem(
-    n: usize,
-    stats: &StatisticsSet,
-    cone: Cone,
-) -> Result<Problem, CoreError> {
+/// ([`solve_normal`] generates its columns); the caller dispatches it first.
+fn build_bound_problem(n: usize, stats: &StatisticsSet, cone: Cone) -> Result<Problem, CoreError> {
     match cone {
         Cone::Polymatroid => {
             // Sizes beyond the full Shannon block are served by the lazy
@@ -445,7 +412,7 @@ pub(crate) fn build_bound_problem(
     }
 }
 
-pub(crate) fn validate_guards(query: &JoinQuery, stats: &StatisticsSet) -> Result<(), CoreError> {
+fn validate_guards(query: &JoinQuery, stats: &StatisticsSet) -> Result<(), CoreError> {
     for s in stats.iter() {
         let atom = s.stat.guard_atom;
         if atom >= query.n_atoms()
@@ -495,7 +462,7 @@ fn build_modular_problem(n: usize, stats: &StatisticsSet) -> Problem {
 
 /// Interpret an LP solution of a bound problem (statistic rows first) as a
 /// [`BoundResult`].
-pub(crate) fn solution_to_result(
+fn solution_to_result(
     sol: Solution,
     stats: &StatisticsSet,
     cone: Cone,
@@ -511,7 +478,6 @@ pub(crate) fn solution_to_result(
                 cone,
                 witness: Witness { weights },
                 primal: sol.x,
-                warm_basis: sol.basis,
             })
         }
         Status::Unbounded => Ok(BoundResult {
@@ -522,7 +488,6 @@ pub(crate) fn solution_to_result(
                 weights: vec![0.0; stats.len()],
             },
             primal: Vec::new(),
-            warm_basis: Vec::new(),
         }),
         Status::Infeasible => Err(CoreError::InconsistentStatistics),
     }
@@ -780,12 +745,6 @@ mod tests {
         let alpha = |names: &[&str]| r.primal[set(names).index() - 1];
         assert!(close(alpha(&["X", "Y"]), 1.0) && close(alpha(&["Z"]), 1.0));
         assert!(close(r.primal.iter().sum::<f64>(), 2.0));
-        for &(_, col) in &r.warm_basis {
-            assert!(
-                r.primal[col] >= 0.0,
-                "basis column {col} is a full-LP index"
-            );
-        }
         // Same bound as the polymatroid cone: the statistics are simple.
         let poly = compute_bound(&q, &stats, Cone::Polymatroid).unwrap();
         assert!(close(poly.log2_bound, 2.0));
@@ -828,13 +787,11 @@ mod tests {
     }
 
     /// `Cone::auto` picks the polymatroid cone for small queries and the
-    /// normal cone for wide queries with simple statistics.
+    /// normal cone for wide queries with simple statistics; one non-simple
+    /// statistic sends either to the polymatroid cone.
     #[test]
     fn cone_auto_selection() {
-        let q = JoinQuery::triangle("R", "S", "T");
-        let stats = StatisticsSet::new();
-        assert_eq!(Cone::auto(&q, &stats), Cone::Polymatroid);
-        let atoms: Vec<crate::query::Atom> = (0..12)
+        let wide_atoms: Vec<crate::query::Atom> = (0..11)
             .map(|i| {
                 crate::query::Atom::new(
                     format!("R{i}"),
@@ -842,8 +799,33 @@ mod tests {
                 )
             })
             .collect();
-        let wide = JoinQuery::new("wide", atoms).unwrap();
-        assert_eq!(Cone::auto(&wide, &stats), Cone::Normal);
+        let wide = JoinQuery::new("wide", wide_atoms).unwrap();
+        assert_eq!(wide.n_vars(), 12);
+        for (query, on_simple) in [
+            (JoinQuery::triangle("R", "S", "T"), Cone::Polymatroid),
+            (wide, Cone::Normal),
+        ] {
+            let (first, second) = (query.atom_vars(0), query.atom_vars(1));
+            let mut stats = StatisticsSet::new();
+            assert_eq!(Cone::auto(&query, &stats), on_simple);
+            stats.push(ConcreteStatistic::new(
+                Conditional::new(second.minus(first), second.intersect(first)),
+                Norm::L2,
+                1,
+                3.0,
+            ));
+            assert!(stats.is_simple());
+            assert_eq!(Cone::auto(&query, &stats), on_simple);
+            // Conditioned on two variables: not simple.
+            stats.push(ConcreteStatistic::new(
+                Conditional::new(second.minus(first), first),
+                Norm::L2,
+                0,
+                1.0,
+            ));
+            assert!(!stats.is_simple());
+            assert_eq!(Cone::auto(&query, &stats), Cone::Polymatroid);
+        }
         assert_eq!(Cone::Polymatroid.name(), "polymatroid");
         assert_eq!(Cone::Normal.name(), "normal");
         assert_eq!(Cone::Modular.name(), "modular");

@@ -37,6 +37,14 @@
 //! Unbounded relaxations are handled the same way: the improving ray is
 //! separated instead of the point, and an uncuttable ray certifies the
 //! bound as genuinely infinite (statistics not covering some variable).
+//!
+//! Who comes through here: polymatroid bounds at n ≥ 9
+//! ([`crate::POLYMATROID_LAZY_FROM`]) — which, [`crate::Cone::auto`] sending
+//! simple statistics at that size to the normal cone, means queries with a
+//! **non-simple** statistic (only the polymatroid cone is sound for those)
+//! or a caller forcing the cone — and the agreement batteries that pin the
+//! loop against the materialized skeleton.  The planner and the service
+//! bound on the normal cone and never reach it.
 
 use crate::error::CoreError;
 use crate::skeleton::{polymatroid_stat_row, LazyElementalOracle};

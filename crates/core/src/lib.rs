@@ -47,10 +47,25 @@
 //!   on demand, and a normal-cone sandwich certificate that stops the loop
 //!   the moment the relaxation is provably exact — `n = 12` bounds in
 //!   milliseconds without ever building the `n·2^{n−1}`-row block.
-//! * [`batch`] — [`BatchEstimator`], the parallel batch bound engine:
-//!   many `(query, statistics)` pairs at once, fanned out across cores and
-//!   sharing skeletons, with per-shape warm starting of the sparse simplex
-//!   on the materialized LPs.
+//! * [`batch`] — [`BatchEstimator`], the planner's entry point: many
+//!   `(query, statistics)` pairs bounded in input order on the calling
+//!   thread, each LP solved cold, under [`Cone::auto`] or a forced cone.
+//!
+//! ## Which LP a bound solves
+//!
+//! Simple statistics are all that [`collect_simple_statistics`] harvests,
+//! and on them the normal cone gives the polymatroid bound exactly (Theorem
+//! 6.1): the planner and the service (`lpb-exec`'s `Optimizer`) ask for
+//! [`Cone::Normal`] at every size, whose master LPs (one row per statistic,
+//! a few dozen generated columns) the solver's dense tableau handles in tens
+//! of microseconds.  The polymatroid cone is kept for what only it can
+//! bound soundly, non-simple statistics; for one-shot [`Cone::auto`] callers
+//! up to [`POLYMATROID_AUTO_PREFERRED`] variables (a stale crossover that
+//! cannot move yet; see the constant); and for the experiments that study
+//! it (E4, E5, E7, E8), the examples and the differential tests.  It is
+//! materialized up to 8 variables (dense tableau to 5, revised simplex from
+//! 6) and lazily generated from 9 (`cgen` on `lpb_lp::IncrementalSolver`).
+//! No solve starts from another's basis or factorization.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

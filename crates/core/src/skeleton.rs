@@ -16,9 +16,9 @@
 //! its column-major (CSC) form, attached to each instantiated problem as a
 //! [`lpb_lp::SharedRowBlock`] so the solver never transposes it again — and
 //! [`BoundLpSkeleton::instantiate`] only has to append `O(#stats)` fresh
-//! rows.  Together with the sparse revised solver and its dual-simplex warm
-//! starts this turns the per-estimate cost from "rebuild + dense-pivot an
-//! exponential tableau" into "fill statistic rows + a few dual pivots".
+//! rows.  Together with the sparse revised solver this turns the
+//! per-estimate cost from "rebuild + dense-pivot an exponential tableau"
+//! into "fill statistic rows + pivot on a sparse, already transposed one".
 //!
 //! Past [`POLYMATROID_MATERIALIZE_LIMIT`] variables the Shannon block
 //! itself is the problem — `n·2^{n−1}` rows (67 584 at `n = 12`) of which

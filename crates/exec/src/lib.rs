@@ -30,17 +30,19 @@
 //!   stream of requests stops mapping and unmapping its multi-megabyte
 //!   intermediates;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
-//!   bounded in one warm-started [`lpb_core::BatchEstimator`] batch and a
-//!   bottleneck DP over **bushy trees** (left-deep extension *and*
-//!   connected two-way splits) picks the shape/order/strategy whose largest
-//!   provable intermediate is smallest, costing the Yannakakis reducer's
-//!   semi-join passes rather than assuming them free; when a skewed
-//!   relation makes the monolithic bound loose, the planner splits it
-//!   light/heavy ([`split_light_heavy`]), re-runs the same DP per part on
-//!   per-part statistics (the parts' full-query bounds first, then one
-//!   warm-started batch over parts × the sub-joins through the split
-//!   atom), and emits a [`PhysicalNode::PartitionedUnion`] whenever
-//!   the max-over-parts bottleneck beats the monolithic one;
+//!   bounded in one [`lpb_core::BatchEstimator`] batch (normal-cone LPs,
+//!   each solved cold) and a bottleneck DP over **bushy trees** (left-deep
+//!   extension *and* connected two-way splits) picks the
+//!   shape/order/strategy whose largest provable intermediate is smallest —
+//!   then whose next-largest is, and so on, reading the bounds off a fixed
+//!   grid so that ties are ties for every LP solver — costing the
+//!   Yannakakis reducer's semi-join passes rather than assuming them free;
+//!   when a skewed relation makes the monolithic bound loose, the planner
+//!   splits it light/heavy ([`split_light_heavy`]), re-runs the same DP per
+//!   part on per-part statistics (the parts' full-query bounds first, then
+//!   one batch over parts × the sub-joins through the split atom), and
+//!   emits a [`PhysicalNode::PartitionedUnion`] whenever the
+//!   max-over-parts bottleneck beats the monolithic one;
 //! * **bound certificates** — the DP's sub-join bounds are attached to the
 //!   emitted plan nodes, and execution checks every observed intermediate
 //!   against them ([`IntermediateCounters::certificate_violations`] stays
@@ -72,9 +74,9 @@
 //!   - [`AdaptiveExecutor`]: on suspension, the completed intermediates
 //!     ([`ExecState::live_slots`]) are fed back into the catalog as exact
 //!     statistics (`Catalog::absorb_observed`), only the sub-joins touching
-//!     the refreshed atoms are re-bounded through the warm-started delta
-//!     bound API ([`Optimizer::plan_delta`]), and the re-planned sub-plan
-//!     is spliced over the remaining frontier — under a re-plan budget and
+//!     the refreshed atoms are re-bounded through the delta bound API
+//!     ([`Optimizer::plan_delta`]), and the re-planned sub-plan is spliced
+//!     over the remaining frontier — under a re-plan budget and
 //!     a monotonic-progress guard, falling back to plain `Count` execution
 //!     when either trips.
 

@@ -6,10 +6,10 @@
 //! *guarantees*.  [`Optimizer::plan`] enumerates the connected sub-joins of
 //! the query's [`crate::LogicalPlan`], asks
 //! [`BatchEstimator::bound_subqueries`] for all their bounds in **one
-//! warm-started batch** (sub-joins of a self-join workload collapse onto a
-//! few LP shapes, so most solves are a handful of dual pivots), and runs a
-//! bottleneck dynamic program over the subset lattice — over **bushy**
-//! plans, not just left-deep orders:
+//! batch** (each a column-generated normal-cone LP of a few dozen columns,
+//! solved cold in tens of microseconds), and runs a bottleneck dynamic
+//! program over the subset lattice — over **bushy** plans, not just
+//! left-deep orders:
 //!
 //! ```text
 //! best[S] = min(  min over j  max(best[S∖{j}], bound[S]),            // extend
@@ -23,6 +23,14 @@
 //! branches, so each branch's scans *are* charged.  The Yannakakis
 //! reducer's semi-join passes are charged too (each pass materializes up to
 //! a full base relation), instead of being assumed free.
+//!
+//! Plans that share a bottleneck are common — every order of a chain ends on
+//! the output bound — so `min` and `max` above are **leximax**: the tables
+//! carry every materialized bound of a plan, largest first, and compare the
+//! lists lexicographically (smallest bottleneck, then smallest next-largest
+//! intermediate, and so on).  The bounds themselves enter the tables rounded
+//! up onto a fixed grid, so which plan wins depends on what the LPs bound
+//! and not on the last bits a particular solver left in them.
 //!
 //! Lowering picks a strategy per subtree:
 //!
@@ -54,8 +62,8 @@
 //! materializes it), so the search computes it *first*: one batch bounds
 //! the full query on each part, and a candidate whose sum already reaches
 //! the monolithic bottleneck is refused for the price of one LP per part.
-//! A surviving candidate re-bounds — in one more warm-started batch, same
-//! LP shapes with per-part right-hand sides — only the connected sub-joins
+//! A surviving candidate re-bounds — in one more batch, same LPs with
+//! per-part right-hand sides — only the connected sub-joins
 //! **through the split atom**; every other sub-join is the same sub-join in
 //! every part and keeps its bound from the monolithic table, the reuse
 //! [`Optimizer::plan_delta`] applies to re-plans.  The same bottleneck DP
@@ -78,7 +86,7 @@ use crate::morsel::ExecMode;
 use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::state::{ExecState, ExecStatus};
-use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, CoreError, JoinQuery};
+use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
 use lpb_data::{Catalog, Norm, Relation, RelationBuilder, StatisticsCollector};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -239,18 +247,13 @@ struct Bounds {
 
 /// Bound-driven planner; see the module docs.
 ///
-/// The estimator is shared state: keeping one `Optimizer` alive across
-/// planning calls (or handing clones to threads) pools the per-shape dual
-/// warm starts of its [`BatchEstimator`].
-///
-/// By default a planning call solves its LPs on the calling thread.  A
-/// parallel estimator ([`with_estimator`](Self::with_estimator) with
-/// `BatchEstimator::new()`) returns the same plans bit for bit — a batch is
-/// split into lanes that share no warm-start state — and roughly halves a
-/// wide cold plan on an idle two-core machine (`large-mixed-12`: 270 → 150
-/// ms), but it spawns threads on every batch and its latency then moves
-/// with whatever else wants those cores; a server gets its parallelism from
-/// concurrent requests instead, as `lpb-serve` does.
+/// Planning is a function of the query, the catalog's statistics and the
+/// configuration: every LP is solved cold on the calling thread, nothing is
+/// carried from one planning call to the next, and the plan chosen does not
+/// depend on which cone or solver the estimator was built with (on the
+/// planner's simple statistics the cones agree, and the DP reads the bounds
+/// off a grid coarser than their disagreement).  A server gets its
+/// parallelism from concurrent requests, as `lpb-serve` does.
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     estimator: BatchEstimator,
@@ -258,16 +261,21 @@ pub struct Optimizer {
 }
 
 impl Default for Optimizer {
+    /// The planner harvests simple statistics only
+    /// ([`BatchEstimator::bound_subqueries`] collects nothing else), on
+    /// which the normal cone gives the polymatroid bound (Theorem 6.1) from
+    /// the cheaper LP at every size: it asks for that cone outright instead
+    /// of leaving the choice to `Cone::auto`'s size rule.
     fn default() -> Self {
         Optimizer {
-            estimator: BatchEstimator::default().sequential(),
+            estimator: BatchEstimator::new().with_cone(Cone::Normal),
             config: PlannerConfig::default(),
         }
     }
 }
 
 impl Optimizer {
-    /// An optimizer with default config and a fresh warm-start cache.
+    /// An optimizer with the default configuration and estimator.
     pub fn new() -> Self {
         Self::default()
     }
@@ -278,15 +286,16 @@ impl Optimizer {
         self
     }
 
-    /// Use (and share) an existing estimator — e.g. one whose warm-start
-    /// cache is already hot from previous planning calls.
+    /// Use (and share the LP counter of) an existing estimator — e.g. one
+    /// with a forced cone or solver, to cross-check the default route.
     pub fn with_estimator(mut self, estimator: BatchEstimator) -> Self {
         self.estimator = estimator;
         self
     }
 
-    /// The estimator backing this optimizer (its shape-cache counters are
-    /// the planner's warm-start instrumentation).
+    /// The estimator backing this optimizer (its
+    /// [`lps_estimated`](BatchEstimator::lps_estimated) counts the LPs the
+    /// planner asked for).
     pub fn estimator(&self) -> &BatchEstimator {
         &self.estimator
     }
@@ -296,8 +305,8 @@ impl Optimizer {
         &self.config
     }
 
-    /// Bound every connected sub-join of `query` in one warm-started batch
-    /// and fold the results into the DP's lookup table.  Singletons cost
+    /// Bound every connected sub-join of `query` in one batch and fold the
+    /// results into the DP's lookup table.  Singletons cost
     /// their scan size; a multi-atom subset whose bound attempt fails costs
     /// the pessimistic per-atom product.
     fn harvest_bounds(
@@ -349,9 +358,7 @@ impl Optimizer {
 
     /// Bound every connected sub-join of `query` and return the table as a
     /// carryable [`SubjoinBounds`] — the *prior* for
-    /// [`plan_delta`](Self::plan_delta).  Warm: right after a
-    /// [`plan`](Self::plan) of the same query on the same estimator, every
-    /// LP re-solves from its cached shape snapshot.
+    /// [`plan_delta`](Self::plan_delta).
     pub fn harvest(
         &self,
         query: &JoinQuery,
@@ -388,10 +395,9 @@ impl Optimizer {
     /// subset whose atoms all map to prior atoms reuses the prior bound via
     /// a mask remap — the atoms, their relations and their shared variables
     /// are unchanged, so the sub-join (and its LP) is literally the same.
-    /// The remaining subsets go through **one** warm-started
-    /// [`BatchEstimator::bound_subqueries`] batch, where the grown-shape
-    /// path (`append_le_rows`) picks their LPs up from the prior rounds'
-    /// snapshots.  The same bottleneck DP then lowers a certified plan.
+    /// The remaining subsets go through **one**
+    /// [`BatchEstimator::bound_subqueries`] batch.  The same bottleneck DP
+    /// then lowers a certified plan.
     pub fn plan_delta(
         &self,
         query: &JoinQuery,
@@ -440,8 +446,8 @@ impl Optimizer {
             });
         }
 
-        // Reuse every sub-join the re-plan left untouched; one warm-started
-        // batch bounds exactly the rest.
+        // Reuse every sub-join the re-plan left untouched; one batch bounds
+        // exactly the rest.
         let subsets = logical.connected_subsets();
         let (reused, fresh) =
             reusable_bounds(&logical, &subsets, &prior.log2, prior.n_atoms, atom_map);
@@ -500,19 +506,15 @@ impl Optimizer {
 
         self.prewarm(query, catalog)?;
 
-        // --- Bound every connected sub-join in one warm-started batch. ---
+        // --- Bound every connected sub-join in one batch. ---
         let bounds = self.harvest_bounds(query, catalog, &logical)?;
         self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
     }
 
-    /// Plan several `(query, catalog)` requests with **one** warm-started LP
-    /// batch across all of them — the cross-query coalescing entry point the
-    /// `lpb-serve` layer drives.  Every request's connected sub-joins are
-    /// gathered into a single [`BatchEstimator::bound_subqueries_grouped`]
-    /// call, so sub-joins sharing an LP shape *across requests* re-solve
-    /// from one cold solve via dual warm starts (isomorphic queries from
-    /// different users collapse onto the same shapes), and per-shape cache
-    /// bookkeeping is paid once per batch instead of once per request.
+    /// Plan several `(query, catalog)` requests with **one** LP batch across
+    /// all of them — the cross-query coalescing entry point the `lpb-serve`
+    /// layer drives.  Every request's connected sub-joins are gathered into
+    /// a single [`BatchEstimator::bound_subqueries_grouped`] call.
     ///
     /// Semantically identical to calling [`plan`](Self::plan) per request
     /// (same bounds, same DP, same lowering); only the LP batching differs.
@@ -586,7 +588,7 @@ impl Optimizer {
             });
         }
 
-        // One flat warm-started batch across every batched request.
+        // One flat batch across every batched request.
         let config = CollectConfig::with_max_norm(self.config.max_norm);
         let groups: Vec<(&JoinQuery, &Catalog, &[Vec<usize>])> = preps
             .iter()
@@ -756,41 +758,39 @@ impl Optimizer {
         let scan_log2 = &bounds.scan_log2;
 
         // --- Bottleneck DP over the connected-subset lattice. ---
-        // best_ld[S]: smallest achievable "largest materialized bound" over
-        // left-deep orders of S with connected prefixes.  best[S]: the same
-        // over bushy trees whose every subtree is connected (split branches
-        // both materialize, so a split charges both halves; extension
-        // streams its probe atom and charges only the joined result).
+        // best_ld[S]: the smallest achievable list of materialized bounds,
+        // largest first, over left-deep orders of S with connected prefixes
+        // — `[0]` is the bottleneck, the rest breaks ties between orders
+        // that share it.  best[S]: the same over bushy trees whose every
+        // subtree is connected (split branches both materialize, so a split
+        // charges both halves; extension streams its probe atom and charges
+        // only the joined result).
         let subsets = &bounds.subsets;
-        let mut best_ld: HashMap<u64, (f64, usize)> = HashMap::new();
-        let mut best: HashMap<u64, (f64, Choice)> = HashMap::new();
+        let mut best_ld: HashMap<u64, (Vec<f64>, usize)> = HashMap::new();
+        let mut best: HashMap<u64, (Vec<f64>, Choice)> = HashMap::new();
         for (j, &scan) in scan_log2.iter().enumerate() {
-            best_ld.insert(1u64 << j, (scan, j));
-            best.insert(1u64 << j, (scan, Choice::Leaf(j)));
+            best_ld.insert(1u64 << j, (vec![scan], j));
+            best.insert(1u64 << j, (vec![scan], Choice::Leaf(j)));
         }
+        let mut candidate: Vec<f64> = Vec::with_capacity(m + 1);
         for &mask in subsets {
             if mask.count_ones() < 2 {
                 continue;
             }
             let own = bound_log2[&mask];
-            let mut ld_choice: Option<(f64, usize)> = None;
-            let mut choice: Option<(f64, Choice)> = None;
+            let mut ld_choice: Option<(Vec<f64>, usize)> = None;
+            let mut choice: Option<(Vec<f64>, Choice)> = None;
             for j in logical.atoms_of(mask) {
                 let rest = mask & !(1u64 << j);
-                let Some(&(rest_cost, _)) = best_ld.get(&rest) else {
+                let Some((rest_cost, _)) = best_ld.get(&rest) else {
                     continue; // disconnected prefix
                 };
-                let cost = rest_cost.max(own);
-                if ld_choice.is_none_or(|(c, _)| cost < c) {
-                    ld_choice = Some((cost, j));
-                }
+                materialized(rest_cost, &[], own, &mut candidate);
+                keep_smaller(&mut ld_choice, &mut candidate, j);
                 // The bushy table may have improved the rest through an
                 // inner split.
-                let (rest_bushy, _) = best[&rest];
-                let cost = rest_bushy.max(own);
-                if choice.is_none_or(|(c, _)| cost < c) {
-                    choice = Some((cost, Choice::Extend(j)));
-                }
+                materialized(&best[&rest].0, &[], own, &mut candidate);
+                keep_smaller(&mut choice, &mut candidate, Choice::Extend(j));
             }
             if self.config.enable_bushy && mask.count_ones() >= 4 {
                 // Both halves ≥ 2 atoms: singleton splits are dominated by
@@ -801,12 +801,9 @@ impl Optimizer {
                 while half != 0 {
                     let other = mask & !half;
                     if half < other && half.count_ones() >= 2 && other.count_ones() >= 2 {
-                        if let (Some(&(a, _)), Some(&(b, _))) = (best.get(&half), best.get(&other))
-                        {
-                            let cost = a.max(b).max(own);
-                            if choice.is_none_or(|(c, _)| cost < c) {
-                                choice = Some((cost, Choice::Split(half)));
-                            }
+                        if let (Some((a, _)), Some((b, _))) = (best.get(&half), best.get(&other)) {
+                            materialized(a, b, own, &mut candidate);
+                            keep_smaller(&mut choice, &mut candidate, Choice::Split(half));
                         }
                     }
                     half = (half - 1) & mask;
@@ -819,12 +816,12 @@ impl Optimizer {
                 best.insert(mask, c);
             }
         }
-        let chain_cost = best_ld[&full].0;
-        let bushy_cost = best[&full].0;
+        let chain_cost = best_ld[&full].0[0];
+        let bushy_cost = best[&full].0[0];
         let mut dp_order = Vec::with_capacity(m);
         let mut mask = full;
         while mask != 0 {
-            let (_, last) = best_ld[&mask];
+            let last = best_ld[&mask].1;
             dp_order.push(last);
             mask &= !(1u64 << last);
         }
@@ -1223,7 +1220,7 @@ pub struct DeltaPlan {
 /// [`CertificatePolicy::React`] and, whenever an intermediate blows past
 /// its bound certificate, feeds the **observed** intermediates back into
 /// the catalog as exact statistics ([`lpb_data::Catalog::absorb_observed`]),
-/// re-plans the remaining frontier through the warm-started delta bound API
+/// re-plans the remaining frontier through the delta bound API
 /// ([`Optimizer::plan_delta`]), and splices the new sub-plan in — completed
 /// intermediates become scans of pseudo-relations with exact bounds.
 ///
@@ -1243,10 +1240,8 @@ pub struct AdaptiveExecutor {
 }
 
 impl AdaptiveExecutor {
-    /// A controller around `optimizer` (share the instance that planned the
-    /// static plan: its warm-start cache makes harvest and delta rounds
-    /// cheap) reacting to any genuine violation, with a budget of 2
-    /// re-plans.
+    /// A controller around `optimizer`, reacting to any genuine violation,
+    /// with a budget of 2 re-plans.
     pub fn new(optimizer: Optimizer) -> Self {
         AdaptiveExecutor {
             optimizer,
@@ -1268,7 +1263,7 @@ impl AdaptiveExecutor {
         self
     }
 
-    /// The optimizer (and warm-start cache) the controller re-plans with.
+    /// The optimizer the controller re-plans with.
     pub fn optimizer(&self) -> &Optimizer {
         &self.optimizer
     }
@@ -1311,9 +1306,9 @@ impl AdaptiveExecutor {
                 continue;
             }
             if prior.is_none() {
-                // The original query's bound table: warm right after the
-                // static plan, and the reuse source for the first delta
-                // round.  Un-harvestable queries finish under `Count`.
+                // The original query's bound table: the reuse source for
+                // the first delta round.  Un-harvestable queries finish
+                // under `Count`.
                 prior = self.optimizer.harvest(query, catalog).ok();
             }
             let splice = match prior.as_ref() {
@@ -1587,9 +1582,31 @@ fn reusable_bounds(
     (reused, fresh)
 }
 
+/// Grid steps per bit of a planner bound: `2⁻³⁰` bits, about the solver's
+/// `1e-9` optimality tolerance.
+const BOUND_GRID_STEPS_PER_BIT: f64 = (1u64 << 30) as f64;
+
+/// An LP's `log₂` bound as the planner uses it: rounded **up** onto the
+/// grid (so it still bounds, and certifies, whatever the LP bounded).  Two
+/// solves of one LP — another cone, another pivot order — agree to `1e-13`
+/// but not to the bit; on the grid they are one number, so exact ties
+/// between plans are ties for every solver and are broken by the DP's own
+/// rule.  Scaling by a power of two is exact: the result is never below
+/// `log2_bound`, less than one step above it, and a fixed point.
+fn canonical(log2_bound: f64) -> f64 {
+    let steps = log2_bound * BOUND_GRID_STEPS_PER_BIT;
+    if !steps.is_finite() {
+        // ±∞, or a magnitude far past where the grid is finer than f64.
+        return log2_bound;
+    }
+    steps.ceil() / BOUND_GRID_STEPS_PER_BIT
+}
+
 /// The value a bound attempt contributes to the DP table, and whether the
-/// LP produced it: the `log₂` bound, or — when the attempt failed or came
-/// back unbounded — the pessimistic per-atom product of `mask`'s scans.
+/// LP produced it: the [`canonical`] `log₂` bound, or — when the attempt
+/// failed or came back unbounded — the pessimistic per-atom product of
+/// `mask`'s scans.  Every LP result becomes a planner number here and
+/// nowhere else.
 fn bound_or_product(
     result: &Result<BoundResult, CoreError>,
     mask: u64,
@@ -1597,7 +1614,7 @@ fn bound_or_product(
     scan_log2: &[f64],
 ) -> (f64, bool) {
     match result {
-        Ok(b) if b.is_bounded() => (b.log2_bound, true),
+        Ok(b) if b.is_bounded() => (canonical(b.log2_bound), true),
         _ => (logical.atoms_of(mask).map(|j| scan_log2[j]).sum(), false),
     }
 }
@@ -1672,6 +1689,31 @@ fn prefix_step_bounds(
         .collect()
 }
 
+/// The bounds a plan materializes, largest first, into `out`: those of its
+/// input plan(s) `a` and `b` plus `own`, the bound of the join on top.
+fn materialized(a: &[f64], b: &[f64], own: f64, out: &mut Vec<f64>) {
+    out.clear();
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    out.push(own);
+    out.sort_unstable_by(|x, y| y.total_cmp(x));
+}
+
+/// Keep in `slot` the lexicographically smaller of its list and `candidate`
+/// — smaller bottleneck first, then smaller next-largest intermediate, and
+/// so on; the incumbent stays on a full tie.  `candidate` is scratch space
+/// and holds the loser afterwards.
+fn keep_smaller<T>(slot: &mut Option<(Vec<f64>, T)>, candidate: &mut Vec<f64>, how: T) {
+    match slot {
+        Some((list, _)) if list.as_slice() <= candidate.as_slice() => {}
+        Some((list, tag)) => {
+            std::mem::swap(list, candidate);
+            *tag = how;
+        }
+        None => *slot = Some((candidate.clone(), how)),
+    }
+}
+
 /// Predicted bottleneck of a left-deep order: the largest prefix bound,
 /// with the pessimistic per-atom product fallback for prefixes the bound
 /// table does not cover (cross-product prefixes are not connected
@@ -1699,7 +1741,11 @@ fn order_bottleneck(order: &[usize], bounds: &Bounds) -> f64 {
 /// `mask`: scans at the leaves, left-deep [`PhysicalNode::HashChain`] runs
 /// for extension choices, [`PhysicalNode::HashJoin`] nodes for splits —
 /// every node annotated with its sub-join's bound.
-fn build_bushy(mask: u64, best: &HashMap<u64, (f64, Choice)>, bounds: &Bounds) -> PhysicalNode {
+fn build_bushy(
+    mask: u64,
+    best: &HashMap<u64, (Vec<f64>, Choice)>,
+    bounds: &Bounds,
+) -> PhysicalNode {
     match best[&mask].1 {
         Choice::Leaf(j) => PhysicalNode::Scan {
             atom: j,
@@ -1766,13 +1812,8 @@ mod tests {
         assert_eq!(plan.bound_fallbacks, 0);
         assert!(plan.predicted_log2_cost.is_finite());
         assert!(plan.predicted_log2_cost <= plan.greedy_predicted_log2_cost);
-        // Plan-time batch bounding goes through the warm-started estimator:
-        // isomorphic edge-pair sub-joins share a shape.
-        assert!(
-            optimizer.estimator().shape_cache_hits() > 0,
-            "expected warm-start hits, got {}",
-            optimizer.estimator().shape_cache_hits()
-        );
+        // Plan-time bounding goes through the optimizer's batch estimator.
+        assert_eq!(optimizer.estimator().lps_estimated(), 4);
         // The chosen plan executes to the right answer, and its WCOJ output
         // is certified by the full query's bound.
         let run = exec(&q, &catalog, &plan.physical);
@@ -1793,6 +1834,91 @@ mod tests {
         // Semi-join passes and chain steps all checked their certificates.
         assert!(run.counters.certificates_checked() >= 3);
         assert_eq!(run.certificate_violations(), 0);
+    }
+
+    /// A star on `K`: `R` and `T` hold one row per key, `S` twenty.  Every
+    /// left-deep order ends on the full join, so all of them share the
+    /// bottleneck; what differs is whether the output-sized `R ⋈ S` (or
+    /// `S ⋈ T`) is materialized on the way.  The DP must break the tie by
+    /// the next-largest intermediate and join the fan-out atom last.
+    #[test]
+    fn equal_bottleneck_orders_join_the_fan_out_atom_last() {
+        let mut catalog = Catalog::new();
+        let keys = 0..50u64;
+        catalog.insert(RelationBuilder::binary_from_pairs(
+            "R",
+            "k",
+            "a",
+            keys.clone().map(|k| (k, k + 1000)),
+        ));
+        catalog.insert(RelationBuilder::binary_from_pairs(
+            "S",
+            "k",
+            "b",
+            keys.clone()
+                .flat_map(|k| (0..20u64).map(move |b| (k, 100 * k + b))),
+        ));
+        catalog.insert(RelationBuilder::binary_from_pairs(
+            "T",
+            "k",
+            "c",
+            keys.map(|k| (k, k + 2000)),
+        ));
+        let q = JoinQuery::new(
+            "fan-out-star",
+            vec![
+                lpb_core::Atom::new("R", &["K", "A"]),
+                lpb_core::Atom::new("S", &["K", "B"]),
+                lpb_core::Atom::new("T", &["K", "C"]),
+            ],
+        )
+        .unwrap();
+        let optimizer = Optimizer::new();
+        let fan_out_last = optimizer.cost_order(&q, &catalog, &[0, 2, 1]).unwrap();
+        let fan_out_first = optimizer.cost_order(&q, &catalog, &[0, 1, 2]).unwrap();
+        assert_eq!(fan_out_last.to_bits(), fan_out_first.to_bits(), "a tie");
+
+        let plan = optimizer.plan(&q, &catalog).unwrap();
+        assert_eq!(plan.predicted_log2_cost.to_bits(), fan_out_last.to_bits());
+        assert_eq!(plan.order.last(), Some(&1), "{}", plan.physical.describe());
+        assert_eq!(plan.leftdeep_order.last(), Some(&1));
+        let run = exec(&q, &catalog, &plan.physical);
+        assert_eq!(run.output_size(), 50 * 20);
+        assert_eq!(run.certificate_violations(), 0);
+    }
+
+    #[test]
+    fn canonical_bounds_round_up_onto_the_grid_and_stay_there() {
+        let step = 1.0 / BOUND_GRID_STEPS_PER_BIT;
+        for x in [
+            0.0,
+            1.0,
+            -3.25e-7,
+            1e-12,
+            12.0 - 1e-13,
+            12.0 + 1e-13,
+            11.312719029439,
+            17.862511557519,
+            4.0e6 + 0.1,
+            1e300,
+        ] {
+            let c = canonical(x);
+            assert!(c >= x, "{x}: rounded down to {c}");
+            assert!(c - x < step, "{x}: {c} is a step or more away");
+            assert_eq!(
+                canonical(c).to_bits(),
+                c.to_bits(),
+                "{x}: not a fixed point"
+            );
+        }
+        // Two solves of one LP differ in their last bits and are one number
+        // to the planner.
+        assert_eq!(
+            canonical(11.312719029439).to_bits(),
+            canonical(11.312719029439 + 1e-13).to_bits()
+        );
+        assert_eq!(canonical(f64::INFINITY), f64::INFINITY);
+        assert_eq!(canonical(f64::NEG_INFINITY), f64::NEG_INFINITY);
     }
 
     #[test]
@@ -1940,9 +2066,8 @@ mod tests {
     /// Run the incremental and the exhaustive partition search over one
     /// monolithic bound table and assert they decide alike: same pick or no
     /// pick, and for a pick the same split atom, part count, predicted cost
-    /// and physical plan (tree, part relations, every certificate; LP bounds
-    /// compared to 1e-9 because the two searches warm-start their solves in
-    /// different orders).  Returns whether a partition was picked.
+    /// and physical plan (tree, part relations, every certificate).  Returns
+    /// whether a partition was picked.
     fn assert_searches_agree(query: &JoinQuery, catalog: &Catalog) -> bool {
         let optimizer = Optimizer::new();
         let logical = LogicalPlan::of(query);

@@ -6,12 +6,14 @@
 //! a bushy tree on the bridged-chains workload, and (e) never observe an
 //! executed intermediate above its attached bound certificate.
 
-use lpb_core::{Atom, BatchEstimator, CollectConfig, JoinQuery};
+use lpb_core::{Atom, BatchEstimator, CollectConfig, Cone, JoinQuery};
 use lpb_data::{Catalog, RelationBuilder};
 use lpb_datagen::{
-    bridged_chains_workload, misleading_chain_workload, partition_skew_workload, planner_workloads,
-    skewed_triangle_workload,
+    bridged_chains_workload, job_like_catalog, job_like_queries, misleading_chain_workload,
+    partition_skew_workload, planner_workloads, skewed_triangle_workload, JobLikeConfig,
 };
+use std::rc::Rc;
+
 use lpb_exec::{
     execute_physical_mode, true_cardinality, ColumnRun, ExecMode, JoinPlan, LogicalPlan, Optimizer,
     PhysicalPlan, PlannerConfig,
@@ -92,14 +94,16 @@ fn plan_time_bounding_goes_through_the_warm_started_batch_estimator() {
     let optimizer = Optimizer::new();
     let plan = optimizer.plan(&w.query, &w.catalog).unwrap();
     assert!(plan.subqueries_bounded >= 4);
-    assert!(
-        optimizer.estimator().shape_cache_hits() > 0,
-        "the DP fan-out must hit the shape-keyed warm-start cache"
+    let lps = optimizer.estimator().lps_estimated();
+    assert_eq!(
+        lps,
+        plan.subqueries_bounded + plan.partition_subqueries_bounded
     );
-    // A second planning call over the same shapes is fully warm.
-    let before = optimizer.estimator().shape_cache_hits();
-    optimizer.plan(&w.query, &w.catalog).unwrap();
-    assert!(optimizer.estimator().shape_cache_hits() > before);
+    // Nothing is carried between planning calls: a second one asks for the
+    // same LPs again and returns the same plan.
+    let again = optimizer.plan(&w.query, &w.catalog).unwrap();
+    assert_eq!(optimizer.estimator().lps_estimated(), 2 * lps);
+    assert_eq!(again.physical, plan.physical);
 }
 
 /// On the bridged heavy chains, every left-deep order must hold a 4-atom
@@ -296,35 +300,55 @@ fn hopeless_partition_candidates_are_refused_after_one_lp_per_part() {
     );
 }
 
-/// Planning is a function of its input: fresh optimizers plan
-/// `large-mixed-12` — 220 sub-join LPs over ten variable counts, two cones
-/// and dozens of grown warm starts — to the same tree and the same predicted
-/// cost bit for bit, from the same number of cold and warm solves, whether
-/// the batch runs on the calling thread or on one lane per core.  (Hash-order
-/// ties among grow candidates and a thread race on the warm cache used to
-/// make this one of several outcomes, at 1.5x different cost.)
+/// Planning is a function of its input, and of nothing a solver leaves in
+/// the last bits of a bound.  Fresh optimizers plan every adversary — among
+/// them `large-mixed-12`, 220 sub-join LPs over ten variable counts — and
+/// the six served shapes at both served scales to the same tree and the
+/// same predicted cost bit for bit.  And an optimizer whose every LP goes to
+/// the polymatroid cone — other LPs, another solver path, bounds that agree
+/// with the normal cone's to 1e-13 and not to the bit — returns the same
+/// physical plan, certificates included, wherever that cone is affordable
+/// (≤ 8 variables).  This is what keeps the polymatroid LP differentially
+/// tested against the path the product runs.
 #[test]
 fn cold_plans_of_one_query_are_identical() {
-    let w = planner_workloads(1)
+    let mut inputs: Vec<(String, JoinQuery, Rc<Catalog>)> = planner_workloads(1)
         .into_iter()
-        .find(|w| w.name == "large-mixed-12")
-        .unwrap();
-    let outcome = |optimizer: Optimizer| {
-        let plan = optimizer.plan(&w.query, &w.catalog).unwrap();
-        (
-            plan.physical.describe(),
-            plan.predicted_log2_cost.to_bits(),
-            plan.monolithic_predicted_log2_cost.to_bits(),
-            optimizer.estimator().shape_cache_misses(),
-            optimizer.estimator().shape_cache_hits(),
-        )
-    };
-    let reference = outcome(Optimizer::new());
-    assert_eq!(outcome(Optimizer::new()), reference);
-    for _ in 0..2 {
-        let parallel = Optimizer::new().with_estimator(BatchEstimator::new());
-        assert_eq!(outcome(parallel), reference);
+        .map(|w| (w.name.to_string(), w.query, Rc::new(w.catalog)))
+        .collect();
+    for movies in [200, 1000] {
+        let catalog = Rc::new(job_like_catalog(&JobLikeConfig {
+            movies,
+            link_fanout: 2,
+            seed: 23,
+            ..JobLikeConfig::default()
+        }));
+        for q in job_like_queries().into_iter().take(6) {
+            let name = format!("{} at {movies} movies", q.query.name());
+            inputs.push((name, q.query, Rc::clone(&catalog)));
+        }
     }
+    let polymatroid =
+        || Optimizer::new().with_estimator(BatchEstimator::new().with_cone(Cone::Polymatroid));
+    let mut cross_checked = 0;
+    for (name, query, catalog) in &inputs {
+        let outcome = |optimizer: Optimizer| {
+            let plan = optimizer.plan(query, catalog).unwrap();
+            (
+                plan.physical,
+                plan.predicted_log2_cost.to_bits(),
+                plan.monolithic_predicted_log2_cost.to_bits(),
+                optimizer.estimator().lps_estimated(),
+            )
+        };
+        let reference = outcome(Optimizer::new());
+        assert_eq!(outcome(Optimizer::new()), reference, "{name}");
+        if query.n_vars() <= 8 {
+            assert_eq!(outcome(polymatroid()), reference, "{name}");
+            cross_checked += 1;
+        }
+    }
+    assert_eq!(cross_checked, 4 + 12);
 }
 
 /// With bushy splits disabled the planner must still work (and report the

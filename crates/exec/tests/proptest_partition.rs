@@ -107,7 +107,7 @@ proptest! {
         catalog.insert(r.clone());
         catalog.insert(s);
         let query = JoinQuery::single_join("R", "S");
-        let estimator = BatchEstimator::new().sequential();
+        let estimator = BatchEstimator::new();
 
         let mut parts: Vec<lpb_data::Relation> = partition_by_degree(&r, &["x"], &["y"])
             .unwrap()

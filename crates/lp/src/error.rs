@@ -35,14 +35,6 @@ pub enum LpError {
         /// Number of variables in the problem.
         n_vars: usize,
     },
-    /// A shared-tail right-hand-side override has the wrong number of
-    /// entries for the attached tail block.
-    TailRhsLengthMismatch {
-        /// Entries in the override.
-        got: usize,
-        /// Rows in the tail block.
-        tail_rows: usize,
-    },
     /// The solver reached a numerically inconsistent state (e.g. accumulated
     /// round-off made phase 1 look unbounded); re-solving with the dense
     /// fallback or a looser tolerance is the recommended recovery.
@@ -70,11 +62,6 @@ impl fmt::Display for LpError {
                 f,
                 "shared tail block built for {tail_cols} columns attached to a \
                  problem with {n_vars} variables"
-            ),
-            LpError::TailRhsLengthMismatch { got, tail_rows } => write!(
-                f,
-                "shared-tail rhs override has {got} entries for a block with \
-                 {tail_rows} rows"
             ),
             LpError::NumericalInstability { detail } => {
                 write!(f, "numerical instability in the solver: {detail}")

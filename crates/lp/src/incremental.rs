@@ -17,6 +17,9 @@
 //! [`IncrementalSolver::unbounded_ray`] exposes the improving ray so the
 //! separation oracle can cut it; a zero-cost dual pass then restores primal
 //! feasibility before phase 2 resumes.
+//!
+//! The one consumer is `lpb-core`'s lazy polymatroid loop (`cgen`):
+//! polymatroid bounds at n ≥ 9 and on non-simple statistics.
 
 use crate::dual::{dual_simplex, DualOutcome};
 use crate::error::LpError;
@@ -61,7 +64,7 @@ impl IncrementalSolver {
     pub fn solve(problem: &Problem, options: &SolverOptions) -> Result<Self, LpError> {
         problem.validate()?;
         record_solve(SolvePath::RevisedCold, problem.n_vars());
-        let mut p = match prepare(problem, options, None) {
+        let mut p = match prepare(problem, options) {
             Prep::Trivial(_) => return Err(LpError::EmptyProblem),
             Prep::Ready(p) => *p,
         };

@@ -11,26 +11,23 @@
 //!   shared immutable row blocks ([`SharedRowBlock`]) whose column-major
 //!   form is cached across solves,
 //! * a sparse **revised simplex** with an eta-file basis inverse, CSR/CSC
-//!   constraint storage, warm starting and **Devex pricing** by default
-//!   ([`revised`], the default [`SolverKind`]; [`Pricing`] selects the
-//!   rule, with classic Dantzig kept for comparison),
-//! * a **dual simplex** phase ([`dual`]): [`WarmHandle`] snapshots the
-//!   factorized engine at an optimum and re-solves same-matrix LPs whose
-//!   right-hand sides changed with a handful of dual pivots — the engine
-//!   behind profitable cross-query warm starts,
-//! * a **row-append** path ([`IncrementalSolver`], `WarmHandle::append_le_rows`):
-//!   new `≤` rows join a solved LP by extending the factorized basis with
-//!   their slacks and dual-repairing, the primitive behind both lazy
-//!   constraint generation and grown-shape warm starts,
+//!   constraint storage and **Devex pricing** by default ([`revised`], what
+//!   [`SolverKind::Auto`] picks for every LP of 160 rows or more; [`Pricing`]
+//!   selects the rule, with classic Dantzig kept for comparison),
+//! * a **row-append** path ([`IncrementalSolver`]): new `≤` rows join a
+//!   solved LP by extending the factorized basis with their slacks, and the
+//!   **dual simplex** phase ([`dual`]) repairs what they violate — the
+//!   primitive behind lazy constraint generation,
 //! * process-wide and per-thread **work counters** ([`SolverStats`]):
 //!   pivot, refactorization and row-append counts, solves by path (dense,
-//!   revised-cold, dual-warm, append-warm) with their summed widths, and
+//!   revised-cold, append-warm) with their summed widths, and
 //!   column-generation rounds, so benchmarks can assert on work instead of
 //!   noisy wall-clock,
 //! * a dense, two-phase tableau **simplex** method with Bland's
 //!   anti-cycling rule ([`solve_dense`]), kept as a cross-checking
-//!   fallback — property tests assert the two solvers agree on status,
-//!   objective and the duality identity,
+//!   fallback and as [`SolverKind::Auto`]'s choice for small LPs — property
+//!   tests assert the two solvers agree on status, objective and the
+//!   duality identity,
 //! * extraction of the **dual solution** (one multiplier per constraint),
 //!   which the bound engine uses to recover the witness information
 //!   inequality — i.e. *which* ℓp statistics the optimal bound uses.
@@ -39,6 +36,15 @@
 //! dozen to a few thousand rows, a few dozen to a few tens of thousands of
 //! columns, all variables non-negative.  It is exact up to floating-point
 //! tolerance (`1e-9` pivot tolerance by default).
+//!
+//! Every solve is cold.  Each path has a named consumer in `lpb-core`: the
+//! column-generated normal cone — every bound the planner and the service
+//! compute — solves its small master LPs on the dense tableau, as do the
+//! experiments' polymatroid LPs of up to five variables; materialized
+//! polymatroid LPs of six to eight variables (one-shot `Cone::auto` bounds,
+//! non-simple statistics, cross-checks) take the revised simplex; the lazy polymatroid loop (from
+//! nine variables) runs on [`IncrementalSolver`] and the dual phase.  The
+//! module docs of [`revised`], [`incremental`] and [`dual`] name them.
 //!
 //! ## Example
 //!
@@ -69,12 +75,11 @@ mod simplex;
 pub mod sparse;
 mod stats;
 
-pub use dual::WarmHandle;
 pub use error::LpError;
 pub use incremental::IncrementalSolver;
 pub use matrix::DenseMatrix;
 pub use problem::{Constraint, Direction, Problem, Sense, SharedRowBlock};
-pub use revised::{eta_refactorization_count, solve_sparse, solve_sparse_with_handle};
+pub use revised::{eta_refactorization_count, solve_sparse};
 pub use simplex::{
     solve, solve_dense, Pricing, Solution, SolverKind, SolverOptions, Status,
     DENSE_MAX_COLS_PER_ROW, DENSE_SMALL_LP_ROWS,

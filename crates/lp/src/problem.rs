@@ -134,7 +134,6 @@ pub struct Problem {
     constraints: Vec<Constraint>,
     var_names: Vec<Option<String>>,
     shared_tail: Option<Arc<SharedRowBlock>>,
-    tail_rhs: Option<Vec<f64>>,
 }
 
 impl Problem {
@@ -159,7 +158,6 @@ impl Problem {
             constraints: Vec::new(),
             var_names: vec![None; n_vars],
             shared_tail: None,
-            tail_rhs: None,
         }
     }
 
@@ -188,27 +186,6 @@ impl Problem {
     /// block.
     pub fn set_shared_tail(&mut self, block: Arc<SharedRowBlock>) {
         self.shared_tail = Some(block);
-        self.tail_rhs = None;
-    }
-
-    /// Override the right-hand sides of the shared tail rows for this
-    /// problem only (one value per tail row, finite and non-negative like
-    /// the block's own).  This is what lets a *matrix* be shared across a
-    /// whole problem family whose per-instance data lives entirely in `b` —
-    /// e.g. the normal-cone bound LP, whose statistic rows depend only on
-    /// the statistics' shapes while the log-bounds change per query.  The
-    /// block's baked-in rhs is used when no override is set.
-    ///
-    /// # Panics
-    ///
-    /// Panics when no shared tail is attached.  Length and value validity
-    /// are checked by [`validate`](Self::validate).
-    pub fn set_shared_tail_rhs(&mut self, rhs: Vec<f64>) {
-        assert!(
-            self.shared_tail.is_some(),
-            "set_shared_tail_rhs needs a shared tail block"
-        );
-        self.tail_rhs = Some(rhs);
     }
 
     /// The shared tail block, if one is attached.
@@ -216,27 +193,18 @@ impl Problem {
         self.shared_tail.as_ref()
     }
 
-    /// The effective right-hand sides of the shared tail rows: the
-    /// per-problem override when set, the block's own otherwise.
-    pub fn tail_rhs(&self) -> Option<&[f64]> {
-        match (&self.tail_rhs, &self.shared_tail) {
-            (Some(rhs), _) => Some(rhs.as_slice()),
-            (None, Some(t)) => Some(t.rhs()),
-            (None, None) => None,
-        }
-    }
-
     /// Iterate every row the solver will see — explicit constraints first,
     /// then the shared tail rows (always `≤`, non-negative rhs) — as
     /// `(coefficients, sense, rhs)`.
     pub fn rows_all(&self) -> impl Iterator<Item = (&[(usize, f64)], Sense, f64)> {
-        let tail_rhs = self.tail_rhs().unwrap_or(&[]);
         self.constraints
             .iter()
             .map(|c| (c.coeffs.as_slice(), c.sense, c.rhs))
-            .chain(self.shared_tail.iter().flat_map(move |t| {
-                (0..t.n_rows()).map(move |i| (t.row(i), Sense::Le, tail_rhs[i]))
-            }))
+            .chain(
+                self.shared_tail
+                    .iter()
+                    .flat_map(|t| (0..t.n_rows()).map(move |i| (t.row(i), Sense::Le, t.rhs()[i]))),
+            )
     }
 
     /// Optimization direction.
@@ -333,24 +301,6 @@ impl Problem {
                     tail_cols: tail.n_cols(),
                     n_vars: self.n_vars,
                 });
-            }
-            if let Some(rhs) = &self.tail_rhs {
-                // The override must preserve the tail invariants the solvers
-                // rely on: one value per row, finite, non-negative (tail rows
-                // never need sign normalization or phase-1 artificials).
-                if rhs.len() != tail.n_rows() {
-                    return Err(LpError::TailRhsLengthMismatch {
-                        got: rhs.len(),
-                        tail_rows: tail.n_rows(),
-                    });
-                }
-                for (i, &b) in rhs.iter().enumerate() {
-                    if !(b.is_finite() && b >= 0.0) {
-                        return Err(LpError::NonFiniteCoefficient {
-                            location: format!("shared-tail rhs override, row {i}"),
-                        });
-                    }
-                }
             }
         }
         Ok(())
@@ -453,83 +403,6 @@ mod tests {
         // Strong duality across explicit + tail rows.
         let dual_obj: f64 = p.rows_all().zip(&s.duals).map(|((_, _, b), y)| b * y).sum();
         assert!((dual_obj - 4.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn tail_rhs_override_changes_only_b() {
-        // max x + y with tail rows y <= ·, x + y <= ·; solve under the
-        // block's baked rhs and under an override, both solvers agreeing.
-        let tail = Arc::new(SharedRowBlock::new(
-            2,
-            vec![vec![(1, 1.0)], vec![(0, 1.0), (1, 1.0)]],
-            vec![3.0, 4.0],
-        ));
-        let mut p = Problem::maximize(2);
-        p.set_objective(0, 1.0);
-        p.set_objective(1, 1.0);
-        p.add_constraint(&[(0, 1.0)], Sense::Le, 2.0);
-        p.set_shared_tail(tail.clone());
-        assert_eq!(p.tail_rhs(), Some(&[3.0, 4.0][..]));
-        let baked = p.solve().unwrap();
-        assert!((baked.objective - 4.0).abs() < 1e-6);
-
-        p.set_shared_tail_rhs(vec![1.0, 2.5]);
-        assert_eq!(p.tail_rhs(), Some(&[1.0, 2.5][..]));
-        let rows: Vec<f64> = p.rows_all().map(|(_, _, b)| b).collect();
-        assert_eq!(rows, vec![2.0, 1.0, 2.5]);
-        for opts in [
-            SolverOptions::dense(),
-            SolverOptions {
-                solver: crate::simplex::SolverKind::SparseRevised,
-                ..SolverOptions::default()
-            },
-        ] {
-            let s = p.solve_with(&opts).unwrap();
-            assert!(
-                (s.objective - 2.5).abs() < 1e-6,
-                "override objective {} with {:?}",
-                s.objective,
-                opts.solver
-            );
-        }
-        // Re-attaching a tail clears any stale override.
-        p.set_shared_tail(tail);
-        assert_eq!(p.tail_rhs(), Some(&[3.0, 4.0][..]));
-    }
-
-    #[test]
-    fn validate_rejects_bad_tail_rhs_overrides() {
-        let tail = Arc::new(SharedRowBlock::new(1, vec![vec![(0, 1.0)]], vec![1.0]));
-        let mut p = Problem::maximize(1);
-        p.set_objective(0, 1.0);
-        p.set_shared_tail(tail);
-        p.set_shared_tail_rhs(vec![1.0, 2.0]);
-        assert!(matches!(
-            p.validate(),
-            Err(LpError::TailRhsLengthMismatch {
-                got: 2,
-                tail_rows: 1
-            })
-        ));
-        p.set_shared_tail_rhs(vec![-1.0]);
-        assert!(matches!(
-            p.validate(),
-            Err(LpError::NonFiniteCoefficient { .. })
-        ));
-        p.set_shared_tail_rhs(vec![f64::NAN]);
-        assert!(matches!(
-            p.validate(),
-            Err(LpError::NonFiniteCoefficient { .. })
-        ));
-        p.set_shared_tail_rhs(vec![2.0]);
-        assert!(p.validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "needs a shared tail block")]
-    fn tail_rhs_override_without_tail_panics() {
-        let mut p = Problem::maximize(1);
-        p.set_shared_tail_rhs(vec![1.0]);
     }
 
     #[test]

@@ -16,26 +16,24 @@
 //! the two solvers can cross-check each other (see
 //! `tests/proptest_sparse_dense.rs`).
 //!
-//! Additionally this path supports two forms of **warm starting**:
-//!
-//! * **Basis replay** ([`crate::SolverOptions::warm_start`]): the basis of a
-//!   previous, similarly-shaped solve is replayed into the starting basis
-//!   before optimization begins.  When the replayed basis is primal
-//!   infeasible for the new right-hand side but still dual feasible, the
-//!   [`crate::dual`] phase repairs it with dual pivots instead of falling
-//!   back to a cold start.  Replay itself costs about as much as re-solving
-//!   (each replayed column is one FTRAN through a growing eta file), which
-//!   is why it is a throughput wash on its own (`BENCH_lp.json`).
-//! * **Factorization reuse** ([`crate::WarmHandle`], via
-//!   [`solve_sparse_with_handle`]): the solved engine — basis, eta file and
-//!   column store — is snapshotted at the optimum, and a later LP with the
-//!   *same matrix* but different right-hand sides re-solves from it with a
-//!   single FTRAN plus a few dual pivots, skipping replay entirely.  This is
-//!   the profitable path `BatchEstimator` uses (`BENCH_lp.json`,
-//!   `dual_warm_us` vs `sparse_skeleton_us`).
+//! Every solve here is cold, from the slack basis.  Who comes through
+//! (everything else goes to the dense tableau, see
+//! [`crate::SolverKind::Auto`]): materialized polymatroid LPs of 6 to 8
+//! variables (246 rows and up) — one-shot `Cone::auto` bounds at those
+//! sizes (ten of the 33 queries of the benchmark's `bound-only` workload),
+//! `compute_bound(.., Cone::Polymatroid)` on non-simple statistics, the
+//! `lp_scaling` emitter, and the differential tests that plan on the
+//! polymatroid cone against the product's normal one; normal-cone master
+//! LPs of [`crate::DENSE_SMALL_LP_ROWS`] rows or more (≥ 160 statistics)
+//! or wider than tall (fewer statistics than variables, as in experiment
+//! E6); and — through
+//! [`crate::IncrementalSolver`], which shares `prepare` and the engine —
+//! the first relaxation of the lazy polymatroid loop.  The polymatroid LPs
+//! of experiments E4, E5, E7 and E8 and of the examples have at most five
+//! variables and are dense solves.
 
 use crate::error::LpError;
-use crate::problem::{Direction, Problem, Sense, SharedRowBlock};
+use crate::problem::{Direction, Problem, Sense};
 use crate::stats;
 use std::sync::Arc;
 
@@ -787,9 +785,6 @@ pub(crate) struct Prepared {
     pub(crate) sign: f64,
     /// Explicit-row flip pattern (tail rows are never flipped).
     pub(crate) row_flipped: Vec<bool>,
-    /// Normalized explicit rows (coefficients after flipping).
-    pub(crate) rows: Vec<Vec<(usize, f64)>>,
-    pub(crate) tail: Option<Arc<SharedRowBlock>>,
     pub(crate) n_artificial: usize,
     /// Phase-2 cost vector over all working columns.
     pub(crate) cost2: Vec<f64>,
@@ -804,14 +799,10 @@ pub(crate) enum Prep {
     Trivial(Solution),
 }
 
-/// Normalize `problem` and build the revised-simplex engine.
-///
-/// `flips` overrides the per-explicit-row sign normalization: `None` flips
-/// rows so every RHS is non-negative (the cold-start invariant phase 1
-/// relies on), while [`crate::WarmHandle::resolve`] passes its recorded
-/// pattern so the matrix matches the snapshot bit-for-bit and only `b`
-/// changes — dual pivots absorb any resulting negative entries.
-pub(crate) fn prepare(problem: &Problem, options: &SolverOptions, flips: Option<&[bool]>) -> Prep {
+/// Normalize `problem` — explicit rows are flipped so every RHS is
+/// non-negative, the cold-start invariant phase 1 relies on — and build the
+/// revised-simplex engine.
+pub(crate) fn prepare(problem: &Problem, options: &SolverOptions) -> Prep {
     let n = problem.n_vars();
     let m_explicit = problem.n_constraints();
     let tail = problem.shared_tail().cloned();
@@ -856,10 +847,7 @@ pub(crate) fn prepare(problem: &Problem, options: &SolverOptions, flips: Option<
     let mut senses = Vec::with_capacity(m);
     let mut sparse_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m_explicit);
     for (i, con) in problem.constraints().iter().enumerate() {
-        let flip = match flips {
-            Some(f) => f[i],
-            None => con.rhs < 0.0,
-        };
+        let flip = con.rhs < 0.0;
         row_flipped[i] = flip;
         let mult = if flip { -1.0 } else { 1.0 };
         b[i] = mult * con.rhs;
@@ -870,9 +858,8 @@ pub(crate) fn prepare(problem: &Problem, options: &SolverOptions, flips: Option<
         });
         sparse_rows.push(con.coeffs.iter().map(|&(j, c)| (j, mult * c)).collect());
     }
-    if tail.is_some() {
-        let tail_rhs = problem.tail_rhs().expect("tail present implies rhs");
-        for (i, &rhs) in tail_rhs.iter().enumerate() {
+    if let Some(tail) = &tail {
+        for (i, &rhs) in tail.rhs().iter().enumerate() {
             b[m_explicit + i] = rhs;
             senses.push(Sense::Le);
         }
@@ -963,8 +950,6 @@ pub(crate) fn prepare(problem: &Problem, options: &SolverOptions, flips: Option<
         m,
         sign,
         row_flipped,
-        rows: sparse_rows,
-        tail,
         n_artificial,
         cost2,
         engine,
@@ -1024,106 +1009,14 @@ pub(crate) fn extract_solution(
 /// Status classification, dual signs and the strong-duality identity
 /// `objective == Σ dualsᵢ · rhsᵢ` all match the dense solver.
 pub fn solve_sparse(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpError> {
-    solve_sparse_inner(problem, options, false).map(|(solution, _)| solution)
-}
-
-/// [`solve_sparse`], additionally returning a [`crate::WarmHandle`] that
-/// snapshots the factorized engine at the optimum.  The handle can later
-/// [`resolve`](crate::WarmHandle::resolve) problems with the same matrix but
-/// different right-hand sides via dual pivots, which is far cheaper than a
-/// fresh solve.  `None` when the solve did not end at a reusable optimal
-/// basis (non-optimal status, or the problem needed phase-1 artificials).
-pub fn solve_sparse_with_handle(
-    problem: &Problem,
-    options: &SolverOptions,
-) -> Result<(Solution, Option<crate::dual::WarmHandle>), LpError> {
-    // Unlike `solve_sparse` (whose callers go through `Problem::solve_with`),
-    // this is called directly by warm-start caches; validate here so invalid
-    // problems fail identically on the warm and cold paths.
-    problem.validate()?;
-    solve_sparse_inner(problem, options, true)
-}
-
-fn solve_sparse_inner(
-    problem: &Problem,
-    options: &SolverOptions,
-    want_handle: bool,
-) -> Result<(Solution, Option<crate::dual::WarmHandle>), LpError> {
     stats::record_solve(stats::SolvePath::RevisedCold, problem.n_vars());
-    let mut p = match prepare(problem, options, None) {
-        Prep::Trivial(solution) => return Ok((solution, None)),
+    let mut p = match prepare(problem, options) {
+        Prep::Trivial(solution) => return Ok(solution),
         Prep::Ready(p) => *p,
     };
     let (n, m) = (p.n, p.m);
     let sign = p.sign;
     let max_iter = p.max_iter;
-
-    // Warm start: replay the previous basis while no artificials constrain
-    // us. Each warm `(row, column)` pair is pivoted back into its recorded
-    // row (skipping rows no longer held by an initial slack and pivots that
-    // have become numerically tiny), so re-solving the same LP reproduces
-    // the optimal vertex exactly and re-solving a perturbed one lands next
-    // to it. If the replayed basis is primal infeasible for this RHS but
-    // still prices dual feasible, the dual simplex repairs it in place;
-    // otherwise we fall back to the cold slack start — this is immune to
-    // the degenerate-ratio wandering a feasibility-driven crash suffers on
-    // LPs whose RHS is mostly zero.
-    if p.n_artificial == 0 {
-        if let Some(warm) = &options.warm_start {
-            let engine = &mut p.engine;
-            let initial_basis = engine.basis.clone();
-            let mut changed = false;
-            for &(row, col) in warm {
-                if col >= n
-                    || row >= m
-                    || engine.in_basis[col]
-                    || engine.kind[engine.basis[row]] != ColKind::Slack
-                {
-                    continue;
-                }
-                engine.column_into_work(col);
-                engine.ftran_work();
-                if engine.work[row].abs() > 1e-7 {
-                    engine.basis_replace(row, col);
-                    changed = true;
-                }
-            }
-            if changed {
-                let mut xb = engine.b.clone();
-                ftran(&engine.etas, &mut xb);
-                engine.pivots_since_recompute = 0;
-                if xb.iter().all(|&v| v >= -PRIMAL_FEAS_TOL) {
-                    engine.x_b = xb.into_iter().map(|v| v.max(0.0)).collect();
-                } else {
-                    engine.x_b = xb;
-                    let repaired = crate::dual::is_dual_feasible(engine, &p.cost2)
-                        && matches!(
-                            crate::dual::dual_simplex(engine, &p.cost2, max_iter),
-                            Ok(crate::dual::DualOutcome::PrimalFeasible)
-                        );
-                    if repaired {
-                        for v in engine.x_b.iter_mut() {
-                            if *v < 0.0 {
-                                *v = 0.0;
-                            }
-                        }
-                    } else {
-                        // Not repairable from here (dual infeasible, lost
-                        // feasibility, or even genuinely infeasible — let
-                        // phase 2 from the cold start decide); start cold.
-                        engine.etas.clear();
-                        engine.in_basis.iter_mut().for_each(|v| *v = false);
-                        engine.basis = initial_basis;
-                        for &col in &engine.basis {
-                            engine.in_basis[col] = true;
-                        }
-                        engine.x_b = engine.b.clone();
-                        engine.pivots_since_recompute = 0;
-                    }
-                }
-            }
-        }
-    }
 
     if p.n_artificial > 0 {
         let cost1: Vec<f64> = p
@@ -1136,7 +1029,7 @@ fn solve_sparse_inner(
             Status::Optimal => {
                 let phase1 = p.engine.objective_for(&cost1);
                 if phase1 < -1e-6 {
-                    return Ok((infeasible_solution(n, m), None));
+                    return Ok(infeasible_solution(n, m));
                 }
             }
             // The phase-1 objective is bounded above by zero, so an
@@ -1156,25 +1049,22 @@ fn solve_sparse_inner(
 
     let status = p.engine.optimize(&p.cost2, max_iter, false)?;
     if status == Status::Unbounded {
-        return Ok((
-            Solution {
-                status,
-                objective: f64::INFINITY * sign,
-                x: vec![0.0; n],
-                duals: vec![0.0; m],
-                basis: vec![],
-            },
-            None,
-        ));
+        return Ok(Solution {
+            status,
+            objective: f64::INFINITY * sign,
+            x: vec![0.0; n],
+            duals: vec![0.0; m],
+            basis: vec![],
+        });
     }
 
-    let solution = extract_solution(&p.engine, &p.cost2, sign, &p.row_flipped, n);
-    let handle = if want_handle && p.n_artificial == 0 {
-        Some(crate::dual::WarmHandle::snapshot(problem, p))
-    } else {
-        None
-    };
-    Ok((solution, handle))
+    Ok(extract_solution(
+        &p.engine,
+        &p.cost2,
+        sign,
+        &p.row_flipped,
+        n,
+    ))
 }
 
 #[cfg(test)]
@@ -1251,27 +1141,6 @@ mod tests {
             p.solve_with(&sparse_opts()).unwrap().status,
             Status::Unbounded
         );
-    }
-
-    #[test]
-    fn warm_start_reaches_the_same_optimum() {
-        let build = |cap: f64| {
-            let mut p = Problem::maximize(3);
-            for j in 0..3 {
-                p.set_objective(j, (j + 1) as f64);
-                p.add_constraint(&[(j, 1.0)], Sense::Le, cap);
-            }
-            p.add_constraint(&[(0, 1.0), (1, 1.0), (2, 1.0)], Sense::Le, 2.0 * cap);
-            p
-        };
-        let cold = build(5.0).solve_with(&sparse_opts()).unwrap();
-        let warm_opts = SolverOptions {
-            warm_start: Some(cold.basis.clone()),
-            ..sparse_opts()
-        };
-        let warm = build(6.0).solve_with(&warm_opts).unwrap();
-        let reference = build(6.0).solve_with(&sparse_opts()).unwrap();
-        assert_close(warm.objective, reference.objective);
     }
 
     #[test]

@@ -1,5 +1,13 @@
 //! Dense two-phase primal simplex with Bland's anti-cycling fallback and
 //! dual-solution extraction.
+//!
+//! Who solves through here: the normal cone's master LPs — one per
+//! generation round, a few dozen columns over one row per statistic, which
+//! is every bound the planner and the service compute — while they stay
+//! under [`DENSE_SMALL_LP_ROWS`] rows and no wider than tall; on the same
+//! rule the polymatroid LPs of up to five variables that experiments E4,
+//! E5, E7, E8 and the examples pose; and every cross-check that asks for
+//! [`SolverKind::Dense`] by name.
 
 use crate::error::LpError;
 use crate::matrix::DenseMatrix;
@@ -42,14 +50,12 @@ pub const DENSE_MAX_COLS_PER_ROW: usize = 1;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Pick per problem (the default): the dense tableau for LPs under
-    /// [`DENSE_SMALL_LP_ROWS`] rows, at most [`DENSE_MAX_COLS_PER_ROW`]
-    /// columns per row and no warm-start token, the sparse revised simplex
-    /// otherwise.
+    /// [`DENSE_SMALL_LP_ROWS`] rows and at most [`DENSE_MAX_COLS_PER_ROW`]
+    /// columns per row, the sparse revised simplex otherwise.
     #[default]
     Auto,
     /// Sparse revised simplex with an eta-file basis inverse
-    /// ([`crate::revised::solve_sparse`]) — the scalable path, and the only
-    /// one that honours [`SolverOptions::warm_start`].
+    /// ([`crate::revised::solve_sparse`]) — the scalable path.
     SparseRevised,
     /// Dense two-phase tableau simplex ([`solve_dense`]), kept as a
     /// cross-checking fallback; both solvers agree on status, objective and
@@ -91,17 +97,12 @@ pub struct SolverOptions {
     pub max_iterations: Option<usize>,
     /// Simplex implementation to use.
     pub solver: SolverKind,
-    /// `(row, structural column)` pairs that were basic in a previous solve
-    /// of a similarly-shaped problem (see [`Solution::basis`]); the sparse
-    /// solver replays them into the starting basis (ignored by the dense
-    /// solver, and ignored whenever the problem needs a phase 1).
-    pub warm_start: Option<Vec<(usize, usize)>>,
     /// Maximum length of the sparse solver's eta file before it is
     /// refactorized from scratch (see
     /// [`crate::revised::eta_refactorization_count`]).  Long runs — many
-    /// pivots in one solve, or dual warm starts layered on a snapshotted
-    /// factorization — would otherwise accumulate an unbounded product of
-    /// eta transformations, making every FTRAN/BTRAN slower and noisier.
+    /// pivots in one solve, or round after round of appended rows — would
+    /// otherwise accumulate an unbounded product of eta transformations,
+    /// making every FTRAN/BTRAN slower and noisier.
     pub eta_refactor_cap: usize,
     /// Entering-variable pricing rule for the sparse revised simplex
     /// (ignored by the dense solver).
@@ -114,7 +115,6 @@ impl Default for SolverOptions {
             tolerance: 1e-9,
             max_iterations: None,
             solver: SolverKind::default(),
-            warm_start: None,
             eta_refactor_cap: 512,
             pricing: Pricing::default(),
         }
@@ -149,10 +149,8 @@ pub struct Solution {
     /// For a minimization problem the duals are reported so that the same
     /// identity `objective == Σ duals[i] * rhs[i]` holds.
     pub duals: Vec<f64>,
-    /// `(row, structural variable)` pairs that are basic at the optimum,
-    /// usable as a [`SolverOptions::warm_start`] for a later,
-    /// similarly-shaped solve. Empty when the status is not
-    /// [`Status::Optimal`].
+    /// `(row, structural variable)` pairs that are basic at the optimum.
+    /// Empty when the status is not [`Status::Optimal`].
     pub basis: Vec<(usize, usize)>,
 }
 
@@ -197,7 +195,7 @@ pub fn solve(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpE
             let rows = problem.n_rows_total();
             let small =
                 rows < DENSE_SMALL_LP_ROWS && problem.n_vars() <= DENSE_MAX_COLS_PER_ROW * rows;
-            if small && options.warm_start.is_none() {
+            if small {
                 solve_dense(problem, options)
             } else {
                 // The dense tableau really is the fallback: if the sparse

@@ -2,7 +2,7 @@
 //!
 //! Wall-clock timings are noisy in CI, so the benchmarks assert on *work*
 //! instead: pivot counts, refactorizations, row-append (constraint
-//! generation) activity, which of the crate's four solve paths each solve
+//! generation) activity, which of the crate's three solve paths each solve
 //! took and how wide it was, and column-generation rounds.  Two views exist
 //! over the same recordings:
 //!
@@ -31,7 +31,6 @@ static APPEND_BATCHES: AtomicU64 = AtomicU64::new(0);
 static ROWS_APPENDED: AtomicU64 = AtomicU64::new(0);
 static DENSE_SOLVES: AtomicU64 = AtomicU64::new(0);
 static REVISED_COLD_SOLVES: AtomicU64 = AtomicU64::new(0);
-static DUAL_WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
 static APPEND_WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
 static SOLVE_COLUMNS: AtomicU64 = AtomicU64::new(0);
 static GENERATION_ROUNDS: AtomicU64 = AtomicU64::new(0);
@@ -45,7 +44,6 @@ thread_local! {
     static TL_ROWS_APPENDED: Cell<u64> = const { Cell::new(0) };
     static TL_DENSE_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_REVISED_COLD_SOLVES: Cell<u64> = const { Cell::new(0) };
-    static TL_DUAL_WARM_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_APPEND_WARM_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_SOLVE_COLUMNS: Cell<u64> = const { Cell::new(0) };
     static TL_GENERATION_ROUNDS: Cell<u64> = const { Cell::new(0) };
@@ -80,7 +78,6 @@ pub(crate) fn record_append(rows: usize) {
 pub(crate) enum SolvePath {
     Dense,
     RevisedCold,
-    DualWarm,
     AppendWarm,
 }
 
@@ -89,7 +86,6 @@ pub(crate) fn record_solve(path: SolvePath, columns: usize) {
     match path {
         SolvePath::Dense => bump(&DENSE_SOLVES, &TL_DENSE_SOLVES, 1),
         SolvePath::RevisedCold => bump(&REVISED_COLD_SOLVES, &TL_REVISED_COLD_SOLVES, 1),
-        SolvePath::DualWarm => bump(&DUAL_WARM_SOLVES, &TL_DUAL_WARM_SOLVES, 1),
         SolvePath::AppendWarm => bump(&APPEND_WARM_SOLVES, &TL_APPEND_WARM_SOLVES, 1),
     }
     bump(&SOLVE_COLUMNS, &TL_SOLVE_COLUMNS, columns as u64);
@@ -108,12 +104,11 @@ pub(crate) fn refactorization_count() -> u64 {
 pub struct SolverStats {
     /// Primal simplex pivots (phase 1 + phase 2, any pricing rule).
     pub primal_pivots: u64,
-    /// Dual simplex pivots (warm-start repairs, row-append repairs).
+    /// Dual simplex pivots (row-append repairs).
     pub dual_pivots: u64,
     /// Eta-file refactorizations (cap hits and row appends both count).
     pub refactorizations: u64,
-    /// Row-append batches — one per constraint-generation round or grown
-    /// warm-start resolution.
+    /// Row-append batches — one per constraint-generation round.
     pub append_batches: u64,
     /// Total rows added across all append batches.
     pub rows_appended: u64,
@@ -121,18 +116,13 @@ pub struct SolverStats {
     /// [`crate::SolverKind::Auto`], asked for explicitly, or as the
     /// fallback of a numerically failed sparse solve).
     pub dense_solves: u64,
-    /// Cold solves by the sparse revised simplex, from the slack (or
-    /// replayed-token) basis — including the cold fallbacks of the two warm
-    /// paths below.
+    /// Cold solves by the sparse revised simplex, from the slack basis
+    /// ([`crate::solve_sparse`], [`crate::IncrementalSolver::solve`]).
     pub revised_cold_solves: u64,
-    /// Re-solves of a snapshotted factorization after right-hand-side
-    /// changes ([`crate::WarmHandle::resolve`]).
-    pub dual_warm_solves: u64,
     /// Re-solves after appending rows to a factorized basis
-    /// ([`crate::WarmHandle::resolve_grown`],
-    /// [`crate::IncrementalSolver::append_le_rows`]).
+    /// ([`crate::IncrementalSolver::append_le_rows`]).
     pub append_warm_solves: u64,
-    /// Structural columns summed over the solves counted in the four
+    /// Structural columns summed over the solves counted in the three
     /// `*_solves` fields: the mean LP width is this over their sum, and a
     /// delta of at most `k` proves no solve inside it was wider than `k`.
     pub solve_columns: u64,
@@ -156,7 +146,6 @@ impl SolverStats {
             rows_appended: ROWS_APPENDED.load(Ordering::Relaxed),
             dense_solves: DENSE_SOLVES.load(Ordering::Relaxed),
             revised_cold_solves: REVISED_COLD_SOLVES.load(Ordering::Relaxed),
-            dual_warm_solves: DUAL_WARM_SOLVES.load(Ordering::Relaxed),
             append_warm_solves: APPEND_WARM_SOLVES.load(Ordering::Relaxed),
             solve_columns: SOLVE_COLUMNS.load(Ordering::Relaxed),
             generation_rounds: GENERATION_ROUNDS.load(Ordering::Relaxed),
@@ -177,7 +166,6 @@ impl SolverStats {
             rows_appended: TL_ROWS_APPENDED.with(Cell::get),
             dense_solves: TL_DENSE_SOLVES.with(Cell::get),
             revised_cold_solves: TL_REVISED_COLD_SOLVES.with(Cell::get),
-            dual_warm_solves: TL_DUAL_WARM_SOLVES.with(Cell::get),
             append_warm_solves: TL_APPEND_WARM_SOLVES.with(Cell::get),
             solve_columns: TL_SOLVE_COLUMNS.with(Cell::get),
             generation_rounds: TL_GENERATION_ROUNDS.with(Cell::get),
@@ -221,7 +209,6 @@ impl SolverStats {
             rows_appended: sub(|s| s.rows_appended),
             dense_solves: sub(|s| s.dense_solves),
             revised_cold_solves: sub(|s| s.revised_cold_solves),
-            dual_warm_solves: sub(|s| s.dual_warm_solves),
             append_warm_solves: sub(|s| s.append_warm_solves),
             solve_columns: sub(|s| s.solve_columns),
             generation_rounds: sub(|s| s.generation_rounds),
@@ -231,10 +218,7 @@ impl SolverStats {
 
     /// Every solve, whichever path it took.
     pub fn total_solves(&self) -> u64 {
-        self.dense_solves
-            + self.revised_cold_solves
-            + self.dual_warm_solves
-            + self.append_warm_solves
+        self.dense_solves + self.revised_cold_solves + self.append_warm_solves
     }
 
     /// Primal plus dual pivots.
@@ -308,7 +292,7 @@ mod tests {
             }
             record_append(5);
             record_solve(SolvePath::Dense, 12);
-            record_solve(SolvePath::DualWarm, 30);
+            record_solve(SolvePath::AppendWarm, 30);
             SolverStats::record_generation_round(4);
         });
         go_tx.send(()).unwrap();
@@ -319,7 +303,7 @@ mod tests {
         assert_eq!(mine.dual_pivots, 0);
         assert_eq!(mine.append_batches, 1);
         assert_eq!(mine.rows_appended, 5);
-        assert_eq!((mine.dense_solves, mine.dual_warm_solves), (1, 1));
+        assert_eq!((mine.dense_solves, mine.append_warm_solves), (1, 1));
         assert_eq!(mine.solve_columns, 42);
         assert_eq!((mine.generation_rounds, mine.columns_generated), (1, 4));
         assert_eq!(theirs.total_solves(), 0);

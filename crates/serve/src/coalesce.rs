@@ -1,16 +1,19 @@
 //! Cross-query LP coalescing: fold concurrent cache-missing plan requests
-//! into one warm-started batch.
+//! into one batch.
 //!
-//! The LP layer's dual warm starts make the *second* solve of a shape far
-//! cheaper than the first — but only if the solves meet in one batch.
 //! Within a single query, [`lpb_exec::Optimizer::plan`] already batches all
-//! connected sub-joins; across queries, concurrent requests would each pay
-//! their own batch.  The [`Coalescer`] closes that gap with a **gather
-//! window**: the first cache-missing request opens a *round* and becomes
-//! its leader; requests arriving while the leader waits out the window
-//! join as followers; the sealed round is planned as one
-//! [`lpb_exec::Optimizer::plan_many`] batch and every participant receives
-//! its shared plan.  See the crate docs for the window semantics.
+//! connected sub-joins; across queries, concurrent requests would each plan
+//! on their own thread at once.  The [`Coalescer`] gathers them with a
+//! **gather window**: the first cache-missing request opens a *round* and
+//! becomes its leader; requests arriving while the leader waits out the
+//! window join as followers; the sealed round is planned as one
+//! [`lpb_exec::Optimizer::plan_many`] batch on the leader's thread and
+//! every participant receives its shared plan.  The batch's LPs are each
+//! solved cold, so a round saves no solver work over its requests planned
+//! apart; what it fixes is who plans (one thread per round, the others
+//! wait instead of competing for cores) and what is accounted (one exact
+//! [`SolverStats`] delta per round).  See the crate docs for the window
+//! semantics.
 
 use crate::ServeError;
 use lpb_core::JoinQuery;
@@ -169,8 +172,8 @@ impl Coalescer {
             self.max_batch.fetch_max(n, Ordering::Relaxed);
 
             // Plan outside every lock; measure the batch's solver work as
-            // a thread-local delta (exact: the service estimator is
-            // sequential, so all LP work lands on this thread).
+            // a thread-local delta (exact: the optimizer solves every LP on
+            // the calling thread).
             let (results, stats) = SolverStats::on_thread(|| plan_batch(&requests));
             debug_assert_eq!(results.len(), requests.len());
 
@@ -249,10 +252,7 @@ mod tests {
     #[test]
     fn a_singleton_round_plans_and_accounts() {
         let coalescer = Coalescer::new(Duration::ZERO);
-        // Sequential like the service's: `batch_stats` is a thread-local
-        // delta, so the LP work must stay on the submitting thread.
-        let optimizer =
-            Optimizer::new().with_estimator(lpb_core::BatchEstimator::default().sequential());
+        let optimizer = Optimizer::new();
         let catalog = catalog();
         let q = JoinQuery::triangle("E", "E", "E");
         let out = coalescer

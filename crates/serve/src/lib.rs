@@ -39,17 +39,17 @@
 //! 3. **Cross-query LP coalescing** ([`Coalescer`]) — concurrent
 //!    cache-missing plan requests that arrive within a short gather window
 //!    are folded into **one** [`lpb_exec::Optimizer::plan_many`] batch, so
-//!    sub-joins sharing an LP shape re-solve from one cold solve via dual
-//!    warm starts across *users*, not just across one query's subsets.
+//!    one thread plans a burst of misses while the others wait for their
+//!    share of the result instead of competing for cores.
 //!
 //!    *Coalescing window semantics*: the first cache-missing request opens
 //!    a round and becomes its **leader**; requests arriving during the
 //!    window join as **followers**.  When the window closes the round is
 //!    sealed (later arrivals open a new round), the leader plans the whole
-//!    batch on its own thread — the service estimator is sequential, so
-//!    [`lpb_lp::SolverStats::thread_snapshot`] deltas give exact
-//!    pivots-per-batch — and followers are woken with their shared
-//!    `Arc`'d plans.  A window of zero disables gathering without
+//!    batch on its own thread — the optimizer solves every LP on the
+//!    calling thread, so [`lpb_lp::SolverStats::thread_snapshot`] deltas
+//!    give exact pivots-per-batch — and followers are woken with their
+//!    shared `Arc`'d plans.  A window of zero disables gathering without
 //!    changing semantics.
 //!
 //! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by

@@ -16,7 +16,7 @@
 
 use crate::coalesce::Coalescer;
 use crate::ServeError;
-use lpb_core::{BatchEstimator, JoinQuery};
+use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
 use lpb_exec::{
     execute_physical_with_buffers, BufferCounters, ColumnBuffers, ExecMode, OptimizedPlan,
@@ -142,14 +142,12 @@ impl QueryService {
 
     /// A service over `catalog` with explicit knobs.
     ///
-    /// The estimator is deliberately **sequential**: parallelism lives
-    /// *across* requests (worker threads), not within one batch, so every
-    /// batch's LP work lands on its leader's thread and
-    /// [`SolverStats::thread_snapshot`] deltas account it exactly.
+    /// Parallelism lives *across* requests (worker threads), not within one
+    /// batch: the optimizer solves every LP of a batch on its leader's
+    /// thread, so [`SolverStats::thread_snapshot`] deltas account it
+    /// exactly.
     pub fn with_config(config: ServeConfig, catalog: Catalog) -> Self {
-        let optimizer = Optimizer::new()
-            .with_config(config.planner)
-            .with_estimator(BatchEstimator::default().sequential());
+        let optimizer = Optimizer::new().with_config(config.planner);
         QueryService {
             cell: Arc::new(SnapshotCatalog::new(catalog)),
             optimizer,
@@ -173,8 +171,8 @@ impl QueryService {
         self.cell.load()
     }
 
-    /// The shared optimizer (its estimator's shape-cache counters are the
-    /// service's warm-start instrumentation).
+    /// The shared optimizer (its estimator counts the LPs the service's
+    /// cache misses have asked for).
     pub fn optimizer(&self) -> &Optimizer {
         &self.optimizer
     }
@@ -262,8 +260,8 @@ impl QueryService {
     }
 
     /// The plan half of a request: cache probe, then coalesced batch on a
-    /// miss.  Duplicate shapes inside one batch are each planned (the
-    /// second re-solves warm from the first's LP snapshots) and converge on
+    /// miss.  Duplicate shapes inside one batch are each planned — to the
+    /// same plan, planning being a function of its input — and converge on
     /// one cached handle at insert.
     fn plan_on(
         &self,

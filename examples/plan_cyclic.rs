@@ -35,21 +35,21 @@ fn main() -> Result<(), ExecError> {
         logical.cyclic_core()
     );
 
-    // 3. Plan: every connected sub-join is bounded in one warm-started
-    //    batch, a bottleneck DP orders the chain, and lowering picks the
-    //    strategy (here: the WCOJ, because the output bound beats any hash
-    //    chain's worst prefix bound).
+    // 3. Plan: every connected sub-join is bounded in one batch (one small
+    //    normal-cone LP each, solved cold), a bottleneck DP orders the
+    //    chain, and lowering picks the strategy (here: the WCOJ, because
+    //    the output bound beats any hash chain's worst prefix bound).
     let optimizer = Optimizer::new();
     let plan = optimizer.plan(&w.query, &w.catalog)?;
     println!(
         "chosen plan: {} (order {:?}), {} sub-joins bounded in {:?}, \
-         predicted peak 2^{:.2}, warm-start hits {}",
+         predicted peak 2^{:.2}, {} LPs solved",
         plan.physical.describe(),
         plan.order,
         plan.subqueries_bounded,
         plan.plan_time,
         plan.predicted_log2_cost,
-        optimizer.estimator().shape_cache_hits(),
+        optimizer.estimator().lps_estimated(),
     );
 
     // 4. Execute the chosen plan, counters threaded through every node.

@@ -17,7 +17,7 @@
 //!    violations, by construction).
 //! 3. **Coalescing** — eight client threads fire cache-missing shapes at
 //!    once; requests landing in the same gather window are planned as one
-//!    warm-started [`Optimizer::plan_many`] batch
+//!    [`Optimizer::plan_many`] batch on their leader's thread
 //!    (`coalesced_batch ≥ 2`).
 //! 4. **Buffer recycling** — one worker rotates over the shapes three
 //!    times.  The first rotation fills its free list of large column
@@ -89,8 +89,7 @@ fn main() -> Result<(), ServeError> {
     );
 
     // 3. Eight workers fire distinct cache-missing shapes together; the
-    //    gather window folds concurrent misses into shared warm-started
-    //    LP batches.
+    //    gather window folds concurrent misses into shared LP batches.
     std::thread::scope(|scope| {
         for i in 0..8usize {
             let service = Arc::clone(&service);
