@@ -16,8 +16,8 @@
 //! plus a **lazy constraint-generation** scaling table (cold polymatroid
 //! bounds at n = 9..12, with pivot / rows-generated work counters and an
 //! independent cross-check per size), a **normal-cone** table (the
-//! column-generated bound at n = 3..15 on the statistics of the first
-//! table, with generation rounds and master width, against the fully
+//! generated bound at n = 3..15 on the statistics of the first table, with
+//! pricing rounds, working-set size and dual pivots, against the fully
 //! enumerated `2^n − 1`-column LP up to n = 12), a Devex-vs-Dantzig pricing
 //! head-to-head on the largest materialized LP, and a mixed
 //! `BatchEstimator` batch on the normal cone (the planner's choice: the
@@ -279,6 +279,7 @@ struct NormalRow {
     normal_us: f64,
     rounds: u64,
     columns: u64,
+    pivots: u64,
     /// `None` past the sizes the enumerated LP is still built at.
     full_enumeration_us: Option<f64>,
 }
@@ -323,9 +324,10 @@ fn full_normal_problem(n: usize, stats: &StatisticsSet) -> Problem {
 /// variables, on the statistics of [`comparison_table`] (norm budget 6), so
 /// that its n = 3..8 rows read against `sparse_skeleton_us` there: the
 /// evidence that simple statistics belong on the normal cone at every size
-/// (where the planner sends them; `POLYMATROID_AUTO_PREFERRED` is to go).  `rounds` and `columns` are work: master solves,
-/// and the width of the last master (seed + generated) against the
-/// `2^n − 1` columns of the enumerated LP.
+/// (where the planner sends them; `POLYMATROID_AUTO_PREFERRED` is to go).
+/// `rounds`, `columns` and `pivots` are work: pricing rounds, the size of the
+/// last working set (seed + generated step functions) against the `2^n − 1`
+/// columns of the enumerated LP, and the dual pivots of the whole solve.
 fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
     let catalog = catalog();
     let ns: Vec<usize> = if smoke {
@@ -341,8 +343,15 @@ fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
             collect_simple_statistics(&q, &catalog, &CollectConfig::with_max_norm(6)).unwrap();
         let (bound, work) =
             SolverStats::on_thread(|| compute_bound(&q, &stats, Cone::Normal).unwrap());
+        // Far wider than tall: the revised simplex's shape at any row count.
+        let sparse = SolverOptions {
+            solver: SolverKind::SparseRevised,
+            ..SolverOptions::default()
+        };
         let full_enumeration_us = (n <= FULL_ENUMERATION_LIMIT).then(|| {
-            let reference = full_normal_problem(n, &stats).solve().expect("oracle");
+            let reference = full_normal_problem(n, &stats)
+                .solve_with(&sparse)
+                .expect("oracle");
             assert!(
                 (reference.objective - bound.log2_bound).abs() <= 1e-6,
                 "n={n}: generated {} vs enumerated {}",
@@ -350,7 +359,9 @@ fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
                 reference.objective
             );
             median_us(|| {
-                full_normal_problem(n, &stats).solve().expect("oracle");
+                full_normal_problem(n, &stats)
+                    .solve_with(&sparse)
+                    .expect("oracle");
             })
         });
         let normal_us = median_us(|| {
@@ -362,6 +373,7 @@ fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
             normal_us,
             rounds: work.generation_rounds,
             columns: work.columns_generated + n as u64 + 1,
+            pivots: work.total_pivots(),
             full_enumeration_us,
         });
     }
@@ -512,13 +524,14 @@ fn write_bench_json(
     for (i, r) in normal_rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"n_vars\": {}, \"n_stats\": {}, \"normal_us\": {:.1}, \
-             \"rounds\": {}, \"columns\": {}, \"full_columns\": {}, \
+             \"rounds\": {}, \"columns\": {}, \"pivots\": {}, \"full_columns\": {}, \
              \"full_enumeration_us\": {}}}{}\n",
             r.n_vars,
             r.n_stats,
             r.normal_us,
             r.rounds,
             r.columns,
+            r.pivots,
             (1u64 << r.n_vars) - 1,
             r.full_enumeration_us
                 .map_or("null".to_string(), |us| format!("{us:.1}")),

@@ -4,9 +4,11 @@
 //! For every planner-adversarial workload of `lpb-datagen` (plus a JOB-like
 //! acyclic query), this harness:
 //!
-//! 1. plans with [`lpb_exec::Optimizer`] (timing the call — this includes
-//!    batch-bounding every connected sub-join through the
-//!    `BatchEstimator`),
+//! 1. plans with [`lpb_exec::Optimizer`] and reads the plan's own clock
+//!    (`plan_time` and the three phases that partition it: harvest — which
+//!    includes batch-bounding every connected sub-join through the
+//!    `BatchEstimator` — DP + lowering, partition search) and the LP work
+//!    the call did on this thread,
 //! 2. executes the chosen physical plan (checking every node's bound
 //!    certificate), the greedy-by-size hash chain, the best **left-deep**
 //!    DP order as a hash chain — the join-tree-shape baseline the bushy DP
@@ -18,8 +20,9 @@
 //!    the output with zero certificate violations, and wall-clocks each
 //!    mode (the output itself is pinned against the nested-loop oracle by
 //!    the `lpb-exec` tests, not here),
-//! 4. emits `BENCH_planner.json` at the workspace root with plan time,
-//!    chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
+//! 4. emits `BENCH_planner.json` at the workspace root with plan time and
+//!    its phases (`harvest_us`, `dp_us`, `partition_us`), the LP's dual
+//!    pivots (`lp_dual_pivots`), chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
 //!    the partition search's work counters (`partition_candidates`,
 //!    `partition_candidates_refused`, `partition_subqueries_bounded`),
@@ -55,11 +58,16 @@ use lpb_exec::{
     execute_physical_mode, AdaptiveExecutor, CertificatePolicy, ColumnRun, ExecMode, ExecState,
     ExecStatus, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
 };
+use lpb_lp::SolverStats;
 use std::time::Instant;
 
 struct PlannerRow {
     workload: String,
     plan_us: f64,
+    harvest_us: f64,
+    dp_us: f64,
+    partition_us: f64,
+    lp_dual_pivots: u64,
     strategy: &'static str,
     order: Vec<usize>,
     chosen_max_intermediate: usize,
@@ -133,9 +141,8 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // measurement with cold catalog statistics, the criterion loop
         // below plans on cached ones.
         let optimizer = Optimizer::new();
-        let started = Instant::now();
-        let plan = optimizer.plan(&w.query, &w.catalog).expect("planning");
-        let plan_us = started.elapsed().as_secs_f64() * 1e6;
+        let (plan, lp_work) =
+            SolverStats::on_thread(|| optimizer.plan(&w.query, &w.catalog).expect("planning"));
         // On the stale-statistics adversary the static plan is *supposed* to
         // blow through its certificates — that is what the adaptive executor
         // reacts to — so its violation asserts run inverted.
@@ -335,7 +342,11 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
 
         rows.push(PlannerRow {
             workload: w.name.to_string(),
-            plan_us,
+            plan_us: plan.plan_time.as_secs_f64() * 1e6,
+            harvest_us: plan.harvest_time.as_secs_f64() * 1e6,
+            dp_us: plan.dp_time.as_secs_f64() * 1e6,
+            partition_us: plan.partition_time.as_secs_f64() * 1e6,
+            lp_dual_pivots: lp_work.dual_pivots,
             strategy: plan.strategy(),
             order: plan.order.clone(),
             chosen_max_intermediate: chosen.max_intermediate(),
@@ -376,7 +387,9 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
     for (i, r) in rows.iter().enumerate() {
         let order: Vec<String> = r.order.iter().map(|a| a.to_string()).collect();
         out.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"plan_us\": {:.1}, \"strategy\": \"{}\", \
+            "    {{\"workload\": \"{}\", \"plan_us\": {:.1}, \"harvest_us\": {:.1}, \
+             \"dp_us\": {:.1}, \"partition_us\": {:.1}, \"lp_dual_pivots\": {}, \
+             \"strategy\": \"{}\", \
              \"chosen_order\": [{}], \"chosen_max_intermediate\": {}, \
              \"greedy_max_intermediate\": {}, \"peak_ratio_greedy_over_chosen\": {:.2}, \
              \"leftdeep_max_intermediate\": {}, \"bushy_vs_leftdeep_peak\": {:.2}, \
@@ -391,6 +404,10 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"adaptive_vs_coldreplan_us\": {:.1}}}{}\n",
             r.workload,
             r.plan_us,
+            r.harvest_us,
+            r.dp_us,
+            r.partition_us,
+            r.lp_dual_pivots,
             r.strategy,
             order.join(", "),
             r.chosen_max_intermediate,

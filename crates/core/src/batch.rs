@@ -7,18 +7,22 @@
 //! items, on the calling thread.
 //!
 //! There is no state shared between items and none carried between calls.
-//! The planner's statistics are simple ([`collect_simple_statistics`]
+//! The planner's statistics are simple
+//! ([`collect_simple_statistics`](crate::collect_simple_statistics)
 //! harvests nothing else), so `lpb-exec`'s optimizer builds its estimator
 //! [`with_cone`](BatchEstimator::with_cone)`(`[`Cone::Normal`]`)`: a bound
-//! there is column-generated over a master LP of a few dozen
-//! query-specific columns and costs tens of microseconds cold, so there is
-//! nothing in it for a cache to keep.  Items on the polymatroid cone
-//! ([`Cone::auto`] up to 8 variables, a forced cone, non-simple statistics)
-//! are each solved cold as well.  A server gets its parallelism from
-//! concurrent requests, each planning on its own thread.
+//! there is one small dual-simplex tableau over a few dozen step functions
+//! of the sub-join, grown in place across its pricing rounds, and costs
+//! ten to twenty microseconds, so there is nothing in it for a cache to
+//! keep.  Items on the polymatroid cone ([`Cone::auto`] up to 8 variables,
+//! a forced cone, non-simple statistics) are each solved cold as well.  A
+//! server gets its parallelism from concurrent requests, each planning on
+//! its own thread.
 //!
 //! [`BatchEstimator::bound_subqueries`] is the planner entry point: all
-//! sub-joins of a DP enumeration, bounded in one call.
+//! sub-joins of a DP enumeration, bounded in one call, on statistics read
+//! from the catalog once per atom of the query ([`AtomStatistics`]) and
+//! selected and renumbered per sub-join.
 //!
 //! ```
 //! use lpb_core::{BatchEstimator, BatchItem, CollectConfig, JoinQuery};
@@ -46,7 +50,7 @@
 //! ```
 
 use crate::bound_lp::{compute_bound_with, BoundOptions, BoundResult, Cone};
-use crate::collect::{collect_simple_statistics, CollectConfig};
+use crate::collect::{AtomStatistics, CollectConfig};
 use crate::error::CoreError;
 use crate::query::JoinQuery;
 use crate::statistics::StatisticsSet;
@@ -147,9 +151,10 @@ impl BatchEstimator {
             .collect()
     }
 
-    /// Bound every sub-join of a plan enumeration in one batch: for each
-    /// atom subset, build the [`JoinQuery::subquery`], harvest its
-    /// statistics with `config`, and estimate all of them together.
+    /// Bound every sub-join of a plan enumeration in one batch: harvest the
+    /// query's per-atom statistics with `config` once, then for each atom
+    /// subset build the [`JoinQuery::subquery`] with its share of them, and
+    /// estimate all of them together.
     ///
     /// This is the optimizer entry point: a dynamic-programming join-order
     /// enumeration asks for bounds on *every* connected sub-join at once.
@@ -209,14 +214,13 @@ impl BatchEstimator {
         // reporting without cloning the prepared items.
         let mut slots: Vec<Option<CoreError>> = Vec::with_capacity(total);
         for (query, catalog, subsets) in groups {
+            // One pass over the catalog per group; every sub-join's
+            // statistics are a selection of its atoms'.
+            let harvested = AtomStatistics::collect(query, catalog, config);
             for atoms in subsets.iter() {
-                let prepared = query.subquery(atoms).and_then(|sub| {
-                    let stats = collect_simple_statistics(&sub, catalog, config)?;
-                    Ok(BatchItem::new(sub, stats))
-                });
-                match prepared {
-                    Ok(item) => {
-                        items.push(item);
+                match harvested.subquery(atoms) {
+                    Ok((sub, stats)) => {
+                        items.push(BatchItem::new(sub, stats));
                         slots.push(None);
                     }
                     Err(e) => slots.push(Some(e)),
@@ -238,7 +242,7 @@ impl BatchEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compute_bound;
+    use crate::{collect_simple_statistics, compute_bound};
     use lpb_data::RelationBuilder;
 
     fn catalog() -> Catalog {

@@ -7,7 +7,10 @@ use crate::skeleton::{normal_step_coefficient, BoundLpSkeleton, StepColumnPricer
 use crate::statistics::StatisticsSet;
 use lpb_data::Norm;
 use lpb_entropy::VarSet;
-use lpb_lp::{Problem, Sense, Solution, SolverKind, SolverOptions, SolverStats, Status};
+use lpb_lp::{
+    CoveringLp, CoveringStatus, Problem, Sense, Solution, SolverKind, SolverOptions, SolverStats,
+    Status,
+};
 
 /// Maximum number of query variables supported by the polymatroid (Γₙ) cone.
 /// The LP has `2^n − 1` variables and `n + C(n,2)·2^{n−2}` Shannon rows;
@@ -191,7 +194,9 @@ impl BoundResult {
 #[derive(Debug, Clone, Default)]
 pub struct BoundOptions {
     /// LP solver implementation (sparse revised simplex by default; the
-    /// dense tableau remains available for cross-checking).
+    /// dense tableau remains available for cross-checking).  It has no
+    /// meaning for [`Cone::Normal`], whose LP is never posed as a `Problem`
+    /// ([`lpb_lp::CoveringLp`] solves it), as it has none for the lazy loop.
     pub solver: SolverKind,
     /// Lazy constraint generation for the polymatroid cone.  `None` (the
     /// default) decides automatically: lazy from [`POLYMATROID_LAZY_FROM`]
@@ -254,7 +259,7 @@ pub fn compute_bound_with(
     let n = query.n_vars();
     let lp_options = options.solver_options();
     let sol = match cone {
-        Cone::Normal => solve_normal(n, stats, &lp_options)?,
+        Cone::Normal => solve_normal(n, stats)?,
         Cone::Polymatroid if options.use_lazy(n) => {
             if n > POLYMATROID_VAR_LIMIT {
                 return Err(CoreError::TooManyVariables {
@@ -265,7 +270,7 @@ pub fn compute_bound_with(
             }
             // The lazy loop drives the sparse incremental engine directly;
             // the `solver` knob (dense vs sparse) has no meaning for it.
-            let anchor = normal_anchor(n, stats, &lp_options);
+            let anchor = normal_anchor(n, stats);
             crate::cgen::solve_lazy(n, stats, &lp_options, anchor)?
         }
         Cone::Polymatroid | Cone::Modular => {
@@ -282,8 +287,8 @@ pub fn compute_bound_with(
 /// to the anchor instead of separating to full point feasibility.  `None`
 /// when the anchor LP cannot be solved or has no finite optimum; the loop
 /// then simply runs to separation-certified termination.
-fn normal_anchor(n: usize, stats: &StatisticsSet, options: &SolverOptions) -> Option<f64> {
-    let sol = solve_normal(n, stats, options).ok()?;
+fn normal_anchor(n: usize, stats: &StatisticsSet) -> Option<f64> {
+    let sol = solve_normal(n, stats).ok()?;
     (sol.status == Status::Optimal).then_some(sol.objective)
 }
 
@@ -305,27 +310,28 @@ const MAX_COLUMNS_PER_ROUND: usize = 32;
 const PRICING_TOLERANCE: f64 = 1e-9;
 
 /// The normal-cone bound LP `max Σ_W α_W  s.t.  Σ_W α_W·c_i(W) ≤ b_i, α ≥ 0`
-/// over all `2^n − 1` step functions, solved by column generation.
+/// over all `2^n − 1` step functions, solved from its dual side — the
+/// witness inequality (8) — by row generation.
 ///
-/// A master LP over a working set of columns — seeded with the `n`
-/// singletons and the full set — is solved with the ordinary solver; its
-/// duals `w` are priced against *every* column in one zeta transform
-/// ([`StepColumnPricer`]); the most violated columns join the master and it
-/// is solved again, until none is left.  That last pass is the optimality
-/// certificate: `w` satisfies the witness inequality (8) on every extreme
-/// ray of `Nₙ`, so the master's optimum is the full LP's.  An all-zero
-/// column (a variable no statistic covers) makes the master — and the full
-/// LP — unbounded; a negative log-bound makes both infeasible whatever the
-/// columns, since no coefficient is negative.
+/// The dual has one weight `w_i` per statistic and one constraint
+/// `w·c(W) ≥ 1` per step function: `min Σ w_i·b_i` over the witnesses valid
+/// on every `h_W`.  One [`CoveringLp`] holds the constraints of a working
+/// set — seeded with the `n` singletons and the full set — for the whole
+/// solve; its optimum `w` is priced against *every* step function in one
+/// zeta transform ([`StepColumnPricer`]); the most violated ones are
+/// appended to the tableau in place and a few dual pivots repair it, until
+/// none is left.  That last pass is the optimality certificate: `w`
+/// satisfies the witness inequality on every extreme ray of `Nₙ`, so the
+/// working set's optimum is the full LP's.  A step function no statistic
+/// touches (a variable nothing covers) is a row nothing can cover — the
+/// bound LP is unbounded; a negative log-bound makes it infeasible whatever
+/// the working set, since no coefficient is negative.
 ///
-/// An optimal solution comes back in the full LP's coordinates:
-/// `x[W − 1] = α_W`, duals per statistic; `basis` stays in the last master's.
-/// (On any other status `x` is the solver's placeholder for the last master.)
-pub(crate) fn solve_normal(
-    n: usize,
-    stats: &StatisticsSet,
-    options: &SolverOptions,
-) -> Result<Solution, CoreError> {
+/// An optimal solution comes back in the bound LP's coordinates:
+/// `x[W − 1] = α_W` (the multiplier of `W`'s constraint), duals per
+/// statistic (the witness); `basis` is empty.  On any other status the
+/// other fields are placeholders.
+pub(crate) fn solve_normal(n: usize, stats: &StatisticsSet) -> Result<Solution, CoreError> {
     if n == 0 {
         return Err(CoreError::InvalidQuery {
             reason: "the normal-cone LP needs at least one variable".into(),
@@ -342,31 +348,67 @@ pub(crate) fn solve_normal(
     if n > 1 {
         columns.push(VarSet::full(n));
     }
+    let no_optimum = |status: Status| Solution {
+        status,
+        objective: f64::NAN,
+        x: Vec::new(),
+        duals: vec![0.0; stats.len()],
+        basis: Vec::new(),
+    };
+    let log_bounds: Vec<f64> = stats.iter().map(|s| s.log_bound).collect();
+    let mut lp = CoveringLp::new(&log_bounds, columns.len())?;
+    let mut row = Vec::with_capacity(stats.len());
+    let mut push = |lp: &mut CoveringLp, w: VarSet| {
+        row.clear();
+        row.extend(stats.iter().map(|s| normal_step_coefficient(s, w)));
+        lp.push_row(&row)
+    };
+    for &w in &columns {
+        push(&mut lp, w)?;
+    }
     let mut pricer = StepColumnPricer::new(n);
     loop {
-        let mut sol = normal_master(&columns, stats).solve_with(options)?;
-        if sol.status != Status::Optimal {
+        let status = match lp.solve()? {
+            CoveringStatus::Optimal => Status::Optimal,
+            CoveringStatus::Uncoverable => Status::Unbounded,
+            CoveringStatus::NegativeCost => Status::Infeasible,
+        };
+        if status != Status::Optimal {
             SolverStats::record_generation_round(0);
-            return Ok(sol);
+            return Ok(no_optimum(status));
         }
-        let weights: Vec<f64> = sol.duals.iter().map(|w| w.max(0.0)).collect();
+        let mut weights = lp.weights();
+        for w in &mut weights {
+            *w = w.max(0.0);
+        }
         pricer.price(stats, &weights);
         let entering = pricer.violated(&columns, PRICING_TOLERANCE, MAX_COLUMNS_PER_ROUND);
         SolverStats::record_generation_round(entering.len());
         if entering.is_empty() {
             let mut alpha = vec![0.0; (1usize << n) - 1];
-            for (w, a) in columns.iter().zip(&sol.x) {
+            for (w, a) in columns.iter().zip(lp.row_duals()) {
                 alpha[w.index() - 1] = *a;
             }
-            sol.x = alpha;
-            return Ok(sol);
+            return Ok(Solution {
+                status,
+                objective: lp.objective(),
+                x: alpha,
+                duals: weights,
+                basis: Vec::new(),
+            });
+        }
+        for &w in &entering {
+            push(&mut lp, w)?;
         }
         columns.extend(entering);
     }
 }
 
-/// The master LP over `columns`: one row per statistic, in statistics order
-/// (so the duals are the witness weights), log-bounds on the right.
+/// The master LP over `columns` in primal form: one row per statistic, in
+/// statistics order (so the duals are the witness weights), log-bounds on
+/// the right.  The product solves its dual ([`solve_normal`]); this is the
+/// reference the tests solve with the general-purpose solvers.
+#[cfg(test)]
 pub(crate) fn normal_master(columns: &[VarSet], stats: &StatisticsSet) -> Problem {
     let mut p = Problem::maximize(columns.len());
     for j in 0..columns.len() {
@@ -413,15 +455,14 @@ fn build_bound_problem(n: usize, stats: &StatisticsSet, cone: Cone) -> Result<Pr
 }
 
 fn validate_guards(query: &JoinQuery, stats: &StatisticsSet) -> Result<(), CoreError> {
+    // Once per atom, not per statistic: `atom_vars` resolves names.
+    let atom_vars: Vec<VarSet> = (0..query.n_atoms()).map(|j| query.atom_vars(j)).collect();
     for s in stats.iter() {
-        let atom = s.stat.guard_atom;
-        if atom >= query.n_atoms()
-            || !s
-                .stat
-                .conditional
-                .all_vars()
-                .is_subset_of(query.atom_vars(atom))
-        {
+        let needed = s.stat.conditional.all_vars();
+        let guarded = atom_vars
+            .get(s.stat.guard_atom)
+            .is_some_and(|&vars| needed.is_subset_of(vars));
+        if !guarded {
             return Err(CoreError::UnguardedStatistic {
                 conditional: s.stat.conditional.render(query.registry()),
             });
@@ -748,6 +789,229 @@ mod tests {
         // Same bound as the polymatroid cone: the statistics are simple.
         let poly = compute_bound(&q, &stats, Cone::Polymatroid).unwrap();
         assert!(close(poly.log2_bound, 2.0));
+    }
+
+    /// What each cone answers when there is no finite bound to give, as
+    /// measured on the primal master this cone used to pose: the kernel must
+    /// answer the same, typed, and terminate on the dual-degenerate input.
+    #[test]
+    fn failure_paths_are_typed_and_the_same_on_both_cones() {
+        use crate::query::Atom;
+        use lpb_lp::LpError;
+        let q = JoinQuery::new(
+            "two-atoms",
+            vec![Atom::new("R", &["X", "Y"]), Atom::new("S", &["Z"])],
+        )
+        .unwrap();
+        let reg = q.registry();
+        let set = |names: &[&str]| reg.set_of(names).unwrap();
+        // Unit cardinalities on X, Y (and Z unless `cover_z` is off), with
+        // `extra` as the log-bound of one more statistic on X.
+        let stats_with = |extra: f64, cover_z: bool| {
+            let mut stats = StatisticsSet::new();
+            for (v, atom) in [("X", 0), ("Y", 0), ("Z", 1)] {
+                if v != "Z" || cover_z {
+                    stats.push(ConcreteStatistic::new(
+                        Conditional::new(set(&[v]), VarSet::EMPTY),
+                        Norm::L1,
+                        atom,
+                        1.0,
+                    ));
+                }
+            }
+            stats.push(ConcreteStatistic::new(
+                Conditional::new(set(&["Y"]), set(&["X"])),
+                Norm::L2,
+                0,
+                extra,
+            ));
+            stats
+        };
+        #[derive(Debug, PartialEq)]
+        enum Outcome {
+            NonFinite,
+            Inconsistent,
+            Unbounded,
+            Bounded,
+        }
+        let table = [
+            (f64::NAN, true, Outcome::NonFinite),
+            (f64::INFINITY, true, Outcome::NonFinite),
+            (f64::NEG_INFINITY, true, Outcome::NonFinite),
+            (f64::NAN, false, Outcome::NonFinite),
+            (-1.0, true, Outcome::Inconsistent),
+            // Infeasible wins over unbounded, as phase 1 ran first.
+            (-1.0, false, Outcome::Inconsistent),
+            (0.5, false, Outcome::Unbounded),
+            (0.5, true, Outcome::Bounded),
+            // A functional dependency: a zero cost in the witness LP.
+            (0.0, true, Outcome::Bounded),
+        ];
+        for (extra, cover_z, expected) in table {
+            let stats = stats_with(extra, cover_z);
+            for cone in [Cone::Normal, Cone::Polymatroid] {
+                let got = match compute_bound(&q, &stats, cone) {
+                    Err(CoreError::Lp(LpError::NonFiniteCoefficient { .. })) => Outcome::NonFinite,
+                    Err(CoreError::InconsistentStatistics) => Outcome::Inconsistent,
+                    Ok(r) if r.status == BoundStatus::Unbounded => Outcome::Unbounded,
+                    Ok(r) => {
+                        assert!(r.log2_bound.is_finite());
+                        Outcome::Bounded
+                    }
+                    Err(other) => panic!("{cone:?} on {extra}: {other:?}"),
+                };
+                assert_eq!(
+                    got, expected,
+                    "{cone:?}, log-bound {extra}, Z covered: {cover_z}"
+                );
+            }
+        }
+        // Every statistic a functional dependency or a unit count: all the
+        // witness LP's ratio tests tie at zero, and it still ends, at the
+        // polymatroid bound.
+        let mut cyclic = StatisticsSet::new();
+        for (v, u) in [("Y", "X"), ("X", "Y")] {
+            cyclic.push(ConcreteStatistic::new(
+                Conditional::new(set(&[v]), set(&[u])),
+                Norm::Infinity,
+                0,
+                0.0,
+            ));
+        }
+        for (v, atom) in [("X", 0), ("Y", 0), ("Z", 1)] {
+            cyclic.push(ConcreteStatistic::new(
+                Conditional::new(set(&[v]), VarSet::EMPTY),
+                Norm::L1,
+                atom,
+                0.0,
+            ));
+        }
+        for cone in [Cone::Normal, Cone::Polymatroid] {
+            let r = compute_bound(&q, &cyclic, cone).unwrap();
+            assert!(
+                r.is_bounded() && close(r.log2_bound, 0.0),
+                "{cone:?}: {r:?}"
+            );
+        }
+    }
+
+    /// The column-generation loop over the primal master, as the product
+    /// ran it before the witness-space kernel: the reference of the
+    /// proptest below.
+    fn solve_normal_on_primal_master(n: usize, stats: &StatisticsSet) -> Solution {
+        let mut columns: Vec<VarSet> = (0..n).map(VarSet::singleton).collect();
+        if n > 1 {
+            columns.push(VarSet::full(n));
+        }
+        let mut pricer = StepColumnPricer::new(n);
+        loop {
+            let mut sol = normal_master(&columns, stats)
+                .solve_with(&SolverOptions::default())
+                .unwrap();
+            if sol.status != Status::Optimal {
+                return sol;
+            }
+            let weights: Vec<f64> = sol.duals.iter().map(|w| w.max(0.0)).collect();
+            pricer.price(stats, &weights);
+            let entering = pricer.violated(&columns, PRICING_TOLERANCE, MAX_COLUMNS_PER_ROUND);
+            if entering.is_empty() {
+                let mut alpha = vec![0.0; (1usize << n) - 1];
+                for (w, a) in columns.iter().zip(&sol.x) {
+                    alpha[w.index() - 1] = *a;
+                }
+                sol.x = alpha;
+                return sol;
+            }
+            columns.extend(entering);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(160))]
+
+        /// The witness-space kernel against the primal master on random
+        /// statistics over 2–10 variables: simple and non-simple
+        /// conditionals, a few norms many times over, zero log-bounds,
+        /// mutual functional dependencies (which need a generated column)
+        /// and variables nothing covers.  Same status, same bound, strong
+        /// duality between `α` and `w`, and `w` a valid witness on every
+        /// one of the `2^n − 1` step functions.
+        #[test]
+        fn kernel_agrees_with_the_primal_master(
+            n in 2usize..11,
+            words in proptest::collection::vec(0u64..u64::MAX, 1..14),
+            cover in 0u8..4,
+            mutual in 0u8..3,
+        ) {
+            let full = VarSet::full(n);
+            let norms = [Norm::L1, Norm::L2, Norm::L2, Norm::finite(3.0), Norm::Infinity, Norm::Infinity];
+            let bounds = [0.0, 0.0, 0.5, 1.0, 2.25, 3.0, 4.5, 6.0];
+            let mut stats = StatisticsSet::new();
+            for &word in &words {
+                let v = VarSet(word as u32 & full.0);
+                // Three 4-bit picks; one past the last variable adds
+                // nothing, so |U| ranges over 0..=3.
+                let u = VarSet::from_indices(
+                    (0..3)
+                        .map(|k| ((word >> (16 + 4 * k)) & 0xf) as usize)
+                        .filter(|&i| i < n),
+                );
+                if v.minus(u).is_empty() {
+                    continue;
+                }
+                stats.push(ConcreteStatistic::new(
+                    Conditional::new(v.minus(u), u),
+                    norms[(word >> 32) as usize % norms.len()],
+                    0,
+                    bounds[(word >> 40) as usize % bounds.len()],
+                ));
+            }
+            // Mutual functional dependencies between neighbours.
+            for i in 0..usize::from(mutual).min(n - 1) {
+                for (a, b) in [(i, i + 1), (i + 1, i)] {
+                    stats.push(ConcreteStatistic::new(
+                        Conditional::new(VarSet::singleton(a), VarSet::singleton(b)),
+                        Norm::Infinity,
+                        0,
+                        0.0,
+                    ));
+                }
+            }
+            // Three times in four every variable gets a unit count;
+            // otherwise whatever the words left uncovered stays so.
+            if cover > 0 {
+                for i in 0..n {
+                    stats.push(ConcreteStatistic::new(
+                        Conditional::new(VarSet::singleton(i), VarSet::EMPTY),
+                        Norm::L1,
+                        0,
+                        1.0 + (i % 3) as f64,
+                    ));
+                }
+            }
+
+            let kernel = solve_normal(n, &stats).unwrap();
+            let primal = solve_normal_on_primal_master(n, &stats);
+            proptest::prop_assert_eq!(kernel.status, primal.status);
+            if kernel.status != Status::Optimal {
+                return Ok(());
+            }
+            proptest::prop_assert!(
+                (kernel.objective - primal.objective).abs() <= 1e-9,
+                "kernel {} vs primal master {}", kernel.objective, primal.objective
+            );
+            let alpha: f64 = kernel.x.iter().sum();
+            let witness: f64 = kernel.duals.iter().zip(stats.iter()).map(|(w, s)| w * s.log_bound).sum();
+            proptest::prop_assert!(kernel.x.iter().chain(&kernel.duals).all(|&v| v >= -1e-12));
+            proptest::prop_assert!((alpha - witness).abs() <= 1e-9, "Σα {alpha} vs Σwb {witness}");
+            proptest::prop_assert!((alpha - kernel.objective).abs() <= 1e-9);
+            let mut pricer = StepColumnPricer::new(n);
+            pricer.price(&stats, &kernel.duals);
+            for mask in 1..=full.0 {
+                let price = pricer.price_of(VarSet(mask));
+                proptest::prop_assert!(price >= 1.0 - 1e-9, "step function {mask:#b} priced {price}");
+            }
+        }
     }
 
     /// Guard validation rejects statistics not covered by their atom, and the

@@ -7,7 +7,13 @@
 //! `x` of atom `j`, plus the cardinality conditionals `(Z_j | ∅)` and
 //! `({x} | ∅)` — and records `log₂ ‖deg(V|U)‖_p` for a configurable set of
 //! norms.  The result is the statistics set `(Σ, B)` consumed by
-//! [`compute_bound`](crate::compute_bound).
+//! [`compute_bound`](crate::compute_bound): atom by atom, the cardinality
+//! first, then per variable of the atom in ascending index its distinct
+//! count and its degree norms.
+//!
+//! Every one of these is a statistic of a single atom, so the catalog is
+//! read once per atom ([`AtomStatistics`]) and the set of the query — or of
+//! any sub-join a planner wants bounded — is assembled from that.
 
 use crate::error::CoreError;
 use crate::query::JoinQuery;
@@ -73,27 +79,204 @@ impl CollectConfig {
     }
 }
 
-/// The attribute names of atom `j`'s relation corresponding to the query
-/// variables `vars`, in schema position order.
-fn attr_names_of(
+/// The statistics of one atom, read from the catalog once.
+#[derive(Debug, Clone)]
+struct AtomEntry {
+    /// `log₂ |R_j|`, when the configuration asks for atom cardinalities.
+    cardinality: Option<f64>,
+    /// One entry per attribute position (hence per variable of the atom).
+    vars: Vec<VarEntry>,
+}
+
+/// What one atom knows about one of its variables `x`.
+#[derive(Debug, Clone)]
+struct VarEntry {
+    /// The query variable bound to this attribute position.
+    var: usize,
+    /// `log₂ |Π_x(R_j)|`, when the configuration asks for unary counts.
+    unary: Option<f64>,
+    /// `log₂ ‖deg(Z_j ∖ {x} | x)‖_p` per configured norm; `None` for a unary
+    /// atom (nothing left to count) and for a variable that cannot be a join
+    /// variable of any sub-join when only those are wanted.
+    degrees: Option<Vec<f64>>,
+}
+
+/// The simple statistics of every atom of one query, read from the catalog
+/// **once**, from which the statistics set of the query and of any of its
+/// sub-joins is assembled without going back to the catalog.
+///
+/// A plan enumeration bounds hundreds of sub-joins of one query, and a
+/// sub-join's statistics are a selection of its atoms' — the cardinality,
+/// the per-variable distinct counts, the per-variable degree norms — with
+/// the variables renumbered the way [`JoinQuery::subquery`] renumbers them.
+/// Only [`CollectConfig::join_vars_only`] looks beyond one atom, and it is
+/// applied at assembly time against the *sub-join's* occurrence counts.
+///
+/// An atom whose relation cannot be read (unknown, wrong arity) keeps its
+/// error; it surfaces from every sub-join that contains the atom and from
+/// no other.
+#[derive(Debug, Clone)]
+pub struct AtomStatistics<'a> {
+    query: &'a JoinQuery,
+    config: &'a CollectConfig,
+    atoms: Vec<Result<AtomEntry, CoreError>>,
+}
+
+impl<'a> AtomStatistics<'a> {
+    /// Read the simple statistics of every atom of `query` from `catalog`.
+    pub fn collect(query: &'a JoinQuery, catalog: &Catalog, config: &'a CollectConfig) -> Self {
+        let occurrences = occurrence_counts(query);
+        let atoms = (0..query.n_atoms())
+            .map(|j| collect_atom(query, catalog, config, j, &occurrences))
+            .collect();
+        AtomStatistics {
+            query,
+            config,
+            atoms,
+        }
+    }
+
+    /// The sub-join over `atoms` ([`JoinQuery::subquery`], whose errors
+    /// come first) together with its statistics: what
+    /// [`collect_simple_statistics`] returns on that sub-query, statistic
+    /// for statistic and bit for bit.
+    pub fn subquery(&self, atoms: &[usize]) -> Result<(JoinQuery, StatisticsSet), CoreError> {
+        let sub = self.query.subquery(atoms)?;
+        let stats = self.assemble(atoms)?;
+        Ok((sub, stats))
+    }
+
+    /// The statistics of the sub-join over `atoms` (distinct, in range), in
+    /// the order of the module docs on the sub-join's own numbering: atoms
+    /// as listed; per atom its cardinality, then per variable in ascending
+    /// *sub-join* index its distinct count and degree norms.
+    fn assemble(&self, atoms: &[usize]) -> Result<StatisticsSet, CoreError> {
+        // Sub-join index of each query variable, assigned in order of first
+        // appearance as `JoinQuery::new` interns them, and the number of
+        // selected atoms it occurs in.
+        let n = self.query.n_vars();
+        let mut renumbered: Vec<Option<usize>> = vec![None; n];
+        let mut occurrences = vec![0usize; n];
+        let mut next = 0;
+        for &j in atoms {
+            let entry = self.atoms[j].as_ref().map_err(Clone::clone)?;
+            for v in &entry.vars {
+                let index = *renumbered[v.var].get_or_insert_with(|| {
+                    next += 1;
+                    next - 1
+                });
+                occurrences[index] += 1;
+            }
+        }
+        let index_of = |var: usize| renumbered[var].expect("every selected atom was renumbered");
+
+        let mut stats = Vec::new();
+        let mut by_index: Vec<(usize, &VarEntry)> = Vec::new();
+        for (guard, &j) in atoms.iter().enumerate() {
+            let entry = self.atoms[j].as_ref().expect("errors returned above");
+            let atom_vars = VarSet::from_indices(entry.vars.iter().map(|v| index_of(v.var)));
+            if let Some(b) = entry.cardinality {
+                stats.push(ConcreteStatistic::new(
+                    Conditional::new(atom_vars, VarSet::EMPTY),
+                    Norm::L1,
+                    guard,
+                    b,
+                ));
+            }
+            by_index.clear();
+            by_index.extend(entry.vars.iter().map(|v| (index_of(v.var), v)));
+            by_index.sort_unstable_by_key(|&(index, _)| index);
+            for &(x, var) in &by_index {
+                let x_set = VarSet::singleton(x);
+                if let Some(b) = var.unary {
+                    stats.push(ConcreteStatistic::new(
+                        Conditional::new(x_set, VarSet::EMPTY),
+                        Norm::L1,
+                        guard,
+                        b,
+                    ));
+                }
+                let Some(degrees) = &var.degrees else {
+                    continue;
+                };
+                if self.config.join_vars_only && occurrences[x] < 2 {
+                    continue;
+                }
+                let rest = atom_vars.minus(x_set);
+                for (&norm, &b) in self.config.norms.iter().zip(degrees) {
+                    stats.push(ConcreteStatistic::new(
+                        Conditional::new(rest, x_set),
+                        norm,
+                        guard,
+                        b,
+                    ));
+                }
+            }
+        }
+        Ok(StatisticsSet::from_vec(stats))
+    }
+}
+
+/// Read atom `j`'s statistics.  `occurrences` counts, per query variable,
+/// the atoms of the whole query it occurs in: a variable that joins nothing
+/// there joins nothing in any sub-join either.
+fn collect_atom(
     query: &JoinQuery,
     catalog: &Catalog,
-    atom: usize,
-    vars: VarSet,
-) -> Result<Vec<String>, CoreError> {
-    let rel = catalog.get(&query.atoms()[atom].relation)?;
-    if rel.arity() != query.atoms()[atom].vars.len() {
+    config: &CollectConfig,
+    j: usize,
+    occurrences: &[usize],
+) -> Result<AtomEntry, CoreError> {
+    let atom = &query.atoms()[j];
+    let rel = catalog.get(&atom.relation)?;
+    if rel.arity() != atom.vars.len() {
         return Err(CoreError::AtomArityMismatch {
-            relation: query.atoms()[atom].relation.clone(),
-            atom_arity: query.atoms()[atom].vars.len(),
+            relation: atom.relation.clone(),
+            atom_arity: atom.vars.len(),
             relation_arity: rel.arity(),
         });
     }
-    Ok(query
-        .atom_positions_of(atom, vars)
-        .into_iter()
-        .map(|pos| rel.schema().name(pos).to_string())
-        .collect())
+    // Attribute names by position; the relation's schema may name them
+    // differently from the query's variables.
+    let attrs: Vec<&str> = (0..rel.arity()).map(|pos| rel.schema().name(pos)).collect();
+
+    // Whole-atom cardinality: ‖deg(Z_j | ∅)‖₁ = |R_j|.
+    let cardinality = if config.atom_cardinalities {
+        Some(catalog.log_norm(&atom.relation, &attrs, &[], Norm::L1)?)
+    } else {
+        None
+    };
+    let mut vars = Vec::with_capacity(attrs.len());
+    let mut rest: Vec<&str> = Vec::with_capacity(attrs.len());
+    for (pos, name) in atom.vars.iter().enumerate() {
+        let var = query.registry().index_of(name).expect("registered");
+        let x = [attrs[pos]];
+        // Unary distinct count: ‖deg({x} | ∅)‖₁ = |Π_x(R_j)|.
+        let unary = if config.unary_cardinalities {
+            Some(catalog.log_norm(&atom.relation, &x, &[], Norm::L1)?)
+        } else {
+            None
+        };
+        // Degree conditionals (Z_j \ {x} | x) for each requested norm.
+        let degrees = if attrs.len() < 2 || (config.join_vars_only && occurrences[var] < 2) {
+            None
+        } else {
+            rest.clear();
+            rest.extend(
+                attrs
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, a)| (p != pos).then_some(*a)),
+            );
+            Some(catalog.log_norms(&atom.relation, &rest, &x, &config.norms)?)
+        };
+        vars.push(VarEntry {
+            var,
+            unary,
+            degrees,
+        });
+    }
+    Ok(AtomEntry { cardinality, vars })
 }
 
 /// The number of atoms each query variable occurs in.
@@ -117,61 +300,8 @@ pub fn collect_simple_statistics(
     catalog: &Catalog,
     config: &CollectConfig,
 ) -> Result<StatisticsSet, CoreError> {
-    let occurrences = occurrence_counts(query);
-    let mut stats = StatisticsSet::new();
-
-    for j in 0..query.n_atoms() {
-        let rel_name = &query.atoms()[j].relation;
-        let atom_vars = query.atom_vars(j);
-
-        // Whole-atom cardinality: ‖deg(Z_j | ∅)‖₁ = |R_j|.
-        if config.atom_cardinalities {
-            let v_names = attr_names_of(query, catalog, j, atom_vars)?;
-            let v_refs: Vec<&str> = v_names.iter().map(String::as_str).collect();
-            let b = catalog.log_norm(rel_name, &v_refs, &[], Norm::L1)?;
-            stats.push(ConcreteStatistic::new(
-                Conditional::new(atom_vars, VarSet::EMPTY),
-                Norm::L1,
-                j,
-                b,
-            ));
-        }
-
-        for x in atom_vars.iter() {
-            let x_set = VarSet::singleton(x);
-            let x_names = attr_names_of(query, catalog, j, x_set)?;
-            let x_refs: Vec<&str> = x_names.iter().map(String::as_str).collect();
-
-            // Unary distinct count: ‖deg({x} | ∅)‖₁ = |Π_x(R_j)|.
-            if config.unary_cardinalities {
-                let b = catalog.log_norm(rel_name, &x_refs, &[], Norm::L1)?;
-                stats.push(ConcreteStatistic::new(
-                    Conditional::new(x_set, VarSet::EMPTY),
-                    Norm::L1,
-                    j,
-                    b,
-                ));
-            }
-
-            // Degree conditionals (Z_j \ {x} | x) for each requested norm.
-            let rest = atom_vars.minus(x_set);
-            if rest.is_empty() || (config.join_vars_only && occurrences[x] < 2) {
-                continue;
-            }
-            let v_names = attr_names_of(query, catalog, j, rest)?;
-            let v_refs: Vec<&str> = v_names.iter().map(String::as_str).collect();
-            let bs = catalog.log_norms(rel_name, &v_refs, &x_refs, &config.norms)?;
-            for (&norm, b) in config.norms.iter().zip(bs) {
-                stats.push(ConcreteStatistic::new(
-                    Conditional::new(rest, x_set),
-                    norm,
-                    j,
-                    b,
-                ));
-            }
-        }
-    }
-    Ok(stats)
+    let every_atom: Vec<usize> = (0..query.n_atoms()).collect();
+    AtomStatistics::collect(query, catalog, config).assemble(&every_atom)
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ pub use bound_lp::{
     NORMAL_VAR_LIMIT, POLYMATROID_AUTO_PREFERRED, POLYMATROID_LAZY_FROM,
     POLYMATROID_MATERIALIZE_LIMIT, POLYMATROID_VAR_LIMIT,
 };
-pub use collect::{collect_simple_statistics, CollectConfig};
+pub use collect::{collect_simple_statistics, AtomStatistics, CollectConfig};
 pub use error::CoreError;
 pub use query::{Atom, JoinQuery};
 pub use skeleton::{BoundLpSkeleton, LazyElementalOracle};

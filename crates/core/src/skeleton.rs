@@ -702,17 +702,17 @@ mod tests {
     #[test]
     fn normal_skeleton_rejects_oversized_and_empty() {
         use crate::bound_lp::solve_normal;
-        let (none, options) = (StatisticsSet::new(), lpb_lp::SolverOptions::default());
+        let none = StatisticsSet::new();
         assert!(matches!(
-            solve_normal(0, &none, &options),
+            solve_normal(0, &none),
             Err(CoreError::InvalidQuery { .. })
         ));
         assert!(matches!(
-            solve_normal(NORMAL_VAR_LIMIT + 1, &none, &options),
+            solve_normal(NORMAL_VAR_LIMIT + 1, &none),
             Err(CoreError::TooManyVariables { .. })
         ));
         // In range, without statistics, nothing bounds the query.
-        let open = solve_normal(4, &none, &options).unwrap();
+        let open = solve_normal(4, &none).unwrap();
         assert_eq!(open.status, lpb_lp::Status::Unbounded);
     }
 
@@ -827,12 +827,11 @@ mod tests {
     #[test]
     fn normal_skeleton_falls_back_to_explicit_rows_for_negative_bounds() {
         use crate::bound_lp::solve_normal;
-        let options = lpb_lp::SolverOptions::default();
-        let negative = solve_normal(3, &two_stats().amplify(-1.0), &options).unwrap();
+        let negative = solve_normal(3, &two_stats().amplify(-1.0)).unwrap();
         assert_eq!(negative.status, lpb_lp::Status::Infeasible);
 
         let pos = two_stats();
-        let generated = solve_normal(3, &pos, &options).unwrap();
+        let generated = solve_normal(3, &pos).unwrap();
         let polymatroid = BoundLpSkeleton::polymatroid(3)
             .unwrap()
             .instantiate(&pos)

@@ -209,8 +209,22 @@ pub struct OptimizedPlan {
     /// bound.  Zero on healthy corpora, like
     /// [`bound_fallbacks`](Self::bound_fallbacks).
     pub partition_bound_fallbacks: usize,
-    /// Wall-clock planning time.
+    /// Wall-clock planning time: the three phases below, which partition it.
     pub plan_time: Duration,
+    /// From the start of the planning call until this request's bound table
+    /// was ready: greedy baseline, statistics prewarm, sub-join enumeration,
+    /// statistics collection and every sub-join LP.  Like `plan_time` it
+    /// counts from the start of the call, so in a
+    /// [`plan_many`](Optimizer::plan_many) batch it includes what the
+    /// requests ahead of this one spent on their own DP and partition search.
+    /// Zero on the greedy fallback, which bounds nothing.
+    pub harvest_time: Duration,
+    /// Costing the greedy baseline, the bottleneck DP and lowering its
+    /// winner to a certified physical plan.
+    pub dp_time: Duration,
+    /// The degree-partition search (splits, per-part bounds, per-part DP);
+    /// next to nothing when partitioning is disabled.
+    pub partition_time: Duration,
 }
 
 impl OptimizedPlan {
@@ -678,6 +692,9 @@ impl Optimizer {
             partition_subqueries_bounded: 0,
             partition_bound_fallbacks: 0,
             plan_time: started.elapsed(),
+            harvest_time: Duration::ZERO,
+            dp_time: Duration::ZERO,
+            partition_time: Duration::ZERO,
         }
     }
 
@@ -694,6 +711,7 @@ impl Optimizer {
         bounds: &Bounds,
         started: Instant,
     ) -> Result<OptimizedPlan, ExecError> {
+        let harvested = Instant::now();
         // Greedy order's predicted bottleneck under the same bounds (with
         // the product fallback for any cross-product prefix).
         let greedy_cost = order_bottleneck(greedy.order(), bounds);
@@ -704,6 +722,7 @@ impl Optimizer {
         let mut physical = chosen.physical;
         let mut order = chosen.order;
         let mut predicted = chosen.predicted;
+        let chose = Instant::now();
 
         // --- Degree-partitioned alternative: split a skewed relation,
         // plan each part on its own statistics, and switch when the
@@ -726,6 +745,7 @@ impl Optimizer {
                 parts_planned = pick.parts;
             }
         }
+        let finished = Instant::now();
 
         Ok(OptimizedPlan {
             physical,
@@ -743,7 +763,10 @@ impl Optimizer {
             partition_candidates_refused: partition_stats.refused,
             partition_subqueries_bounded: partition_stats.bounded,
             partition_bound_fallbacks: partition_stats.fallbacks,
-            plan_time: started.elapsed(),
+            plan_time: finished - started,
+            harvest_time: harvested - started,
+            dp_time: chose - harvested,
+            partition_time: finished - chose,
         })
     }
 

@@ -14,13 +14,17 @@
 //!   constraint storage and **Devex pricing** by default ([`revised`], what
 //!   [`SolverKind::Auto`] picks for every LP of 160 rows or more; [`Pricing`]
 //!   selects the rule, with classic Dantzig kept for comparison),
+//! * a dense **dual simplex for covering LPs** ([`CoveringLp`]):
+//!   `min b·w, a·w ≥ 1` from the dual-feasible `w = 0`, with rows appended
+//!   to the solved tableau in place — the witness side of the normal-cone
+//!   bound, and every LP the planner and the service solve,
 //! * a **row-append** path ([`IncrementalSolver`]): new `≤` rows join a
 //!   solved LP by extending the factorized basis with their slacks, and the
 //!   **dual simplex** phase ([`dual`]) repairs what they violate — the
 //!   primitive behind lazy constraint generation,
 //! * process-wide and per-thread **work counters** ([`SolverStats`]):
 //!   pivot, refactorization and row-append counts, solves by path (dense,
-//!   revised-cold, append-warm) with their summed widths, and
+//!   revised-cold, append-warm, covering) with their summed widths, and
 //!   column-generation rounds, so benchmarks can assert on work instead of
 //!   noisy wall-clock,
 //! * a dense, two-phase tableau **simplex** method with Bland's
@@ -37,14 +41,15 @@
 //! columns, all variables non-negative.  It is exact up to floating-point
 //! tolerance (`1e-9` pivot tolerance by default).
 //!
-//! Every solve is cold.  Each path has a named consumer in `lpb-core`: the
-//! column-generated normal cone — every bound the planner and the service
-//! compute — solves its small master LPs on the dense tableau, as do the
-//! experiments' polymatroid LPs of up to five variables; materialized
+//! Each path has a named consumer in `lpb-core`: the normal cone — every
+//! bound the planner and the service compute — is one [`CoveringLp`] per
+//! bound, carried across its pricing rounds; the experiments' polymatroid
+//! LPs of up to five variables solve on the dense tableau; materialized
 //! polymatroid LPs of six to eight variables (one-shot `Cone::auto` bounds,
-//! non-simple statistics, cross-checks) take the revised simplex; the lazy polymatroid loop (from
-//! nine variables) runs on [`IncrementalSolver`] and the dual phase.  The
-//! module docs of [`revised`], [`incremental`] and [`dual`] name them.
+//! non-simple statistics, cross-checks) take the revised simplex; the lazy
+//! polymatroid loop (from nine variables) runs on [`IncrementalSolver`] and
+//! the dual phase.  The module docs of [`covering`](CoveringLp),
+//! [`revised`], [`incremental`] and [`dual`] name them.
 //!
 //! ## Example
 //!
@@ -65,6 +70,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod covering;
 pub mod dual;
 mod error;
 pub mod incremental;
@@ -75,14 +81,14 @@ mod simplex;
 pub mod sparse;
 mod stats;
 
+pub use covering::{CoveringLp, CoveringStatus};
 pub use error::LpError;
 pub use incremental::IncrementalSolver;
 pub use matrix::DenseMatrix;
 pub use problem::{Constraint, Direction, Problem, Sense, SharedRowBlock};
 pub use revised::{eta_refactorization_count, solve_sparse};
 pub use simplex::{
-    solve, solve_dense, Pricing, Solution, SolverKind, SolverOptions, Status,
-    DENSE_MAX_COLS_PER_ROW, DENSE_SMALL_LP_ROWS,
+    solve, solve_dense, Pricing, Solution, SolverKind, SolverOptions, Status, DENSE_SMALL_LP_ROWS,
 };
 pub use sparse::{CscMatrix, CsrMatrix};
 pub use stats::SolverStats;

@@ -17,20 +17,18 @@
 //! `tests/proptest_sparse_dense.rs`).
 //!
 //! Every solve here is cold, from the slack basis.  Who comes through
-//! (everything else goes to the dense tableau, see
-//! [`crate::SolverKind::Auto`]): materialized polymatroid LPs of 6 to 8
-//! variables (246 rows and up) — one-shot `Cone::auto` bounds at those
-//! sizes (ten of the 33 queries of the benchmark's `bound-only` workload),
+//! (smaller LPs go to the dense tableau, see [`crate::SolverKind::Auto`],
+//! and normal-cone bounds to [`crate::CoveringLp`]): materialized
+//! polymatroid LPs of 6 to 8 variables (246 rows and up) — one-shot
+//! `Cone::auto` bounds at those sizes (ten of the 33 queries of the
+//! benchmark's `bound-only` workload, thirty LPs of experiment E3),
 //! `compute_bound(.., Cone::Polymatroid)` on non-simple statistics, the
 //! `lp_scaling` emitter, and the differential tests that plan on the
-//! polymatroid cone against the product's normal one; normal-cone master
-//! LPs of [`crate::DENSE_SMALL_LP_ROWS`] rows or more (≥ 160 statistics)
-//! or wider than tall (fewer statistics than variables, as in experiment
-//! E6); and — through
-//! [`crate::IncrementalSolver`], which shares `prepare` and the engine —
-//! the first relaxation of the lazy polymatroid loop.  The polymatroid LPs
-//! of experiments E4, E5, E7 and E8 and of the examples have at most five
-//! variables and are dense solves.
+//! polymatroid cone against the product's normal one; the fully enumerated
+//! normal-cone LPs that `lp_scaling` and `lp_agreement` keep as oracles of
+//! the generated solve; and — through [`crate::IncrementalSolver`], which
+//! shares `prepare` and the engine — the first relaxation of the lazy
+//! polymatroid loop.
 
 use crate::error::LpError;
 use crate::problem::{Direction, Problem, Sense};

@@ -1,13 +1,16 @@
 //! Dense two-phase primal simplex with Bland's anti-cycling fallback and
 //! dual-solution extraction.
 //!
-//! Who solves through here: the normal cone's master LPs — one per
-//! generation round, a few dozen columns over one row per statistic, which
-//! is every bound the planner and the service compute — while they stay
-//! under [`DENSE_SMALL_LP_ROWS`] rows and no wider than tall; on the same
-//! rule the polymatroid LPs of up to five variables that experiments E4,
-//! E5, E7, E8 and the examples pose; and every cross-check that asks for
-//! [`SolverKind::Dense`] by name.
+//! Who solves through here, by the per-path solve counters over every
+//! product path, experiment, example and benchmark workload: polymatroid
+//! LPs of up to five variables (under [`DENSE_SMALL_LP_ROWS`] rows) — the
+//! LPs of experiments E1, E2, E4, E5, E7, E8 and of the examples, the small
+//! queries of E3, and one-shot `Cone::auto` bounds at those sizes (one of
+//! the 33 queries of the benchmark's `bound-only` workload); the
+//! modular-cone LPs; and every cross-check that asks for
+//! [`SolverKind::Dense`] by name.  Normal-cone bounds — every LP of the
+//! planner and the service — are not posed as a [`Problem`] at all: they
+//! are solved from the witness side by [`crate::CoveringLp`].
 
 use crate::error::LpError;
 use crate::matrix::DenseMatrix;
@@ -34,24 +37,11 @@ pub enum Status {
 /// the crossover sits where it did, between those two measured points.
 pub const DENSE_SMALL_LP_ROWS: usize = 160;
 
-/// Widest LP, in structural columns per constraint row, that
-/// [`SolverKind::Auto`] still hands to the dense tableau.  The tableau
-/// stores `rows × (columns + rows + 1)` cells and touches all of them on
-/// every pivot, so a row count alone says nothing about its cost: the
-/// 147-row normal-cone LP of a 15-variable query has 32 767 columns, a
-/// 39 MB tableau.  Every `BENCH_lp.json` row on which the dense tableau
-/// wins — the ones that set [`DENSE_SMALL_LP_ROWS`] — is taller than it is
-/// wide (29 × 7, 65 × 15, 139 × 31 at n = 3, 4, 5), so nothing measured
-/// supports it on an LP with more columns than rows, and that is where the
-/// route ends.
-pub const DENSE_MAX_COLS_PER_ROW: usize = 1;
-
 /// Which simplex implementation to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverKind {
     /// Pick per problem (the default): the dense tableau for LPs under
-    /// [`DENSE_SMALL_LP_ROWS`] rows and at most [`DENSE_MAX_COLS_PER_ROW`]
-    /// columns per row, the sparse revised simplex otherwise.
+    /// [`DENSE_SMALL_LP_ROWS`] rows, the sparse revised simplex otherwise.
     #[default]
     Auto,
     /// Sparse revised simplex with an eta-file basis inverse
@@ -192,10 +182,7 @@ struct Tableau {
 pub fn solve(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpError> {
     match options.solver {
         SolverKind::Auto => {
-            let rows = problem.n_rows_total();
-            let small =
-                rows < DENSE_SMALL_LP_ROWS && problem.n_vars() <= DENSE_MAX_COLS_PER_ROW * rows;
-            if small {
+            if problem.n_rows_total() < DENSE_SMALL_LP_ROWS {
                 solve_dense(problem, options)
             } else {
                 // The dense tableau really is the fallback: if the sparse
@@ -629,28 +616,6 @@ mod tests {
         assert_eq!(work.total_pivots(), work.primal_pivots);
         assert_eq!((work.dense_solves, work.total_solves()), (1, 1));
         assert_eq!(work.solve_columns, 2);
-    }
-
-    #[test]
-    fn auto_keeps_wide_lps_off_the_dense_tableau() {
-        // Two rows, five columns: few rows, but wider than tall — the
-        // shape (at scale) of a fully enumerated normal-cone LP.
-        let mut p = Problem::maximize(5);
-        for j in 0..5 {
-            p.set_objective(j, 1.0);
-        }
-        p.add_constraint(&[(0, 1.0), (1, 1.0), (2, 1.0)], Sense::Le, 4.0);
-        p.add_constraint(&[(2, 1.0), (3, 1.0), (4, 1.0)], Sense::Le, 6.0);
-        assert!(p.n_vars() > DENSE_MAX_COLS_PER_ROW * p.n_rows_total());
-        let (solution, work) = crate::SolverStats::on_thread(|| p.solve().unwrap());
-        assert_close(solution.objective, 10.0);
-        assert_eq!((work.revised_cold_solves, work.dense_solves), (1, 0));
-        assert_eq!(work.solve_columns, 5);
-        // Asked for by name, the dense tableau still takes it.
-        let (dense, work) =
-            crate::SolverStats::on_thread(|| p.solve_with(&SolverOptions::dense()).unwrap());
-        assert_close(dense.objective, 10.0);
-        assert_eq!((work.revised_cold_solves, work.dense_solves), (0, 1));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Wall-clock timings are noisy in CI, so the benchmarks assert on *work*
 //! instead: pivot counts, refactorizations, row-append (constraint
-//! generation) activity, which of the crate's three solve paths each solve
+//! generation) activity, which of the crate's four solve paths each solve
 //! took and how wide it was, and column-generation rounds.  Two views exist
 //! over the same recordings:
 //!
@@ -32,6 +32,7 @@ static ROWS_APPENDED: AtomicU64 = AtomicU64::new(0);
 static DENSE_SOLVES: AtomicU64 = AtomicU64::new(0);
 static REVISED_COLD_SOLVES: AtomicU64 = AtomicU64::new(0);
 static APPEND_WARM_SOLVES: AtomicU64 = AtomicU64::new(0);
+static COVERING_SOLVES: AtomicU64 = AtomicU64::new(0);
 static SOLVE_COLUMNS: AtomicU64 = AtomicU64::new(0);
 static GENERATION_ROUNDS: AtomicU64 = AtomicU64::new(0);
 static COLUMNS_GENERATED: AtomicU64 = AtomicU64::new(0);
@@ -45,6 +46,7 @@ thread_local! {
     static TL_DENSE_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_REVISED_COLD_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_APPEND_WARM_SOLVES: Cell<u64> = const { Cell::new(0) };
+    static TL_COVERING_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_SOLVE_COLUMNS: Cell<u64> = const { Cell::new(0) };
     static TL_GENERATION_ROUNDS: Cell<u64> = const { Cell::new(0) };
     static TL_COLUMNS_GENERATED: Cell<u64> = const { Cell::new(0) };
@@ -79,6 +81,7 @@ pub(crate) enum SolvePath {
     Dense,
     RevisedCold,
     AppendWarm,
+    Covering,
 }
 
 /// Count one solve over `columns` structural columns on `path`.
@@ -87,6 +90,7 @@ pub(crate) fn record_solve(path: SolvePath, columns: usize) {
         SolvePath::Dense => bump(&DENSE_SOLVES, &TL_DENSE_SOLVES, 1),
         SolvePath::RevisedCold => bump(&REVISED_COLD_SOLVES, &TL_REVISED_COLD_SOLVES, 1),
         SolvePath::AppendWarm => bump(&APPEND_WARM_SOLVES, &TL_APPEND_WARM_SOLVES, 1),
+        SolvePath::Covering => bump(&COVERING_SOLVES, &TL_COVERING_SOLVES, 1),
     }
     bump(&SOLVE_COLUMNS, &TL_SOLVE_COLUMNS, columns as u64);
 }
@@ -104,7 +108,8 @@ pub(crate) fn refactorization_count() -> u64 {
 pub struct SolverStats {
     /// Primal simplex pivots (phase 1 + phase 2, any pricing rule).
     pub primal_pivots: u64,
-    /// Dual simplex pivots (row-append repairs).
+    /// Dual simplex pivots: row-append repairs of the sparse engine and
+    /// every pivot of [`crate::CoveringLp`].
     pub dual_pivots: u64,
     /// Eta-file refactorizations (cap hits and row appends both count).
     pub refactorizations: u64,
@@ -122,7 +127,10 @@ pub struct SolverStats {
     /// Re-solves after appending rows to a factorized basis
     /// ([`crate::IncrementalSolver::append_le_rows`]).
     pub append_warm_solves: u64,
-    /// Structural columns summed over the solves counted in the three
+    /// [`crate::CoveringLp::solve`] calls: one per pricing round of a
+    /// normal-cone bound, each continuing from the basis of the round before.
+    pub covering_solves: u64,
+    /// Structural columns summed over the solves counted in the four
     /// `*_solves` fields: the mean LP width is this over their sum, and a
     /// delta of at most `k` proves no solve inside it was wider than `k`.
     pub solve_columns: u64,
@@ -147,6 +155,7 @@ impl SolverStats {
             dense_solves: DENSE_SOLVES.load(Ordering::Relaxed),
             revised_cold_solves: REVISED_COLD_SOLVES.load(Ordering::Relaxed),
             append_warm_solves: APPEND_WARM_SOLVES.load(Ordering::Relaxed),
+            covering_solves: COVERING_SOLVES.load(Ordering::Relaxed),
             solve_columns: SOLVE_COLUMNS.load(Ordering::Relaxed),
             generation_rounds: GENERATION_ROUNDS.load(Ordering::Relaxed),
             columns_generated: COLUMNS_GENERATED.load(Ordering::Relaxed),
@@ -167,6 +176,7 @@ impl SolverStats {
             dense_solves: TL_DENSE_SOLVES.with(Cell::get),
             revised_cold_solves: TL_REVISED_COLD_SOLVES.with(Cell::get),
             append_warm_solves: TL_APPEND_WARM_SOLVES.with(Cell::get),
+            covering_solves: TL_COVERING_SOLVES.with(Cell::get),
             solve_columns: TL_SOLVE_COLUMNS.with(Cell::get),
             generation_rounds: TL_GENERATION_ROUNDS.with(Cell::get),
             columns_generated: TL_COLUMNS_GENERATED.with(Cell::get),
@@ -210,6 +220,7 @@ impl SolverStats {
             dense_solves: sub(|s| s.dense_solves),
             revised_cold_solves: sub(|s| s.revised_cold_solves),
             append_warm_solves: sub(|s| s.append_warm_solves),
+            covering_solves: sub(|s| s.covering_solves),
             solve_columns: sub(|s| s.solve_columns),
             generation_rounds: sub(|s| s.generation_rounds),
             columns_generated: sub(|s| s.columns_generated),
@@ -218,7 +229,10 @@ impl SolverStats {
 
     /// Every solve, whichever path it took.
     pub fn total_solves(&self) -> u64 {
-        self.dense_solves + self.revised_cold_solves + self.append_warm_solves
+        self.dense_solves
+            + self.revised_cold_solves
+            + self.append_warm_solves
+            + self.covering_solves
     }
 
     /// Primal plus dual pivots.
