@@ -15,20 +15,17 @@
 //!    is measured against — and the best **monolithic** plan (partitioning
 //!    disabled) — the baseline degree-partitioned plans are measured
 //!    against,
-//! 3. re-executes the chosen plan under the morsel-parallel mode
-//!    ([`lpb_exec::execute_physical_mode`]), asserting both modes agree on
-//!    the output with zero certificate violations, and wall-clocks each
-//!    mode (the output itself is pinned against the nested-loop oracle by
-//!    the `lpb-exec` tests, not here),
+//! 3. wall-clocks the chosen plan's execution
+//!    ([`lpb_exec::execute_physical_mode`]; the output itself is pinned
+//!    against the nested-loop oracle by the `lpb-exec` tests, not here),
 //! 4. emits `BENCH_planner.json` at the workspace root with plan time and
 //!    its phases (`harvest_us`, `dp_us`, `partition_us`), the LP's dual
 //!    pivots (`lp_dual_pivots`), chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
 //!    partitioned-vs-monolithic peak intermediates, the planned part count,
 //!    the partition search's work counters (`partition_candidates`,
 //!    `partition_candidates_refused`, `partition_subqueries_bounded`),
-//!    certificate-violation counts (asserted zero), and the per-mode
-//!    execution times
-//!    (`exec_vectorized_us` / `exec_parallel_us`), plus the
+//!    certificate-violation counts (asserted zero), and the execution time
+//!    (`exec_vectorized_us`), plus the
 //!    adaptive-execution columns `replans` / `violations_handled` /
 //!    `adaptive_vs_static_peak` / `adaptive_vs_coldreplan_us`.
 //!
@@ -84,7 +81,6 @@ struct PlannerRow {
     subqueries_bounded: usize,
     bound_fallbacks: usize,
     exec_vectorized_us: f64,
-    exec_parallel_us: f64,
     replans: usize,
     violations_handled: usize,
     adaptive_vs_static_peak: f64,
@@ -107,8 +103,8 @@ fn time_exec_us(mut run: impl FnMut() -> usize) -> f64 {
     started.elapsed().as_secs_f64() * 1e6 / f64::from(iters)
 }
 
-fn exec(w: &PlannerWorkload, plan: &PhysicalPlan, mode: ExecMode, what: &str) -> ColumnRun {
-    execute_physical_mode(&w.query, &w.catalog, plan, mode).expect(what)
+fn exec(w: &PlannerWorkload, plan: &PhysicalPlan, what: &str) -> ColumnRun {
+    execute_physical_mode(&w.query, &w.catalog, plan, ExecMode::Vectorized).expect(what)
 }
 
 fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
@@ -147,7 +143,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // blow through its certificates — that is what the adaptive executor
         // reacts to — so its violation asserts run inverted.
         let reactive = w.name == "stale-stats";
-        let chosen = exec(w, &plan.physical, ExecMode::Vectorized, "chosen plan");
+        let chosen = exec(w, &plan.physical, "chosen plan");
         if reactive {
             assert!(
                 chosen.certificate_violations() > 0,
@@ -182,12 +178,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             })
             .plan(&w.query, &w.catalog)
             .expect("monolithic planning");
-        let mono = exec(
-            w,
-            &mono_plan.physical,
-            ExecMode::Vectorized,
-            "monolithic plan",
-        );
+        let mono = exec(w, &mono_plan.physical, "monolithic plan");
         assert_eq!(
             chosen.output_size(),
             mono.output_size(),
@@ -198,7 +189,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         let greedy = exec(
             w,
             &PhysicalPlan::hash_chain(greedy_plan.order().to_vec()),
-            ExecMode::Vectorized,
             "greedy plan",
         );
         // The join-tree-shape baseline: the best left-deep order the same
@@ -206,7 +196,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         let leftdeep = exec(
             w,
             &PhysicalPlan::hash_chain(plan.leftdeep_order.clone()),
-            ExecMode::Vectorized,
             "left-deep plan",
         );
         assert_eq!(
@@ -222,29 +211,8 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             w.name
         );
 
-        // Executor wall-clock: the same chosen plan under both scheduling
-        // modes.  Before timing, assert the parallel run reproduces the
-        // vectorized one and violates no certificate.
-        let parallel = exec(w, &plan.physical, ExecMode::Parallel, "parallel plan");
-        if !reactive {
-            assert_eq!(
-                parallel.certificate_violations(),
-                0,
-                "{}: parallel execution violated a bound certificate",
-                w.name
-            );
-        }
-        assert_eq!(
-            parallel.output, chosen.output,
-            "{}: parallel execution disagrees with vectorized",
-            w.name
-        );
-        let exec_vectorized_us = time_exec_us(|| {
-            exec(w, &plan.physical, ExecMode::Vectorized, "vectorized exec").output_size()
-        });
-        let exec_parallel_us = time_exec_us(|| {
-            exec(w, &plan.physical, ExecMode::Parallel, "parallel exec").output_size()
-        });
+        let exec_vectorized_us =
+            time_exec_us(|| exec(w, &plan.physical, "vectorized exec").output_size());
 
         // Adaptive-execution columns.  On ordinary workloads no certificate
         // fires, so the adaptive run degenerates to the static one (replans
@@ -260,7 +228,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             if reactive {
                 let adaptive_exec = AdaptiveExecutor::new(Optimizer::new());
                 let adaptive = adaptive_exec
-                    .run(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)
+                    .run(&w.query, &w.catalog, &plan.physical)
                     .expect("adaptive run");
                 assert!(
                     adaptive.replans >= 1,
@@ -293,7 +261,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
                 );
                 let adaptive_us = time_exec_us(|| {
                     adaptive_exec
-                        .run(&w.query, &w.catalog, &plan.physical, ExecMode::Vectorized)
+                        .run(&w.query, &w.catalog, &plan.physical)
                         .expect("adaptive exec")
                         .output
                         .len()
@@ -302,7 +270,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
                     // Detect: run the static plan until the certificate fires…
                     let mut state = ExecState::new(
                         &plan.physical,
-                        ExecMode::Vectorized,
                         CertificatePolicy::React { slack_log2: 0.0 },
                     );
                     let status = state.run(&w.query, &w.catalog).expect("detection prefix");
@@ -324,7 +291,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
                     let cold_plan = Optimizer::new()
                         .plan(&w.query, &refreshed)
                         .expect("cold re-plan");
-                    exec(w, &cold_plan.physical, ExecMode::Vectorized, "cold re-exec").output_size()
+                    exec(w, &cold_plan.physical, "cold re-exec").output_size()
                 });
                 (
                     adaptive.replans,
@@ -371,7 +338,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             subqueries_bounded: plan.subqueries_bounded,
             bound_fallbacks: plan.bound_fallbacks,
             exec_vectorized_us,
-            exec_parallel_us,
             replans,
             violations_handled,
             adaptive_vs_static_peak,
@@ -398,8 +364,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"partition_subqueries_bounded\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
              \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
-             \"exec_vectorized_us\": {:.1}, \
-             \"exec_parallel_us\": {:.1}, \"replans\": {}, \
+             \"exec_vectorized_us\": {:.1}, \"replans\": {}, \
              \"violations_handled\": {}, \"adaptive_vs_static_peak\": {:.2}, \
              \"adaptive_vs_coldreplan_us\": {:.1}}}{}\n",
             r.workload,
@@ -439,7 +404,6 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.subqueries_bounded,
             r.bound_fallbacks,
             r.exec_vectorized_us,
-            r.exec_parallel_us,
             r.replans,
             r.violations_handled,
             r.adaptive_vs_static_peak,

@@ -3,8 +3,8 @@
 //! A query optimizer does not ask for one bound — it asks for bounds on
 //! *every candidate plan's* subqueries, often hundreds per optimization
 //! call.  [`BatchEstimator`] is that entry point: a cone override, a solver
-//! choice, and an in-order map of [`crate::compute_bound_with`] over the
-//! items, on the calling thread.
+//! choice, and [`crate::compute_bound_with`] applied to one item after the
+//! other, in input order, on the calling thread.
 //!
 //! There is no state shared between items and none carried between calls.
 //! The planner's statistics are simple
@@ -19,10 +19,12 @@
 //! server gets its parallelism from concurrent requests, each planning on
 //! its own thread.
 //!
-//! [`BatchEstimator::bound_subqueries`] is the planner entry point: all
-//! sub-joins of a DP enumeration, bounded in one call, on statistics read
-//! from the catalog once per atom of the query ([`AtomStatistics`]) and
-//! selected and renumbered per sub-join.
+//! [`BatchEstimator::bound_subqueries`] is the planner entry point: the
+//! statistics of the query are read from the catalog once per atom
+//! ([`AtomStatistics`]), and then each sub-join of the DP enumeration in
+//! turn is assembled from them, bounded and dropped — at no point do the
+//! sub-queries of an enumeration exist side by side.
+//! [`BatchEstimator::estimate`] bounds items a caller already holds.
 //!
 //! ```
 //! use lpb_core::{BatchEstimator, BatchItem, CollectConfig, JoinQuery};
@@ -135,26 +137,27 @@ impl BatchEstimator {
     /// inconsistent statistics) are reported positionally and do not abort
     /// the rest of the batch.
     pub fn estimate(&self, items: &[BatchItem]) -> Vec<Result<BoundResult, CoreError>> {
-        self.lps_estimated.fetch_add(items.len(), Ordering::Relaxed);
+        items
+            .iter()
+            .map(|item| self.bound(&item.query, &item.stats))
+            .collect()
+    }
+
+    /// One LP: `query` bounded with `stats` on the forced or automatic cone.
+    fn bound(&self, query: &JoinQuery, stats: &StatisticsSet) -> Result<BoundResult, CoreError> {
+        self.lps_estimated.fetch_add(1, Ordering::Relaxed);
+        let cone = self.cone.unwrap_or_else(|| Cone::auto(query, stats));
         let options = BoundOptions {
             solver: self.solver,
             ..BoundOptions::default()
         };
-        items
-            .iter()
-            .map(|item| {
-                let cone = self
-                    .cone
-                    .unwrap_or_else(|| Cone::auto(&item.query, &item.stats));
-                compute_bound_with(&item.query, &item.stats, cone, &options)
-            })
-            .collect()
+        compute_bound_with(query, stats, cone, &options)
     }
 
-    /// Bound every sub-join of a plan enumeration in one batch: harvest the
-    /// query's per-atom statistics with `config` once, then for each atom
-    /// subset build the [`JoinQuery::subquery`] with its share of them, and
-    /// estimate all of them together.
+    /// Bound every sub-join of a plan enumeration: harvest the query's
+    /// per-atom statistics with `config` once, then for each atom subset in
+    /// turn build the [`JoinQuery::subquery`] with its share of them and
+    /// bound it.
     ///
     /// This is the optimizer entry point: a dynamic-programming join-order
     /// enumeration asks for bounds on *every* connected sub-join at once.
@@ -168,13 +171,19 @@ impl BatchEstimator {
         subsets: &[Vec<usize>],
         config: &CollectConfig,
     ) -> Vec<Result<BoundResult, CoreError>> {
-        self.bound_subqueries_multi(&[(query, catalog)], subsets, config)
-            .pop()
-            .expect("one result group per run")
+        let harvested = AtomStatistics::collect(query, catalog, config);
+        subsets
+            .iter()
+            .map(|atoms| {
+                let (sub, stats) = harvested.subquery(atoms)?;
+                self.bound(&sub, &stats)
+            })
+            .collect()
     }
 
-    /// Bound the **cross product** of runs × sub-joins in one batch: every
-    /// `(query, catalog)` run is bounded on every atom subset.
+    /// Bound the **cross product** of runs × sub-joins: every
+    /// `(query, catalog)` run is bounded on every atom subset, run by run
+    /// through [`bound_subqueries`](Self::bound_subqueries).
     ///
     /// This is the partition-aware planner entry point.  The runs of a
     /// degree partition pose the *same* query over per-part sub-catalogs:
@@ -187,54 +196,8 @@ impl BatchEstimator {
         subsets: &[Vec<usize>],
         config: &CollectConfig,
     ) -> Vec<Vec<Result<BoundResult, CoreError>>> {
-        let groups: Vec<(&JoinQuery, &Catalog, &[Vec<usize>])> =
-            runs.iter().map(|&(q, c)| (q, c, subsets)).collect();
-        self.bound_subqueries_grouped(&groups, config)
-    }
-
-    /// Bound several **independent** `(query, catalog, subsets)` groups in
-    /// one batch — each group brings its *own* subset list, so the queries
-    /// need not share a join graph.
-    ///
-    /// This is the cross-query coalescing entry point: a query service that
-    /// gathers concurrent cache-missing plan requests folds every request's
-    /// sub-join fan-out into this single call.  Results are positional:
-    /// `out[g][s]` is group `g`'s bound on its subset `s`, and per-item
-    /// preparation failures are reported in place without aborting the
-    /// batch.
-    pub fn bound_subqueries_grouped(
-        &self,
-        groups: &[(&JoinQuery, &Catalog, &[Vec<usize>])],
-        config: &CollectConfig,
-    ) -> Vec<Vec<Result<BoundResult, CoreError>>> {
-        let total: usize = groups.iter().map(|(_, _, s)| s.len()).sum();
-        let mut items = Vec::with_capacity(total);
-        // One slot per (group, subset): the preparation error, or `None`
-        // meaning "the next estimated bound in order" — preserves positional
-        // reporting without cloning the prepared items.
-        let mut slots: Vec<Option<CoreError>> = Vec::with_capacity(total);
-        for (query, catalog, subsets) in groups {
-            // One pass over the catalog per group; every sub-join's
-            // statistics are a selection of its atoms'.
-            let harvested = AtomStatistics::collect(query, catalog, config);
-            for atoms in subsets.iter() {
-                match harvested.subquery(atoms) {
-                    Ok((sub, stats)) => {
-                        items.push(BatchItem::new(sub, stats));
-                        slots.push(None);
-                    }
-                    Err(e) => slots.push(Some(e)),
-                }
-            }
-        }
-        let mut bounds = self.estimate(&items).into_iter();
-        let mut flat = slots.into_iter().map(|slot| match slot {
-            None => bounds.next().expect("one bound per prepared item"),
-            Some(e) => Err(e),
-        });
-        groups
-            .iter()
-            .map(|(_, _, subsets)| flat.by_ref().take(subsets.len()).collect())
+        runs.iter()
+            .map(|&(query, catalog)| self.bound_subqueries(query, catalog, subsets, config))
             .collect()
     }
 }
@@ -322,43 +285,6 @@ mod tests {
                     o.log2_bound,
                     r.log2_bound
                 );
-            }
-        }
-    }
-
-    /// Grouped batches over queries with *different* join graphs agree with
-    /// per-query `bound_subqueries` calls.
-    #[test]
-    fn bound_subqueries_grouped_matches_per_query_calls() {
-        let catalog = catalog();
-        let triangle = JoinQuery::triangle("E", "E", "E");
-        let path = JoinQuery::path(&["E", "E", "E"]);
-        let tri_subsets = vec![vec![0, 1], vec![0, 1, 2]];
-        let path_subsets = vec![vec![0, 1], vec![1, 2], vec![0, 1, 2]];
-        let est = BatchEstimator::new();
-        let grouped = est.bound_subqueries_grouped(
-            &[
-                (&triangle, &catalog, &tri_subsets),
-                (&path, &catalog, &path_subsets),
-            ],
-            &CollectConfig::with_max_norm(3),
-        );
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0].len(), tri_subsets.len());
-        assert_eq!(grouped[1].len(), path_subsets.len());
-        for ((query, subsets), group) in [(&triangle, &tri_subsets), (&path, &path_subsets)]
-            .iter()
-            .zip(&grouped)
-        {
-            let single = BatchEstimator::new().bound_subqueries(
-                query,
-                &catalog,
-                subsets,
-                &CollectConfig::with_max_norm(3),
-            );
-            for (a, b) in group.iter().zip(&single) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert!((a.log2_bound - b.log2_bound).abs() < 1e-9);
             }
         }
     }

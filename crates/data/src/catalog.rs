@@ -315,8 +315,8 @@ impl Catalog {
     /// Feed an **observed** relation (a materialized intermediate whose
     /// rows are known exactly) back into the catalog: a derived catalog is
     /// returned with the relation registered, its standard statistics
-    /// (`Norm::standard_set(max_norm)` conditionals, the same set the
-    /// planner prewarms) computed from the actual rows and flagged
+    /// (`Norm::standard_set(max_norm)` conditionals, a superset of what the
+    /// planner harvests) computed from the actual rows and flagged
     /// **exact**, and the statistics epoch bumped.  Chainable: absorbing
     /// several intermediates derives through each in turn.
     ///

@@ -3,17 +3,19 @@
 //! The paper assumes every ℓp-norm a bound computation needs is precomputed
 //! (§1.2, §2.1), and [`Catalog::log_norm`] honours that lazily: the first
 //! request pays for a degree-sequence scan, later requests are cache hits.
-//! A query *optimizer* cannot afford the lazy variant — plan enumeration
-//! asks for the statistics of hundreds of sub-joins, and the first
-//! optimization call would serialize all those scans inside the planning
-//! hot path.  [`StatisticsCollector`] is the eager counterpart: it walks a
-//! relation's *simple* conditionals — `(rest | x)` for every attribute `x`,
-//! plus the cardinality conditionals `(all | ∅)` and `({x} | ∅)` — and
-//! materializes `log₂ ‖deg(V|U)‖_p` for a configurable norm set
+//! [`StatisticsCollector`] is the eager counterpart, for callers that want
+//! a relation's whole standard set at once — observed-statistics feedback
+//! ([`Catalog::absorb_observed`]), persisting a catalog's statistics, the
+//! workload generators' stale-statistics snapshots: it walks a relation's
+//! *simple* conditionals — `(rest | x)` for every attribute `x`, plus the
+//! cardinality conditionals `(all | ∅)` and `({x} | ∅)` — and materializes
+//! `log₂ ‖deg(V|U)‖_p` for a configurable norm set
 //! ([`Norm::standard_set`] by default) into the catalog's cache and into a
 //! [`StatisticsSet`] snapshot with direct lookup.  Each conditional's norms
 //! come from one [`Catalog::log_norms`] call, i.e. one degree-sequence pass
 //! over the relation per conditional, whatever the size of the norm set.
+//! (The planner itself reads lazily, once per atom of the query, and only
+//! the conditionals on join variables.)
 //!
 //! After [`StatisticsCollector::materialize_catalog`] runs, every plan-time
 //! statistics harvest over base relations is a pure hash-map lookup.

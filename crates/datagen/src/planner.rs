@@ -751,12 +751,7 @@ mod tests {
         // …the adaptive controller reacts, re-plans, and finishes with the
         // same answer at a peak at least 2× lower.
         let adaptive = lpb_exec::AdaptiveExecutor::new(optimizer)
-            .run(
-                &w.query,
-                &w.catalog,
-                &plan.physical,
-                lpb_exec::ExecMode::Vectorized,
-            )
+            .run(&w.query, &w.catalog, &plan.physical)
             .unwrap();
         assert!(adaptive.replans >= 1, "at least one reactive re-plan");
         assert_eq!(adaptive.unhandled_violations(), 0);

@@ -254,15 +254,15 @@ impl IntermediateCounters {
     /// (labels untouched), and every tally — certificate checks, violations,
     /// parts planned, part peaks — accumulates.
     ///
-    /// This is the roll-up primitive that makes per-worker counters safe
-    /// under morsel-driven parallelism.  It is **associative** (pure
-    /// concatenation/addition), and every aggregate derived from the result
-    /// — [`max_intermediate`](Self::max_intermediate),
+    /// This is the roll-up primitive behind per-stage recordings: every
+    /// stage of a run records into its own counters, and the run's are
+    /// their merge.  It is **associative** (pure concatenation/addition),
+    /// and every aggregate derived from the result —
+    /// [`max_intermediate`](Self::max_intermediate),
     /// [`total_rows`](Self::total_rows), the certificate tallies, the step
-    /// and part-peak *multisets* — is **order-independent**, so merging
-    /// worker recordings in any order yields the same execution summary.
-    /// Only the step *sequence* reflects merge order, which the morsel
-    /// executor fixes by merging workers in plan (branch) order.
+    /// and part-peak *multisets* — is **order-independent**.  Only the step
+    /// *sequence* reflects merge order, which the executor fixes by merging
+    /// stages in plan order.
     pub fn merge(&mut self, other: IntermediateCounters) {
         self.certificates_checked += other.certificates_checked;
         self.certificate_violations += other.certificate_violations;
@@ -552,7 +552,7 @@ mod tests {
     }
 
     /// Build a recording with part-prefixed labels and certificate tallies,
-    /// the shape a morsel worker hands back.
+    /// the shape a partition-branch stage hands back.
     fn worker_counters(part: &str, rows: usize, violate: bool) -> IntermediateCounters {
         let mut w = IntermediateCounters::new();
         w.record(format!("[{part}] scan R"), rows);

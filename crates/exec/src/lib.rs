@@ -13,15 +13,14 @@
 //!   joins, leapfrog WCOJ cores, Yannakakis-reduced residues,
 //!   degree-partitioned unions); a left-deep [`JoinPlan`] is the hash chain
 //!   `PhysicalPlan::hash_chain(plan.order().to_vec())`;
-//! * **one engine, two modes** — [`execute_physical_mode`] is the single
+//! * **one engine, one schedule** — [`execute_physical_mode`] is the single
 //!   entry point.  Every intermediate is a columnar [`ColumnTable`] and
 //!   every operator is columnar: batch-at-a-time hash joins, galloping
-//!   leapfrog over CSR run tries, bitmap semi-joins.  [`ExecMode`] only
-//!   chooses the scheduling policy over those kernels: `Vectorized` runs
-//!   stages in plan order on one worker, `Parallel` forks independent
-//!   sub-plans (partition parts, bushy branches) onto morsel workers whose
-//!   per-worker [`IntermediateCounters`] merge into the identical
-//!   recording;
+//!   leapfrog over CSR run tries, bitmap semi-joins.  A plan's stages run
+//!   in plan order on the calling thread and record into one
+//!   [`IntermediateCounters`]; a request is served by one thread, and a
+//!   server gets its parallelism from concurrent requests ([`ExecMode`] has
+//!   one variant and selects nothing);
 //! * **recycled column buffers** — every operator sizes its output columns
 //!   exactly and takes them from a [`ColumnBuffers`] handle, and a dropped
 //!   table gives them back.  The default handle is the allocator;
@@ -30,8 +29,9 @@
 //!   stream of requests stops mapping and unmapping its multi-megabyte
 //!   intermediates;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
-//!   bounded in one [`lpb_core::BatchEstimator`] batch (normal-cone LPs,
-//!   each solved cold) and a bottleneck DP over **bushy trees** (left-deep
+//!   bounded through one [`lpb_core::BatchEstimator`] call (normal-cone
+//!   LPs, each solved cold, in enumeration order on the calling thread) and
+//!   a bottleneck DP over **bushy trees** (left-deep
 //!   extension *and* connected two-way splits) picks the
 //!   shape/order/strategy whose largest provable intermediate is smallest —
 //!   then whose next-largest is, and so on, reading the bounds off a fixed
@@ -62,10 +62,9 @@
 //! * **adaptive execution** — the state-machine layering that turns the
 //!   bound certificates into a mid-query feedback controller:
 //!   - [`ExecState`] (the `state` module): every plan is lowered to a flat
-//!     stage DAG and executed resumably — [`ExecState::run_until`] suspends
-//!     at any stage boundary and resumes bit-identically in both
-//!     [`ExecMode`]s (`Parallel` drains its current morsel batch before
-//!     yielding);
+//!     stage DAG and executed resumably, one stage at a time in stage
+//!     order — [`ExecState::run_until`] suspends at any stage boundary and
+//!     resumes bit-identically;
 //!   - [`CertificatePolicy`]: `Ignore` records sizes only, `Count` (the
 //!     default, in **every** build profile — release benches included)
 //!     tallies violations, and `React { slack_log2 }` suspends with a typed

@@ -1,32 +1,24 @@
 //! The executor's front end: [`execute_physical_mode`] runs a certified
-//! [`PhysicalPlan`] to completion in one of two [`ExecMode`]s.
+//! [`PhysicalPlan`] to completion.
 //!
 //! There is one engine — columnar operators over [`ColumnTable`]
 //! intermediates: scans copy relation columns
 //! ([`ColumnTable::from_atom`]), hash joins probe batch-at-a-time with
 //! columnar gathers, the WCOJ leapfrogs over CSR run tries with galloping
-//! seeks, and Yannakakis reduction filters through bitmaps.  The mode only
-//! picks the **scheduling policy** over those kernels:
+//! seeks, and Yannakakis reduction filters through bitmaps — and one
+//! schedule: the plan's stages in plan order, on the calling thread.  A
+//! morsel-parallel mode that fanned independent stages out over a thread
+//! pool was measured against this schedule on the seven
+//! `BENCH_planner.json` workloads, tied or lost on five of them, and was
+//! deleted; concurrency comes from serving many requests at once.
 //!
-//! * [`ExecMode::Vectorized`] — one worker, stages in plan order.
-//! * [`ExecMode::Parallel`] — morsel-driven parallelism: the stage
-//!   machine's **ready set** (stages whose inputs are all complete — bushy
-//!   [`crate::PhysicalNode::HashJoin`] branches,
-//!   [`crate::PhysicalNode::PartitionedUnion`] parts) fans out as one
-//!   morsel batch onto the thread-backed rayon shim.  Every worker records
-//!   into its **own** [`IntermediateCounters`], and the per-stage
-//!   recordings are assembled in stage (= plan) order, so the merged
-//!   recording is identical to the sequential one.
-//!
-//! Both modes are thin front ends over the resumable [`crate::ExecState`]
-//! stage machine (see the `state` module), run to completion under the
-//! default [`crate::CertificatePolicy::Count`].  They produce the same
-//! output schema, the same result multiset, and bit-identical counter
-//! recordings; `tests/proptest_exec_modes.rs` pins the output against the
-//! nested-loop oracle ([`crate::oracle`]) and the two recordings against
-//! each other on random skewed inputs, and
-//! `tests/proptest_suspend_resume.rs` does the same across every
-//! suspension point.
+//! The entry points are thin front ends over the resumable
+//! [`crate::ExecState`] stage machine (see the `state` module), run to
+//! completion under the default [`crate::CertificatePolicy::Count`].
+//! `tests/proptest_exec_oracle.rs` pins the output against the nested-loop
+//! oracle ([`crate::oracle`]) on random skewed inputs, and
+//! `tests/proptest_suspend_resume.rs` pins the output and the counter
+//! recording across every suspension point.
 
 use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
@@ -37,23 +29,23 @@ use crate::state::ExecState;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 
-/// How the stages of a [`PhysicalPlan`] are scheduled.
+/// The one way a [`PhysicalPlan`] is executed.  Nothing selects on it: the
+/// type and [`execute_physical_mode`]'s fourth argument exist only because
+/// the driver-owned `benchmark/` package names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Columnar batch-at-a-time execution on one worker.
+    /// Columnar batch-at-a-time execution, stages in plan order on the
+    /// calling thread.
     Vectorized,
-    /// Columnar execution with independent sub-plans (partition parts,
-    /// bushy join branches) on separate morsel workers.
-    Parallel,
 }
 
 /// Result of a plan execution: the output in columnar form plus the
-/// recorded (and, under [`ExecMode::Parallel`], merged) counters.
+/// recorded counters.
 #[derive(Debug, Clone)]
 pub struct ColumnRun {
     /// The materialized output (columns in the order the plan produced).
     pub output: ColumnTable,
-    /// What every plan node materialized; identical steps across modes.
+    /// What every plan node materialized, in plan order.
     pub counters: IntermediateCounters,
 }
 
@@ -75,17 +67,18 @@ impl ColumnRun {
     }
 }
 
-/// Execute a physical plan under the chosen [`ExecMode`].  One-shot front
-/// end over the resumable [`ExecState`] stage machine (default `Count`
-/// policy).  Every column comes from the allocator and goes back to it:
-/// nothing is retained once the returned [`ColumnRun`] is dropped.
+/// Execute a physical plan.  One-shot front end over the resumable
+/// [`ExecState`] stage machine (default `Count` policy).  Every column comes
+/// from the allocator and goes back to it: nothing is retained once the
+/// returned [`ColumnRun`] is dropped.  See [`ExecMode`] for the last
+/// argument.
 pub fn execute_physical_mode(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    mode: ExecMode,
+    _mode: ExecMode,
 ) -> Result<ColumnRun, ExecError> {
-    execute_physical_with_buffers(query, catalog, plan, mode, &ColumnBuffers::default())
+    execute_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default())
 }
 
 /// [`execute_physical_mode`] with every intermediate's and the output's
@@ -97,11 +90,10 @@ pub fn execute_physical_with_buffers(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    mode: ExecMode,
     buffers: &ColumnBuffers,
 ) -> Result<ColumnRun, ExecError> {
     let mut state =
-        ExecState::new(plan, mode, CertificatePolicy::default()).with_buffers(buffers.clone());
+        ExecState::new(plan, CertificatePolicy::default()).with_buffers(buffers.clone());
     state.run(query, catalog)?;
     let counters = state.counters();
     let output = state
@@ -140,32 +132,23 @@ mod tests {
         c
     }
 
-    /// Both modes must produce the oracle's rows, and agree with each
-    /// other step for step: same output, same counter labels and sizes.
-    fn assert_modes_agree(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) {
-        let vectorized = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
-        let parallel = execute_physical_mode(query, catalog, plan, ExecMode::Parallel).unwrap();
-        let truth = nested_loop_join(query, catalog, vectorized.output.vars()).unwrap();
-        assert_eq!(vectorized.output.sorted_rows(), truth, "output differs");
-        assert_eq!(
-            parallel.output, vectorized.output,
-            "parallel output differs"
-        );
-        assert_eq!(
-            parallel.counters, vectorized.counters,
-            "parallel counters differ"
-        );
+    /// Execute `plan` and check its rows against the nested-loop oracle.
+    fn run_against_oracle(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
+        let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
+        let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
+        assert_eq!(run.output.sorted_rows(), truth, "output differs");
+        run
     }
 
     #[test]
-    fn all_strategies_agree_across_modes() {
+    fn all_strategies_match_the_oracle() {
         let catalog = catalog();
         let tri = JoinQuery::triangle("R", "S", "T");
-        assert_modes_agree(&tri, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2]));
-        assert_modes_agree(&tri, &catalog, &PhysicalPlan::wcoj(vec![0, 1, 2]));
+        run_against_oracle(&tri, &catalog, &PhysicalPlan::hash_chain(vec![0, 1, 2]));
+        run_against_oracle(&tri, &catalog, &PhysicalPlan::wcoj(vec![0, 1, 2]));
         let path = JoinQuery::path(&["R", "S", "T"]);
-        assert_modes_agree(&path, &catalog, &PhysicalPlan::reduced(vec![0, 1, 2]));
-        assert_modes_agree(
+        run_against_oracle(&path, &catalog, &PhysicalPlan::reduced(vec![0, 1, 2]));
+        run_against_oracle(
             &path,
             &catalog,
             &PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2]),
@@ -173,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn bushy_joins_agree_and_fork_under_parallel() {
+    fn bushy_joins_match_the_oracle_and_check_every_certificate() {
         let catalog = catalog();
         let q = JoinQuery::path(&["R", "S", "T", "R"]);
         let scan = |atom| {
@@ -194,14 +177,13 @@ mod tests {
             right: pair(2, 3),
             log2_bound: Some(40.0),
         });
-        assert_modes_agree(&q, &catalog, &bushy);
-        let run = execute_physical_mode(&q, &catalog, &bushy, ExecMode::Parallel).unwrap();
+        let run = run_against_oracle(&q, &catalog, &bushy);
         assert_eq!(run.counters.certificates_checked(), 3);
         assert_eq!(run.certificate_violations(), 0);
     }
 
     #[test]
-    fn partitioned_union_agrees_and_rolls_up_across_modes() {
+    fn partitioned_union_matches_the_oracle_and_rolls_up_its_parts() {
         let mut catalog = Catalog::new();
         let mut edges: Vec<(u64, u64)> = Vec::new();
         for j in 0..12u64 {
@@ -226,8 +208,7 @@ mod tests {
             parts: vec![branch(light), branch(heavy)],
             log2_bound: Some(21.0),
         });
-        assert_modes_agree(&q, &catalog, &union);
-        let run = execute_physical_mode(&q, &catalog, &union, ExecMode::Parallel).unwrap();
+        let run = run_against_oracle(&q, &catalog, &union);
         assert_eq!(run.counters.parts_planned(), 2);
         assert_eq!(run.counters.parts_executed(), 2);
         assert_eq!(run.certificate_violations(), 0);

@@ -82,12 +82,11 @@ use crate::columns::ColumnTable;
 use crate::counters::{CertificatePolicy, IntermediateCounters};
 use crate::error::ExecError;
 use crate::logical::{validate_atom_permutation, JoinPlan, LogicalPlan};
-use crate::morsel::ExecMode;
 use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::state::{ExecState, ExecStatus};
 use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
-use lpb_data::{Catalog, Norm, Relation, RelationBuilder, StatisticsCollector};
+use lpb_data::{Catalog, Norm, Relation, RelationBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -102,10 +101,6 @@ pub struct PlannerConfig {
     /// Most atoms for which the full subset DP runs; larger queries fall
     /// back to the greedy-by-size order (the lattice grows exponentially).
     pub max_dp_atoms: usize,
-    /// Eagerly materialize the base relations' degree-sequence norms into
-    /// the catalog cache before planning, so the per-subset statistics
-    /// harvest is pure lookups (see [`StatisticsCollector`]).
-    pub prewarm_statistics: bool,
     /// Consider bushy splits in the bottleneck DP (both halves ≥ 2 atoms;
     /// singleton splits are dominated by left-deep extension).  Off, the DP
     /// is the classic left-deep-only enumeration.
@@ -135,7 +130,6 @@ impl Default for PlannerConfig {
         PlannerConfig {
             max_norm: 4,
             max_dp_atoms: 12,
-            prewarm_statistics: true,
             enable_bushy: true,
             enable_partitioning: true,
             max_partition_candidates: 2,
@@ -212,12 +206,9 @@ pub struct OptimizedPlan {
     /// Wall-clock planning time: the three phases below, which partition it.
     pub plan_time: Duration,
     /// From the start of the planning call until this request's bound table
-    /// was ready: greedy baseline, statistics prewarm, sub-join enumeration,
-    /// statistics collection and every sub-join LP.  Like `plan_time` it
-    /// counts from the start of the call, so in a
-    /// [`plan_many`](Optimizer::plan_many) batch it includes what the
-    /// requests ahead of this one spent on their own DP and partition search.
-    /// Zero on the greedy fallback, which bounds nothing.
+    /// was ready: greedy baseline, sub-join enumeration, statistics
+    /// collection and every sub-join LP.  Zero on the greedy fallback, which
+    /// bounds nothing.
     pub harvest_time: Duration,
     /// Costing the greedy baseline, the bottleneck DP and lowering its
     /// winner to a certified physical plan.
@@ -494,10 +485,10 @@ impl Optimizer {
         let m = query.n_atoms();
         let greedy = JoinPlan::greedy_by_size(query, catalog)?;
 
-        // Greedy fallback without enumeration (and without the prewarm its
-        // bounds would have consumed): single atoms, queries past the DP
-        // gate (including >64 atoms, beyond the subset-mask width), and —
-        // checked below once the join graph exists — disconnected queries.
+        // Greedy fallback without enumeration: single atoms, queries past
+        // the DP gate (including >64 atoms, beyond the subset-mask width),
+        // and — checked below once the join graph exists — disconnected
+        // queries.
         if m == 1 || m > self.config.max_dp_atoms.min(63) {
             return Ok(Self::fallback_plan(
                 &greedy,
@@ -518,147 +509,65 @@ impl Optimizer {
             ));
         }
 
-        self.prewarm(query, catalog)?;
-
-        // --- Bound every connected sub-join in one batch. ---
+        // --- Bound every connected sub-join, in enumeration order. ---
         let bounds = self.harvest_bounds(query, catalog, &logical)?;
-        self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
-    }
+        let harvested = Instant::now();
+        // Greedy order's predicted bottleneck under the same bounds (with
+        // the product fallback for any cross-product prefix).
+        let greedy_cost = order_bottleneck(greedy.order(), &bounds);
 
-    /// Plan several `(query, catalog)` requests with **one** LP batch across
-    /// all of them — the cross-query coalescing entry point the `lpb-serve`
-    /// layer drives.  Every request's connected sub-joins are gathered into
-    /// a single [`BatchEstimator::bound_subqueries_grouped`] call.
-    ///
-    /// Semantically identical to calling [`plan`](Self::plan) per request
-    /// (same bounds, same DP, same lowering); only the LP batching differs.
-    /// Requests the DP cannot bound (single atom, past
-    /// [`PlannerConfig::max_dp_atoms`], disconnected graph) take the same
-    /// greedy fallback as `plan`.  Each returned
-    /// [`OptimizedPlan::plan_time`] spans the whole batch call, since the
-    /// batch is the unit of work a coalesced request waits on.
-    pub fn plan_many(
-        &self,
-        requests: &[(&JoinQuery, &Catalog)],
-    ) -> Vec<Result<OptimizedPlan, ExecError>> {
-        let started = Instant::now();
+        // --- DP + lowering over the monolithic bound table. ---
+        let chosen = self.choose(&logical, &bounds);
+        let monolithic_predicted = chosen.predicted;
+        let mut physical = chosen.physical;
+        let mut order = chosen.order;
+        let mut predicted = chosen.predicted;
+        let chose = Instant::now();
 
-        // Per-request preparation.  Requests that bypass bounding resolve
-        // immediately; the rest contribute their connected sub-joins as one
-        // group of the shared batch.
-        enum Prep {
-            Done(Box<Result<OptimizedPlan, ExecError>>),
-            Batched {
-                logical: LogicalPlan,
-                greedy: JoinPlan,
-                multi: Vec<u64>,
-                subsets: Vec<u64>,
-                subset_atoms: Vec<Vec<usize>>,
-            },
-        }
-        let mut preps: Vec<Prep> = Vec::with_capacity(requests.len());
-        for &(query, catalog) in requests {
-            let m = query.n_atoms();
-            let greedy = match JoinPlan::greedy_by_size(query, catalog) {
-                Ok(g) => g,
-                Err(e) => {
-                    preps.push(Prep::Done(Box::new(Err(e))));
-                    continue;
-                }
-            };
-            if m == 1 || m > self.config.max_dp_atoms.min(63) {
-                preps.push(Prep::Done(Box::new(Ok(Self::fallback_plan(
-                    &greedy,
-                    m,
-                    crate::yannakakis::is_acyclic(query),
-                    started,
-                )))));
-                continue;
-            }
-            let logical = LogicalPlan::of(query);
-            let full: u64 = (1u64 << m) - 1;
-            if !logical.is_connected(full) {
-                preps.push(Prep::Done(Box::new(Ok(Self::fallback_plan(
-                    &greedy,
-                    m,
-                    logical.cyclic_core().is_empty(),
-                    started,
-                )))));
-                continue;
-            }
-            if let Err(e) = self.prewarm(query, catalog) {
-                preps.push(Prep::Done(Box::new(Err(e))));
-                continue;
-            }
-            let subsets = logical.connected_subsets();
-            let multi = multi_atom(&subsets);
-            let subset_atoms = atom_lists(&logical, &multi);
-            preps.push(Prep::Batched {
-                logical,
-                greedy,
-                multi,
-                subsets,
-                subset_atoms,
-            });
-        }
-
-        // One flat batch across every batched request.
-        let config = CollectConfig::with_max_norm(self.config.max_norm);
-        let groups: Vec<(&JoinQuery, &Catalog, &[Vec<usize>])> = preps
-            .iter()
-            .zip(requests)
-            .filter_map(|(p, &(q, c))| match p {
-                Prep::Batched { subset_atoms, .. } => Some((q, c, subset_atoms.as_slice())),
-                Prep::Done(_) => None,
-            })
-            .collect();
-        let mut grouped = self
-            .estimator
-            .bound_subqueries_grouped(&groups, &config)
-            .into_iter();
-
-        preps
-            .into_iter()
-            .zip(requests)
-            .map(|(prep, &(query, catalog))| match prep {
-                Prep::Done(r) => *r,
-                Prep::Batched {
-                    logical,
-                    greedy,
-                    multi,
-                    subsets,
-                    ..
-                } => {
-                    let results = grouped
-                        .next()
-                        .expect("one result group per batched request");
-                    let bounds =
-                        fold_bounds(query, catalog, &logical, subsets, &[], &multi, &results)?;
-                    self.finish_plan(query, catalog, &logical, &greedy, &bounds, started)
-                }
-            })
-            .collect()
-    }
-
-    /// Eagerly materialize the degree-sequence norms of every relation the
-    /// query touches (when [`PlannerConfig::prewarm_statistics`] is on), so
-    /// the per-subset statistics harvest is pure lookups.
-    fn prewarm(&self, query: &JoinQuery, catalog: &Catalog) -> Result<(), ExecError> {
-        if self.config.prewarm_statistics {
-            let collector = self.collector();
-            let mut seen = std::collections::BTreeSet::new();
-            for atom in query.atoms() {
-                if seen.insert(atom.relation.clone()) {
-                    collector.materialize_relation(catalog, &atom.relation)?;
-                }
+        // --- Degree-partitioned alternative: split a skewed relation,
+        // plan each part on its own statistics, and switch when the
+        // max-over-parts bottleneck beats the monolithic one. ---
+        let mut parts_planned = 0usize;
+        let mut partition_stats = PartitionSearchStats::default();
+        if self.config.enable_partitioning {
+            if let Some(pick) = self.partitioned_plan(
+                query,
+                catalog,
+                &logical,
+                &bounds,
+                predicted,
+                &mut partition_stats,
+            )? {
+                let plan = PhysicalPlan::from_root(pick.node);
+                order = plan.atom_order();
+                physical = plan;
+                predicted = pick.cost;
+                parts_planned = pick.parts;
             }
         }
-        Ok(())
-    }
+        let finished = Instant::now();
 
-    /// The collector for the planner's norm budget.
-    fn collector(&self) -> StatisticsCollector {
-        StatisticsCollector::with_norms(CollectConfig::with_max_norm(self.config.max_norm).norms)
+        Ok(OptimizedPlan {
+            physical,
+            order,
+            predicted_log2_cost: predicted,
+            leftdeep_order: chosen.leftdeep_order,
+            leftdeep_predicted_log2_cost: chosen.leftdeep_cost,
+            greedy_order: greedy.order().to_vec(),
+            greedy_predicted_log2_cost: greedy_cost,
+            subqueries_bounded: bounds.bounded,
+            bound_fallbacks: bounds.fallbacks,
+            monolithic_predicted_log2_cost: monolithic_predicted,
+            parts_planned,
+            partition_candidates: partition_stats.candidates,
+            partition_candidates_refused: partition_stats.refused,
+            partition_subqueries_bounded: partition_stats.bounded,
+            partition_bound_fallbacks: partition_stats.fallbacks,
+            plan_time: finished - started,
+            harvest_time: harvested - started,
+            dp_time: chose - harvested,
+            partition_time: finished - chose,
+        })
     }
 
     /// The greedy plan for queries the DP cannot bound: single atoms,
@@ -696,78 +605,6 @@ impl Optimizer {
             dp_time: Duration::ZERO,
             partition_time: Duration::ZERO,
         }
-    }
-
-    /// The shared back half of [`plan`](Self::plan) and
-    /// [`plan_many`](Self::plan_many): given one request's bound table, cost
-    /// the greedy baseline, run the DP + lowering, try the degree-partitioned
-    /// alternative, and assemble the [`OptimizedPlan`].
-    fn finish_plan(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        logical: &LogicalPlan,
-        greedy: &JoinPlan,
-        bounds: &Bounds,
-        started: Instant,
-    ) -> Result<OptimizedPlan, ExecError> {
-        let harvested = Instant::now();
-        // Greedy order's predicted bottleneck under the same bounds (with
-        // the product fallback for any cross-product prefix).
-        let greedy_cost = order_bottleneck(greedy.order(), bounds);
-
-        // --- DP + lowering over the monolithic bound table. ---
-        let chosen = self.choose(logical, bounds);
-        let monolithic_predicted = chosen.predicted;
-        let mut physical = chosen.physical;
-        let mut order = chosen.order;
-        let mut predicted = chosen.predicted;
-        let chose = Instant::now();
-
-        // --- Degree-partitioned alternative: split a skewed relation,
-        // plan each part on its own statistics, and switch when the
-        // max-over-parts bottleneck beats the monolithic one. ---
-        let mut parts_planned = 0usize;
-        let mut partition_stats = PartitionSearchStats::default();
-        if self.config.enable_partitioning {
-            if let Some(pick) = self.partitioned_plan(
-                query,
-                catalog,
-                logical,
-                bounds,
-                predicted,
-                &mut partition_stats,
-            )? {
-                let plan = PhysicalPlan::from_root(pick.node);
-                order = plan.atom_order();
-                physical = plan;
-                predicted = pick.cost;
-                parts_planned = pick.parts;
-            }
-        }
-        let finished = Instant::now();
-
-        Ok(OptimizedPlan {
-            physical,
-            order,
-            predicted_log2_cost: predicted,
-            leftdeep_order: chosen.leftdeep_order,
-            leftdeep_predicted_log2_cost: chosen.leftdeep_cost,
-            greedy_order: greedy.order().to_vec(),
-            greedy_predicted_log2_cost: greedy_cost,
-            subqueries_bounded: bounds.bounded,
-            bound_fallbacks: bounds.fallbacks,
-            monolithic_predicted_log2_cost: monolithic_predicted,
-            parts_planned,
-            partition_candidates: partition_stats.candidates,
-            partition_candidates_refused: partition_stats.refused,
-            partition_subqueries_bounded: partition_stats.bounded,
-            partition_bound_fallbacks: partition_stats.fallbacks,
-            plan_time: finished - started,
-            harvest_time: harvested - started,
-            dp_time: chose - harvested,
-            partition_time: finished - chose,
-        })
     }
 
     /// Run the bottleneck DP over one bound table and lower the winner to a
@@ -974,8 +811,9 @@ impl Optimizer {
     /// The atoms worth splitting: every `(atom, conditional)` whose relation
     /// has a skewed simple conditional (`log₂(max/avg degree) ≥`
     /// [`PlannerConfig::partition_skew_log2`]), most-skewed first, cut to
-    /// [`PlannerConfig::max_partition_candidates`].  Pure lookups on the
-    /// prewarmed statistics.
+    /// [`PlannerConfig::max_partition_candidates`].  A join attribute's
+    /// norms are lookups (the harvest cached them); any other attribute
+    /// costs one degree-sequence pass here.
     fn skew_candidates(
         &self,
         query: &JoinQuery,
@@ -997,8 +835,8 @@ impl Optimizer {
                     .map(|(_, a)| a.as_str())
                     .collect();
                 let u = [u_attr.as_str()];
-                let linf = catalog.log_norm(rel_name, &v, &u, Norm::Infinity)?;
-                let l1 = catalog.log_norm(rel_name, &v, &u, Norm::L1)?;
+                let norms = catalog.log_norms(rel_name, &v, &u, &[Norm::Infinity, Norm::L1])?;
+                let (linf, l1) = (norms[0], norms[1]);
                 let distinct_u = catalog.log_norm(rel_name, &u, &[], Norm::L1)?;
                 // log₂(max degree / average degree).
                 let skew = linf - (l1 - distinct_u);
@@ -1022,10 +860,9 @@ impl Optimizer {
     /// Split a candidate's relation light/heavy
     /// ([`crate::split_light_heavy`]) and pose the query once per non-empty
     /// part: the atom rebound to the part, over a derived sub-catalog that
-    /// shares every other relation (and its cached statistics) and
-    /// materializes the part's own degree norms.  `None` when the split
-    /// leaves fewer than two parts.  The part's tuples sit behind one `Arc`
-    /// shared by the sub-catalog and, later, the plan's
+    /// shares every other relation (and its cached statistics).  `None`
+    /// when the split leaves fewer than two parts.  The part's tuples sit
+    /// behind one `Arc` shared by the sub-catalog and, later, the plan's
     /// [`PartitionBranch`].
     fn split_candidate(
         &self,
@@ -1046,10 +883,6 @@ impl Optimizer {
             }
             let relation = Arc::new(part);
             let part_catalog = catalog.derive_with(Arc::clone(&relation));
-            if self.config.prewarm_statistics {
-                self.collector()
-                    .materialize_relation(&part_catalog, relation.name())?;
-            }
             runs.push(PartRun {
                 query: query.with_atom_relation(candidate.atom, relation.name())?,
                 catalog: part_catalog,
@@ -1297,7 +1130,6 @@ impl AdaptiveExecutor {
         query: &JoinQuery,
         catalog: &Catalog,
         plan: &PhysicalPlan,
-        mode: ExecMode,
     ) -> Result<AdaptiveRun, ExecError> {
         let react = CertificatePolicy::React {
             slack_log2: self.slack_log2,
@@ -1313,7 +1145,7 @@ impl AdaptiveExecutor {
         let mut cur_query = query.clone();
         let mut owned_catalog: Option<Catalog> = None;
         let mut prior: Option<SubjoinBounds> = None;
-        let mut state = ExecState::new(plan, mode, react);
+        let mut state = ExecState::new(plan, react);
         loop {
             let status = {
                 let cat = owned_catalog.as_ref().unwrap_or(catalog);
@@ -1349,7 +1181,7 @@ impl AdaptiveExecutor {
                     subqueries_bounded += s.delta.subqueries_bounded;
                     bound_fallbacks += s.delta.bound_fallbacks;
                     bounds_reused += s.delta.bounds_reused;
-                    state = ExecState::new(&s.delta.physical, mode, react);
+                    state = ExecState::new(&s.delta.physical, react);
                     prior = Some(s.delta.bounds);
                     cur_query = s.query;
                     owned_catalog = Some(s.catalog);
@@ -1802,7 +1634,7 @@ fn build_bushy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::morsel::{execute_physical_mode, ColumnRun};
+    use crate::morsel::{execute_physical_mode, ColumnRun, ExecMode};
     use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
 
@@ -2094,7 +1926,6 @@ mod tests {
     fn assert_searches_agree(query: &JoinQuery, catalog: &Catalog) -> bool {
         let optimizer = Optimizer::new();
         let logical = LogicalPlan::of(query);
-        optimizer.prewarm(query, catalog).unwrap();
         let bounds = optimizer.harvest_bounds(query, catalog, &logical).unwrap();
         let cost = optimizer.choose(&logical, &bounds).predicted;
         let mut stats = PartitionSearchStats::default();
@@ -2361,7 +2192,7 @@ mod tests {
         let plan = optimizer.plan(&q, &catalog).unwrap();
         let static_run = exec(&q, &catalog, &plan.physical);
         let adaptive = AdaptiveExecutor::new(optimizer)
-            .run(&q, &catalog, &plan.physical, ExecMode::Vectorized)
+            .run(&q, &catalog, &plan.physical)
             .unwrap();
         assert_eq!(adaptive.replans, 0);
         assert_eq!(adaptive.violations_handled, 0);
@@ -2386,7 +2217,7 @@ mod tests {
             step_bounds: vec![Some(0.0), None, None],
         });
         let adaptive = AdaptiveExecutor::new(Optimizer::new())
-            .run(&q, &catalog, &lying, ExecMode::Vectorized)
+            .run(&q, &catalog, &lying)
             .unwrap();
         assert_eq!(adaptive.replans, 1);
         assert_eq!(adaptive.violations_handled, 1);
@@ -2412,7 +2243,7 @@ mod tests {
         });
         let adaptive = AdaptiveExecutor::new(Optimizer::new())
             .with_max_replans(0)
-            .run(&q, &catalog, &lying, ExecMode::Parallel)
+            .run(&q, &catalog, &lying)
             .unwrap();
         // No budget: every violation is recorded, none handled, and the run
         // still finishes with the right cardinality.

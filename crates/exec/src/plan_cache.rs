@@ -12,7 +12,9 @@
 //! The key is `(canonical shape, statistics epoch)`:
 //!
 //! * **Canonical shape** ([`canonical_shape`]): relation names in atom
-//!   order, with variables renamed `v0, v1, …` by first appearance.  Two
+//!   order, each prefixed with its length (relation names are arbitrary
+//!   strings, so no delimiter could keep the encoding injective), with
+//!   variables renamed `v0, v1, …` by first appearance.  Two
 //!   queries with the same canon join the same relations over the same
 //!   variable-sharing pattern, so the optimizer would derive the same
 //!   bounds and pick the same plan — and an [`OptimizedPlan`] references
@@ -46,15 +48,19 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The canonical shape of a query: relation names in atom order with
-/// variables interned as `v0, v1, …` by first appearance.  Queries with
-/// equal canons are interchangeable to the planner (same relations, same
-/// sharing pattern ⇒ same statistics ⇒ same plan) and to the executor
-/// (plans address atoms by index).
+/// The canonical shape of a query: length-prefixed relation names in atom
+/// order with variables interned as `v0, v1, …` by first appearance.
+/// Queries with equal canons are interchangeable to the planner (same
+/// relations, same sharing pattern ⇒ same statistics ⇒ same plan) and to
+/// the executor (plans address atoms by index) — and only those are: the
+/// length prefix says where a name ends whatever characters it contains,
+/// so the encoding reads back to exactly one atom list.
 pub(crate) fn canonical_shape(query: &JoinQuery) -> String {
     let mut interned: HashMap<&str, usize> = HashMap::new();
     let mut out = String::new();
     for atom in query.atoms() {
+        out.push_str(&atom.relation.len().to_string());
+        out.push(':');
         out.push_str(&atom.relation);
         out.push('(');
         for (i, var) in atom.vars.iter().enumerate() {
@@ -232,6 +238,65 @@ mod tests {
         // Relation identity matters.
         let d = JoinQuery::triangle("E", "E", "F");
         assert_ne!(canonical_shape(&a), canonical_shape(&d));
+    }
+
+    /// Relation names are arbitrary strings, delimiters included: a name
+    /// that spells out the rest of another query's canon must not make the
+    /// two queries one cache entry.  Different atom counts first (the hit
+    /// would not even execute), then equal ones (it would, under the other
+    /// query's certificates).
+    #[test]
+    fn relation_names_containing_the_delimiters_do_not_collide() {
+        let unary = |relation: &str| lpb_core::Atom::new(relation, &["x"]);
+        let pairs = [
+            (
+                JoinQuery::new("one", vec![lpb_core::Atom::new("E(v0,v1);E", &["x", "y"])])
+                    .unwrap(),
+                JoinQuery::new(
+                    "self-join",
+                    vec![
+                        lpb_core::Atom::new("E", &["x", "y"]),
+                        lpb_core::Atom::new("E", &["x", "y"]),
+                    ],
+                )
+                .unwrap(),
+            ),
+            (
+                JoinQuery::new("left", vec![unary("A(v0);B"), unary("C")]).unwrap(),
+                JoinQuery::new("right", vec![unary("A"), unary("B(v0);C")]).unwrap(),
+            ),
+        ];
+        for (odd, plain) in &pairs {
+            assert_ne!(canonical_shape(odd), canonical_shape(plain));
+            let mut catalog = Catalog::new();
+            for atom in odd.atoms().iter().chain(plain.atoms()) {
+                let arity = atom.vars.len();
+                let mut builder = RelationBuilder::new(
+                    atom.relation.as_str(),
+                    ["c0", "c1"][..arity].iter().copied(),
+                )
+                .unwrap();
+                for i in 0..6u64 {
+                    builder.push_codes(&[i % 3, i % 2][..arity]).unwrap();
+                }
+                catalog.insert(builder.build());
+            }
+            let cache = PlanCache::default();
+            let optimizer = Optimizer::new();
+            let (first, hit) = cache.get_or_plan(&optimizer, plain, &catalog).unwrap();
+            assert!(!hit);
+            let (second, hit) = cache.get_or_plan(&optimizer, odd, &catalog).unwrap();
+            assert!(!hit, "{} answered with {}'s plan", odd.name(), plain.name());
+            assert!(!Arc::ptr_eq(&first, &second));
+            assert_eq!(cache.len(), 2);
+            crate::morsel::execute_physical_mode(
+                odd,
+                &catalog,
+                &second.physical,
+                crate::morsel::ExecMode::Vectorized,
+            )
+            .unwrap();
+        }
     }
 
     #[test]

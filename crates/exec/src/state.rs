@@ -18,14 +18,12 @@
 //!   its counters stay), so a hash chain holds two intermediates at a time,
 //!   not all of them.  The run's
 //!   counters are assembled by merging per-stage recordings in stage-id
-//!   order, which makes them independent of *when* (or on which worker) a
-//!   stage actually ran — the key to bit-identical suspend/resume and
-//!   vectorized/parallel agreement.
-//! * **Scheduling** is the only thing [`ExecMode`] chooses — both modes run
-//!   the same columnar kernels: `Vectorized` runs the lowest incomplete
-//!   stage; `Parallel` runs every ready stage (dependencies complete) as
-//!   one morsel batch via the rayon shim.  A batch always drains before the
-//!   state yields, so a `Parallel` suspension never strands half a batch.
+//!   order, which makes them independent of *when* a stage actually ran —
+//!   the key to bit-identical suspend/resume.
+//! * **Scheduling**: one stage at a time on the calling thread, always the
+//!   lowest incomplete one, so a run is the depth-first walk however often
+//!   it is suspended.  A server gets its parallelism from concurrent
+//!   requests, each on its own thread.
 //! * **Certificates** are checked per [`CertificatePolicy`]: `Ignore`
 //!   records sizes only, `Count` (the default) tallies violations in every
 //!   build profile, and `React { slack_log2 }` additionally returns
@@ -43,13 +41,11 @@ use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
 use crate::hash_join::hash_join_columns;
-use crate::morsel::ExecMode;
 use crate::physical::{assert_parts_disjoint, PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::wcoj::wcoj_materialize_columns;
 use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
-use rayon::prelude::*;
 
 /// One executable unit of the lowered plan.
 #[derive(Debug, Clone)]
@@ -166,7 +162,6 @@ pub struct LiveSlot {
 /// passing the *same* query and catalog the state was built for.
 #[derive(Debug, Clone)]
 pub struct ExecState {
-    mode: ExecMode,
     policy: CertificatePolicy,
     stages: Vec<Stage>,
     slots: Vec<Option<StageOutput>>,
@@ -180,12 +175,11 @@ impl ExecState {
     ///
     /// Panics when a partitioned node's parts are not disjoint (debug
     /// builds only).
-    pub fn new(plan: &PhysicalPlan, mode: ExecMode, policy: CertificatePolicy) -> Self {
+    pub fn new(plan: &PhysicalPlan, policy: CertificatePolicy) -> Self {
         let mut stages = Vec::new();
         let root = lower(plan.root(), &mut stages);
         let slots = vec![None; stages.len()];
         ExecState {
-            mode,
             policy,
             stages,
             slots,
@@ -235,82 +229,44 @@ impl ExecState {
 
     /// Run until every stage with id `< limit` has completed (or a `React`
     /// suspension fires).  Because lowering is depth-first, dependencies
-    /// always have lower ids than their consumers, so after a `Paused`
-    /// return exactly the stages `0..limit` are complete — in **every**
-    /// mode, which is what makes injected-breakpoint differential tests
-    /// exact.  `Parallel` batches drain fully before the state yields.
+    /// always have lower ids than their consumers, so the lowest incomplete
+    /// stage is always ready, and after a `Paused` return exactly the stages
+    /// `0..limit` are complete — which is what makes injected-breakpoint
+    /// differential tests exact.
     pub fn run_until(
         &mut self,
         query: &JoinQuery,
         catalog: &Catalog,
         limit: usize,
     ) -> Result<ExecStatus, ExecError> {
-        loop {
-            if self.is_done() {
-                return Ok(ExecStatus::Done);
-            }
-            let ready: Vec<usize> = (0..self.stages.len())
-                .filter(|&id| {
-                    id < limit
-                        && self.slots[id].is_none()
-                        && self.stages[id]
-                            .op
-                            .deps()
-                            .iter()
-                            .all(|&d| self.slots[d].is_some())
-                })
-                .collect();
-            if ready.is_empty() {
-                return Ok(if self.is_done() {
-                    ExecStatus::Done
-                } else {
-                    ExecStatus::Paused
-                });
-            }
-            // Vectorized executes the lowest ready stage (= exact DFS order);
-            // Parallel fans the whole ready antichain out as one morsel
-            // batch.
-            let batch: Vec<usize> = if self.mode == ExecMode::Parallel {
-                ready
-            } else {
-                vec![ready[0]]
+        while !self.is_done() {
+            let Some(id) = (0..self.stages.len().min(limit)).find(|&id| self.slots[id].is_none())
+            else {
+                return Ok(ExecStatus::Paused);
             };
-            let results: Vec<Result<StageOutput, ExecError>> = if batch.len() > 1 {
-                batch
-                    .par_iter()
-                    .map(|&id| self.exec_stage(id, query, catalog))
-                    .collect()
-            } else {
-                batch
-                    .iter()
-                    .map(|&id| self.exec_stage(id, query, catalog))
-                    .collect()
+            let out = self.exec_stage(id, query, catalog)?;
+            let violation = match self.policy {
+                CertificatePolicy::React { slack_log2 } => {
+                    let rec = out.branch.as_ref().map_or(&out.counters, |(_, c)| c);
+                    first_violation(rec, slack_log2)
+                }
+                _ => None,
             };
-            for (&id, res) in batch.iter().zip(results) {
-                self.slots[id] = Some(res?);
-                // Each slot has one consumer: its table is dead now.
-                for dep in self.stages[id].op.deps() {
-                    let consumed = self.slots[dep].as_mut().expect("dependency completed");
-                    drop(std::mem::take(&mut consumed.value));
-                }
+            self.slots[id] = Some(out);
+            // Each slot has one consumer: its table is dead now.
+            for dep in self.stages[id].op.deps() {
+                let consumed = self.slots[dep].as_mut().expect("dependency completed");
+                drop(std::mem::take(&mut consumed.value));
             }
-            // The batch has drained; under React, surface the violation of
-            // the lowest newly-completed violating stage (deterministic
-            // regardless of worker scheduling).
-            if let CertificatePolicy::React { slack_log2 } = self.policy {
-                for &id in &batch {
-                    let out = self.slots[id].as_ref().expect("just stored");
-                    let rec = out.branch.as_ref().map(|(_, c)| c).unwrap_or(&out.counters);
-                    if let Some(v) = first_violation(rec, slack_log2) {
-                        return Ok(ExecStatus::Suspended(v));
-                    }
-                }
+            if let Some(v) = violation {
+                return Ok(ExecStatus::Suspended(v));
             }
         }
+        Ok(ExecStatus::Done)
     }
 
     /// The counters recorded so far, assembled in stage-id order — hence
-    /// identical however the run was scheduled or chopped up.  Branch
+    /// identical however the run was chopped up.  Branch
     /// recordings not yet absorbed by their union are rolled up
     /// (re-labelled) at the branch's position.
     pub fn counters(&self) -> IntermediateCounters {
@@ -391,9 +347,8 @@ impl ExecState {
             .collect()
     }
 
-    /// Execute one stage against the completed slots.  `&self` only: a
-    /// parallel batch shares the state immutably and the caller stores the
-    /// outputs afterwards.
+    /// Execute one stage against the completed slots; the caller stores
+    /// the output.
     fn exec_stage(
         &self,
         id: usize,
@@ -488,8 +443,8 @@ impl ExecState {
                     CertificatePolicy::React { .. } => CertificatePolicy::Count,
                     p => p,
                 };
-                let mut nested = ExecState::new(&branch.plan, self.mode, nested_policy)
-                    .with_buffers(self.buffers.clone());
+                let mut nested =
+                    ExecState::new(&branch.plan, nested_policy).with_buffers(self.buffers.clone());
                 let status = nested.run(&part_query, &part_catalog)?;
                 debug_assert_eq!(status, ExecStatus::Done);
                 let mut rec = nested.counters();
@@ -747,7 +702,7 @@ mod tests {
         }
         let query = JoinQuery::path(&["R", "S", "T"]);
         let plan = PhysicalPlan::hash_chain(vec![0, 1, 2]);
-        let mut state = ExecState::new(&plan, ExecMode::Vectorized, CertificatePolicy::Count);
+        let mut state = ExecState::new(&plan, CertificatePolicy::Count);
         for limit in 1..=state.n_stages() {
             state.run_until(&query, &catalog, limit).unwrap();
             assert_eq!(state.completed_stages(), limit);
@@ -760,7 +715,8 @@ mod tests {
         }
         assert!(state.is_done());
         let one_shot =
-            crate::execute_physical_mode(&query, &catalog, &plan, ExecMode::Vectorized).unwrap();
+            crate::execute_physical_mode(&query, &catalog, &plan, crate::ExecMode::Vectorized)
+                .unwrap();
         assert_eq!(state.counters(), one_shot.counters);
         assert_eq!(state.output_columns(), Some(one_shot.output));
     }

@@ -149,30 +149,20 @@ fn one_free_list_serves_every_shape_like_a_fresh_run() {
             catalog,
             plan,
         } = &shape;
-        let mut truth = None;
-        for mode in [ExecMode::Vectorized, ExecMode::Parallel] {
-            let fresh = execute_physical_mode(query, catalog, plan, mode).unwrap();
-            let recycled =
-                execute_physical_with_buffers(query, catalog, plan, mode, &buffers).unwrap();
-            assert!(recycled.output_size() >= 4096, "{name}: output is large");
-            assert_eq!(
-                recycled.output.vars(),
-                fresh.output.vars(),
-                "{name} {mode:?}"
-            );
-            let rows = recycled.output.sorted_rows();
-            assert_eq!(rows, fresh.output.sorted_rows(), "{name} {mode:?}: rows");
-            assert_eq!(
-                recycled.counters.steps(),
-                fresh.counters.steps(),
-                "{name} {mode:?}: steps"
-            );
-            assert_eq!(recycled.certificate_violations(), 0, "{name} {mode:?}");
-            let truth = truth.get_or_insert_with(|| {
-                nested_loop_join(query, catalog, recycled.output.vars()).unwrap()
-            });
-            assert_eq!(&rows, truth, "{name} {mode:?}: oracle");
-        }
+        let fresh = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
+        let recycled = execute_physical_with_buffers(query, catalog, plan, &buffers).unwrap();
+        assert!(recycled.output_size() >= 4096, "{name}: output is large");
+        assert_eq!(recycled.output.vars(), fresh.output.vars(), "{name}");
+        let rows = recycled.output.sorted_rows();
+        assert_eq!(rows, fresh.output.sorted_rows(), "{name}: rows");
+        assert_eq!(
+            recycled.counters.steps(),
+            fresh.counters.steps(),
+            "{name}: steps"
+        );
+        assert_eq!(recycled.certificate_violations(), 0, "{name}");
+        let truth = nested_loop_join(query, catalog, recycled.output.vars()).unwrap();
+        assert_eq!(rows, truth, "{name}: oracle");
     }
     assert!(counters.reused() > 0, "the list served buffers");
     // Every run has been dropped: all that is left sits in the list, and
@@ -190,16 +180,8 @@ fn a_recycled_buffer_never_exposes_an_earlier_output() {
     let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
     let large = &shapes("large", 40, 22)[0];
     let small = &shapes("small", 24, 18)[0];
-    let run = |s: &Shape| {
-        execute_physical_with_buffers(
-            &s.query,
-            &s.catalog,
-            &s.plan,
-            ExecMode::Vectorized,
-            &buffers,
-        )
-        .unwrap()
-    };
+    let run =
+        |s: &Shape| execute_physical_with_buffers(&s.query, &s.catalog, &s.plan, &buffers).unwrap();
     let big_rows = run(large).output_size();
     let reused_before = counters.reused();
     let out = run(small);
@@ -227,14 +209,8 @@ fn a_warm_list_allocates_no_large_buffer() {
     let shapes = rotation();
     let rotate = || {
         for s in &shapes {
-            let run = execute_physical_with_buffers(
-                &s.query,
-                &s.catalog,
-                &s.plan,
-                ExecMode::Vectorized,
-                &buffers,
-            )
-            .unwrap();
+            let run =
+                execute_physical_with_buffers(&s.query, &s.catalog, &s.plan, &buffers).unwrap();
             assert_eq!(run.certificate_violations(), 0);
         }
         (counters.fresh(), counters.reused())
@@ -259,14 +235,7 @@ fn a_plain_run_retains_nothing() {
     let counters = Arc::new(BufferCounters::default());
     let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
     let s = &shapes("large", 40, 22)[0];
-    let warm = execute_physical_with_buffers(
-        &s.query,
-        &s.catalog,
-        &s.plan,
-        ExecMode::Vectorized,
-        &buffers,
-    )
-    .unwrap();
+    let warm = execute_physical_with_buffers(&s.query, &s.catalog, &s.plan, &buffers).unwrap();
     let before = (
         counters.reused(),
         counters.fresh(),

@@ -1,10 +1,9 @@
 //! Differential executor property tests: on random skewed inputs, the
 //! executor's output must be exactly what the naive nested-loop oracle
 //! computes — same schema coverage, identical multiset of result tuples —
-//! and the two scheduling modes must agree bit for bit on the output and on
-//! the full counter recording (same step labels, same sizes, hence the same
-//! intermediate peaks and certificate tallies) — across every plan shape,
-//! including degree-partitioned unions and bushy hash-join trees.
+//! and its recording must check the certificates the plan carries,
+//! violating none that is sound — across every plan shape, including
+//! degree-partitioned unions and bushy hash-join trees.
 
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, RelationBuilder};
@@ -23,32 +22,21 @@ fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
         .prop_map(|(hubs, fanout, background, seed)| skewed_pairs(hubs, fanout, background, seed))
 }
 
-/// Execute `plan` in both modes; assert the vectorized output is the
-/// oracle's (the oracle rejects a schema that is not a permutation of the
-/// query's variables), and that the parallel run reproduces the vectorized
-/// one exactly: output columns and the full counter recording (labels,
-/// sizes, certificate tallies, part peaks).
-fn assert_modes_match(
+/// Execute `plan` and assert the output is the oracle's (the oracle
+/// rejects a schema that is not a permutation of the query's variables).
+/// Returns how many certificates the run checked and how many it violated.
+fn run_against_oracle(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
-) -> Result<(), TestCaseError> {
-    let vectorized = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
-    let truth = nested_loop_join(query, catalog, vectorized.output.vars()).unwrap();
-    prop_assert_eq!(vectorized.output.sorted_rows(), truth, "output multiset");
-    let parallel = execute_physical_mode(query, catalog, plan, ExecMode::Parallel).unwrap();
-    prop_assert_eq!(&parallel.output, &vectorized.output, "parallel output");
-    prop_assert_eq!(
-        &parallel.counters,
-        &vectorized.counters,
-        "parallel counters"
-    );
-    prop_assert_eq!(
-        parallel.counters.max_intermediate(),
-        vectorized.counters.max_intermediate(),
-        "parallel peak"
-    );
-    Ok(())
+) -> Result<(usize, usize), TestCaseError> {
+    let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
+    let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
+    prop_assert_eq!(run.output.sorted_rows(), truth, "output multiset");
+    Ok((
+        run.counters.certificates_checked(),
+        run.certificate_violations(),
+    ))
 }
 
 proptest! {
@@ -56,9 +44,9 @@ proptest! {
 
     /// Whatever plan the bound-driven optimizer picks on a random skewed
     /// chain — hash chain, yannakakis, bushy, or partitioned — it computes
-    /// the oracle's answer in both modes.
+    /// the oracle's answer within every certificate the planner attached.
     #[test]
-    fn optimizer_plans_agree_across_modes(
+    fn optimizer_plans_match_the_oracle(
         rpairs in arb_skewed_pairs(),
         spairs in arb_skewed_pairs(),
         tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
@@ -69,15 +57,17 @@ proptest! {
         catalog.insert(RelationBuilder::binary_from_pairs("T", "z", "w", tpairs));
         let query = JoinQuery::path(&["R", "S", "T"]);
         let plan = Optimizer::new().plan(&query, &catalog).unwrap();
-        assert_modes_match(&query, &catalog, &plan.physical)?;
+        let (checked, violated) = run_against_oracle(&query, &catalog, &plan.physical)?;
+        prop_assert!(checked > 0, "the planner certifies its plans");
+        prop_assert_eq!(violated, 0, "a bound is a guarantee");
     }
 
     /// Explicit degree-partitioned plans: split the skewed relation into
-    /// light/heavy parts and union per-part chains — the partitioned
-    /// executor's roll-up (per-worker counters, absorb in branch order)
-    /// must reproduce the sequential recording bit for bit.
+    /// light/heavy parts and union per-part chains — the union of the
+    /// parts' outputs is the oracle's answer, and the roll-up checks one
+    /// certificate per part output plus the union's.
     #[test]
-    fn partitioned_plans_agree_across_modes(
+    fn partitioned_plans_match_the_oracle(
         rpairs in arb_skewed_pairs(),
         spairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
     ) {
@@ -100,14 +90,13 @@ proptest! {
             parts: vec![branch(light), branch(heavy)],
             log2_bound: Some(41.0),
         });
-        assert_modes_match(&query, &catalog, &union)?;
+        prop_assert_eq!(run_against_oracle(&query, &catalog, &union)?, (3, 0));
     }
 
-    /// Explicit bushy trees over a 4-atom path: both hash-join branches are
-    /// independent morsels under `ExecMode::Parallel`, and the left-then-
-    /// right merge must reproduce the sequential recording.
+    /// Explicit bushy trees over a 4-atom path: both hash-join branches
+    /// materialize before the join on top, which no hash chain does.
     #[test]
-    fn bushy_plans_agree_across_modes(
+    fn bushy_plans_match_the_oracle(
         apairs in arb_skewed_pairs(),
         bpairs in proptest::collection::vec((0u64..12, 0u64..15), 1..60),
         cpairs in proptest::collection::vec((0u64..15, 0u64..10), 1..60)
@@ -135,6 +124,6 @@ proptest! {
             right: pair(2, 3),
             log2_bound: None,
         });
-        assert_modes_match(&query, &catalog, &bushy)?;
+        prop_assert_eq!(run_against_oracle(&query, &catalog, &bushy)?, (0, 0));
     }
 }

@@ -2,17 +2,16 @@
 //! [`ExecState::run_until`] with a breakpoint injected at **every** stage
 //! boundary, then resuming to completion, must produce exactly what the
 //! uninterrupted run produces — the same output rows and the bit-identical
-//! counter recording (labels, sizes, certificate tallies, part roll-ups) —
-//! in both [`ExecMode`]s.  This is what makes the adaptive
-//! controller's mid-query suspensions safe: a resumed state is
-//! indistinguishable from one that never stopped.
+//! counter recording (labels, sizes, certificate tallies, part roll-ups).
+//! This is what makes the adaptive controller's mid-query suspensions safe:
+//! a resumed state is indistinguishable from one that never stopped.
 
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, RelationBuilder};
 use lpb_datagen::skewed_pairs;
 use lpb_exec::{
-    split_light_heavy, CertificatePolicy, ExecMode, ExecState, ExecStatus, Optimizer,
-    PartitionBranch, PhysicalNode, PhysicalPlan,
+    split_light_heavy, CertificatePolicy, ExecState, ExecStatus, Optimizer, PartitionBranch,
+    PhysicalNode, PhysicalPlan,
 };
 use proptest::prelude::*;
 
@@ -23,53 +22,48 @@ fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
         .prop_map(|(hubs, fanout, background, seed)| skewed_pairs(hubs, fanout, background, seed))
 }
 
-/// For every mode: run the plan uninterrupted, then re-run it suspending at
-/// every stage boundary `k` (complete stages `0..k`, check the `Paused`
-/// contract, resume) and assert the resumed run is bit-identical — output
-/// columns and the full counter recording.
+/// Run the plan uninterrupted, then re-run it suspending at every stage
+/// boundary `k` (complete stages `0..k`, check the `Paused` contract,
+/// resume) and assert the resumed run is bit-identical — output columns and
+/// the full counter recording.
 fn assert_suspend_resume_is_lossless(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
 ) -> Result<(), TestCaseError> {
-    for mode in [ExecMode::Vectorized, ExecMode::Parallel] {
-        let mut straight = ExecState::new(plan, mode, CertificatePolicy::default());
-        let status = straight.run(query, catalog).unwrap();
-        prop_assert_eq!(status, ExecStatus::Done, "{:?} uninterrupted", mode);
-        let want_output = straight.output_columns().expect("done run has output");
-        let want_counters = straight.counters();
+    let mut straight = ExecState::new(plan, CertificatePolicy::default());
+    let status = straight.run(query, catalog).unwrap();
+    prop_assert_eq!(status, ExecStatus::Done, "uninterrupted");
+    let want_output = straight.output_columns().expect("done run has output");
+    let want_counters = straight.counters();
 
-        let n = straight.n_stages();
-        for k in 0..=n {
-            let mut state = ExecState::new(plan, mode, CertificatePolicy::default());
-            let status = state.run_until(query, catalog, k).unwrap();
-            if k < n {
-                prop_assert_eq!(status, ExecStatus::Paused, "{:?} breakpoint {}", mode, k);
-                prop_assert_eq!(
-                    state.completed_stages(),
-                    k,
-                    "{:?} breakpoint {}: exactly the stages below the limit complete",
-                    mode,
-                    k
-                );
-            }
-            let status = state.run(query, catalog).unwrap();
-            prop_assert_eq!(status, ExecStatus::Done, "{:?} resume from {}", mode, k);
+    let n = straight.n_stages();
+    for k in 0..=n {
+        let mut state = ExecState::new(plan, CertificatePolicy::default());
+        let status = state.run_until(query, catalog, k).unwrap();
+        if k < n {
+            prop_assert_eq!(status, ExecStatus::Paused, "breakpoint {}", k);
             prop_assert_eq!(
-                &state.output_columns().expect("resumed run has output"),
-                &want_output,
-                "{:?} output after breakpoint {}",
-                mode,
-                k
-            );
-            prop_assert_eq!(
-                &state.counters(),
-                &want_counters,
-                "{:?} counters after breakpoint {}",
-                mode,
+                state.completed_stages(),
+                k,
+                "breakpoint {}: exactly the stages below the limit complete",
                 k
             );
         }
+        let status = state.run(query, catalog).unwrap();
+        prop_assert_eq!(status, ExecStatus::Done, "resume from {}", k);
+        prop_assert_eq!(
+            &state.output_columns().expect("resumed run has output"),
+            &want_output,
+            "output after breakpoint {}",
+            k
+        );
+        prop_assert_eq!(
+            &state.counters(),
+            &want_counters,
+            "counters after breakpoint {}",
+            k
+        );
     }
     Ok(())
 }
@@ -95,7 +89,7 @@ proptest! {
     }
 
     /// Bushy trees: a breakpoint can land between the two independent
-    /// branches, so resumption must re-enter a half-executed morsel batch.
+    /// branches, with one materialized and the other not started.
     #[test]
     fn bushy_plans_survive_suspension_at_every_boundary(
         apairs in arb_skewed_pairs(),

@@ -1,19 +1,19 @@
-//! Cross-query LP coalescing: fold concurrent cache-missing plan requests
-//! into one batch.
+//! Cross-query coalescing: concurrent cache-missing plan requests are
+//! planned by one thread, one after the other.
 //!
-//! Within a single query, [`lpb_exec::Optimizer::plan`] already batches all
-//! connected sub-joins; across queries, concurrent requests would each plan
-//! on their own thread at once.  The [`Coalescer`] gathers them with a
-//! **gather window**: the first cache-missing request opens a *round* and
-//! becomes its leader; requests arriving while the leader waits out the
-//! window join as followers; the sealed round is planned as one
-//! [`lpb_exec::Optimizer::plan_many`] batch on the leader's thread and
-//! every participant receives its shared plan.  The batch's LPs are each
-//! solved cold, so a round saves no solver work over its requests planned
-//! apart; what it fixes is who plans (one thread per round, the others
-//! wait instead of competing for cores) and what is accounted (one exact
-//! [`SolverStats`] delta per round).  See the crate docs for the window
-//! semantics.
+//! Left alone, concurrent misses would each plan on their own thread at
+//! once.  The [`Coalescer`] gathers them with a **gather window**: the first
+//! cache-missing request opens a *round* and becomes its leader; requests
+//! arriving while the leader waits out the window join as followers; the
+//! leader then plans the sealed round's requests in arrival order on its
+//! own thread — [`lpb_exec::Optimizer::plan`] per request, every LP solved
+//! cold — and every participant receives its shared plan.  A round saves no
+//! solver work over its requests planned apart; what it fixes is who plans
+//! (one thread per round, the others wait instead of competing for cores)
+//! and what is accounted (one exact [`SolverStats`] delta per round).  A
+//! leader that panics while planning fails the whole round with a typed
+//! error instead of leaving its followers to time out.  See the crate docs
+//! for the window semantics.
 
 use crate::ServeError;
 use lpb_core::JoinQuery;
@@ -25,12 +25,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// How long a follower waits for its round's leader before giving up.  A
-/// leader plans synchronously, so hitting this means the leader thread died
-/// or the batch wedged — a bug, not a load condition.
+/// leader plans synchronously and publishes a failure if it unwinds, so
+/// hitting this means the leader thread wedged — a bug, not a load
+/// condition.
 const ROUND_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// One gather round: the requests collected during the window, and the
-/// results the leader eventually publishes (plus the whole-batch solver
+/// results the leader eventually publishes (plus the whole round's solver
 /// stats measured on the leader's thread).
 struct Round {
     state: Mutex<RoundState>,
@@ -77,6 +78,38 @@ pub struct Coalescer {
     coalesced_requests: AtomicU64,
     multi_request_batches: AtomicU64,
     max_batch: AtomicU64,
+}
+
+/// Held by a leader while it plans its sealed round: if the leader unwinds
+/// before publishing, every slot of the round gets a typed failure and the
+/// followers are woken, instead of each sitting out [`ROUND_TIMEOUT`].
+struct LeaderGuard<'a> {
+    round: &'a Round,
+    slots: usize,
+    published: bool,
+}
+
+impl Drop for LeaderGuard<'_> {
+    fn drop(&mut self) {
+        if self.published {
+            return;
+        }
+        // Runs while unwinding, so it must not panic: a poisoned round lock
+        // is taken anyway (`results` is one store, valid at every step).
+        let mut st = self
+            .round
+            .state
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if st.results.is_none() {
+            let failed = Err(ServeError::new(
+                "the coalescing round's leader panicked while planning",
+            ));
+            st.results = Some((vec![failed; self.slots], SolverStats::default()));
+        }
+        drop(st);
+        self.round.cv.notify_all();
+    }
 }
 
 impl std::fmt::Debug for Round {
@@ -171,15 +204,21 @@ impl Coalescer {
             }
             self.max_batch.fetch_max(n, Ordering::Relaxed);
 
-            // Plan outside every lock; measure the batch's solver work as
+            // Plan outside every lock; measure the round's solver work as
             // a thread-local delta (exact: the optimizer solves every LP on
             // the calling thread).
+            let mut guard = LeaderGuard {
+                round: &round,
+                slots: requests.len(),
+                published: false,
+            };
             let (results, stats) = SolverStats::on_thread(|| plan_batch(&requests));
             debug_assert_eq!(results.len(), requests.len());
 
             let mut st = round.state.lock().expect("round lock poisoned");
             st.results = Some((results, stats));
             round.cv.notify_all();
+            guard.published = true;
             let (results, stats) = st.results.as_ref().expect("just published");
             let plan = results[index].clone()?;
             Ok(CoalescedPlan {
@@ -237,6 +276,7 @@ mod tests {
     use lpb_data::RelationBuilder;
     use lpb_exec::Optimizer;
     use std::sync::mpsc;
+    use std::time::Instant;
 
     fn catalog() -> Arc<Catalog> {
         let mut c = Catalog::new();
@@ -249,6 +289,17 @@ mod tests {
         Arc::new(c)
     }
 
+    /// What a leader does with its round: plan each request in turn.
+    fn plan_each(
+        optimizer: &Optimizer,
+        round: &[(JoinQuery, Arc<Catalog>)],
+    ) -> Vec<Result<Arc<OptimizedPlan>, ServeError>> {
+        round
+            .iter()
+            .map(|(q, c)| Ok(Arc::new(optimizer.plan(q, c)?)))
+            .collect()
+    }
+
     #[test]
     fn a_singleton_round_plans_and_accounts() {
         let coalescer = Coalescer::new(Duration::ZERO);
@@ -256,12 +307,8 @@ mod tests {
         let catalog = catalog();
         let q = JoinQuery::triangle("E", "E", "E");
         let out = coalescer
-            .submit(q.clone(), Arc::clone(&catalog), |batch| {
-                optimizer
-                    .plan_many(&batch.iter().map(|(q, c)| (q, &**c)).collect::<Vec<_>>())
-                    .into_iter()
-                    .map(|r| r.map(Arc::new).map_err(Into::into))
-                    .collect()
+            .submit(q.clone(), Arc::clone(&catalog), |round| {
+                plan_each(&optimizer, round)
             })
             .unwrap();
         assert!(out.leader);
@@ -274,7 +321,7 @@ mod tests {
     }
 
     /// Hold the leader in a generous window while followers join, then
-    /// check the round actually coalesced (≥ 2 requests in a batch) and
+    /// check the round actually coalesced (≥ 2 requests in a round) and
     /// that every participant got *its own* query's plan back — the
     /// positional result alignment the protocol promises.
     #[test]
@@ -298,15 +345,7 @@ mod tests {
                         _ => JoinQuery::path(&["E", "E"]),
                     };
                     let out = coalescer
-                        .submit(q, catalog, |batch| {
-                            optimizer
-                                .plan_many(
-                                    &batch.iter().map(|(q, c)| (q, &**c)).collect::<Vec<_>>(),
-                                )
-                                .into_iter()
-                                .map(|r| r.map(Arc::new).map_err(Into::into))
-                                .collect()
-                        })
+                        .submit(q, catalog, |round| plan_each(&optimizer, round))
                         .unwrap();
                     tx.send((i, out)).unwrap();
                 });
@@ -338,5 +377,61 @@ mod tests {
             let expected_atoms = if i % 2 == 0 { 3 } else { 2 };
             assert_eq!(out.plan.order.len(), expected_atoms);
         }
+    }
+
+    /// A leader whose planning closure panics must fail its round, not
+    /// strand it: the follower that joined during the window gets a typed
+    /// error as soon as the leader unwinds (not after `ROUND_TIMEOUT`), and
+    /// the coalescer keeps working — the next request opens a fresh round.
+    #[test]
+    fn a_panicking_leader_fails_its_followers_at_once() {
+        let coalescer = Coalescer::new(Duration::from_millis(300));
+        let optimizer = Optimizer::new();
+        let catalog = catalog();
+        let q = JoinQuery::path(&["E", "E"]);
+        let panicked_at: Mutex<Option<Instant>> = Mutex::new(None);
+
+        let (leader, follower, returned_at) = std::thread::scope(|scope| {
+            let leader = scope.spawn(|| {
+                coalescer.submit(q.clone(), Arc::clone(&catalog), |round| {
+                    assert_eq!(round.len(), 2, "the follower joined during the window");
+                    *panicked_at.lock().unwrap() = Some(Instant::now());
+                    panic!("injected leader failure");
+                })
+            });
+            // Join only once the leader's round is open.
+            while coalescer.current.lock().unwrap().is_none() {
+                assert!(!leader.is_finished(), "the leader never opened a round");
+                std::thread::yield_now();
+            }
+            let follower = coalescer.submit(q.clone(), Arc::clone(&catalog), |round| {
+                // Only runs if this request missed the window and leads a
+                // round of its own; the assertions below then fail.
+                plan_each(&optimizer, round)
+            });
+            let returned_at = Instant::now();
+            (leader.join(), follower, returned_at)
+        });
+
+        assert!(
+            leader.is_err(),
+            "the leader's panic propagates to its caller"
+        );
+        let err = follower.expect_err("the follower's round failed");
+        assert!(err.message().contains("leader panicked"), "{err}");
+        let panicked_at = panicked_at.lock().unwrap().expect("the leader planned");
+        assert!(
+            returned_at - panicked_at < Duration::from_secs(1),
+            "the follower waited {:?} after the leader unwound",
+            returned_at - panicked_at
+        );
+        assert_eq!(coalescer.batches(), 1);
+
+        let next = coalescer
+            .submit(q, catalog, |round| plan_each(&optimizer, round))
+            .unwrap();
+        assert!(next.leader);
+        assert_eq!(next.batch_size, 1);
+        assert_eq!(coalescer.batches(), 2);
     }
 }

@@ -1,8 +1,8 @@
 //! # lpb-serve — a long-lived, concurrent query service
 //!
 //! Everything below this crate is a one-shot library call: every request
-//! pays full planning (an LP batch over every connected sub-join plus the
-//! bottleneck DP) even when an identical query shape was planned
+//! pays full planning (an LP per connected sub-join plus the bottleneck
+//! DP) even when an identical query shape was planned
 //! microseconds ago.  This crate adds the resident process the "millions
 //! of users" north star needs — a thread-per-worker service in front of the
 //! planner/executor stack that turns *per-query* amortization into
@@ -36,21 +36,26 @@
 //!    `Arc`; readers never block on writers (proven by rendezvous tests,
 //!    not wall-clock).
 //!
-//! 3. **Cross-query LP coalescing** ([`Coalescer`]) — concurrent
+//! 3. **Cross-query coalescing** ([`Coalescer`]) — concurrent
 //!    cache-missing plan requests that arrive within a short gather window
-//!    are folded into **one** [`lpb_exec::Optimizer::plan_many`] batch, so
-//!    one thread plans a burst of misses while the others wait for their
-//!    share of the result instead of competing for cores.
+//!    form one *round*, and one thread plans the round's requests one after
+//!    the other ([`lpb_exec::Optimizer::plan`] each) while the others wait
+//!    for their share of the result instead of competing for cores.
 //!
 //!    *Coalescing window semantics*: the first cache-missing request opens
 //!    a round and becomes its **leader**; requests arriving during the
 //!    window join as **followers**.  When the window closes the round is
-//!    sealed (later arrivals open a new round), the leader plans the whole
-//!    batch on its own thread — the optimizer solves every LP on the
-//!    calling thread, so [`lpb_lp::SolverStats::thread_snapshot`] deltas
-//!    give exact pivots-per-batch — and followers are woken with their
-//!    shared `Arc`'d plans.  A window of zero disables gathering without
-//!    changing semantics.
+//!    sealed (later arrivals open a new round), the leader plans its
+//!    requests in arrival order on its own thread — the optimizer solves
+//!    every LP on the calling thread, so
+//!    [`lpb_lp::SolverStats::thread_snapshot`] deltas give exact
+//!    pivots-per-round — and followers are woken with their shared `Arc`'d
+//!    plans.  A leader that panics while planning wakes its followers with
+//!    a [`ServeError`]; the next request opens a fresh round.  A window of
+//!    zero disables gathering without changing semantics.
+//!
+//!    A request, once planned, executes on the thread that submitted it:
+//!    one request, one thread, stages in order.
 //!
 //! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by
 //!    each [`Worker`]) — a served join materializes its intermediates and
@@ -88,7 +93,7 @@ mod service;
 pub use coalesce::{CoalescedPlan, Coalescer};
 pub use service::{QueryResponse, QueryService, ServeConfig, ServeStats, Worker};
 
-/// A serve-layer failure, cloneable so one failed coalesced batch can be
+/// A serve-layer failure, cloneable so one failed coalescing round can be
 /// reported to every request that joined it.  Wraps the underlying
 /// planner/executor/data error message.
 #[derive(Debug, Clone, PartialEq, Eq)]

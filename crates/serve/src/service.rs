@@ -6,8 +6,8 @@
 //! → probe the plan cache under `(shape canon, snapshot epoch)` → on a hit,
 //! execute immediately (zero LP work) → on a miss, enter the
 //! [`Coalescer`]'s gather window and receive the plan from the round's
-//! batch → execute the certified plan **on the admission snapshot** in the
-//! configured [`ExecMode`], with the large columns of every intermediate
+//! leader → execute the certified plan **on the admission snapshot**, on the
+//! request's own thread, with the large columns of every intermediate
 //! drawn from (and afterwards returned to) the serving [`Worker`]'s
 //! [`ColumnBuffers`] free list.  Writers never disturb any of this: they build
 //! successor catalogs aside and publish through the
@@ -19,8 +19,8 @@ use crate::ServeError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
 use lpb_exec::{
-    execute_physical_with_buffers, BufferCounters, ColumnBuffers, ExecMode, OptimizedPlan,
-    Optimizer, PlanCache, PlannerConfig,
+    execute_physical_with_buffers, BufferCounters, ColumnBuffers, OptimizedPlan, Optimizer,
+    PlanCache, PlannerConfig,
 };
 use lpb_lp::SolverStats;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -33,12 +33,10 @@ pub struct ServeConfig {
     /// Planner configuration for the shared [`Optimizer`].
     pub planner: PlannerConfig,
     /// The coalescer's gather window: how long a round's leader waits for
-    /// followers before planning the batch.  Zero disables coalescing.
+    /// followers before planning the round.  Zero disables coalescing.
     pub gather_window: Duration,
     /// Plan-cache capacity (plans, across epochs; oldest-insert eviction).
     pub plan_cache_capacity: usize,
-    /// Execution mode for served queries.
-    pub exec_mode: ExecMode,
 }
 
 impl Default for ServeConfig {
@@ -47,7 +45,6 @@ impl Default for ServeConfig {
             planner: PlannerConfig::default(),
             gather_window: Duration::from_micros(500),
             plan_cache_capacity: 1024,
-            exec_mode: ExecMode::Vectorized,
         }
     }
 }
@@ -65,15 +62,15 @@ pub struct QueryResponse {
     pub epoch: u64,
     /// True when the plan came straight from the cache (no LP, no DP).
     pub cache_hit: bool,
-    /// Size of the coalesced batch this request's plan was solved in
+    /// Size of the coalescing round this request's plan was solved in
     /// (≥ 1); zero on the cache-hit path, which joins no round.
     pub coalesced_batch: usize,
-    /// Solver work of the whole batch that produced this plan, measured on
+    /// Solver work of the whole round that produced this plan, measured on
     /// the leader's thread ([`SolverStats::on_thread`]); all-zero on the
     /// cache-hit path — the bench's "hit path does no LP work" assertion.
     pub plan_stats: SolverStats,
     /// Wall-clock time from admission to plan-in-hand (cache probe, or
-    /// probe + round wait + batch planning).
+    /// probe + round wait + the leader planning the round).
     pub plan_time: Duration,
     /// Wall-clock time from plan-in-hand to the output counted and its
     /// columns released; zero for a plan-only request.
@@ -127,7 +124,6 @@ pub struct QueryService {
     optimizer: Optimizer,
     plan_cache: PlanCache,
     coalescer: Coalescer,
-    exec_mode: ExecMode,
     requests: AtomicU64,
     violations: AtomicU64,
     /// What every [`Worker`]'s free list reports into.
@@ -142,10 +138,11 @@ impl QueryService {
 
     /// A service over `catalog` with explicit knobs.
     ///
-    /// Parallelism lives *across* requests (worker threads), not within one
-    /// batch: the optimizer solves every LP of a batch on its leader's
-    /// thread, so [`SolverStats::thread_snapshot`] deltas account it
-    /// exactly.
+    /// Concurrency lives *across* requests (worker threads), not within
+    /// one: a round's leader plans its requests one after the other on its
+    /// own thread, so [`SolverStats::thread_snapshot`] deltas account the
+    /// round exactly, and every request executes on the thread that
+    /// submitted it.
     pub fn with_config(config: ServeConfig, catalog: Catalog) -> Self {
         let optimizer = Optimizer::new().with_config(config.planner);
         QueryService {
@@ -153,7 +150,6 @@ impl QueryService {
             optimizer,
             plan_cache: PlanCache::with_capacity(config.plan_cache_capacity),
             coalescer: Coalescer::new(config.gather_window),
-            exec_mode: config.exec_mode,
             requests: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             buffer_counters: Arc::default(),
@@ -243,13 +239,7 @@ impl QueryService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let mut response = self.plan_on(query, snapshot)?;
         let planned = Instant::now();
-        let run = execute_physical_with_buffers(
-            query,
-            snapshot,
-            &response.plan.physical,
-            self.exec_mode,
-            buffers,
-        )?;
+        let run = execute_physical_with_buffers(query, snapshot, &response.plan.physical, buffers)?;
         response.output_size = run.output_size();
         response.certificate_violations = run.certificate_violations();
         drop(run);
@@ -259,10 +249,11 @@ impl QueryService {
         Ok(response)
     }
 
-    /// The plan half of a request: cache probe, then coalesced batch on a
-    /// miss.  Duplicate shapes inside one batch are each planned — to the
-    /// same plan, planning being a function of its input — and converge on
-    /// one cached handle at insert.
+    /// The plan half of a request: cache probe, then a coalescing round on a
+    /// miss, whose leader plans the round's requests in arrival order.
+    /// Duplicate shapes inside one round are each planned — to the same
+    /// plan, planning being a function of its input — and converge on one
+    /// cached handle at insert.
     fn plan_on(
         &self,
         query: &JoinQuery,
@@ -284,16 +275,12 @@ impl QueryService {
         }
         let coalesced = self
             .coalescer
-            .submit(query.clone(), Arc::clone(snapshot), |batch| {
-                let refs: Vec<(&JoinQuery, &Catalog)> =
-                    batch.iter().map(|(q, c)| (q, &**c)).collect();
-                self.optimizer
-                    .plan_many(&refs)
-                    .into_iter()
-                    .zip(batch)
-                    .map(|(result, (q, c))| match result {
-                        Ok(plan) => Ok(self.plan_cache.insert(q, c, plan)),
-                        Err(e) => Err(ServeError::from(e)),
+            .submit(query.clone(), Arc::clone(snapshot), |round| {
+                round
+                    .iter()
+                    .map(|(q, c)| {
+                        let plan = self.optimizer.plan(q, c)?;
+                        Ok(self.plan_cache.insert(q, c, plan))
                     })
                     .collect()
             })?;
@@ -392,6 +379,56 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.certificate_violations, 0);
+    }
+
+    /// Two requests of distinct shapes planned in one coalescing round get,
+    /// each, exactly what a fresh optimizer plans for that request alone:
+    /// the leader maps `Optimizer::plan` over its round, nothing more.
+    #[test]
+    fn a_two_request_round_returns_what_planning_each_request_alone_returns() {
+        let service = QueryService::with_config(
+            ServeConfig {
+                gather_window: Duration::from_millis(300),
+                ..ServeConfig::default()
+            },
+            catalog(),
+        );
+        let shapes = [
+            JoinQuery::triangle("E", "E", "E"),
+            JoinQuery::path(&["E", "E", "E"]),
+        ];
+        let [first, second] = &shapes;
+        let (a, b) = std::thread::scope(|scope| {
+            let a = scope.spawn(|| service.plan(first).unwrap());
+            // Submit the second once the first has missed the cache and is
+            // on its way into (or already waiting out) the gather window.
+            while service.stats().cache_misses == 0 {
+                std::thread::yield_now();
+            }
+            let b = service.plan(second).unwrap();
+            (a.join().unwrap(), b)
+        });
+        let snapshot = service.snapshot();
+        for (query, served) in shapes.iter().zip([a, b]) {
+            assert_eq!(served.coalesced_batch, 2, "{}: one round", query.name());
+            assert!(!served.cache_hit);
+            let alone = Optimizer::new().plan(query, &snapshot).unwrap();
+            assert_eq!(served.plan.physical, alone.physical, "{}", query.name());
+            assert_eq!(
+                served.plan.predicted_log2_cost.to_bits(),
+                alone.predicted_log2_cost.to_bits(),
+                "{}",
+                query.name()
+            );
+            assert_eq!(
+                served.plan.subqueries_bounded,
+                alone.subqueries_bounded,
+                "{}",
+                query.name()
+            );
+        }
+        let stats = service.stats();
+        assert_eq!((stats.batches, stats.max_batch), (1, 2));
     }
 
     /// S3 end-to-end at the service layer: hit → publish a replace (epoch

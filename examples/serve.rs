@@ -16,8 +16,8 @@
 //!    requests finish on their admission snapshots (zero certificate
 //!    violations, by construction).
 //! 3. **Coalescing** — eight client threads fire cache-missing shapes at
-//!    once; requests landing in the same gather window are planned as one
-//!    [`Optimizer::plan_many`] batch on their leader's thread
+//!    once; requests landing in the same gather window are planned one
+//!    after the other on their leader's thread while the rest wait
 //!    (`coalesced_batch ≥ 2`).
 //! 4. **Buffer recycling** — one worker rotates over the shapes three
 //!    times.  The first rotation fills its free list of large column
@@ -89,7 +89,7 @@ fn main() -> Result<(), ServeError> {
     );
 
     // 3. Eight workers fire distinct cache-missing shapes together; the
-    //    gather window folds concurrent misses into shared LP batches.
+    //    gather window folds concurrent misses into shared planning rounds.
     std::thread::scope(|scope| {
         for i in 0..8usize {
             let service = Arc::clone(&service);
