@@ -55,7 +55,6 @@ use lpb_exec::{
     execute_physical_mode, AdaptiveExecutor, CertificatePolicy, ColumnRun, ExecMode, ExecState,
     ExecStatus, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
 };
-use lpb_lp::SolverStats;
 use std::time::Instant;
 
 struct PlannerRow {
@@ -137,8 +136,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // measurement with cold catalog statistics, the criterion loop
         // below plans on cached ones.
         let optimizer = Optimizer::new();
-        let (plan, lp_work) =
-            SolverStats::on_thread(|| optimizer.plan(&w.query, &w.catalog).expect("planning"));
+        let plan = optimizer.plan(&w.query, &w.catalog).expect("planning");
         // On the stale-statistics adversary the static plan is *supposed* to
         // blow through its certificates — that is what the adaptive executor
         // reacts to — so its violation asserts run inverted.
@@ -313,7 +311,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             harvest_us: plan.harvest_time.as_secs_f64() * 1e6,
             dp_us: plan.dp_time.as_secs_f64() * 1e6,
             partition_us: plan.partition_time.as_secs_f64() * 1e6,
-            lp_dual_pivots: lp_work.dual_pivots,
+            lp_dual_pivots: plan.lp_stats.dual_pivots,
             strategy: plan.strategy(),
             order: plan.order.clone(),
             chosen_max_intermediate: chosen.max_intermediate(),

@@ -18,18 +18,20 @@
 //!    certificate) and that the hit path did **zero** LP pivots,
 //! 4. emits `BENCH_serve.json` at the workspace root: queries/sec, p50/p99
 //!    plan latency, cold vs hit p50 (the plan-cache speedup, asserted
-//!    ≥ 10x), the cache hit rate, coalesced-batch statistics (≥ 2 requests
-//!    per batch asserted under 64-client load), publish counts, and the
+//!    ≥ 10x), the cache hit rate, planning-flight statistics (`batches` is
+//!    plans computed, `max_batch` the most requests one flight served:
+//!    ≥ 2 asserted under 64-client load, i.e. concurrent misses of one
+//!    shape after a publish shared one plan), publish counts, and the
 //!    violation total (asserted zero).
 //!
 //! Passing `--smoke` (the CI mode: `cargo bench --bench serve_load -- --smoke`)
 //! runs the same pipeline at test scale and writes the JSON to a scratch
-//! path; CI greps it for the zero-violation and coalescing columns.
+//! path; CI greps it for the zero-violation and flight columns.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use lpb_core::JoinQuery;
 use lpb_datagen::{job_like_catalog, job_like_queries, JobLikeConfig};
-use lpb_serve::{QueryService, ServeConfig, Worker};
+use lpb_serve::{QueryService, Worker};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -82,16 +84,7 @@ fn percentile_us(sorted: &[f64], p: f64) -> f64 {
 
 /// One sustained-load phase at `clients` concurrent workers.
 fn run_load(smoke: bool, clients: usize, iters: usize) -> LoadRow {
-    let service = Arc::new(QueryService::with_config(
-        ServeConfig {
-            // A generous window so the cold burst after each epoch bump
-            // actually gathers: followers can only join while the leader
-            // waits.
-            gather_window: Duration::from_millis(2),
-            ..ServeConfig::default()
-        },
-        job_catalog(smoke),
-    ));
+    let service = Arc::new(QueryService::new(job_catalog(smoke)));
     let queries = shapes();
     let total = (clients * iters) as u64;
     let completed = AtomicU64::new(0);
@@ -207,7 +200,7 @@ fn run_load(smoke: bool, clients: usize, iters: usize) -> LoadRow {
     if clients >= 64 {
         assert!(
             stats.max_batch >= 2,
-            "{clients} clients: no cross-query coalescing happened (max batch {})",
+            "{clients} clients: no flight served two misses of one shape (max batch {})",
             stats.max_batch
         );
     }
@@ -243,13 +236,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<LoadRow> {
         .collect();
 
     // The hit path alone under criterion: a warmed service, plan-only.
-    let service = QueryService::with_config(
-        ServeConfig {
-            gather_window: Duration::ZERO,
-            ..ServeConfig::default()
-        },
-        job_catalog(smoke),
-    );
+    let service = QueryService::new(job_catalog(smoke));
     let queries = shapes();
     for q in &queries {
         service.plan(q).expect("warming plan");

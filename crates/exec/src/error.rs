@@ -26,6 +26,9 @@ pub enum ExecError {
         /// Human-readable reason.
         reason: String,
     },
+    /// The planning call of a plan-cache flight panicked, so the requests
+    /// waiting on that flight got no plan; the next request plans again.
+    PlanningPanicked,
 }
 
 impl fmt::Display for ExecError {
@@ -42,6 +45,9 @@ impl fmt::Display for ExecError {
                 "atom over `{relation}` has {atom_arity} variables but the relation has arity {relation_arity}"
             ),
             ExecError::NotApplicable { reason } => write!(f, "not applicable: {reason}"),
+            ExecError::PlanningPanicked => {
+                write!(f, "the planning call this request waited on panicked")
+            }
         }
     }
 }
@@ -80,5 +86,6 @@ mod tests {
         assert!(e.to_string().contains("S"));
         let e = ExecError::Core("bad query".into());
         assert!(e.to_string().contains("bad query"));
+        assert!(ExecError::PlanningPanicked.to_string().contains("panicked"));
     }
 }

@@ -116,7 +116,7 @@ pub use optimizer::{
 pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
 pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
 pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
-pub use plan_cache::PlanCache;
+pub use plan_cache::{FlightStats, PlanCache};
 pub use state::{ExecState, ExecStatus, LiveSlot};
 pub use wcoj::wcoj_count;
 pub use yannakakis::{is_acyclic, yannakakis_count};

@@ -87,6 +87,7 @@ use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::state::{ExecState, ExecStatus};
 use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
 use lpb_data::{Catalog, Norm, Relation, RelationBuilder};
+use lpb_lp::SolverStats;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -216,6 +217,10 @@ pub struct OptimizedPlan {
     /// The degree-partition search (splits, per-part bounds, per-part DP);
     /// next to nothing when partitioning is disabled.
     pub partition_time: Duration,
+    /// The LP work of the planning call that produced this plan: every LP
+    /// is solved on the calling thread, so this [`SolverStats::on_thread`]
+    /// delta is exact whatever other threads plan meanwhile.
+    pub lp_stats: SolverStats,
 }
 
 impl OptimizedPlan {
@@ -482,6 +487,7 @@ impl Optimizer {
     /// Choose a physical plan for `query` over `catalog`.
     pub fn plan(&self, query: &JoinQuery, catalog: &Catalog) -> Result<OptimizedPlan, ExecError> {
         let started = Instant::now();
+        let lp_before = SolverStats::thread_snapshot();
         let m = query.n_atoms();
         let greedy = JoinPlan::greedy_by_size(query, catalog)?;
 
@@ -495,6 +501,7 @@ impl Optimizer {
                 m,
                 crate::yannakakis::is_acyclic(query),
                 started,
+                &lp_before,
             ));
         }
 
@@ -506,6 +513,7 @@ impl Optimizer {
                 m,
                 logical.cyclic_core().is_empty(),
                 started,
+                &lp_before,
             ));
         }
 
@@ -567,6 +575,7 @@ impl Optimizer {
             harvest_time: harvested - started,
             dp_time: chose - harvested,
             partition_time: finished - chose,
+            lp_stats: SolverStats::thread_snapshot().since(&lp_before),
         })
     }
 
@@ -577,6 +586,7 @@ impl Optimizer {
         m: usize,
         acyclic: bool,
         started: Instant,
+        lp_before: &SolverStats,
     ) -> OptimizedPlan {
         let order = greedy.order().to_vec();
         let physical = if m > 1 && acyclic {
@@ -604,6 +614,7 @@ impl Optimizer {
             harvest_time: Duration::ZERO,
             dp_time: Duration::ZERO,
             partition_time: Duration::ZERO,
+            lp_stats: SolverStats::thread_snapshot().since(lp_before),
         }
     }
 

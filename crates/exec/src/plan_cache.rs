@@ -35,18 +35,44 @@
 //!   Same-epoch *views* ([`lpb_data::Catalog::derive_with`]) intentionally
 //!   share entries — they are defined to carry the same statistics.
 //!
-//! Capacity is bounded: inserts past [`PlanCache::with_capacity`]'s limit
-//! evict the oldest entry (insertion order), which under an epoch bump
-//! naturally cycles the dead generation out as the new one fills in.
+//! Capacity is bounded, and so is how far back the cache keeps epochs: an
+//! insert evicts, oldest insert first, while the cache holds more than
+//! [`PlanCache::with_capacity`]'s limit or its oldest entry is two or more
+//! epochs behind the plan being inserted.  A request admitted just before a
+//! publish still hits the previous epoch's plan; only one admitted two
+//! publishes ago plans again.  Without the epoch rule a lineage that
+//! publishes often fills the cache with plans nothing asks for again (on
+//! the benchmark's `serve-churn`, ~1,000 plans and 4 MiB, 40 % of the
+//! process).  The rule looks only behind the inserted epoch, so a lineage
+//! whose epoch goes back (a [`lpb_data::SnapshotCatalog::publish`] of an
+//! older catalog) keeps caching its plans; the entries ahead of it leave
+//! by capacity.
+//!
+//! ## Single-flight planning
+//!
+//! A plan is a function of its key, so concurrent misses share work only
+//! when they miss the *same* key.  [`PlanCache::get_or_plan`] makes the
+//! first miss of a key the key's **flight**: it plans on its own thread,
+//! outside the lock.  A concurrent miss of that key joins the flight — probe
+//! and join under one acquisition of the lock — and blocks until the flight
+//! lands; misses of other keys never wait on it.  A flight lands with its
+//! plan, which is cached, or with its planner's error, which every request
+//! of the flight receives and nothing caches, so the next miss plans again.
+//! A planner that unwinds lands its flight with
+//! [`ExecError::PlanningPanicked`] from a drop guard.  Flights are not
+//! entries: they never count against capacity and are never evicted.
+//!
+//! No planning or other caller code runs under the lock, and the map, the
+//! queue and the flights are consistent at every unlock, so a poisoned lock
+//! is recovered rather than propagated.
 
 use crate::error::ExecError;
-use crate::optimizer::{OptimizedPlan, Optimizer};
+use crate::optimizer::OptimizedPlan;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The canonical shape of a query: length-prefixed relation names in atom
 /// order with variables interned as `v0, v1, …` by first appearance.
@@ -78,16 +104,59 @@ pub(crate) fn canonical_shape(query: &JoinQuery) -> String {
     out
 }
 
-/// Map + insertion queue behind the one short-lived lock.  The lock covers
-/// lookup/insert/evict only — never planning; see [`PlanCache::get_or_plan`].
+type Key = (String, u64);
+
+/// What a flight lands with: its plan or its planner's error, and the number
+/// of requests it served (the planner included).
+type Landing = (Result<Arc<OptimizedPlan>, ExecError>, usize);
+
+/// Map + insertion queue + in-flight keys behind the one short-lived lock.
+/// The lock covers lookup/join/insert/evict only — never planning; see
+/// [`PlanCache::get_or_plan`].
 #[derive(Debug, Default)]
 struct Inner {
-    map: HashMap<(String, u64), Arc<OptimizedPlan>>,
-    order: VecDeque<(String, u64)>,
+    map: HashMap<Key, Arc<OptimizedPlan>>,
+    order: VecDeque<Key>,
+    /// Each in-flight key's landing slot and the requests joined so far.
+    flights: HashMap<Key, (Arc<OnceLock<Landing>>, usize)>,
+    flight_stats: FlightStats,
 }
 
-/// A bounded, concurrent `(shape, epoch) → Arc<OptimizedPlan>` cache; see
-/// the module docs for the keying discipline.
+impl Inner {
+    /// Cache `plan` under `key`, then evict from the oldest insert on while
+    /// the cache is past `capacity` or its oldest entry is two or more
+    /// epochs behind `key`'s.
+    fn insert(&mut self, key: Key, plan: Arc<OptimizedPlan>, capacity: usize) {
+        let kept_from = key.1.saturating_sub(1);
+        if self.map.insert(key.clone(), plan).is_none() {
+            self.order.push_back(key);
+        }
+        while let Some((_, epoch)) = self.order.front() {
+            if self.map.len() <= capacity && *epoch >= kept_from {
+                break;
+            }
+            if let Some(oldest) = self.order.pop_front() {
+                self.map.remove(&oldest);
+            }
+        }
+    }
+}
+
+/// Counters over the flights that have landed; see the module docs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FlightStats {
+    /// Flights landed: planning calls made, failed ones included.
+    pub flights: u64,
+    /// Requests those flights served (their sizes summed).
+    pub requests: u64,
+    /// Flights that served two or more requests.
+    pub shared: u64,
+    /// The largest flight.
+    pub largest: u64,
+}
+
+/// A bounded, concurrent `(shape, epoch) → Arc<OptimizedPlan>` cache with
+/// single-flight planning; see the module docs.
 #[derive(Debug)]
 pub struct PlanCache {
     inner: Mutex<Inner>,
@@ -102,6 +171,50 @@ impl Default for PlanCache {
     }
 }
 
+/// Held by the request that plans a flight: lands the flight with
+/// [`ExecError::PlanningPanicked`] if the planning closure unwinds, so the
+/// flight's waiters fail at once instead of waiting forever.
+struct Pilot<'a> {
+    cache: &'a PlanCache,
+    key: Key,
+    slot: Arc<OnceLock<Landing>>,
+    landed: bool,
+}
+
+impl Pilot<'_> {
+    /// Take the flight out of the in-flight set, cache a plan, and wake the
+    /// waiters.  The flight's size is final once it leaves the set: a later
+    /// request of the key hits, or plans again after a failure.
+    fn land(&mut self, outcome: Result<Arc<OptimizedPlan>, ExecError>) -> Landing {
+        self.landed = true;
+        let requests = {
+            let mut inner = self.cache.lock();
+            let requests = inner.flights.remove(&self.key).map_or(1, |(_, n)| n);
+            if let Ok(plan) = &outcome {
+                inner.insert(self.key.clone(), Arc::clone(plan), self.cache.capacity);
+            }
+            let stats = &mut inner.flight_stats;
+            stats.flights += 1;
+            stats.requests += requests as u64;
+            stats.shared += u64::from(requests >= 2);
+            stats.largest = stats.largest.max(requests as u64);
+            requests
+        };
+        let landing = (outcome, requests);
+        // The pilot is the slot's only writer.
+        let _ = self.slot.set(landing.clone());
+        landing
+    }
+}
+
+impl Drop for Pilot<'_> {
+    fn drop(&mut self) {
+        if !self.landed {
+            let _ = self.land(Err(ExecError::PlanningPanicked));
+        }
+    }
+}
+
 impl PlanCache {
     /// A cache holding at most `capacity` plans (oldest-insert eviction).
     pub fn with_capacity(capacity: usize) -> Self {
@@ -113,14 +226,17 @@ impl PlanCache {
         }
     }
 
+    /// The lock, recovered if a panicking thread poisoned it: see the
+    /// module docs for why its contents are consistent anyway.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Look up the plan cached for `query`'s shape at `catalog`'s epoch.
     /// Counts toward [`hits`](Self::hits) / [`misses`](Self::misses).
     pub fn get(&self, query: &JoinQuery, catalog: &Catalog) -> Option<Arc<OptimizedPlan>> {
         let key = (canonical_shape(query), catalog.epoch());
-        let found = {
-            let inner = self.inner.lock().expect("plan cache lock poisoned");
-            inner.map.get(&key).cloned()
-        };
+        let found = self.lock().map.get(&key).cloned();
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -128,53 +244,47 @@ impl PlanCache {
         found
     }
 
-    /// Cache `plan` for `query`'s shape at `catalog`'s epoch, returning the
-    /// shared handle.  A concurrent insert of the same key wins the race
-    /// once — later inserts return the already-cached plan, so every caller
-    /// agrees on one handle per key.
-    pub fn insert(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        plan: OptimizedPlan,
-    ) -> Arc<OptimizedPlan> {
-        let key = (canonical_shape(query), catalog.epoch());
-        let mut inner = self.inner.lock().expect("plan cache lock poisoned");
-        match inner.map.entry(key.clone()) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(e) => {
-                let arc = Arc::new(plan);
-                e.insert(Arc::clone(&arc));
-                inner.order.push_back(key);
-                while inner.map.len() > self.capacity {
-                    if let Some(old) = inner.order.pop_front() {
-                        inner.map.remove(&old);
-                    } else {
-                        break;
-                    }
-                }
-                arc
-            }
-        }
-    }
-
-    /// The hit path composed: probe the cache, and on a miss plan with
-    /// `optimizer` and cache the result.  Returns the plan plus whether it
-    /// was a hit.  The cache lock is **never** held while planning, so a
-    /// slow cold plan never blocks other requests' hits; two concurrent
-    /// misses of the same shape may both plan, and the insert race then
-    /// converges them on one cached handle.
+    /// The plan for `query`'s shape at `catalog`'s epoch, and the number of
+    /// requests the flight that computed it served — zero on a hit.
+    ///
+    /// A hit is one canonicalization, one lock, one map probe and one `Arc`
+    /// clone.  A miss of a key already in flight joins that flight and
+    /// blocks until it lands; any other miss calls `plan` on this thread,
+    /// outside the lock, and lands the flight with the result.  Every
+    /// request of a flight gets the same plan, or the same error.
     pub fn get_or_plan(
         &self,
-        optimizer: &Optimizer,
         query: &JoinQuery,
         catalog: &Catalog,
-    ) -> Result<(Arc<OptimizedPlan>, bool), ExecError> {
-        if let Some(plan) = self.get(query, catalog) {
-            return Ok((plan, true));
+        plan: impl FnOnce() -> Result<OptimizedPlan, ExecError>,
+    ) -> Result<(Arc<OptimizedPlan>, usize), ExecError> {
+        let key = (canonical_shape(query), catalog.epoch());
+        let mut inner = self.lock();
+        if let Some(plan) = inner.map.get(&key).cloned() {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((plan, 0));
         }
-        let plan = optimizer.plan(query, catalog)?;
-        Ok((self.insert(query, catalog, plan), false))
+        // Counted under the lock, so a caller that reads `misses` knows
+        // every request it counts has joined or opened its flight.
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        if let Some((slot, requests)) = inner.flights.get_mut(&key) {
+            *requests += 1;
+            let slot = Arc::clone(slot);
+            drop(inner);
+            let (plan, requests) = slot.wait();
+            return plan.clone().map(|plan| (plan, *requests));
+        }
+        let slot = Arc::new(OnceLock::new());
+        inner.flights.insert(key.clone(), (Arc::clone(&slot), 1));
+        drop(inner);
+        let mut pilot = Pilot {
+            cache: self,
+            key,
+            slot,
+            landed: false,
+        };
+        let (plan, requests) = pilot.land(plan().map(Arc::new));
+        plan.map(|plan| (plan, requests))
     }
 
     /// Cache probes that found a plan.
@@ -182,18 +292,20 @@ impl PlanCache {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Cache probes that found nothing (including stale-epoch probes).
+    /// Cache probes that found nothing (including stale-epoch probes and
+    /// joins of a flight).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Counters over the flights landed so far.
+    pub fn flight_stats(&self) -> FlightStats {
+        self.lock().flight_stats
+    }
+
     /// Number of plans currently cached (all epochs).
     pub fn len(&self) -> usize {
-        self.inner
-            .lock()
-            .expect("plan cache lock poisoned")
-            .map
-            .len()
+        self.lock().map.len()
     }
 
     /// True when no plans are cached.
@@ -205,7 +317,11 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optimizer::Optimizer;
     use lpb_data::RelationBuilder;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -216,6 +332,29 @@ mod tests {
             (0..40u64).flat_map(|i| [(i % 8, (i + 1) % 8), ((i + 3) % 8, i % 8)]),
         ));
         c
+    }
+
+    /// [`PlanCache::get_or_plan`] with `optimizer`'s planning call, and
+    /// whether it hit.
+    fn plan_through(
+        cache: &PlanCache,
+        optimizer: &Optimizer,
+        query: &JoinQuery,
+        catalog: &Catalog,
+    ) -> Result<(Arc<OptimizedPlan>, bool), ExecError> {
+        let (plan, flight) =
+            cache.get_or_plan(query, catalog, || optimizer.plan(query, catalog))?;
+        Ok((plan, flight == 0))
+    }
+
+    /// Block until `n` probes have missed, each of which has then opened or
+    /// joined its flight.
+    fn await_misses(cache: &PlanCache, n: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cache.misses() < n {
+            assert!(Instant::now() < deadline, "only {} misses", cache.misses());
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -283,9 +422,9 @@ mod tests {
             }
             let cache = PlanCache::default();
             let optimizer = Optimizer::new();
-            let (first, hit) = cache.get_or_plan(&optimizer, plain, &catalog).unwrap();
+            let (first, hit) = plan_through(&cache, &optimizer, plain, &catalog).unwrap();
             assert!(!hit);
-            let (second, hit) = cache.get_or_plan(&optimizer, odd, &catalog).unwrap();
+            let (second, hit) = plan_through(&cache, &optimizer, odd, &catalog).unwrap();
             assert!(!hit, "{} answered with {}'s plan", odd.name(), plain.name());
             assert!(!Arc::ptr_eq(&first, &second));
             assert_eq!(cache.len(), 2);
@@ -305,9 +444,9 @@ mod tests {
         let cache = PlanCache::default();
         let optimizer = Optimizer::new();
         let q = JoinQuery::triangle("E", "E", "E");
-        let (first, hit) = cache.get_or_plan(&optimizer, &q, &catalog).unwrap();
+        let (first, hit) = plan_through(&cache, &optimizer, &q, &catalog).unwrap();
         assert!(!hit);
-        let (again, hit) = cache.get_or_plan(&optimizer, &q, &catalog).unwrap();
+        let (again, hit) = plan_through(&cache, &optimizer, &q, &catalog).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &again));
         // An isomorphic query (different variable spelling) hits too, and
@@ -321,7 +460,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let (shared, hit) = cache.get_or_plan(&optimizer, &iso, &catalog).unwrap();
+        let (shared, hit) = plan_through(&cache, &optimizer, &iso, &catalog).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &shared));
         let run = crate::morsel::execute_physical_mode(
@@ -353,9 +492,9 @@ mod tests {
         let cache = PlanCache::default();
         let optimizer = Optimizer::new();
         let q = JoinQuery::triangle("E", "E", "E");
-        let (cold, hit) = cache.get_or_plan(&optimizer, &q, &base).unwrap();
+        let (cold, hit) = plan_through(&cache, &optimizer, &q, &base).unwrap();
         assert!(!hit);
-        assert!(cache.get_or_plan(&optimizer, &q, &base).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
 
         // A same-epoch derived view intentionally still hits: same stats.
         let view = base.derive_with(RelationBuilder::binary_from_pairs(
@@ -364,7 +503,7 @@ mod tests {
             "b",
             vec![(1, 1)],
         ));
-        assert!(cache.get_or_plan(&optimizer, &q, &view).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &q, &view).unwrap().1);
 
         // An epoch-bumping successor must miss and re-plan.
         let successor = base.successor_with(RelationBuilder::binary_from_pairs(
@@ -374,12 +513,25 @@ mod tests {
             (0..4u64).map(|i| (i, i + 1)),
         ));
         assert_eq!(successor.epoch(), base.epoch() + 1);
-        let (fresh, hit) = cache.get_or_plan(&optimizer, &q, &successor).unwrap();
+        let (fresh, hit) = plan_through(&cache, &optimizer, &q, &successor).unwrap();
         assert!(!hit, "stale-epoch plan served after a relation replace");
         assert!(!Arc::ptr_eq(&cold, &fresh));
         // Both generations coexist; each epoch hits its own entry.
-        assert!(cache.get_or_plan(&optimizer, &q, &base).unwrap().1);
-        assert!(cache.get_or_plan(&optimizer, &q, &successor).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &q, &successor).unwrap().1);
+        assert_eq!(cache.len(), 2);
+
+        // A third generation retires the first, which only a request
+        // admitted two publishes ago could still ask for.
+        let third = successor.successor_with(RelationBuilder::binary_from_pairs(
+            "E",
+            "a",
+            "b",
+            (0..5u64).map(|i| (i, i + 1)),
+        ));
+        assert!(!plan_through(&cache, &optimizer, &q, &third).unwrap().1);
+        assert!(cache.get(&q, &base).is_none());
+        assert!(cache.get(&q, &successor).is_some());
         assert_eq!(cache.len(), 2);
     }
 
@@ -392,8 +544,8 @@ mod tests {
         let cache = PlanCache::default();
         let optimizer = Optimizer::new();
         let q = JoinQuery::triangle("E", "E", "E");
-        cache.get_or_plan(&optimizer, &q, &base).unwrap();
-        assert!(cache.get_or_plan(&optimizer, &q, &base).unwrap().1);
+        plan_through(&cache, &optimizer, &q, &base).unwrap();
+        assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
 
         let absorbed = base
             .absorb_observed(
@@ -402,9 +554,42 @@ mod tests {
             )
             .unwrap();
         assert_eq!(absorbed.epoch(), base.epoch() + 1);
-        let (_, hit) = cache.get_or_plan(&optimizer, &q, &absorbed).unwrap();
+        let (_, hit) = plan_through(&cache, &optimizer, &q, &absorbed).unwrap();
         assert!(!hit, "stale-epoch plan served after absorb_observed");
-        assert!(cache.get_or_plan(&optimizer, &q, &absorbed).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &q, &absorbed).unwrap().1);
+    }
+
+    /// The epoch rule evicts only behind the epoch being inserted: after
+    /// plans of a newer catalog, plans of an older one of the lineage still
+    /// stay cached once capacity has pushed the newer plans out.
+    #[test]
+    fn an_epoch_that_goes_back_keeps_caching_its_plans() {
+        let base = catalog();
+        let newer = base
+            .successor_with(RelationBuilder::binary_from_pairs(
+                "E",
+                "a",
+                "b",
+                (0..4u64).map(|i| (i, i + 1)),
+            ))
+            .successor_with(RelationBuilder::binary_from_pairs(
+                "E",
+                "a",
+                "b",
+                (0..5u64).map(|i| (i, i + 1)),
+            ));
+        assert_eq!(newer.epoch(), base.epoch() + 2);
+        let cache = PlanCache::with_capacity(2);
+        let optimizer = Optimizer::new();
+        let q = JoinQuery::triangle("E", "E", "E");
+        let path = JoinQuery::path(&["E", "E"]);
+        plan_through(&cache, &optimizer, &q, &newer).unwrap();
+        plan_through(&cache, &optimizer, &q, &base).unwrap();
+        plan_through(&cache, &optimizer, &path, &base).unwrap();
+        assert_eq!(cache.len(), 2);
+        assert!(cache.get(&q, &newer).is_none());
+        assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
+        assert!(plan_through(&cache, &optimizer, &path, &base).unwrap().1);
     }
 
     #[test]
@@ -418,13 +603,198 @@ mod tests {
             JoinQuery::path(&["E", "E", "E"]),
         ];
         for q in &queries {
-            cache.get_or_plan(&optimizer, q, &catalog).unwrap();
+            plan_through(&cache, &optimizer, q, &catalog).unwrap();
         }
         assert_eq!(cache.len(), 2);
         // The oldest (triangle) was evicted; the two newest survive.
         assert!(cache.get(&queries[0], &catalog).is_none());
         assert!(cache.get(&queries[1], &catalog).is_some());
         assert!(cache.get(&queries[2], &catalog).is_some());
+    }
+
+    /// Four threads miss one key while its planning call is held open: one
+    /// call runs, all four get the one plan and report a flight of four,
+    /// and a request after the landing hits.
+    #[test]
+    fn concurrent_misses_of_one_key_share_one_flight() {
+        let catalog = catalog();
+        let cache = PlanCache::default();
+        let optimizer = Optimizer::new();
+        let q = JoinQuery::triangle("E", "E", "E");
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Mutex::new(gate);
+        let runs = AtomicUsize::new(0);
+        let plan = || {
+            runs.fetch_add(1, Ordering::Relaxed);
+            let gate = gate.lock().unwrap();
+            gate.recv_timeout(Duration::from_secs(5))
+                .expect("the gate opened");
+            optimizer.plan(&q, &catalog)
+        };
+        let served: Vec<(Arc<OptimizedPlan>, usize)> = std::thread::scope(|scope| {
+            let threads: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| cache.get_or_plan(&q, &catalog, plan).unwrap()))
+                .collect();
+            await_misses(&cache, 4);
+            open.send(()).unwrap();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
+        });
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        for (plan, flight) in &served {
+            assert!(Arc::ptr_eq(plan, &served[0].0));
+            assert_eq!(*flight, 4);
+        }
+        let landed = FlightStats {
+            flights: 1,
+            requests: 4,
+            shared: 1,
+            largest: 4,
+        };
+        assert_eq!(cache.flight_stats(), landed);
+        let (again, flight) = cache
+            .get_or_plan(&q, &catalog, || unreachable!("a hit plans nothing"))
+            .unwrap();
+        assert_eq!(flight, 0);
+        assert!(Arc::ptr_eq(&again, &served[0].0));
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// Key A's planning call returns only after key B's request has: B
+    /// neither joins A's flight nor waits behind it.
+    #[test]
+    fn distinct_keys_never_wait_on_each_other() {
+        let catalog = &catalog();
+        let cache = &PlanCache::default();
+        let optimizer = &Optimizer::new();
+        let a = &JoinQuery::triangle("E", "E", "E");
+        let b = &JoinQuery::path(&["E", "E"]);
+        let (b_returned, b_done) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let planning_a = scope.spawn(move || {
+                cache.get_or_plan(a, catalog, move || {
+                    b_done
+                        .recv_timeout(Duration::from_secs(5))
+                        .expect("B returned while A was planning");
+                    optimizer.plan(a, catalog)
+                })
+            });
+            await_misses(cache, 1);
+            let (_, flight) = cache
+                .get_or_plan(b, catalog, || optimizer.plan(b, catalog))
+                .unwrap();
+            b_returned.send(()).unwrap();
+            assert_eq!(flight, 1, "B planned on its own");
+            assert_eq!(planning_a.join().unwrap().unwrap().1, 1);
+        });
+        assert_eq!(cache.flight_stats().flights, 2);
+        assert_eq!(cache.len(), 2);
+    }
+
+    /// A planner's error reaches every request of its flight, and nothing
+    /// is cached: the next request plans again.
+    #[test]
+    fn a_failed_flight_fails_its_waiters_and_is_not_cached() {
+        let catalog = &catalog();
+        let cache = &PlanCache::default();
+        let q = &JoinQuery::path(&["E", "E"]);
+        let injected = ExecError::NotApplicable {
+            reason: "injected".into(),
+        };
+        let (open, gate) = mpsc::channel::<()>();
+        let (planner, waiter) = std::thread::scope(|scope| {
+            let failing = injected.clone();
+            let planner = scope.spawn(move || {
+                cache.get_or_plan(q, catalog, move || {
+                    gate.recv_timeout(Duration::from_secs(5))
+                        .expect("the gate opened");
+                    Err(failing)
+                })
+            });
+            await_misses(cache, 1);
+            let waiter = scope
+                .spawn(|| cache.get_or_plan(q, catalog, || unreachable!("a waiter never plans")));
+            await_misses(cache, 2);
+            open.send(()).unwrap();
+            (planner.join().unwrap(), waiter.join().unwrap())
+        });
+        assert_eq!(planner.unwrap_err(), injected);
+        assert_eq!(waiter.unwrap_err(), injected);
+        assert!(cache.is_empty());
+        assert_eq!(cache.flight_stats().requests, 2);
+
+        let (_, flight) = cache
+            .get_or_plan(q, catalog, || Optimizer::new().plan(q, catalog))
+            .unwrap();
+        assert_eq!(flight, 1, "the failure was not cached");
+        assert_eq!(cache.len(), 1);
+    }
+
+    /// A planning call that panics lands its flight from the drop guard: the
+    /// waiter gets the typed error at once, the panic reaches the caller
+    /// that planned, and the next request plans again.
+    #[test]
+    fn a_waiter_of_a_panicking_planner_fails_at_once_and_the_next_request_replans() {
+        let catalog = &catalog();
+        let cache = &PlanCache::default();
+        let q = &JoinQuery::path(&["E", "E"]);
+        let panicked_at: Mutex<Option<Instant>> = Mutex::new(None);
+        let (planner, waiter, returned_at) = std::thread::scope(|scope| {
+            let panicked_at = &panicked_at;
+            let planner = scope.spawn(move || {
+                cache.get_or_plan(q, catalog, || {
+                    await_misses(cache, 2);
+                    *panicked_at.lock().unwrap() = Some(Instant::now());
+                    panic!("injected planner failure")
+                })
+            });
+            await_misses(cache, 1);
+            let waiter = cache.get_or_plan(q, catalog, || unreachable!("a waiter never plans"));
+            let returned_at = Instant::now();
+            (planner.join(), waiter, returned_at)
+        });
+        assert!(
+            planner.is_err(),
+            "the panic reaches the caller that planned"
+        );
+        assert_eq!(waiter.unwrap_err(), ExecError::PlanningPanicked);
+        let panicked_at = panicked_at.lock().unwrap().expect("the planner ran");
+        assert!(
+            returned_at - panicked_at < Duration::from_secs(1),
+            "the waiter returned {:?} after the panic",
+            returned_at - panicked_at
+        );
+        assert!(cache.is_empty());
+
+        let (_, flight) = cache
+            .get_or_plan(q, catalog, || Optimizer::new().plan(q, catalog))
+            .unwrap();
+        assert_eq!(flight, 1);
+        assert_eq!(cache.flight_stats().flights, 2);
+    }
+
+    /// A thread that panics holding the lock poisons it; the cache recovers
+    /// the lock and keeps answering.
+    #[test]
+    fn a_poisoned_lock_is_recovered() {
+        let catalog = catalog();
+        let cache = PlanCache::default();
+        let optimizer = Optimizer::new();
+        let q = JoinQuery::triangle("E", "E", "E");
+        plan_through(&cache, &optimizer, &q, &catalog).unwrap();
+        std::thread::scope(|scope| {
+            let poisoner = scope.spawn(|| {
+                let _held = cache.inner.lock().unwrap();
+                panic!("poison the plan cache lock");
+            });
+            assert!(poisoner.join().is_err());
+        });
+        assert!(cache.inner.is_poisoned());
+
+        assert!(cache.get(&q, &catalog).is_some());
+        assert!(plan_through(&cache, &optimizer, &q, &catalog).unwrap().1);
+        let path = JoinQuery::path(&["E", "E"]);
+        assert!(!plan_through(&cache, &optimizer, &path, &catalog).unwrap().1);
+        assert_eq!(cache.len(), 2);
     }
 
     /// Characters relation names are drawn from: the canon's own delimiters

@@ -36,23 +36,23 @@
 //!    `Arc`; readers never block on writers (proven by rendezvous tests,
 //!    not wall-clock).
 //!
-//! 3. **Cross-query coalescing** ([`Coalescer`]) — concurrent
-//!    cache-missing plan requests that arrive within a short gather window
-//!    form one *round*, and one thread plans the round's requests one after
-//!    the other ([`lpb_exec::Optimizer::plan`] each) while the others wait
-//!    for their share of the result instead of competing for cores.
+//! 3. **Single-flight planning** (inside
+//!    [`lpb_exec::PlanCache::get_or_plan`]) — a cache miss plans on the
+//!    thread that took it ([`lpb_exec::Optimizer::plan`], every LP solved
+//!    cold on that thread, so the plan's own
+//!    [`lpb_exec::OptimizedPlan::lp_stats`] delta is exact).  A plan is a
+//!    function of its key, so only misses of the *same* `(shape, epoch)` key
+//!    have work to share: a concurrent miss of a key already being planned
+//!    joins that key's **flight** and waits for its plan, while misses of
+//!    other keys plan side by side and never wait on each other.
 //!
-//!    *Coalescing window semantics*: the first cache-missing request opens
-//!    a round and becomes its **leader**; requests arriving during the
-//!    window join as **followers**.  When the window closes the round is
-//!    sealed (later arrivals open a new round), the leader plans its
-//!    requests in arrival order on its own thread — the optimizer solves
-//!    every LP on the calling thread, so
-//!    [`lpb_lp::SolverStats::thread_snapshot`] deltas give exact
-//!    pivots-per-round — and followers are woken with their shared `Arc`'d
-//!    plans.  A leader that panics while planning wakes its followers with
-//!    a [`ServeError`]; the next request opens a fresh round.  A window of
-//!    zero disables gathering without changing semantics.
+//!    *Flight semantics*: a flight lands once, with its plan (cached, and
+//!    handed to every request of the flight) or with its planner's error
+//!    (handed to every request of the flight, never cached, so the next
+//!    miss plans again).  A planner that panics lands its flight with a
+//!    typed error from a drop guard, so its waiters fail at once.
+//!    [`QueryResponse::coalesced_batch`] is the flight's size, final when it
+//!    lands; a request arriving after that is a hit.
 //!
 //!    A request, once planned, executes on the thread that submitted it:
 //!    one request, one thread, stages in order.
@@ -87,15 +87,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod coalesce;
 mod service;
 
-pub use coalesce::{CoalescedPlan, Coalescer};
 pub use service::{QueryResponse, QueryService, ServeConfig, ServeStats, Worker};
 
-/// A serve-layer failure, cloneable so one failed coalescing round can be
-/// reported to every request that joined it.  Wraps the underlying
-/// planner/executor/data error message.
+/// A serve-layer failure.  Wraps the underlying planner/executor/data error
+/// message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeError {
     message: String,

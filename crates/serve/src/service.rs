@@ -1,12 +1,12 @@
-//! The query service: snapshot admission, plan-cache probe, coalesced
+//! The query service: snapshot admission, plan-cache probe, single-flight
 //! planning, certified execution.
 //!
 //! A request's life: grab **one** catalog snapshot (lock-free via a
 //! worker's [`SnapshotReader`], or a pointer-store-guarded load otherwise)
 //! → probe the plan cache under `(shape canon, snapshot epoch)` → on a hit,
-//! execute immediately (zero LP work) → on a miss, enter the
-//! [`Coalescer`]'s gather window and receive the plan from the round's
-//! leader → execute the certified plan **on the admission snapshot**, on the
+//! execute immediately (zero LP work) → on a miss, plan on this thread, or
+//! wait for the request already planning the same key → execute the
+//! certified plan **on the admission snapshot**, on the
 //! request's own thread, with the large columns of every intermediate
 //! drawn from (and afterwards returned to) the serving [`Worker`]'s
 //! [`ColumnBuffers`] free list.  Writers never disturb any of this: they build
@@ -14,7 +14,6 @@
 //! [`SnapshotCatalog`] cell, which bumps the statistics epoch and thereby
 //! invalidates every stale plan-cache entry.
 
-use crate::coalesce::Coalescer;
 use crate::ServeError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
@@ -32,10 +31,8 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Planner configuration for the shared [`Optimizer`].
     pub planner: PlannerConfig,
-    /// The coalescer's gather window: how long a round's leader waits for
-    /// followers before planning the round.  Zero disables coalescing.
-    pub gather_window: Duration,
-    /// Plan-cache capacity (plans, across epochs; oldest-insert eviction).
+    /// Plan-cache capacity (plans of the newest two statistics epochs;
+    /// oldest-insert eviction).
     pub plan_cache_capacity: usize,
 }
 
@@ -43,7 +40,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             planner: PlannerConfig::default(),
-            gather_window: Duration::from_micros(500),
             plan_cache_capacity: 1024,
         }
     }
@@ -62,15 +58,17 @@ pub struct QueryResponse {
     pub epoch: u64,
     /// True when the plan came straight from the cache (no LP, no DP).
     pub cache_hit: bool,
-    /// Size of the coalescing round this request's plan was solved in
-    /// (≥ 1); zero on the cache-hit path, which joins no round.
+    /// Number of requests the planning flight that produced this plan
+    /// served (≥ 1, the request that planned included); zero on the
+    /// cache-hit path, which joins no flight.
     pub coalesced_batch: usize,
-    /// Solver work of the whole round that produced this plan, measured on
-    /// the leader's thread ([`SolverStats::on_thread`]); all-zero on the
-    /// cache-hit path — the bench's "hit path does no LP work" assertion.
+    /// Solver work of the planning call that produced this plan
+    /// ([`OptimizedPlan::lp_stats`]), the same for every request of its
+    /// flight; all-zero on the cache-hit path — the bench's "hit path does
+    /// no LP work" assertion.
     pub plan_stats: SolverStats,
-    /// Wall-clock time from admission to plan-in-hand (cache probe, or
-    /// probe + round wait + the leader planning the round).
+    /// Wall-clock time from admission to plan-in-hand (cache probe, plus
+    /// planning, or waiting for the flight of the same key, on a miss).
     pub plan_time: Duration,
     /// Wall-clock time from plan-in-hand to the output counted and its
     /// columns released; zero for a plan-only request.
@@ -86,17 +84,19 @@ pub struct ServeStats {
     pub requests: u64,
     /// Plan-cache probes that found a plan.
     pub cache_hits: u64,
-    /// Plan-cache probes that missed (stale-epoch probes included).
+    /// Plan-cache probes that missed (stale-epoch probes and joins of a
+    /// flight included).
     pub cache_misses: u64,
     /// Plans currently cached.
     pub cached_plans: u64,
-    /// Coalescing rounds planned.
+    /// Plans the service computed: planning flights landed, failed ones
+    /// included.
     pub batches: u64,
-    /// Requests that went through a coalescing round.
+    /// Requests those flights served (flight sizes summed).
     pub coalesced_requests: u64,
-    /// Rounds that gathered ≥ 2 requests.
+    /// Flights that served ≥ 2 requests.
     pub multi_request_batches: u64,
-    /// Largest batch any round gathered.
+    /// Largest flight.
     pub max_batch: u64,
     /// Certificate violations summed over all executed requests.
     pub certificate_violations: u64,
@@ -123,7 +123,6 @@ pub struct QueryService {
     cell: Arc<SnapshotCatalog>,
     optimizer: Optimizer,
     plan_cache: PlanCache,
-    coalescer: Coalescer,
     requests: AtomicU64,
     violations: AtomicU64,
     /// What every [`Worker`]'s free list reports into.
@@ -139,17 +138,15 @@ impl QueryService {
     /// A service over `catalog` with explicit knobs.
     ///
     /// Concurrency lives *across* requests (worker threads), not within
-    /// one: a round's leader plans its requests one after the other on its
-    /// own thread, so [`SolverStats::thread_snapshot`] deltas account the
-    /// round exactly, and every request executes on the thread that
-    /// submitted it.
+    /// one: a miss plans on the thread that took it, so the plan's
+    /// [`SolverStats::on_thread`] delta accounts it exactly, and every
+    /// request executes on the thread that submitted it.
     pub fn with_config(config: ServeConfig, catalog: Catalog) -> Self {
         let optimizer = Optimizer::new().with_config(config.planner);
         QueryService {
             cell: Arc::new(SnapshotCatalog::new(catalog)),
             optimizer,
             plan_cache: PlanCache::with_capacity(config.plan_cache_capacity),
-            coalescer: Coalescer::new(config.gather_window),
             requests: AtomicU64::new(0),
             violations: AtomicU64::new(0),
             buffer_counters: Arc::default(),
@@ -173,7 +170,7 @@ impl QueryService {
         &self.optimizer
     }
 
-    /// Plan `query` against the current snapshot (cache → coalescer),
+    /// Plan `query` against the current snapshot (cache, or planning),
     /// without executing it.
     pub fn plan(&self, query: &JoinQuery) -> Result<QueryResponse, ServeError> {
         let snapshot = self.cell.load();
@@ -208,15 +205,16 @@ impl QueryService {
 
     /// Current service counters.
     pub fn stats(&self) -> ServeStats {
+        let flights = self.plan_cache.flight_stats();
         ServeStats {
             requests: self.requests.load(Ordering::Relaxed),
             cache_hits: self.plan_cache.hits(),
             cache_misses: self.plan_cache.misses(),
             cached_plans: self.plan_cache.len() as u64,
-            batches: self.coalescer.batches(),
-            coalesced_requests: self.coalescer.coalesced_requests(),
-            multi_request_batches: self.coalescer.multi_request_batches(),
-            max_batch: self.coalescer.max_batch(),
+            batches: flights.flights,
+            coalesced_requests: flights.requests,
+            multi_request_batches: flights.shared,
+            max_batch: flights.largest,
             certificate_violations: self.violations.load(Ordering::Relaxed),
             publishes: self.cell.publishes(),
             epoch: self.cell.epoch(),
@@ -249,51 +247,31 @@ impl QueryService {
         Ok(response)
     }
 
-    /// The plan half of a request: cache probe, then a coalescing round on a
-    /// miss, whose leader plans the round's requests in arrival order.
-    /// Duplicate shapes inside one round are each planned — to the same
-    /// plan, planning being a function of its input — and converge on one
-    /// cached handle at insert.
+    /// The plan half of a request: cache probe, then on a miss the
+    /// key's planning flight — planned here, or joined and waited for.
     fn plan_on(
         &self,
         query: &JoinQuery,
         snapshot: &Arc<Catalog>,
     ) -> Result<QueryResponse, ServeError> {
         let admitted = Instant::now();
-        if let Some(plan) = self.plan_cache.get(query, snapshot) {
-            return Ok(QueryResponse {
-                output_size: 0,
-                certificate_violations: 0,
-                epoch: snapshot.epoch(),
-                cache_hit: true,
-                coalesced_batch: 0,
-                plan_stats: SolverStats::default(),
-                plan_time: admitted.elapsed(),
-                exec_time: Duration::ZERO,
-                plan,
-            });
-        }
-        let coalesced = self
-            .coalescer
-            .submit(query.clone(), Arc::clone(snapshot), |round| {
-                round
-                    .iter()
-                    .map(|(q, c)| {
-                        let plan = self.optimizer.plan(q, c)?;
-                        Ok(self.plan_cache.insert(q, c, plan))
-                    })
-                    .collect()
-            })?;
+        let (plan, flight) = self
+            .plan_cache
+            .get_or_plan(query, snapshot, || self.optimizer.plan(query, snapshot))?;
         Ok(QueryResponse {
             output_size: 0,
             certificate_violations: 0,
             epoch: snapshot.epoch(),
-            cache_hit: false,
-            coalesced_batch: coalesced.batch_size,
-            plan_stats: coalesced.batch_stats,
+            cache_hit: flight == 0,
+            coalesced_batch: flight,
+            plan_stats: if flight == 0 {
+                SolverStats::default()
+            } else {
+                plan.lp_stats
+            },
             plan_time: admitted.elapsed(),
             exec_time: Duration::ZERO,
-            plan: coalesced.plan,
+            plan,
         })
     }
 }
@@ -353,13 +331,7 @@ mod tests {
 
     #[test]
     fn hit_path_skips_lp_work_entirely() {
-        let service = QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            catalog(),
-        );
+        let service = QueryService::new(catalog());
         let q = JoinQuery::triangle("E", "E", "E");
         let cold = service.execute(&q).unwrap();
         assert!(!cold.cache_hit);
@@ -379,38 +351,37 @@ mod tests {
         assert_eq!(stats.cache_hits, 1);
         assert_eq!(stats.cache_misses, 1);
         assert_eq!(stats.certificate_violations, 0);
+        // One lone miss: one plan computed, a flight of one.
+        let flights = (stats.batches, stats.coalesced_requests, stats.max_batch);
+        assert_eq!(flights, (1, 1, 1));
+        assert_eq!(stats.multi_request_batches, 0);
     }
 
-    /// Two requests of distinct shapes planned in one coalescing round get,
-    /// each, exactly what a fresh optimizer plans for that request alone:
-    /// the leader maps `Optimizer::plan` over its round, nothing more.
+    /// Two concurrent misses of distinct shapes are two flights, each
+    /// planned on its own thread, and each gets exactly what a fresh
+    /// optimizer plans for that request alone.
     #[test]
-    fn a_two_request_round_returns_what_planning_each_request_alone_returns() {
-        let service = QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::from_millis(300),
-                ..ServeConfig::default()
-            },
-            catalog(),
-        );
+    fn two_concurrent_distinct_shape_misses_each_equal_a_fresh_plan() {
+        let service = QueryService::new(catalog());
         let shapes = [
             JoinQuery::triangle("E", "E", "E"),
             JoinQuery::path(&["E", "E", "E"]),
         ];
-        let [first, second] = &shapes;
-        let (a, b) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| service.plan(first).unwrap());
-            // Submit the second once the first has missed the cache and is
-            // on its way into (or already waiting out) the gather window.
-            while service.stats().cache_misses == 0 {
-                std::thread::yield_now();
-            }
-            let b = service.plan(second).unwrap();
-            (a.join().unwrap(), b)
+        let served: Vec<QueryResponse> = std::thread::scope(|scope| {
+            let threads: Vec<_> = shapes
+                .iter()
+                .map(|q| scope.spawn(|| service.plan(q).unwrap()))
+                .collect();
+            threads.into_iter().map(|t| t.join().unwrap()).collect()
         });
         let snapshot = service.snapshot();
-        for (query, served) in shapes.iter().zip([a, b]) {
-            assert_eq!(served.coalesced_batch, 2, "{}: one round", query.name());
+        for (query, served) in shapes.iter().zip(served) {
+            assert_eq!(
+                served.coalesced_batch,
+                1,
+                "{}: a flight of its own",
+                query.name()
+            );
             assert!(!served.cache_hit);
             let alone = Optimizer::new().plan(query, &snapshot).unwrap();
             assert_eq!(served.plan.physical, alone.physical, "{}", query.name());
@@ -426,9 +397,10 @@ mod tests {
                 "{}",
                 query.name()
             );
+            assert_eq!(served.plan_stats, alone.lp_stats, "{}", query.name());
         }
         let stats = service.stats();
-        assert_eq!((stats.batches, stats.max_batch), (1, 2));
+        assert_eq!((stats.batches, stats.max_batch), (2, 1));
     }
 
     /// S3 end-to-end at the service layer: hit → publish a replace (epoch
@@ -436,13 +408,7 @@ mod tests {
     /// new data.
     #[test]
     fn relation_replace_invalidates_served_plans() {
-        let service = QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            catalog(),
-        );
+        let service = QueryService::new(catalog());
         let q = JoinQuery::path(&["E", "E"]);
         let before = service.execute(&q).unwrap();
         assert!(service.execute(&q).unwrap().cache_hit);
@@ -468,13 +434,7 @@ mod tests {
     /// exactly like a replace.
     #[test]
     fn absorb_observed_invalidates_served_plans() {
-        let service = QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            catalog(),
-        );
+        let service = QueryService::new(catalog());
         let q = JoinQuery::triangle("E", "E", "E");
         let before = service.execute(&q).unwrap();
         assert!(service.execute(&q).unwrap().cache_hit);
@@ -518,13 +478,7 @@ mod tests {
     /// worker releases everything.
     #[test]
     fn workers_recycle_column_buffers_and_release_them_on_drop() {
-        let service = Arc::new(QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            dense_catalog(),
-        ));
+        let service = Arc::new(QueryService::new(dense_catalog()));
         let shapes = [
             JoinQuery::path(&["E", "E", "E"]),
             JoinQuery::path(&["E", "E"]),
@@ -573,13 +527,7 @@ mod tests {
     /// across publishes, and sees the new data on its next admission.
     #[test]
     fn workers_finish_on_their_admission_snapshot() {
-        let service = Arc::new(QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            catalog(),
-        ));
+        let service = Arc::new(QueryService::new(catalog()));
         let worker = Worker::new(Arc::clone(&service));
         let q = JoinQuery::path(&["E", "E"]);
         let first = worker.execute(&q).unwrap();

@@ -71,13 +71,7 @@ proptest! {
 
         let mut initial = Catalog::new();
         initial.insert(versions[0].clone());
-        let service = Arc::new(QueryService::with_config(
-            ServeConfig {
-                gather_window: Duration::ZERO,
-                ..ServeConfig::default()
-            },
-            initial,
-        ));
+        let service = Arc::new(QueryService::with_config(ServeConfig::default(), initial));
         let base_epoch = service.snapshot().epoch();
 
         let done = AtomicBool::new(false);

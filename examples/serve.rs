@@ -1,7 +1,8 @@
 //! The `lpb-serve` query service end to end: a resident [`QueryService`]
 //! over the JOB-like catalog, serving threads with per-thread snapshot
 //! readers, the plan cache's hit path, a live epoch-bumping publish,
-//! cross-query LP coalescing, and per-worker column-buffer recycling.
+//! single-flight planning of cache misses, and per-worker column-buffer
+//! recycling.
 //!
 //! The walkthrough:
 //!
@@ -15,10 +16,13 @@
 //!    the next request re-plans against the new statistics and in-flight
 //!    requests finish on their admission snapshots (zero certificate
 //!    violations, by construction).
-//! 3. **Coalescing** — eight client threads fire cache-missing shapes at
-//!    once; requests landing in the same gather window are planned one
-//!    after the other on their leader's thread while the rest wait
-//!    (`coalesced_batch ≥ 2`).
+//! 3. **Single flight** — eight workers fire one cold shape at once: one of
+//!    them plans it and the others that miss wait for that plan, so the
+//!    service computes one plan and every request of the flight reports
+//!    the same `coalesced_batch` (8 when all eight probe before the plan
+//!    lands; a worker that arrives later hits).  Then four workers fire
+//!    four distinct cold shapes, which plan side by side, each a flight of
+//!    one.
 //! 4. **Buffer recycling** — one worker rotates over the shapes three
 //!    times.  The first rotation fills its free list of large column
 //!    buffers from the allocator; after that every large column is a
@@ -30,8 +34,9 @@
 //! ```
 
 use lpbound::datagen::{job_like_catalog, job_like_queries, JobLikeConfig};
-use lpbound::serve::{QueryService, ServeConfig, ServeError, Worker};
-use std::sync::Arc;
+use lpbound::serve::{QueryService, ServeError, Worker};
+use lpbound::JoinQuery;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 fn main() -> Result<(), ServeError> {
@@ -47,13 +52,7 @@ fn main() -> Result<(), ServeError> {
         .map(|q| q.query)
         .collect();
 
-    let service = Arc::new(QueryService::with_config(
-        ServeConfig {
-            gather_window: Duration::from_millis(2),
-            ..ServeConfig::default()
-        },
-        catalog,
-    ));
+    let service = Arc::new(QueryService::new(catalog));
 
     // 1. Cold, then hot: the plan cache turns repeat shapes into map probes.
     let q = &queries[0];
@@ -61,7 +60,7 @@ fn main() -> Result<(), ServeError> {
     let hot = service.execute(q)?;
     println!("query {q}");
     println!(
-        "  cold: {:>9.1}us plan, {} LP pivots, batch of {}, {} rows",
+        "  cold: {:>9.1}us plan, {} LP pivots, flight of {}, {} rows",
         cold.plan_time.as_secs_f64() * 1e6,
         cold.plan_stats.total_pivots(),
         cold.coalesced_batch,
@@ -88,25 +87,39 @@ fn main() -> Result<(), ServeError> {
         replanned.certificate_violations,
     );
 
-    // 3. Eight workers fire distinct cache-missing shapes together; the
-    //    gather window folds concurrent misses into shared planning rounds.
-    std::thread::scope(|scope| {
-        for i in 0..8usize {
-            let service = Arc::clone(&service);
-            let q = queries[i % queries.len()].clone();
-            scope.spawn(move || {
-                let worker = Worker::new(service);
-                let resp = worker.execute(&q).expect("served request");
-                println!(
-                    "  worker {i}: {} — batch of {}, hit: {}, {} rows",
-                    q.name(),
-                    resp.coalesced_batch,
-                    resp.cache_hit,
-                    resp.output_size,
-                );
-            });
-        }
-    });
+    // 3. Concurrent misses of one key share one planning flight; misses of
+    //    distinct keys plan side by side.
+    let fire = |shapes: &[JoinQuery]| {
+        let before = service.stats().batches;
+        let start = Barrier::new(shapes.len());
+        std::thread::scope(|scope| {
+            for (i, q) in shapes.iter().enumerate() {
+                let service = Arc::clone(&service);
+                let start = &start;
+                scope.spawn(move || {
+                    let worker = Worker::new(service);
+                    start.wait();
+                    let resp = worker.execute(q).expect("served request");
+                    let how = match resp.coalesced_batch {
+                        0 => "cache hit".to_string(),
+                        n => format!("flight of {n}"),
+                    };
+                    println!(
+                        "  worker {i}: {} — {how}, {} rows",
+                        q.name(),
+                        resp.output_size
+                    );
+                });
+            }
+        });
+        service.stats().batches - before
+    };
+    println!("\none cold shape, eight workers:");
+    let planned = fire(&vec![queries[1].clone(); 8]);
+    println!("  {planned} plan computed");
+    println!("four distinct cold shapes, four workers:");
+    let planned = fire(&queries[2..]);
+    println!("  {planned} plans computed");
 
     // 4. One worker, three rotations: large columns come from the worker's
     //    free list once it has seen the shapes.
@@ -136,8 +149,8 @@ fn main() -> Result<(), ServeError> {
 
     let stats = service.stats();
     println!(
-        "\nservice: {} requests, {} hits / {} misses, {} batches \
-         (max {}, {} multi-request), {} publishes, epoch {}, {} violations",
+        "\nservice: {} requests, {} hits / {} misses, {} plans computed \
+         (largest flight {}, {} shared), {} publishes, epoch {}, {} violations",
         stats.requests,
         stats.cache_hits,
         stats.cache_misses,

@@ -20,7 +20,7 @@
 //!   optimal joins, and the degree-partitioned evaluation of §2.2;
 //! * [`serve`] ([`lpb_serve`]) — the long-lived concurrent query service:
 //!   plan caching keyed by query shape + statistics epoch, epoch-swapped
-//!   snapshot catalogs, and cross-query LP coalescing;
+//!   snapshot catalogs, and single-flight planning of cache misses;
 //! * [`datagen`] ([`lpb_datagen`]) — synthetic SNAP-like graphs,
 //!   (α,β)-relations and the JOB-like acyclic workload.
 //!
