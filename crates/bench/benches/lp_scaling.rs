@@ -8,7 +8,9 @@
 //! root:
 //!
 //! * **dense rebuild** — the seed behaviour: regenerate every Shannon
-//!   elemental row and solve the dense two-phase tableau, per estimate;
+//!   elemental row and solve the dense two-phase tableau, per estimate.
+//!   The tableau is no product path any more, only the reference oracle
+//!   (`lpb_lp::solve_dense`) that the row's bound is cross-checked against;
 //! * **sparse + cached skeleton** — the materialized polymatroid
 //!   `compute_bound`: cached Shannon block (shared CSC tail) + sparse
 //!   revised simplex;
@@ -29,12 +31,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lpb_core::{
-    collect_simple_statistics, compute_bound, compute_bound_with, BatchEstimator, BatchItem,
-    BoundOptions, CollectConfig, Cone, JoinQuery, StatisticsSet,
+    collect_simple_statistics, compute_bound, BatchEstimator, BatchItem, CollectConfig, Cone,
+    JoinQuery, StatisticsSet,
 };
 use lpb_datagen::{graph_catalog, PowerLawGraphConfig};
 use lpb_entropy::{elemental_inequalities, VarSet};
-use lpb_lp::{Problem, Sense, SolverKind, SolverOptions, SolverStats};
+use lpb_lp::{solve_dense, Problem, Sense, SolverOptions, SolverStats};
 use std::time::Instant;
 
 fn catalog() -> lpb_core::Catalog {
@@ -92,10 +94,10 @@ fn full_polymatroid_problem(n: usize, stats: &StatisticsSet) -> Problem {
 }
 
 /// Replicate the *seed* polymatroid bound path: regenerate the Shannon
-/// elemental rows and solve the dense tableau, from scratch.
+/// elemental rows and solve them with the reference tableau, from scratch.
 fn seed_dense_bound(n: usize, stats: &StatisticsSet) -> f64 {
-    full_polymatroid_problem(n, stats)
-        .solve_with(&SolverOptions::dense())
+    let problem = full_polymatroid_problem(n, stats);
+    solve_dense(&problem, &SolverOptions::default())
         .expect("dense solve")
         .objective
 }
@@ -123,10 +125,7 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
 
         // Cross-check the two paths agree before timing them.
         let reference = seed_dense_bound(n, &stats);
-        let sparse_only = BoundOptions {
-            solver: SolverKind::SparseRevised,
-        };
-        let sparse = compute_bound_with(&q, &stats, Cone::Polymatroid, &sparse_only).unwrap();
+        let sparse = compute_bound(&q, &stats, Cone::Polymatroid).unwrap();
         assert!(
             (reference - sparse.log2_bound).abs() <= 1e-6,
             "n={n}: dense {reference} vs sparse {}",
@@ -137,16 +136,14 @@ fn comparison_table(c: &mut Criterion, smoke: bool) -> Vec<ComparisonRow> {
             seed_dense_bound(n, &stats);
         });
         let sparse_us = median_us(|| {
-            compute_bound_with(&q, &stats, Cone::Polymatroid, &sparse_only).unwrap();
+            compute_bound(&q, &stats, Cone::Polymatroid).unwrap();
         });
         group.bench_with_input(BenchmarkId::new("dense_rebuild", n), &n, |b, _| {
             b.iter(|| seed_dense_bound(n, &stats))
         });
-        // Pin the sparse solver explicitly: compute_bound's Auto kind would
-        // route the small sizes to the dense path and mislabel the line.
         group.bench_with_input(BenchmarkId::new("sparse_skeleton", n), &n, |b, _| {
             b.iter(|| {
-                compute_bound_with(&q, &stats, Cone::Polymatroid, &sparse_only)
+                compute_bound(&q, &stats, Cone::Polymatroid)
                     .unwrap()
                     .log2_bound
             })
@@ -232,15 +229,8 @@ fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
             collect_simple_statistics(&q, &catalog, &CollectConfig::with_max_norm(6)).unwrap();
         let (bound, work) =
             SolverStats::on_thread(|| compute_bound(&q, &stats, Cone::Normal).unwrap());
-        // Far wider than tall: the revised simplex's shape at any row count.
-        let sparse = SolverOptions {
-            solver: SolverKind::SparseRevised,
-            ..SolverOptions::default()
-        };
         let full_enumeration_us = (n <= FULL_ENUMERATION_LIMIT).then(|| {
-            let reference = full_normal_problem(n, &stats)
-                .solve_with(&sparse)
-                .expect("oracle");
+            let reference = full_normal_problem(n, &stats).solve().expect("oracle");
             assert!(
                 (reference.objective - bound.log2_bound).abs() <= 1e-6,
                 "n={n}: generated {} vs enumerated {}",
@@ -248,9 +238,7 @@ fn normal_scaling_table(smoke: bool) -> Vec<NormalRow> {
                 reference.objective
             );
             median_us(|| {
-                full_normal_problem(n, &stats)
-                    .solve_with(&sparse)
-                    .expect("oracle");
+                full_normal_problem(n, &stats).solve().expect("oracle");
             })
         });
         let normal_us = median_us(|| {

@@ -1,12 +1,12 @@
 //! The LP test battery: regression and property tests locking down the
-//! sparse solver, the cached Shannon skeleton and the column-generated
+//! revised simplex, the cached Shannon skeleton and the column-generated
 //! normal-cone bound, over the e1–e8 experiment query shapes and random
 //! statistics.
 //!
 //! Invariants:
 //!
-//! 1. the sparse revised solver and the dense tableau solver agree on the
-//!    `log₂` bound to `1e-6` (acceptance criterion of the sparse-solver PR);
+//! 1. the revised simplex behind `Problem::solve` and the reference tableau
+//!    (`solve_dense`) agree on the `log₂` bound to `1e-6`;
 //! 2. a second solve through the globally cached Shannon skeleton (and the
 //!    `BatchEstimator`) equals the from-scratch bound;
 //! 3. the witness stays a valid dual: `Σ wᵢ·bᵢ == log₂ bound`;
@@ -17,20 +17,22 @@
 //!    corpus and on random, also non-simple, statistics;
 //! 5. `Cone::Normal ≤ Cone::Polymatroid` never inverts (`Nₙ ⊆ Γₙ`);
 //! 6. past the polymatroid ceiling, the normal cone gives the 9- to
-//!    12-variable path queries the polymatroid bounds they used to get.
+//!    12-variable path queries the polymatroid bounds they used to get;
+//! 7. the revised simplex refactorizes once per 512 pivots at most, also on
+//!    an LP with more rows than that.
 
 use lpb_bench::experiments::e7_nonshannon;
 use lpb_core::{
-    collect_simple_statistics, compute_bound, compute_bound_with, BatchEstimator, BatchItem,
-    BoundOptions, CollectConfig, Conditional, Cone, JoinQuery, Norm, StatisticsSet, VarSet,
+    collect_simple_statistics, compute_bound, BatchEstimator, BatchItem, BoundLpSkeleton,
+    CollectConfig, Conditional, Cone, JoinQuery, Norm, StatisticsSet, VarSet,
 };
 use lpb_data::Catalog;
 use lpb_datagen::{
     alpha_beta_relation, graph_catalog, job_like_catalog, job_like_queries, AlphaBetaConfig,
     JobLikeConfig, PowerLawGraphConfig,
 };
-use lpb_entropy::{step_conditional, step_value};
-use lpb_lp::{Problem, Sense, SolverKind, SolverStats, Status};
+use lpb_entropy::{elemental_inequalities, step_conditional, step_value};
+use lpb_lp::{solve_dense, Problem, Sense, SolverOptions, SolverStats, Status};
 use proptest::prelude::*;
 
 fn graph() -> Catalog {
@@ -105,61 +107,99 @@ fn experiment_cases() -> Vec<(String, JoinQuery, StatisticsSet)> {
     cases
 }
 
+/// The materialized polymatroid LP of every e1–e8 case, e7's non-simple
+/// gap instance included, solved by the reference tableau and by the
+/// revised simplex: same status, the same optimum to 1e-6, and for each a
+/// witness (the duals of the statistic rows) whose `Σ wᵢ·bᵢ` is that
+/// optimum.  `compute_bound` returns the revised optimum bit for bit, also
+/// the second time, from the cached Shannon skeleton.
 #[test]
 fn sparse_dense_and_cached_skeleton_agree_on_experiment_queries() {
     let cases = experiment_cases();
     assert!(cases.len() >= 14, "expected a broad case set");
     for (name, query, stats) in &cases {
-        let cone = Cone::auto(query, stats);
-        let dense = compute_bound_with(
-            query,
-            stats,
-            cone,
-            &BoundOptions {
-                solver: SolverKind::Dense,
-            },
-        )
-        .unwrap_or_else(|e| panic!("{name}: dense solve failed: {e}"));
-        // First sparse solve fills the skeleton cache; the second consumes it.
-        let sparse_options = BoundOptions {
-            solver: SolverKind::SparseRevised,
-        };
-        let sparse_scratch = compute_bound_with(query, stats, cone, &sparse_options)
+        assert_eq!(Cone::auto(query, stats), Cone::Polymatroid, "{name}");
+        let lp = BoundLpSkeleton::polymatroid(query.n_vars())
+            .unwrap()
+            .instantiate(stats);
+        let dense = solve_dense(&lp, &SolverOptions::default())
+            .unwrap_or_else(|e| panic!("{name}: dense solve failed: {e}"));
+        let sparse = lp
+            .solve()
             .unwrap_or_else(|e| panic!("{name}: sparse solve failed: {e}"));
-        let sparse_cached = compute_bound_with(query, stats, cone, &sparse_options).unwrap();
-
-        assert_eq!(dense.status, sparse_scratch.status, "{name}: status");
+        assert_eq!(dense.status, sparse.status, "{name}: status");
+        if sparse.status != Status::Optimal {
+            continue;
+        }
         assert!(
-            (dense.log2_bound - sparse_scratch.log2_bound).abs() <= 1e-6,
+            (dense.objective - sparse.objective).abs() <= 1e-6,
             "{name}: dense {} vs sparse {}",
-            dense.log2_bound,
-            sparse_scratch.log2_bound
+            dense.objective,
+            sparse.objective
         );
-        assert!(
-            (sparse_scratch.log2_bound - sparse_cached.log2_bound).abs() <= 1e-9,
-            "{name}: cached-skeleton bound drifted"
-        );
+        for _ in 0..2 {
+            let bound = compute_bound(query, stats, Cone::Polymatroid).unwrap();
+            assert_eq!(
+                bound.log2_bound.to_bits(),
+                sparse.objective.to_bits(),
+                "{name}: cached-skeleton bound drifted"
+            );
+        }
 
         // Witness duality for both solvers.
-        for (solver, r) in [("dense", &dense), ("sparse", &sparse_scratch)] {
-            if !r.is_bounded() {
-                continue;
-            }
-            let dual: f64 = r
-                .witness
-                .weights
+        for (solver, solution) in [("dense", &dense), ("sparse", &sparse)] {
+            let dual: f64 = solution
+                .duals
                 .iter()
                 .zip(stats.iter())
-                .map(|(w, s)| w * s.log_bound)
+                .map(|(w, s)| w.max(0.0) * s.log_bound)
                 .sum();
             assert!(
-                (dual - r.log2_bound).abs() <= 1e-5 * (1.0 + r.log2_bound.abs()),
+                (dual - solution.objective).abs() <= 1e-5 * (1.0 + solution.objective.abs()),
                 "{name}/{solver}: witness gap: {} vs {}",
                 dual,
-                r.log2_bound
+                solution.objective
             );
         }
     }
+}
+
+/// The polymatroid LP of the 6-cycle with unit edge sizes (252 rows), built
+/// from the elemental Shannon inequalities: its optimum is the AGM bound 3,
+/// and the revised simplex refactorizes at most once per 512 pivots.
+/// Counting the eta file's length instead — a refactorized file holds one
+/// eta per row — took 10 refactorizations in 2 916 pivots here, and on the
+/// 686-row 7-cycle one per pivot.
+#[test]
+fn the_six_cycle_refactorizes_by_pivots_taken() {
+    let k = 6;
+    let column = |set: VarSet| set.index() - 1;
+    let mut lp = Problem::maximize((1 << k) - 1);
+    lp.set_objective(column(VarSet::full(k)), 1.0);
+    for i in 0..k {
+        let edge = VarSet::from_indices([i, (i + 1) % k]);
+        lp.add_constraint(&[(column(edge), 1.0)], Sense::Le, 1.0);
+    }
+    for inequality in elemental_inequalities(k) {
+        let coeffs: Vec<(usize, f64)> = inequality
+            .terms
+            .iter()
+            .map(|&(set, c)| (column(set), c))
+            .collect();
+        lp.add_constraint(&coeffs, Sense::Ge, 0.0);
+    }
+    let (solution, work) = SolverStats::on_thread(|| lp.solve().unwrap());
+    assert_eq!(solution.status, Status::Optimal);
+    assert!(
+        (solution.objective - 3.0).abs() <= 1e-6,
+        "{}",
+        solution.objective
+    );
+    assert_eq!(work.revised_cold_solves, 1);
+    assert!(
+        work.refactorizations <= work.primal_pivots / 512 + 1,
+        "{work:?}"
+    );
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //!
 //! A query optimizer does not ask for one bound — it asks for bounds on
 //! *every candidate plan's* subqueries, often hundreds per optimization
-//! call.  [`BatchEstimator`] is that entry point: a cone override, a solver
-//! choice, and [`crate::compute_bound_with`] applied to one item after the
-//! other, in input order, on the calling thread.
+//! call.  [`BatchEstimator`] is that entry point: a cone override and
+//! [`crate::compute_bound`] applied to one item after the other, in input
+//! order, on the calling thread.  There is no solver choice: each cone has
+//! one engine (see [`crate::compute_bound`]).
 //!
 //! There is no state shared between items and none carried between calls.
 //! The planner's statistics are simple
@@ -51,13 +52,12 @@
 //! }
 //! ```
 
-use crate::bound_lp::{compute_bound_with, BoundOptions, BoundResult, Cone};
+use crate::bound_lp::{compute_bound, BoundResult, Cone};
 use crate::collect::{AtomStatistics, CollectConfig};
 use crate::error::CoreError;
 use crate::query::JoinQuery;
 use crate::statistics::StatisticsSet;
 use lpb_data::Catalog;
-use lpb_lp::SolverKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -85,13 +85,11 @@ impl BatchItem {
 #[derive(Debug, Clone, Default)]
 pub struct BatchEstimator {
     cone: Option<Cone>,
-    solver: SolverKind,
     lps_estimated: Arc<AtomicUsize>,
 }
 
 impl BatchEstimator {
-    /// An estimator with automatic cone ([`Cone::auto`]) and solver
-    /// ([`SolverKind::Auto`]) selection.
+    /// An estimator with automatic cone selection ([`Cone::auto`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -99,12 +97,6 @@ impl BatchEstimator {
     /// Force one cone for every item instead of [`Cone::auto`].
     pub fn with_cone(mut self, cone: Cone) -> Self {
         self.cone = Some(cone);
-        self
-    }
-
-    /// Use a specific LP solver (e.g. [`SolverKind::Dense`] to cross-check).
-    pub fn with_solver(mut self, solver: SolverKind) -> Self {
-        self.solver = solver;
         self
     }
 
@@ -147,10 +139,7 @@ impl BatchEstimator {
     fn bound(&self, query: &JoinQuery, stats: &StatisticsSet) -> Result<BoundResult, CoreError> {
         self.lps_estimated.fetch_add(1, Ordering::Relaxed);
         let cone = self.cone.unwrap_or_else(|| Cone::auto(query, stats));
-        let options = BoundOptions {
-            solver: self.solver,
-        };
-        compute_bound_with(query, stats, cone, &options)
+        compute_bound(query, stats, cone)
     }
 
     /// Bound every sub-join of a plan enumeration: harvest the query's
@@ -204,7 +193,7 @@ impl BatchEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{collect_simple_statistics, compute_bound};
+    use crate::collect_simple_statistics;
     use lpb_data::RelationBuilder;
 
     fn catalog() -> Catalog {
@@ -262,19 +251,15 @@ mod tests {
         }
     }
 
-    /// The solver choices and — the statistics being simple (Theorem 6.1) —
-    /// the two sound cones all give the same bounds.
+    /// The automatic cone and — the statistics being simple (Theorem 6.1)
+    /// — each of the two sound cones forced give the same bounds.
     #[test]
     fn solvers_and_cones_agree() {
         let items = items();
         let reference = BatchEstimator::new().estimate(&items);
         for other in [
-            BatchEstimator::new().with_solver(SolverKind::SparseRevised),
-            BatchEstimator::new().with_solver(SolverKind::Dense),
+            BatchEstimator::new().with_cone(Cone::Normal),
             BatchEstimator::new().with_cone(Cone::Polymatroid),
-            BatchEstimator::new()
-                .with_cone(Cone::Polymatroid)
-                .with_solver(SolverKind::Dense),
         ] {
             for (r, o) in reference.iter().zip(&other.estimate(&items)) {
                 let (r, o) = (r.as_ref().unwrap(), o.as_ref().unwrap());

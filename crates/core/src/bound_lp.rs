@@ -7,10 +7,7 @@ use crate::skeleton::{normal_step_coefficient, BoundLpSkeleton, StepColumnPricer
 use crate::statistics::StatisticsSet;
 use lpb_data::Norm;
 use lpb_entropy::VarSet;
-use lpb_lp::{
-    CoveringLp, CoveringStatus, Problem, Sense, Solution, SolverKind, SolverOptions, SolverStats,
-    Status,
-};
+use lpb_lp::{CoveringLp, CoveringStatus, Problem, Sense, Solution, SolverStats, Status};
 
 /// Maximum number of query variables supported by the polymatroid (Γₙ)
 /// cone: the largest `n` whose materialized LP — `2^n − 1` variables, the
@@ -25,7 +22,7 @@ pub const POLYMATROID_VAR_LIMIT: usize = 8;
 
 /// Maximum number of query variables supported by the normal (Nₙ) cone.  The
 /// LP has one row per statistic and `2^n − 1` step-function columns, but the
-/// columns are generated, never stored ([`compute_bound_with`] solves a
+/// columns are generated, never stored ([`compute_bound`] solves a
 /// master LP over a few dozen of them): what grows with `n` is the pricing
 /// pass over a `2^n`-entry table (2 MiB, `n·2^{n−1}` additions per round at
 /// the limit) and [`BoundResult::primal`], which stays a dense
@@ -169,17 +166,6 @@ impl BoundResult {
     }
 }
 
-/// Per-call knobs for [`compute_bound_with`].
-#[derive(Debug, Clone, Default)]
-pub struct BoundOptions {
-    /// LP solver implementation ([`SolverKind::Auto`] by default: the dense
-    /// tableau under 160 rows, the sparse revised simplex from there; either
-    /// can be forced for cross-checking).  It has no meaning for
-    /// [`Cone::Normal`], whose LP is never posed as a `Problem`
-    /// ([`lpb_lp::CoveringLp`] solves it).
-    pub solver: SolverKind,
-}
-
 /// Compute `Log-L-Bound_K(Σ, b)` for the query's variable set.
 ///
 /// Every statistic must be guarded by its recorded atom (checked).  The
@@ -187,32 +173,21 @@ pub struct BoundOptions {
 /// satisfying the statistics (Theorem 1.1) when the cone is `Polymatroid`,
 /// or `Normal`; the `Modular` cone is provided only for the Appendix-B
 /// comparison and is not a sound bound in general.
+///
+/// One engine per cone, no knob: [`Cone::Normal`] is solved from its
+/// witness side by [`lpb_lp::CoveringLp`] (`solve_normal`); the other two
+/// cones are materialized as a [`Problem`] and solved by its revised
+/// simplex, whose numerical failures come back as [`CoreError::Lp`].
 pub fn compute_bound(
     query: &JoinQuery,
     stats: &StatisticsSet,
     cone: Cone,
 ) -> Result<BoundResult, CoreError> {
-    compute_bound_with(query, stats, cone, &BoundOptions::default())
-}
-
-/// [`compute_bound`] with an explicit solver; see [`BoundOptions`].
-pub fn compute_bound_with(
-    query: &JoinQuery,
-    stats: &StatisticsSet,
-    cone: Cone,
-    options: &BoundOptions,
-) -> Result<BoundResult, CoreError> {
     validate_guards(query, stats)?;
     let n = query.n_vars();
     let sol = match cone {
         Cone::Normal => solve_normal(n, stats)?,
-        Cone::Polymatroid | Cone::Modular => {
-            let lp_options = SolverOptions {
-                solver: options.solver,
-                ..SolverOptions::default()
-            };
-            build_bound_problem(n, stats, cone)?.solve_with(&lp_options)?
-        }
+        Cone::Polymatroid | Cone::Modular => build_bound_problem(n, stats, cone)?.solve()?,
     };
     solution_to_result(sol, stats, cone)
 }
@@ -228,9 +203,9 @@ pub fn compute_bound_with(
 const MAX_COLUMNS_PER_ROUND: usize = 32;
 
 /// A column enters the master only if `w·c(W) < 1 −` this: the solver's own
-/// optimality tolerance ([`SolverOptions::tolerance`]'s default), so the
-/// loop never generates a column the master would decline to pivot on, and
-/// the returned witness satisfies the witness inequality on every step
+/// optimality tolerance ([`lpb_lp::SolverOptions::tolerance`]'s default), so
+/// the loop never generates a column the master would decline to pivot on,
+/// and the returned witness satisfies the witness inequality on every step
 /// function to the accuracy the LP itself was solved to.
 const PRICING_TOLERANCE: f64 = 1e-9;
 
@@ -332,7 +307,7 @@ pub(crate) fn solve_normal(n: usize, stats: &StatisticsSet) -> Result<Solution, 
 /// The master LP over `columns` in primal form: one row per statistic, in
 /// statistics order (so the duals are the witness weights), log-bounds on
 /// the right.  The product solves its dual ([`solve_normal`]); this is the
-/// reference the tests solve with the general-purpose solvers.
+/// reference the tests solve with the general-purpose revised simplex.
 #[cfg(test)]
 pub(crate) fn normal_master(columns: &[VarSet], stats: &StatisticsSet) -> Problem {
     let mut p = Problem::maximize(columns.len());
@@ -819,9 +794,7 @@ mod tests {
         }
         let mut pricer = StepColumnPricer::new(n);
         loop {
-            let mut sol = normal_master(&columns, stats)
-                .solve_with(&SolverOptions::default())
-                .unwrap();
+            let mut sol = normal_master(&columns, stats).solve().unwrap();
             if sol.status != Status::Optimal {
                 return sol;
             }

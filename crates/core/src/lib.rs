@@ -56,8 +56,8 @@
 //! bound soundly, non-simple statistics; for one-shot [`Cone::auto`] callers
 //! with simple statistics (a stale rule that cannot move yet; see there);
 //! and for the experiments that study it (E4, E5, E7, E8), the examples and
-//! the differential tests.  It is always materialized — dense tableau to 5
-//! variables, revised simplex from 6 — and ends at
+//! the differential tests.  It is always materialized, solved by the
+//! revised simplex behind `lpb_lp::Problem::solve` at every size, and ends at
 //! [`POLYMATROID_VAR_LIMIT`] = 8 variables: above that, simple statistics
 //! get the same bound from the normal cone and non-simple ones a typed
 //! [`CoreError::TooManyVariables`].  No solve starts from another's basis
@@ -84,8 +84,7 @@ pub mod worst_case;
 
 pub use batch::{BatchEstimator, BatchItem};
 pub use bound_lp::{
-    compute_bound, compute_bound_with, BoundOptions, BoundResult, BoundStatus, Cone, Witness,
-    NORMAL_VAR_LIMIT, POLYMATROID_VAR_LIMIT,
+    compute_bound, BoundResult, BoundStatus, Cone, Witness, NORMAL_VAR_LIMIT, POLYMATROID_VAR_LIMIT,
 };
 pub use collect::{collect_simple_statistics, AtomStatistics, CollectConfig};
 pub use error::CoreError;

@@ -36,8 +36,8 @@ pub enum LpError {
         n_vars: usize,
     },
     /// The solver reached a numerically inconsistent state (e.g. accumulated
-    /// round-off made phase 1 look unbounded); re-solving with the dense
-    /// fallback or a looser tolerance is the recommended recovery.
+    /// round-off made phase 1 look unbounded).  No other engine retries the
+    /// solve; a looser tolerance is the recovery to try.
     NumericalInstability {
         /// Human-readable description of where the inconsistency appeared.
         detail: String,

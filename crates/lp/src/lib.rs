@@ -10,19 +10,19 @@
 //! * a [`Problem`] builder with sparse constraint rows, named variables and
 //!   shared immutable row blocks ([`SharedRowBlock`]) whose column-major
 //!   form is cached across solves,
+//! * a sparse **revised simplex** with an eta-file basis inverse, CSR/CSC
+//!   constraint storage and **Devex pricing** — [`Problem::solve`] runs it
+//!   on every LP it is given,
 //! * a dense **dual simplex for covering LPs** ([`CoveringLp`]):
 //!   `min b·w, a·w ≥ 1` from the dual-feasible `w = 0`, with rows appended
 //!   to the solved tableau in place,
-//! * a sparse **revised simplex** with an eta-file basis inverse, CSR/CSC
-//!   constraint storage and **Devex pricing** ([`revised`]),
 //! * a dense, two-phase tableau **simplex** method with Bland's
-//!   anti-cycling rule ([`solve_dense`]) — property tests assert that it
-//!   and the revised simplex agree on status, objective and the duality
-//!   identity,
+//!   anti-cycling rule ([`solve_dense`]), kept only as the reference oracle
+//!   that the differential tests check the revised simplex against,
 //! * process-wide and per-thread **work counters** ([`SolverStats`]):
-//!   pivot and refactorization counts, solves by path (dense, revised,
-//!   covering) with their summed widths, and column-generation rounds, so
-//!   benchmarks can assert on work instead of noisy wall-clock,
+//!   pivot and refactorization counts, solves by path (revised, covering)
+//!   with their summed widths, and column-generation rounds, so benchmarks
+//!   can assert on work instead of noisy wall-clock,
 //! * extraction of the **dual solution** (one multiplier per constraint),
 //!   which the bound engine uses to recover the witness information
 //!   inequality — i.e. *which* ℓp statistics the optimal bound uses.
@@ -32,20 +32,21 @@
 //! columns, all variables non-negative.  It is exact up to floating-point
 //! tolerance (`1e-9` pivot tolerance by default).
 //!
-//! Every path names its consumer in `lpb-core`:
+//! Two product paths, one per cone, each naming its consumer in `lpb-core`:
 //!
 //! * [`CoveringLp`] solves the normal-cone bound — every bound the planner
 //!   and the service compute, and one-shot `Cone::auto` bounds on simple
 //!   statistics above eight variables — as one tableau per bound, carried
 //!   across its pricing rounds;
-//! * the revised simplex solves the materialized polymatroid LPs of
-//!   [`DENSE_SMALL_LP_ROWS`] rows or more (six to eight variables: one-shot
-//!   `Cone::auto` bounds, non-simple statistics, cross-checks);
-//! * the dense tableau solves the smaller ones, and is the numerical
-//!   fallback of [`SolverKind::Auto`] when the revised simplex reports
-//!   [`LpError::NumericalInstability`].
+//! * the revised simplex solves every materialized LP ([`Problem::solve`]):
+//!   the polymatroid cone up to eight variables (one-shot `Cone::auto`
+//!   bounds, non-simple statistics, experiments E1–E8, the examples) and
+//!   the modular cone.  A numerical failure is a typed
+//!   [`LpError::NumericalInstability`]; no other engine retries the solve.
 //!
-//! Each path's module doc names its callers in detail.
+//! The tableau behind [`solve_dense`] is no third path: nothing in the
+//! product calls it, and it records no solver work.  Each module doc names
+//! its callers in detail.
 //!
 //! ## Example
 //!
@@ -70,18 +71,15 @@ mod covering;
 mod error;
 mod matrix;
 mod problem;
-pub mod revised;
+mod revised;
 mod simplex;
-pub mod sparse;
+mod sparse;
 mod stats;
 
 pub use covering::{CoveringLp, CoveringStatus};
 pub use error::LpError;
-pub use matrix::DenseMatrix;
-pub use problem::{Constraint, Direction, Problem, Sense, SharedRowBlock};
-pub use revised::solve_sparse;
-pub use simplex::{
-    solve, solve_dense, Solution, SolverKind, SolverOptions, Status, DENSE_SMALL_LP_ROWS,
+pub use problem::{
+    Constraint, Direction, Problem, Sense, SharedRowBlock, Solution, SolverOptions, Status,
 };
-pub use sparse::{CscMatrix, CsrMatrix};
+pub use simplex::solve_dense;
 pub use stats::SolverStats;

@@ -27,12 +27,6 @@ impl DenseMatrix {
         self.rows
     }
 
-    /// Number of columns.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
     /// Read entry `(r, c)`.
     #[inline]
     pub fn get(&self, r: usize, c: usize) -> f64 {
@@ -110,7 +104,7 @@ mod tests {
     fn zeros_has_expected_shape_and_values() {
         let m = DenseMatrix::zeros(3, 4);
         assert_eq!(m.rows(), 3);
-        assert_eq!(m.cols(), 4);
+        assert_eq!(m.row(0).len(), 4);
         for r in 0..3 {
             for c in 0..4 {
                 assert_eq!(m.get(r, c), 0.0);

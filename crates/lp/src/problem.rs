@@ -1,8 +1,8 @@
 //! Linear-program builder: variables, objective, sparse constraint rows,
-//! and shared immutable row blocks for problem families.
+//! and shared immutable row blocks for problem families; the options a
+//! solve takes and the solution it returns.
 
 use crate::error::LpError;
-use crate::simplex::{solve, Solution, SolverOptions};
 use crate::sparse::{CscMatrix, CsrMatrix};
 use std::sync::Arc;
 
@@ -24,6 +24,66 @@ pub enum Sense {
     Ge,
     /// `a·x == b`
     Eq,
+}
+
+/// Outcome category of a solve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Status {
+    /// An optimal solution was found.
+    Optimal,
+    /// The feasible region is empty.
+    Infeasible,
+    /// The objective is unbounded over the feasible region.
+    Unbounded,
+}
+
+/// Solver tuning knobs.
+#[derive(Debug, Clone)]
+pub struct SolverOptions {
+    /// Pivot / feasibility tolerance.
+    pub tolerance: f64,
+    /// Hard cap on simplex iterations per phase; `None` derives a cap from
+    /// the problem size.
+    pub max_iterations: Option<usize>,
+}
+
+impl Default for SolverOptions {
+    fn default() -> Self {
+        SolverOptions {
+            tolerance: 1e-9,
+            max_iterations: None,
+        }
+    }
+}
+
+/// Result of a solve.
+#[derive(Debug, Clone)]
+pub struct Solution {
+    /// Status of the solve. The `objective`, `x` and `duals` fields are only
+    /// meaningful when this is [`Status::Optimal`].
+    pub status: Status,
+    /// Optimal objective value, in the problem's original direction.
+    pub objective: f64,
+    /// Optimal values of the structural variables.
+    pub x: Vec<f64>,
+    /// Dual multiplier per constraint (in the order constraints were added).
+    ///
+    /// At an optimum of a maximization problem, `objective == Σ duals[i] *
+    /// rhs[i]` (strong duality for problems with non-negative variables),
+    /// and `duals[i] >= 0` for `<=` rows, `duals[i] <= 0` for `>=` rows.
+    /// For a minimization problem the duals are reported so that the same
+    /// identity `objective == Σ duals[i] * rhs[i]` holds.
+    pub duals: Vec<f64>,
+    /// `(row, structural variable)` pairs that are basic at the optimum.
+    /// Empty when the status is not [`Status::Optimal`].
+    pub basis: Vec<(usize, usize)>,
+}
+
+impl Solution {
+    /// Convenience: true when the status is [`Status::Optimal`].
+    pub fn is_optimal(&self) -> bool {
+        self.status == Status::Optimal
+    }
 }
 
 /// A single linear constraint `a·x (<=|>=|==) rhs`, with a sparse
@@ -311,10 +371,13 @@ impl Problem {
         self.solve_with(&SolverOptions::default())
     }
 
-    /// Solve the problem with explicit solver options.
+    /// Solve the problem with explicit solver options, by the sparse
+    /// revised simplex with Devex pricing.  A numerical failure of that
+    /// engine is returned as [`LpError::NumericalInstability`]; nothing
+    /// retries the solve on another engine.
     pub fn solve_with(&self, options: &SolverOptions) -> Result<Solution, LpError> {
         self.validate()?;
-        solve(self, options)
+        crate::revised::solve_sparse(self, options)
     }
 }
 

@@ -1,5 +1,5 @@
 //! Sparse revised simplex with a product-form (eta-file) basis inverse and
-//! Devex pricing.
+//! Devex pricing: the engine behind every [`Problem::solve`].
 //!
 //! Where the dense tableau materializes the full `m × (n + m)` tableau and
 //! rewrites all of it on every pivot, the revised method keeps the
@@ -7,29 +7,30 @@
 //! as a product of eta transformations, so one iteration costs
 //! `O(nnz(A) + nnz(etas))` instead of `O(m · (n + m))`.  For the polymatroid
 //! LP (rows are Shannon elemental inequalities with ≤ 4 nonzeros each) the
-//! measured speedup over the dense path grows from ~1.5× at 6 query
-//! variables to ~8× at 8 (see `BENCH_lp.json`).
+//! measured speedup over the tableau grows from ~1.5× at 6 query variables
+//! to ~8× at 8 (see `BENCH_lp.json`); at 3 to 5 variables the tableau is
+//! 5–25 µs faster per LP, too little to keep a second engine for.
 //!
-//! Semantics mirror [`crate::simplex::solve_dense`] exactly: two phases with
-//! artificial variables for `>=`/`==` rows, Bland's rule after a stall,
-//! identical status classification, and the same dual-sign conventions, so
-//! the two solvers can cross-check each other (see
-//! `tests/proptest_sparse_dense.rs`).
+//! Semantics mirror the reference tableau ([`crate::solve_dense`]) exactly:
+//! two phases with artificial variables for `>=`/`==` rows, Bland's rule
+//! after a stall, identical status classification, and the same dual-sign
+//! conventions, so the oracle can check this engine (see
+//! `tests/proptest_sparse_dense.rs`).  A numerical failure is returned as
+//! [`LpError::NumericalInstability`], never retried on another engine.
 //!
-//! Every solve is cold, from the slack basis.  Its consumer is the
-//! materialized polymatroid LP of 160 rows or more — 6 to 8 variables; the
-//! dense tableau takes the smaller ones (see [`crate::SolverKind::Auto`])
-//! and [`crate::CoveringLp`] the normal cone: one-shot `Cone::auto` bounds
-//! at those sizes (ten of the 33 queries of the benchmark's `bound-only`
-//! workload, thirty LPs of experiment E3), `compute_bound(..,
-//! Cone::Polymatroid)` on non-simple statistics, the benchmark's `k = 6`
-//! cycle probe, the `lp_scaling` emitter and the differential tests.  The
-//! fully enumerated normal-cone LPs that `lp_scaling` and `lp_agreement`
-//! keep as oracles of the generated solve come through here as well.
+//! Every solve is cold, from the slack basis.  Its consumers are every
+//! materialized LP, whatever its size: the polymatroid and modular cones of
+//! `lpb-core` — one-shot `Cone::auto` bounds up to eight variables (eleven
+//! of the 33 queries of the benchmark's `bound-only` workload), experiments
+//! E1–E8, the examples, `compute_bound(.., Cone::Polymatroid)` on
+//! non-simple statistics — the benchmark's cycle probe, the `lp_scaling`
+//! emitter and the fully enumerated normal-cone LPs that `lp_scaling` and
+//! `lp_agreement` keep as oracles of the generated solve.  The normal cone
+//! itself, every bound of the planner and the service, goes through
+//! [`crate::CoveringLp`] instead.
 
 use crate::error::LpError;
-use crate::problem::{Direction, Problem, Sense};
-use crate::simplex::{Solution, SolverOptions, Status};
+use crate::problem::{Direction, Problem, Sense, Solution, SolverOptions, Status};
 use crate::sparse::{CscMatrix, CsrMatrix};
 use crate::stats;
 use std::sync::Arc;
@@ -39,6 +40,14 @@ use std::sync::Arc;
 /// that survives phase 1 is pinned by the ratio test (see
 /// [`Engine::ratio_test`]) instead of drifting during phase 2.
 const ARTIFICIAL_RESIDUAL: f64 = 1e-6;
+
+/// Pivots between refactorizations: once this many etas have been added
+/// since the last one, the file is rebuilt from the current basis.  Counted
+/// from the refactorization, not as the file's length, because a rebuilt
+/// file already holds up to one eta per row: measured as a length, any LP
+/// with more rows than this would refactorize after every pivot once the
+/// cap was first reached, and restart its Devex weights each time.
+const ETA_REFACTOR_CAP: usize = 512;
 
 /// One eta transformation: pivoting column `w` into basis position `row`.
 struct Eta {
@@ -129,8 +138,11 @@ struct Engine {
     /// Scratch: entering column in dense form.
     work: Vec<f64>,
     pivots_since_recompute: usize,
-    /// Refactorize the eta file from scratch once it grows past this length.
+    /// Refactorize the eta file once more than this many etas were added
+    /// since the last refactorization ([`ETA_REFACTOR_CAP`] outside tests).
     eta_cap: usize,
+    /// Length of the eta file right after the last refactorization.
+    etas_at_refactor: usize,
     /// Bumped on every successful [`Engine::refactorize`]; lets the
     /// optimize loop detect in-pivot refactorizations and reset its Devex
     /// reference framework and incremental reduced costs.
@@ -242,7 +254,7 @@ impl Engine {
         }
         self.x_b[row] = theta;
         self.basis_replace(row, col);
-        if self.etas.len() > self.eta_cap {
+        if self.etas.len() - self.etas_at_refactor > self.eta_cap {
             self.refactorize();
         } else if self.pivots_since_recompute >= 64 {
             // Re-derive x_B = B⁻¹ b to keep incremental drift in check.
@@ -362,6 +374,7 @@ impl Engine {
         }
         self.basis = new_basis;
         self.etas = new_etas;
+        self.etas_at_refactor = self.etas.len();
         let mut xb = self.b.clone();
         ftran(&self.etas, &mut xb);
         self.x_b = xb;
@@ -415,7 +428,7 @@ impl Engine {
     /// pivot chains the raw most-positive reduced cost takes on the bound
     /// LPs (their right-hand sides are mostly zero).  Safeguards: the
     /// framework and the reduced costs restart from scratch after every
-    /// refactorization ([`SolverOptions::eta_refactor_cap`]) and
+    /// refactorization ([`ETA_REFACTOR_CAP`]) and
     /// periodically to bound drift, Bland iterations re-price exactly, and
     /// optimality is only declared after a confirming exact pricing pass.
     fn optimize(
@@ -590,7 +603,7 @@ enum Prep {
 /// Normalize `problem` — explicit rows are flipped so every RHS is
 /// non-negative, the cold-start invariant phase 1 relies on — and build the
 /// revised-simplex engine.
-fn prepare(problem: &Problem, options: &SolverOptions) -> Prep {
+fn prepare(problem: &Problem, options: &SolverOptions, eta_cap: usize) -> Prep {
     let n = problem.n_vars();
     let m_explicit = problem.n_constraints();
     let tail = problem.shared_tail().cloned();
@@ -713,9 +726,8 @@ fn prepare(problem: &Problem, options: &SolverOptions) -> Prep {
         tol,
         work: vec![0.0; m],
         pivots_since_recompute: 0,
-        // Refactorization itself leaves up to one eta per row, so a cap
-        // below m refactorizes after every pivot — correct, just eager.
-        eta_cap: options.eta_refactor_cap.max(1),
+        eta_cap: eta_cap.max(1),
+        etas_at_refactor: 0,
         refactor_epoch: 0,
     };
 
@@ -779,10 +791,23 @@ fn extract_solution(
 /// Solve `problem` with the sparse revised simplex.
 ///
 /// Status classification, dual signs and the strong-duality identity
-/// `objective == Σ dualsᵢ · rhsᵢ` all match the dense solver.
-pub fn solve_sparse(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpError> {
+/// `objective == Σ dualsᵢ · rhsᵢ` all match the reference tableau.
+pub(crate) fn solve_sparse(
+    problem: &Problem,
+    options: &SolverOptions,
+) -> Result<Solution, LpError> {
+    solve_with_eta_cap(problem, options, ETA_REFACTOR_CAP)
+}
+
+/// [`solve_sparse`] refactorizing after `eta_cap` pivots instead of
+/// [`ETA_REFACTOR_CAP`]; tests force refactorizations through it.
+fn solve_with_eta_cap(
+    problem: &Problem,
+    options: &SolverOptions,
+    eta_cap: usize,
+) -> Result<Solution, LpError> {
     stats::record_solve(stats::SolvePath::RevisedCold, problem.n_vars());
-    let mut p = match prepare(problem, options) {
+    let mut p = match prepare(problem, options, eta_cap) {
         Prep::Trivial(solution) => return Ok(solution),
         Prep::Ready(p) => *p,
     };
@@ -816,8 +841,8 @@ pub fn solve_sparse(problem: &Problem, options: &SolverOptions) -> Result<Soluti
             // than panicking the caller.
             Status::Unbounded => {
                 return Err(LpError::NumericalInstability {
-                    detail: "phase 1 reported an unbounded direction; \
-                             the dense fallback solver may succeed"
+                    detail: "phase 1 reported an unbounded direction, \
+                             which round-off alone can produce"
                         .into(),
                 })
             }
@@ -849,14 +874,6 @@ pub fn solve_sparse(problem: &Problem, options: &SolverOptions) -> Result<Soluti
 mod tests {
     use super::*;
     use crate::problem::Problem;
-    use crate::simplex::SolverKind;
-
-    fn sparse_opts() -> SolverOptions {
-        SolverOptions {
-            solver: SolverKind::SparseRevised,
-            ..SolverOptions::default()
-        }
-    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
@@ -870,7 +887,7 @@ mod tests {
         p.add_constraint(&[(0, 1.0)], Sense::Le, 4.0);
         p.add_constraint(&[(1, 2.0)], Sense::Le, 12.0);
         p.add_constraint(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0);
-        let s = p.solve_with(&sparse_opts()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 36.0);
         assert_close(s.x[0], 2.0);
@@ -887,7 +904,7 @@ mod tests {
         p.set_objective(1, 3.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Sense::Ge, 4.0);
         p.add_constraint(&[(0, 1.0), (1, 2.0)], Sense::Ge, 6.0);
-        let s = p.solve_with(&sparse_opts()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 10.0);
         assert_close(s.duals[0] * 4.0 + s.duals[1] * 6.0, 10.0);
@@ -897,7 +914,7 @@ mod tests {
         p.set_objective(1, 1.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Sense::Eq, 3.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 2.0);
-        let s = p.solve_with(&sparse_opts()).unwrap();
+        let s = p.solve().unwrap();
         assert_close(s.objective, 3.0);
     }
 
@@ -907,18 +924,12 @@ mod tests {
         p.set_objective(0, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Ge, 2.0);
-        assert_eq!(
-            p.solve_with(&sparse_opts()).unwrap().status,
-            Status::Infeasible
-        );
+        assert_eq!(p.solve().unwrap().status, Status::Infeasible);
 
         let mut p = Problem::maximize(1);
         p.set_objective(0, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Ge, 1.0);
-        assert_eq!(
-            p.solve_with(&sparse_opts()).unwrap().status,
-            Status::Unbounded
-        );
+        assert_eq!(p.solve().unwrap().status, Status::Unbounded);
     }
 
     #[test]
@@ -934,20 +945,24 @@ mod tests {
         for j in 0..n - 1 {
             p.add_constraint(&[(j, 1.0), (j + 1, 1.0)], Sense::Le, 2.5);
         }
-        let capped_opts = SolverOptions {
-            eta_refactor_cap: 4,
-            ..sparse_opts()
-        };
-        let (capped, work) = crate::SolverStats::on_thread(|| p.solve_with(&capped_opts).unwrap());
+        let options = SolverOptions::default();
+        let (capped, work) =
+            crate::SolverStats::on_thread(|| solve_with_eta_cap(&p, &options, 4).unwrap());
         assert!(
             work.refactorizations > 0,
             "a cap of 4 etas must refactorize at least once ({work:?})"
         );
-        let reference = p.solve_with(&sparse_opts()).unwrap();
+        // 47 rows against a cap of 4: a rebuilt file is longer than the cap,
+        // so counting the file's length would refactorize every pivot.
+        assert!(
+            work.refactorizations <= work.primal_pivots / 4 + 1,
+            "refactorized by file length, not by pivots taken ({work:?})"
+        );
+        let reference = p.solve().unwrap();
         assert_eq!(capped.status, reference.status);
         assert_close(capped.objective, reference.objective);
-        let dense = p.solve_with(&SolverOptions::dense()).unwrap();
-        assert_close(capped.objective, dense.objective);
+        let oracle = crate::solve_dense(&p, &options).unwrap();
+        assert_close(capped.objective, oracle.objective);
     }
 
     #[test]
@@ -959,12 +974,7 @@ mod tests {
         }
         p.add_constraint(&[(0, 1.0), (2, 1.0), (4, 1.0)], Sense::Le, 5.0);
         p.add_constraint(&[(1, 1.0), (3, 1.0), (5, 1.0)], Sense::Le, 4.0);
-        let capped = p
-            .solve_with(&SolverOptions {
-                eta_refactor_cap: 1,
-                ..sparse_opts()
-            })
-            .unwrap();
+        let capped = solve_with_eta_cap(&p, &SolverOptions::default(), 1).unwrap();
         assert_eq!(capped.status, Status::Optimal);
         // Strong duality must survive refactorization.
         let dual_obj: f64 = p
@@ -993,7 +1003,7 @@ mod tests {
             0.0,
         );
         p.add_constraint(&[(2, 1.0)], Sense::Le, 1.0);
-        let s = p.solve_with(&sparse_opts()).unwrap();
+        let s = p.solve().unwrap();
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 0.05);
     }

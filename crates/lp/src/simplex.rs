@@ -1,127 +1,21 @@
 //! Dense two-phase primal simplex with Bland's anti-cycling fallback and
-//! dual-solution extraction.
+//! dual-solution extraction: the crate's reference oracle.
 //!
-//! Its consumers: materialized polymatroid LPs under
-//! [`DENSE_SMALL_LP_ROWS`] rows (up to five variables) — the LPs of
-//! experiments E1, E2, E4, E5, E7, E8 and of the examples, the small
-//! queries of E3, and one-shot `Cone::auto` bounds at those sizes (one of
-//! the 33 queries of the benchmark's `bound-only` workload); the
-//! modular-cone LPs; every cross-check that asks for [`SolverKind::Dense`]
-//! by name; and, as the numerical fallback of [`SolverKind::Auto`], any
-//! larger LP on which the revised simplex reports
-//! [`LpError::NumericalInstability`].  Normal-cone bounds — every LP of the
-//! planner and the service — are not posed as a [`Problem`] at all: they
-//! are solved from the witness side by [`crate::CoveringLp`].
+//! Nothing in the product solves through here.  [`Problem::solve`] runs the
+//! sparse revised simplex on every materialized LP, and the normal cone is
+//! solved from the witness side by [`crate::CoveringLp`].  The tableau
+//! shares no code with either: it materializes the whole `m × (n + m)`
+//! tableau and rewrites all of it on every pivot, which makes it slow and
+//! easy to check.  The differential tests call [`solve_dense`] by name —
+//! `tests/proptest_sparse_dense.rs` and the revised simplex's own tests in
+//! this crate, `lp_agreement` on the e1–e8 polymatroid LPs in `lpb-bench` —
+//! and so does the `lp_scaling` emitter for its `dense_rebuild_us` column.
+//! It records no solver work ([`crate::SolverStats`]), so a counter delta
+//! around a product call never includes an oracle solve.
 
 use crate::error::LpError;
 use crate::matrix::DenseMatrix;
-use crate::problem::{Direction, Problem, Sense};
-
-/// Outcome category of a solve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Status {
-    /// An optimal solution was found.
-    Optimal,
-    /// The feasible region is empty.
-    Infeasible,
-    /// The objective is unbounded over the feasible region.
-    Unbounded,
-}
-
-/// Below this many constraint rows the dense tableau beats the revised
-/// method's per-iteration bookkeeping, so [`SolverKind::Auto`] routes
-/// small LPs to the dense path.  Measured with the revised method's Devex
-/// pricing (`BENCH_lp.json` rows): the dense tableau still wins ~20% at
-/// ~140 rows (n = 5 polymatroid), the two tie near ~320 rows (n = 6) and
-/// the revised method pulls ahead 2–6x beyond that — Devex cuts degenerate
-/// pivot chains but does not change the small-LP bookkeeping constant, so
-/// the crossover sits between those two measured points.
-pub const DENSE_SMALL_LP_ROWS: usize = 160;
-
-/// Which simplex implementation to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SolverKind {
-    /// Pick per problem (the default): the dense tableau for LPs under
-    /// [`DENSE_SMALL_LP_ROWS`] rows, the sparse revised simplex otherwise.
-    #[default]
-    Auto,
-    /// Sparse revised simplex with an eta-file basis inverse and Devex
-    /// pricing ([`crate::revised::solve_sparse`]) — the scalable path.
-    SparseRevised,
-    /// Dense two-phase tableau simplex ([`solve_dense`]), kept as a
-    /// cross-checking fallback; both solvers agree on status, objective and
-    /// the duality identity (enforced by property tests).
-    Dense,
-}
-
-/// Solver tuning knobs.
-#[derive(Debug, Clone)]
-pub struct SolverOptions {
-    /// Pivot / feasibility tolerance.
-    pub tolerance: f64,
-    /// Hard cap on simplex iterations per phase; `None` derives a cap from
-    /// the problem size.
-    pub max_iterations: Option<usize>,
-    /// Simplex implementation to use.
-    pub solver: SolverKind,
-    /// Maximum length of the sparse solver's eta file before it is
-    /// refactorized from scratch (counted by
-    /// [`crate::SolverStats::refactorizations`]).  A solve with many pivots
-    /// would otherwise accumulate an unbounded product of eta
-    /// transformations, making every FTRAN/BTRAN slower and noisier.
-    pub eta_refactor_cap: usize,
-}
-
-impl Default for SolverOptions {
-    fn default() -> Self {
-        SolverOptions {
-            tolerance: 1e-9,
-            max_iterations: None,
-            solver: SolverKind::default(),
-            eta_refactor_cap: 512,
-        }
-    }
-}
-
-impl SolverOptions {
-    /// Options selecting the dense tableau fallback.
-    pub fn dense() -> Self {
-        SolverOptions {
-            solver: SolverKind::Dense,
-            ..SolverOptions::default()
-        }
-    }
-}
-
-/// Result of a solve.
-#[derive(Debug, Clone)]
-pub struct Solution {
-    /// Status of the solve. The `objective`, `x` and `duals` fields are only
-    /// meaningful when this is [`Status::Optimal`].
-    pub status: Status,
-    /// Optimal objective value, in the problem's original direction.
-    pub objective: f64,
-    /// Optimal values of the structural variables.
-    pub x: Vec<f64>,
-    /// Dual multiplier per constraint (in the order constraints were added).
-    ///
-    /// At an optimum of a maximization problem, `objective == Σ duals[i] *
-    /// rhs[i]` (strong duality for problems with non-negative variables),
-    /// and `duals[i] >= 0` for `<=` rows, `duals[i] <= 0` for `>=` rows.
-    /// For a minimization problem the duals are reported so that the same
-    /// identity `objective == Σ duals[i] * rhs[i]` holds.
-    pub duals: Vec<f64>,
-    /// `(row, structural variable)` pairs that are basic at the optimum.
-    /// Empty when the status is not [`Status::Optimal`].
-    pub basis: Vec<(usize, usize)>,
-}
-
-impl Solution {
-    /// Convenience: true when the status is [`Status::Optimal`].
-    pub fn is_optimal(&self) -> bool {
-        self.status == Status::Optimal
-    }
-}
+use crate::problem::{Direction, Problem, Sense, Solution, SolverOptions, Status};
 
 struct Tableau {
     /// Constraint rows, including slack/surplus/artificial columns and the
@@ -149,34 +43,15 @@ struct Tableau {
     tol: f64,
 }
 
-/// Solve `problem` with the given options, dispatching on
-/// [`SolverOptions::solver`].
-pub fn solve(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpError> {
-    match options.solver {
-        SolverKind::Auto => {
-            if problem.n_rows_total() < DENSE_SMALL_LP_ROWS {
-                solve_dense(problem, options)
-            } else {
-                // The dense tableau really is the fallback: if the sparse
-                // path degrades numerically, retry dense before giving up.
-                match crate::revised::solve_sparse(problem, options) {
-                    Err(LpError::NumericalInstability { .. }) => solve_dense(problem, options),
-                    other => other,
-                }
-            }
-        }
-        SolverKind::SparseRevised => crate::revised::solve_sparse(problem, options),
-        SolverKind::Dense => solve_dense(problem, options),
-    }
-}
-
-/// Solve `problem` with the dense two-phase tableau simplex (the
-/// cross-checking fallback; see [`SolverKind`]).
+/// Solve `problem` with the dense two-phase tableau simplex, the reference
+/// oracle of the revised simplex (see the module docs).  Status
+/// classification, dual signs and the strong-duality identity
+/// `objective == Σ dualsᵢ · rhsᵢ` are the ones [`Problem::solve`] reports.
 pub fn solve_dense(problem: &Problem, options: &SolverOptions) -> Result<Solution, LpError> {
+    problem.validate()?;
     let n = problem.n_vars();
     let m = problem.n_rows_total();
     let tol = options.tolerance;
-    crate::stats::record_solve(crate::stats::SolvePath::Dense, n);
 
     // Internally always maximize.
     let sign = match problem.direction() {
@@ -490,7 +365,6 @@ fn choose_entering(tab: &Tableau, phase1: bool, bland: bool) -> Option<usize> {
 fn pivot(tab: &mut Tableau, row: usize, col: usize) {
     let p = tab.t.get(row, col);
     debug_assert!(p.abs() > tab.tol, "pivot element too small");
-    crate::stats::record_primal_pivot();
     tab.t.scale_row(row, p);
     for i in 0..tab.t.rows() {
         if i != row {
@@ -544,7 +418,11 @@ fn drive_out_artificials(tab: &mut Tableau) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::problem::Problem;
+
+    /// The oracle on default options; these tests pin the tableau itself.
+    fn solve(p: &Problem) -> Solution {
+        solve_dense(p, &SolverOptions::default()).unwrap()
+    }
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-6, "expected {b}, got {a}");
@@ -560,7 +438,7 @@ mod tests {
         p.add_constraint(&[(0, 1.0)], Sense::Le, 4.0);
         p.add_constraint(&[(1, 2.0)], Sense::Le, 12.0);
         p.add_constraint(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 36.0);
         assert_close(s.x[0], 2.0);
@@ -571,23 +449,26 @@ mod tests {
         assert!(s.duals.iter().all(|&d| d >= -1e-9));
     }
 
+    /// A three-row LP goes to the revised simplex like every other
+    /// `Problem`, and shows up in the work counters; the oracle solving the
+    /// same LP records nothing.
     #[test]
-    fn dense_routed_solves_report_their_pivots() {
-        // Three rows, no warm-start token: `SolverKind::Auto` takes the
-        // dense tableau, whose pivots must show up in the work counters.
+    fn small_lps_solve_revised_and_the_oracle_records_no_work() {
         let mut p = Problem::maximize(2);
         p.set_objective(0, 3.0);
         p.set_objective(1, 5.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 4.0);
         p.add_constraint(&[(1, 2.0)], Sense::Le, 12.0);
         p.add_constraint(&[(0, 3.0), (1, 2.0)], Sense::Le, 18.0);
-        assert!(p.n_rows_total() < DENSE_SMALL_LP_ROWS);
-        let (solution, work) = crate::SolverStats::on_thread(|| p.solve().unwrap());
-        assert_eq!(solution.status, Status::Optimal);
-        assert!(work.primal_pivots > 0, "dense pivots went unrecorded");
+        let (revised, work) = crate::SolverStats::on_thread(|| p.solve().unwrap());
+        assert_eq!(revised.status, Status::Optimal);
+        assert!(work.primal_pivots > 0, "revised pivots went unrecorded");
         assert_eq!(work.total_pivots(), work.primal_pivots);
-        assert_eq!((work.dense_solves, work.total_solves()), (1, 1));
+        assert_eq!((work.revised_cold_solves, work.total_solves()), (1, 1));
         assert_eq!(work.solve_columns, 2);
+        let (oracle, work) = crate::SolverStats::on_thread(|| solve(&p));
+        assert_close(oracle.objective, revised.objective);
+        assert_eq!(work, crate::SolverStats::default());
     }
 
     #[test]
@@ -598,7 +479,7 @@ mod tests {
         p.set_objective(1, 3.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Sense::Ge, 4.0);
         p.add_constraint(&[(0, 1.0), (1, 2.0)], Sense::Ge, 6.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 10.0);
         assert_close(s.x[0], 2.0);
@@ -615,7 +496,7 @@ mod tests {
         p.set_objective(1, 1.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Sense::Eq, 3.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 2.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 3.0);
         assert_close(s.x[0] + s.x[1], 3.0);
@@ -628,7 +509,7 @@ mod tests {
         p.set_objective(0, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Ge, 2.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Infeasible);
     }
 
@@ -638,7 +519,7 @@ mod tests {
         let mut p = Problem::maximize(1);
         p.set_objective(0, 1.0);
         p.add_constraint(&[(0, 1.0)], Sense::Ge, 1.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Unbounded);
     }
 
@@ -646,12 +527,12 @@ mod tests {
     fn unconstrained_problem() {
         let mut p = Problem::maximize(2);
         p.set_objective(0, 1.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Unbounded);
 
         let mut p = Problem::maximize(2);
         p.set_objective(0, -1.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 0.0);
     }
@@ -664,7 +545,7 @@ mod tests {
         p.set_objective(0, 1.0);
         p.add_constraint(&[(0, -1.0)], Sense::Le, -2.0);
         p.add_constraint(&[(0, 1.0)], Sense::Le, 5.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 5.0);
         assert_close(s.duals[0], 0.0);
@@ -691,7 +572,7 @@ mod tests {
             0.0,
         );
         p.add_constraint(&[(2, 1.0)], Sense::Le, 1.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 0.05);
     }
@@ -705,7 +586,7 @@ mod tests {
         p.add_constraint(&[(0, 1.0)], Sense::Le, 1.0);
         p.add_constraint(&[(1, 1.0)], Sense::Le, 2.0);
         p.add_constraint(&[(0, 1.0), (1, 1.0)], Sense::Le, 10.0);
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_close(s.objective, 3.0);
         assert_close(s.duals[0], 1.0);
         assert_close(s.duals[1], 1.0);
@@ -757,7 +638,7 @@ mod tests {
                 }
             }
         }
-        let s = p.solve().unwrap();
+        let s = solve(&p);
         assert_eq!(s.status, Status::Optimal);
         assert_close(s.objective, 1.5 * logn);
     }

@@ -1,11 +1,12 @@
 //! Compressed sparse row/column storage for LP constraint matrices.
 //!
 //! The bound-engine LPs are extremely sparse: a Shannon elemental row has at
-//! most 4 nonzeros and a statistic row at most 2, while the dense tableau
-//! the seed solver builds is `m × (n + m)`. [`CsrMatrix`] stores only the
-//! nonzeros, row-major; [`CscMatrix`] is its column-major transpose, which
-//! is what the revised simplex needs for pricing (`yᵀA_j`) and FTRAN
-//! (`B⁻¹A_j`) — both walk one *column* at a time.
+//! most 4 nonzeros and a statistic row at most 2, while the reference
+//! tableau ([`crate::solve_dense`]) is a dense `m × (n + m)`.
+//! [`CsrMatrix`] stores only the nonzeros, row-major; [`CscMatrix`] is its
+//! column-major transpose, which is what the revised simplex needs for
+//! pricing (`yᵀA_j`) and FTRAN (`B⁻¹A_j`) — both walk one *column* at a
+//! time.
 
 /// A row-major compressed sparse matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,16 +60,6 @@ impl CsrMatrix {
         }
     }
 
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
     /// Number of stored nonzeros.
     pub fn nnz(&self) -> usize {
         self.values.len()
@@ -81,11 +72,6 @@ impl CsrMatrix {
             .iter()
             .copied()
             .zip(self.values[span].iter().copied())
-    }
-
-    /// Dot product of row `i` with a dense vector.
-    pub fn row_dot(&self, i: usize, x: &[f64]) -> f64 {
-        self.row(i).map(|(j, v)| v * x[j]).sum()
     }
 
     /// Column-major transpose.
@@ -111,8 +97,6 @@ impl CsrMatrix {
             }
         }
         CscMatrix {
-            n_rows: self.n_rows,
-            n_cols: self.n_cols,
             col_ptr,
             row_idx,
             values,
@@ -123,8 +107,6 @@ impl CsrMatrix {
 /// A column-major compressed sparse matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CscMatrix {
-    n_rows: usize,
-    n_cols: usize,
     /// `col_ptr[j]..col_ptr[j+1]` indexes column `j`'s entries.
     col_ptr: Vec<usize>,
     row_idx: Vec<usize>,
@@ -132,21 +114,6 @@ pub struct CscMatrix {
 }
 
 impl CscMatrix {
-    /// Number of rows.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.n_cols
-    }
-
-    /// Number of stored nonzeros.
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
     /// The `(row, value)` entries of column `j`.
     pub fn col(&self, j: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let span = self.col_ptr[j]..self.col_ptr[j + 1];
@@ -194,21 +161,17 @@ mod tests {
     #[test]
     fn shape_and_row_access() {
         let m = sample();
-        assert_eq!(m.n_rows(), 3);
-        assert_eq!(m.n_cols(), 4);
         assert_eq!(m.nnz(), 4);
+        assert_eq!(m.row(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, -2.0)]);
         assert_eq!(m.row(1).count(), 0);
         assert_eq!(m.row(2).collect::<Vec<_>>(), vec![(0, 1.0), (3, 4.0)]);
-        assert_eq!(m.row_dot(0, &[1.0, 1.0, 1.0, 1.0]), -1.0);
     }
 
     #[test]
     fn csc_transpose_round_trips() {
         let m = sample();
         let c = m.to_csc();
-        assert_eq!(c.n_rows(), 3);
-        assert_eq!(c.n_cols(), 4);
-        assert_eq!(c.nnz(), m.nnz());
+        assert_eq!((0..4).map(|j| c.col(j).count()).sum::<usize>(), m.nnz());
         assert_eq!(c.col(0).collect::<Vec<_>>(), vec![(0, 1.0), (2, 1.0)]);
         assert_eq!(c.col(1).count(), 0);
         assert_eq!(c.col(2).collect::<Vec<_>>(), vec![(0, -2.0)]);

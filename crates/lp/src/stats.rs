@@ -1,9 +1,13 @@
 //! Process-wide and per-thread solver work counters.
 //!
 //! Wall-clock timings are noisy in CI, so the benchmarks assert on *work*
-//! instead: pivot counts, refactorizations, which of the crate's three
-//! solve paths each solve took and how wide it was, and column-generation
-//! rounds.  Two views exist over the same recordings:
+//! instead: pivot counts, refactorizations, which of the crate's two
+//! product solve paths each solve took and how wide it was — the revised
+//! simplex for every materialized LP, [`crate::CoveringLp`] for the normal
+//! cone — and column-generation rounds.  The reference tableau
+//! ([`crate::solve_dense`]) records nothing, so a delta around a product
+//! call never counts an oracle solve.  Two views exist over the same
+//! recordings:
 //!
 //! * **Process-wide** ([`SolverStats::snapshot`]) — relaxed atomics shared
 //!   by every engine in the process.  Callers take a snapshot before a
@@ -24,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 static PRIMAL_PIVOTS: AtomicU64 = AtomicU64::new(0);
 static DUAL_PIVOTS: AtomicU64 = AtomicU64::new(0);
 static REFACTORIZATIONS: AtomicU64 = AtomicU64::new(0);
-static DENSE_SOLVES: AtomicU64 = AtomicU64::new(0);
 static REVISED_COLD_SOLVES: AtomicU64 = AtomicU64::new(0);
 static COVERING_SOLVES: AtomicU64 = AtomicU64::new(0);
 static SOLVE_COLUMNS: AtomicU64 = AtomicU64::new(0);
@@ -35,7 +38,6 @@ thread_local! {
     static TL_PRIMAL_PIVOTS: Cell<u64> = const { Cell::new(0) };
     static TL_DUAL_PIVOTS: Cell<u64> = const { Cell::new(0) };
     static TL_REFACTORIZATIONS: Cell<u64> = const { Cell::new(0) };
-    static TL_DENSE_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_REVISED_COLD_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_COVERING_SOLVES: Cell<u64> = const { Cell::new(0) };
     static TL_SOLVE_COLUMNS: Cell<u64> = const { Cell::new(0) };
@@ -64,7 +66,6 @@ pub(crate) fn record_refactorization() {
 /// [`SolverStats`]).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum SolvePath {
-    Dense,
     RevisedCold,
     Covering,
 }
@@ -72,7 +73,6 @@ pub(crate) enum SolvePath {
 /// Count one solve over `columns` structural columns on `path`.
 pub(crate) fn record_solve(path: SolvePath, columns: usize) {
     match path {
-        SolvePath::Dense => bump(&DENSE_SOLVES, &TL_DENSE_SOLVES, 1),
         SolvePath::RevisedCold => bump(&REVISED_COLD_SOLVES, &TL_REVISED_COLD_SOLVES, 1),
         SolvePath::Covering => bump(&COVERING_SOLVES, &TL_COVERING_SOLVES, 1),
     }
@@ -86,12 +86,12 @@ pub(crate) fn record_solve(path: SolvePath, columns: usize) {
 /// field-wise, giving the work done between the two snapshots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SolverStats {
-    /// Primal simplex pivots (phase 1 + phase 2, dense and revised).
+    /// Primal simplex pivots of the revised simplex (phase 1 + phase 2).
     pub primal_pivots: u64,
     /// Dual simplex pivots: every pivot of [`crate::CoveringLp`].
     pub dual_pivots: u64,
-    /// Eta-file refactorizations of the revised simplex (cap hits and the
-    /// re-check before an unbounded verdict).
+    /// Eta-file refactorizations of the revised simplex (one per 512 pivots
+    /// at most, plus the re-check before an unbounded verdict).
     pub refactorizations: u64,
     /// Reads 0 by construction since the revised simplex lost its
     /// row-append path: no solve appends rows to a factorized basis.
@@ -100,17 +100,13 @@ pub struct SolverStats {
     /// [`dual_pivots`](Self::dual_pivots).)  The field stays only because
     /// the `benchmark/` package of record reads it by name.
     pub rows_appended: u64,
-    /// Solves by the dense two-phase tableau (routed there by
-    /// [`crate::SolverKind::Auto`], asked for explicitly, or as the
-    /// fallback of a numerically failed sparse solve).
-    pub dense_solves: u64,
-    /// Cold solves by the sparse revised simplex, from the slack basis
-    /// ([`crate::solve_sparse`]).
+    /// Cold solves by the sparse revised simplex, from the slack basis:
+    /// every [`crate::Problem::solve`].
     pub revised_cold_solves: u64,
     /// [`crate::CoveringLp::solve`] calls: one per pricing round of a
     /// normal-cone bound, each continuing from the basis of the round before.
     pub covering_solves: u64,
-    /// Structural columns summed over the solves counted in the three
+    /// Structural columns summed over the solves counted in the two
     /// `*_solves` fields: the mean LP width is this over their sum, and a
     /// delta of at most `k` proves no solve inside it was wider than `k`.
     pub solve_columns: u64,
@@ -131,7 +127,6 @@ impl SolverStats {
             dual_pivots: DUAL_PIVOTS.load(Ordering::Relaxed),
             refactorizations: REFACTORIZATIONS.load(Ordering::Relaxed),
             rows_appended: 0,
-            dense_solves: DENSE_SOLVES.load(Ordering::Relaxed),
             revised_cold_solves: REVISED_COLD_SOLVES.load(Ordering::Relaxed),
             covering_solves: COVERING_SOLVES.load(Ordering::Relaxed),
             solve_columns: SOLVE_COLUMNS.load(Ordering::Relaxed),
@@ -150,7 +145,6 @@ impl SolverStats {
             dual_pivots: TL_DUAL_PIVOTS.with(Cell::get),
             refactorizations: TL_REFACTORIZATIONS.with(Cell::get),
             rows_appended: 0,
-            dense_solves: TL_DENSE_SOLVES.with(Cell::get),
             revised_cold_solves: TL_REVISED_COLD_SOLVES.with(Cell::get),
             covering_solves: TL_COVERING_SOLVES.with(Cell::get),
             solve_columns: TL_SOLVE_COLUMNS.with(Cell::get),
@@ -192,7 +186,6 @@ impl SolverStats {
             dual_pivots: sub(|s| s.dual_pivots),
             refactorizations: sub(|s| s.refactorizations),
             rows_appended: sub(|s| s.rows_appended),
-            dense_solves: sub(|s| s.dense_solves),
             revised_cold_solves: sub(|s| s.revised_cold_solves),
             covering_solves: sub(|s| s.covering_solves),
             solve_columns: sub(|s| s.solve_columns),
@@ -203,7 +196,7 @@ impl SolverStats {
 
     /// Every solve, whichever path it took.
     pub fn total_solves(&self) -> u64 {
-        self.dense_solves + self.revised_cold_solves + self.covering_solves
+        self.revised_cold_solves + self.covering_solves
     }
 
     /// Primal plus dual pivots.
@@ -273,7 +266,7 @@ mod tests {
             for _ in 0..3 {
                 record_primal_pivot();
             }
-            record_solve(SolvePath::Dense, 12);
+            record_solve(SolvePath::Covering, 12);
             record_solve(SolvePath::RevisedCold, 30);
             SolverStats::record_generation_round(4);
         });
@@ -284,7 +277,7 @@ mod tests {
         assert_eq!(mine.primal_pivots, 3);
         assert_eq!(mine.dual_pivots, 0);
         assert_eq!(mine.rows_appended, 0);
-        assert_eq!((mine.dense_solves, mine.revised_cold_solves), (1, 1));
+        assert_eq!((mine.revised_cold_solves, mine.covering_solves), (1, 1));
         assert_eq!(mine.solve_columns, 42);
         assert_eq!((mine.generation_rounds, mine.columns_generated), (1, 4));
         assert_eq!(theirs.total_solves(), 0);

@@ -1,9 +1,10 @@
-//! Property tests asserting that the sparse revised simplex and the dense
-//! tableau simplex agree — on status, on the objective, and on the strong
-//! duality identity `objective == Σ dualsᵢ·rhsᵢ` — over random LPs that may
-//! be feasible-bounded, infeasible, or unbounded.
+//! Property tests asserting that the sparse revised simplex behind
+//! `Problem::solve` and the reference tableau (`solve_dense`) agree — on
+//! status, on the objective, and on the strong duality identity
+//! `objective == Σ dualsᵢ·rhsᵢ` — over random LPs that may be
+//! feasible-bounded, infeasible, or unbounded.
 
-use lpb_lp::{Problem, Sense, SolverKind, SolverOptions, Status};
+use lpb_lp::{solve_dense, Problem, Sense, SolverOptions, Status};
 use proptest::prelude::*;
 
 /// A random LP with arbitrary row senses and signed coefficients, so every
@@ -92,13 +93,6 @@ fn build(lp: &AnyLp) -> Problem {
     p
 }
 
-fn sparse_opts() -> SolverOptions {
-    SolverOptions {
-        solver: SolverKind::SparseRevised,
-        ..SolverOptions::default()
-    }
-}
-
 fn duality_gap(p: &Problem, sol: &lpb_lp::Solution) -> f64 {
     let dual_obj: f64 = p
         .constraints()
@@ -118,8 +112,8 @@ proptest! {
     #[test]
     fn sparse_and_dense_agree_on_arbitrary_lps(lp in any_lp()) {
         let p = build(&lp);
-        let dense = p.solve_with(&SolverOptions::dense()).unwrap();
-        let sparse = match p.solve_with(&sparse_opts()) {
+        let dense = solve_dense(&p, &SolverOptions::default()).unwrap();
+        let sparse = match p.solve() {
             Ok(s) => s,
             Err(e) => { prop_assert!(false, "sparse failed with {e} on {:?}", lp); unreachable!() }
         };
@@ -139,8 +133,8 @@ proptest! {
     #[test]
     fn sparse_and_dense_agree_on_bounded_lps(lp in bounded_lp()) {
         let p = build(&lp);
-        let dense = p.solve_with(&SolverOptions::dense()).unwrap();
-        let sparse = p.solve_with(&sparse_opts()).unwrap();
+        let dense = solve_dense(&p, &SolverOptions::default()).unwrap();
+        let sparse = p.solve().unwrap();
         prop_assert_eq!(dense.status, Status::Optimal);
         prop_assert_eq!(sparse.status, Status::Optimal);
         prop_assert!((dense.objective - sparse.objective).abs()
