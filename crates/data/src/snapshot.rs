@@ -37,7 +37,7 @@ use crate::error::DataError;
 use crate::relation::Relation;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 /// A shared, concurrently readable cell holding the current catalog
 /// version; see the module docs.
@@ -71,7 +71,7 @@ impl SnapshotCatalog {
     /// construction: the read lock is only ever write-contended for the
     /// duration of a pointer store inside [`publish`](Self::publish).
     pub fn load(&self) -> Arc<Catalog> {
-        Arc::clone(&self.current.read().expect("snapshot cell poisoned"))
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The publication generation: increments by one per publish.  Distinct
@@ -106,30 +106,19 @@ impl SnapshotCatalog {
     /// "mid-publish" without touching anything readers use — which is
     /// exactly what the non-blocking-readers rendezvous tests suspend on.
     pub fn publish_with(&self, successor: Catalog, mid: impl FnOnce()) -> u64 {
-        let _writer = self.writer.lock().expect("snapshot writer lock poisoned");
+        let _writer = self.writer();
         let arc = Arc::new(successor);
-        let epoch = arc.epoch();
         mid();
-        *self.current.write().expect("snapshot cell poisoned") = arc;
-        // Release-publish the new generation only after the store, so a
-        // reader that observes the bump refreshes to the new snapshot.
-        self.generation.fetch_add(1, Ordering::Release);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        epoch
+        self.store(arc)
     }
 
     /// Read-modify-publish: build a successor from the current snapshot
     /// under the writer lock (concurrent updates serialize, so no version
     /// is ever lost) and publish it.  Returns the new epoch.
     pub fn update(&self, f: impl FnOnce(&Catalog) -> Catalog) -> u64 {
-        let _writer = self.writer.lock().expect("snapshot writer lock poisoned");
+        let _writer = self.writer();
         let base = self.load();
-        let arc = Arc::new(f(&base));
-        let epoch = arc.epoch();
-        *self.current.write().expect("snapshot cell poisoned") = arc;
-        self.generation.fetch_add(1, Ordering::Release);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
-        epoch
+        self.store(Arc::new(f(&base)))
     }
 
     /// Replace one relation: builds an epoch-bumped successor
@@ -149,14 +138,31 @@ impl SnapshotCatalog {
         max_norm: u32,
     ) -> Result<u64, DataError> {
         let relation = relation.into();
-        let _writer = self.writer.lock().expect("snapshot writer lock poisoned");
+        let _writer = self.writer();
         let base = self.load();
-        let arc = Arc::new(base.absorb_observed(Arc::clone(&relation), max_norm)?);
+        let successor = base.absorb_observed(Arc::clone(&relation), max_norm)?;
+        Ok(self.store(Arc::new(successor)))
+    }
+
+    /// Serialize writers.  The mutex guards no data, so a writer that
+    /// panicked while holding it (in `update`'s closure, say) left nothing
+    /// half-done, and the next writer goes ahead.
+    fn writer(&self) -> MutexGuard<'_, ()> {
+        self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Publish `arc` with one pointer store and return its epoch.  The
+    /// `RwLock` guards only that pointer, and a store either happened or
+    /// did not, so a poisoned lock still holds a whole catalog and is
+    /// recovered (in [`load`](Self::load) too).
+    fn store(&self, arc: Arc<Catalog>) -> u64 {
         let epoch = arc.epoch();
-        *self.current.write().expect("snapshot cell poisoned") = arc;
+        *self.current.write().unwrap_or_else(PoisonError::into_inner) = arc;
+        // Release-publish the new generation only after the store, so a
+        // reader that observes the bump refreshes to the new snapshot.
         self.generation.fetch_add(1, Ordering::Release);
         self.publishes.fetch_add(1, Ordering::Relaxed);
-        Ok(epoch)
+        epoch
     }
 }
 
@@ -381,5 +387,35 @@ mod tests {
         assert_eq!(cell.publishes(), 32);
         // Every update grew R by one row off the then-current version.
         assert_eq!(cell.load().get("R").unwrap().len(), 1 + 32);
+    }
+
+    /// A writer that panics under the writer lock — in `update`'s closure,
+    /// or in `publish_with`'s `mid` — publishes nothing, and the cell goes
+    /// on: reads answer from the last published version and the next
+    /// writer publishes as usual.
+    #[test]
+    fn a_panicking_writer_leaves_the_cell_usable() {
+        let cell = SnapshotCatalog::new(catalog_with(2));
+        let epoch = cell.epoch();
+        let in_update = std::panic::catch_unwind(|| {
+            cell.update(|_| panic!("injected panic while building the successor"))
+        });
+        assert!(in_update.is_err());
+        let in_publish = std::panic::catch_unwind(|| {
+            cell.publish_with(catalog_with(9), || panic!("injected panic mid-publish"))
+        });
+        assert!(in_publish.is_err());
+        assert_eq!(cell.load().get("R").unwrap().len(), 2);
+        assert_eq!((cell.epoch(), cell.publishes()), (epoch, 0));
+
+        let next = cell.replace_relation(RelationBuilder::binary_from_pairs(
+            "R",
+            "x",
+            "y",
+            vec![(1, 1)],
+        ));
+        assert_eq!(next, epoch + 1);
+        assert_eq!(cell.load().get("R").unwrap().len(), 1);
+        assert_eq!(cell.publishes(), 1);
     }
 }

@@ -1,15 +1,21 @@
 //! Recycled column buffers: where a [`crate::ColumnTable`]'s large columns
 //! come from and go back to.
 //!
-//! A served join materializes a few hundred thousand rows per request into
-//! columns of 0.8–1.8 MB each.  Handed to the allocator, every one of them
-//! is mapped, page-faulted and unmapped again per request — measured at
-//! ~60 % of executor wall-clock on the serving workload.  A
-//! [`ColumnBuffers`] handle is the alternative: a bounded free list that
-//! one serving worker owns across requests.  Tables built through it draw
-//! their columns from the list ([`ColumnBuffers::take`]) and hand them back
-//! when they are dropped ([`ColumnBuffers::give`]), so in steady state a
-//! request touches no fresh pages.
+//! A served request counts its output instead of materializing it
+//! ([`crate::count_physical_with_buffers`]), but the intermediates below
+//! the output — scans, the Yannakakis reducer's filtered relations, the
+//! chain steps before the last — are still columns of thousands of rows.
+//! Handed to the allocator, every large one is mapped, page-faulted
+//! and unmapped again per request.  A [`ColumnBuffers`] handle is the
+//! alternative: a bounded free list that one serving worker owns across
+//! requests.  Tables built through it draw their columns from the list
+//! ([`ColumnBuffers::take`]) and hand them back when they are dropped
+//! ([`ColumnBuffers::give`]), so in steady state a request touches no fresh
+//! pages.  On the six JOB-like serving shapes at 1 000 movies (the `serve`
+//! example's step 4) one worker's list settles at 1.5 MiB (1 525 680
+//! bytes): 20 fresh large buffers in its first rotation, then none, and 54
+//! reused per rotation.  Before the service counted its outputs the same
+//! list held ~20 MiB, most of it output columns of 98 721–221 173 rows.
 //!
 //! The default handle recycles nothing: `take` is `Vec::with_capacity` and
 //! `give` is `drop`.  That is what every caller without a worker gets
@@ -23,26 +29,28 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// as before.  glibc serves requests under its 128 KiB `M_MMAP_THRESHOLD`
 /// from the thread's arena without a system call, but it gives the top of
 /// an arena back to the kernel once 128 KiB (`M_TRIM_THRESHOLD`) of it are
-/// free — four columns of 32 KiB.  Measured on the JOB-like serving shapes
-/// (two workers): at 128 KiB the 92 KB columns of the 11 548-row shape and
-/// the smaller intermediates of the others stay with the allocator, which
-/// read 474–502 qps at 57 MiB peak RSS against 529–606 qps at 53–54 MiB
-/// here.  The churn workload's columns (≤ 24 KB) are below either value and
-/// its hit path does not move.
+/// free — four columns of 32 KiB.  Sized when the service still
+/// materialized its outputs, on the JOB-like serving shapes (two workers):
+/// at 128 KiB the 92 KB columns of the 11 548-row shape and the smaller
+/// intermediates of the others stayed with the allocator, which read
+/// 474–502 qps at 57 MiB peak RSS against 529–606 qps at 53–54 MiB here.
+/// Now that outputs are counted, every large column a worker recycles is an
+/// intermediate's; the value was not re-tuned.  The churn workload's
+/// columns (≤ 24 KB) are below either value and its hit path does not move.
 const RECYCLE_MIN_BYTES: usize = 32 * 1024;
 
 /// Most bytes one free list keeps.  A list sizes itself (see
-/// [`ColumnBuffers::take`]): on the JOB-like serving shapes it settles at
-/// twelve buffers of the largest column (221 173 rows), 21.2 MB — two chain
-/// steps of five and six columns plus one probe-range buffer, all
-/// interchangeable — after ~40 allocations, and 24 MiB is the smallest round
-/// bound above that.  At 16 MiB the list cannot hold one request's buffers
-/// and allocates two to three large ones per request for ever; at 32 MiB
-/// nothing changes (same 85 allocations over two workers, same 53–54 MiB
-/// peak RSS, where the parent commit read 57–61 MiB because the allocator
-/// kept as much in its arenas).  Bounding only what sits free, without the
+/// [`ColumnBuffers::take`]).  The bound was sized when the service still
+/// materialized its outputs: the list then settled at twelve buffers of the
+/// largest output column (221 173 rows), 21.2 MB — two chain steps of five
+/// and six columns plus one probe-range buffer, all interchangeable — after
+/// ~40 allocations, and 24 MiB was the smallest round bound above that (at
+/// 16 MiB it allocated two to three large buffers per request for ever; at
+/// 32 MiB nothing changed).  Bounding only what sits free, without the
 /// displacement rule, read 76–95 MiB: a list full of small buffers plus a
-/// large request's fresh ones.
+/// large request's fresh ones.  With outputs counted the same shapes settle
+/// at 1.5 MiB (see the module doc), far inside the bound, which was not
+/// re-tuned.
 const RETAIN_MAX_BYTES: usize = 24 << 20;
 
 const WORD_BYTES: usize = std::mem::size_of::<u64>();

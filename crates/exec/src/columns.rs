@@ -140,6 +140,19 @@ impl ColumnTable {
         Self::from_relation_in(&rel, &atom.vars, buffers)
     }
 
+    /// The row count [`from_atom`](Self::from_atom) binds, with the same
+    /// checks, without copying a column.
+    pub(crate) fn atom_len(
+        query: &JoinQuery,
+        catalog: &Catalog,
+        atom_idx: usize,
+    ) -> Result<usize, ExecError> {
+        let atom = &query.atoms()[atom_idx];
+        let rel = catalog.get(&atom.relation)?;
+        check_arity(&rel, &atom.vars)?;
+        Ok(rel.len())
+    }
+
     /// Rename a relation's columns to the given query variables.
     pub fn from_relation(rel: &Relation, vars: &[String]) -> Result<Self, ExecError> {
         Self::from_relation_in(rel, vars, &ColumnBuffers::default())
@@ -150,13 +163,7 @@ impl ColumnTable {
         vars: &[String],
         buffers: &ColumnBuffers,
     ) -> Result<Self, ExecError> {
-        if rel.arity() != vars.len() {
-            return Err(ExecError::AtomArityMismatch {
-                relation: rel.name().to_string(),
-                atom_arity: vars.len(),
-                relation_arity: rel.arity(),
-            });
-        }
+        check_arity(rel, vars)?;
         let mut scan = Self::with_rows_in(vars.to_vec(), rel.len(), buffers);
         for (a, col) in scan.cols.iter_mut().enumerate() {
             col.extend_from_slice(rel.column(a));
@@ -284,6 +291,18 @@ impl ColumnTable {
         }
         out
     }
+}
+
+/// An atom binds a relation only under one variable per column.
+fn check_arity(rel: &Relation, vars: &[String]) -> Result<(), ExecError> {
+    if rel.arity() != vars.len() {
+        return Err(ExecError::AtomArityMismatch {
+            relation: rel.name().to_string(),
+            atom_arity: vars.len(),
+            relation_arity: rel.arity(),
+        });
+    }
+    Ok(())
 }
 
 /// A borrowed view of up to [`BATCH_ROWS`] consecutive rows of a

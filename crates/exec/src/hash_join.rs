@@ -5,8 +5,10 @@
 //! probe a batch at a time, and move matches with column-wise gathers
 //! instead of allocating a `Vec<u64>` per output tuple.  Both know their
 //! output's row count before they write it, so every output column is taken
-//! from the caller's [`ColumnBuffers`] at exactly that size.  The unit
-//! tests pin both against the nested-loop oracle ([`crate::oracle`]).
+//! from the caller's [`ColumnBuffers`] at exactly that size.
+//! [`hash_join_count`] stops there: it is the join's first pass alone, for a
+//! caller that needs only the row count.  The unit tests pin all three
+//! against the nested-loop oracle ([`crate::oracle`]).
 
 use crate::buffers::ColumnBuffers;
 use crate::columns::{ColumnBatch, ColumnTable};
@@ -183,6 +185,53 @@ fn unpack_range(range: u64) -> (usize, usize) {
     ((range >> 32) as usize, (range & 0xffff_ffff) as usize)
 }
 
+/// A join's smaller side hashed on the shared variables, ready to be probed
+/// with the other side.
+struct HashProbe<'a> {
+    table: BuildTable,
+    probe: &'a ColumnTable,
+    probe_key_pos: Vec<usize>,
+    build_is_left: bool,
+}
+
+impl<'a> HashProbe<'a> {
+    /// Build on the smaller of `left` and `right`; `None` when either side
+    /// is empty, and with it the join.
+    fn new(left: &'a ColumnTable, right: &'a ColumnTable) -> Option<Self> {
+        if left.is_empty() || right.is_empty() {
+            return None;
+        }
+        let (left_key_pos, right_key_pos): (Vec<usize>, Vec<usize>) =
+            left.shared_positions(right).into_iter().unzip();
+        let build_is_left = left.len() <= right.len();
+        let (build, probe, build_key_pos, probe_key_pos) = if build_is_left {
+            (left, right, left_key_pos, right_key_pos)
+        } else {
+            (right, left, right_key_pos, left_key_pos)
+        };
+        Some(HashProbe {
+            table: BuildTable::build(build, &build_key_pos),
+            probe,
+            probe_key_pos,
+            build_is_left,
+        })
+    }
+
+    /// Pass 1: look every probe row up once, batch-at-a-time, and report its
+    /// matches as one packed range into the build table (0 = no match), in
+    /// row order.
+    fn ranges(&self, mut on_range: impl FnMut(u64)) {
+        let mut scratch: Vec<u64> = Vec::new();
+        for batch in self.probe.batches() {
+            self.table
+                .keys
+                .probe_batch(&batch, &self.probe_key_pos, &mut scratch, |hit| {
+                    on_range(hit.map_or(0, |k| self.table.packed_range(k)))
+                });
+        }
+    }
+}
+
 /// Natural join of two columnar intermediates on all variables they share.
 ///
 /// The output schema is `left.vars()` followed by the variables of `right`
@@ -198,64 +247,42 @@ pub(crate) fn hash_join_columns(
     right: &ColumnTable,
     buffers: &ColumnBuffers,
 ) -> ColumnTable {
-    let shared = left.shared_positions(right);
-    let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
-    let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
     let right_extra_pos: Vec<usize> = (0..right.vars().len())
-        .filter(|p| !right_key_pos.contains(p))
+        .filter(|&p| left.position(&right.vars()[p]).is_none())
         .collect();
-
     let mut out_vars: Vec<String> = left.vars().to_vec();
     out_vars.extend(right_extra_pos.iter().map(|&p| right.vars()[p].clone()));
 
-    let (build, probe, build_is_left) = if left.len() <= right.len() {
-        (left, right, true)
-    } else {
-        (right, left, false)
-    };
-    let (build_key_pos, probe_key_pos) = if build_is_left {
-        (&left_key_pos, &right_key_pos)
-    } else {
-        (&right_key_pos, &left_key_pos)
-    };
-    if build.is_empty() || probe.is_empty() {
+    let Some(join) = HashProbe::new(left, right) else {
         return ColumnTable::with_rows_in(out_vars, 0, buffers);
-    }
+    };
 
-    let table = BuildTable::build(build, build_key_pos);
-
-    // Pass 1: one packed range per probe row (0 = no match).
-    let mut ranges = buffers.take(probe.len());
+    // Pass 1: one packed range per probe row.
+    let mut ranges = buffers.take(join.probe.len());
     let mut out_rows = 0usize;
-    let mut scratch: Vec<u64> = Vec::new();
-    for batch in probe.batches() {
-        table
-            .keys
-            .probe_batch(&batch, probe_key_pos, &mut scratch, |hit| {
-                let range = hit.map_or(0, |k| table.packed_range(k));
-                out_rows += unpack_range(range).1;
-                ranges.push(range);
-            });
-    }
+    join.ranges(|range| {
+        out_rows += unpack_range(range).1;
+        ranges.push(range);
+    });
 
     // Pass 2: index pairs for one probe batch, reused across batches.
     let mut out = ColumnTable::with_rows_in(out_vars, out_rows, buffers);
     let mut probe_idx: Vec<u32> = Vec::new();
     let mut build_idx: Vec<u32> = Vec::new();
     let n_left = left.vars().len();
-    for batch in probe.batches() {
+    for batch in join.probe.batches() {
         probe_idx.clear();
         build_idx.clear();
         let base = batch.start();
         for (i, &range) in ranges[base..base + batch.len()].iter().enumerate() {
             let (start, len) = unpack_range(range);
             probe_idx.extend(std::iter::repeat_n((base + i) as u32, len));
-            build_idx.extend_from_slice(&table.rows[start..start + len]);
+            build_idx.extend_from_slice(&join.table.rows[start..start + len]);
         }
         if probe_idx.is_empty() {
             continue;
         }
-        let (left_idx, right_idx) = if build_is_left {
+        let (left_idx, right_idx) = if join.build_is_left {
             (&build_idx, &probe_idx)
         } else {
             (&probe_idx, &build_idx)
@@ -271,6 +298,18 @@ pub(crate) fn hash_join_columns(
     }
     buffers.give(ranges);
     out
+}
+
+/// The row count of [`hash_join_columns`]`(left, right, ..)` from its first
+/// pass alone: build, probe, and sum the matched ranges' lengths — no range
+/// buffer, no output column, no gather.
+pub(crate) fn hash_join_count(left: &ColumnTable, right: &ColumnTable) -> usize {
+    let Some(join) = HashProbe::new(left, right) else {
+        return 0;
+    };
+    let mut rows = 0usize;
+    join.ranges(|range| rows += unpack_range(range).1);
+    rows
 }
 
 /// Left semi-join: the rows of `left` that have at least one match in
@@ -369,7 +408,9 @@ mod tests {
                 let mut expect_vars = a.vars().to_vec();
                 expect_vars.extend(b.vars().iter().filter(|v| !a.vars().contains(v)).cloned());
                 assert_eq!(out.vars(), expect_vars.as_slice());
-                assert_eq!(out.sorted_rows(), oracle_join(a, b, out.vars()));
+                let truth = oracle_join(a, b, out.vars());
+                assert_eq!(out.sorted_rows(), truth);
+                assert_eq!(hash_join_count(a, b), truth.len());
             }
         }
     }
@@ -396,6 +437,7 @@ mod tests {
         let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
         let out = hash_join_columns(&l, &r, &ColumnBuffers::default());
         assert_eq!(out.len() as u64, n / 5 * 3);
+        assert_eq!(hash_join_count(&l, &r), out.len());
         assert_eq!(out.sorted_rows(), oracle_join(&l, &r, out.vars()));
     }
 

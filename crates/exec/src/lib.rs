@@ -13,20 +13,26 @@
 //!   joins, leapfrog WCOJ cores, Yannakakis-reduced residues,
 //!   degree-partitioned unions); a left-deep [`JoinPlan`] is the hash chain
 //!   `PhysicalPlan::hash_chain(plan.order().to_vec())`;
-//! * **one engine, one schedule** — [`execute_physical_mode`] is the single
-//!   entry point.  Every intermediate is a columnar [`ColumnTable`] and
+//! * **one engine, one schedule** — [`execute_physical_mode`] runs a plan
+//!   to its output.  Every intermediate is a columnar [`ColumnTable`] and
 //!   every operator is columnar: batch-at-a-time hash joins, galloping
 //!   leapfrog over CSR run tries, bitmap semi-joins.  A plan's stages run
 //!   in plan order on the calling thread and record into one
 //!   [`IntermediateCounters`]; a request is served by one thread, and a
 //!   server gets its parallelism from concurrent requests ([`ExecMode`] has
 //!   one variant and selects nothing);
+//! * **counting the output** — [`count_physical_with_buffers`] runs a plan
+//!   to its output's *size*, the quantity the paper bounds: every stage
+//!   below the root runs as in [`execute_physical_mode`], the root stops at
+//!   its count (a hash join's probe pass, a WCOJ's emissions, a
+//!   partitioned union's summed branches), and the recorded counters are
+//!   the materializing run's.  It is what `lpb-serve` answers with;
 //! * **recycled column buffers** — every operator sizes its output columns
 //!   exactly and takes them from a [`ColumnBuffers`] handle, and a dropped
 //!   table gives them back.  The default handle is the allocator;
-//!   [`execute_physical_with_buffers`] runs on a caller-owned, bounded free
+//!   [`count_physical_with_buffers`] runs on a caller-owned, bounded free
 //!   list instead (one per serving worker in `lpb-serve`), so a steady
-//!   stream of requests stops mapping and unmapping its multi-megabyte
+//!   stream of requests stops mapping and unmapping its large
 //!   intermediates;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
 //!   bounded through one [`lpb_core::BatchEstimator`] call (normal-cone
@@ -88,13 +94,13 @@ mod counters;
 mod error;
 mod hash_join;
 mod logical;
-mod morsel;
 mod optimizer;
 pub mod oracle;
 mod panda_eval;
 mod partition;
 mod physical;
 mod plan_cache;
+mod run;
 mod state;
 mod trie;
 mod wcoj;
@@ -108,7 +114,6 @@ pub use counters::{
 };
 pub use error::ExecError;
 pub use logical::{JoinPlan, LogicalPlan};
-pub use morsel::{execute_physical_mode, execute_physical_with_buffers, ColumnRun, ExecMode};
 pub use optimizer::{
     AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig,
     SubjoinBounds,
@@ -117,6 +122,9 @@ pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
 pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
 pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 pub use plan_cache::{FlightStats, PlanCache};
+pub use run::{
+    count_physical_with_buffers, execute_physical_mode, ColumnRun, CountedRun, ExecMode,
+};
 pub use state::{ExecState, ExecStatus, LiveSlot};
 pub use wcoj::wcoj_count;
 pub use yannakakis::{is_acyclic, yannakakis_count};

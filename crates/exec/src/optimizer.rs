@@ -1645,8 +1645,8 @@ fn build_bushy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::morsel::{execute_physical_mode, ColumnRun, ExecMode};
     use crate::oracle::nested_loop_join;
+    use crate::run::{execute_physical_mode, ColumnRun, ExecMode};
     use lpb_data::RelationBuilder;
 
     fn exec(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {

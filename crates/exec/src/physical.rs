@@ -426,7 +426,7 @@ pub(crate) fn assert_parts_disjoint(atom: usize, parts: &[PartitionBranch]) {
 mod tests {
     use super::*;
     use crate::logical::JoinPlan;
-    use crate::morsel::{execute_physical_mode, ColumnRun, ExecMode};
+    use crate::run::{execute_physical_mode, ColumnRun, ExecMode};
     use lpb_core::JoinQuery;
     use lpb_data::{Catalog, RelationBuilder};
 

@@ -428,11 +428,11 @@ mod tests {
             assert!(!hit, "{} answered with {}'s plan", odd.name(), plain.name());
             assert!(!Arc::ptr_eq(&first, &second));
             assert_eq!(cache.len(), 2);
-            crate::morsel::execute_physical_mode(
+            crate::run::execute_physical_mode(
                 odd,
                 &catalog,
                 &second.physical,
-                crate::morsel::ExecMode::Vectorized,
+                crate::run::ExecMode::Vectorized,
             )
             .unwrap();
         }
@@ -463,18 +463,18 @@ mod tests {
         let (shared, hit) = plan_through(&cache, &optimizer, &iso, &catalog).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&first, &shared));
-        let run = crate::morsel::execute_physical_mode(
+        let run = crate::run::execute_physical_mode(
             &iso,
             &catalog,
             &shared.physical,
-            crate::morsel::ExecMode::Vectorized,
+            crate::run::ExecMode::Vectorized,
         )
         .unwrap();
-        let direct = crate::morsel::execute_physical_mode(
+        let direct = crate::run::execute_physical_mode(
             &q,
             &catalog,
             &first.physical,
-            crate::morsel::ExecMode::Vectorized,
+            crate::run::ExecMode::Vectorized,
         )
         .unwrap();
         assert_eq!(run.output_size(), direct.output_size());

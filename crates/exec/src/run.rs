@@ -1,5 +1,6 @@
-//! The executor's front end: [`execute_physical_mode`] runs a certified
-//! [`PhysicalPlan`] to completion.
+//! The executor's front ends: [`execute_physical_mode`] runs a certified
+//! [`PhysicalPlan`] to completion and returns its output;
+//! [`count_physical_with_buffers`] runs it to its output's size.
 //!
 //! There is one engine — columnar operators over [`ColumnTable`]
 //! intermediates: scans copy relation columns
@@ -15,10 +16,10 @@
 //! The entry points are thin front ends over the resumable
 //! [`crate::ExecState`] stage machine (see the `state` module), run to
 //! completion under the default [`crate::CertificatePolicy::Count`].
-//! `tests/proptest_exec_oracle.rs` pins the output against the nested-loop
-//! oracle ([`crate::oracle`]) on random skewed inputs, and
-//! `tests/proptest_suspend_resume.rs` pins the output and the counter
-//! recording across every suspension point.
+//! `tests/proptest_exec_oracle.rs` pins the output, and the counted size,
+//! against the nested-loop oracle ([`crate::oracle`]) on random skewed
+//! inputs, and `tests/proptest_suspend_resume.rs` pins the output and the
+//! counter recording across every suspension point.
 
 use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
@@ -67,6 +68,25 @@ impl ColumnRun {
     }
 }
 
+/// Result of a counted execution: the output's size and the counters,
+/// which equal a materializing run's — every step, size and certificate
+/// check, the output's included.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CountedRun {
+    /// Number of output rows.
+    pub output_size: usize,
+    /// What every plan node recorded, in plan order.
+    pub counters: IntermediateCounters,
+}
+
+impl CountedRun {
+    /// How many executed steps exceeded their bound certificate (always
+    /// zero when the planner's bounds are sound).
+    pub fn certificate_violations(&self) -> usize {
+        self.counters.certificate_violations()
+    }
+}
+
 /// Execute a physical plan.  One-shot front end over the resumable
 /// [`ExecState`] stage machine (default `Count` policy).  Every column comes
 /// from the allocator and goes back to it: nothing is retained once the
@@ -78,28 +98,41 @@ pub fn execute_physical_mode(
     plan: &PhysicalPlan,
     _mode: ExecMode,
 ) -> Result<ColumnRun, ExecError> {
-    execute_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default())
-}
-
-/// [`execute_physical_mode`] with every intermediate's and the output's
-/// large columns drawn from `buffers` and returned to it when they are
-/// dropped — the entry point of a serving worker that keeps one
-/// [`ColumnBuffers`] free list across requests.  Same operators, same
-/// output, same counters.
-pub fn execute_physical_with_buffers(
-    query: &JoinQuery,
-    catalog: &Catalog,
-    plan: &PhysicalPlan,
-    buffers: &ColumnBuffers,
-) -> Result<ColumnRun, ExecError> {
-    let mut state =
-        ExecState::new(plan, CertificatePolicy::default()).with_buffers(buffers.clone());
+    let mut state = ExecState::new(plan, CertificatePolicy::default());
     state.run(query, catalog)?;
     let counters = state.counters();
     let output = state
         .take_output()
         .expect("an unlimited Count run completes");
     Ok(ColumnRun { output, counters })
+}
+
+/// The size of a physical plan's output, computed without materializing
+/// it: every stage below the root runs as in [`execute_physical_mode`], and
+/// the root only counts — a hash-join root (the last step of a chain or of
+/// a Yannakakis residue included) stops after its probe pass, a WCOJ root
+/// counts its emissions, a scan root reads the relation's length, and a
+/// partitioned union sums its branches' counted roots.  The counters equal
+/// the materializing run's.  Every intermediate's large columns come from
+/// `buffers` and go back to it — the entry point of a serving worker that
+/// keeps one [`ColumnBuffers`] free list across requests.
+pub fn count_physical_with_buffers(
+    query: &JoinQuery,
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+    buffers: &ColumnBuffers,
+) -> Result<CountedRun, ExecError> {
+    let mut state = ExecState::new(plan, CertificatePolicy::default())
+        .with_buffers(buffers.clone())
+        .counting_root();
+    state.run(query, catalog)?;
+    let output_size = state
+        .output_rows()
+        .expect("an unlimited Count run completes");
+    Ok(CountedRun {
+        output_size,
+        counters: state.counters(),
+    })
 }
 
 #[cfg(test)]
@@ -132,11 +165,17 @@ mod tests {
         c
     }
 
-    /// Execute `plan` and check its rows against the nested-loop oracle.
+    /// Execute `plan` and check its rows against the nested-loop oracle,
+    /// and a counted run's size and counters against the materializing
+    /// run's.
     fn run_against_oracle(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
         let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
         let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
         assert_eq!(run.output.sorted_rows(), truth, "output differs");
+        let counted =
+            count_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default()).unwrap();
+        assert_eq!(counted.output_size, truth.len(), "counted size differs");
+        assert_eq!(counted.counters, run.counters, "counters differ");
         run
     }
 
@@ -153,6 +192,9 @@ mod tests {
             &catalog,
             &PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2]),
         );
+        let one = JoinQuery::path(&["R"]);
+        run_against_oracle(&one, &catalog, &PhysicalPlan::hash_chain(vec![0]));
+        run_against_oracle(&one, &catalog, &PhysicalPlan::reduced(vec![0]));
     }
 
     #[test]

@@ -31,6 +31,13 @@
 //!   violating stage materializes — leaving the state resumable, with its
 //!   completed intermediates exposed through [`ExecState::live_slots`] for
 //!   the re-planning controller ([`crate::AdaptiveExecutor`]).
+//! * **Counting the root** (crate-private, for
+//!   [`crate::count_physical_with_buffers`]): every stage output records
+//!   its row count, and the root's table is never filled — a hash-join root
+//!   stops after its probe pass, a WCOJ root counts emissions, a scan root
+//!   reads its relation's length, and a partitioned union sums its
+//!   branches' counted roots.  The recorded steps are the materializing
+//!   run's, size for size.
 //!
 //! Partition branches and reduced residues execute as *atomic* stages (a
 //! branch drains its whole sub-plan before yielding); a violation inside
@@ -40,9 +47,9 @@ use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
-use crate::hash_join::hash_join_columns;
+use crate::hash_join::{hash_join_columns, hash_join_count};
 use crate::physical::{assert_parts_disjoint, PartitionBranch, PhysicalNode, PhysicalPlan};
-use crate::wcoj::wcoj_materialize_columns;
+use crate::wcoj::{wcoj_count, wcoj_materialize_columns};
 use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
@@ -119,6 +126,9 @@ struct Stage {
 /// What a completed stage produced.
 #[derive(Debug, Clone)]
 struct StageOutput {
+    /// The output's row count, the size its steps record.
+    rows: usize,
+    /// The output's rows; an empty table when the stage was counted.
     value: ColumnTable,
     /// Steps this stage recorded, assembled into the run's counters in
     /// stage-id order.  Empty for `Branch` stages (see `branch`).
@@ -126,6 +136,41 @@ struct StageOutput {
     /// For `Branch` stages only: the part name and the branch's raw
     /// recording, rolled up (re-labelled) by the consuming `Union` stage.
     branch: Option<(String, IntermediateCounters)>,
+}
+
+impl StageOutput {
+    /// A materialized output, with nothing recorded yet.
+    fn table(value: ColumnTable) -> Self {
+        StageOutput {
+            rows: value.len(),
+            value,
+            counters: IntermediateCounters::new(),
+            branch: None,
+        }
+    }
+
+    /// A counted output: its size and no rows.
+    fn counted(rows: usize) -> Self {
+        StageOutput {
+            rows,
+            value: ColumnTable::default(),
+            counters: IntermediateCounters::new(),
+            branch: None,
+        }
+    }
+
+    /// Record the output's size as one step under `label`.
+    fn recorded(
+        mut self,
+        label: impl Into<String>,
+        log2_bound: Option<f64>,
+        policy: CertificatePolicy,
+    ) -> Self {
+        let _ = self
+            .counters
+            .record_with_policy(label, self.rows, log2_bound, policy);
+        self
+    }
 }
 
 /// Outcome of [`ExecState::run`] / [`ExecState::run_until`].
@@ -166,6 +211,9 @@ pub struct ExecState {
     stages: Vec<Stage>,
     slots: Vec<Option<StageOutput>>,
     root: usize,
+    /// Stages that record their output's size without materializing it
+    /// (none unless [`counting_root`](Self::counting_root)).
+    counted: Vec<bool>,
     /// Where every intermediate's columns come from and go back to.
     buffers: ColumnBuffers,
 }
@@ -179,11 +227,13 @@ impl ExecState {
         let mut stages = Vec::new();
         let root = lower(plan.root(), &mut stages);
         let slots = vec![None; stages.len()];
+        let counted = vec![false; stages.len()];
         ExecState {
             policy,
             stages,
             slots,
             root,
+            counted,
             buffers: ColumnBuffers::default(),
         }
     }
@@ -192,6 +242,22 @@ impl ExecState {
     /// worker's free list) instead of the allocator.
     pub(crate) fn with_buffers(mut self, buffers: ColumnBuffers) -> Self {
         self.buffers = buffers;
+        self
+    }
+
+    /// Count the root instead of materializing it: the root stage — and,
+    /// under a partitioned union, every branch's root — runs its inputs as
+    /// usual and records the size its last operator would write, under the
+    /// same label and certificate, so the run's counters equal a
+    /// materializing run's.  The root's table stays empty; every stage
+    /// below it is unchanged.
+    pub(crate) fn counting_root(mut self) -> Self {
+        self.counted[self.root] = true;
+        if let StageOp::Union { branch_slots, .. } = &self.stages[self.root].op {
+            for &b in branch_slots {
+                self.counted[b] = true;
+            }
+        }
         self
     }
 
@@ -302,6 +368,12 @@ impl ExecState {
         self.slots[self.root].take().map(|o| o.value)
     }
 
+    /// The output's row count, once [`is_done`](Self::is_done) — the one
+    /// reading of a counted root.
+    pub(crate) fn output_rows(&self) -> Option<usize> {
+        self.slots[self.root].as_ref().map(|o| o.rows)
+    }
+
     /// Completed intermediates no completed stage has consumed — the
     /// frontier a re-planner treats as exact-statistics scans.  Single-atom
     /// slots are included (the re-planner keeps them as ordinary atoms).
@@ -348,7 +420,9 @@ impl ExecState {
     }
 
     /// Execute one stage against the completed slots; the caller stores
-    /// the output.
+    /// the output.  A counted stage (see [`counting_root`](Self::counting_root))
+    /// runs every operator below its output as usual and then only counts
+    /// what its last operator would write.
     fn exec_stage(
         &self,
         id: usize,
@@ -356,22 +430,21 @@ impl ExecState {
         catalog: &Catalog,
     ) -> Result<StageOutput, ExecError> {
         let policy = self.policy;
-        let mut counters = IntermediateCounters::new();
-        let plain = |value: ColumnTable, counters: IntermediateCounters| StageOutput {
-            value,
-            counters,
-            branch: None,
-        };
+        let count = self.counted[id];
         match &self.stages[id].op {
             StageOp::Scan { atom, log2_bound } => {
-                let value = ColumnTable::from_atom_in(query, catalog, *atom, &self.buffers)?;
-                let _ = counters.record_with_policy(
-                    format!("scan {}", query.atoms()[*atom].relation),
-                    value.len(),
-                    *log2_bound,
-                    policy,
-                );
-                Ok(plain(value, counters))
+                let out = if count {
+                    StageOutput::counted(ColumnTable::atom_len(query, catalog, *atom)?)
+                } else {
+                    StageOutput::table(ColumnTable::from_atom_in(
+                        query,
+                        catalog,
+                        *atom,
+                        &self.buffers,
+                    )?)
+                };
+                let label = format!("scan {}", query.atoms()[*atom].relation);
+                Ok(out.recorded(label, *log2_bound, policy))
             }
             StageOp::JoinAtom {
                 input,
@@ -379,14 +452,14 @@ impl ExecState {
                 log2_bound,
             } => {
                 let next = ColumnTable::from_atom_in(query, catalog, *atom, &self.buffers)?;
-                let value = hash_join_columns(self.slot_value(*input), &next, &self.buffers);
-                let _ = counters.record_with_policy(
-                    format!("⋈ {}", query.atoms()[*atom].relation),
-                    value.len(),
-                    *log2_bound,
-                    policy,
-                );
-                Ok(plain(value, counters))
+                let input = self.slot_value(*input);
+                let out = if count {
+                    StageOutput::counted(hash_join_count(input, &next))
+                } else {
+                    StageOutput::table(hash_join_columns(input, &next, &self.buffers))
+                };
+                let label = format!("⋈ {}", query.atoms()[*atom].relation);
+                Ok(out.recorded(label, *log2_bound, policy))
             }
             StageOp::JoinPair {
                 left,
@@ -394,44 +467,44 @@ impl ExecState {
                 label,
                 log2_bound,
             } => {
-                let value = hash_join_columns(
-                    self.slot_value(*left),
-                    self.slot_value(*right),
-                    &self.buffers,
-                );
-                let _ =
-                    counters.record_with_policy(label.clone(), value.len(), *log2_bound, policy);
-                Ok(plain(value, counters))
+                let (left, right) = (self.slot_value(*left), self.slot_value(*right));
+                let out = if count {
+                    StageOutput::counted(hash_join_count(left, right))
+                } else {
+                    StageOutput::table(hash_join_columns(left, right, &self.buffers))
+                };
+                Ok(out.recorded(label.clone(), *log2_bound, policy))
             }
             StageOp::Wcoj { atoms, log2_bound } => {
                 let sub = query.subquery(atoms)?;
-                let value = wcoj_materialize_columns(&sub, catalog, &self.buffers)?;
-                let _ = counters.record_with_policy(
-                    format!("wcoj {}", sub.name()),
-                    value.len(),
-                    *log2_bound,
-                    policy,
-                );
-                Ok(plain(value, counters))
+                let out = if count {
+                    let rows = wcoj_count(&sub, catalog)?;
+                    StageOutput::counted(
+                        usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
+                    )
+                } else {
+                    StageOutput::table(wcoj_materialize_columns(&sub, catalog, &self.buffers)?)
+                };
+                Ok(out.recorded(format!("wcoj {}", sub.name()), *log2_bound, policy))
             }
             StageOp::Reduced {
                 atoms,
                 scan_bounds,
                 step_bounds,
             } => {
-                let value = exec_reduced(
+                let mut out = exec_reduced(
                     query,
                     catalog,
                     atoms,
                     scan_bounds,
                     step_bounds,
-                    &mut counters,
+                    count,
                     &self.buffers,
                 )?;
                 if matches!(policy, CertificatePolicy::Ignore) {
-                    counters = strip_checks(&counters);
+                    out.counters = strip_checks(&out.counters);
                 }
-                Ok(plain(value, counters))
+                Ok(out)
             }
             StageOp::Branch { atom, branch } => {
                 let part_query = query.with_atom_relation(*atom, branch.relation.name())?;
@@ -445,41 +518,54 @@ impl ExecState {
                 };
                 let mut nested =
                     ExecState::new(&branch.plan, nested_policy).with_buffers(self.buffers.clone());
+                if count {
+                    nested = nested.counting_root();
+                }
                 let status = nested.run(&part_query, &part_catalog)?;
                 debug_assert_eq!(status, ExecStatus::Done);
                 let mut rec = nested.counters();
-                let value = nested.take_output().expect("nested run completed");
+                let mut out = nested.slots[nested.root]
+                    .take()
+                    .expect("nested run completed");
                 let _ = rec.record_with_policy(
                     format!("output {}", branch.relation.name()),
-                    value.len(),
+                    out.rows,
                     branch.log2_bound,
                     nested_policy,
                 );
-                Ok(StageOutput {
-                    value,
-                    counters: IntermediateCounters::new(),
-                    branch: Some((branch.relation.name().to_string(), rec)),
-                })
+                out.counters = IntermediateCounters::new();
+                out.branch = Some((branch.relation.name().to_string(), rec));
+                Ok(out)
             }
             StageOp::Union {
                 branch_slots,
                 log2_bound,
             } => {
+                let mut counters = IntermediateCounters::new();
                 counters.note_parts_planned(branch_slots.len());
                 let mut parts: Vec<&ColumnTable> = Vec::with_capacity(branch_slots.len());
+                let mut rows = 0;
                 for &b in branch_slots {
                     let out = self.slots[b].as_ref().expect("union deps complete");
                     let (name, rec) = out.branch.as_ref().expect("union deps are branches");
                     counters.absorb_part(name, rec.clone());
                     parts.push(&out.value);
+                    rows += out.rows;
                 }
-                let first = parts
-                    .first()
-                    .expect("a partitioned union has at least one part");
-                let value = ColumnTable::concat(first.vars().to_vec(), &parts, &self.buffers);
-                let _ =
-                    counters.record_with_policy("∪ partitioned", value.len(), *log2_bound, policy);
-                Ok(plain(value, counters))
+                let mut out = if count {
+                    StageOutput::counted(rows)
+                } else {
+                    let first = parts
+                        .first()
+                        .expect("a partitioned union has at least one part");
+                    StageOutput::table(ColumnTable::concat(
+                        first.vars().to_vec(),
+                        &parts,
+                        &self.buffers,
+                    ))
+                };
+                out.counters = counters;
+                Ok(out.recorded("∪ partitioned", *log2_bound, policy))
             }
         }
     }
@@ -490,39 +576,54 @@ impl ExecState {
 }
 
 /// Yannakakis: full reducer over the acyclic sub-join, then a hash chain
-/// over the reduced relations in the given order.
+/// over the reduced relations in the given order.  With `count`, the
+/// chain's last step is counted, not materialized.
 fn exec_reduced(
     query: &JoinQuery,
     catalog: &Catalog,
     atoms: &[usize],
     scan_bounds: &[Option<f64>],
     step_bounds: &[Option<f64>],
-    counters: &mut IntermediateCounters,
+    count: bool,
     buffers: &ColumnBuffers,
-) -> Result<ColumnTable, ExecError> {
+) -> Result<StageOutput, ExecError> {
+    let mut counters = IntermediateCounters::new();
     let sub = query.subquery(atoms)?;
-    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds, buffers)?;
-    let mut iter = reduced.into_iter().enumerate();
-    let (_, mut acc) = iter.next().expect("reduction has at least one atom");
-    counters.record_checked(
-        format!("reduce {}", query.atoms()[atoms[0]].relation),
-        acc.len(),
-        scan_bounds.first().copied().flatten(),
-    );
-    for (i, next) in iter {
+    let reduced = full_reducer_columns(&sub, catalog, &mut counters, scan_bounds, buffers)?;
+    let last = reduced.len() - 1;
+    let relation = |i: usize| &query.atoms()[atoms[i]].relation;
+    let mut acc: Option<ColumnTable> = None;
+    let mut rows = 0;
+    for (i, next) in reduced.into_iter().enumerate() {
         counters.record_checked(
-            format!("reduce {}", query.atoms()[atoms[i]].relation),
+            format!("reduce {}", relation(i)),
             next.len(),
             scan_bounds.get(i).copied().flatten(),
         );
-        acc = hash_join_columns(&acc, &next, buffers);
+        let Some(prev) = acc.take() else {
+            rows = next.len();
+            acc = Some(next);
+            continue;
+        };
+        if count && i == last {
+            rows = hash_join_count(&prev, &next);
+        } else {
+            let joined = hash_join_columns(&prev, &next, buffers);
+            rows = joined.len();
+            acc = Some(joined);
+        }
         counters.record_checked(
-            format!("⋈ {}", query.atoms()[atoms[i]].relation),
-            acc.len(),
+            format!("⋈ {}", relation(i)),
+            rows,
             step_bounds.get(i).copied().flatten(),
         );
     }
-    Ok(acc)
+    let mut out = match acc {
+        Some(value) if !count => StageOutput::table(value),
+        _ => StageOutput::counted(rows),
+    };
+    out.counters = counters;
+    Ok(out)
 }
 
 /// First step in `counters` whose observed size exceeds its certificate by
@@ -683,7 +784,65 @@ fn lower(node: &PhysicalNode, stages: &mut Vec<Stage>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffers::BufferCounters;
+    use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
+    use std::sync::Arc;
+
+    /// `R(x, y) ⋈ S(y, z) ⋈ T(z, w)` with `fanout` rows per value of `y`:
+    /// `8 · fanout²` output rows.
+    fn path_catalog(fanout: u64) -> Catalog {
+        let n = 8 * fanout;
+        let mut catalog = Catalog::new();
+        let pairs = [
+            (
+                "R",
+                "x",
+                "y",
+                (0..n).map(|x| (x, x % 8)).collect::<Vec<_>>(),
+            ),
+            ("S", "y", "z", (0..n).map(|z| (z % 8, z)).collect()),
+            ("T", "z", "w", (0..n).map(|z| (z, z + 1000)).collect()),
+        ];
+        for (name, a, b, rows) in pairs {
+            catalog.insert(RelationBuilder::binary_from_pairs(name, a, b, rows));
+        }
+        catalog
+    }
+
+    /// A buffer that held a large output comes back for a smaller one with
+    /// room to spare; nothing of the earlier rows may show in the
+    /// materialized table.
+    #[test]
+    fn a_recycled_buffer_never_exposes_an_earlier_output() {
+        let counters = Arc::new(BufferCounters::default());
+        let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
+        let query = JoinQuery::path(&["R", "S", "T"]);
+        let plan = PhysicalPlan::reduced(vec![0, 1, 2]);
+        let materialize = |catalog: &Catalog| {
+            let mut state =
+                ExecState::new(&plan, CertificatePolicy::Count).with_buffers(buffers.clone());
+            state.run(&query, catalog).unwrap();
+            state.take_output().unwrap()
+        };
+        let big_rows = materialize(&path_catalog(40)).len();
+        let reused_before = counters.reused();
+        let small = path_catalog(24);
+        let out = materialize(&small);
+        assert!(
+            counters.reused() > reused_before,
+            "the small run reused buffers"
+        );
+        assert!(out.len() < big_rows);
+        assert_eq!(out.len(), 8 * 24 * 24);
+        for c in 0..out.vars().len() {
+            assert_eq!(out.col(c).len(), out.len());
+        }
+        assert_eq!(
+            out.sorted_rows(),
+            nested_loop_join(&query, &small, out.vars()).unwrap()
+        );
+    }
 
     /// A consumed intermediate is released the moment its consumer has
     /// completed — at every pause a hash chain holds one table, not all of

@@ -3,15 +3,17 @@
 //! computes — same schema coverage, identical multiset of result tuples —
 //! and its recording must check the certificates the plan carries,
 //! violating none that is sound — across every plan shape, including
-//! degree-partitioned unions and bushy hash-join trees.
+//! degree-partitioned unions and bushy hash-join trees.  The counting entry
+//! point must agree with both on every plan: its size is the oracle's row
+//! count and its counters are the materializing run's.
 
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, RelationBuilder};
 use lpb_datagen::skewed_pairs;
 use lpb_exec::oracle::nested_loop_join;
 use lpb_exec::{
-    execute_physical_mode, split_light_heavy, ExecMode, Optimizer, PartitionBranch, PhysicalNode,
-    PhysicalPlan,
+    count_physical_with_buffers, execute_physical_mode, split_light_heavy, ColumnBuffers, ExecMode,
+    Optimizer, PartitionBranch, PhysicalNode, PhysicalPlan,
 };
 use proptest::prelude::*;
 
@@ -23,8 +25,10 @@ fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
 }
 
 /// Execute `plan` and assert the output is the oracle's (the oracle
-/// rejects a schema that is not a permutation of the query's variables).
-/// Returns how many certificates the run checked and how many it violated.
+/// rejects a schema that is not a permutation of the query's variables),
+/// then count it and assert the size is the oracle's row count and the
+/// counters are the materializing run's.  Returns how many certificates
+/// the run checked and how many it violated.
 fn run_against_oracle(
     query: &JoinQuery,
     catalog: &Catalog,
@@ -32,6 +36,10 @@ fn run_against_oracle(
 ) -> Result<(usize, usize), TestCaseError> {
     let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
     let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
+    let counted =
+        count_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default()).unwrap();
+    prop_assert_eq!(counted.output_size, truth.len(), "counted size");
+    prop_assert_eq!(&counted.counters, &run.counters, "counted run's counters");
     prop_assert_eq!(run.output.sorted_rows(), truth, "output multiset");
     Ok((
         run.counters.certificates_checked(),
@@ -125,5 +133,66 @@ proptest! {
             log2_bound: None,
         });
         prop_assert_eq!(run_against_oracle(&query, &catalog, &bushy)?, (0, 0));
+    }
+
+    /// Every kind of root the counting path distinguishes — a scan, a hash
+    /// chain's last step, a bushy join, a WCOJ, a Yannakakis residue's last
+    /// step, and a partitioned union over counted branch roots — counts
+    /// the oracle's rows and records what materializing records.
+    #[test]
+    fn every_root_kind_counts_what_it_materializes(
+        rpairs in arb_skewed_pairs(),
+        spairs in arb_skewed_pairs(),
+        tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
+    ) {
+        let r = RelationBuilder::binary_from_pairs("R", "x", "y", rpairs);
+        let mut catalog = Catalog::new();
+        catalog.insert(r.clone());
+        catalog.insert(RelationBuilder::binary_from_pairs("S", "y", "z", spairs));
+        catalog.insert(RelationBuilder::binary_from_pairs("T", "z", "w", tpairs));
+        let path = JoinQuery::path(&["R", "S", "T"]);
+        let scan = |atom| {
+            Box::new(PhysicalNode::Scan {
+                atom,
+                log2_bound: None,
+            })
+        };
+        let bushy = PhysicalPlan::from_root(PhysicalNode::HashJoin {
+            left: Box::new(PhysicalNode::HashJoin {
+                left: scan(0),
+                right: scan(1),
+                log2_bound: Some(40.0),
+            }),
+            right: scan(2),
+            log2_bound: Some(41.0),
+        });
+        let mut cases = vec![
+            (JoinQuery::path(&["R"]), PhysicalPlan::hash_chain(vec![0])),
+            (path.clone(), PhysicalPlan::hash_chain(vec![2, 1, 0])),
+            (path.clone(), bushy),
+            (JoinQuery::triangle("R", "S", "T"), PhysicalPlan::wcoj(vec![0, 1, 2])),
+            (path.clone(), PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2])),
+            (path.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
+        ];
+        if let Some((light, heavy)) = split_light_heavy(&r, &["x"], &["y"]).unwrap() {
+            let branch = |relation: lpb_data::Relation, plan| PartitionBranch {
+                relation: relation.into(),
+                plan,
+                log2_bound: Some(40.0),
+            };
+            let union = PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+                atom: 0,
+                parts: vec![
+                    branch(light, PhysicalPlan::reduced(vec![0, 1, 2])),
+                    branch(heavy, PhysicalPlan::hash_chain(vec![1, 2, 0])),
+                ],
+                log2_bound: Some(41.0),
+            });
+            cases.push((path, union));
+        }
+        for (query, plan) in &cases {
+            let (_, violated) = run_against_oracle(query, &catalog, plan)?;
+            prop_assert_eq!(violated, 0, "{} on {}", plan.strategy(), query.name());
+        }
     }
 }

@@ -55,13 +55,15 @@
 //!    lands; a request arriving after that is a hit.
 //!
 //!    A request, once planned, executes on the thread that submitted it:
-//!    one request, one thread, stages in order.
+//!    one request, one thread, stages in order.  The service answers with
+//!    the output's *size*, so the plan's root is counted
+//!    ([`lpb_exec::count_physical_with_buffers`]) and the output is never
+//!    materialized; every certificate is checked as in a materializing run.
 //!
 //! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by
-//!    each [`Worker`]) — a served join materializes its intermediates and
-//!    its output into columns of up to a few MB each, and the service
-//!    answers with the output's *size*.  Left to the allocator, every one
-//!    of those columns is mapped, page-faulted and unmapped per request,
+//!    each [`Worker`]) — a served join still materializes its
+//!    intermediates below the output.  Left to the allocator, every large
+//!    one of those columns is mapped, page-faulted and unmapped per request,
 //!    which on an all-cache-hit workload was ~60 % of the executor's
 //!    wall-clock.  A worker instead keeps a free list across requests:
 //!    every large column of a request is taken from it and drops back into

@@ -9,7 +9,11 @@
 //! certified plan **on the admission snapshot**, on the
 //! request's own thread, with the large columns of every intermediate
 //! drawn from (and afterwards returned to) the serving [`Worker`]'s
-//! [`ColumnBuffers`] free list.  Writers never disturb any of this: they build
+//! [`ColumnBuffers`] free list.  A response carries the output's size,
+//! not its rows, so execution stops there: the plan's root is counted
+//! ([`count_physical_with_buffers`]) and the output is never
+//! materialized, while every certificate below and at the root is checked
+//! as in a materializing run.  Writers never disturb any of this: they build
 //! successor catalogs aside and publish through the
 //! [`SnapshotCatalog`] cell, which bumps the statistics epoch and thereby
 //! invalidates every stale plan-cache entry.
@@ -18,7 +22,7 @@ use crate::ServeError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
 use lpb_exec::{
-    execute_physical_with_buffers, BufferCounters, ColumnBuffers, OptimizedPlan, Optimizer,
+    count_physical_with_buffers, BufferCounters, ColumnBuffers, OptimizedPlan, Optimizer,
     PlanCache, PlannerConfig,
 };
 use lpb_lp::SolverStats;
@@ -70,8 +74,10 @@ pub struct QueryResponse {
     /// Wall-clock time from admission to plan-in-hand (cache probe, plus
     /// planning, or waiting for the flight of the same key, on a miss).
     pub plan_time: Duration,
-    /// Wall-clock time from plan-in-hand to the output counted and its
-    /// columns released; zero for a plan-only request.
+    /// Wall-clock time from plan-in-hand to the output counted — every
+    /// intermediate below the output executed and its columns released,
+    /// the output's size taken from its last operator's first pass and
+    /// never written; zero for a plan-only request.
     pub exec_time: Duration,
     /// The (shared) plan that served this request.
     pub plan: Arc<OptimizedPlan>,
@@ -225,9 +231,10 @@ impl QueryService {
     }
 
     /// Execute on an explicit admission snapshot (the [`Worker`] fast
-    /// path), columns from `buffers`.  The service answers with the output's
-    /// size, so the run — and with it every column still out — is dropped
-    /// back into `buffers` before the response leaves.
+    /// path), intermediates' columns from `buffers`.  The service answers
+    /// with the output's size, so the plan is run to that size and the
+    /// output itself is never materialized; every intermediate is back in
+    /// `buffers` before the response leaves.
     fn execute_on(
         &self,
         query: &JoinQuery,
@@ -237,10 +244,9 @@ impl QueryService {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let mut response = self.plan_on(query, snapshot)?;
         let planned = Instant::now();
-        let run = execute_physical_with_buffers(query, snapshot, &response.plan.physical, buffers)?;
-        response.output_size = run.output_size();
+        let run = count_physical_with_buffers(query, snapshot, &response.plan.physical, buffers)?;
+        response.output_size = run.output_size;
         response.certificate_violations = run.certificate_violations();
-        drop(run);
         response.exec_time = planned.elapsed();
         self.violations
             .fetch_add(response.certificate_violations as u64, Ordering::Relaxed);
@@ -520,6 +526,54 @@ mod tests {
         assert_eq!(service.plan(&shapes[0]).unwrap().exec_time, Duration::ZERO);
         drop(worker);
         assert_eq!(service.stats().bytes_retained, 0);
+    }
+
+    /// The served path counts the output instead of materializing it: on
+    /// every JOB-like served shape a worker answers what a materializing
+    /// run counts, with zero violations, and after serving the shape twice
+    /// its free list holds the intermediates' columns but less than the
+    /// output's, which a materializing run would have handed back to it.
+    #[test]
+    fn workers_count_job_like_outputs_without_materializing_them() {
+        let catalog = lpb_datagen::job_like_catalog(&lpb_datagen::JobLikeConfig {
+            movies: 1000,
+            link_fanout: 2,
+            seed: 23,
+            ..lpb_datagen::JobLikeConfig::default()
+        });
+        let service = Arc::new(QueryService::new(catalog));
+        let snapshot = service.snapshot();
+        for q in lpb_datagen::job_like_queries().into_iter().take(6) {
+            let (q, worker) = (q.query, Worker::new(Arc::clone(&service)));
+            let served = [worker.execute(&q).unwrap(), worker.execute(&q).unwrap()];
+            let run = lpb_exec::execute_physical_mode(
+                &q,
+                &snapshot,
+                &served[0].plan.physical,
+                lpb_exec::ExecMode::Vectorized,
+            )
+            .unwrap();
+            for r in &served {
+                assert_eq!(r.output_size, run.output_size(), "{}", q.name());
+                assert_eq!(r.certificate_violations, 0, "{}", q.name());
+            }
+            let counted = lpb_exec::count_physical_with_buffers(
+                &q,
+                &snapshot,
+                &served[0].plan.physical,
+                &ColumnBuffers::default(),
+            )
+            .unwrap();
+            assert_eq!(counted.counters, run.counters, "{}", q.name());
+            let output_bytes = run.output_size() * run.output.vars().len() * 8;
+            let retained = service.stats().bytes_retained;
+            assert!(retained > 0, "{}: intermediates are recycled", q.name());
+            assert!(
+                retained < output_bytes as u64,
+                "{}: {retained} B retained, the output is {output_bytes} B",
+                q.name()
+            );
+        }
     }
 
     /// Writers never disturb in-flight readers: a worker that grabbed a

@@ -24,10 +24,13 @@
 //!    four distinct cold shapes, which plan side by side, each a flight of
 //!    one.
 //! 4. **Buffer recycling** — one worker rotates over the shapes three
-//!    times.  The first rotation fills its free list of large column
-//!    buffers from the allocator; after that every large column is a
-//!    reused one (`buffers_fresh` stops moving, `exec_time` drops), and
-//!    dropping the worker releases all of it.
+//!    times.  A request answers with its output's size, so the output is
+//!    counted and never materialized: what the worker recycles are the
+//!    intermediates' large columns.  The first rotation fills its free
+//!    list from the allocator (about 1.5 MiB here; output-sized columns
+//!    would be 0.8–1.8 MB each); after that every large column is a reused
+//!    one (`buffers_fresh` stops moving, `exec_time` drops), and dropping
+//!    the worker releases all of it.
 //!
 //! ```text
 //! cargo run --release --example serve
