@@ -2,20 +2,23 @@
 //! come from and go back to.
 //!
 //! A served request counts its output instead of materializing it
-//! ([`crate::count_physical_with_buffers`]), but the intermediates below
-//! the output — scans, the Yannakakis reducer's filtered relations, the
-//! chain steps before the last — are still columns of thousands of rows.
-//! Handed to the allocator, every large one is mapped, page-faulted
-//! and unmapped again per request.  A [`ColumnBuffers`] handle is the
-//! alternative: a bounded free list that one serving worker owns across
-//! requests.  Tables built through it draw their columns from the list
-//! ([`ColumnBuffers::take`]) and hand them back when they are dropped
+//! ([`crate::count_physical_with_buffers`]), but a plan may still
+//! materialize large intermediates below the output — a hash chain's or a
+//! bushy tree's joins, a WCOJ core under a chain — as columns of thousands
+//! of rows.  Handed to the allocator, every large one is mapped,
+//! page-faulted and unmapped again per request.  A [`ColumnBuffers`] handle
+//! is the alternative: a bounded free list that one serving worker owns
+//! across requests.  Tables built through it draw their columns from the
+//! list ([`ColumnBuffers::take`]) and hand them back when they are dropped
 //! ([`ColumnBuffers::give`]), so in steady state a request touches no fresh
-//! pages.  On the six JOB-like serving shapes at 1 000 movies (the `serve`
-//! example's step 4) one worker's list settles at 1.5 MiB (1 525 680
-//! bytes): 20 fresh large buffers in its first rotation, then none, and 54
-//! reused per rotation.  Before the service counted its outputs the same
-//! list held ~20 MiB, most of it output columns of 98 721–221 173 rows.
+//! pages.  A counted Yannakakis chain materializes only its scans, reduced
+//! relations and frontier groupings: on the six JOB-like serving shapes at
+//! 1 000 movies (the `serve` example's step 4, every one such a chain) none
+//! of those reaches the recycling size, so one worker's list takes no
+//! buffer and stays empty.  It held 1.5 MiB while those chains' steps were
+//! materialized (20 fresh large buffers in the first rotation, 54 reused
+//! per rotation), and ~20 MiB, most of it output columns of 98 721–221 173
+//! rows, before the service counted its outputs.
 //!
 //! The default handle recycles nothing: `take` is `Vec::with_capacity` and
 //! `give` is `drop`.  That is what every caller without a worker gets
@@ -48,8 +51,8 @@ const RECYCLE_MIN_BYTES: usize = 32 * 1024;
 /// 16 MiB it allocated two to three large buffers per request for ever; at
 /// 32 MiB nothing changed).  Bounding only what sits free, without the
 /// displacement rule, read 76–95 MiB: a list full of small buffers plus a
-/// large request's fresh ones.  With outputs counted the same shapes settle
-/// at 1.5 MiB (see the module doc), far inside the bound, which was not
+/// large request's fresh ones.  With their outputs and chains counted the
+/// same shapes keep nothing (see the module doc); the bound was not
 /// re-tuned.
 const RETAIN_MAX_BYTES: usize = 24 << 20;
 

@@ -7,8 +7,12 @@
 //! output's row count before they write it, so every output column is taken
 //! from the caller's [`ColumnBuffers`] at exactly that size.
 //! [`hash_join_count`] stops there: it is the join's first pass alone, for a
-//! caller that needs only the row count.  The unit tests pin all three
-//! against the nested-loop oracle ([`crate::oracle`]).
+//! caller that needs only the row count.  [`hash_join_grouped`] is that pass
+//! with multiplicities: a counted Yannakakis chain joins its prefix, kept
+//! grouped on the variables later steps read ([`Grouped`]), and gets the
+//! step's exact size and the next grouping without writing the join.  The
+//! unit tests pin all four against the nested-loop oracle
+//! ([`crate::oracle`]).
 
 use crate::buffers::ColumnBuffers;
 use crate::columns::{ColumnBatch, ColumnTable};
@@ -65,10 +69,16 @@ enum KeyIndex {
 }
 
 impl KeyIndex {
-    /// Number the distinct keys of `side`, reading the key columns as
-    /// slices, and report every row's key number to `key_of_row`, in row
-    /// order.
-    fn build(side: &ColumnTable, key_pos: &[usize], mut key_of_row: impl FnMut(u32)) -> KeyIndex {
+    /// Number the distinct keys of `side`'s `rows` rows (passed in, since a
+    /// side without columns has no length of its own), reading the key
+    /// columns as slices, and report every row's key number to
+    /// `key_of_row`, in row order.
+    fn build(
+        side: &ColumnTable,
+        rows: usize,
+        key_pos: &[usize],
+        mut key_of_row: impl FnMut(u32),
+    ) -> KeyIndex {
         if let [pos] = key_pos {
             let col = side.col(*pos);
             let mut keys: KeyMap<u64> =
@@ -79,24 +89,18 @@ impl KeyIndex {
             }
             KeyIndex::Single(keys)
         } else {
-            let mut keys: KeyMap<Vec<u64>> =
-                KeyMap::with_capacity_and_hasher(side.len(), BuildHasherDefault::default());
+            let mut keys = KeyIndex::Multi(KeyMap::with_capacity_and_hasher(
+                rows,
+                BuildHasherDefault::default(),
+            ));
             let mut key = vec![0u64; key_pos.len()];
-            for i in 0..side.len() {
+            for i in 0..rows {
                 for (k, &p) in key_pos.iter().enumerate() {
                     key[k] = side.col(p)[i];
                 }
-                let next = keys.len() as u32;
-                // Look up by slice first: only a new key pays for a clone.
-                key_of_row(match keys.get(key.as_slice()) {
-                    Some(&number) => number,
-                    None => {
-                        keys.insert(key.clone(), next);
-                        next
-                    }
-                });
+                key_of_row(keys.number(&key));
             }
-            KeyIndex::Multi(keys)
+            keys
         }
     }
 
@@ -104,6 +108,33 @@ impl KeyIndex {
         match self {
             KeyIndex::Single(keys) => keys.len(),
             KeyIndex::Multi(keys) => keys.len(),
+        }
+    }
+
+    /// An empty index for keys of `width` values.
+    fn for_width(width: usize) -> KeyIndex {
+        if width == 1 {
+            KeyIndex::Single(KeyMap::default())
+        } else {
+            KeyIndex::Multi(KeyMap::default())
+        }
+    }
+
+    /// The number of `key` (of the width the index is for), numbering it
+    /// next if it is new.
+    #[inline]
+    fn number(&mut self, key: &[u64]) -> u32 {
+        let next = self.len() as u32;
+        match self {
+            KeyIndex::Single(keys) => *keys.entry(key[0]).or_insert(next),
+            // Look up by slice first: only a new key pays for a copy.
+            KeyIndex::Multi(keys) => match keys.get(key) {
+                Some(&number) => number,
+                None => {
+                    keys.insert(key.to_vec(), next);
+                    next
+                }
+            },
         }
     }
 
@@ -148,9 +179,9 @@ struct BuildTable {
 }
 
 impl BuildTable {
-    fn build(side: &ColumnTable, key_pos: &[usize]) -> BuildTable {
-        let mut key_of_row: Vec<u32> = Vec::with_capacity(side.len());
-        let keys = KeyIndex::build(side, key_pos, |k| key_of_row.push(k));
+    fn build(side: &ColumnTable, rows: usize, key_pos: &[usize]) -> BuildTable {
+        let mut key_of_row: Vec<u32> = Vec::with_capacity(rows);
+        let keys = KeyIndex::build(side, rows, key_pos, |k| key_of_row.push(k));
         let n_keys = keys.len();
         // Counting sort by key number: count, prefix-sum, scatter.
         let mut starts = vec![0u32; n_keys + 1];
@@ -198,19 +229,32 @@ impl<'a> HashProbe<'a> {
     /// Build on the smaller of `left` and `right`; `None` when either side
     /// is empty, and with it the join.
     fn new(left: &'a ColumnTable, right: &'a ColumnTable) -> Option<Self> {
-        if left.is_empty() || right.is_empty() {
+        Self::with_build(left, left.len(), right, left.len() <= right.len())
+    }
+
+    /// Build on `left` (its first `left_rows` rows: a `left` without
+    /// columns stands for that many empty tuples) when `build_is_left`,
+    /// else on `right`; `None` when either side is empty.  A side without
+    /// columns can only be built.
+    fn with_build(
+        left: &'a ColumnTable,
+        left_rows: usize,
+        right: &'a ColumnTable,
+        build_is_left: bool,
+    ) -> Option<Self> {
+        if left_rows == 0 || right.is_empty() {
             return None;
         }
+        debug_assert!(build_is_left || !left.vars().is_empty());
         let (left_key_pos, right_key_pos): (Vec<usize>, Vec<usize>) =
             left.shared_positions(right).into_iter().unzip();
-        let build_is_left = left.len() <= right.len();
-        let (build, probe, build_key_pos, probe_key_pos) = if build_is_left {
-            (left, right, left_key_pos, right_key_pos)
+        let (build, build_rows, probe, build_key_pos, probe_key_pos) = if build_is_left {
+            (left, left_rows, right, left_key_pos, right_key_pos)
         } else {
-            (right, left, right_key_pos, left_key_pos)
+            (right, right.len(), left, right_key_pos, left_key_pos)
         };
         Some(HashProbe {
-            table: BuildTable::build(build, &build_key_pos),
+            table: BuildTable::build(build, build_rows, &build_key_pos),
             probe,
             probe_key_pos,
             build_is_left,
@@ -312,6 +356,132 @@ pub(crate) fn hash_join_count(left: &ColumnTable, right: &ColumnTable) -> usize 
     rows
 }
 
+/// A join input grouped on some of its variables: row `i` of `keys` stands
+/// for `weights[i]` rows.  The row count is `weights.len()` — with no
+/// variables (`keys` has no columns) a grouping is one row holding the
+/// total.
+#[derive(Debug)]
+pub(crate) struct Grouped {
+    pub(crate) keys: ColumnTable,
+    pub(crate) weights: Vec<u128>,
+}
+
+impl Grouped {
+    /// Every row of `table`, standing for itself.
+    pub(crate) fn ones(table: ColumnTable) -> Self {
+        let weights = vec![1; table.len()];
+        Grouped {
+            keys: table,
+            weights,
+        }
+    }
+}
+
+/// `prev ⋈ next` without writing it: every joined row stands for its `prev`
+/// row's weight.  Returns the weights' sum — the row count of the join the
+/// weights stand for — and the join grouped on `frontier` (variables of
+/// either side, in the order given), one row per distinct tuple with its
+/// rows' weights summed, its columns from `buffers` at exactly that size.
+///
+/// Built on `prev` and probed batch-at-a-time with `next` through
+/// [`hash_join_count`]'s probe loop.  A probe row's matches are one range of
+/// the build table, so their weight is a difference of prefix sums: with an
+/// empty frontier that is all the work.  When `next` holds every frontier
+/// variable a probe row is one tuple — its own group, unhashed, when the
+/// frontier is all of `next`'s variables (a relation's rows are distinct;
+/// were they not, the sums would still be exact).  Otherwise each match
+/// adds its own weight to the group of its tuple.
+pub(crate) fn hash_join_grouped(
+    prev: &Grouped,
+    next: &ColumnTable,
+    frontier: &[String],
+    buffers: &ColumnBuffers,
+) -> (u128, Grouped) {
+    let mut weights: Vec<u128> = Vec::new();
+    let Some(join) = HashProbe::with_build(&prev.keys, prev.weights.len(), next, true) else {
+        let keys = ColumnTable::with_rows_in(frontier.to_vec(), 0, buffers);
+        return (0, Grouped { keys, weights });
+    };
+    let mut sums: Vec<u128> = Vec::with_capacity(join.table.rows.len() + 1);
+    sums.push(0);
+    for &row in &join.table.rows {
+        sums.push(sums[sums.len() - 1] + prev.weights[row as usize]);
+    }
+    // Where each frontier value is read: `next`'s probe row (`Ok`) when it
+    // has the variable, else `prev`'s build row (`Err`).
+    let sources: Vec<Result<usize, usize>> = frontier
+        .iter()
+        .map(|v| match next.position(v) {
+            Some(p) => Ok(p),
+            None => Err(prev
+                .keys
+                .position(v)
+                .expect("a frontier variable is joined")),
+        })
+        .collect();
+    let per_probe_row = sources.iter().all(Result::is_ok);
+    let unhashed = per_probe_row && next.vars().iter().all(|v| frontier.contains(v));
+    let read = |key: &mut [u64], probe_row: usize, build_row: usize| {
+        for (value, src) in key.iter_mut().zip(&sources) {
+            *value = match *src {
+                Ok(p) => next.col(p)[probe_row],
+                Err(p) => prev.keys.col(p)[build_row],
+            };
+        }
+    };
+    // Each group's first joined row, as (probe row, build row): its tuple is
+    // gathered from there at the end.
+    let (mut probe_of, mut build_of): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
+    let mut groups = KeyIndex::for_width(frontier.len());
+    let mut add = |key: &[u64], probe_row: usize, build_row: u32, weight: u128| {
+        let g = if unhashed {
+            weights.len()
+        } else {
+            groups.number(key) as usize
+        };
+        if g == weights.len() {
+            probe_of.push(probe_row as u32);
+            build_of.push(build_row);
+            weights.push(weight);
+        } else {
+            weights[g] += weight;
+        }
+    };
+    let mut key = vec![0u64; frontier.len()];
+    let mut total = 0u128;
+    let mut probe_row = 0usize;
+    join.ranges(|range| {
+        let (start, len) = unpack_range(range);
+        let weight = sums[start + len] - sums[start];
+        total += weight;
+        if !frontier.is_empty() && weight > 0 {
+            if per_probe_row {
+                if !unhashed {
+                    read(&mut key, probe_row, 0);
+                }
+                add(&key, probe_row, 0, weight);
+            } else {
+                for &build_row in &join.table.rows[start..start + len] {
+                    read(&mut key, probe_row, build_row as usize);
+                    add(&key, probe_row, build_row, prev.weights[build_row as usize]);
+                }
+            }
+        }
+        probe_row += 1;
+    });
+    if frontier.is_empty() {
+        weights.push(total);
+    }
+    let mut keys = ColumnTable::with_rows_in(frontier.to_vec(), probe_of.len(), buffers);
+    for (c, src) in sources.iter().enumerate() {
+        match *src {
+            Ok(p) => keys.gather(c, next, p, &probe_of),
+            Err(p) => keys.gather(c, &prev.keys, p, &build_of),
+        }
+    }
+    (total, Grouped { keys, weights })
+}
+
 /// Left semi-join: the rows of `left` that have at least one match in
 /// `right` on the shared variables (the Yannakakis full reducer's pass),
 /// executed as a bitmap filter — probe every batch of `left` against the
@@ -335,7 +505,7 @@ fn semi_join_bitmap(left: &ColumnTable, right: &ColumnTable) -> Vec<bool> {
     }
     let left_key_pos: Vec<usize> = shared.iter().map(|&(l, _)| l).collect();
     let right_key_pos: Vec<usize> = shared.iter().map(|&(_, r)| r).collect();
-    let keys = KeyIndex::build(right, &right_key_pos, |_| {});
+    let keys = KeyIndex::build(right, right.len(), &right_key_pos, |_| {});
 
     let mut bitmap = Vec::with_capacity(left.len());
     let mut scratch: Vec<u64> = Vec::new();
@@ -439,6 +609,188 @@ mod tests {
         assert_eq!(out.len() as u64, n / 5 * 3);
         assert_eq!(hash_join_count(&l, &r), out.len());
         assert_eq!(out.sorted_rows(), oracle_join(&l, &r, out.vars()));
+    }
+
+    /// `(tuple, weight)` pairs of a grouping, sorted, equal tuples' weights
+    /// summed and zero weights left out.
+    fn groups(g: &Grouped) -> Vec<(Vec<u64>, u128)> {
+        let width = g.keys.vars().len();
+        let mut out = std::collections::BTreeMap::<Vec<u64>, u128>::new();
+        for (i, &w) in g.weights.iter().enumerate().filter(|(_, &w)| w > 0) {
+            *out.entry((0..width).map(|c| g.keys.col(c)[i]).collect())
+                .or_default() += w;
+        }
+        out.into_iter().collect()
+    }
+
+    /// What the nested-loop oracle says `prev ⋈ next` is, with every row of
+    /// `prev` written out as many times as it weighs, then grouped on
+    /// `frontier`: the row count and the groups.
+    fn oracle_grouped(
+        prev: &Grouped,
+        next: &ColumnTable,
+        frontier: &[String],
+    ) -> (u128, Vec<(Vec<u64>, u128)>) {
+        let mut vars = prev.keys.vars().to_vec();
+        let extra: Vec<String> = next
+            .vars()
+            .iter()
+            .filter(|v| !vars.contains(v))
+            .cloned()
+            .collect();
+        vars.extend(extra);
+        let rows: Vec<Vec<u64>> = if prev.keys.vars().is_empty() {
+            // The empty tuple joins every row of `next`.
+            let times = prev.weights.iter().sum::<u128>() as usize;
+            next.sorted_rows()
+                .into_iter()
+                .flat_map(|row| std::iter::repeat_n(row, times))
+                .collect()
+        } else {
+            let mut expanded = ColumnTable::empty(prev.keys.vars().to_vec());
+            for (i, &w) in prev.weights.iter().enumerate() {
+                let row: Vec<u64> = (0..prev.keys.vars().len())
+                    .map(|c| prev.keys.col(c)[i])
+                    .collect();
+                for _ in 0..w {
+                    expanded.push_row(&row);
+                }
+            }
+            oracle_join(&expanded, next, &vars)
+        };
+        let at: Vec<usize> = frontier
+            .iter()
+            .map(|v| vars.iter().position(|x| x == v).unwrap())
+            .collect();
+        let mut grouped = std::collections::BTreeMap::<Vec<u64>, u128>::new();
+        for row in &rows {
+            *grouped
+                .entry(at.iter().map(|&p| row[p]).collect())
+                .or_default() += 1;
+        }
+        (rows.len() as u128, grouped.into_iter().collect())
+    }
+
+    fn weighted(table: ColumnTable, weights: &[u128]) -> Grouped {
+        assert!(table.vars().is_empty() || table.len() == weights.len());
+        Grouped {
+            keys: table,
+            weights: weights.to_vec(),
+        }
+    }
+
+    #[test]
+    fn grouped_join_matches_the_oracle() {
+        let names = |vs: &[&str]| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        let cases: Vec<(Grouped, ColumnTable, Vec<&[&str]>)> = vec![
+            // Duplicate rows and multiplicities above one, one join variable;
+            // frontiers of 0, 1 (from either side) and 3 variables.
+            (
+                weighted(
+                    t(&["X", "Y"], &[&[1, 10], &[2, 10], &[3, 20], &[4, 30]]),
+                    &[3, 1, 2, 5],
+                ),
+                t(
+                    &["Y", "Z"],
+                    &[&[10, 100], &[10, 100], &[10, 101], &[20, 7], &[40, 1]],
+                ),
+                vec![
+                    &[],
+                    &["Z"],
+                    &["X"],
+                    &["Y"],
+                    &["Z", "Y"],
+                    &["X", "Y", "Z"],
+                    &["Z", "X"],
+                ],
+            ),
+            // A two-variable join key (the multi-key build and probe).
+            (
+                weighted(
+                    t(
+                        &["X", "Y", "A"],
+                        &[&[1, 2, 5], &[1, 3, 6], &[1, 2, 9], &[4, 4, 4]],
+                    ),
+                    &[2, 7, 1, 3],
+                ),
+                t(
+                    &["Y", "X", "B"],
+                    &[&[2, 1, 7], &[3, 9, 8], &[2, 1, 4], &[2, 1, 4], &[4, 4, 0]],
+                ),
+                vec![
+                    &[],
+                    &["B"],
+                    &["A", "B", "X"],
+                    &["X", "Y"],
+                    &["B", "X", "Y"],
+                    &["A"],
+                ],
+            ),
+            // No shared variable: a cross product ahead.
+            (
+                weighted(t(&["X"], &[&[1], &[2]]), &[4, 1]),
+                t(&["Z"], &[&[7], &[8], &[8]]),
+                vec![&[], &["Z"], &["X"], &["X", "Z"]],
+            ),
+            // A grouping without variables: one row holding its total.
+            (
+                weighted(ColumnTable::empty(Vec::new()), &[6]),
+                t(&["Y", "Z"], &[&[1, 2], &[1, 3], &[5, 2]]),
+                vec![&[], &["Z"], &["Y", "Z"]],
+            ),
+            // Empty inputs on either side.
+            (
+                weighted(t(&["X", "Y"], &[]), &[]),
+                t(&["Y", "Z"], &[&[1, 2]]),
+                vec![&[], &["Z"]],
+            ),
+            (
+                weighted(t(&["X", "Y"], &[&[1, 2]]), &[9]),
+                t(&["Y", "Z"], &[]),
+                vec![&[], &["X"]],
+            ),
+        ];
+        for (prev, next, frontiers) in &cases {
+            for frontier in frontiers {
+                let frontier = names(frontier);
+                let (total, grouped) =
+                    hash_join_grouped(prev, next, &frontier, &ColumnBuffers::default());
+                let (truth, truth_groups) = oracle_grouped(prev, next, &frontier);
+                assert_eq!(total, truth, "{:?} on {frontier:?}", prev.keys.vars());
+                assert_eq!(grouped.keys.vars(), frontier.as_slice());
+                assert_eq!(groups(&grouped), truth_groups, "{frontier:?}");
+                let next_is_a_set = next.sorted_rows().windows(2).all(|w| w[0] != w[1]);
+                if next_is_a_set && !frontier.is_empty() {
+                    // One row per distinct tuple.
+                    assert_eq!(grouped.weights.len(), truth_groups.len());
+                }
+                if frontier.is_empty() && total > 0 {
+                    // One row holding the total.
+                    assert_eq!(grouped.weights, [total]);
+                }
+            }
+            if prev.weights.iter().all(|&w| w == 1) && !prev.keys.vars().is_empty() {
+                let truth = oracle_grouped(prev, next, &[]).0;
+                assert_eq!(hash_join_count(&prev.keys, next) as u128, truth);
+            }
+        }
+        // Unit weights are `hash_join_count`'s pass, across batch boundaries.
+        let n = 3000u64;
+        let l = ColumnTable::new(
+            vec!["X".into(), "Y".into()],
+            vec![(0..n).collect(), (0..n).map(|i| i % 5).collect()],
+        );
+        let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
+        let ones = Grouped::ones(r.clone());
+        for frontier in [names(&[]), names(&["X"]), names(&["Z"])] {
+            let (total, grouped) =
+                hash_join_grouped(&ones, &l, &frontier, &ColumnBuffers::default());
+            assert_eq!(total, hash_join_count(&r, &l) as u128);
+            assert_eq!(
+                (total, groups(&grouped)),
+                oracle_grouped(&ones, &l, &frontier)
+            );
+        }
     }
 
     #[test]

@@ -25,8 +25,13 @@
 //!   to its output's *size*, the quantity the paper bounds: every stage
 //!   below the root runs as in [`execute_physical_mode`], the root stops at
 //!   its count (a hash join's probe pass, a WCOJ's emissions, a
-//!   partitioned union's summed branches), and the recorded counters are
-//!   the materializing run's.  It is what `lpb-serve` answers with;
+//!   partitioned union's summed branches), and a Yannakakis root counts
+//!   its whole chain after the full reducer — a sum-product over the
+//!   counting semiring that keeps each prefix grouped on the variables a
+//!   later join reads, with one multiplicity per distinct tuple, so no
+//!   chain intermediate is materialized.  The recorded counters are the
+//!   materializing run's, every size and certificate.  It is what
+//!   `lpb-serve` answers with;
 //! * **recycled column buffers** — every operator sizes its output columns
 //!   exactly and takes them from a [`ColumnBuffers`] handle, and a dropped
 //!   table gives them back.  The default handle is the allocator;

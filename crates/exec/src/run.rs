@@ -109,13 +109,16 @@ pub fn execute_physical_mode(
 
 /// The size of a physical plan's output, computed without materializing
 /// it: every stage below the root runs as in [`execute_physical_mode`], and
-/// the root only counts — a hash-join root (the last step of a chain or of
-/// a Yannakakis residue included) stops after its probe pass, a WCOJ root
-/// counts its emissions, a scan root reads the relation's length, and a
+/// the root only counts — a hash-join root (a hash chain's last step, a
+/// bushy join) stops after its probe pass, a WCOJ root counts its
+/// emissions, a scan root reads the relation's length, a Yannakakis root
+/// runs its full reducer and then counts its whole chain on
+/// frontier-grouped multiplicities, materializing none of its steps, and a
 /// partitioned union sums its branches' counted roots.  The counters equal
-/// the materializing run's.  Every intermediate's large columns come from
-/// `buffers` and go back to it — the entry point of a serving worker that
-/// keeps one [`ColumnBuffers`] free list across requests.
+/// the materializing run's: every step, size and certificate.  Every
+/// intermediate's large columns come from `buffers` and go back to it — the
+/// entry point of a serving worker that keeps one [`ColumnBuffers`] free
+/// list across requests.
 pub fn count_physical_with_buffers(
     query: &JoinQuery,
     catalog: &Catalog,

@@ -36,8 +36,13 @@
 //!   its row count, and the root's table is never filled — a hash-join root
 //!   stops after its probe pass, a WCOJ root counts emissions, a scan root
 //!   reads its relation's length, and a partitioned union sums its
-//!   branches' counted roots.  The recorded steps are the materializing
-//!   run's, size for size.
+//!   branches' counted roots.  A Yannakakis root counts its whole chain,
+//!   not just the last step: after the full reducer each step keeps only
+//!   the prefix's frontier — the variables a later relation joins on — one
+//!   row per distinct tuple with the number of prefix rows it stands for,
+//!   so no prefix is materialized (`count_chain`).  Stages below the root
+//!   run as usual.  The recorded steps are the materializing run's, size
+//!   for size and certificate for certificate.
 //!
 //! Partition branches and reduced residues execute as *atomic* stages (a
 //! branch drains its whole sub-plan before yielding); a violation inside
@@ -47,12 +52,13 @@ use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
-use crate::hash_join::{hash_join_columns, hash_join_count};
+use crate::hash_join::{hash_join_columns, hash_join_count, hash_join_grouped, Grouped};
 use crate::physical::{assert_parts_disjoint, PartitionBranch, PhysicalNode, PhysicalPlan};
 use crate::wcoj::{wcoj_count, wcoj_materialize_columns};
 use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
+use std::collections::HashMap;
 
 /// One executable unit of the lowered plan.
 #[derive(Debug, Clone)]
@@ -246,11 +252,12 @@ impl ExecState {
     }
 
     /// Count the root instead of materializing it: the root stage — and,
-    /// under a partitioned union, every branch's root — runs its inputs as
-    /// usual and records the size its last operator would write, under the
-    /// same label and certificate, so the run's counters equal a
-    /// materializing run's.  The root's table stays empty; every stage
-    /// below it is unchanged.
+    /// under a partitioned union, every branch's root — records the sizes
+    /// its operators would write, under the same labels and certificates,
+    /// so the run's counters equal a materializing run's.  A Yannakakis
+    /// root counts every step of its chain; other roots run their inputs as
+    /// usual and count their last operator.  The root's table stays empty;
+    /// every stage below it is unchanged.
     pub(crate) fn counting_root(mut self) -> Self {
         self.counted[self.root] = true;
         if let StageOp::Union { branch_slots, .. } = &self.stages[self.root].op {
@@ -576,8 +583,8 @@ impl ExecState {
 }
 
 /// Yannakakis: full reducer over the acyclic sub-join, then a hash chain
-/// over the reduced relations in the given order.  With `count`, the
-/// chain's last step is counted, not materialized.
+/// over the reduced relations in the given order.  With `count`, the chain
+/// is counted ([`count_chain`]) and no step of it is materialized.
 fn exec_reduced(
     query: &JoinQuery,
     catalog: &Catalog,
@@ -590,40 +597,93 @@ fn exec_reduced(
     let mut counters = IntermediateCounters::new();
     let sub = query.subquery(atoms)?;
     let reduced = full_reducer_columns(&sub, catalog, &mut counters, scan_bounds, buffers)?;
-    let last = reduced.len() - 1;
     let relation = |i: usize| &query.atoms()[atoms[i]].relation;
-    let mut acc: Option<ColumnTable> = None;
-    let mut rows = 0;
-    for (i, next) in reduced.into_iter().enumerate() {
+    // Step `i` records the reduced relation's size and, past the first, the
+    // size of the chain's prefix up to it.
+    let mut record = |i: usize, reduced_rows: usize, prefix_rows: Option<usize>| {
         counters.record_checked(
             format!("reduce {}", relation(i)),
-            next.len(),
+            reduced_rows,
             scan_bounds.get(i).copied().flatten(),
         );
-        let Some(prev) = acc.take() else {
-            rows = next.len();
-            acc = Some(next);
-            continue;
-        };
-        if count && i == last {
-            rows = hash_join_count(&prev, &next);
-        } else {
-            let joined = hash_join_columns(&prev, &next, buffers);
-            rows = joined.len();
-            acc = Some(joined);
+        if let Some(rows) = prefix_rows {
+            counters.record_checked(
+                format!("⋈ {}", relation(i)),
+                rows,
+                step_bounds.get(i).copied().flatten(),
+            );
         }
-        counters.record_checked(
-            format!("⋈ {}", relation(i)),
-            rows,
-            step_bounds.get(i).copied().flatten(),
-        );
-    }
-    let mut out = match acc {
-        Some(value) if !count => StageOutput::table(value),
-        _ => StageOutput::counted(rows),
+    };
+    let mut out = if count {
+        StageOutput::counted(count_chain(reduced, &mut record, buffers))
+    } else {
+        let mut acc: Option<ColumnTable> = None;
+        for (i, next) in reduced.into_iter().enumerate() {
+            acc = Some(match acc.take() {
+                None => {
+                    record(i, next.len(), None);
+                    next
+                }
+                Some(prev) => {
+                    let joined = hash_join_columns(&prev, &next, buffers);
+                    record(i, next.len(), Some(joined.len()));
+                    joined
+                }
+            });
+        }
+        StageOutput::table(acc.expect("a reduced stage has an atom"))
     };
     out.counters = counters;
     Ok(out)
+}
+
+/// The hash chain over `reduced`, counted: after each step the prefix is
+/// kept grouped on its frontier — the variables a later relation joins on —
+/// one row per distinct tuple with the number of prefix rows it stands for
+/// ([`hash_join_grouped`]).  The first relation enters with multiplicity 1
+/// per row, and the last step's frontier is empty.  Every step's recorded
+/// size is the multiplicities' sum, exactly the materialized prefix's row
+/// count.  Returns the whole chain's row count.
+fn count_chain(
+    reduced: Vec<ColumnTable>,
+    record: &mut impl FnMut(usize, usize, Option<usize>),
+    buffers: &ColumnBuffers,
+) -> usize {
+    // The last relation each variable occurs in.
+    let last_use: HashMap<String, usize> = reduced
+        .iter()
+        .enumerate()
+        .flat_map(|(i, t)| t.vars().iter().map(move |v| (v.clone(), i)))
+        .collect();
+    let mut prefix: Option<Grouped> = None;
+    let mut rows = 0;
+    for (i, next) in reduced.into_iter().enumerate() {
+        let Some(prev) = prefix.take() else {
+            rows = next.len();
+            record(i, rows, None);
+            prefix = Some(Grouped::ones(next));
+            continue;
+        };
+        let frontier: Vec<String> = prev
+            .keys
+            .vars()
+            .iter()
+            .chain(
+                next.vars()
+                    .iter()
+                    .filter(|v| prev.keys.position(v).is_none()),
+            )
+            .filter(|v| last_use[*v] > i)
+            .cloned()
+            .collect();
+        let (total, grouped) = hash_join_grouped(&prev, &next, &frontier, buffers);
+        // Past `usize` no prefix could have been materialized; the size
+        // saturates rather than wraps.
+        rows = usize::try_from(total).unwrap_or(usize::MAX);
+        record(i, next.len(), Some(rows));
+        prefix = Some(grouped);
+    }
+    rows
 }
 
 /// First step in `counters` whose observed size exceeds its certificate by

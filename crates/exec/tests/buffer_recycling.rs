@@ -3,9 +3,13 @@
 //! run returns the step recording and the certificate tally of a fresh
 //! `execute_physical_mode` call and the nested-loop oracle's row count,
 //! whatever ran on the same buffers before it; and once the list has seen
-//! the rotation, further rotations allocate no large buffer at all.  (That
-//! a recycled buffer never shows earlier rows in a materialized table is
-//! pinned in the `state` module's unit tests.)
+//! the rotation, further rotations allocate no large buffer at all.  A
+//! counted Yannakakis chain materializes nothing larger than its reduced
+//! inputs, so on these it takes no large buffer in the first place; the
+//! hash chain, the WCOJ-then-chain and the bushy plan still materialize
+//! large intermediates below their counted outputs.  (That a recycled
+//! buffer never shows earlier rows in a materialized table is pinned in
+//! the `state` module's unit tests.)
 
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, RelationBuilder};
@@ -27,10 +31,11 @@ struct Shape {
 /// Path relations with `fanout` rows per join value (so `R ⋈ S` and
 /// everything after it has `8 · fanout²` rows) and a complete digraph `E`
 /// on `nodes` nodes (`nodes · (nodes-1) · (nodes-2)` directed triangles).
-/// Every intermediate below the output here is above the 4096-row size from
-/// which columns are recycled, and the two scales differ, so a buffer that
-/// served a large intermediate next serves a smaller one and the other way
-/// round.
+/// `R ⋈ S` — the first join of the hash chain and of the bushy plan, and
+/// the WCOJ core under a chain — is above the 4096-row size from which
+/// columns are recycled, every relation is below it, and the two scales
+/// differ, so a buffer that served a large intermediate next serves a
+/// smaller one and the other way round.
 fn catalog(fanout: u64, nodes: u64) -> Catalog {
     let n = 8 * fanout;
     let mut c = Catalog::new();
@@ -75,7 +80,7 @@ fn scan(atom: usize) -> Box<PhysicalNode> {
     })
 }
 
-/// The four plan kinds the executor has, at one scale.
+/// Every plan kind the executor has, at one scale.
 fn shapes(tag: &str, fanout: u64, nodes: u64) -> Vec<Shape> {
     let catalog = Arc::new(catalog(fanout, nodes));
     let path3 = JoinQuery::path(&["R", "S", "T"]);
@@ -119,9 +124,19 @@ fn shapes(tag: &str, fanout: u64, nodes: u64) -> Vec<Shape> {
     };
     vec![
         shape(
+            "chain",
+            path3.clone(),
+            PhysicalPlan::hash_chain(vec![0, 1, 2]),
+        ),
+        shape(
             "reduced",
             path3.clone(),
             PhysicalPlan::reduced(vec![0, 1, 2]),
+        ),
+        shape(
+            "wcoj-chain",
+            path3.clone(),
+            PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2]),
         ),
         shape("union", path3, union),
         shape("bushy", JoinQuery::path(&["R", "S", "T", "U"]), bushy),
@@ -180,15 +195,16 @@ fn one_free_list_serves_every_shape_like_a_fresh_run() {
     assert_eq!(counters.bytes_retained(), 0);
 }
 
-/// A buffer that held a large intermediate comes back for a smaller one
-/// with room to spare; a stale row in it would change the joins above it,
-/// and with them the count.
+/// A buffer that held a large intermediate (the hash chain's `R ⋈ S`)
+/// comes back for a smaller one with room to spare; a stale row in it
+/// would change the join above it, and with it the count.
 #[test]
 fn a_recycled_buffer_never_exposes_an_earlier_output() {
     let counters = Arc::new(BufferCounters::default());
     let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
     let large = &shapes("large", 40, 22)[0];
     let small = &shapes("small", 24, 18)[0];
+    assert!(large.name.starts_with("chain@"));
     let big_rows = count(large, &buffers).output_size;
     let reused_before = counters.reused();
     let out = count(small, &buffers);
@@ -224,6 +240,32 @@ fn a_warm_list_allocates_no_large_buffer() {
     assert!(reused > cold_reused);
     // The private retention bound is 24 MiB per list.
     assert!(counters.bytes_retained() <= 24 << 20);
+}
+
+/// A counted Yannakakis chain — alone or as every branch of a partitioned
+/// union — holds nothing larger than its reduced relations, however large
+/// the joins it counts: here those are below the recycling size, so the
+/// list is never asked for a buffer and keeps none.
+#[test]
+fn a_counted_yannakakis_chain_takes_no_large_buffer() {
+    let counters = Arc::new(BufferCounters::default());
+    let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
+    for s in shapes("large", 40, 22)
+        .iter()
+        .filter(|s| s.name.starts_with("reduced@") || s.name.starts_with("union@"))
+    {
+        let fresh =
+            execute_physical_mode(&s.query, &s.catalog, &s.plan, ExecMode::Vectorized).unwrap();
+        assert!(fresh.max_intermediate() >= 4096, "{}", s.name);
+        let counted = count(s, &buffers);
+        assert_eq!(counted.counters, fresh.counters, "{}", s.name);
+        let taken = (
+            counters.fresh(),
+            counters.reused(),
+            counters.bytes_retained(),
+        );
+        assert_eq!(taken, (0, 0, 0), "{}", s.name);
+    }
 }
 
 /// Without a free list nothing is kept: `execute_physical_mode` runs on the

@@ -7,15 +7,16 @@
 //! point must agree with both on every plan: its size is the oracle's row
 //! count and its counters are the materializing run's.
 
-use lpb_core::JoinQuery;
+use lpb_core::{Atom, JoinQuery};
 use lpb_data::{Catalog, RelationBuilder};
 use lpb_datagen::skewed_pairs;
 use lpb_exec::oracle::nested_loop_join;
 use lpb_exec::{
-    count_physical_with_buffers, execute_physical_mode, split_light_heavy, ColumnBuffers, ExecMode,
-    Optimizer, PartitionBranch, PhysicalNode, PhysicalPlan,
+    count_physical_with_buffers, execute_physical_mode, split_light_heavy, BufferCounters,
+    ColumnBuffers, ExecMode, Optimizer, PartitionBranch, PhysicalNode, PhysicalPlan,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy over skewed pair sets: planted hubs on a uniform background,
 /// generated deterministically by `lpb_datagen::skewed_pairs`.
@@ -136,21 +137,54 @@ proptest! {
     }
 
     /// Every kind of root the counting path distinguishes — a scan, a hash
-    /// chain's last step, a bushy join, a WCOJ, a Yannakakis residue's last
-    /// step, and a partitioned union over counted branch roots — counts
-    /// the oracle's rows and records what materializing records.
+    /// chain's last step, a bushy join, a WCOJ, a counted Yannakakis chain,
+    /// and a partitioned union over counted branch roots — counts the
+    /// oracle's rows and records what materializing records.  The
+    /// Yannakakis chains run over 3–5 atoms, in and out of path order, on a
+    /// star, and across a cross product (a query of two components: the
+    /// chain's prefix keeps no variable, or keeps variables of the other
+    /// component).  A chain whose every step leaves one variable to join
+    /// on holds nothing larger than a relation, so counted on a free list
+    /// it takes no buffer of the size the list recycles.
     #[test]
     fn every_root_kind_counts_what_it_materializes(
         rpairs in arb_skewed_pairs(),
         spairs in arb_skewed_pairs(),
-        tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
+        tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80),
+        upairs in proptest::collection::vec((0u64..30, 0u64..12), 1..40)
     ) {
         let r = RelationBuilder::binary_from_pairs("R", "x", "y", rpairs);
         let mut catalog = Catalog::new();
         catalog.insert(r.clone());
         catalog.insert(RelationBuilder::binary_from_pairs("S", "y", "z", spairs));
         catalog.insert(RelationBuilder::binary_from_pairs("T", "z", "w", tpairs));
+        catalog.insert(RelationBuilder::binary_from_pairs("U", "w", "v", upairs));
         let path = JoinQuery::path(&["R", "S", "T"]);
+        let path5 = JoinQuery::path(&["R", "S", "T", "U", "T"]);
+        let query = |name: &str, atoms: &[(&str, [&str; 2])]| {
+            let atoms = atoms.iter().map(|(rel, vars)| Atom::new(*rel, vars)).collect();
+            JoinQuery::new(name, atoms).unwrap()
+        };
+        let star = query(
+            "star",
+            &[("R", ["X", "A"]), ("T", ["X", "B"]), ("U", ["X", "C"]), ("S", ["X", "D"])],
+        );
+        let apart = query(
+            "two-components",
+            &[("R", ["A", "B"]), ("S", ["B", "C"]), ("U", ["D", "E"])],
+        );
+        let narrow = [
+            (path5.clone(), PhysicalPlan::reduced(vec![0, 1, 2, 3, 4])),
+            (path5.clone(), PhysicalPlan::reduced(vec![4, 3, 2, 1, 0])),
+            (star, PhysicalPlan::reduced(vec![0, 1, 2, 3])),
+            (apart.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
+        ];
+        for (query, plan) in &narrow {
+            let counters = Arc::new(BufferCounters::default());
+            let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
+            count_physical_with_buffers(query, &catalog, plan, &buffers).unwrap();
+            prop_assert_eq!((counters.fresh(), counters.reused()), (0, 0), "{}", query.name());
+        }
         let scan = |atom| {
             Box::new(PhysicalNode::Scan {
                 atom,
@@ -173,7 +207,10 @@ proptest! {
             (JoinQuery::triangle("R", "S", "T"), PhysicalPlan::wcoj(vec![0, 1, 2])),
             (path.clone(), PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2])),
             (path.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
+            (path5, PhysicalPlan::reduced(vec![2, 1, 3, 0, 4])),
+            (apart, PhysicalPlan::reduced(vec![2, 0, 1])),
         ];
+        cases.extend(narrow);
         if let Some((light, heavy)) = split_light_heavy(&r, &["x"], &["y"]).unwrap() {
             let branch = |relation: lpb_data::Relation, plan| PartitionBranch {
                 relation: relation.into(),

@@ -58,14 +58,19 @@
 //!    one request, one thread, stages in order.  The service answers with
 //!    the output's *size*, so the plan's root is counted
 //!    ([`lpb_exec::count_physical_with_buffers`]) and the output is never
-//!    materialized; every certificate is checked as in a materializing run.
+//!    materialized; a Yannakakis root counts its whole chain and
+//!    materializes none of its steps either.  Every certificate is checked
+//!    as in a materializing run.
 //!
 //! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by
-//!    each [`Worker`]) — a served join still materializes its
-//!    intermediates below the output.  Left to the allocator, every large
-//!    one of those columns is mapped, page-faulted and unmapped per request,
-//!    which on an all-cache-hit workload was ~60 % of the executor's
-//!    wall-clock.  A worker instead keeps a free list across requests:
+//!    each [`Worker`]) — a served plan may still materialize large
+//!    intermediates below its output: a hash chain's or a bushy tree's
+//!    joins, a WCOJ core under a chain.  (A counted Yannakakis chain holds
+//!    only its relations, reduced, and its frontier groupings, which are no
+//!    larger on the JOB-like shapes: those take no large buffer.)  Left to
+//!    the allocator, every large column is mapped, page-faulted and unmapped
+//!    per request, which on an all-cache-hit workload was ~60 % of the
+//!    executor's wall-clock while the service materialized its outputs.  A worker instead keeps a free list across requests:
 //!    every large column of a request is taken from it and drops back into
 //!    it, so steady-state execution maps no new memory.
 //!
