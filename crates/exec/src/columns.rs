@@ -20,22 +20,7 @@
 //! row-wise through [`ColumnTable::sorted_rows`], which is what the
 //! differential tests against the nested-loop oracle ([`crate::oracle`])
 //! compare.
-//!
-//! **Buffer lifecycle.**  Every table carries the [`ColumnBuffers`] handle
-//! it was built with.  Each construction site here — the scan
-//! ([`ColumnTable::from_relation`]), the exactly-sized operator output
-//! (`with_rows_in`: hash join, semi-join filter, union, [`reorder`]) and
-//! `Clone` — takes its columns from that handle, and `Drop` gives them
-//! back.  Operators know their output's row count before they write a
-//! value, so every column of a table has the same capacity and a buffer one
-//! request returns fits the same column of the next.  With the default
-//! handle all of this is `Vec::with_capacity` and `drop`; with a serving
-//! worker's handle the large columns circulate on its free list (see the
-//! `buffers` module) and a request in steady state maps no new memory.
-//!
-//! [`reorder`]: ColumnTable::reorder
 
-use crate::buffers::ColumnBuffers;
 use crate::error::ExecError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation};
@@ -49,45 +34,17 @@ pub(crate) const BATCH_ROWS: usize = 1024;
 /// one dense `u64` vector per column.
 ///
 /// Row `i` is `(cols[0][i], …, cols[k-1][i])`.  All columns always have
-/// equal length.  Equality compares variables and values, not where the
-/// columns were allocated.
-#[derive(Debug, Default)]
+/// equal length.
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ColumnTable {
     vars: Vec<String>,
     cols: Vec<Vec<u64>>,
-    buffers: ColumnBuffers,
-}
-
-impl PartialEq for ColumnTable {
-    fn eq(&self, other: &Self) -> bool {
-        self.vars == other.vars && self.cols == other.cols
-    }
-}
-
-impl Eq for ColumnTable {}
-
-impl Clone for ColumnTable {
-    fn clone(&self) -> Self {
-        let mut copy = Self::with_rows_in(self.vars.clone(), self.len(), &self.buffers);
-        for (dst, src) in copy.cols.iter_mut().zip(&self.cols) {
-            dst.extend_from_slice(src);
-        }
-        copy
-    }
-}
-
-impl Drop for ColumnTable {
-    fn drop(&mut self) {
-        for col in self.cols.drain(..) {
-            self.buffers.give(col);
-        }
-    }
 }
 
 impl ColumnTable {
     /// An empty table with the given variables.
     pub fn empty(vars: Vec<String>) -> Self {
-        Self::with_rows_in(vars, 0, &ColumnBuffers::default())
+        Self::with_rows(vars, 0)
     }
 
     /// Build from raw parts; all columns must have equal length.
@@ -98,23 +55,14 @@ impl ColumnTable {
             cols.iter().all(|c| c.len() == n),
             "all columns must have equal length"
         );
-        ColumnTable {
-            vars,
-            cols,
-            buffers: ColumnBuffers::default(),
-        }
+        ColumnTable { vars, cols }
     }
 
     /// An empty table whose columns each have room for exactly `rows`
-    /// values, taken from `buffers` — what every operator that knows its
-    /// output size starts from.
-    pub(crate) fn with_rows_in(vars: Vec<String>, rows: usize, buffers: &ColumnBuffers) -> Self {
-        let cols = vars.iter().map(|_| buffers.take(rows)).collect();
-        ColumnTable {
-            vars,
-            cols,
-            buffers: buffers.clone(),
-        }
+    /// values — what every operator that knows its output size starts from.
+    pub(crate) fn with_rows(vars: Vec<String>, rows: usize) -> Self {
+        let cols = vars.iter().map(|_| Vec::with_capacity(rows)).collect();
+        ColumnTable { vars, cols }
     }
 
     /// Bind atom `atom_idx` of `query`: borrow its relation from the catalog
@@ -125,19 +73,9 @@ impl ColumnTable {
         catalog: &Catalog,
         atom_idx: usize,
     ) -> Result<Self, ExecError> {
-        Self::from_atom_in(query, catalog, atom_idx, &ColumnBuffers::default())
-    }
-
-    /// [`from_atom`](Self::from_atom) with the columns taken from `buffers`.
-    pub(crate) fn from_atom_in(
-        query: &JoinQuery,
-        catalog: &Catalog,
-        atom_idx: usize,
-        buffers: &ColumnBuffers,
-    ) -> Result<Self, ExecError> {
         let atom = &query.atoms()[atom_idx];
         let rel = catalog.get(&atom.relation)?;
-        Self::from_relation_in(&rel, &atom.vars, buffers)
+        Self::from_relation(&rel, &atom.vars)
     }
 
     /// The row count [`from_atom`](Self::from_atom) binds, with the same
@@ -155,16 +93,8 @@ impl ColumnTable {
 
     /// Rename a relation's columns to the given query variables.
     pub fn from_relation(rel: &Relation, vars: &[String]) -> Result<Self, ExecError> {
-        Self::from_relation_in(rel, vars, &ColumnBuffers::default())
-    }
-
-    fn from_relation_in(
-        rel: &Relation,
-        vars: &[String],
-        buffers: &ColumnBuffers,
-    ) -> Result<Self, ExecError> {
         check_arity(rel, vars)?;
-        let mut scan = Self::with_rows_in(vars.to_vec(), rel.len(), buffers);
+        let mut scan = Self::with_rows(vars.to_vec(), rel.len());
         for (a, col) in scan.cols.iter_mut().enumerate() {
             col.extend_from_slice(rel.column(a));
         }
@@ -247,12 +177,12 @@ impl ColumnTable {
     }
 
     /// The rows whose bitmap entry is `true` (the semi-join filter), as a
-    /// new table from `buffers` sized to the survivor count: only surviving
-    /// rows are ever written.  `bitmap.len()` must equal the row count.
-    pub(crate) fn filtered(&self, bitmap: &[bool], buffers: &ColumnBuffers) -> ColumnTable {
+    /// new table sized to the survivor count: only surviving rows are ever
+    /// written.  `bitmap.len()` must equal the row count.
+    pub(crate) fn filtered(&self, bitmap: &[bool]) -> ColumnTable {
         debug_assert_eq!(bitmap.len(), self.len());
         let kept = bitmap.iter().filter(|&&keep| keep).count();
-        let mut out = Self::with_rows_in(self.vars.clone(), kept, buffers);
+        let mut out = Self::with_rows(self.vars.clone(), kept);
         for (dst, src) in out.cols.iter_mut().zip(&self.cols) {
             dst.extend(
                 src.iter()
@@ -268,7 +198,7 @@ impl ColumnTable {
     pub fn reorder(&self, vars: &[&str]) -> ColumnTable {
         assert_eq!(vars.len(), self.vars.len(), "reorder needs a permutation");
         let names = vars.iter().map(|s| s.to_string()).collect();
-        Self::concat(names, &[self], &self.buffers)
+        Self::concat(names, &[self])
     }
 
     /// The rows of all `parts` under `vars`, in part order: columns sized
@@ -276,13 +206,9 @@ impl ColumnTable {
     /// `vars` by name (every part must cover exactly these variables).  No
     /// deduplication — the partitioned-union executor relies on disjoint
     /// parts.
-    pub(crate) fn concat(
-        vars: Vec<String>,
-        parts: &[&ColumnTable],
-        buffers: &ColumnBuffers,
-    ) -> ColumnTable {
+    pub(crate) fn concat(vars: Vec<String>, parts: &[&ColumnTable]) -> ColumnTable {
         let rows = parts.iter().map(|p| p.len()).sum();
-        let mut out = Self::with_rows_in(vars, rows, buffers);
+        let mut out = Self::with_rows(vars, rows);
         for part in parts {
             for (dst, var) in out.cols.iter_mut().zip(&out.vars) {
                 let src = part.position(var).expect("parts cover the same variables");
@@ -411,7 +337,7 @@ mod tests {
         out.gather(0, &src, 1, &[3, 0, 3]);
         assert_eq!(out.col(0), &[40, 10, 40]);
 
-        let filtered = src.filtered(&[true, false, false, true], &ColumnBuffers::default());
+        let filtered = src.filtered(&[true, false, false, true]);
         assert_eq!(filtered.vars(), src.vars());
         assert_eq!(filtered.len(), 2);
         assert_eq!(filtered.col(0), &[1, 4]);
@@ -424,7 +350,7 @@ mod tests {
         let b = ColumnTable::new(vec!["Y".into(), "X".into()], vec![vec![30], vec![3]]);
         let r = b.reorder(&["X", "Y"]);
         assert_eq!(r.col(0), &[3]);
-        let u = ColumnTable::concat(a.vars().to_vec(), &[&a, &b], &ColumnBuffers::default());
+        let u = ColumnTable::concat(a.vars().to_vec(), &[&a, &b]);
         assert_eq!(u.len(), 3);
         assert_eq!(u.col(0), &[1, 2, 3]);
         assert_eq!(u.col(1), &[10, 20, 30]);

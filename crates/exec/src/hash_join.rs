@@ -4,8 +4,8 @@
 //! [`hash_join_columns`] / [`semi_join_columns`] build from column slices,
 //! probe a batch at a time, and move matches with column-wise gathers
 //! instead of allocating a `Vec<u64>` per output tuple.  Both know their
-//! output's row count before they write it, so every output column is taken
-//! from the caller's [`ColumnBuffers`] at exactly that size.
+//! output's row count before they write it, so every output column is
+//! allocated at exactly that size.
 //! [`hash_join_count`] stops there: it is the join's first pass alone, for a
 //! caller that needs only the row count.  [`hash_join_grouped`] is that pass
 //! with multiplicities: a counted Yannakakis chain joins its prefix, kept
@@ -14,7 +14,6 @@
 //! unit tests pin all four against the nested-loop oracle
 //! ([`crate::oracle`]).
 
-use crate::buffers::ColumnBuffers;
 use crate::columns::{ColumnBatch, ColumnTable};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -286,11 +285,7 @@ impl<'a> HashProbe<'a> {
 /// the output's row count; the second expands each [`ColumnBatch`]'s ranges
 /// into index pairs and fills the exactly-sized output columns with one
 /// gather per column.
-pub(crate) fn hash_join_columns(
-    left: &ColumnTable,
-    right: &ColumnTable,
-    buffers: &ColumnBuffers,
-) -> ColumnTable {
+pub(crate) fn hash_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
     let right_extra_pos: Vec<usize> = (0..right.vars().len())
         .filter(|&p| left.position(&right.vars()[p]).is_none())
         .collect();
@@ -298,11 +293,11 @@ pub(crate) fn hash_join_columns(
     out_vars.extend(right_extra_pos.iter().map(|&p| right.vars()[p].clone()));
 
     let Some(join) = HashProbe::new(left, right) else {
-        return ColumnTable::with_rows_in(out_vars, 0, buffers);
+        return ColumnTable::empty(out_vars);
     };
 
     // Pass 1: one packed range per probe row.
-    let mut ranges = buffers.take(join.probe.len());
+    let mut ranges = Vec::with_capacity(join.probe.len());
     let mut out_rows = 0usize;
     join.ranges(|range| {
         out_rows += unpack_range(range).1;
@@ -310,7 +305,7 @@ pub(crate) fn hash_join_columns(
     });
 
     // Pass 2: index pairs for one probe batch, reused across batches.
-    let mut out = ColumnTable::with_rows_in(out_vars, out_rows, buffers);
+    let mut out = ColumnTable::with_rows(out_vars, out_rows);
     let mut probe_idx: Vec<u32> = Vec::new();
     let mut build_idx: Vec<u32> = Vec::new();
     let n_left = left.vars().len();
@@ -340,7 +335,6 @@ pub(crate) fn hash_join_columns(
             out.gather(n_left + o, right, p, right_idx);
         }
     }
-    buffers.give(ranges);
     out
 }
 
@@ -381,7 +375,7 @@ impl Grouped {
 /// row's weight.  Returns the weights' sum — the row count of the join the
 /// weights stand for — and the join grouped on `frontier` (variables of
 /// either side, in the order given), one row per distinct tuple with its
-/// rows' weights summed, its columns from `buffers` at exactly that size.
+/// rows' weights summed, its columns sized exactly.
 ///
 /// Built on `prev` and probed batch-at-a-time with `next` through
 /// [`hash_join_count`]'s probe loop.  A probe row's matches are one range of
@@ -395,11 +389,10 @@ pub(crate) fn hash_join_grouped(
     prev: &Grouped,
     next: &ColumnTable,
     frontier: &[String],
-    buffers: &ColumnBuffers,
 ) -> (u128, Grouped) {
     let mut weights: Vec<u128> = Vec::new();
     let Some(join) = HashProbe::with_build(&prev.keys, prev.weights.len(), next, true) else {
-        let keys = ColumnTable::with_rows_in(frontier.to_vec(), 0, buffers);
+        let keys = ColumnTable::empty(frontier.to_vec());
         return (0, Grouped { keys, weights });
     };
     let mut sums: Vec<u128> = Vec::with_capacity(join.table.rows.len() + 1);
@@ -472,7 +465,7 @@ pub(crate) fn hash_join_grouped(
     if frontier.is_empty() {
         weights.push(total);
     }
-    let mut keys = ColumnTable::with_rows_in(frontier.to_vec(), probe_of.len(), buffers);
+    let mut keys = ColumnTable::with_rows(frontier.to_vec(), probe_of.len());
     for (c, src) in sources.iter().enumerate() {
         match *src {
             Ok(p) => keys.gather(c, next, p, &probe_of),
@@ -487,12 +480,8 @@ pub(crate) fn hash_join_grouped(
 /// executed as a bitmap filter — probe every batch of `left` against the
 /// key set of `right`'s columns, mark survivors in a `Vec<bool>`, then write
 /// the surviving rows of each column in one pass.
-pub(crate) fn semi_join_columns(
-    left: &ColumnTable,
-    right: &ColumnTable,
-    buffers: &ColumnBuffers,
-) -> ColumnTable {
-    left.filtered(&semi_join_bitmap(left, right), buffers)
+pub(crate) fn semi_join_columns(left: &ColumnTable, right: &ColumnTable) -> ColumnTable {
+    left.filtered(&semi_join_bitmap(left, right))
 }
 
 /// The bitmap of a semi-join: `true` at the rows of `left` with at least
@@ -574,7 +563,7 @@ mod tests {
         for (l, r) in &cases {
             // Both argument orders: either side may be the build side.
             for (a, b) in [(l, r), (r, l)] {
-                let out = hash_join_columns(a, b, &ColumnBuffers::default());
+                let out = hash_join_columns(a, b);
                 let mut expect_vars = a.vars().to_vec();
                 expect_vars.extend(b.vars().iter().filter(|v| !a.vars().contains(v)).cloned());
                 assert_eq!(out.vars(), expect_vars.as_slice());
@@ -591,7 +580,7 @@ mod tests {
         let s = t(&["Y", "X", "B"], &[&[2, 1, 7], &[3, 9, 8]]);
         // Only (X=1, Y=2) matches.
         assert_eq!(
-            hash_join_columns(&r, &s, &ColumnBuffers::default()).sorted_rows(),
+            hash_join_columns(&r, &s).sorted_rows(),
             vec![vec![1, 2, 5, 7]]
         );
     }
@@ -605,7 +594,7 @@ mod tests {
             vec![(0..n).collect(), (0..n).map(|i| i % 5).collect()],
         );
         let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
-        let out = hash_join_columns(&l, &r, &ColumnBuffers::default());
+        let out = hash_join_columns(&l, &r);
         assert_eq!(out.len() as u64, n / 5 * 3);
         assert_eq!(hash_join_count(&l, &r), out.len());
         assert_eq!(out.sorted_rows(), oracle_join(&l, &r, out.vars()));
@@ -753,8 +742,7 @@ mod tests {
         for (prev, next, frontiers) in &cases {
             for frontier in frontiers {
                 let frontier = names(frontier);
-                let (total, grouped) =
-                    hash_join_grouped(prev, next, &frontier, &ColumnBuffers::default());
+                let (total, grouped) = hash_join_grouped(prev, next, &frontier);
                 let (truth, truth_groups) = oracle_grouped(prev, next, &frontier);
                 assert_eq!(total, truth, "{:?} on {frontier:?}", prev.keys.vars());
                 assert_eq!(grouped.keys.vars(), frontier.as_slice());
@@ -783,8 +771,7 @@ mod tests {
         let r = t(&["Y", "Z"], &[&[0, 100], &[3, 101], &[3, 102]]);
         let ones = Grouped::ones(r.clone());
         for frontier in [names(&[]), names(&["X"]), names(&["Z"])] {
-            let (total, grouped) =
-                hash_join_grouped(&ones, &l, &frontier, &ColumnBuffers::default());
+            let (total, grouped) = hash_join_grouped(&ones, &l, &frontier);
             assert_eq!(total, hash_join_count(&r, &l) as u128);
             assert_eq!(
                 (total, groups(&grouped)),
@@ -799,18 +786,12 @@ mod tests {
         let s = t(&["Y", "Z"], &[&[10, 1], &[30, 2]]);
         assert_eq!(semi_join_bitmap(&r, &s), vec![true, false, true, true]);
         assert_eq!(
-            semi_join_columns(&r, &s, &ColumnBuffers::default()).sorted_rows(),
+            semi_join_columns(&r, &s).sorted_rows(),
             vec![vec![1, 10], vec![3, 30], vec![4, 10]]
         );
         // With no shared variables everything survives a non-empty right
         // side and nothing survives an empty one.
-        assert_eq!(
-            semi_join_columns(&r, &t(&["W"], &[&[5]]), &ColumnBuffers::default()).len(),
-            4
-        );
-        assert_eq!(
-            semi_join_columns(&r, &t(&["W"], &[]), &ColumnBuffers::default()).len(),
-            0
-        );
+        assert_eq!(semi_join_columns(&r, &t(&["W"], &[&[5]])).len(), 4);
+        assert_eq!(semi_join_columns(&r, &t(&["W"], &[])).len(), 0);
     }
 }

@@ -21,7 +21,7 @@
 //!   [`IntermediateCounters`]; a request is served by one thread, and a
 //!   server gets its parallelism from concurrent requests ([`ExecMode`] has
 //!   one variant and selects nothing);
-//! * **counting the output** — [`count_physical_with_buffers`] runs a plan
+//! * **counting the output** — [`count_physical`] runs a plan
 //!   to its output's *size*, the quantity the paper bounds: every stage
 //!   below the root runs as in [`execute_physical_mode`], the root stops at
 //!   its count (a hash join's probe pass, a WCOJ's emissions, a
@@ -32,13 +32,6 @@
 //!   chain intermediate is materialized.  The recorded counters are the
 //!   materializing run's, every size and certificate.  It is what
 //!   `lpb-serve` answers with;
-//! * **recycled column buffers** — every operator sizes its output columns
-//!   exactly and takes them from a [`ColumnBuffers`] handle, and a dropped
-//!   table gives them back.  The default handle is the allocator;
-//!   [`count_physical_with_buffers`] runs on a caller-owned, bounded free
-//!   list instead (one per serving worker in `lpb-serve`), so a steady
-//!   stream of requests stops mapping and unmapping its large
-//!   intermediates;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
 //!   bounded through one [`lpb_core::BatchEstimator`] call (normal-cone
 //!   LPs, each solved cold, in enumeration order on the calling thread) and
@@ -93,7 +86,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod buffers;
 mod columns;
 mod counters;
 mod error;
@@ -111,7 +103,6 @@ mod trie;
 mod wcoj;
 mod yannakakis;
 
-pub use buffers::{BufferCounters, ColumnBuffers};
 pub use columns::ColumnTable;
 pub use counters::{
     cycle_count, join2_count, path2_count, triangle_count, BoundViolation, CertificatePolicy,
@@ -127,9 +118,7 @@ pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
 pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
 pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 pub use plan_cache::{FlightStats, PlanCache};
-pub use run::{
-    count_physical_with_buffers, execute_physical_mode, ColumnRun, CountedRun, ExecMode,
-};
+pub use run::{count_physical, execute_physical_mode, ColumnRun, CountedRun, ExecMode};
 pub use state::{ExecState, ExecStatus, LiveSlot};
 pub use wcoj::wcoj_count;
 pub use yannakakis::{is_acyclic, yannakakis_count};

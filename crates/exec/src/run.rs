@@ -1,6 +1,6 @@
 //! The executor's front ends: [`execute_physical_mode`] runs a certified
 //! [`PhysicalPlan`] to completion and returns its output;
-//! [`count_physical_with_buffers`] runs it to its output's size.
+//! [`count_physical`] runs it to its output's size.
 //!
 //! There is one engine — columnar operators over [`ColumnTable`]
 //! intermediates: scans copy relation columns
@@ -21,7 +21,6 @@
 //! inputs, and `tests/proptest_suspend_resume.rs` pins the output and the
 //! counter recording across every suspension point.
 
-use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{CertificatePolicy, IntermediateCounters};
 use crate::error::ExecError;
@@ -88,10 +87,8 @@ impl CountedRun {
 }
 
 /// Execute a physical plan.  One-shot front end over the resumable
-/// [`ExecState`] stage machine (default `Count` policy).  Every column comes
-/// from the allocator and goes back to it: nothing is retained once the
-/// returned [`ColumnRun`] is dropped.  See [`ExecMode`] for the last
-/// argument.
+/// [`ExecState`] stage machine (default `Count` policy).  See [`ExecMode`]
+/// for the last argument.
 pub fn execute_physical_mode(
     query: &JoinQuery,
     catalog: &Catalog,
@@ -115,19 +112,14 @@ pub fn execute_physical_mode(
 /// runs its full reducer and then counts its whole chain on
 /// frontier-grouped multiplicities, materializing none of its steps, and a
 /// partitioned union sums its branches' counted roots.  The counters equal
-/// the materializing run's: every step, size and certificate.  Every
-/// intermediate's large columns come from `buffers` and go back to it — the
-/// entry point of a serving worker that keeps one [`ColumnBuffers`] free
-/// list across requests.
-pub fn count_physical_with_buffers(
+/// the materializing run's: every step, size and certificate.  It is what a
+/// serving worker runs.
+pub fn count_physical(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
-    buffers: &ColumnBuffers,
 ) -> Result<CountedRun, ExecError> {
-    let mut state = ExecState::new(plan, CertificatePolicy::default())
-        .with_buffers(buffers.clone())
-        .counting_root();
+    let mut state = ExecState::new(plan, CertificatePolicy::default()).counting_root();
     state.run(query, catalog)?;
     let output_size = state
         .output_rows()
@@ -175,8 +167,7 @@ mod tests {
         let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
         let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
         assert_eq!(run.output.sorted_rows(), truth, "output differs");
-        let counted =
-            count_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default()).unwrap();
+        let counted = count_physical(query, catalog, plan).unwrap();
         assert_eq!(counted.output_size, truth.len(), "counted size differs");
         assert_eq!(counted.counters, run.counters, "counters differ");
         run

@@ -31,12 +31,11 @@
 //!   violating stage materializes — leaving the state resumable, with its
 //!   completed intermediates exposed through [`ExecState::live_slots`] for
 //!   the re-planning controller ([`crate::AdaptiveExecutor`]).
-//! * **Counting the root** (crate-private, for
-//!   [`crate::count_physical_with_buffers`]): every stage output records
-//!   its row count, and the root's table is never filled — a hash-join root
-//!   stops after its probe pass, a WCOJ root counts emissions, a scan root
-//!   reads its relation's length, and a partitioned union sums its
-//!   branches' counted roots.  A Yannakakis root counts its whole chain,
+//! * **Counting the root** (crate-private, for [`crate::count_physical`]):
+//!   every stage output records its row count, and the root's table is
+//!   never filled — a hash-join root stops after its probe pass, a WCOJ
+//!   root counts emissions, a scan root reads its relation's length, and a
+//!   partitioned union sums its branches' counted roots.  A Yannakakis root counts its whole chain,
 //!   not just the last step: after the full reducer each step keeps only
 //!   the prefix's frontier — the variables a later relation joins on — one
 //!   row per distinct tuple with the number of prefix rows it stands for,
@@ -48,7 +47,6 @@
 //! branch drains its whole sub-plan before yielding); a violation inside
 //! one surfaces when the stage completes.
 
-use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
 use crate::error::ExecError;
@@ -220,8 +218,6 @@ pub struct ExecState {
     /// Stages that record their output's size without materializing it
     /// (none unless [`counting_root`](Self::counting_root)).
     counted: Vec<bool>,
-    /// Where every intermediate's columns come from and go back to.
-    buffers: ColumnBuffers,
 }
 
 impl ExecState {
@@ -240,15 +236,7 @@ impl ExecState {
             slots,
             root,
             counted,
-            buffers: ColumnBuffers::default(),
         }
-    }
-
-    /// Draw every intermediate's large columns from `buffers` (a serving
-    /// worker's free list) instead of the allocator.
-    pub(crate) fn with_buffers(mut self, buffers: ColumnBuffers) -> Self {
-        self.buffers = buffers;
-        self
     }
 
     /// Count the root instead of materializing it: the root stage — and,
@@ -443,12 +431,7 @@ impl ExecState {
                 let out = if count {
                     StageOutput::counted(ColumnTable::atom_len(query, catalog, *atom)?)
                 } else {
-                    StageOutput::table(ColumnTable::from_atom_in(
-                        query,
-                        catalog,
-                        *atom,
-                        &self.buffers,
-                    )?)
+                    StageOutput::table(ColumnTable::from_atom(query, catalog, *atom)?)
                 };
                 let label = format!("scan {}", query.atoms()[*atom].relation);
                 Ok(out.recorded(label, *log2_bound, policy))
@@ -458,12 +441,12 @@ impl ExecState {
                 atom,
                 log2_bound,
             } => {
-                let next = ColumnTable::from_atom_in(query, catalog, *atom, &self.buffers)?;
+                let next = ColumnTable::from_atom(query, catalog, *atom)?;
                 let input = self.slot_value(*input);
                 let out = if count {
                     StageOutput::counted(hash_join_count(input, &next))
                 } else {
-                    StageOutput::table(hash_join_columns(input, &next, &self.buffers))
+                    StageOutput::table(hash_join_columns(input, &next))
                 };
                 let label = format!("⋈ {}", query.atoms()[*atom].relation);
                 Ok(out.recorded(label, *log2_bound, policy))
@@ -478,7 +461,7 @@ impl ExecState {
                 let out = if count {
                     StageOutput::counted(hash_join_count(left, right))
                 } else {
-                    StageOutput::table(hash_join_columns(left, right, &self.buffers))
+                    StageOutput::table(hash_join_columns(left, right))
                 };
                 Ok(out.recorded(label.clone(), *log2_bound, policy))
             }
@@ -490,7 +473,7 @@ impl ExecState {
                         usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
                     )
                 } else {
-                    StageOutput::table(wcoj_materialize_columns(&sub, catalog, &self.buffers)?)
+                    StageOutput::table(wcoj_materialize_columns(&sub, catalog)?)
                 };
                 Ok(out.recorded(format!("wcoj {}", sub.name()), *log2_bound, policy))
             }
@@ -499,15 +482,7 @@ impl ExecState {
                 scan_bounds,
                 step_bounds,
             } => {
-                let mut out = exec_reduced(
-                    query,
-                    catalog,
-                    atoms,
-                    scan_bounds,
-                    step_bounds,
-                    count,
-                    &self.buffers,
-                )?;
+                let mut out = exec_reduced(query, catalog, atoms, scan_bounds, step_bounds, count)?;
                 if matches!(policy, CertificatePolicy::Ignore) {
                     out.counters = strip_checks(&out.counters);
                 }
@@ -523,8 +498,7 @@ impl ExecState {
                     CertificatePolicy::React { .. } => CertificatePolicy::Count,
                     p => p,
                 };
-                let mut nested =
-                    ExecState::new(&branch.plan, nested_policy).with_buffers(self.buffers.clone());
+                let mut nested = ExecState::new(&branch.plan, nested_policy);
                 if count {
                     nested = nested.counting_root();
                 }
@@ -565,11 +539,7 @@ impl ExecState {
                     let first = parts
                         .first()
                         .expect("a partitioned union has at least one part");
-                    StageOutput::table(ColumnTable::concat(
-                        first.vars().to_vec(),
-                        &parts,
-                        &self.buffers,
-                    ))
+                    StageOutput::table(ColumnTable::concat(first.vars().to_vec(), &parts))
                 };
                 out.counters = counters;
                 Ok(out.recorded("∪ partitioned", *log2_bound, policy))
@@ -592,11 +562,10 @@ fn exec_reduced(
     scan_bounds: &[Option<f64>],
     step_bounds: &[Option<f64>],
     count: bool,
-    buffers: &ColumnBuffers,
 ) -> Result<StageOutput, ExecError> {
     let mut counters = IntermediateCounters::new();
     let sub = query.subquery(atoms)?;
-    let reduced = full_reducer_columns(&sub, catalog, &mut counters, scan_bounds, buffers)?;
+    let reduced = full_reducer_columns(&sub, catalog, &mut counters, scan_bounds)?;
     let relation = |i: usize| &query.atoms()[atoms[i]].relation;
     // Step `i` records the reduced relation's size and, past the first, the
     // size of the chain's prefix up to it.
@@ -615,7 +584,7 @@ fn exec_reduced(
         }
     };
     let mut out = if count {
-        StageOutput::counted(count_chain(reduced, &mut record, buffers))
+        StageOutput::counted(count_chain(reduced, &mut record))
     } else {
         let mut acc: Option<ColumnTable> = None;
         for (i, next) in reduced.into_iter().enumerate() {
@@ -625,7 +594,7 @@ fn exec_reduced(
                     next
                 }
                 Some(prev) => {
-                    let joined = hash_join_columns(&prev, &next, buffers);
+                    let joined = hash_join_columns(&prev, &next);
                     record(i, next.len(), Some(joined.len()));
                     joined
                 }
@@ -647,7 +616,6 @@ fn exec_reduced(
 fn count_chain(
     reduced: Vec<ColumnTable>,
     record: &mut impl FnMut(usize, usize, Option<usize>),
-    buffers: &ColumnBuffers,
 ) -> usize {
     // The last relation each variable occurs in.
     let last_use: HashMap<String, usize> = reduced
@@ -676,7 +644,7 @@ fn count_chain(
             .filter(|v| last_use[*v] > i)
             .cloned()
             .collect();
-        let (total, grouped) = hash_join_grouped(&prev, &next, &frontier, buffers);
+        let (total, grouped) = hash_join_grouped(&prev, &next, &frontier);
         // Past `usize` no prefix could have been materialized; the size
         // saturates rather than wraps.
         rows = usize::try_from(total).unwrap_or(usize::MAX);
@@ -844,65 +812,7 @@ fn lower(node: &PhysicalNode, stages: &mut Vec<Stage>) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::buffers::BufferCounters;
-    use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
-    use std::sync::Arc;
-
-    /// `R(x, y) ⋈ S(y, z) ⋈ T(z, w)` with `fanout` rows per value of `y`:
-    /// `8 · fanout²` output rows.
-    fn path_catalog(fanout: u64) -> Catalog {
-        let n = 8 * fanout;
-        let mut catalog = Catalog::new();
-        let pairs = [
-            (
-                "R",
-                "x",
-                "y",
-                (0..n).map(|x| (x, x % 8)).collect::<Vec<_>>(),
-            ),
-            ("S", "y", "z", (0..n).map(|z| (z % 8, z)).collect()),
-            ("T", "z", "w", (0..n).map(|z| (z, z + 1000)).collect()),
-        ];
-        for (name, a, b, rows) in pairs {
-            catalog.insert(RelationBuilder::binary_from_pairs(name, a, b, rows));
-        }
-        catalog
-    }
-
-    /// A buffer that held a large output comes back for a smaller one with
-    /// room to spare; nothing of the earlier rows may show in the
-    /// materialized table.
-    #[test]
-    fn a_recycled_buffer_never_exposes_an_earlier_output() {
-        let counters = Arc::new(BufferCounters::default());
-        let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
-        let query = JoinQuery::path(&["R", "S", "T"]);
-        let plan = PhysicalPlan::reduced(vec![0, 1, 2]);
-        let materialize = |catalog: &Catalog| {
-            let mut state =
-                ExecState::new(&plan, CertificatePolicy::Count).with_buffers(buffers.clone());
-            state.run(&query, catalog).unwrap();
-            state.take_output().unwrap()
-        };
-        let big_rows = materialize(&path_catalog(40)).len();
-        let reused_before = counters.reused();
-        let small = path_catalog(24);
-        let out = materialize(&small);
-        assert!(
-            counters.reused() > reused_before,
-            "the small run reused buffers"
-        );
-        assert!(out.len() < big_rows);
-        assert_eq!(out.len(), 8 * 24 * 24);
-        for c in 0..out.vars().len() {
-            assert_eq!(out.col(c).len(), out.len());
-        }
-        assert_eq!(
-            out.sorted_rows(),
-            nested_loop_join(&query, &small, out.vars()).unwrap()
-        );
-    }
 
     /// A consumed intermediate is released the moment its consumer has
     /// completed — at every pause a hash chain holds one table, not all of

@@ -9,7 +9,6 @@
 //! yields the runtime of Theorem 2.6 for the binary-relation queries we
 //! exercise.
 
-use crate::buffers::ColumnBuffers;
 use crate::columns::ColumnTable;
 use crate::error::ExecError;
 use crate::trie::{RunRange, RunTrie};
@@ -131,13 +130,12 @@ pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecErro
 pub(crate) fn wcoj_materialize_columns(
     query: &JoinQuery,
     catalog: &Catalog,
-    buffers: &ColumnBuffers,
 ) -> Result<ColumnTable, ExecError> {
     let tries = build_run_tries(query, catalog)?;
     let vars: Vec<String> = (0..query.n_vars())
         .map(|i| query.registry().name(i).to_string())
         .collect();
-    let mut out = ColumnTable::with_rows_in(vars, 0, buffers);
+    let mut out = ColumnTable::empty(vars);
     generic_join_runs(query, &tries, &mut |t| out.push_row(t));
     Ok(out)
 }
@@ -207,7 +205,7 @@ mod tests {
             JoinQuery::path(&["R", "S", "T"]),
             JoinQuery::cycle(&["R", "S", "T", "R"]),
         ] {
-            let out = wcoj_materialize_columns(&q, &catalog, &ColumnBuffers::default()).unwrap();
+            let out = wcoj_materialize_columns(&q, &catalog).unwrap();
             assert_eq!(out.vars(), q.registry().names(), "query {}", q.name());
             // The oracle's sorted rows in registry order are exactly the
             // leapfrog emission order: same rows *in the same order*.
@@ -226,7 +224,7 @@ mod tests {
     fn materialized_output_matches_count_and_has_global_column_order() {
         let catalog = clique_catalog(4);
         let q = JoinQuery::triangle("E", "E", "E");
-        let out = wcoj_materialize_columns(&q, &catalog, &ColumnBuffers::default()).unwrap();
+        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
         assert_eq!(out.len() as u128, wcoj_count(&q, &catalog).unwrap());
         assert_eq!(
             out.vars(),
@@ -259,7 +257,7 @@ mod tests {
             catalog.insert(b.build());
         }
         let q = JoinQuery::loomis_whitney_4("A", "B", "C", "D");
-        let out = wcoj_materialize_columns(&q, &catalog, &ColumnBuffers::default()).unwrap();
+        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
         let truth = nested_loop_join(&q, &catalog, out.vars()).unwrap();
         assert_eq!(rows_in_order(&out), truth);
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), truth.len() as u128);
@@ -277,10 +275,6 @@ mod tests {
         catalog.insert(RelationBuilder::new("S", ["a", "b"]).unwrap().build());
         let q = JoinQuery::single_join("R", "S");
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), 0);
-        assert!(
-            wcoj_materialize_columns(&q, &catalog, &ColumnBuffers::default())
-                .unwrap()
-                .is_empty()
-        );
+        assert!(wcoj_materialize_columns(&q, &catalog).unwrap().is_empty());
     }
 }

@@ -1,0 +1,389 @@
+//! Counted runs against materializing ones, and what a counted chain
+//! allocates.
+//!
+//! Every plan kind, counted (`count_physical`), must return the step
+//! recording and the certificate tally of an `execute_physical_mode` run of
+//! the same plan and the nested-loop oracle's row count.  A counted
+//! Yannakakis chain must also materialize none of its steps: it holds its
+//! reduced relations and the prefix grouped on its frontier, never a
+//! prefix's rows.  That is checked here with an allocation probe — this
+//! binary's global allocator records, per thread, the largest single block
+//! requested — so the check needs no hook in the executor: a counted run
+//! may not request a block as large as the smallest chain-step column the
+//! materializing run of the same plan writes (on the JOB-like serving
+//! shapes, the widest step's column; see there why).
+
+use lpb_core::{Atom, JoinQuery};
+use lpb_data::{Catalog, RelationBuilder};
+use lpb_exec::oracle::nested_loop_join;
+use lpb_exec::{
+    count_physical, execute_physical_mode, ExecMode, Optimizer, PartitionBranch, PhysicalNode,
+    PhysicalPlan,
+};
+use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+/// The system allocator, recording the calling thread's largest block.
+struct PeakProbe;
+
+thread_local! {
+    /// `const`-initialised and without a destructor, so reading it inside
+    /// the allocator never allocates; per thread, so tests running side by
+    /// side do not see each other's blocks.
+    static LARGEST_BLOCK: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(bytes: usize) {
+    let _ = LARGEST_BLOCK.try_with(|largest| largest.set(largest.get().max(bytes)));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds `GlobalAlloc`'s contract; the probe only writes a thread-local
+// `Cell<usize>`, which allocates nothing.
+unsafe impl GlobalAlloc for PeakProbe {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's guarantees for `alloc` are passed on as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: `ptr` came from this allocator, that is from `System`,
+        // with `layout`; the caller's guarantees are passed on as given.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static PROBE: PeakProbe = PeakProbe;
+
+/// Count `plan` (a Yannakakis chain, alone or in every branch of a
+/// partitioned union) and materialize it, check that the two runs record
+/// the same counters and size, and return the largest block the counted
+/// run requested with the column size, in bytes, of every chain step (`⋈`)
+/// the materializing run wrote.
+fn probe_counted_chain(
+    name: &str,
+    query: &JoinQuery,
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+) -> Result<(usize, Vec<usize>), TestCaseError> {
+    let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
+    LARGEST_BLOCK.with(|largest| largest.set(0));
+    let counted = count_physical(query, catalog, plan).unwrap();
+    let largest = LARGEST_BLOCK.with(Cell::get);
+    prop_assert_eq!(&counted.counters, &run.counters, "{}: counters", name);
+    prop_assert_eq!(counted.output_size, run.output_size(), "{}: size", name);
+    let step_columns: Vec<usize> = run
+        .counters
+        .steps()
+        .iter()
+        .filter(|s| s.label.contains("⋈ "))
+        .map(|s| s.rows * std::mem::size_of::<u64>())
+        .collect();
+    prop_assert!(!step_columns.is_empty(), "{}: no chain step", name);
+    Ok((largest, step_columns))
+}
+
+/// [`probe_counted_chain`], asserting that the counted run requested no
+/// block as large as the smallest chain-step column: not one step of the
+/// chain was materialized.
+fn assert_counted_chain_materializes_no_step(
+    name: &str,
+    query: &JoinQuery,
+    catalog: &Catalog,
+    plan: &PhysicalPlan,
+) -> Result<(), TestCaseError> {
+    let (largest, step_columns) = probe_counted_chain(name, query, catalog, plan)?;
+    let smallest_step = step_columns.into_iter().min().unwrap_or(0);
+    prop_assert!(
+        largest < smallest_step,
+        "{}: a counted run requested {} bytes at once, a chain-step column is {}",
+        name,
+        largest,
+        smallest_step
+    );
+    Ok(())
+}
+
+/// One shape: a query, the catalog it runs on, a hand-built plan.
+struct Shape {
+    name: String,
+    query: JoinQuery,
+    catalog: Arc<Catalog>,
+    plan: PhysicalPlan,
+}
+
+/// Path relations with `fanout` rows per join value (so `R ⋈ S` and
+/// everything after it has `8 · fanout²` rows, well above every relation's
+/// size) and a complete digraph `E` on `nodes` nodes
+/// (`nodes · (nodes-1) · (nodes-2)` directed triangles).
+fn catalog(fanout: u64, nodes: u64) -> Catalog {
+    let n = 8 * fanout;
+    let mut c = Catalog::new();
+    c.insert(RelationBuilder::binary_from_pairs(
+        "R",
+        "x",
+        "y",
+        (0..n).map(|x| (x, x % 8)),
+    ));
+    c.insert(RelationBuilder::binary_from_pairs(
+        "S",
+        "y",
+        "z",
+        (0..n).map(|z| (z % 8, z)),
+    ));
+    // A third of T dangles, so the full reducer has something to filter.
+    c.insert(RelationBuilder::binary_from_pairs(
+        "T",
+        "z",
+        "w",
+        (0..n + n / 2).map(|z| (z, z + 1000)),
+    ));
+    c.insert(RelationBuilder::binary_from_pairs(
+        "U",
+        "w",
+        "v",
+        (0..n).map(|z| (z + 1000, z)),
+    ));
+    c.insert(RelationBuilder::binary_from_pairs(
+        "E",
+        "a",
+        "b",
+        (0..nodes).flat_map(|a| (0..nodes).filter(move |&b| b != a).map(move |b| (a, b))),
+    ));
+    c
+}
+
+fn scan(atom: usize) -> Box<PhysicalNode> {
+    Box::new(PhysicalNode::Scan {
+        atom,
+        log2_bound: None,
+    })
+}
+
+/// Every plan kind the executor has, at one scale.
+fn shapes(tag: &str, fanout: u64, nodes: u64) -> Vec<Shape> {
+    let catalog = Arc::new(catalog(fanout, nodes));
+    let path3 = JoinQuery::path(&["R", "S", "T"]);
+    let r = catalog.get("R").unwrap();
+    let part = |name: &str, parity: u64| {
+        let rows = r.rows().filter(|row| row[0] % 2 == parity);
+        PartitionBranch {
+            relation: RelationBuilder::binary_from_pairs(
+                name,
+                "x",
+                "y",
+                rows.map(|t| (t[0], t[1])),
+            )
+            .into(),
+            plan: PhysicalPlan::reduced(vec![0, 1, 2]),
+            log2_bound: Some(40.0),
+        }
+    };
+    let union = PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+        atom: 0,
+        parts: vec![part("R#even", 0), part("R#odd", 1)],
+        log2_bound: Some(41.0),
+    });
+    let pair = |a, b| {
+        Box::new(PhysicalNode::HashJoin {
+            left: scan(a),
+            right: scan(b),
+            log2_bound: Some(40.0),
+        })
+    };
+    let bushy = PhysicalPlan::from_root(PhysicalNode::HashJoin {
+        left: pair(0, 1),
+        right: pair(2, 3),
+        log2_bound: Some(41.0),
+    });
+    let shape = |kind: &str, query: JoinQuery, plan: PhysicalPlan| Shape {
+        name: format!("{kind}@{tag}"),
+        query,
+        catalog: Arc::clone(&catalog),
+        plan,
+    };
+    vec![
+        shape(
+            "chain",
+            path3.clone(),
+            PhysicalPlan::hash_chain(vec![0, 1, 2]),
+        ),
+        shape(
+            "reduced",
+            path3.clone(),
+            PhysicalPlan::reduced(vec![0, 1, 2]),
+        ),
+        shape(
+            "wcoj-chain",
+            path3.clone(),
+            PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2]),
+        ),
+        shape("union", path3, union),
+        shape("bushy", JoinQuery::path(&["R", "S", "T", "U"]), bushy),
+        shape(
+            "wcoj",
+            JoinQuery::triangle("E", "E", "E"),
+            PhysicalPlan::wcoj(vec![0, 1, 2]),
+        ),
+    ]
+}
+
+/// Every plan kind at both scales.
+fn both_scales() -> Vec<Shape> {
+    let mut all = shapes("large", 40, 22);
+    all.extend(shapes("small", 24, 18));
+    all
+}
+
+/// The nested-loop oracle's row count for a shape.
+fn truth(s: &Shape) -> usize {
+    nested_loop_join(&s.query, &s.catalog, s.query.registry().names())
+        .unwrap()
+        .len()
+}
+
+#[test]
+fn every_plan_kind_counts_like_a_fresh_run() {
+    for shape in both_scales() {
+        let name = &shape.name;
+        let fresh = execute_physical_mode(
+            &shape.query,
+            &shape.catalog,
+            &shape.plan,
+            ExecMode::Vectorized,
+        )
+        .unwrap();
+        let counted = count_physical(&shape.query, &shape.catalog, &shape.plan).unwrap();
+        assert!(counted.output_size >= 4096, "{name}: output is large");
+        assert_eq!(counted.output_size, fresh.output_size(), "{name}: size");
+        assert_eq!(counted.counters, fresh.counters, "{name}: steps");
+        assert_eq!(counted.certificate_violations(), 0, "{name}");
+        assert_eq!(counted.output_size, truth(&shape), "{name}: oracle");
+    }
+}
+
+/// A counted Yannakakis chain — alone or as every branch of a partitioned
+/// union — requests no block as large as one column of any step it counts.
+#[test]
+fn a_counted_yannakakis_chain_allocates_no_chain_step() {
+    for s in both_scales()
+        .iter()
+        .filter(|s| s.name.starts_with("reduced@") || s.name.starts_with("union@"))
+    {
+        assert_counted_chain_materializes_no_step(&s.name, &s.query, &s.catalog, &s.plan).unwrap();
+    }
+}
+
+/// The six JOB-like serving shapes at 1 000 movies, on the plans the
+/// planner picks for them: every one is a Yannakakis chain, directly or in
+/// each partition branch, and counting it requests no block as large as a
+/// column of its widest step.  Not every step: each chain starts with a key
+/// join no larger than a relation, and the full reducer's hash indexes over
+/// relations of up to 1 381 rows take 34 KB, as much as a column of a
+/// 4 745-row step.  That no step at all is materialized is pinned on the
+/// fixtures above, whose steps outgrow their relations.
+#[test]
+fn the_job_like_serving_shapes_count_without_materializing_them() {
+    let catalog = lpb_datagen::job_like_catalog(&lpb_datagen::JobLikeConfig {
+        movies: 1000,
+        link_fanout: 2,
+        seed: 23,
+        ..lpb_datagen::JobLikeConfig::default()
+    });
+    for q in lpb_datagen::job_like_queries().into_iter().take(6) {
+        let q = q.query;
+        let plan = Optimizer::new().plan(&q, &catalog).unwrap().physical;
+        let (largest, step_columns) = probe_counted_chain(q.name(), &q, &catalog, &plan).unwrap();
+        let widest_step = step_columns.into_iter().max().unwrap_or(0);
+        assert!(
+            largest < widest_step,
+            "{}: a counted run requested {largest} bytes at once, the widest step's column is \
+             {widest_step}",
+            q.name()
+        );
+    }
+}
+
+/// Domain of the regular relations below: a prime, so that every stride
+/// and scale in `1..DOMAIN` is invertible modulo it.
+const DOMAIN: u64 = 13;
+
+/// Partners per value, on either side, in every regular relation.
+const DEGREE: u64 = 6;
+
+/// A relation in which every value of `0..DOMAIN` has exactly `DEGREE`
+/// partners on either side — `a` joins `(a + k·stride + shift) mod DOMAIN`
+/// for `k < DEGREE`, relabelled by `v ↦ (v·scale + shift) mod DOMAIN` — so
+/// every step of a chain over such relations multiplies its input by
+/// `DEGREE`, whatever the labels: each step is larger than any relation.
+fn arb_regular_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
+    (1..DOMAIN, 1..DOMAIN, 0..DOMAIN).prop_map(|(stride, scale, shift)| {
+        (0..DOMAIN)
+            .flat_map(|a| {
+                (0..DEGREE).map(move |k| {
+                    let b = (a + k * stride + shift) % DOMAIN;
+                    (a, (b * scale + shift) % DOMAIN)
+                })
+            })
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// The chains whose every step leaves few variables to join on — a
+    /// 5-atom path in and out of order, a star, and two components (the
+    /// prefix keeps no variable of the cross product ahead) — hold nothing
+    /// larger than a relation when counted.
+    #[test]
+    fn narrow_counted_chains_allocate_no_chain_step(
+        rpairs in arb_regular_pairs(),
+        spairs in arb_regular_pairs(),
+        tpairs in arb_regular_pairs(),
+        upairs in arb_regular_pairs()
+    ) {
+        let mut catalog = Catalog::new();
+        for (name, pairs) in [("R", rpairs), ("S", spairs), ("T", tpairs), ("U", upairs)] {
+            catalog.insert(RelationBuilder::binary_from_pairs(name, "a", "b", pairs));
+        }
+        let path5 = JoinQuery::path(&["R", "S", "T", "U", "T"]);
+        let query = |name: &str, atoms: &[(&str, [&str; 2])]| {
+            let atoms = atoms.iter().map(|(rel, vars)| Atom::new(*rel, vars)).collect();
+            JoinQuery::new(name, atoms).unwrap()
+        };
+        let star = query(
+            "star",
+            &[("R", ["X", "A"]), ("T", ["X", "B"]), ("U", ["X", "C"]), ("S", ["X", "D"])],
+        );
+        let apart = query(
+            "two-components",
+            &[("R", ["A", "B"]), ("S", ["B", "C"]), ("U", ["D", "E"])],
+        );
+        let narrow = [
+            ("path5", path5.clone(), PhysicalPlan::reduced(vec![0, 1, 2, 3, 4])),
+            ("path5-reversed", path5, PhysicalPlan::reduced(vec![4, 3, 2, 1, 0])),
+            ("star", star, PhysicalPlan::reduced(vec![0, 1, 2, 3])),
+            ("two-components", apart, PhysicalPlan::reduced(vec![0, 1, 2])),
+        ];
+        for (name, query, plan) in &narrow {
+            assert_counted_chain_materializes_no_step(name, query, &catalog, plan)?;
+        }
+    }
+}

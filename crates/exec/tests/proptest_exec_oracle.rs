@@ -12,11 +12,10 @@ use lpb_data::{Catalog, RelationBuilder};
 use lpb_datagen::skewed_pairs;
 use lpb_exec::oracle::nested_loop_join;
 use lpb_exec::{
-    count_physical_with_buffers, execute_physical_mode, split_light_heavy, BufferCounters,
-    ColumnBuffers, ExecMode, Optimizer, PartitionBranch, PhysicalNode, PhysicalPlan,
+    count_physical, execute_physical_mode, split_light_heavy, ExecMode, Optimizer, PartitionBranch,
+    PhysicalNode, PhysicalPlan,
 };
 use proptest::prelude::*;
-use std::sync::Arc;
 
 /// Strategy over skewed pair sets: planted hubs on a uniform background,
 /// generated deterministically by `lpb_datagen::skewed_pairs`.
@@ -37,8 +36,7 @@ fn run_against_oracle(
 ) -> Result<(usize, usize), TestCaseError> {
     let run = execute_physical_mode(query, catalog, plan, ExecMode::Vectorized).unwrap();
     let truth = nested_loop_join(query, catalog, run.output.vars()).unwrap();
-    let counted =
-        count_physical_with_buffers(query, catalog, plan, &ColumnBuffers::default()).unwrap();
+    let counted = count_physical(query, catalog, plan).unwrap();
     prop_assert_eq!(counted.output_size, truth.len(), "counted size");
     prop_assert_eq!(&counted.counters, &run.counters, "counted run's counters");
     prop_assert_eq!(run.output.sorted_rows(), truth, "output multiset");
@@ -143,9 +141,8 @@ proptest! {
     /// Yannakakis chains run over 3–5 atoms, in and out of path order, on a
     /// star, and across a cross product (a query of two components: the
     /// chain's prefix keeps no variable, or keeps variables of the other
-    /// component).  A chain whose every step leaves one variable to join
-    /// on holds nothing larger than a relation, so counted on a free list
-    /// it takes no buffer of the size the list recycles.
+    /// component).  That a counted chain allocates none of its steps is
+    /// `tests/counted_runs.rs`.
     #[test]
     fn every_root_kind_counts_what_it_materializes(
         rpairs in arb_skewed_pairs(),
@@ -173,18 +170,6 @@ proptest! {
             "two-components",
             &[("R", ["A", "B"]), ("S", ["B", "C"]), ("U", ["D", "E"])],
         );
-        let narrow = [
-            (path5.clone(), PhysicalPlan::reduced(vec![0, 1, 2, 3, 4])),
-            (path5.clone(), PhysicalPlan::reduced(vec![4, 3, 2, 1, 0])),
-            (star, PhysicalPlan::reduced(vec![0, 1, 2, 3])),
-            (apart.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
-        ];
-        for (query, plan) in &narrow {
-            let counters = Arc::new(BufferCounters::default());
-            let buffers = ColumnBuffers::recycling(Arc::clone(&counters));
-            count_physical_with_buffers(query, &catalog, plan, &buffers).unwrap();
-            prop_assert_eq!((counters.fresh(), counters.reused()), (0, 0), "{}", query.name());
-        }
         let scan = |atom| {
             Box::new(PhysicalNode::Scan {
                 atom,
@@ -207,10 +192,13 @@ proptest! {
             (JoinQuery::triangle("R", "S", "T"), PhysicalPlan::wcoj(vec![0, 1, 2])),
             (path.clone(), PhysicalPlan::wcoj_then_chain(vec![0, 1], vec![2])),
             (path.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
+            (path5.clone(), PhysicalPlan::reduced(vec![0, 1, 2, 3, 4])),
+            (path5.clone(), PhysicalPlan::reduced(vec![4, 3, 2, 1, 0])),
             (path5, PhysicalPlan::reduced(vec![2, 1, 3, 0, 4])),
+            (star, PhysicalPlan::reduced(vec![0, 1, 2, 3])),
+            (apart.clone(), PhysicalPlan::reduced(vec![0, 1, 2])),
             (apart, PhysicalPlan::reduced(vec![2, 0, 1])),
         ];
-        cases.extend(narrow);
         if let Some((light, heavy)) = split_light_heavy(&r, &["x"], &["y"]).unwrap() {
             let branch = |relation: lpb_data::Relation, plan| PartitionBranch {
                 relation: relation.into(),

@@ -6,7 +6,7 @@
 //! microseconds ago.  This crate adds the resident process the "millions
 //! of users" north star needs — a thread-per-worker service in front of the
 //! planner/executor stack that turns *per-query* amortization into
-//! *per-fleet* amortization.  Four layers:
+//! *per-fleet* amortization.  Three layers:
 //!
 //! 1. **Plan cache** ([`lpb_exec::PlanCache`], owned by [`QueryService`]) —
 //!    [`lpb_exec::OptimizedPlan`]s keyed by canonicalized query shape +
@@ -57,39 +57,14 @@
 //!    A request, once planned, executes on the thread that submitted it:
 //!    one request, one thread, stages in order.  The service answers with
 //!    the output's *size*, so the plan's root is counted
-//!    ([`lpb_exec::count_physical_with_buffers`]) and the output is never
+//!    ([`lpb_exec::count_physical`]) and the output is never
 //!    materialized; a Yannakakis root counts its whole chain and
 //!    materializes none of its steps either.  Every certificate is checked
 //!    as in a materializing run.
 //!
-//! 4. **Per-worker column buffers** ([`lpb_exec::ColumnBuffers`], owned by
-//!    each [`Worker`]) — a served plan may still materialize large
-//!    intermediates below its output: a hash chain's or a bushy tree's
-//!    joins, a WCOJ core under a chain.  (A counted Yannakakis chain holds
-//!    only its relations, reduced, and its frontier groupings, which are no
-//!    larger on the JOB-like shapes: those take no large buffer.)  Left to
-//!    the allocator, every large column is mapped, page-faulted and unmapped
-//!    per request, which on an all-cache-hit workload was ~60 % of the
-//!    executor's wall-clock while the service materialized its outputs.  A worker instead keeps a free list across requests:
-//!    every large column of a request is taken from it and drops back into
-//!    it, so steady-state execution maps no new memory.
-//!
-//!    *Retention rules*: only columns large enough for the allocator to go
-//!    to the kernel are recycled (small ones use `malloc` as before); a
-//!    list holds at most a fixed number of bytes (24 MiB, see
-//!    `lpb_exec`'s `buffers` module) and never more than the largest set
-//!    of buffers one request held at once; it belongs to the worker, never
-//!    to the service or the thread, so [`QueryService::execute`] without a
-//!    worker retains nothing and dropping the worker releases everything.
-//!    [`ServeStats::buffers_reused`] / [`ServeStats::buffers_fresh`] /
-//!    [`ServeStats::bytes_retained`] (summed over workers) and
-//!    [`QueryResponse::exec_time`] make the mechanism readable from the
-//!    service: in steady state `buffers_fresh` stops moving.
-//!
 //! Entry points: [`QueryService`] (shared, `Arc` it across threads) and
 //! [`Worker`] (one per serving thread; adds the lock-free
-//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition and the
-//! column-buffer free list).
+//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -6,28 +6,23 @@
 //! → probe the plan cache under `(shape canon, snapshot epoch)` → on a hit,
 //! execute immediately (zero LP work) → on a miss, plan on this thread, or
 //! wait for the request already planning the same key → execute the
-//! certified plan **on the admission snapshot**, on the
-//! request's own thread, with the large columns of every intermediate
-//! drawn from (and afterwards returned to) the serving [`Worker`]'s
-//! [`ColumnBuffers`] free list.  A response carries the output's size,
-//! not its rows, so execution stops there: the plan's root is counted
-//! ([`count_physical_with_buffers`]) and the output is never materialized.
-//! A Yannakakis root — every JOB-like served shape has one, directly or in
-//! each partition branch — counts its whole chain after the full reducer,
-//! on frontier-grouped multiplicities, so none of its intermediates is
-//! materialized either.  Every certificate below and at the root is
-//! checked as in a materializing run, step for step.  Writers never disturb any of this: they build
-//! successor catalogs aside and publish through the
+//! certified plan **on the admission snapshot**, on the request's own
+//! thread.  A response carries the output's size, not its rows, so
+//! execution stops there: the plan's root is counted ([`count_physical`])
+//! and the output is never materialized.  A Yannakakis root — every
+//! JOB-like served shape has one, directly or in each partition branch —
+//! counts its whole chain after the full reducer, on frontier-grouped
+//! multiplicities, so none of its intermediates is materialized either.
+//! Every certificate below and at the root is checked as in a
+//! materializing run, step for step.  Writers never disturb any of this:
+//! they build successor catalogs aside and publish through the
 //! [`SnapshotCatalog`] cell, which bumps the statistics epoch and thereby
 //! invalidates every stale plan-cache entry.
 
 use crate::ServeError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
-use lpb_exec::{
-    count_physical_with_buffers, BufferCounters, ColumnBuffers, OptimizedPlan, Optimizer,
-    PlanCache, PlannerConfig,
-};
+use lpb_exec::{count_physical, OptimizedPlan, Optimizer, PlanCache, PlannerConfig};
 use lpb_lp::SolverStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -78,10 +73,9 @@ pub struct QueryResponse {
     /// planning, or waiting for the flight of the same key, on a miss).
     pub plan_time: Duration,
     /// Wall-clock time from plan-in-hand to the output counted — the
-    /// stages below the root executed and their columns released, and the
-    /// root counted without being written (a Yannakakis root: its full
-    /// reducer, then its chain on frontier-grouped multiplicities); zero
-    /// for a plan-only request.
+    /// stages below the root executed, and the root counted without being
+    /// written (a Yannakakis root: its full reducer, then its chain on
+    /// frontier-grouped multiplicities); zero for a plan-only request.
     pub exec_time: Duration,
     /// The (shared) plan that served this request.
     pub plan: Arc<OptimizedPlan>,
@@ -114,15 +108,6 @@ pub struct ServeStats {
     pub publishes: u64,
     /// Statistics epoch of the currently published snapshot.
     pub epoch: u64,
-    /// Large column buffers the workers' free lists served (summed over
-    /// workers, like the next two).
-    pub buffers_reused: u64,
-    /// Large column buffers no free list could serve, so the allocator —
-    /// and behind it the kernel — did.  Flat in steady state.
-    pub buffers_fresh: u64,
-    /// Bytes sitting in live workers' free lists right now (bounded per
-    /// worker; a dropped worker's share is gone).
-    pub bytes_retained: u64,
 }
 
 /// The shared, long-lived query service; see the crate docs for the three
@@ -135,8 +120,6 @@ pub struct QueryService {
     plan_cache: PlanCache,
     requests: AtomicU64,
     violations: AtomicU64,
-    /// What every [`Worker`]'s free list reports into.
-    buffer_counters: Arc<BufferCounters>,
 }
 
 impl QueryService {
@@ -159,7 +142,6 @@ impl QueryService {
             plan_cache: PlanCache::with_capacity(config.plan_cache_capacity),
             requests: AtomicU64::new(0),
             violations: AtomicU64::new(0),
-            buffer_counters: Arc::default(),
         }
     }
 
@@ -188,12 +170,11 @@ impl QueryService {
         self.plan_on(query, &snapshot)
     }
 
-    /// Plan **and execute** `query` on one snapshot of the current catalog.
-    /// Without a [`Worker`] there is no free list: every column comes from
-    /// the allocator and nothing is retained after the call.
+    /// Plan **and execute** `query` on one snapshot of the current catalog
+    /// (a [`Worker`] does the same with a lock-free snapshot grab).
     pub fn execute(&self, query: &JoinQuery) -> Result<QueryResponse, ServeError> {
         let snapshot = self.cell.load();
-        self.execute_on(query, &snapshot, &ColumnBuffers::default())
+        self.execute_on(query, &snapshot)
     }
 
     /// Replace one relation: publishes an epoch-bumped successor snapshot.
@@ -228,27 +209,21 @@ impl QueryService {
             certificate_violations: self.violations.load(Ordering::Relaxed),
             publishes: self.cell.publishes(),
             epoch: self.cell.epoch(),
-            buffers_reused: self.buffer_counters.reused(),
-            buffers_fresh: self.buffer_counters.fresh(),
-            bytes_retained: self.buffer_counters.bytes_retained(),
         }
     }
 
     /// Execute on an explicit admission snapshot (the [`Worker`] fast
-    /// path), intermediates' columns from `buffers`.  The service answers
-    /// with the output's size, so the plan is run to that size and the
-    /// output itself is never materialized; every intermediate is back in
-    /// `buffers` before the response leaves.
+    /// path).  The service answers with the output's size, so the plan is
+    /// run to that size and the output itself is never materialized.
     fn execute_on(
         &self,
         query: &JoinQuery,
         snapshot: &Arc<Catalog>,
-        buffers: &ColumnBuffers,
     ) -> Result<QueryResponse, ServeError> {
         self.requests.fetch_add(1, Ordering::Relaxed);
         let mut response = self.plan_on(query, snapshot)?;
         let planned = Instant::now();
-        let run = count_physical_with_buffers(query, snapshot, &response.plan.physical, buffers)?;
+        let run = count_physical(query, snapshot, &response.plan.physical)?;
         response.output_size = run.output_size;
         response.certificate_violations = run.certificate_violations();
         response.exec_time = planned.elapsed();
@@ -286,28 +261,21 @@ impl QueryService {
     }
 }
 
-/// One serving thread's handle: an `Arc`'d service plus what the thread
-/// keeps to itself across requests — a [`SnapshotReader`], so steady-state
-/// snapshot acquisition is lock-free, and a [`ColumnBuffers`] free list, so
-/// steady-state execution maps no new memory (bounded; released when the
-/// worker is dropped).  Deliberately not `Sync` — build one per thread.
+/// One serving thread's handle: an `Arc`'d service plus a
+/// [`SnapshotReader`] the thread keeps to itself across requests, so
+/// steady-state snapshot acquisition is lock-free.  Deliberately not
+/// `Sync` — build one per thread.
 #[derive(Debug)]
 pub struct Worker {
     service: Arc<QueryService>,
     reader: SnapshotReader,
-    buffers: ColumnBuffers,
 }
 
 impl Worker {
     /// A worker over `service`.
     pub fn new(service: Arc<QueryService>) -> Self {
         let reader = SnapshotReader::new(Arc::clone(service.snapshot_cell()));
-        let buffers = ColumnBuffers::recycling(Arc::clone(&service.buffer_counters));
-        Worker {
-            service,
-            reader,
-            buffers,
-        }
+        Worker { service, reader }
     }
 
     /// The shared service.
@@ -319,7 +287,7 @@ impl Worker {
     /// lock-free when no publish happened since the last request).
     pub fn execute(&self, query: &JoinQuery) -> Result<QueryResponse, ServeError> {
         let snapshot = self.reader.snapshot();
-        self.service.execute_on(query, &snapshot, &self.buffers)
+        self.service.execute_on(query, &snapshot)
     }
 }
 
@@ -483,9 +451,8 @@ mod tests {
     }
 
     /// A triangle with a two-edge tail.  The planner joins the triangle by
-    /// WCOJ and the tail by a hash chain whose first step — 320 000 rows,
-    /// well above the size from which a worker recycles columns — is
-    /// materialized below the counted output.
+    /// WCOJ and the tail by a hash chain whose first step — 320 000 rows —
+    /// is materialized below the counted output.
     fn tadpole() -> JoinQuery {
         let atom = |a: &str, b: &str| lpb_core::Atom::new("E", &[a, b]);
         let atoms = vec![
@@ -498,12 +465,12 @@ mod tests {
         JoinQuery::new("tadpole", atoms).unwrap()
     }
 
-    /// The buffer layer, read from the service alone: a worker's second
-    /// rotation over its shapes allocates no large buffer, what it keeps is
-    /// bounded, requests without a worker keep nothing, and dropping the
-    /// worker releases everything.
+    /// A worker rotating over shapes that materialize large intermediates
+    /// below their counted outputs answers every rotation from the cache
+    /// with the sizes the set-up requests counted, zero violations and a
+    /// measured execution time; a plan-only request executes nothing.
     #[test]
-    fn workers_recycle_column_buffers_and_release_them_on_drop() {
+    fn workers_rotate_over_cached_shapes_with_exact_counts() {
         let service = Arc::new(QueryService::new(dense_catalog()));
         let shapes = [
             tadpole(),
@@ -516,15 +483,9 @@ mod tests {
             .map(|q| service.execute(q).unwrap().output_size)
             .collect();
         assert_eq!(sizes, [6_400_000, 320_000, 16_000]);
-        let idle = service.stats();
-        assert_eq!(
-            (idle.buffers_reused, idle.buffers_fresh, idle.bytes_retained),
-            (0, 0, 0),
-            "no worker, no free list"
-        );
 
         let worker = Worker::new(Arc::clone(&service));
-        let rotate = || {
+        for _ in 0..2 {
             for (q, &size) in shapes.iter().zip(&sizes) {
                 let r = worker.execute(q).unwrap();
                 assert!(r.cache_hit);
@@ -532,27 +493,18 @@ mod tests {
                 assert_eq!(r.certificate_violations, 0);
                 assert!(r.exec_time > Duration::ZERO);
             }
-            service.stats()
-        };
-        let first = rotate();
-        assert!(first.buffers_fresh > 0);
-        let second = rotate();
-        assert_eq!(second.buffers_fresh, first.buffers_fresh, "steady state");
-        assert!(second.buffers_reused > first.buffers_reused);
-        // The private per-worker bound is 24 MiB.
-        assert!(second.bytes_retained > 0 && second.bytes_retained <= 24 << 20);
+        }
+        assert_eq!(service.stats().certificate_violations, 0);
 
         // Plan-only requests execute nothing.
         assert_eq!(service.plan(&shapes[0]).unwrap().exec_time, Duration::ZERO);
-        drop(worker);
-        assert_eq!(service.stats().bytes_retained, 0);
     }
 
     /// The served path counts every JOB-like shape's Yannakakis chain
     /// instead of materializing it: a worker answers what a materializing
-    /// run counts, its counters equal that run's step for step — every size
-    /// and certificate — with zero violations, and serving each shape twice
-    /// takes no large buffer at all, so the free list stays empty.
+    /// run counts, and its counters equal that run's step for step — every
+    /// size and certificate — with zero violations.  That no chain step is
+    /// allocated is `lpb-exec`'s `counted_runs` test.
     #[test]
     fn workers_count_job_like_outputs_without_materializing_them() {
         let catalog = lpb_datagen::job_like_catalog(&lpb_datagen::JobLikeConfig {
@@ -578,19 +530,10 @@ mod tests {
                 assert_eq!(r.output_size, run.output_size(), "{}", q.name());
                 assert_eq!(r.certificate_violations, 0, "{}", q.name());
             }
-            let counted = lpb_exec::count_physical_with_buffers(
-                &q,
-                &snapshot,
-                &served[0].plan.physical,
-                &ColumnBuffers::default(),
-            )
-            .unwrap();
+            let counted =
+                lpb_exec::count_physical(&q, &snapshot, &served[0].plan.physical).unwrap();
             assert_eq!(counted.counters, run.counters, "{}", q.name());
             assert!(run.counters.certificates_checked() > 0, "{}", q.name());
-            let stats = service.stats();
-            let taken = (stats.buffers_fresh, stats.buffers_reused);
-            assert_eq!(taken, (0, 0), "{}: no large buffer", q.name());
-            assert_eq!(stats.bytes_retained, 0, "{}", q.name());
         }
     }
 

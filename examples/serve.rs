@@ -1,8 +1,7 @@
 //! The `lpb-serve` query service end to end: a resident [`QueryService`]
 //! over the JOB-like catalog, serving threads with per-thread snapshot
 //! readers, the plan cache's hit path, a live epoch-bumping publish,
-//! single-flight planning of cache misses, and per-worker column-buffer
-//! recycling.
+//! single-flight planning of cache misses, and a worker's steady state.
 //!
 //! The walkthrough:
 //!
@@ -23,17 +22,14 @@
 //!    lands; a worker that arrives later hits).  Then four workers fire
 //!    four distinct cold shapes, which plan side by side, each a flight of
 //!    one.
-//! 4. **Buffer recycling** — one worker rotates over the shapes three
-//!    times.  A request answers with its output's size, so the output is
-//!    counted and never materialized, and every shape here is served by a
-//!    Yannakakis chain that is counted step by step as well: its largest
-//!    columns are its reduced relations' (≤ 1 113 rows), below the size a
-//!    worker recycles.  So the free list is never asked: every rotation
-//!    reports 0 large buffers fresh, 0 reused and 0.0 MiB retained (1.5 MiB
-//!    while the chains' steps were materialized), a rotation executes in
-//!    ~1.5–2.5 ms on a 2-vCPU VM, and the dropped worker held nothing.  A
-//!    plan that materializes a large intermediate below its output — a
-//!    hash chain, a bushy join — still draws its columns from the list.
+//! 4. **One worker, three rotations** — one worker rotates over the six
+//!    shapes three times and prints the execution time per rotation.  A
+//!    request answers with its output's size, so the output is counted and
+//!    never materialized, and every shape here is served by a Yannakakis
+//!    chain that is counted step by step as well: its largest columns are
+//!    its reduced relations' (≤ 1 113 rows).  A rotation executes in
+//!    1.2–2.4 ms on a 2-vCPU VM (30 rotations over ten runs, median
+//!    ~1.9 ms).
 //!
 //! ```text
 //! cargo run --release --example serve
@@ -127,31 +123,20 @@ fn main() -> Result<(), ServeError> {
     let planned = fire(&queries[2..]);
     println!("  {planned} plans computed");
 
-    // 4. One worker, three rotations: the counted chains take nothing from
-    //    the worker's free list.
+    // 4. One worker, three rotations over the six shapes: every request is
+    //    a cache hit, so what is left is counting the output.
     println!();
     let worker = Worker::new(Arc::clone(&service));
     for rotation in 1..=3 {
-        let before = service.stats();
         let mut exec_time = Duration::ZERO;
         for q in &queries {
             exec_time += worker.execute(q)?.exec_time;
         }
-        let after = service.stats();
         println!(
-            "  rotation {rotation}: {:>6.1}ms executing, {:>3} large buffers fresh, \
-             {:>3} reused, {:.1} MiB retained",
+            "  rotation {rotation}: {:>6.1}ms executing",
             exec_time.as_secs_f64() * 1e3,
-            after.buffers_fresh - before.buffers_fresh,
-            after.buffers_reused - before.buffers_reused,
-            after.bytes_retained as f64 / (1 << 20) as f64,
         );
     }
-    drop(worker);
-    println!(
-        "  worker dropped: {} bytes retained",
-        service.stats().bytes_retained
-    );
 
     let stats = service.stats();
     println!(
