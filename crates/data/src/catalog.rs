@@ -37,7 +37,7 @@ use crate::norms::Norm;
 use crate::relation::Relation;
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// The statistics cache: cached values plus the subset of keys whose values
 /// are **exact** (observed from real rows, not estimated or loaded from a
@@ -124,12 +124,26 @@ impl Catalog {
     /// their exactness flags), and bumping the statistics epoch.
     pub fn insert(&mut self, relation: Relation) {
         let name = relation.name().to_string();
-        let mut stats = self.stats.write().expect("statistics cache lock poisoned");
+        let mut stats = self.stats_write();
         stats.values.retain(|k, _| k.relation != name);
         stats.exact.retain(|k| k.relation != name);
         drop(stats);
         self.epoch += 1;
         self.relations.insert(name, Arc::new(relation));
+    }
+
+    /// The statistics cache for reading.  A poisoned lock (a thread
+    /// panicked while holding it) is taken over rather than propagated:
+    /// the cache holds plain values, and every write under the lock is one
+    /// insert or one retain per map, so no panic leaves an entry half made.
+    fn stats_read(&self) -> RwLockReadGuard<'_, StatsCache> {
+        self.stats.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The statistics cache for writing; recovers a poisoned lock like
+    /// [`stats_read`](Self::stats_read).
+    fn stats_write(&self) -> RwLockWriteGuard<'_, StatsCache> {
+        self.stats.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Look up a relation by name.
@@ -191,7 +205,7 @@ impl Catalog {
         };
         let mut key = StatsKey::new(relation, v, u, first);
         let mut values: Vec<Option<f64>> = {
-            let stats = self.stats.read().expect("statistics cache lock poisoned");
+            let stats = self.stats_read();
             norms
                 .iter()
                 .map(|&norm| {
@@ -220,7 +234,7 @@ impl Catalog {
     /// returns `false` and keeps the exact entry.  Exact writes always land
     /// and flag the key exact.
     pub fn record_statistic(&self, key: StatsKey, value: f64, exact: bool) -> bool {
-        let mut stats = self.stats.write().expect("statistics cache lock poisoned");
+        let mut stats = self.stats_write();
         if !exact && stats.exact.contains(&key) {
             return false;
         }
@@ -233,20 +247,12 @@ impl Catalog {
 
     /// Number of cached statistics (for tests and instrumentation).
     pub fn cached_stats(&self) -> usize {
-        self.stats
-            .read()
-            .expect("statistics cache lock poisoned")
-            .values
-            .len()
+        self.stats_read().values.len()
     }
 
     /// Number of cached statistics flagged exact (observed, not estimated).
     pub fn exact_stats(&self) -> usize {
-        self.stats
-            .read()
-            .expect("statistics cache lock poisoned")
-            .exact
-            .len()
+        self.stats_read().exact.len()
     }
 
     /// Drop every **non-exact** cached statistic of one relation, forcing
@@ -256,14 +262,11 @@ impl Catalog {
     /// recover from stale persisted statistics — the adaptive path instead
     /// absorbs observed intermediates and re-bounds only what they touch.
     pub fn refresh_statistics(&self, relation: &str) -> usize {
-        let mut stats = self.stats.write().expect("statistics cache lock poisoned");
-        let before = stats.values.len();
-        let exact = std::mem::take(&mut stats.exact);
-        stats
-            .values
-            .retain(|k, _| k.relation != relation || exact.contains(k));
-        stats.exact = exact;
-        before - stats.values.len()
+        let mut stats = self.stats_write();
+        let StatsCache { values, exact } = &mut *stats;
+        let before = values.len();
+        values.retain(|k, _| k.relation != relation || exact.contains(k));
+        before - values.len()
     }
 
     /// A derived catalog: every relation of `self` is shared (by `Arc`, not
@@ -282,11 +285,7 @@ impl Catalog {
         let relation = relation.into();
         let name = relation.name().to_string();
         let mut relations = self.relations.clone();
-        let mut stats = self
-            .stats
-            .read()
-            .expect("statistics cache lock poisoned")
-            .clone();
+        let mut stats = self.stats_read().clone();
         stats.values.retain(|k, _| k.relation != name);
         stats.exact.retain(|k| k.relation != name);
         relations.insert(name, relation);
@@ -336,10 +335,7 @@ impl Catalog {
         let set = crate::stats::StatisticsCollector::standard(max_norm)
             .materialize_relation(&derived, &name)?;
         {
-            let mut stats = derived
-                .stats
-                .write()
-                .expect("statistics cache lock poisoned");
+            let mut stats = derived.stats_write();
             for entry in set.entries() {
                 stats.exact.insert(entry.key.clone());
             }
@@ -355,7 +351,7 @@ impl Catalog {
     /// [`load_statistics`](Self::load_statistics) of the file reproduces
     /// every cached value **bit for bit**.
     pub fn save_statistics<P: AsRef<Path>>(&self, path: P) -> Result<usize, DataError> {
-        let stats = self.stats.read().expect("statistics cache lock poisoned");
+        let stats = self.stats_read();
         let mut lines: Vec<String> = Vec::with_capacity(stats.values.len());
         for (key, &value) in stats.values.iter() {
             for name in std::iter::once(&key.relation)
@@ -778,5 +774,42 @@ mod tests {
             );
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_poisoned_statistics_lock_is_recovered() {
+        let c = catalog();
+        c.log_norm("R", &["y"], &["x"], Norm::L1).unwrap();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let _guard = c.stats.write().unwrap();
+                panic!("injected panic while holding the statistics lock");
+            });
+            assert!(writer.join().is_err());
+        });
+        assert!(c.stats.is_poisoned());
+        // Every path through the lock still works: a cached read, a miss
+        // that computes and records, a direct write, the count, a derive.
+        let l1 = c.log_norm("R", &["y"], &["x"], Norm::L1).unwrap();
+        assert!((l1 - 3.0f64.log2()).abs() < 1e-12);
+        let norms = c
+            .log_norms("R", &["x"], &["y"], &[Norm::L1, Norm::Infinity])
+            .unwrap();
+        assert_eq!(norms, vec![3.0f64.log2(), 1.0]);
+        assert_eq!(c.cached_stats(), 3);
+        assert!(c.record_statistic(StatsKey::new("R", &["x"], &[], Norm::L1), 1.0, true));
+        assert_eq!((c.cached_stats(), c.exact_stats()), (4, 1));
+        let derived = c.derive_with(RelationBuilder::binary_from_pairs(
+            "S",
+            "y",
+            "z",
+            vec![(10, 1)],
+        ));
+        assert_eq!(derived.cached_stats(), 4);
+        assert_eq!(
+            derived.log_norm("S", &["y", "z"], &[], Norm::L1).unwrap(),
+            0.0
+        );
+        assert_eq!(c.refresh_statistics("R"), 3);
     }
 }

@@ -70,6 +70,15 @@ impl DegreeSequence {
     /// This is the representation the bound engine consumes (the paper's
     /// log-statistics `b = log B`).  Uses the identity
     /// `log Σ d_i^p = log d₁^p + log Σ (d_i/d₁)^p` for numerical stability.
+    ///
+    /// The sum is taken over **runs** of equal degrees: a run of `k` copies
+    /// of `d` adds `k · (d/d₁)^p`, so a finite norm costs one `powf` per
+    /// *distinct* degree, not one per entry — the sequences a skewed
+    /// relation yields are long runs of small degrees.  A product is rounded
+    /// once where a repeated sum was rounded `k` times, so the result is
+    /// within a few ulps of (and no less accurate than) the per-entry sum;
+    /// a one-element sequence (every `|R|` and `|Π_X|` statistic) and ℓ∞
+    /// are bit-identical to it.
     pub fn log2_lp_norm(&self, norm: Norm) -> Option<f64> {
         if self.degrees.is_empty() {
             return None;
@@ -79,11 +88,11 @@ impl DegreeSequence {
             Norm::Finite(p) => {
                 let d1 = self.max_degree() as f64;
                 let log2_d1 = d1.log2();
-                // Σ_i (d_i / d1)^p, each term in (0, 1].
+                // Σ_runs k · (d / d1)^p, each power in (0, 1].
                 let sum: f64 = self
                     .degrees
-                    .iter()
-                    .map(|&d| ((d as f64) / d1).powf(p))
+                    .chunk_by(|a, b| a == b)
+                    .map(|run| run.len() as f64 * ((run[0] as f64) / d1).powf(p))
                     .sum();
                 Some(log2_d1 + sum.log2() / p)
             }
@@ -160,6 +169,62 @@ mod tests {
         let expected = (1.0e6f64).log2() + (1000.0f64).log2() / 30.0;
         assert!((log_norm - expected).abs() < 1e-9);
         assert!(log_norm.is_finite());
+    }
+
+    /// The per-entry sum `log2_lp_norm` took before it summed runs: the
+    /// reference the run-length sum is held to.
+    fn per_entry_log2_lp_norm(d: &DegreeSequence, norm: Norm) -> Option<f64> {
+        let d1 = d.max_degree() as f64;
+        match norm {
+            _ if d.is_empty() => None,
+            Norm::Infinity => Some(d1.log2()),
+            Norm::Finite(p) => {
+                let sum: f64 = d.as_slice().iter().map(|&x| (x as f64 / d1).powf(p)).sum();
+                Some(d1.log2() + sum.log2() / p)
+            }
+        }
+    }
+
+    #[test]
+    fn run_length_norms_agree_with_the_per_entry_sum() {
+        // Long runs: 12k ones under a few hubs (a skewed part's shape), a
+        // staircase, and one run only.
+        let mut skewed = vec![1u64; 12_000];
+        skewed.extend([2, 2, 3, 7, 7, 7, 40, 900, 5_000]);
+        let staircase: Vec<u64> = (1..=60u64)
+            .flat_map(|d| vec![d; (61 - d) as usize])
+            .collect();
+        for counts in [skewed, staircase, vec![17; 4_096]] {
+            let d = DegreeSequence::from_counts(counts);
+            for p in [1.0, 1.5, 2.0, 3.0, 4.0, 10.0] {
+                let got = d.log2_lp_norm(Norm::Finite(p)).unwrap();
+                let want = per_entry_log2_lp_norm(&d, Norm::Finite(p)).unwrap();
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs(),
+                    "ℓ{p} of {} entries: runs {got} vs per entry {want}",
+                    d.len()
+                );
+            }
+            assert_eq!(
+                d.log2_lp_norm(Norm::Infinity).map(f64::to_bits),
+                per_entry_log2_lp_norm(&d, Norm::Infinity).map(f64::to_bits)
+            );
+        }
+        // One entry (every |R| and |Π_X| statistic): bit-identical.
+        for x in [1u64, 2, 3, 1_000, 12_345, u64::MAX >> 11] {
+            let d = seq(&[x]);
+            for norm in [1.0, 1.5, 2.0, 3.0, 4.0, 10.0]
+                .map(Norm::Finite)
+                .into_iter()
+                .chain([Norm::Infinity])
+            {
+                assert_eq!(
+                    d.log2_lp_norm(norm).map(f64::to_bits),
+                    per_entry_log2_lp_norm(&d, norm).map(f64::to_bits),
+                    "{norm:?} of [{x}]"
+                );
+            }
+        }
     }
 
     #[test]

@@ -162,6 +162,17 @@ impl Relation {
     ///
     /// When `U` is empty the bipartite graph has a single `U`-node, so the
     /// sequence is the single value `|Π_V(R)|`.
+    ///
+    /// Cost: the conditionals a statistics harvest asks for are counted off
+    /// one column, with no row index sorted.  `|Π_X|` is the number of runs
+    /// of `X`'s sorted column; on a relation whose storage is strictly
+    /// increasing (every [`RelationBuilder`](crate::RelationBuilder)
+    /// relation, every part of a degree split) `|R|` is `len()`, and
+    /// `deg(V | X)` with `{X} ∪ V` the whole schema is the run lengths of
+    /// `X`'s sorted column — one sort of a copy of that column, skipped
+    /// when it already is sorted.  Any other input (unsorted or duplicated
+    /// [`Relation::from_columns`] rows, `|U| ≥ 2`, `U ∪ V` short of the
+    /// schema) sorts row indices by `(U, V)`: `O(n log n)` row comparisons.
     pub fn degree_sequence(&self, v: &[&str], u: &[&str]) -> Result<DegreeSequence, DataError> {
         if v.is_empty() {
             return Err(DataError::InvalidConditional {
@@ -170,46 +181,179 @@ impl Relation {
         }
         let u_pos = self.schema.positions(u.iter().copied())?;
         let v_pos = self.schema.positions(v.iter().copied())?;
-        let mut counts = Vec::new();
-        self.for_each_u_group(&v_pos, &u_pos, |_, degree| counts.push(degree));
-        Ok(DegreeSequence::from_counts(counts))
+        Ok(DegreeSequence::from_counts(
+            self.group_by_u(&v_pos, &u_pos).degrees,
+        ))
     }
 
     /// The degree of every **row**'s `U`-value in `deg_R(V | U)`:
     /// `out[r]` is the number of distinct `V`-values paired with row `r`'s
     /// `U`-value — the same grouping as
     /// [`degree_sequence`](Self::degree_sequence), reported per row instead
-    /// of per group.  This is what a degree partition needs to route rows to
+    /// of per group, at the same cost plus one pass over the rows (and a
+    /// binary search per row when the counting case sorted a copy of the
+    /// `U` column).  This is what a degree partition needs to route rows to
     /// parts.  An empty `V` gives degree 1 everywhere (one empty tuple per
     /// `U`-value).
     pub fn row_degrees(&self, v: &[&str], u: &[&str]) -> Result<Vec<u64>, DataError> {
         let u_pos = self.schema.positions(u.iter().copied())?;
         let v_pos = self.schema.positions(v.iter().copied())?;
+        let groups = self.group_by_u(&v_pos, &u_pos);
         let mut degrees = vec![0u64; self.n_rows];
-        self.for_each_u_group(&v_pos, &u_pos, |rows, degree| {
-            for &r in rows {
-                degrees[r] = degree;
-            }
-        });
+        groups.for_each_row(self, |row, group| degrees[row] = groups.degrees[group]);
         Ok(degrees)
     }
 
     /// The row indices of the distinct rows in lexicographic (schema-order)
     /// order — the order [`RelationBuilder`](crate::RelationBuilder) stores
-    /// rows in.  On a builder-made relation this is `0..len()`; gathering
-    /// any subsequence of it yields a relation the builder would have built
-    /// from the same rows.
+    /// rows in.  On a relation whose storage is strictly increasing (every
+    /// builder-made relation) this is `0..len()`, found in one `O(n)` check;
+    /// any other relation sorts its row indices.  Gathering any subsequence
+    /// of it yields a relation the builder would have built from the same
+    /// rows.
     pub fn distinct_row_order(&self) -> Vec<usize> {
+        // Grouped on every attribute, a group is one distinct row.
         let all: Vec<AttrId> = (0..self.arity()).collect();
-        let mut order = self.order_by(&all);
-        order.dedup_by(|a, b| self.same_on(*a, *b, &all));
-        order
+        let groups = self.group_by_u(&all, &all);
+        let mut first = vec![usize::MAX; groups.degrees.len()];
+        groups.for_each_row(self, |row, group| first[group] = first[group].min(row));
+        first
+    }
+
+    /// The one grouping routine behind [`degree_sequence`],
+    /// [`row_degrees`] and [`distinct_row_order`]: `Π_{U∪V}(R)` grouped by
+    /// `U`, groups in ascending `U` order.  Two cases, chosen from the
+    /// input:
+    ///
+    /// * **Counting.**  A group's degree is counted off one column when
+    ///   the input allows it.  With `U = ∅` and one `V` attribute the one
+    ///   degree is the number of runs of `V`'s sorted column.  When the rows
+    ///   are distinct (storage strictly increasing) and `U ∪ V` is the whole
+    ///   schema, no two rows of a `U`-group share their `V`-value, so a
+    ///   degree is a row count: storage order already groups a schema
+    ///   prefix `U` (`∅` gives `|R| = len()`, all attributes give one group
+    ///   per row), and a single `U` attribute off the prefix sorts a copy of
+    ///   its column (skipped when it is sorted) and takes run lengths.
+    /// * **Row order.**  Otherwise row indices are sorted by `(U, V)` and a
+    ///   group's degree counts the changes of `V` inside it.
+    ///
+    /// [`degree_sequence`]: Self::degree_sequence
+    /// [`row_degrees`]: Self::row_degrees
+    /// [`distinct_row_order`]: Self::distinct_row_order
+    fn group_by_u(&self, v_pos: &[AttrId], u_pos: &[AttrId]) -> UGroups {
+        let n = self.n_rows;
+        if n == 0 {
+            return UGroups {
+                degrees: Vec::new(),
+                rows: GroupRows::Runs {
+                    order: None,
+                    ends: Vec::new(),
+                },
+            };
+        }
+        if let ([], &[v]) = (u_pos, v_pos) {
+            let col = &self.columns[v];
+            let distinct = if col.is_sorted() {
+                col.chunk_by(|a, b| a == b).count()
+            } else {
+                let mut sorted = col.clone();
+                sorted.sort_unstable();
+                sorted.chunk_by(|a, b| a == b).count()
+            };
+            return UGroups {
+                degrees: vec![distinct as u64],
+                rows: GroupRows::Runs {
+                    order: None,
+                    ends: vec![n],
+                },
+            };
+        }
+        let covers_schema = (0..self.arity()).all(|a| u_pos.contains(&a) || v_pos.contains(&a));
+        let prefix = u_pos.iter().enumerate().all(|(i, &a)| i == a);
+        if covers_schema && (prefix || u_pos.len() == 1) && self.rows_strictly_increasing() {
+            if prefix && u_pos.len() == self.arity() {
+                // Every row is a group of its own.
+                return UGroups {
+                    degrees: vec![1; n],
+                    rows: GroupRows::Runs {
+                        order: None,
+                        ends: (1..=n).collect(),
+                    },
+                };
+            }
+            if prefix || self.columns[u_pos[0]].is_sorted() {
+                let ends: Vec<usize> = (1..n)
+                    .filter(|&r| {
+                        u_pos
+                            .iter()
+                            .any(|&c| self.columns[c][r - 1] != self.columns[c][r])
+                    })
+                    .chain([n])
+                    .collect();
+                let degrees = ends
+                    .iter()
+                    .scan(0, |start, &end| {
+                        Some((end - std::mem::replace(start, end)) as u64)
+                    })
+                    .collect();
+                return UGroups {
+                    degrees,
+                    rows: GroupRows::Runs { order: None, ends },
+                };
+            }
+            let column = u_pos[0];
+            let mut sorted = self.columns[column].clone();
+            sorted.sort_unstable();
+            let (keys, degrees) = sorted
+                .chunk_by(|a, b| a == b)
+                .map(|run| (run[0], run.len() as u64))
+                .unzip();
+            return UGroups {
+                degrees,
+                rows: GroupRows::Keyed { column, keys },
+            };
+        }
+        let order = self.order_by(&[u_pos, v_pos].concat());
+        let (mut ends, mut degrees) = (Vec::new(), Vec::new());
+        let mut start = 0;
+        while start < n {
+            let mut end = start + 1;
+            let mut degree = 1u64;
+            while end < n && self.same_on(order[start], order[end], u_pos) {
+                if !self.same_on(order[end - 1], order[end], v_pos) {
+                    degree += 1;
+                }
+                end += 1;
+            }
+            ends.push(end);
+            degrees.push(degree);
+            start = end;
+        }
+        UGroups {
+            degrees,
+            rows: GroupRows::Runs {
+                order: Some(order),
+                ends,
+            },
+        }
+    }
+
+    /// True when every row is lexicographically (schema order) smaller than
+    /// the next — so the rows are distinct, as the builder leaves them.
+    /// `O(n)` column comparisons, most rows deciding on their first.
+    fn rows_strictly_increasing(&self) -> bool {
+        (1..self.n_rows).all(|r| {
+            self.columns
+                .iter()
+                .map(|c| c[r - 1].cmp(&c[r]))
+                .find(|o| o.is_ne())
+                .is_some_and(std::cmp::Ordering::is_lt)
+        })
     }
 
     /// Row indices sorted lexicographically by the values in `cols`.  The
     /// rows are compared in place — no per-row key vectors — and the sort is
-    /// skipped when storage order already is that order (builder-made
-    /// relations conditioned on a schema prefix).
+    /// skipped when storage order already is that order.
     fn order_by(&self, cols: &[AttrId]) -> Vec<usize> {
         let cmp = |a: &usize, b: &usize| {
             cols.iter()
@@ -230,31 +374,6 @@ impl Relation {
             .all(|&c| self.columns[c][a] == self.columns[c][b])
     }
 
-    /// One pass over the relation grouped by `U`: calls `f(rows, degree)`
-    /// per distinct `U`-value with the rows carrying it and the number of
-    /// distinct `V`-values among them.  With `U = ∅` there is one group.
-    fn for_each_u_group(
-        &self,
-        v_pos: &[AttrId],
-        u_pos: &[AttrId],
-        mut f: impl FnMut(&[usize], u64),
-    ) {
-        let order = self.order_by(&[u_pos, v_pos].concat());
-        let mut start = 0;
-        while start < order.len() {
-            let mut end = start + 1;
-            let mut degree = 1u64;
-            while end < order.len() && self.same_on(order[start], order[end], u_pos) {
-                if !self.same_on(order[end - 1], order[end], v_pos) {
-                    degree += 1;
-                }
-                end += 1;
-            }
-            f(&order[start..end], degree);
-            start = end;
-        }
-    }
-
     fn from_sorted_rows(name: String, schema: Schema, rows: Vec<Vec<u64>>) -> Relation {
         let arity = schema.arity();
         let mut columns = vec![Vec::with_capacity(rows.len()); arity];
@@ -268,6 +387,52 @@ impl Relation {
             schema,
             n_rows: rows.len(),
             columns,
+        }
+    }
+}
+
+/// `Π_{U∪V}(R)` grouped by `U`, as [`Relation::group_by_u`] finds it.
+struct UGroups {
+    /// Each group's degree (its number of distinct `V`-values), groups in
+    /// ascending `U` order.
+    degrees: Vec<u64>,
+    /// Which rows make up each group.
+    rows: GroupRows,
+}
+
+/// Where the rows of group `g` of a [`UGroups`] are.
+enum GroupRows {
+    /// Rows `ends[g - 1]..ends[g]` of `order`, a row order sorted by
+    /// `(U, V)` — or of storage, when `order` is `None` (storage order
+    /// groups `U`).
+    Runs {
+        order: Option<Vec<usize>>,
+        ends: Vec<usize>,
+    },
+    /// The rows whose `column` (the one `U` attribute) holds `keys[g]`;
+    /// `keys` ascend.
+    Keyed { column: AttrId, keys: Vec<u64> },
+}
+
+impl UGroups {
+    /// Calls `f(row, group)` once for every row of `rel` (the relation
+    /// these groups were found in).
+    fn for_each_row(&self, rel: &Relation, mut f: impl FnMut(usize, usize)) {
+        match &self.rows {
+            GroupRows::Runs { order, ends } => {
+                let starts = std::iter::once(0).chain(ends.iter().copied());
+                for (group, (start, &end)) in starts.zip(ends).enumerate() {
+                    for i in start..end {
+                        f(order.as_ref().map_or(i, |o| o[i]), group);
+                    }
+                }
+            }
+            GroupRows::Keyed { column, keys } => {
+                for (row, value) in rel.column(*column).iter().enumerate() {
+                    let group = keys.binary_search(value).expect("every value is a key");
+                    f(row, group);
+                }
+            }
         }
     }
 }

@@ -824,7 +824,9 @@ impl Optimizer {
     /// [`PlannerConfig::partition_skew_log2`]), most-skewed first, cut to
     /// [`PlannerConfig::max_partition_candidates`].  A join attribute's
     /// norms are lookups (the harvest cached them); any other attribute
-    /// costs one degree-sequence pass here.
+    /// costs one degree sequence here — on a builder-made relation one sort
+    /// of a copy of that attribute's column
+    /// ([`lpb_data::Relation::degree_sequence`]'s counting case).
     fn skew_candidates(
         &self,
         query: &JoinQuery,
@@ -875,6 +877,14 @@ impl Optimizer {
     /// when the split leaves fewer than two parts.  The part's tuples sit
     /// behind one `Arc` shared by the sub-catalog and, later, the plan's
     /// [`PartitionBranch`].
+    ///
+    /// A part exists only for this plan, so its statistics are harvested
+    /// cold and cached in its sub-catalog only — never in `catalog`.  The
+    /// parts come out strictly increasing, so that harvest is counted, not
+    /// sorted: `|R|` is the part's length, and `|Π_x|` and `deg(rest | x)`
+    /// cost one sort of a copy of `x`'s column each (none for the first
+    /// attribute, whose column is already sorted), with one `powf` per
+    /// distinct degree per norm ([`lpb_data::DegreeSequence::log2_lp_norm`]).
     fn split_candidate(
         &self,
         query: &JoinQuery,

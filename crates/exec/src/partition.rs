@@ -196,11 +196,7 @@ pub fn partition_for_statistic(
 /// Bucket index of a degree `d ≥ 1`: `⌈log₂ d⌉`, with bucket 1 for
 /// `d ∈ {1, 2}`.
 fn bucket_of(d: u64) -> u32 {
-    let mut b = 1u32;
-    while (1u64 << b) < d {
-        b += 1;
-    }
-    b
+    u64::BITS - (d.max(2) - 1).leading_zeros()
 }
 
 /// Coarsen the degree buckets of `(V | U)` into a two-way **light/heavy**
@@ -217,9 +213,14 @@ fn bucket_of(d: u64) -> u32 {
 /// [`crate::Optimizer`] feeds per-part planning and the
 /// [`crate::PhysicalNode::PartitionedUnion`] executor.
 ///
-/// This runs once per partition candidate inside planning, so it takes one
-/// [`Relation::row_degrees`] pass and gathers the two parts' columns
-/// directly instead of materializing the buckets.
+/// This runs once per partition candidate inside planning, so it takes its
+/// per-row degrees ([`Relation::row_degrees`]) and its distinct row order
+/// ([`Relation::distinct_row_order`]) from the relation's one grouping
+/// routine — on a builder-made relation split on one attribute that is one
+/// sort of a copy of that attribute's column and an `O(n)` check, with no
+/// row index sorted — and gathers the two parts column by column instead of
+/// materializing the buckets.  The parts come out strictly increasing, so
+/// their own statistics take the counting case too.
 pub fn split_light_heavy(
     rel: &Relation,
     v: &[&str],
@@ -253,7 +254,10 @@ pub fn split_light_heavy(
         .partition(|&row| is_light(row));
     let gather = |label: &str, rows: &[usize]| -> Result<Relation, ExecError> {
         let columns = (0..rel.arity())
-            .map(|c| rows.iter().map(|&r| rel.value(r, c)).collect())
+            .map(|c| {
+                let column = rel.column(c);
+                rows.iter().map(|&r| column[r]).collect()
+            })
             .collect();
         Ok(Relation::from_columns(
             format!("{}#{label}", rel.name()),
@@ -432,9 +436,12 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Same rows, same order, same names as the bucket-merging
-        /// reference, in both directions of a skewed binary relation, on a
-        /// raw (unsorted, duplicate-bearing) copy of it, and on a ternary
-        /// relation split on one attribute.
+        /// reference (builder-made parts), in both directions of a skewed
+        /// binary relation, on a raw (unsorted, duplicate-bearing) copy of
+        /// it, and on a ternary relation split on one attribute and on two.
+        /// And the same statistics: a part is strictly increasing, so its
+        /// harvest is counted off its columns, and must read bit for bit
+        /// what a reversed copy of it reads by sorting row indices.
         #[test]
         fn one_pass_split_equals_the_bucket_merging_reference(
             hubs in 0u64..4,
@@ -467,11 +474,47 @@ mod tests {
                 (&ternary, &["x", "z"][..], &["y"][..]),
                 (&ternary, &["y"][..], &["x", "z"][..]),
             ] {
-                proptest::prop_assert_eq!(
-                    split_light_heavy(rel, v, u).unwrap(),
-                    split_by_merging_buckets(rel, v, u)
-                );
+                let split = split_light_heavy(rel, v, u).unwrap();
+                proptest::prop_assert_eq!(&split, &split_by_merging_buckets(rel, v, u));
+                for part in split.into_iter().flat_map(|(light, heavy)| [light, heavy]) {
+                    let reversed = Relation::from_columns(
+                        part.name(),
+                        part.schema().clone(),
+                        (0..part.arity())
+                            .map(|c| part.column(c).iter().rev().copied().collect())
+                            .collect(),
+                    )
+                    .unwrap();
+                    proptest::prop_assert_eq!(
+                        simple_statistics(part),
+                        simple_statistics(reversed)
+                    );
+                }
             }
+        }
+    }
+
+    /// Every simple statistic of `rel` up to ℓ4 and ℓ∞, as harvested
+    /// through a catalog, by bits.
+    fn simple_statistics(rel: Relation) -> Vec<u64> {
+        let name = rel.name().to_string();
+        let mut catalog = lpb_data::Catalog::new();
+        catalog.insert(rel);
+        let set = lpb_data::StatisticsCollector::standard(4)
+            .materialize_relation(&catalog, &name)
+            .unwrap();
+        set.entries().iter().map(|e| e.log_norm.to_bits()).collect()
+    }
+
+    #[test]
+    fn bucket_of_is_the_ceiling_log2() {
+        for d in (1..=10_000u64).chain([u64::MAX >> 1, (u64::MAX >> 1) + 2, u64::MAX]) {
+            let b = bucket_of(d);
+            let d = d as u128;
+            assert!(
+                d <= 1 << b && (b == 1 || d > 1 << (b - 1)),
+                "d = {d}: bucket {b}"
+            );
         }
     }
 
