@@ -12,20 +12,28 @@
 //! may not request a block as large as the smallest chain-step column the
 //! materializing run of the same plan writes (on the JOB-like serving
 //! shapes, the widest step's column; see there why).
+//!
+//! Two more contracts of the executor live here.  The recording of one
+//! hand-built plan per root kind is pinned step by step (labels, sizes,
+//! certificates, tallies) in `GOLDEN`, materialized and counted.  And the
+//! same allocator keeps a per-thread high-water mark of live bytes, which
+//! shows that a materializing chain drops each intermediate once the next
+//! step has consumed it.
 
 use lpb_core::{Atom, JoinQuery};
 use lpb_data::{Catalog, RelationBuilder};
 use lpb_exec::oracle::nested_loop_join;
 use lpb_exec::{
-    count_physical, execute_physical_mode, ExecMode, Optimizer, PartitionBranch, PhysicalNode,
-    PhysicalPlan,
+    count_physical, execute_physical_mode, ExecMode, IntermediateCounters, Optimizer,
+    PartitionBranch, PhysicalNode, PhysicalPlan,
 };
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// The system allocator, recording the calling thread's largest block.
+/// The system allocator, recording the calling thread's largest block and
+/// the high-water mark of the bytes it holds.
 struct PeakProbe;
 
 thread_local! {
@@ -33,10 +41,31 @@ thread_local! {
     /// the allocator never allocates; per thread, so tests running side by
     /// side do not see each other's blocks.
     static LARGEST_BLOCK: Cell<usize> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.  Signed: a block
+    /// freed here may have been allocated before the count started.
+    static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// The largest value [`LIVE_BYTES`] took since [`reset_live_peak`].
+    static PEAK_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(bytes: usize) {
     let _ = LARGEST_BLOCK.try_with(|largest| largest.set(largest.get().max(bytes)));
+}
+
+/// Add `delta` bytes to this thread's live count and raise its high-water
+/// mark.
+fn note_live(delta: isize) {
+    let _ = LIVE_BYTES.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK_LIVE_BYTES.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+/// Start a new high-water mark at the bytes live now, and return them.
+fn reset_live_peak() -> isize {
+    let live = LIVE_BYTES.with(Cell::get);
+    PEAK_LIVE_BYTES.with(|peak| peak.set(live));
+    live
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -45,24 +74,28 @@ fn note(bytes: usize) {
 unsafe impl GlobalAlloc for PeakProbe {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         // SAFETY: the caller's guarantees for `alloc` are passed on as given.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         note(layout.size());
+        note_live(layout.size() as isize);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         note(new_size);
+        note_live(new_size as isize - layout.size() as isize);
         // SAFETY: `ptr` came from this allocator, that is from `System`,
         // with `layout`; the caller's guarantees are passed on as given.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note_live(-(layout.size() as isize));
         // SAFETY: as for `realloc`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -386,4 +419,282 @@ proptest! {
             assert_counted_chain_materializes_no_step(name, query, &catalog, plan)?;
         }
     }
+}
+
+/// One recorded step as the golden recordings spell it: label, rows,
+/// certificate.
+type Step = (&'static str, usize, Option<f64>);
+
+/// The recording one plan must leave, materialized or counted: its steps in
+/// order and its tallies.
+struct Golden {
+    steps: &'static [Step],
+    certificates_checked: usize,
+    certificate_violations: usize,
+    parts_planned: usize,
+    part_peaks: &'static [usize],
+}
+
+/// A hand-built plan of every root kind, on the small fixture catalog,
+/// certified so that some steps pass and some violate.
+fn golden_shapes() -> Vec<(&'static str, JoinQuery, PhysicalPlan)> {
+    let catalog = catalog(2, 4);
+    let path3 = JoinQuery::path(&["R", "S", "T"]);
+    let scan_at = |atom, bound| {
+        Box::new(PhysicalNode::Scan {
+            atom,
+            log2_bound: Some(bound),
+        })
+    };
+    let join = |left, right, bound| {
+        Box::new(PhysicalNode::HashJoin {
+            left,
+            right,
+            log2_bound: Some(bound),
+        })
+    };
+    let chain = |input, atoms: Vec<usize>, bounds: &[f64]| PhysicalNode::HashChain {
+        input,
+        atoms,
+        step_bounds: bounds.iter().copied().map(Some).collect(),
+    };
+    let r = catalog.get("R").unwrap();
+    let part = |name: &str, parity: u64| PartitionBranch {
+        relation: RelationBuilder::binary_from_pairs(
+            name,
+            "x",
+            "y",
+            r.rows()
+                .filter(|row| row[0] % 2 == parity)
+                .map(|t| (t[0], t[1])),
+        )
+        .into(),
+        plan: PhysicalPlan::from_root(chain(scan_at(0, 3.0), vec![1, 2], &[4.0, 3.5])),
+        log2_bound: Some(4.0),
+    };
+    vec![
+        (
+            "scan",
+            JoinQuery::path(&["R"]),
+            PhysicalPlan::from_root(*scan_at(0, 4.0)),
+        ),
+        (
+            "hash-chain",
+            path3.clone(),
+            PhysicalPlan::from_root(chain(scan_at(0, 4.0), vec![1, 2], &[5.0, 4.5])),
+        ),
+        (
+            "bushy",
+            JoinQuery::path(&["R", "S", "T", "U"]),
+            PhysicalPlan::from_root(*join(
+                join(scan_at(0, 4.0), scan_at(1, 4.0), 5.0),
+                join(scan_at(2, 4.0), scan(3), 3.5),
+                6.0,
+            )),
+        ),
+        (
+            "wcoj-chain",
+            path3.clone(),
+            PhysicalPlan::from_root(chain(
+                Box::new(PhysicalNode::Wcoj {
+                    atoms: vec![0, 1],
+                    log2_bound: Some(5.0),
+                }),
+                vec![2],
+                &[4.5],
+            )),
+        ),
+        (
+            "reduced",
+            path3.clone(),
+            PhysicalPlan::from_root(PhysicalNode::Reduced {
+                atoms: vec![0, 1, 2],
+                scan_bounds: vec![Some(4.0), Some(4.0), Some(4.0)],
+                step_bounds: vec![None, Some(5.0), Some(4.5)],
+            }),
+        ),
+        (
+            "partitioned-union",
+            path3,
+            PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+                atom: 0,
+                parts: vec![part("R#even", 0), part("R#odd", 1)],
+                log2_bound: Some(5.0),
+            }),
+        ),
+    ]
+}
+
+/// The golden recordings of [`golden_shapes`], in order.
+const GOLDEN: [(&str, Golden); 6] = [
+    (
+        "scan",
+        Golden {
+            steps: &[("scan R", 16, Some(4.0))],
+            certificates_checked: 1,
+            certificate_violations: 0,
+            parts_planned: 0,
+            part_peaks: &[],
+        },
+    ),
+    (
+        "hash-chain",
+        Golden {
+            steps: &[
+                ("scan R", 16, Some(4.0)),
+                ("⋈ S", 32, Some(5.0)),
+                ("⋈ T", 32, Some(4.5)),
+            ],
+            certificates_checked: 3,
+            certificate_violations: 1,
+            parts_planned: 0,
+            part_peaks: &[],
+        },
+    ),
+    (
+        "bushy",
+        Golden {
+            steps: &[
+                ("scan R", 16, Some(4.0)),
+                ("scan S", 16, Some(4.0)),
+                ("⋈ bushy[0|1]", 32, Some(5.0)),
+                ("scan T", 24, Some(4.0)),
+                ("scan U", 16, None),
+                ("⋈ bushy[2|3]", 16, Some(3.5)),
+                ("⋈ bushy[0,1|2,3]", 32, Some(6.0)),
+            ],
+            certificates_checked: 6,
+            certificate_violations: 2,
+            parts_planned: 0,
+            part_peaks: &[],
+        },
+    ),
+    (
+        "wcoj-chain",
+        Golden {
+            steps: &[("wcoj path-3[0,1]", 32, Some(5.0)), ("⋈ T", 32, Some(4.5))],
+            certificates_checked: 2,
+            certificate_violations: 1,
+            parts_planned: 0,
+            part_peaks: &[],
+        },
+    ),
+    (
+        "reduced",
+        Golden {
+            steps: &[
+                ("⋉ S", 16, Some(4.0)),
+                ("⋉ T", 16, Some(4.0)),
+                ("⋉ S", 16, Some(4.0)),
+                ("⋉ R", 16, Some(4.0)),
+                ("reduce R", 16, Some(4.0)),
+                ("reduce S", 16, Some(4.0)),
+                ("⋈ S", 32, Some(5.0)),
+                ("reduce T", 16, Some(4.0)),
+                ("⋈ T", 32, Some(4.5)),
+            ],
+            certificates_checked: 9,
+            certificate_violations: 1,
+            parts_planned: 0,
+            part_peaks: &[],
+        },
+    ),
+    (
+        "partitioned-union",
+        Golden {
+            steps: &[
+                ("[R#even] scan R#even", 8, Some(3.0)),
+                ("[R#even] ⋈ S", 16, Some(4.0)),
+                ("[R#even] ⋈ T", 16, Some(3.5)),
+                ("[R#even] output R#even", 16, Some(4.0)),
+                ("[R#odd] scan R#odd", 8, Some(3.0)),
+                ("[R#odd] ⋈ S", 16, Some(4.0)),
+                ("[R#odd] ⋈ T", 16, Some(3.5)),
+                ("[R#odd] output R#odd", 16, Some(4.0)),
+                ("∪ partitioned", 32, Some(5.0)),
+            ],
+            certificates_checked: 9,
+            certificate_violations: 2,
+            parts_planned: 2,
+            part_peaks: &[16, 16],
+        },
+    ),
+];
+
+/// Check one recording against its golden copy, step for step.
+fn assert_golden(name: &str, counters: &IntermediateCounters, golden: &Golden) {
+    let steps: Vec<(&str, usize, Option<f64>)> = counters
+        .steps()
+        .iter()
+        .map(|s| (s.label.as_str(), s.rows, s.log2_bound))
+        .collect();
+    assert_eq!(steps, golden.steps, "{name}: steps");
+    assert_eq!(
+        counters.certificates_checked(),
+        golden.certificates_checked,
+        "{name}: certificates checked"
+    );
+    assert_eq!(
+        counters.certificate_violations(),
+        golden.certificate_violations,
+        "{name}: certificate violations"
+    );
+    assert_eq!(
+        counters.parts_planned(),
+        golden.parts_planned,
+        "{name}: parts planned"
+    );
+    assert_eq!(
+        counters.part_peaks(),
+        golden.part_peaks,
+        "{name}: part peaks"
+    );
+}
+
+/// Every root kind records exactly the golden step sequence and tallies,
+/// materialized and counted: same labels in the same order, same sizes,
+/// same certificates, same part roll-ups.
+#[test]
+fn every_root_kind_records_its_golden_steps() {
+    let catalog = catalog(2, 4);
+    let shapes = golden_shapes();
+    assert_eq!(shapes.len(), GOLDEN.len());
+    for ((name, query, plan), (golden_name, golden)) in shapes.iter().zip(&GOLDEN) {
+        assert_eq!(name, golden_name);
+        let run = execute_physical_mode(query, &catalog, plan, ExecMode::Vectorized).unwrap();
+        assert_golden(&format!("{name} (materialized)"), &run.counters, golden);
+        let counted = count_physical(query, &catalog, plan).unwrap();
+        assert_golden(&format!("{name} (counted)"), &counted.counters, golden);
+        assert_eq!(counted.output_size, run.output_size(), "{name}: size");
+    }
+}
+
+/// A materializing hash chain drops each intermediate as soon as the next
+/// step has consumed it.  Over four atoms whose intermediates grow — 320
+/// rows, then 12 800, each one column wider than the last — the thread's
+/// live bytes peak below the sum of every intermediate's columns, which a
+/// run that kept its intermediates to the end would hold at once.
+#[test]
+fn a_materializing_chain_releases_consumed_intermediates() {
+    let catalog = catalog(40, 4);
+    let query = JoinQuery::path(&["R", "S", "T", "U"]);
+    let plan = PhysicalPlan::hash_chain(vec![0, 1, 2, 3]);
+    let before = reset_live_peak();
+    let run = execute_physical_mode(&query, &catalog, &plan, ExecMode::Vectorized).unwrap();
+    let peak = PEAK_LIVE_BYTES.with(Cell::get) - before;
+    // Step `i`'s intermediate has `i + 2` columns of `u64`.
+    let columns: Vec<usize> = run
+        .counters
+        .sizes()
+        .iter()
+        .enumerate()
+        .map(|(i, rows)| rows * (i + 2) * std::mem::size_of::<u64>())
+        .collect();
+    assert_eq!(columns.len(), 4);
+    assert!(columns.windows(2).all(|w| w[0] < w[1]), "{columns:?} grow");
+    let held_at_once: usize = columns.iter().sum();
+    assert!(
+        usize::try_from(peak).unwrap() < held_at_once,
+        "the chain peaked at {peak} live bytes, its intermediates' columns sum to {held_at_once}"
+    );
 }
