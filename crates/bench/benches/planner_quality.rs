@@ -25,20 +25,7 @@
 //!    the partition search's work counters (`partition_candidates`,
 //!    `partition_candidates_refused`, `partition_subqueries_bounded`),
 //!    certificate-violation counts (asserted zero), and the execution time
-//!    (`exec_vectorized_us`), plus the
-//!    adaptive-execution columns `replans` / `violations_handled` /
-//!    `adaptive_vs_static_peak` / `adaptive_vs_coldreplan_us`.
-//!
-//! One workload — `stale-stats`, whose persisted statistics lie about
-//! today's data — deliberately violates its certificates under static
-//! execution.  There the harness asserts the [`AdaptiveExecutor`] detects
-//! the violation, re-plans through the delta bound API with zero
-//! product-bound fallbacks, handles every violation (the JSON's
-//! `certificate_violations` column reports *unhandled* ones, asserted
-//! zero), and finishes with a peak intermediate at least 2x below blind
-//! static execution; `adaptive_vs_coldreplan_us` reports how much
-//! wall-clock the mid-query splice saves over suspending, refreshing every
-//! statistic, and cold re-planning from scratch.
+//!    (`exec_vectorized_us`).
 //!
 //! Passing `--smoke` (the CI mode: `cargo bench --bench planner_quality --
 //! --smoke`) runs the same pipeline at the test scale and writes the JSON
@@ -48,12 +35,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lpb_datagen::{
-    job_like_catalog, job_like_queries, planner_workloads, stale_stats_workload, JobLikeConfig,
-    PlannerWorkload,
+    job_like_catalog, job_like_queries, planner_workloads, JobLikeConfig, PlannerWorkload,
 };
 use lpb_exec::{
-    execute_physical_mode, AdaptiveExecutor, CertificatePolicy, ColumnRun, ExecMode, ExecState,
-    ExecStatus, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
+    execute_physical_mode, ColumnRun, ExecMode, JoinPlan, Optimizer, PhysicalPlan, PlannerConfig,
 };
 use std::time::Instant;
 
@@ -80,10 +65,6 @@ struct PlannerRow {
     subqueries_bounded: usize,
     bound_fallbacks: usize,
     exec_vectorized_us: f64,
-    replans: usize,
-    violations_handled: usize,
-    adaptive_vs_static_peak: f64,
-    adaptive_vs_coldreplan_us: f64,
 }
 
 /// Wall-clock one executor configuration: one warm-up call sizes an
@@ -123,10 +104,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             catalog: job,
         });
     }
-    // The stale-statistics adversary: the one workload whose static plan is
-    // *supposed* to violate its certificates, so the adaptive controller has
-    // something to react to.  Its violation asserts are inverted below.
-    workloads.push(stale_stats_workload(scale));
 
     let mut rows = Vec::new();
     let mut group = c.benchmark_group("planner_quality");
@@ -137,25 +114,13 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         // below plans on cached ones.
         let optimizer = Optimizer::new();
         let plan = optimizer.plan(&w.query, &w.catalog).expect("planning");
-        // On the stale-statistics adversary the static plan is *supposed* to
-        // blow through its certificates — that is what the adaptive executor
-        // reacts to — so its violation asserts run inverted.
-        let reactive = w.name == "stale-stats";
         let chosen = exec(w, &plan.physical, "chosen plan");
-        if reactive {
-            assert!(
-                chosen.certificate_violations() > 0,
-                "{}: the stale plan must violate its own certificates",
-                w.name
-            );
-        } else {
-            assert_eq!(
-                chosen.certificate_violations(),
-                0,
-                "{}: an executed intermediate exceeded its bound certificate",
-                w.name
-            );
-        }
+        assert_eq!(
+            chosen.certificate_violations(),
+            0,
+            "{}: an executed intermediate exceeded its bound certificate",
+            w.name
+        );
         assert_eq!(
             plan.bound_fallbacks, 0,
             "{}: a sub-join bound fell back to the product bound",
@@ -212,95 +177,6 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
         let exec_vectorized_us =
             time_exec_us(|| exec(w, &plan.physical, "vectorized exec").output_size());
 
-        // Adaptive-execution columns.  On ordinary workloads no certificate
-        // fires, so the adaptive run degenerates to the static one (replans
-        // stays 0 and both ratios report their neutral value).  On the
-        // stale-statistics adversary the controller must detect the lying
-        // certificate, re-plan through the delta bound API without a single
-        // product-bound fallback, and finish with a peak intermediate at
-        // least 2x below blind static execution.  The cold-re-plan baseline
-        // answers "what would suspending, refreshing every statistic, and
-        // re-planning from scratch have cost?" — its wall-clock minus the
-        // adaptive controller's is the saving the delta path buys.
-        let (replans, violations_handled, adaptive_vs_static_peak, adaptive_vs_coldreplan_us) =
-            if reactive {
-                let adaptive_exec = AdaptiveExecutor::new(Optimizer::new());
-                let adaptive = adaptive_exec
-                    .run(&w.query, &w.catalog, &plan.physical)
-                    .expect("adaptive run");
-                assert!(
-                    adaptive.replans >= 1,
-                    "{}: the adaptive executor never re-planned",
-                    w.name
-                );
-                assert_eq!(
-                    adaptive.unhandled_violations(),
-                    0,
-                    "{}: a certificate violation went unhandled",
-                    w.name
-                );
-                assert_eq!(
-                    adaptive.bound_fallbacks, 0,
-                    "{}: a delta re-bound fell back to the product bound",
-                    w.name
-                );
-                assert_eq!(
-                    adaptive.output.len(),
-                    chosen.output_size(),
-                    "{}: the adaptive run disagrees on the output",
-                    w.name
-                );
-                let peak_ratio =
-                    chosen.max_intermediate() as f64 / adaptive.max_intermediate().max(1) as f64;
-                assert!(
-                    peak_ratio >= 2.0,
-                    "{}: adaptive peak ratio {peak_ratio:.2} < 2x",
-                    w.name
-                );
-                let adaptive_us = time_exec_us(|| {
-                    adaptive_exec
-                        .run(&w.query, &w.catalog, &plan.physical)
-                        .expect("adaptive exec")
-                        .output
-                        .len()
-                });
-                let cold_us = time_exec_us(|| {
-                    // Detect: run the static plan until the certificate fires…
-                    let mut state = ExecState::new(
-                        &plan.physical,
-                        CertificatePolicy::React { slack_log2: 0.0 },
-                    );
-                    let status = state.run(&w.query, &w.catalog).expect("detection prefix");
-                    assert!(matches!(status, ExecStatus::Suspended(_)));
-                    // …refresh *every* statistic from today's relations…
-                    let first = w.catalog.get("R").expect("base relation");
-                    let mut refreshed = w
-                        .catalog
-                        .absorb_observed(first, 4)
-                        .expect("statistics refresh");
-                    for rel in ["S", "T", "U"] {
-                        let relation = refreshed.get(rel).expect("base relation");
-                        refreshed = refreshed
-                            .absorb_observed(relation, 4)
-                            .expect("statistics refresh");
-                    }
-                    // …then plan cold and re-execute from scratch, discarding
-                    // the partial work the suspension left behind.
-                    let cold_plan = Optimizer::new()
-                        .plan(&w.query, &refreshed)
-                        .expect("cold re-plan");
-                    exec(w, &cold_plan.physical, "cold re-exec").output_size()
-                });
-                (
-                    adaptive.replans,
-                    adaptive.violations_handled,
-                    peak_ratio,
-                    cold_us - adaptive_us,
-                )
-            } else {
-                (0, 0, 1.0, 0.0)
-            };
-
         group.bench_with_input(BenchmarkId::new("plan", w.name), &w, |b, w| {
             b.iter(|| optimizer.plan(&w.query, &w.catalog).unwrap())
         });
@@ -322,24 +198,12 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             partition_candidates: plan.partition_candidates,
             partition_candidates_refused: plan.partition_candidates_refused,
             partition_subqueries_bounded: plan.partition_subqueries_bounded,
-            // The stale-stats row reports *unhandled* violations (asserted
-            // zero above — every one was answered with a re-plan); the raw
-            // handled count lives in `violations_handled`.  This keeps CI's
-            // "no nonzero certificate_violations" grep sound.
-            certificate_violations: if reactive {
-                0
-            } else {
-                chosen.certificate_violations()
-            },
+            certificate_violations: chosen.certificate_violations(),
             certificates_checked: chosen.counters.certificates_checked(),
             output_size: chosen.output_size(),
             subqueries_bounded: plan.subqueries_bounded,
             bound_fallbacks: plan.bound_fallbacks,
             exec_vectorized_us,
-            replans,
-            violations_handled,
-            adaptive_vs_static_peak,
-            adaptive_vs_coldreplan_us,
         });
     }
     group.finish();
@@ -362,9 +226,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
              \"partition_subqueries_bounded\": {}, \
              \"certificates_checked\": {}, \"certificate_violations\": {}, \
              \"output_size\": {}, \"subqueries_bounded\": {}, \"bound_fallbacks\": {}, \
-             \"exec_vectorized_us\": {:.1}, \"replans\": {}, \
-             \"violations_handled\": {}, \"adaptive_vs_static_peak\": {:.2}, \
-             \"adaptive_vs_coldreplan_us\": {:.1}}}{}\n",
+             \"exec_vectorized_us\": {:.1}}}{}\n",
             r.workload,
             r.plan_us,
             r.harvest_us,
@@ -402,10 +264,6 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.subqueries_bounded,
             r.bound_fallbacks,
             r.exec_vectorized_us,
-            r.replans,
-            r.violations_handled,
-            r.adaptive_vs_static_peak,
-            r.adaptive_vs_coldreplan_us,
             if i + 1 == rows.len() { "" } else { "," }
         ));
     }

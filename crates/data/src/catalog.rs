@@ -21,12 +21,11 @@
 //!   catalog file (one statistic per line) and loads back bit-for-bit, so a
 //!   system can collect statistics once and start up from the file without
 //!   rescanning any relation.
-//! * **Observed-statistics feedback** ([`Catalog::absorb_observed`]) — an
-//!   adaptive executor that materialized an intermediate knows that
-//!   intermediate's statistics *exactly* (they are ℓp-norms of real rows,
-//!   not estimates).  `absorb_observed` derives a catalog with the observed
-//!   relation registered, its standard statistics computed and flagged
-//!   **exact**, and the statistics **epoch** bumped.  Exact entries are
+//! * **Exact-statistics publish** ([`Catalog::absorb_observed`]) — a
+//!   relation whose rows are at hand has statistics known *exactly* (they
+//!   are ℓp-norms of real rows, not estimates).  `absorb_observed` derives
+//!   a catalog with the relation registered, its standard statistics
+//!   computed and flagged **exact**, and the statistics **epoch** bumped.  Exact entries are
 //!   write-protected: [`Catalog::record_statistic`] refuses to overwrite
 //!   them with non-exact values (recomputed approximations, stale persisted
 //!   files) until the relation itself is replaced, which clears the flags
@@ -113,8 +112,8 @@ impl Catalog {
 
     /// The statistics epoch: bumped whenever a relation is replaced
     /// ([`insert`](Self::insert)) or observed statistics are absorbed
-    /// ([`absorb_observed`](Self::absorb_observed)), so plan caches and
-    /// re-planners can tell whether their statistics are current.
+    /// ([`absorb_observed`](Self::absorb_observed)), so plan caches can
+    /// tell whether their statistics are current.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
@@ -258,9 +257,8 @@ impl Catalog {
     /// Drop every **non-exact** cached statistic of one relation, forcing
     /// recomputation from the relation's actual rows on next use.  Exact
     /// observed entries survive (they are already the truth).  Returns the
-    /// number of entries dropped.  This is what a *cold* re-plan does to
-    /// recover from stale persisted statistics — the adaptive path instead
-    /// absorbs observed intermediates and re-bounds only what they touch.
+    /// number of entries dropped.  This is how a planner recovers from
+    /// stale persisted statistics: re-plan after refreshing them.
     pub fn refresh_statistics(&self, relation: &str) -> usize {
         let mut stats = self.stats_write();
         let StatsCache { values, exact } = &mut *stats;
@@ -311,9 +309,9 @@ impl Catalog {
         successor
     }
 
-    /// Feed an **observed** relation (a materialized intermediate whose
-    /// rows are known exactly) back into the catalog: a derived catalog is
-    /// returned with the relation registered, its standard statistics
+    /// Register a relation together with its **exact** statistics: a
+    /// derived catalog is returned with the relation registered, its
+    /// standard statistics
     /// (`Norm::standard_set(max_norm)` conditionals, a superset of what the
     /// planner harvests) computed from the actual rows and flagged
     /// **exact**, and the statistics epoch bumped.  Chainable: absorbing

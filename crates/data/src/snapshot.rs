@@ -129,9 +129,9 @@ impl SnapshotCatalog {
         self.update(|base| base.successor_with(Arc::clone(&relation)))
     }
 
-    /// Absorb an observed relation ([`Catalog::absorb_observed`]) into a
-    /// new epoch-bumped snapshot — the adaptive-execution feedback path,
-    /// made visible to every future reader.
+    /// Publish a relation with its exact statistics
+    /// ([`Catalog::absorb_observed`]) as a new epoch-bumped snapshot,
+    /// visible to every future reader.
     pub fn absorb_observed(
         &self,
         relation: impl Into<Arc<Relation>>,

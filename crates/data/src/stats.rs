@@ -4,7 +4,7 @@
 //! (§1.2, §2.1), and [`Catalog::log_norm`] honours that lazily: the first
 //! request pays for a degree-sequence scan, later requests are cache hits.
 //! [`StatisticsCollector`] is the eager counterpart, for callers that want
-//! a relation's whole standard set at once — observed-statistics feedback
+//! a relation's whole standard set at once — exact-statistics publishes
 //! ([`Catalog::absorb_observed`]), persisting a catalog's statistics, the
 //! workload generators' stale-statistics snapshots: it walks a relation's
 //! *simple* conditionals — `(rest | x)` for every attribute `x`, plus the

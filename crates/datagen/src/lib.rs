@@ -19,8 +19,8 @@
 //!   greedy-by-size misplans all of them while degree-sequence ℓp-norms see
 //!   the danger;
 //! * [`stale_stats_workload`] — a catalog whose persisted statistics went
-//!   stale between planning and execution, the adversary the adaptive
-//!   (certificate-reactive) executor is measured on.
+//!   stale between planning and execution, so that a plan bounded on them
+//!   violates its certificates at execution.
 //!
 //! All generators are deterministic given their seed.
 

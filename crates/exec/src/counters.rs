@@ -44,66 +44,6 @@ impl StepCount {
 /// masking any real violation (bounds and sizes differ by whole rows).
 pub const CERTIFICATE_SLACK: f64 = 1e-6;
 
-/// What the executor does when an observed intermediate exceeds its bound
-/// certificate.
-///
-/// Certificates are *guarantees* relative to the statistics the plan was
-/// bounded with — a violation at runtime means those statistics lied (a
-/// stale persisted catalog over mutated data), not that the ℓp-norm bounds
-/// are wrong.  The policy decides whether that signal is dropped, tallied,
-/// or turned into a [`BoundViolation`] suspension the adaptive controller
-/// can react to.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum CertificatePolicy {
-    /// Record steps without checking certificates at all (no tallies).
-    Ignore,
-    /// Check every certificate and count violations — in **every** build
-    /// profile, so `--release` BENCH numbers and CI greps see the same
-    /// tallies as debug runs.  This is the default and matches what
-    /// [`IntermediateCounters::record_checked`] does.
-    #[default]
-    Count,
-    /// Count like [`Count`](Self::Count), but additionally raise a typed
-    /// [`BoundViolation`] once an intermediate exceeds
-    /// `log2_bound + slack_log2`, suspending execution at the next node
-    /// boundary so the controller can re-plan the remaining frontier.
-    React {
-        /// Extra log₂ headroom on top of [`CERTIFICATE_SLACK`] before a
-        /// violation suspends (0.0 reacts to any genuine violation; a
-        /// couple of bits tolerates mild drift without re-planning).
-        slack_log2: f64,
-    },
-}
-
-/// A typed certificate violation raised under
-/// [`CertificatePolicy::React`]: the step that blew past its bound,
-/// carried out of the executor as a suspension rather than an error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BoundViolation {
-    /// Label of the violating step (same format as [`StepCount::label`]).
-    pub label: String,
-    /// Rows the step actually materialized.
-    pub rows: usize,
-    /// The certificate it was checked against (`log₂` of the bound).
-    pub log2_bound: f64,
-    /// The reaction slack that was in force when it fired.
-    pub slack_log2: f64,
-}
-
-impl std::fmt::Display for BoundViolation {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "step `{}` materialized {} rows (log2 {:.2}) > certificate 2^{:.2} (+{:.2} slack)",
-            self.label,
-            self.rows,
-            (self.rows.max(1) as f64).log2(),
-            self.log2_bound,
-            self.slack_log2
-        )
-    }
-}
-
 /// Per-step intermediate sizes of one plan execution.
 ///
 /// Every [`crate::PhysicalPlan`] node records the row count of what it
@@ -132,60 +72,28 @@ impl IntermediateCounters {
 
     /// Record one step and, when the plan attached a bound certificate,
     /// check the observed size against it.  A violation is **counted in
-    /// every build profile** (the historical `debug_assert` made release
-    /// tallies unverifiable): the ℓp-norm bounds are guarantees relative to
-    /// the statistics the plan saw, so a violation means those statistics
-    /// were stale, the planner attached a bound to the wrong sub-join, or
-    /// the estimator under-bounded.  Equivalent to
-    /// [`record_with_policy`](Self::record_with_policy) under
-    /// [`CertificatePolicy::Count`].
+    /// every build profile**, never asserted: the ℓp-norm bounds are
+    /// guarantees relative to the statistics the plan saw, so a violation
+    /// means those statistics were stale, the planner attached a bound to
+    /// the wrong sub-join, or the estimator under-bounded.
     pub fn record_checked(
         &mut self,
         label: impl Into<String>,
         rows: usize,
         log2_bound: Option<f64>,
     ) {
-        self.record_with_policy(label, rows, log2_bound, CertificatePolicy::Count);
-    }
-
-    /// Record one step under an explicit [`CertificatePolicy`].  Returns the
-    /// typed violation when (and only when) the policy is
-    /// [`React`](CertificatePolicy::React) and the observed size exceeds
-    /// `log2_bound + slack_log2`; the step (and the violation tally) is
-    /// recorded either way, so a reacting executor's counters agree with a
-    /// counting one's up to the suspension point.
-    pub fn record_with_policy(
-        &mut self,
-        label: impl Into<String>,
-        rows: usize,
-        log2_bound: Option<f64>,
-        policy: CertificatePolicy,
-    ) -> Option<BoundViolation> {
         let step = StepCount {
             label: label.into(),
             rows,
             log2_bound,
         };
-        let mut raised = None;
-        if log2_bound.is_some() && policy != CertificatePolicy::Ignore {
+        if log2_bound.is_some() {
             self.certificates_checked += 1;
             if step.violates_certificate() {
                 self.certificate_violations += 1;
-                if let CertificatePolicy::React { slack_log2 } = policy {
-                    let bound = step.log2_bound.unwrap_or(f64::INFINITY);
-                    if (step.rows.max(1) as f64).log2() > bound + CERTIFICATE_SLACK + slack_log2 {
-                        raised = Some(BoundViolation {
-                            label: step.label.clone(),
-                            rows: step.rows,
-                            log2_bound: bound,
-                            slack_log2,
-                        });
-                    }
-                }
             }
         }
         self.steps.push(step);
-        raised
     }
 
     /// The recorded steps, in execution order.
@@ -254,15 +162,15 @@ impl IntermediateCounters {
     /// (labels untouched), and every tally — certificate checks, violations,
     /// parts planned, part peaks — accumulates.
     ///
-    /// This is the roll-up primitive behind per-stage recordings: every
-    /// stage of a run records into its own counters, and the run's are
-    /// their merge.  It is **associative** (pure concatenation/addition),
-    /// and every aggregate derived from the result —
-    /// [`max_intermediate`](Self::max_intermediate),
+    /// This is the roll-up primitive behind partition branches: a branch
+    /// records into its own counters, which its union merges, re-labelled,
+    /// into the run's.  It is **associative** (pure
+    /// concatenation/addition), and every aggregate derived from the result
+    /// — [`max_intermediate`](Self::max_intermediate),
     /// [`total_rows`](Self::total_rows), the certificate tallies, the step
     /// and part-peak *multisets* — is **order-independent**.  Only the step
-    /// *sequence* reflects merge order, which the executor fixes by merging
-    /// stages in plan order.
+    /// *sequence* reflects merge order, which the executor fixes by running
+    /// branches in plan order.
     pub fn merge(&mut self, other: IntermediateCounters) {
         self.certificates_checked += other.certificates_checked;
         self.certificate_violations += other.certificate_violations;
@@ -552,13 +460,12 @@ mod tests {
     }
 
     /// Build a recording with part-prefixed labels and certificate tallies,
-    /// the shape a partition-branch stage hands back.
+    /// the shape a rolled-up partition branch has.
     fn worker_counters(part: &str, rows: usize, violate: bool) -> IntermediateCounters {
         let mut w = IntermediateCounters::new();
         w.record(format!("[{part}] scan R"), rows);
         let bound = if violate { 0.0 } else { 40.0 };
-        // A violation is counted in every build profile (Count is the
-        // default policy); never panics.
+        // A violation is counted in every build profile; never panics.
         w.record_checked(format!("[{part}] ⋈ S"), rows * 2, Some(bound));
         w.note_parts_planned(1);
         w.part_peaks.push(rows * 2);
@@ -681,52 +588,5 @@ mod tests {
         c.record_checked("⋈ S", 2048, Some(10.0));
         assert_eq!(c.certificate_violations(), 1);
         assert!(c.steps()[0].violates_certificate());
-    }
-
-    #[test]
-    fn ignore_policy_records_steps_without_checking() {
-        let mut c = IntermediateCounters::new();
-        let raised = c.record_with_policy("⋈ S", 2048, Some(10.0), CertificatePolicy::Ignore);
-        assert!(raised.is_none());
-        assert_eq!(c.certificates_checked(), 0);
-        assert_eq!(c.certificate_violations(), 0);
-        // The step itself (and its bound) is still on the record.
-        assert_eq!(c.sizes(), vec![2048]);
-        assert_eq!(c.steps()[0].log2_bound, Some(10.0));
-    }
-
-    #[test]
-    fn react_policy_raises_a_typed_violation_past_the_slack() {
-        let mut c = IntermediateCounters::new();
-        let react = CertificatePolicy::React { slack_log2: 1.0 };
-        // Over the bound but within the reaction slack: counted, not raised.
-        assert!(c
-            .record_with_policy("⋈ S", 1500, Some(10.0), react)
-            .is_none());
-        assert_eq!(c.certificate_violations(), 1);
-        // Past bound + slack: counted *and* raised.
-        let v = c
-            .record_with_policy("⋈ T", 5000, Some(10.0), react)
-            .expect("violation should suspend");
-        assert_eq!(c.certificate_violations(), 2);
-        assert_eq!(v.label, "⋈ T");
-        assert_eq!(v.rows, 5000);
-        assert_eq!(v.log2_bound, 10.0);
-        assert_eq!(v.slack_log2, 1.0);
-        assert!(v.to_string().contains("⋈ T"));
-        // Satisfied certificates never raise under React.
-        assert!(c.record_with_policy("⋈ U", 3, Some(10.0), react).is_none());
-    }
-
-    #[test]
-    fn count_is_the_default_policy_in_every_profile() {
-        assert_eq!(CertificatePolicy::default(), CertificatePolicy::Count);
-        let mut via_policy = IntermediateCounters::new();
-        let raised =
-            via_policy.record_with_policy("⋈ S", 2048, Some(10.0), CertificatePolicy::default());
-        assert!(raised.is_none());
-        let mut via_checked = IntermediateCounters::new();
-        via_checked.record_checked("⋈ S", 2048, Some(10.0));
-        assert_eq!(via_policy, via_checked);
     }
 }

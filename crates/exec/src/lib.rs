@@ -16,13 +16,15 @@
 //! * **one engine, one schedule** — [`execute_physical_mode`] runs a plan
 //!   to its output.  Every intermediate is a columnar [`ColumnTable`] and
 //!   every operator is columnar: batch-at-a-time hash joins, galloping
-//!   leapfrog over CSR run tries, bitmap semi-joins.  A plan's stages run
-//!   in plan order on the calling thread and record into one
-//!   [`IntermediateCounters`]; a request is served by one thread, and a
-//!   server gets its parallelism from concurrent requests ([`ExecMode`] has
-//!   one variant and selects nothing);
+//!   leapfrog over CSR run tries, bitmap semi-joins.  A plan runs by one
+//!   depth-first walk over its [`PhysicalNode`] tree on the calling thread
+//!   (children before their parent, each intermediate dropped as soon as
+//!   its consumer returns) and records into one [`IntermediateCounters`]; a
+//!   request is served by one thread, and a server gets its parallelism
+//!   from concurrent requests ([`ExecMode`] has one variant and selects
+//!   nothing);
 //! * **counting the output** — [`count_physical`] runs a plan
-//!   to its output's *size*, the quantity the paper bounds: every stage
+//!   to its output's *size*, the quantity the paper bounds: every node
 //!   below the root runs as in [`execute_physical_mode`], the root stops at
 //!   its count (a hash join's probe pass, a WCOJ's emissions, a
 //!   partitioned union's summed branches), and a Yannakakis root counts
@@ -50,7 +52,11 @@
 //! * **bound certificates** — the DP's sub-join bounds are attached to the
 //!   emitted plan nodes, and execution checks every observed intermediate
 //!   against them ([`IntermediateCounters::certificate_violations`] stays
-//!   zero exactly because the paper's bounds are guarantees);
+//!   zero exactly because the paper's bounds are guarantees).  A violation
+//!   would mean the statistics no longer describe the data; it is counted,
+//!   in every build profile, and nothing re-plans mid-query — a service
+//!   plans and executes each request on one snapshot, and a publish
+//!   re-plans;
 //! * the **truth counters** the experiments compare bounds against:
 //!   [`yannakakis_count`] (weighted message passing over a GYO join tree,
 //!   for the JOB-like acyclic suite whose outputs are too large to
@@ -63,25 +69,6 @@
 //! * [`oracle::nested_loop_join`] — the **differential reference**: a naive
 //!   nested-loop join that shares no code with any operator, against which
 //!   the unit, integration and property tests compare every plan's output;
-//! * **adaptive execution** — the state-machine layering that turns the
-//!   bound certificates into a mid-query feedback controller:
-//!   - [`ExecState`] (the `state` module): every plan is lowered to a flat
-//!     stage DAG and executed resumably, one stage at a time in stage
-//!     order — [`ExecState::run_until`] suspends at any stage boundary and
-//!     resumes bit-identically;
-//!   - [`CertificatePolicy`]: `Ignore` records sizes only, `Count` (the
-//!     default, in **every** build profile — release benches included)
-//!     tallies violations, and `React { slack_log2 }` suspends with a typed
-//!     [`BoundViolation`] as soon as an intermediate exceeds its
-//!     certificate by more than the slack;
-//!   - [`AdaptiveExecutor`]: on suspension, the completed intermediates
-//!     ([`ExecState::live_slots`]) are fed back into the catalog as exact
-//!     statistics (`Catalog::absorb_observed`), only the sub-joins touching
-//!     the refreshed atoms are re-bounded through the delta bound API
-//!     ([`Optimizer::plan_delta`]), and the re-planned sub-plan is spliced
-//!     over the remaining frontier — under a re-plan budget and
-//!     a monotonic-progress guard, falling back to plain `Count` execution
-//!     when either trips.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,21 +92,17 @@ mod yannakakis;
 
 pub use columns::ColumnTable;
 pub use counters::{
-    cycle_count, join2_count, path2_count, triangle_count, BoundViolation, CertificatePolicy,
-    IntermediateCounters, StepCount, CERTIFICATE_SLACK,
+    cycle_count, join2_count, path2_count, triangle_count, IntermediateCounters, StepCount,
+    CERTIFICATE_SLACK,
 };
 pub use error::ExecError;
 pub use logical::{JoinPlan, LogicalPlan};
-pub use optimizer::{
-    AdaptiveExecutor, AdaptiveRun, DeltaPlan, OptimizedPlan, Optimizer, PlannerConfig,
-    SubjoinBounds,
-};
+pub use optimizer::{OptimizedPlan, Optimizer, PlannerConfig};
 pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
 pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
 pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 pub use plan_cache::{FlightStats, PlanCache};
 pub use run::{count_physical, execute_physical_mode, ColumnRun, CountedRun, ExecMode};
-pub use state::{ExecState, ExecStatus, LiveSlot};
 pub use wcoj::wcoj_count;
 pub use yannakakis::{is_acyclic, yannakakis_count};
 

@@ -65,10 +65,10 @@
 //! A surviving candidate re-bounds — in one more batch, same LPs with
 //! per-part right-hand sides — only the connected sub-joins
 //! **through the split atom**; every other sub-join is the same sub-join in
-//! every part and keeps its bound from the monolithic table, the reuse
-//! [`Optimizer::plan_delta`] applies to re-plans.  The same bottleneck DP
-//! then runs independently per part, and each part may choose a
-//! *different* join order — the whole point under two-sided skew.  The
+//! every part and keeps its bound from the monolithic table.  The same
+//! bottleneck DP then runs independently per part, and each part may
+//! choose a *different* join order — the whole point under two-sided
+//! skew.  The
 //! partitioned plan (max-over-parts bottleneck, plus the sum-of-parts union
 //! bound) replaces the monolithic pick exactly when its predicted cost is
 //! lower, so the decision is made from LP bounds alone; per-part bounds
@@ -78,15 +78,12 @@
 //! and [`partition_subqueries_bounded`](OptimizedPlan::partition_subqueries_bounded)
 //! count what the search paid.
 
-use crate::columns::ColumnTable;
-use crate::counters::{CertificatePolicy, IntermediateCounters};
 use crate::error::ExecError;
 use crate::logical::{validate_atom_permutation, JoinPlan, LogicalPlan};
 use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
-use crate::state::{ExecState, ExecStatus};
-use lpb_core::{Atom, BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
-use lpb_data::{Catalog, Norm, Relation, RelationBuilder};
+use lpb_core::{BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
+use lpb_data::{Catalog, Norm, Relation};
 use lpb_lp::SolverStats;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -366,14 +363,10 @@ impl Optimizer {
         Ok(order_bottleneck(order, &bounds))
     }
 
-    /// Bound every connected sub-join of `query` and return the table as a
-    /// carryable [`SubjoinBounds`] — the *prior* for
-    /// [`plan_delta`](Self::plan_delta).
-    pub fn harvest(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-    ) -> Result<SubjoinBounds, ExecError> {
+    /// Bound every connected sub-join of `query` in one batch — the
+    /// planner's harvest phase on its own, without the DP — and return how
+    /// many got a finite bound.
+    pub fn harvest(&self, query: &JoinQuery, catalog: &Catalog) -> Result<usize, ExecError> {
         let m = query.n_atoms();
         if m < 2 || m > self.config.max_dp_atoms.min(63) {
             return Err(ExecError::NotApplicable {
@@ -386,102 +379,7 @@ impl Optimizer {
                 reason: "sub-join bound harvest needs a connected join graph".to_string(),
             });
         }
-        let bounds = self.harvest_bounds(query, catalog, &logical)?;
-        Ok(SubjoinBounds {
-            log2: bounds.log2,
-            n_atoms: m,
-        })
-    }
-
-    /// Re-plan a query **incrementally** against a prior bound table: only
-    /// the sub-joins touching refreshed atoms are re-bounded.
-    ///
-    /// `prior` is the bound table of a previous planning round
-    /// ([`harvest`](Self::harvest), or the [`DeltaPlan::bounds`] of the
-    /// previous delta round) and `atom_map[j]` says what atom `j` of the
-    /// new `query` was in the prior query: `Some(old)` for an atom carried
-    /// over unchanged, `None` for a refreshed atom (e.g. an observed
-    /// intermediate spliced in as a pseudo-relation).  Every connected
-    /// subset whose atoms all map to prior atoms reuses the prior bound via
-    /// a mask remap — the atoms, their relations and their shared variables
-    /// are unchanged, so the sub-join (and its LP) is literally the same.
-    /// The remaining subsets go through **one**
-    /// [`BatchEstimator::bound_subqueries`] batch.  The same bottleneck DP
-    /// then lowers a certified plan.
-    pub fn plan_delta(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        prior: &SubjoinBounds,
-        atom_map: &[Option<usize>],
-    ) -> Result<DeltaPlan, ExecError> {
-        let started = Instant::now();
-        let m = query.n_atoms();
-        if atom_map.len() != m {
-            return Err(ExecError::NotApplicable {
-                reason: format!("atom_map has {} entries for {m} atoms", atom_map.len()),
-            });
-        }
-        if m == 1 {
-            // A single remaining atom is just a certified scan.
-            let size = catalog.get(&query.atoms()[0].relation)?.len();
-            let s = (size.max(1) as f64).log2();
-            let physical = PhysicalPlan::from_root(PhysicalNode::Scan {
-                atom: 0,
-                log2_bound: Some(s),
-            });
-            let mut log2 = HashMap::new();
-            log2.insert(1u64, s);
-            return Ok(DeltaPlan {
-                physical,
-                order: vec![0],
-                predicted_log2_cost: s,
-                subqueries_bounded: 0,
-                bound_fallbacks: 0,
-                bounds_reused: 0,
-                plan_time: started.elapsed(),
-                bounds: SubjoinBounds { log2, n_atoms: 1 },
-            });
-        }
-        if m > self.config.max_dp_atoms.min(63) {
-            return Err(ExecError::NotApplicable {
-                reason: format!("{m} atoms exceeds max_dp_atoms"),
-            });
-        }
-        let logical = LogicalPlan::of(query);
-        let full: u64 = (1u64 << m) - 1;
-        if !logical.is_connected(full) {
-            return Err(ExecError::NotApplicable {
-                reason: "delta re-planning needs a connected remaining query".to_string(),
-            });
-        }
-
-        // Reuse every sub-join the re-plan left untouched; one batch bounds
-        // exactly the rest.
-        let subsets = logical.connected_subsets();
-        let (reused, fresh) =
-            reusable_bounds(&logical, &subsets, &prior.log2, prior.n_atoms, atom_map);
-        let results = self.estimator.bound_subqueries(
-            query,
-            catalog,
-            &atom_lists(&logical, &fresh),
-            &CollectConfig::with_max_norm(self.config.max_norm),
-        );
-        let bounds = fold_bounds(query, catalog, &logical, subsets, &reused, &fresh, &results)?;
-        let chosen = self.choose(&logical, &bounds);
-        Ok(DeltaPlan {
-            physical: chosen.physical,
-            order: chosen.order,
-            predicted_log2_cost: chosen.predicted,
-            subqueries_bounded: bounds.bounded,
-            bound_fallbacks: bounds.fallbacks,
-            bounds_reused: reused.len(),
-            plan_time: started.elapsed(),
-            bounds: SubjoinBounds {
-                log2: bounds.log2,
-                n_atoms: m,
-            },
-        })
+        Ok(self.harvest_bounds(query, catalog, &logical)?.bounded)
     }
 
     /// Choose a physical plan for `query` over `catalog`.
@@ -1039,329 +937,6 @@ impl Optimizer {
     }
 }
 
-/// The sub-join bound table one planning round proved, keyed by atom
-/// subsets of *that* round's query.  Opaque: carried from
-/// [`Optimizer::harvest`] (or a previous [`DeltaPlan`]) into
-/// [`Optimizer::plan_delta`], which reuses every entry whose atoms the
-/// re-plan left untouched and re-bounds only the rest.
-#[derive(Debug, Clone)]
-pub struct SubjoinBounds {
-    /// `log₂` bound per connected subset mask (singletons = scan sizes).
-    log2: HashMap<u64, f64>,
-    /// Number of atoms the masks index into.
-    n_atoms: usize,
-}
-
-impl SubjoinBounds {
-    /// Number of atoms of the query this table was proved for.
-    pub fn n_atoms(&self) -> usize {
-        self.n_atoms
-    }
-
-    /// Number of bounded subsets in the table (singletons included).
-    pub fn len(&self) -> usize {
-        self.log2.len()
-    }
-
-    /// True when the table holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.log2.is_empty()
-    }
-}
-
-/// A plan produced by [`Optimizer::plan_delta`]: the certified strategy
-/// tree for the re-planned query plus the delta-bounding accounting.
-#[derive(Debug, Clone)]
-pub struct DeltaPlan {
-    /// The executable strategy tree, certified like an [`OptimizedPlan`]'s.
-    pub physical: PhysicalPlan,
-    /// The atom order (indices into the re-planned query).
-    pub order: Vec<usize>,
-    /// `log₂` of the predicted bottleneck.
-    pub predicted_log2_cost: f64,
-    /// Sub-joins freshly bounded this round (LP solved to a finite bound).
-    pub subqueries_bounded: usize,
-    /// Fresh bound attempts that fell back to the per-atom product bound.
-    pub bound_fallbacks: usize,
-    /// Sub-joins whose bound was **reused** from the prior table instead of
-    /// re-solved — the delta win over a cold re-plan.
-    pub bounds_reused: usize,
-    /// Wall-clock re-planning time.
-    pub plan_time: Duration,
-    /// The re-planned query's own bound table — the prior for a further
-    /// [`Optimizer::plan_delta`] round.
-    pub bounds: SubjoinBounds,
-}
-
-/// The mid-query feedback controller: executes a certified plan under
-/// [`CertificatePolicy::React`] and, whenever an intermediate blows past
-/// its bound certificate, feeds the **observed** intermediates back into
-/// the catalog as exact statistics ([`lpb_data::Catalog::absorb_observed`]),
-/// re-plans the remaining frontier through the delta bound API
-/// ([`Optimizer::plan_delta`]), and splices the new sub-plan in — completed
-/// intermediates become scans of pseudo-relations with exact bounds.
-///
-/// Two guards keep the loop sane: a **re-plan budget**
-/// ([`with_max_replans`](Self::with_max_replans)) and a
-/// **monotonic-progress guard** (a splice must strictly shrink the
-/// remaining query).  When either trips — or the frontier is not
-/// spliceable (partition-branch outputs, overlapping intermediates, a
-/// disconnected remainder) — the run downgrades to
-/// [`CertificatePolicy::Count`] and finishes the current plan, so the
-/// controller never fails where blind execution would have succeeded.
-#[derive(Debug, Clone)]
-pub struct AdaptiveExecutor {
-    optimizer: Optimizer,
-    slack_log2: f64,
-    max_replans: usize,
-}
-
-impl AdaptiveExecutor {
-    /// A controller around `optimizer`, reacting to any genuine violation,
-    /// with a budget of 2 re-plans.
-    pub fn new(optimizer: Optimizer) -> Self {
-        AdaptiveExecutor {
-            optimizer,
-            slack_log2: 0.0,
-            max_replans: 2,
-        }
-    }
-
-    /// Extra log₂ headroom before a violation triggers a re-plan (see
-    /// [`CertificatePolicy::React`]).
-    pub fn with_slack(mut self, slack_log2: f64) -> Self {
-        self.slack_log2 = slack_log2;
-        self
-    }
-
-    /// Cap on how many re-plans one run may splice.
-    pub fn with_max_replans(mut self, max_replans: usize) -> Self {
-        self.max_replans = max_replans;
-        self
-    }
-
-    /// The optimizer the controller re-plans with.
-    pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
-    }
-
-    /// Execute `plan` adaptively; see the type docs for the control loop.
-    pub fn run(
-        &self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        plan: &PhysicalPlan,
-    ) -> Result<AdaptiveRun, ExecError> {
-        let react = CertificatePolicy::React {
-            slack_log2: self.slack_log2,
-        };
-        let mut merged = IntermediateCounters::new();
-        let mut replans = 0usize;
-        let mut violations_handled = 0usize;
-        let mut subqueries_bounded = 0usize;
-        let mut bound_fallbacks = 0usize;
-        let mut bounds_reused = 0usize;
-        let mut obs_counter = 0usize;
-
-        let mut cur_query = query.clone();
-        let mut owned_catalog: Option<Catalog> = None;
-        let mut prior: Option<SubjoinBounds> = None;
-        let mut state = ExecState::new(plan, react);
-        loop {
-            let status = {
-                let cat = owned_catalog.as_ref().unwrap_or(catalog);
-                state.run(&cur_query, cat)?
-            };
-            match status {
-                ExecStatus::Done => break,
-                ExecStatus::Paused => unreachable!("run() sets no stage limit"),
-                ExecStatus::Suspended(_) => {}
-            }
-            if replans >= self.max_replans {
-                state.set_policy(CertificatePolicy::Count);
-                continue;
-            }
-            if prior.is_none() {
-                // The original query's bound table: the reuse source for
-                // the first delta round.  Un-harvestable queries finish
-                // under `Count`.
-                prior = self.optimizer.harvest(query, catalog).ok();
-            }
-            let splice = match prior.as_ref() {
-                Some(p) => {
-                    let cat = owned_catalog.as_ref().unwrap_or(catalog);
-                    self.try_splice(&cur_query, cat, &state, p, replans, &mut obs_counter)?
-                }
-                None => None,
-            };
-            match splice {
-                Some(s) => {
-                    merged.merge(state.counters());
-                    replans += 1;
-                    violations_handled += 1;
-                    subqueries_bounded += s.delta.subqueries_bounded;
-                    bound_fallbacks += s.delta.bound_fallbacks;
-                    bounds_reused += s.delta.bounds_reused;
-                    state = ExecState::new(&s.delta.physical, react);
-                    prior = Some(s.delta.bounds);
-                    cur_query = s.query;
-                    owned_catalog = Some(s.catalog);
-                }
-                None => state.set_policy(CertificatePolicy::Count),
-            }
-        }
-        merged.merge(state.counters());
-        let output = state.take_output().expect("a completed run has an output");
-        Ok(AdaptiveRun {
-            output,
-            counters: merged,
-            replans,
-            violations_handled,
-            subqueries_bounded,
-            bound_fallbacks,
-            bounds_reused,
-        })
-    }
-
-    /// Try to turn the suspended state's frontier into a strictly smaller
-    /// query: completed multi-atom intermediates become pseudo-relation
-    /// scans with exact absorbed statistics, completed scans and untouched
-    /// atoms carry over, and [`Optimizer::plan_delta`] re-plans the result.
-    /// `None` (the caller finishes under `Count`) when the frontier is not
-    /// spliceable: partition-branch outputs (partial data), overlapping
-    /// intermediates, no shrink (the monotonic-progress guard), a
-    /// disconnected remainder, or a failed delta plan.
-    fn try_splice(
-        &self,
-        cur_query: &JoinQuery,
-        catalog: &Catalog,
-        state: &ExecState,
-        prior: &SubjoinBounds,
-        replans: usize,
-        obs_counter: &mut usize,
-    ) -> Result<Option<Splice>, ExecError> {
-        let live = state.live_slots();
-        if live.is_empty() || live.iter().any(|s| s.partial) {
-            return Ok(None);
-        }
-        let mut covered = std::collections::HashSet::new();
-        for slot in &live {
-            for &a in &slot.atoms {
-                if !covered.insert(a) {
-                    return Ok(None); // overlapping intermediates
-                }
-            }
-        }
-        let mut atoms: Vec<Atom> = Vec::new();
-        let mut atom_map: Vec<Option<usize>> = Vec::new();
-        let mut observed_catalog: Option<Catalog> = None;
-        for slot in &live {
-            if let [single] = slot.atoms[..] {
-                // A completed scan is just the base relation; keep the atom.
-                atoms.push(cur_query.atoms()[single].clone());
-                atom_map.push(Some(single));
-                continue;
-            }
-            // An intermediate covers every variable of its atoms, so its
-            // rows are distinct and it is a faithful pseudo-relation over
-            // the same global dictionary codes.
-            let name = format!("__obs{}_{}", replans, *obs_counter);
-            *obs_counter += 1;
-            let vars: Vec<&str> = slot.table.vars().iter().map(String::as_str).collect();
-            let mut builder = RelationBuilder::new(name.as_str(), vars.iter().copied())?;
-            let mut row = vec![0u64; vars.len()];
-            for r in 0..slot.table.len() {
-                for (c, cell) in row.iter_mut().enumerate() {
-                    *cell = slot.table.col(c)[r];
-                }
-                builder.push_codes(&row)?;
-            }
-            let base = observed_catalog.as_ref().unwrap_or(catalog);
-            observed_catalog =
-                Some(base.absorb_observed(builder.build(), self.optimizer.config().max_norm)?);
-            atoms.push(Atom::new(name, &vars));
-            atom_map.push(None);
-        }
-        for j in state.remaining_atoms() {
-            atoms.push(cur_query.atoms()[j].clone());
-            atom_map.push(Some(j));
-        }
-        // Monotonic progress: the spliced query must be strictly smaller,
-        // which also implies at least one multi-atom intermediate exists.
-        if atoms.len() >= cur_query.n_atoms() {
-            return Ok(None);
-        }
-        let Some(observed_catalog) = observed_catalog else {
-            return Ok(None);
-        };
-        let name = format!("{}__replan{}", cur_query.name(), replans + 1);
-        let Ok(new_query) = JoinQuery::new(name, atoms) else {
-            return Ok(None);
-        };
-        match self
-            .optimizer
-            .plan_delta(&new_query, &observed_catalog, prior, &atom_map)
-        {
-            Ok(delta) => Ok(Some(Splice {
-                query: new_query,
-                catalog: observed_catalog,
-                delta,
-            })),
-            Err(_) => Ok(None),
-        }
-    }
-}
-
-/// What one adaptive run did: the final output plus the controller's
-/// accounting, merged across every suspension and re-plan.
-#[derive(Debug, Clone)]
-pub struct AdaptiveRun {
-    /// The query output, in columnar form.  Variable order follows the
-    /// **last** plan executed; [`ColumnTable::reorder`] to compare across
-    /// runs.
-    pub output: ColumnTable,
-    /// Counters merged across every attempt: the partial steps of each
-    /// suspended plan plus the full steps of the final one — the honest
-    /// execution history, so
-    /// [`max_intermediate`](IntermediateCounters::max_intermediate) is the
-    /// true peak the adaptive run ever materialized.
-    pub counters: IntermediateCounters,
-    /// Re-plans actually spliced.
-    pub replans: usize,
-    /// Violations answered with a re-plan; the rest ran to completion under
-    /// [`CertificatePolicy::Count`].
-    pub violations_handled: usize,
-    /// Sub-joins freshly bounded across all delta re-plans.
-    pub subqueries_bounded: usize,
-    /// Fresh bound attempts that fell back across all delta re-plans.
-    pub bound_fallbacks: usize,
-    /// Sub-join bounds reused from prior tables across all delta re-plans.
-    pub bounds_reused: usize,
-}
-
-impl AdaptiveRun {
-    /// The peak intermediate across every attempt.
-    pub fn max_intermediate(&self) -> usize {
-        self.counters.max_intermediate()
-    }
-
-    /// Violations *not* answered with a re-plan (budget or splice guard
-    /// tripped).  Zero means the controller reacted to everything it saw.
-    pub fn unhandled_violations(&self) -> usize {
-        self.counters
-            .certificate_violations()
-            .saturating_sub(self.violations_handled)
-    }
-}
-
-/// A successful mid-query splice: the re-planned remaining query, the
-/// catalog extended with observed-intermediate statistics, and the plan.
-struct Splice {
-    query: JoinQuery,
-    catalog: Catalog,
-    delta: DeltaPlan,
-}
-
 /// What [`Optimizer::choose`] proved for one bound table: the lowered plan,
 /// its predicted bottleneck, and the left-deep comparison baseline.
 struct Chosen {
@@ -1430,10 +1005,8 @@ fn atom_lists(logical: &LogicalPlan, masks: &[u64]) -> Vec<Vec<usize>> {
 /// for an atom whose relation (hence statistics) changed.  A subset whose
 /// atoms all map kept its atoms, relations and shared variables, so the
 /// sub-join — and its LP — is literally the one the prior table bounded,
-/// and its entry is copied through a mask remap.  Both incremental
-/// planners go through here: [`Optimizer::plan_delta`] (observed
-/// intermediates spliced in) and the partition search (one atom rebound to
-/// a degree part).
+/// and its entry is copied through a mask remap.  The partition search
+/// (one atom rebound to a degree part) goes through here.
 fn reusable_bounds(
     logical: &LogicalPlan,
     subsets: &[u64],
@@ -1655,7 +1228,6 @@ fn build_bushy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::nested_loop_join;
     use crate::run::{execute_physical_mode, ColumnRun, ExecMode};
     use lpb_data::RelationBuilder;
 
@@ -2110,170 +1682,6 @@ mod tests {
         // Malformed orders are rejected.
         assert!(optimizer.cost_order(&q, &catalog, &[0, 1]).is_err());
         assert!(optimizer.cost_order(&q, &catalog, &[0, 1, 1]).is_err());
-    }
-
-    fn chain4_catalog() -> Catalog {
-        let mut catalog = Catalog::new();
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "R",
-            "a",
-            "b",
-            (0..16u64).map(|i| (i, i % 4)),
-        ));
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "S",
-            "b",
-            "c",
-            (0..8u64).map(|i| (i % 4, i)),
-        ));
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "T",
-            "c",
-            "d",
-            (0..32u64).map(|i| (i % 8, i)),
-        ));
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "U",
-            "d",
-            "e",
-            (0..12u64).map(|i| (i % 6, i)),
-        ));
-        catalog
-    }
-
-    fn chain4_query() -> JoinQuery {
-        JoinQuery::new(
-            "rstu",
-            vec![
-                lpb_core::Atom::new("R", &["A", "B"]),
-                lpb_core::Atom::new("S", &["B", "C"]),
-                lpb_core::Atom::new("T", &["C", "D"]),
-                lpb_core::Atom::new("U", &["D", "E"]),
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn plan_delta_rebounds_only_subjoins_touching_refreshed_atoms() {
-        let catalog = chain4_catalog();
-        let q = chain4_query();
-        let optimizer = Optimizer::new();
-        let prior = optimizer.harvest(&q, &catalog).unwrap();
-
-        // Splice an observed intermediate I(A,B,C) over {R, S}: materialize
-        // the actual R ⋈ S rows as a pseudo-relation with exact statistics.
-        let sub = q.subquery(&[0, 1]).unwrap();
-        let sub_plan = optimizer.plan(&sub, &catalog).unwrap();
-        let rows = exec(&sub, &catalog, &sub_plan.physical).output;
-        let vars: Vec<&str> = rows.vars().iter().map(String::as_str).collect();
-        let mut builder = RelationBuilder::new("I", vars.iter().copied()).unwrap();
-        for row in rows.sorted_rows() {
-            builder.push_codes(&row).unwrap();
-        }
-        let observed = catalog.absorb_observed(builder.build(), 4).unwrap();
-
-        let new_q = JoinQuery::new(
-            "rstu__replan1",
-            vec![
-                lpb_core::Atom::new("I", &vars),
-                lpb_core::Atom::new("T", &["C", "D"]),
-                lpb_core::Atom::new("U", &["D", "E"]),
-            ],
-        )
-        .unwrap();
-        let before = optimizer.estimator().lps_estimated();
-        let delta = optimizer
-            .plan_delta(&new_q, &observed, &prior, &[None, Some(2), Some(3)])
-            .unwrap();
-        // Connected multi subsets of {I, T, U}: {I,T}, {T,U}, {I,T,U}.
-        // {T,U} is untouched and reuses the prior bound; the two subsets
-        // touching the pseudo-atom are freshly bounded — and nothing else.
-        assert_eq!(delta.bounds_reused, 1);
-        assert_eq!(delta.subqueries_bounded + delta.bound_fallbacks, 2);
-        assert_eq!(delta.bound_fallbacks, 0);
-        assert_eq!(optimizer.estimator().lps_estimated() - before, 2);
-        assert!(delta.predicted_log2_cost.is_finite());
-        // The delta plan executes to the same output the full query has.
-        let full_plan = optimizer.plan(&q, &catalog).unwrap();
-        let full = exec(&q, &catalog, &full_plan.physical);
-        let run = exec(&new_q, &observed, &delta.physical);
-        assert_eq!(run.output_size(), full.output_size());
-        assert_eq!(run.certificate_violations(), 0);
-        // The delta's own bound table works as the next round's prior.
-        assert_eq!(delta.bounds.n_atoms(), 3);
-        assert!(!delta.bounds.is_empty());
-    }
-
-    #[test]
-    fn adaptive_run_without_violations_matches_the_static_executor() {
-        let catalog = clique_catalog();
-        let q = JoinQuery::path(&["E", "E", "E"]);
-        let optimizer = Optimizer::new();
-        let plan = optimizer.plan(&q, &catalog).unwrap();
-        let static_run = exec(&q, &catalog, &plan.physical);
-        let adaptive = AdaptiveExecutor::new(optimizer)
-            .run(&q, &catalog, &plan.physical)
-            .unwrap();
-        assert_eq!(adaptive.replans, 0);
-        assert_eq!(adaptive.violations_handled, 0);
-        assert_eq!(adaptive.unhandled_violations(), 0);
-        assert_eq!(adaptive.output, static_run.output);
-        assert_eq!(adaptive.counters, static_run.counters);
-    }
-
-    #[test]
-    fn adaptive_run_replans_on_a_lying_certificate_and_still_answers() {
-        // A hand-built chain whose first join step carries an absurdly low
-        // certificate: execution violates it immediately, the controller
-        // splices the observed intermediate and re-plans {I, T, U}.
-        let catalog = chain4_catalog();
-        let q = chain4_query();
-        let lying = PhysicalPlan::from_root(PhysicalNode::HashChain {
-            input: Box::new(PhysicalNode::Scan {
-                atom: 0,
-                log2_bound: None,
-            }),
-            atoms: vec![1, 2, 3],
-            step_bounds: vec![Some(0.0), None, None],
-        });
-        let adaptive = AdaptiveExecutor::new(Optimizer::new())
-            .run(&q, &catalog, &lying)
-            .unwrap();
-        assert_eq!(adaptive.replans, 1);
-        assert_eq!(adaptive.violations_handled, 1);
-        assert_eq!(adaptive.unhandled_violations(), 0);
-        assert!(adaptive.bounds_reused > 0, "untouched sub-joins must reuse");
-        assert_eq!(adaptive.bound_fallbacks, 0);
-        // The spliced run still computes the query, row for row.
-        let truth = nested_loop_join(&q, &catalog, adaptive.output.vars()).unwrap();
-        assert_eq!(adaptive.output.sorted_rows(), truth);
-    }
-
-    #[test]
-    fn adaptive_budget_exhaustion_downgrades_to_count() {
-        let catalog = chain4_catalog();
-        let q = chain4_query();
-        let lying = PhysicalPlan::from_root(PhysicalNode::HashChain {
-            input: Box::new(PhysicalNode::Scan {
-                atom: 0,
-                log2_bound: None,
-            }),
-            atoms: vec![1, 2, 3],
-            step_bounds: vec![Some(0.0), Some(0.0), Some(0.0)],
-        });
-        let adaptive = AdaptiveExecutor::new(Optimizer::new())
-            .with_max_replans(0)
-            .run(&q, &catalog, &lying)
-            .unwrap();
-        // No budget: every violation is recorded, none handled, and the run
-        // still finishes with the right cardinality.
-        assert_eq!(adaptive.replans, 0);
-        assert_eq!(adaptive.violations_handled, 0);
-        assert!(adaptive.unhandled_violations() > 0);
-        let full_plan = Optimizer::new().plan(&q, &catalog).unwrap();
-        let truth = exec(&q, &catalog, &full_plan.physical);
-        assert_eq!(adaptive.output.len(), truth.output_size());
     }
 
     #[test]

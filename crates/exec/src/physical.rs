@@ -25,12 +25,10 @@
 //!
 //! Every node can carry a **bound certificate**: `log₂` of a provable upper
 //! bound on what the node materializes, threaded in from the optimizer's
-//! per-sub-join ℓp-norm bounds.  [`crate::execute_physical_mode`] lowers
-//! the tree into the resumable stage machine ([`crate::ExecState`]) and runs
-//! it to completion under the default [`crate::CertificatePolicy::Count`]:
-//! every observed intermediate is checked against its certificate in every
-//! build profile, with violations tallied in the counters (`React` policies
-//! additionally suspend — see the `state` module).  A left-deep
+//! per-sub-join ℓp-norm bounds.  [`crate::execute_physical_mode`] runs the
+//! tree by one depth-first walk (see the `state` module): every observed
+//! intermediate is checked against its certificate in every build profile,
+//! with violations tallied in the counters.  A left-deep
 //! [`crate::JoinPlan`] runs as the uncertified chain
 //! `PhysicalPlan::hash_chain(plan.order().to_vec())`, which records the
 //! first scan and then every join result.
@@ -164,7 +162,7 @@ impl PhysicalNode {
     }
 
     /// The atom indices this node (recursively) evaluates, in join order.
-    fn atom_order(&self, out: &mut Vec<usize>) {
+    pub(crate) fn atom_order(&self, out: &mut Vec<usize>) {
         match self {
             PhysicalNode::Scan { atom, .. } => out.push(*atom),
             PhysicalNode::HashChain { input, atoms, .. } => {

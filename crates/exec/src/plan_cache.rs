@@ -535,9 +535,8 @@ mod tests {
         assert_eq!(cache.len(), 2);
     }
 
-    /// S3 invalidation, feedback path: an `absorb_observed` epoch bump
-    /// (the adaptive executor's mid-flight statistics feedback) must
-    /// invalidate exactly like a relation replace.
+    /// S3 invalidation, exact-statistics publish: an `absorb_observed`
+    /// epoch bump must invalidate exactly like a relation replace.
     #[test]
     fn epoch_bump_from_absorb_observed_invalidates() {
         let base = catalog();

@@ -7,25 +7,24 @@
 //! ([`ColumnTable::from_atom`]), hash joins probe batch-at-a-time with
 //! columnar gathers, the WCOJ leapfrogs over CSR run tries with galloping
 //! seeks, and Yannakakis reduction filters through bitmaps — and one
-//! schedule: the plan's stages in plan order, on the calling thread.  A
-//! morsel-parallel mode that fanned independent stages out over a thread
+//! schedule: the plan's nodes depth-first, on the calling thread.  A
+//! morsel-parallel mode that fanned independent sub-plans out over a thread
 //! pool was measured against this schedule on the seven
 //! `BENCH_planner.json` workloads, tied or lost on five of them, and was
 //! deleted; concurrency comes from serving many requests at once.
 //!
-//! The entry points are thin front ends over the resumable
-//! [`crate::ExecState`] stage machine (see the `state` module), run to
-//! completion under the default [`crate::CertificatePolicy::Count`].
+//! Both entry points are thin front ends over the crate-private walk (the
+//! `state` module): one depth-first recursion over the plan tree.
 //! `tests/proptest_exec_oracle.rs` pins the output, and the counted size,
 //! against the nested-loop oracle ([`crate::oracle`]) on random skewed
-//! inputs, and `tests/proptest_suspend_resume.rs` pins the output and the
-//! counter recording across every suspension point.
+//! inputs, and `tests/counted_runs.rs` pins the recording of every root
+//! kind step by step.
 
 use crate::columns::ColumnTable;
-use crate::counters::{CertificatePolicy, IntermediateCounters};
+use crate::counters::IntermediateCounters;
 use crate::error::ExecError;
 use crate::physical::PhysicalPlan;
-use crate::state::ExecState;
+use crate::state::walk;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 
@@ -34,8 +33,8 @@ use lpb_data::Catalog;
 /// the driver-owned `benchmark/` package names both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Columnar batch-at-a-time execution, stages in plan order on the
-    /// calling thread.
+    /// Columnar batch-at-a-time execution, the plan's nodes depth-first on
+    /// the calling thread.
     Vectorized,
 }
 
@@ -86,26 +85,21 @@ impl CountedRun {
     }
 }
 
-/// Execute a physical plan.  One-shot front end over the resumable
-/// [`ExecState`] stage machine (default `Count` policy).  See [`ExecMode`]
-/// for the last argument.
+/// Execute a physical plan to its output.  See [`ExecMode`] for the last
+/// argument.
 pub fn execute_physical_mode(
     query: &JoinQuery,
     catalog: &Catalog,
     plan: &PhysicalPlan,
     _mode: ExecMode,
 ) -> Result<ColumnRun, ExecError> {
-    let mut state = ExecState::new(plan, CertificatePolicy::default());
-    state.run(query, catalog)?;
-    let counters = state.counters();
-    let output = state
-        .take_output()
-        .expect("an unlimited Count run completes");
+    let mut counters = IntermediateCounters::new();
+    let output = walk(plan.root(), query, catalog, false, &mut counters)?.table;
     Ok(ColumnRun { output, counters })
 }
 
 /// The size of a physical plan's output, computed without materializing
-/// it: every stage below the root runs as in [`execute_physical_mode`], and
+/// it: every node below the root runs as in [`execute_physical_mode`], and
 /// the root only counts — a hash-join root (a hash chain's last step, a
 /// bushy join) stops after its probe pass, a WCOJ root counts its
 /// emissions, a scan root reads the relation's length, a Yannakakis root
@@ -119,14 +113,11 @@ pub fn count_physical(
     catalog: &Catalog,
     plan: &PhysicalPlan,
 ) -> Result<CountedRun, ExecError> {
-    let mut state = ExecState::new(plan, CertificatePolicy::default()).counting_root();
-    state.run(query, catalog)?;
-    let output_size = state
-        .output_rows()
-        .expect("an unlimited Count run completes");
+    let mut counters = IntermediateCounters::new();
+    let output_size = walk(plan.root(), query, catalog, true, &mut counters)?.rows;
     Ok(CountedRun {
         output_size,
-        counters: state.counters(),
+        counters,
     })
 }
 
@@ -253,5 +244,22 @@ mod tests {
             .steps()
             .iter()
             .any(|s| s.label.starts_with("[E#light]")));
+    }
+
+    /// A partitioned union without parts has nothing to union: both entry
+    /// points return a typed error instead of panicking.
+    #[test]
+    fn an_empty_partitioned_union_is_not_applicable() {
+        let catalog = catalog();
+        let q = JoinQuery::path(&["R", "S"]);
+        let empty = PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+            atom: 0,
+            parts: Vec::new(),
+            log2_bound: None,
+        });
+        let not_applicable = |e: ExecError| matches!(e, ExecError::NotApplicable { .. });
+        let run = execute_physical_mode(&q, &catalog, &empty, ExecMode::Vectorized);
+        assert!(run.is_err_and(not_applicable));
+        assert!(count_physical(&q, &catalog, &empty).is_err_and(not_applicable));
     }
 }

@@ -1,560 +1,212 @@
-//! Resumable stage-machine execution: a [`crate::PhysicalPlan`] lowered to
-//! a flat DAG of **stages**, executed by an explicit [`ExecState`] that can
-//! suspend at any stage boundary and resume bit-identically.
+//! The executor's walk: a [`crate::PhysicalPlan`] runs as one depth-first
+//! recursion over its [`PhysicalNode`] tree, on the calling thread.
 //!
-//! A one-shot recursive walk over the plan tree cannot stop halfway: a
-//! blown bound certificate could only be *counted*, never acted on.  The
-//! stage machine is the crate's one executor:
-//!
-//! * **Lowering** flattens the strategy tree depth-first into `Vec<Stage>`:
-//!   one stage per scan, per hash-chain step, per bushy join, per WCOJ
-//!   core, per Yannakakis-reduced residue, per partition branch, and per
-//!   partitioned union.  Stage ids are DFS order, so executing stages in id
-//!   order is *exactly* the depth-first walk of the tree — same operator
-//!   calls, same step labels, same recorded sizes.
-//! * **Slots** hold completed intermediates (one [`ColumnTable`] each),
-//!   with the [`IntermediateCounters`] its stage recorded.  A slot's table
-//!   is released as soon as its single consumer has completed (the slot and
-//!   its counters stay), so a hash chain holds two intermediates at a time,
-//!   not all of them.  The run's
-//!   counters are assembled by merging per-stage recordings in stage-id
-//!   order, which makes them independent of *when* a stage actually ran —
-//!   the key to bit-identical suspend/resume.
-//! * **Scheduling**: one stage at a time on the calling thread, always the
-//!   lowest incomplete one, so a run is the depth-first walk however often
-//!   it is suspended.  A server gets its parallelism from concurrent
-//!   requests, each on its own thread.
-//! * **Certificates** are checked per [`CertificatePolicy`]: `Ignore`
-//!   records sizes only, `Count` (the default) tallies violations in every
-//!   build profile, and `React { slack_log2 }` additionally returns
-//!   [`ExecStatus::Suspended`] with a typed [`BoundViolation`] after the
-//!   violating stage materializes — leaving the state resumable, with its
-//!   completed intermediates exposed through [`ExecState::live_slots`] for
-//!   the re-planning controller ([`crate::AdaptiveExecutor`]).
-//! * **Counting the root** (crate-private, for [`crate::count_physical`]):
-//!   every stage output records its row count, and the root's table is
-//!   never filled — a hash-join root stops after its probe pass, a WCOJ
-//!   root counts emissions, a scan root reads its relation's length, and a
-//!   partitioned union sums its branches' counted roots.  A Yannakakis root counts its whole chain,
-//!   not just the last step: after the full reducer each step keeps only
-//!   the prefix's frontier — the variables a later relation joins on — one
-//!   row per distinct tuple with the number of prefix rows it stands for,
-//!   so no prefix is materialized (`count_chain`).  Stages below the root
-//!   run as usual.  The recorded steps are the materializing run's, size
-//!   for size and certificate for certificate.
-//!
-//! Partition branches and reduced residues execute as *atomic* stages (a
-//! branch drains its whole sub-plan before yielding); a violation inside
-//! one surfaces when the stage completes.
+//! * **Order**: a node's children run before it, left to right, so the
+//!   recording is the tree's post-order — one step per scan, per hash-chain
+//!   step, per bushy join, per WCOJ core, per reduced relation and chain
+//!   step of a Yannakakis residue, per partition branch's output and per
+//!   partitioned union.  Every node records into the run's one
+//!   [`IntermediateCounters`]; a partition branch records into its own,
+//!   which the union rolls up (re-labelled with the part's name).  A server
+//!   gets its parallelism from concurrent requests, each on its own thread.
+//! * **Release**: an intermediate is dropped as soon as the node that
+//!   consumes it returns, so a hash chain holds its input, the relation it
+//!   joins and its output, never the whole chain.
+//! * **Certificates**: every step that carries one is checked
+//!   ([`IntermediateCounters::record_checked`]) and a violation is counted,
+//!   in every build profile.
+//! * **Counting the root** (for [`crate::count_physical`]): every node
+//!   records its output's row count, and the root's table is never filled
+//!   — a hash-join root stops after its probe pass, a WCOJ root counts
+//!   emissions, a scan root reads its relation's length, and a partitioned
+//!   union sums its branches' counted roots.  A Yannakakis root counts its
+//!   whole chain, not just the last step: after the full reducer each step
+//!   keeps only the prefix's frontier — the variables a later relation
+//!   joins on — one row per distinct tuple with the number of prefix rows
+//!   it stands for, so no prefix is materialized (`count_chain`).  Nodes
+//!   below the root run as usual.  The recorded steps are the materializing
+//!   run's, size for size and certificate for certificate.
 
 use crate::columns::ColumnTable;
-use crate::counters::{BoundViolation, CertificatePolicy, IntermediateCounters, CERTIFICATE_SLACK};
+use crate::counters::IntermediateCounters;
 use crate::error::ExecError;
 use crate::hash_join::{hash_join_columns, hash_join_count, hash_join_grouped, Grouped};
-use crate::physical::{assert_parts_disjoint, PartitionBranch, PhysicalNode, PhysicalPlan};
+use crate::physical::{assert_parts_disjoint, PhysicalNode};
 use crate::wcoj::{wcoj_count, wcoj_materialize_columns};
 use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use std::collections::HashMap;
 
-/// One executable unit of the lowered plan.
-#[derive(Debug, Clone)]
-enum StageOp {
-    /// Bind one atom's relation.
-    Scan {
-        atom: usize,
-        log2_bound: Option<f64>,
-    },
-    /// One hash-chain step: join the input slot with one atom.
-    JoinAtom {
-        input: usize,
-        atom: usize,
-        log2_bound: Option<f64>,
-    },
-    /// Bushy binary join of two completed slots.
-    JoinPair {
-        left: usize,
-        right: usize,
-        label: String,
-        log2_bound: Option<f64>,
-    },
-    /// Leapfrog WCOJ over a sub-join.
-    Wcoj {
-        atoms: Vec<usize>,
-        log2_bound: Option<f64>,
-    },
-    /// Yannakakis full reducer + hash chain over an acyclic sub-join
-    /// (atomic: the reducer's passes and chain steps run as one stage).
-    Reduced {
-        atoms: Vec<usize>,
-        scan_bounds: Vec<Option<f64>>,
-        step_bounds: Vec<Option<f64>>,
-    },
-    /// One partition part: the full query with `atom` rebound to the part,
-    /// executed by the branch's own plan as a nested (atomic) run.
-    Branch {
-        atom: usize,
-        branch: PartitionBranch,
-    },
-    /// Union the completed branch slots of a partitioned node.
-    Union {
-        branch_slots: Vec<usize>,
-        log2_bound: Option<f64>,
-    },
+/// What one node produced: its row count and, unless it was counted, its
+/// rows.
+pub(crate) struct Output {
+    /// The output's row count, the size its step records.
+    pub(crate) rows: usize,
+    /// The output's rows; an empty table when the node was counted.
+    pub(crate) table: ColumnTable,
 }
 
-impl StageOp {
-    /// Slot ids this stage consumes.
-    fn deps(&self) -> Vec<usize> {
-        match self {
-            StageOp::Scan { .. }
-            | StageOp::Wcoj { .. }
-            | StageOp::Reduced { .. }
-            | StageOp::Branch { .. } => Vec::new(),
-            StageOp::JoinAtom { input, .. } => vec![*input],
-            StageOp::JoinPair { left, right, .. } => vec![*left, *right],
-            StageOp::Union { branch_slots, .. } => branch_slots.clone(),
-        }
-    }
-}
-
-/// A stage plus the original-query atom indices its output covers, in join
-/// order.
-#[derive(Debug, Clone)]
-struct Stage {
-    op: StageOp,
-    atoms: Vec<usize>,
-}
-
-/// What a completed stage produced.
-#[derive(Debug, Clone)]
-struct StageOutput {
-    /// The output's row count, the size its steps record.
-    rows: usize,
-    /// The output's rows; an empty table when the stage was counted.
-    value: ColumnTable,
-    /// Steps this stage recorded, assembled into the run's counters in
-    /// stage-id order.  Empty for `Branch` stages (see `branch`).
-    counters: IntermediateCounters,
-    /// For `Branch` stages only: the part name and the branch's raw
-    /// recording, rolled up (re-labelled) by the consuming `Union` stage.
-    branch: Option<(String, IntermediateCounters)>,
-}
-
-impl StageOutput {
-    /// A materialized output, with nothing recorded yet.
-    fn table(value: ColumnTable) -> Self {
-        StageOutput {
-            rows: value.len(),
-            value,
-            counters: IntermediateCounters::new(),
-            branch: None,
+impl Output {
+    /// A materialized output.
+    fn table(table: ColumnTable) -> Self {
+        Output {
+            rows: table.len(),
+            table,
         }
     }
 
     /// A counted output: its size and no rows.
     fn counted(rows: usize) -> Self {
-        StageOutput {
+        Output {
             rows,
-            value: ColumnTable::default(),
-            counters: IntermediateCounters::new(),
-            branch: None,
+            table: ColumnTable::default(),
         }
     }
-
-    /// Record the output's size as one step under `label`.
-    fn recorded(
-        mut self,
-        label: impl Into<String>,
-        log2_bound: Option<f64>,
-        policy: CertificatePolicy,
-    ) -> Self {
-        let _ = self
-            .counters
-            .record_with_policy(label, self.rows, log2_bound, policy);
-        self
-    }
 }
 
-/// Outcome of [`ExecState::run`] / [`ExecState::run_until`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ExecStatus {
-    /// Every stage executed; the output is available.
-    Done,
-    /// The stage limit was reached with stages remaining (no violation).
-    Paused,
-    /// Under [`CertificatePolicy::React`], an intermediate exceeded its
-    /// certificate plus the reaction slack.  The state is resumable:
-    /// calling `run` again continues past the violation, or the adaptive
-    /// controller can splice a re-planned frontier instead.
-    Suspended(BoundViolation),
-}
-
-/// A completed intermediate not yet consumed by any completed stage — the
-/// resumable frontier the adaptive re-planner builds on.
-#[derive(Debug, Clone)]
-pub struct LiveSlot {
-    /// Original-query atom indices this intermediate covers, in join order.
-    pub atoms: Vec<usize>,
-    /// The materialized rows, in columnar form.
-    pub table: ColumnTable,
-    /// True when this is a partition-branch output: it covers the whole
-    /// query but only *part* of the data, so it cannot be spliced as a
-    /// self-contained intermediate.
-    pub partial: bool,
-}
-
-/// Resumable execution state of one physical plan: the lowered stage DAG
-/// plus every completed intermediate.  Create with [`ExecState::new`],
-/// drive with [`run`](Self::run) / [`run_until`](Self::run_until) — always
-/// passing the *same* query and catalog the state was built for.
-#[derive(Debug, Clone)]
-pub struct ExecState {
-    policy: CertificatePolicy,
-    stages: Vec<Stage>,
-    slots: Vec<Option<StageOutput>>,
-    root: usize,
-    /// Stages that record their output's size without materializing it
-    /// (none unless [`counting_root`](Self::counting_root)).
-    counted: Vec<bool>,
-}
-
-impl ExecState {
-    /// Lower a plan into its stage DAG (no execution happens yet).
-    ///
-    /// Panics when a partitioned node's parts are not disjoint (debug
-    /// builds only).
-    pub fn new(plan: &PhysicalPlan, policy: CertificatePolicy) -> Self {
-        let mut stages = Vec::new();
-        let root = lower(plan.root(), &mut stages);
-        let slots = vec![None; stages.len()];
-        let counted = vec![false; stages.len()];
-        ExecState {
-            policy,
-            stages,
-            slots,
-            root,
-            counted,
-        }
-    }
-
-    /// Count the root instead of materializing it: the root stage — and,
-    /// under a partitioned union, every branch's root — records the sizes
-    /// its operators would write, under the same labels and certificates,
-    /// so the run's counters equal a materializing run's.  A Yannakakis
-    /// root counts every step of its chain; other roots run their inputs as
-    /// usual and count their last operator.  The root's table stays empty;
-    /// every stage below it is unchanged.
-    pub(crate) fn counting_root(mut self) -> Self {
-        self.counted[self.root] = true;
-        if let StageOp::Union { branch_slots, .. } = &self.stages[self.root].op {
-            for &b in branch_slots {
-                self.counted[b] = true;
-            }
-        }
-        self
-    }
-
-    /// Number of stages in the lowered plan.
-    pub fn n_stages(&self) -> usize {
-        self.stages.len()
-    }
-
-    /// How many stages have completed.
-    pub fn completed_stages(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// True once the root stage has produced the output.
-    pub fn is_done(&self) -> bool {
-        self.slots[self.root].is_some()
-    }
-
-    /// The certificate policy in force.
-    pub fn policy(&self) -> CertificatePolicy {
-        self.policy
-    }
-
-    /// Change the certificate policy for the *remaining* stages (e.g. the
-    /// adaptive controller downgrading `React` to `Count` when its re-plan
-    /// budget is exhausted).
-    pub fn set_policy(&mut self, policy: CertificatePolicy) {
-        self.policy = policy;
-    }
-
-    /// Run every remaining stage (or until a `React` suspension).
-    pub fn run(&mut self, query: &JoinQuery, catalog: &Catalog) -> Result<ExecStatus, ExecError> {
-        self.run_until(query, catalog, usize::MAX)
-    }
-
-    /// Run until every stage with id `< limit` has completed (or a `React`
-    /// suspension fires).  Because lowering is depth-first, dependencies
-    /// always have lower ids than their consumers, so the lowest incomplete
-    /// stage is always ready, and after a `Paused` return exactly the stages
-    /// `0..limit` are complete — which is what makes injected-breakpoint
-    /// differential tests exact.
-    pub fn run_until(
-        &mut self,
-        query: &JoinQuery,
-        catalog: &Catalog,
-        limit: usize,
-    ) -> Result<ExecStatus, ExecError> {
-        while !self.is_done() {
-            let Some(id) = (0..self.stages.len().min(limit)).find(|&id| self.slots[id].is_none())
-            else {
-                return Ok(ExecStatus::Paused);
+/// Run `node` depth-first, recording every step into `counters`.  With
+/// `count`, the node's last operator only counts what it would write (a
+/// partitioned union counts each branch's root); everything below it runs
+/// as usual.
+pub(crate) fn walk(
+    node: &PhysicalNode,
+    query: &JoinQuery,
+    catalog: &Catalog,
+    count: bool,
+    counters: &mut IntermediateCounters,
+) -> Result<Output, ExecError> {
+    match node {
+        PhysicalNode::Scan { atom, log2_bound } => {
+            let out = if count {
+                Output::counted(ColumnTable::atom_len(query, catalog, *atom)?)
+            } else {
+                Output::table(ColumnTable::from_atom(query, catalog, *atom)?)
             };
-            let out = self.exec_stage(id, query, catalog)?;
-            let violation = match self.policy {
-                CertificatePolicy::React { slack_log2 } => {
-                    let rec = out.branch.as_ref().map_or(&out.counters, |(_, c)| c);
-                    first_violation(rec, slack_log2)
-                }
-                _ => None,
+            let label = format!("scan {}", query.atoms()[*atom].relation);
+            counters.record_checked(label, out.rows, *log2_bound);
+            Ok(out)
+        }
+        PhysicalNode::HashChain {
+            input,
+            atoms,
+            step_bounds,
+        } => {
+            let mut acc = walk(input, query, catalog, count && atoms.is_empty(), counters)?;
+            for (i, &atom) in atoms.iter().enumerate() {
+                let next = ColumnTable::from_atom(query, catalog, atom)?;
+                acc = join(&acc.table, &next, count && i + 1 == atoms.len());
+                let label = format!("⋈ {}", query.atoms()[atom].relation);
+                counters.record_checked(label, acc.rows, step_bounds.get(i).copied().flatten());
+            }
+            Ok(acc)
+        }
+        PhysicalNode::HashJoin {
+            left,
+            right,
+            log2_bound,
+        } => {
+            let list = |side: &PhysicalNode| {
+                let mut atoms = Vec::new();
+                side.atom_order(&mut atoms);
+                atoms
+                    .iter()
+                    .map(ToString::to_string)
+                    .collect::<Vec<_>>()
+                    .join(",")
             };
-            self.slots[id] = Some(out);
-            // Each slot has one consumer: its table is dead now.
-            for dep in self.stages[id].op.deps() {
-                let consumed = self.slots[dep].as_mut().expect("dependency completed");
-                drop(std::mem::take(&mut consumed.value));
-            }
-            if let Some(v) = violation {
-                return Ok(ExecStatus::Suspended(v));
-            }
+            let label = format!("⋈ bushy[{}|{}]", list(left), list(right));
+            let left = walk(left, query, catalog, false, counters)?;
+            let right = walk(right, query, catalog, false, counters)?;
+            let out = join(&left.table, &right.table, count);
+            counters.record_checked(label, out.rows, *log2_bound);
+            Ok(out)
         }
-        Ok(ExecStatus::Done)
-    }
-
-    /// The counters recorded so far, assembled in stage-id order — hence
-    /// identical however the run was chopped up.  Branch
-    /// recordings not yet absorbed by their union are rolled up
-    /// (re-labelled) at the branch's position.
-    pub fn counters(&self) -> IntermediateCounters {
-        let mut absorbed = vec![false; self.stages.len()];
-        for (id, stage) in self.stages.iter().enumerate() {
-            if self.slots[id].is_some() {
-                if let StageOp::Union { branch_slots, .. } = &stage.op {
-                    for &b in branch_slots {
-                        absorbed[b] = true;
-                    }
-                }
-            }
+        PhysicalNode::Wcoj { atoms, log2_bound } => {
+            let sub = query.subquery(atoms)?;
+            let out = if count {
+                let rows = wcoj_count(&sub, catalog)?;
+                Output::counted(
+                    usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
+                )
+            } else {
+                Output::table(wcoj_materialize_columns(&sub, catalog)?)
+            };
+            counters.record_checked(format!("wcoj {}", sub.name()), out.rows, *log2_bound);
+            Ok(out)
         }
-        let mut total = IntermediateCounters::new();
-        for (id, slot) in self.slots.iter().enumerate() {
-            let Some(out) = slot else { continue };
-            match &out.branch {
-                Some((name, rec)) if !absorbed[id] => total.absorb_part(name, rec.clone()),
-                Some(_) => {} // the completed union already holds it
-                None => total.merge(out.counters.clone()),
+        PhysicalNode::Reduced {
+            atoms,
+            scan_bounds,
+            step_bounds,
+        } => exec_reduced(
+            query,
+            catalog,
+            atoms,
+            scan_bounds,
+            step_bounds,
+            count,
+            counters,
+        ),
+        PhysicalNode::PartitionedUnion {
+            atom,
+            parts,
+            log2_bound,
+        } => {
+            if parts.is_empty() {
+                return Err(ExecError::NotApplicable {
+                    reason: format!("the partitioned union of atom {atom} has no parts"),
+                });
             }
-        }
-        total
-    }
-
-    /// A copy of the output, once [`is_done`](Self::is_done).
-    pub fn output_columns(&self) -> Option<ColumnTable> {
-        self.slots[self.root].as_ref().map(|o| o.value.clone())
-    }
-
-    /// Take the root output out of the state.
-    pub(crate) fn take_output(&mut self) -> Option<ColumnTable> {
-        self.slots[self.root].take().map(|o| o.value)
-    }
-
-    /// The output's row count, once [`is_done`](Self::is_done) — the one
-    /// reading of a counted root.
-    pub(crate) fn output_rows(&self) -> Option<usize> {
-        self.slots[self.root].as_ref().map(|o| o.rows)
-    }
-
-    /// Completed intermediates no completed stage has consumed — the
-    /// frontier a re-planner treats as exact-statistics scans.  Single-atom
-    /// slots are included (the re-planner keeps them as ordinary atoms).
-    pub fn live_slots(&self) -> Vec<LiveSlot> {
-        let mut consumed = vec![false; self.stages.len()];
-        for (id, stage) in self.stages.iter().enumerate() {
-            if self.slots[id].is_some() {
-                for d in stage.op.deps() {
-                    consumed[d] = true;
-                }
-            }
-        }
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(id, slot)| {
-                let out = slot.as_ref()?;
-                if consumed[id] {
-                    return None;
-                }
-                Some(LiveSlot {
-                    atoms: self.stages[id].atoms.clone(),
-                    table: out.value.clone(),
-                    partial: out.branch.is_some(),
-                })
-            })
-            .collect()
-    }
-
-    /// Original-query atoms not covered by any live slot — the part of the
-    /// query still to be joined from base relations.
-    pub fn remaining_atoms(&self) -> Vec<usize> {
-        let live: std::collections::HashSet<usize> = self
-            .live_slots()
-            .iter()
-            .flat_map(|s| s.atoms.iter().copied())
-            .collect();
-        self.stages[self.root]
-            .atoms
-            .iter()
-            .copied()
-            .filter(|a| !live.contains(a))
-            .collect()
-    }
-
-    /// Execute one stage against the completed slots; the caller stores
-    /// the output.  A counted stage (see [`counting_root`](Self::counting_root))
-    /// runs every operator below its output as usual and then only counts
-    /// what its last operator would write.
-    fn exec_stage(
-        &self,
-        id: usize,
-        query: &JoinQuery,
-        catalog: &Catalog,
-    ) -> Result<StageOutput, ExecError> {
-        let policy = self.policy;
-        let count = self.counted[id];
-        match &self.stages[id].op {
-            StageOp::Scan { atom, log2_bound } => {
-                let out = if count {
-                    StageOutput::counted(ColumnTable::atom_len(query, catalog, *atom)?)
-                } else {
-                    StageOutput::table(ColumnTable::from_atom(query, catalog, *atom)?)
-                };
-                let label = format!("scan {}", query.atoms()[*atom].relation);
-                Ok(out.recorded(label, *log2_bound, policy))
-            }
-            StageOp::JoinAtom {
-                input,
-                atom,
-                log2_bound,
-            } => {
-                let next = ColumnTable::from_atom(query, catalog, *atom)?;
-                let input = self.slot_value(*input);
-                let out = if count {
-                    StageOutput::counted(hash_join_count(input, &next))
-                } else {
-                    StageOutput::table(hash_join_columns(input, &next))
-                };
-                let label = format!("⋈ {}", query.atoms()[*atom].relation);
-                Ok(out.recorded(label, *log2_bound, policy))
-            }
-            StageOp::JoinPair {
-                left,
-                right,
-                label,
-                log2_bound,
-            } => {
-                let (left, right) = (self.slot_value(*left), self.slot_value(*right));
-                let out = if count {
-                    StageOutput::counted(hash_join_count(left, right))
-                } else {
-                    StageOutput::table(hash_join_columns(left, right))
-                };
-                Ok(out.recorded(label.clone(), *log2_bound, policy))
-            }
-            StageOp::Wcoj { atoms, log2_bound } => {
-                let sub = query.subquery(atoms)?;
-                let out = if count {
-                    let rows = wcoj_count(&sub, catalog)?;
-                    StageOutput::counted(
-                        usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
-                    )
-                } else {
-                    StageOutput::table(wcoj_materialize_columns(&sub, catalog)?)
-                };
-                Ok(out.recorded(format!("wcoj {}", sub.name()), *log2_bound, policy))
-            }
-            StageOp::Reduced {
-                atoms,
-                scan_bounds,
-                step_bounds,
-            } => {
-                let mut out = exec_reduced(query, catalog, atoms, scan_bounds, step_bounds, count)?;
-                if matches!(policy, CertificatePolicy::Ignore) {
-                    out.counters = strip_checks(&out.counters);
-                }
-                Ok(out)
-            }
-            StageOp::Branch { atom, branch } => {
-                let part_query = query.with_atom_relation(*atom, branch.relation.name())?;
+            assert_parts_disjoint(*atom, parts);
+            counters.note_parts_planned(parts.len());
+            let mut tables = Vec::with_capacity(parts.len());
+            let mut rows = 0;
+            for branch in parts {
+                // One part: the full query with `atom` rebound to it, run by
+                // the branch's own plan into the branch's own recording.
+                let name = branch.relation.name();
+                let part_query = query.with_atom_relation(*atom, name)?;
                 let part_catalog = catalog.derive_with(branch.relation.clone());
-                // A branch is atomic: it drains its whole sub-plan before
-                // the parent state can yield, so React downgrades to Count
-                // inside — the violation surfaces when the stage completes.
-                let nested_policy = match policy {
-                    CertificatePolicy::React { .. } => CertificatePolicy::Count,
-                    p => p,
-                };
-                let mut nested = ExecState::new(&branch.plan, nested_policy);
-                if count {
-                    nested = nested.counting_root();
-                }
-                let status = nested.run(&part_query, &part_catalog)?;
-                debug_assert_eq!(status, ExecStatus::Done);
-                let mut rec = nested.counters();
-                let mut out = nested.slots[nested.root]
-                    .take()
-                    .expect("nested run completed");
-                let _ = rec.record_with_policy(
-                    format!("output {}", branch.relation.name()),
-                    out.rows,
-                    branch.log2_bound,
-                    nested_policy,
-                );
-                out.counters = IntermediateCounters::new();
-                out.branch = Some((branch.relation.name().to_string(), rec));
-                Ok(out)
+                let mut part = IntermediateCounters::new();
+                let out = walk(
+                    branch.plan.root(),
+                    &part_query,
+                    &part_catalog,
+                    count,
+                    &mut part,
+                )?;
+                part.record_checked(format!("output {name}"), out.rows, branch.log2_bound);
+                counters.absorb_part(name, part);
+                rows += out.rows;
+                tables.push(out.table);
             }
-            StageOp::Union {
-                branch_slots,
-                log2_bound,
-            } => {
-                let mut counters = IntermediateCounters::new();
-                counters.note_parts_planned(branch_slots.len());
-                let mut parts: Vec<&ColumnTable> = Vec::with_capacity(branch_slots.len());
-                let mut rows = 0;
-                for &b in branch_slots {
-                    let out = self.slots[b].as_ref().expect("union deps complete");
-                    let (name, rec) = out.branch.as_ref().expect("union deps are branches");
-                    counters.absorb_part(name, rec.clone());
-                    parts.push(&out.value);
-                    rows += out.rows;
-                }
-                let mut out = if count {
-                    StageOutput::counted(rows)
-                } else {
-                    let first = parts
-                        .first()
-                        .expect("a partitioned union has at least one part");
-                    StageOutput::table(ColumnTable::concat(first.vars().to_vec(), &parts))
-                };
-                out.counters = counters;
-                Ok(out.recorded("∪ partitioned", *log2_bound, policy))
-            }
+            let out = if count {
+                Output::counted(rows)
+            } else {
+                let parts: Vec<&ColumnTable> = tables.iter().collect();
+                Output::table(ColumnTable::concat(tables[0].vars().to_vec(), &parts))
+            };
+            counters.record_checked("∪ partitioned", out.rows, *log2_bound);
+            Ok(out)
         }
     }
+}
 
-    fn slot_value(&self, id: usize) -> &ColumnTable {
-        &self.slots[id].as_ref().expect("dependency completed").value
+/// Hash-join two inputs, or with `count` only count what the join would
+/// write (its probe pass).
+fn join(left: &ColumnTable, right: &ColumnTable, count: bool) -> Output {
+    if count {
+        Output::counted(hash_join_count(left, right))
+    } else {
+        Output::table(hash_join_columns(left, right))
     }
 }
 
 /// Yannakakis: full reducer over the acyclic sub-join, then a hash chain
-/// over the reduced relations in the given order.  With `count`, the chain
-/// is counted ([`count_chain`]) and no step of it is materialized.
+/// over the reduced relations in the given order, recorded into
+/// `counters`.  With `count`, the chain is counted ([`count_chain`]) and no
+/// step of it is materialized.
 fn exec_reduced(
     query: &JoinQuery,
     catalog: &Catalog,
@@ -562,10 +214,10 @@ fn exec_reduced(
     scan_bounds: &[Option<f64>],
     step_bounds: &[Option<f64>],
     count: bool,
-) -> Result<StageOutput, ExecError> {
-    let mut counters = IntermediateCounters::new();
+    counters: &mut IntermediateCounters,
+) -> Result<Output, ExecError> {
     let sub = query.subquery(atoms)?;
-    let reduced = full_reducer_columns(&sub, catalog, &mut counters, scan_bounds)?;
+    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds)?;
     let relation = |i: usize| &query.atoms()[atoms[i]].relation;
     // Step `i` records the reduced relation's size and, past the first, the
     // size of the chain's prefix up to it.
@@ -583,27 +235,24 @@ fn exec_reduced(
             );
         }
     };
-    let mut out = if count {
-        StageOutput::counted(count_chain(reduced, &mut record))
-    } else {
-        let mut acc: Option<ColumnTable> = None;
-        for (i, next) in reduced.into_iter().enumerate() {
-            acc = Some(match acc.take() {
-                None => {
-                    record(i, next.len(), None);
-                    next
-                }
-                Some(prev) => {
-                    let joined = hash_join_columns(&prev, &next);
-                    record(i, next.len(), Some(joined.len()));
-                    joined
-                }
-            });
-        }
-        StageOutput::table(acc.expect("a reduced stage has an atom"))
-    };
-    out.counters = counters;
-    Ok(out)
+    if count {
+        return Ok(Output::counted(count_chain(reduced, &mut record)));
+    }
+    let mut acc: Option<ColumnTable> = None;
+    for (i, next) in reduced.into_iter().enumerate() {
+        acc = Some(match acc.take() {
+            None => {
+                record(i, next.len(), None);
+                next
+            }
+            Some(prev) => {
+                let joined = hash_join_columns(&prev, &next);
+                record(i, next.len(), Some(joined.len()));
+                joined
+            }
+        });
+    }
+    Ok(Output::table(acc.expect("a reduced residue has an atom")))
 }
 
 /// The hash chain over `reduced`, counted: after each step the prefix is
@@ -652,201 +301,4 @@ fn count_chain(
         prefix = Some(grouped);
     }
     rows
-}
-
-/// First step in `counters` whose observed size exceeds its certificate by
-/// more than the reaction slack.
-fn first_violation(counters: &IntermediateCounters, slack_log2: f64) -> Option<BoundViolation> {
-    counters.steps().iter().find_map(|s| {
-        let bound = s.log2_bound?;
-        ((s.rows.max(1) as f64).log2() > bound + CERTIFICATE_SLACK + slack_log2).then(|| {
-            BoundViolation {
-                label: s.label.clone(),
-                rows: s.rows,
-                log2_bound: bound,
-                slack_log2,
-            }
-        })
-    })
-}
-
-/// Re-record every step without certificate checking (the `Ignore` policy
-/// for compound stages whose inner operators record through the default
-/// counting path).
-fn strip_checks(counters: &IntermediateCounters) -> IntermediateCounters {
-    let mut out = IntermediateCounters::new();
-    for s in counters.steps() {
-        let _ = out.record_with_policy(
-            s.label.clone(),
-            s.rows,
-            s.log2_bound,
-            CertificatePolicy::Ignore,
-        );
-    }
-    out
-}
-
-/// Depth-first lowering: children push their stages before the parent, so
-/// stage-id order is the plan tree's depth-first recording order.
-fn lower(node: &PhysicalNode, stages: &mut Vec<Stage>) -> usize {
-    let push = |stages: &mut Vec<Stage>, op: StageOp, atoms: Vec<usize>| {
-        stages.push(Stage { op, atoms });
-        stages.len() - 1
-    };
-    match node {
-        PhysicalNode::Scan { atom, log2_bound } => push(
-            stages,
-            StageOp::Scan {
-                atom: *atom,
-                log2_bound: *log2_bound,
-            },
-            vec![*atom],
-        ),
-        PhysicalNode::HashChain {
-            input,
-            atoms,
-            step_bounds,
-        } => {
-            let mut slot = lower(input, stages);
-            for (i, &j) in atoms.iter().enumerate() {
-                let mut cover = stages[slot].atoms.clone();
-                cover.push(j);
-                slot = push(
-                    stages,
-                    StageOp::JoinAtom {
-                        input: slot,
-                        atom: j,
-                        log2_bound: step_bounds.get(i).copied().flatten(),
-                    },
-                    cover,
-                );
-            }
-            slot
-        }
-        PhysicalNode::HashJoin {
-            left,
-            right,
-            log2_bound,
-        } => {
-            let l = lower(left, stages);
-            let r = lower(right, stages);
-            let list = |atoms: &[usize]| {
-                atoms
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(",")
-            };
-            let label = format!(
-                "⋈ bushy[{}|{}]",
-                list(&stages[l].atoms),
-                list(&stages[r].atoms)
-            );
-            let mut cover = stages[l].atoms.clone();
-            cover.extend_from_slice(&stages[r].atoms);
-            push(
-                stages,
-                StageOp::JoinPair {
-                    left: l,
-                    right: r,
-                    label,
-                    log2_bound: *log2_bound,
-                },
-                cover,
-            )
-        }
-        PhysicalNode::Wcoj { atoms, log2_bound } => push(
-            stages,
-            StageOp::Wcoj {
-                atoms: atoms.clone(),
-                log2_bound: *log2_bound,
-            },
-            atoms.clone(),
-        ),
-        PhysicalNode::Reduced {
-            atoms,
-            scan_bounds,
-            step_bounds,
-        } => push(
-            stages,
-            StageOp::Reduced {
-                atoms: atoms.clone(),
-                scan_bounds: scan_bounds.clone(),
-                step_bounds: step_bounds.clone(),
-            },
-            atoms.clone(),
-        ),
-        PhysicalNode::PartitionedUnion {
-            atom,
-            parts,
-            log2_bound,
-        } => {
-            assert_parts_disjoint(*atom, parts);
-            let branch_slots: Vec<usize> = parts
-                .iter()
-                .map(|b| {
-                    let atoms = b.plan.atom_order();
-                    push(
-                        stages,
-                        StageOp::Branch {
-                            atom: *atom,
-                            branch: b.clone(),
-                        },
-                        atoms,
-                    )
-                })
-                .collect();
-            let cover = stages[branch_slots[0]].atoms.clone();
-            push(
-                stages,
-                StageOp::Union {
-                    branch_slots,
-                    log2_bound: *log2_bound,
-                },
-                cover,
-            )
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use lpb_data::RelationBuilder;
-
-    /// A consumed intermediate is released the moment its consumer has
-    /// completed — at every pause a hash chain holds one table, not all of
-    /// them — while the slot itself stays: stage counts, the frontier and
-    /// the counters read as if nothing had been dropped.
-    #[test]
-    fn consumed_slots_release_their_tables_and_keep_their_counters() {
-        let mut catalog = Catalog::new();
-        for name in ["R", "S", "T"] {
-            catalog.insert(RelationBuilder::binary_from_pairs(
-                name,
-                "a",
-                "b",
-                (0..30u64).map(|i| (i % 6, (i * 5) % 6)),
-            ));
-        }
-        let query = JoinQuery::path(&["R", "S", "T"]);
-        let plan = PhysicalPlan::hash_chain(vec![0, 1, 2]);
-        let mut state = ExecState::new(&plan, CertificatePolicy::Count);
-        for limit in 1..=state.n_stages() {
-            state.run_until(&query, &catalog, limit).unwrap();
-            assert_eq!(state.completed_stages(), limit);
-            let held: Vec<usize> = (0..limit)
-                .filter(|&id| !state.slot_value(id).vars().is_empty())
-                .collect();
-            assert_eq!(held, [limit - 1], "only the newest table is held");
-            assert_eq!(state.live_slots().len(), 1);
-            assert_eq!(state.counters().steps().len(), limit);
-        }
-        assert!(state.is_done());
-        let one_shot =
-            crate::execute_physical_mode(&query, &catalog, &plan, crate::ExecMode::Vectorized)
-                .unwrap();
-        assert_eq!(state.counters(), one_shot.counters);
-        assert_eq!(state.output_columns(), Some(one_shot.output));
-    }
 }

@@ -16,8 +16,8 @@
 //!    *Cache keying discipline*: the shape canon renames variables by
 //!    first appearance and drops query names, so isomorphic queries from
 //!    different users share one entry; the epoch half of the key means any
-//!    statistics change — a relation replaced, observed intermediates
-//!    absorbed by the adaptive executor — invalidates every stale entry by
+//!    statistics change — a relation replaced, a relation published with
+//!    exact statistics — invalidates every stale entry by
 //!    construction (stale keys simply never match again).  One cache
 //!    serves one catalog lineage; see `lpb_exec::plan_cache` for the full
 //!    argument.
@@ -55,7 +55,7 @@
 //!    lands; a request arriving after that is a hit.
 //!
 //!    A request, once planned, executes on the thread that submitted it:
-//!    one request, one thread, stages in order.  The service answers with
+//!    one request, one thread, the plan walked depth-first.  The service answers with
 //!    the output's *size*, so the plan's root is counted
 //!    ([`lpb_exec::count_physical`]) and the output is never
 //!    materialized; a Yannakakis root counts its whole chain and

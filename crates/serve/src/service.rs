@@ -73,7 +73,7 @@ pub struct QueryResponse {
     /// planning, or waiting for the flight of the same key, on a miss).
     pub plan_time: Duration,
     /// Wall-clock time from plan-in-hand to the output counted — the
-    /// stages below the root executed, and the root counted without being
+    /// nodes below the root executed, and the root counted without being
     /// written (a Yannakakis root: its full reducer, then its chain on
     /// frontier-grouped multiplicities); zero for a plan-only request.
     pub exec_time: Duration,
@@ -185,9 +185,9 @@ impl QueryService {
         self.cell.replace_relation(relation)
     }
 
-    /// Absorb an observed relation (exact statistics, epoch bump) into a
-    /// new published snapshot — the adaptive-execution feedback path.
-    /// Returns the new epoch.
+    /// Publish a relation with its exact statistics (computed from its rows
+    /// and write-protected, epoch bumped) as a new snapshot.  Returns the
+    /// new epoch.
     pub fn absorb_observed(&self, relation: impl Into<Arc<Relation>>) -> Result<u64, ServeError> {
         self.cell
             .absorb_observed(relation, self.optimizer.config().max_norm)
@@ -408,8 +408,8 @@ mod tests {
         assert!(service.execute(&q).unwrap().cache_hit);
     }
 
-    /// S3, feedback path: an `absorb_observed` publish must invalidate
-    /// exactly like a replace.
+    /// S3, exact-statistics publish: an `absorb_observed` publish must
+    /// invalidate exactly like a replace.
     #[test]
     fn absorb_observed_invalidates_served_plans() {
         let service = QueryService::new(catalog());

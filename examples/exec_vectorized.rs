@@ -6,8 +6,8 @@
 //! of the skewed middle relation).  There is one engine: intermediates are
 //! columnar (`ColumnTable`), hash joins probe a batch at a time with
 //! column-wise gathers, and WCOJ cores leapfrog over CSR run-tries with
-//! galloping seeks.  And there is one schedule: the plan's stages run in
-//! plan order on the calling thread, each recording the size it
+//! galloping seeks.  And there is one schedule: the plan's nodes run
+//! depth-first on the calling thread, each recording the size it
 //! materialized next to the bound the planner certified it with (the
 //! `ExecMode::Vectorized` argument selects nothing; the benchmark of record
 //! names it).
