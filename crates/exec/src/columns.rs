@@ -7,8 +7,12 @@
 //! * **scan** by copying whole columns into buffers of exactly the
 //!   relation's length (a relation is already columnar — binding an atom is
 //!   `arity` memcpys, not `n` row allocations),
-//! * **probe** hash tables batch-at-a-time, gathering matches through index
-//!   lists into output columns sized exactly to the match count,
+//! * **probe** key indexes batch-at-a-time, gathering matches through index
+//!   lists into output columns sized exactly to the match count — a key of
+//!   one variable is direct-addressed by `code − min` when the codes it is
+//!   drawn from are dense (they span fewer than 4 values per row, or fewer
+//!   than 4 096), and hashed otherwise, as are keys of several variables
+//!   (`KeyIndex` in the `hash_join` module),
 //! * **filter** through bitmaps (one `bool` per row, then one pass per
 //!   column that writes only the surviving rows),
 //! * **intersect** dictionary-encoded sorted `u64` runs with galloping

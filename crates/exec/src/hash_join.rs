@@ -13,6 +13,16 @@
 //! step's exact size and the next grouping without writing the join.  The
 //! unit tests pin all four against the nested-loop oracle
 //! ([`crate::oracle`]).
+//!
+//! Every kernel finds keys through one [`KeyIndex`], and a key of one
+//! variable — the common case: values are dictionary codes, and a chain or
+//! a full reducer joins on one variable at a time — is not hashed when it
+//! need not be.  One pass over the column the keys are drawn from finds its
+//! span (`max − min`); when that is under [`DENSE_SPAN_PER_ROW`] values per
+//! row or under [`DENSE_SPAN_FLOOR`] values, a key's number sits in a slot
+//! table at `value − min`, and otherwise in a hash map.  The input alone
+//! picks the regime, and keys are numbered in first-seen order in both, so
+//! outputs, their row order and every recorded size are the same either way.
 
 use crate::columns::{ColumnBatch, ColumnTable};
 use std::collections::HashMap;
@@ -57,17 +67,86 @@ impl Hasher for JoinHasher {
 /// fast hasher.
 type KeyMap<K> = HashMap<K, u32, BuildHasherDefault<JoinHasher>>;
 
-/// The distinct keys of a build side, with a dedicated single-column fast
-/// path (one `u64`, no key allocation at all — the common case for
-/// graph-shaped queries).
+/// A one-variable [`KeyIndex`] is direct-addressed when the column its keys
+/// are drawn from spans (`max − min`) fewer than this many values per row —
+/// a slot table then costs at most 16 bytes per row, no more than a hash
+/// table of the same keys — ...
+const DENSE_SPAN_PER_ROW: u64 = 4;
+
+/// ... or fewer than this many values, whatever the column's length: a slot
+/// table of at most 16 KiB.
+const DENSE_SPAN_FLOOR: u64 = 4096;
+
+/// A [`KeyIndex::Dense`] slot that no key has taken.
+const NO_KEY: u32 = u32::MAX;
+
+/// The distinct keys of a build side, numbered in first-seen order.
+///
+/// A key of one variable is found by its value alone.  When the column the
+/// keys are drawn from spans fewer than [`DENSE_SPAN_PER_ROW`] values per
+/// row, or fewer than [`DENSE_SPAN_FLOOR`] values (one pass over the column
+/// finds its `min` and `max`), its number is direct-addressed in a slot
+/// table at `value − min` (`Dense`); otherwise it is hashed (`Single`).
+/// Dictionary codes are dense, so one-variable joins take the slot table.  A
+/// key of several variables is hashed as a composite (`Multi`).  The regime
+/// changes how a key is found, never its number.
 enum KeyIndex {
-    /// Keyed by one column's value.
+    /// Keyed by one column's value `v`, direct-addressed: its number is
+    /// `slots[v − min]` unless that is [`NO_KEY`], and a value outside
+    /// `min..min + slots.len()` is no key.  `len` keys are numbered.
+    Dense {
+        min: u64,
+        slots: Vec<u32>,
+        len: usize,
+    },
+    /// Keyed by one column's value, hashed.
     Single(KeyMap<u64>),
     /// Keyed by a composite of several columns.
     Multi(KeyMap<Vec<u64>>),
 }
 
 impl KeyIndex {
+    /// An empty index for one-variable keys drawn from the values of `col`:
+    /// direct-addressed when they are dense, else a hash map with room for
+    /// `capacity` keys.
+    fn single(col: &[u64], capacity: usize) -> KeyIndex {
+        let (min, max) = col
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+        // An empty column spans nothing.
+        let span = max.saturating_sub(min);
+        let limit = (col.len() as u64)
+            .saturating_mul(DENSE_SPAN_PER_ROW)
+            .max(DENSE_SPAN_FLOOR);
+        if span < limit {
+            #[cfg(test)]
+            tally(Regime::Dense);
+            KeyIndex::Dense {
+                min,
+                slots: vec![NO_KEY; span as usize + 1],
+                len: 0,
+            }
+        } else {
+            #[cfg(test)]
+            tally(Regime::Hashed);
+            KeyIndex::Single(KeyMap::with_capacity_and_hasher(
+                capacity,
+                BuildHasherDefault::default(),
+            ))
+        }
+    }
+
+    /// An empty index for keys of several variables, with room for
+    /// `capacity` keys.
+    fn multi(capacity: usize) -> KeyIndex {
+        #[cfg(test)]
+        tally(Regime::Multi);
+        KeyIndex::Multi(KeyMap::with_capacity_and_hasher(
+            capacity,
+            BuildHasherDefault::default(),
+        ))
+    }
+
     /// Number the distinct keys of `side`'s `rows` rows (passed in, since a
     /// side without columns has no length of its own), reading the key
     /// columns as slices, and report every row's key number to
@@ -80,18 +159,13 @@ impl KeyIndex {
     ) -> KeyIndex {
         if let [pos] = key_pos {
             let col = side.col(*pos);
-            let mut keys: KeyMap<u64> =
-                KeyMap::with_capacity_and_hasher(col.len(), BuildHasherDefault::default());
+            let mut keys = KeyIndex::single(col, col.len());
             for &v in col {
-                let next = keys.len() as u32;
-                key_of_row(*keys.entry(v).or_insert(next));
+                key_of_row(keys.number_value(v));
             }
-            KeyIndex::Single(keys)
+            keys
         } else {
-            let mut keys = KeyIndex::Multi(KeyMap::with_capacity_and_hasher(
-                rows,
-                BuildHasherDefault::default(),
-            ));
+            let mut keys = KeyIndex::multi(rows);
             let mut key = vec![0u64; key_pos.len()];
             for i in 0..rows {
                 for (k, &p) in key_pos.iter().enumerate() {
@@ -105,17 +179,31 @@ impl KeyIndex {
 
     fn len(&self) -> usize {
         match self {
+            KeyIndex::Dense { len, .. } => *len,
             KeyIndex::Single(keys) => keys.len(),
             KeyIndex::Multi(keys) => keys.len(),
         }
     }
 
-    /// An empty index for keys of `width` values.
-    fn for_width(width: usize) -> KeyIndex {
-        if width == 1 {
-            KeyIndex::Single(KeyMap::default())
-        } else {
-            KeyIndex::Multi(KeyMap::default())
+    /// The number of the one-variable key `v`, numbering it next if it is
+    /// new.  A dense index takes only values of the column it was sized
+    /// from.
+    #[inline]
+    fn number_value(&mut self, v: u64) -> u32 {
+        match self {
+            KeyIndex::Dense { min, slots, len } => {
+                let slot = &mut slots[(v - *min) as usize];
+                if *slot == NO_KEY {
+                    *slot = *len as u32;
+                    *len += 1;
+                }
+                *slot
+            }
+            KeyIndex::Single(keys) => {
+                let next = keys.len() as u32;
+                *keys.entry(v).or_insert(next)
+            }
+            KeyIndex::Multi(_) => unreachable!("a composite key has several values"),
         }
     }
 
@@ -123,17 +211,17 @@ impl KeyIndex {
     /// next if it is new.
     #[inline]
     fn number(&mut self, key: &[u64]) -> u32 {
-        let next = self.len() as u32;
         match self {
-            KeyIndex::Single(keys) => *keys.entry(key[0]).or_insert(next),
             // Look up by slice first: only a new key pays for a copy.
             KeyIndex::Multi(keys) => match keys.get(key) {
                 Some(&number) => number,
                 None => {
+                    let next = keys.len() as u32;
                     keys.insert(key.to_vec(), next);
                     next
                 }
             },
+            _ => self.number_value(key[0]),
         }
     }
 
@@ -148,6 +236,18 @@ impl KeyIndex {
         mut found: impl FnMut(Option<u32>),
     ) {
         match self {
+            KeyIndex::Dense { min, slots, .. } => {
+                for &v in batch.col(key_pos[0]) {
+                    // A value below `min` wraps around past the table's end.
+                    let at = v.wrapping_sub(*min);
+                    let number = if at < slots.len() as u64 {
+                        slots[at as usize]
+                    } else {
+                        NO_KEY
+                    };
+                    found((number != NO_KEY).then_some(number));
+                }
+            }
             KeyIndex::Single(keys) => {
                 for v in batch.col(key_pos[0]) {
                     found(keys.get(v).copied());
@@ -165,6 +265,38 @@ impl KeyIndex {
             }
         }
     }
+}
+
+/// How a [`KeyIndex`] finds its keys, as the unit tests tally them.
+#[cfg(test)]
+#[derive(Clone, Copy)]
+enum Regime {
+    Dense,
+    Hashed,
+    Multi,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// The key indexes this thread built, by [`Regime`].
+    static BUILDS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+}
+
+/// Count a key index of `regime` built on this thread.
+#[cfg(test)]
+fn tally(regime: Regime) {
+    BUILDS.with(|builds| {
+        let mut now = builds.get();
+        now[regime as usize] += 1;
+        builds.set(now);
+    });
+}
+
+/// The key indexes the calling thread built so far: `[dense, hashed on one
+/// variable, hashed on several]`.
+#[cfg(test)]
+pub(crate) fn key_index_builds() -> [usize; 3] {
+    BUILDS.with(std::cell::Cell::get)
 }
 
 /// The hash table of a columnar join build in CSR form: the rows of key
@@ -375,16 +507,19 @@ impl Grouped {
 /// row's weight.  Returns the weights' sum — the row count of the join the
 /// weights stand for — and the join grouped on `frontier` (variables of
 /// either side, in the order given), one row per distinct tuple with its
-/// rows' weights summed, its columns sized exactly.
+/// rows' weights summed, its columns sized exactly.  Every sum saturates at
+/// `u128::MAX` rather than wraps.
 ///
 /// Built on `prev` and probed batch-at-a-time with `next` through
 /// [`hash_join_count`]'s probe loop.  A probe row's matches are one range of
 /// the build table, so their weight is a difference of prefix sums: with an
 /// empty frontier that is all the work.  When `next` holds every frontier
-/// variable a probe row is one tuple — its own group, unhashed, when the
-/// frontier is all of `next`'s variables (a relation's rows are distinct;
-/// were they not, the sums would still be exact).  Otherwise each match
-/// adds its own weight to the group of its tuple.
+/// variable a probe row is one tuple — its own group, looked up nowhere,
+/// when the frontier is all of `next`'s variables (a relation's rows are
+/// distinct; were they not, the sums would still be exact).  Otherwise each
+/// match adds its own weight to the group of its tuple, numbered by a
+/// [`KeyIndex`]: one sized from the column a one-variable frontier is read
+/// from, so dense codes are direct-addressed here too.
 pub(crate) fn hash_join_grouped(
     prev: &Grouped,
     next: &ColumnTable,
@@ -398,8 +533,21 @@ pub(crate) fn hash_join_grouped(
     let mut sums: Vec<u128> = Vec::with_capacity(join.table.rows.len() + 1);
     sums.push(0);
     for &row in &join.table.rows {
-        sums.push(sums[sums.len() - 1] + prev.weights[row as usize]);
+        sums.push(sums[sums.len() - 1].saturating_add(prev.weights[row as usize]));
     }
+    // The weight of the build rows `rows[start..start + len]`.
+    let range_weight = |start: usize, len: usize| {
+        if sums[start + len] < u128::MAX {
+            sums[start + len] - sums[start]
+        } else {
+            // Past a saturated prefix sum a difference says nothing.
+            join.table.rows[start..start + len]
+                .iter()
+                .fold(0u128, |w, &row| {
+                    w.saturating_add(prev.weights[row as usize])
+                })
+        }
+    };
     // Where each frontier value is read: `next`'s probe row (`Ok`) when it
     // has the variable, else `prev`'s build row (`Err`).
     let sources: Vec<Result<usize, usize>> = frontier
@@ -413,7 +561,7 @@ pub(crate) fn hash_join_grouped(
         })
         .collect();
     let per_probe_row = sources.iter().all(Result::is_ok);
-    let unhashed = per_probe_row && next.vars().iter().all(|v| frontier.contains(v));
+    let own_group = per_probe_row && next.vars().iter().all(|v| frontier.contains(v));
     let read = |key: &mut [u64], probe_row: usize, build_row: usize| {
         for (value, src) in key.iter_mut().zip(&sources) {
             *value = match *src {
@@ -425,19 +573,26 @@ pub(crate) fn hash_join_grouped(
     // Each group's first joined row, as (probe row, build row): its tuple is
     // gathered from there at the end.
     let (mut probe_of, mut build_of): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-    let mut groups = KeyIndex::for_width(frontier.len());
+    // Numbers the groups, unless each probe row is its own (an empty
+    // frontier has no group to number).
+    let mut groups = match sources.as_slice() {
+        [] => None,
+        _ if own_group => None,
+        [Ok(p)] => Some(KeyIndex::single(next.col(*p), 0)),
+        [Err(p)] => Some(KeyIndex::single(prev.keys.col(*p), 0)),
+        _ => Some(KeyIndex::multi(0)),
+    };
     let mut add = |key: &[u64], probe_row: usize, build_row: u32, weight: u128| {
-        let g = if unhashed {
-            weights.len()
-        } else {
-            groups.number(key) as usize
+        let g = match &mut groups {
+            Some(groups) => groups.number(key) as usize,
+            None => weights.len(),
         };
         if g == weights.len() {
             probe_of.push(probe_row as u32);
             build_of.push(build_row);
             weights.push(weight);
         } else {
-            weights[g] += weight;
+            weights[g] = weights[g].saturating_add(weight);
         }
     };
     let mut key = vec![0u64; frontier.len()];
@@ -445,11 +600,11 @@ pub(crate) fn hash_join_grouped(
     let mut probe_row = 0usize;
     join.ranges(|range| {
         let (start, len) = unpack_range(range);
-        let weight = sums[start + len] - sums[start];
-        total += weight;
+        let weight = range_weight(start, len);
+        total = total.saturating_add(weight);
         if !frontier.is_empty() && weight > 0 {
             if per_probe_row {
-                if !unhashed {
+                if !own_group {
                     read(&mut key, probe_row, 0);
                 }
                 add(&key, probe_row, 0, weight);
@@ -620,6 +775,13 @@ mod tests {
         next: &ColumnTable,
         frontier: &[String],
     ) -> (u128, Vec<(Vec<u64>, u128)>) {
+        let (vars, rows) = oracle_weighted_join(prev, next);
+        group_on(&vars, &rows, frontier)
+    }
+
+    /// The nested-loop oracle's `prev ⋈ next`, every row of `prev` written
+    /// out as many times as it weighs: its variables and its rows.
+    fn oracle_weighted_join(prev: &Grouped, next: &ColumnTable) -> (Vec<String>, Vec<Vec<u64>>) {
         let mut vars = prev.keys.vars().to_vec();
         let extra: Vec<String> = next
             .vars()
@@ -647,12 +809,22 @@ mod tests {
             }
             oracle_join(&expanded, next, &vars)
         };
+        (vars, rows)
+    }
+
+    /// `rows` (columns in `vars` order) grouped on `frontier`: the row count
+    /// and the groups.
+    fn group_on(
+        vars: &[String],
+        rows: &[Vec<u64>],
+        frontier: &[String],
+    ) -> (u128, Vec<(Vec<u64>, u128)>) {
         let at: Vec<usize> = frontier
             .iter()
             .map(|v| vars.iter().position(|x| x == v).unwrap())
             .collect();
         let mut grouped = std::collections::BTreeMap::<Vec<u64>, u128>::new();
-        for row in &rows {
+        for row in rows {
             *grouped
                 .entry(at.iter().map(|&p| row[p]).collect())
                 .or_default() += 1;
@@ -793,5 +965,194 @@ mod tests {
         // side and nothing survives an empty one.
         assert_eq!(semi_join_columns(&r, &t(&["W"], &[&[5]])).len(), 4);
         assert_eq!(semi_join_columns(&r, &t(&["W"], &[])).len(), 0);
+    }
+
+    #[test]
+    fn multiplicity_sums_saturate() {
+        let near = u128::MAX - 1;
+        // Key 1's two rows take the build's prefix sums to the ceiling, and
+        // key 2's row comes after them.
+        let prev = weighted(
+            t(&["X", "Y"], &[&[1, 7], &[1, 8], &[2, 7]]),
+            &[near, near, 5],
+        );
+        let next = t(&["X", "Z"], &[&[1, 5], &[2, 5], &[2, 6]]);
+        let names = |vs: &[&str]| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        let check = |frontier: &[&str], expect: Vec<(Vec<u64>, u128)>| {
+            let (total, grouped) = hash_join_grouped(&prev, &next, &names(frontier));
+            assert_eq!(total, u128::MAX, "{frontier:?}");
+            assert_eq!(groups(&grouped), expect, "{frontier:?}");
+        };
+        check(&[], vec![(vec![], u128::MAX)]);
+        check(&["X"], vec![(vec![1], u128::MAX), (vec![2], 10)]);
+        check(&["Z"], vec![(vec![5], u128::MAX), (vec![6], 5)]);
+        check(&["Y"], vec![(vec![7], u128::MAX), (vec![8], near)]);
+    }
+
+    /// The key indexes `f` built on this thread, by regime: `[dense, hashed
+    /// on one variable, hashed on several]`.
+    fn tallied<T>(f: impl FnOnce() -> T) -> (T, [usize; 3]) {
+        let before = key_index_builds();
+        let out = f();
+        let after = key_index_builds();
+        (out, [0, 1, 2].map(|r| after[r] - before[r]))
+    }
+
+    /// The selection rule, restated: one variable's keys drawn from `col`
+    /// are direct-addressed when its values span fewer than
+    /// `DENSE_SPAN_PER_ROW` values per row or fewer than `DENSE_SPAN_FLOOR`.
+    fn rule_says_dense(col: &[u64]) -> bool {
+        let span = col.iter().max().unwrap_or(&0) - col.iter().min().unwrap_or(&0);
+        span < (col.len() as u64 * DENSE_SPAN_PER_ROW).max(DENSE_SPAN_FLOOR)
+    }
+
+    /// One index over `col`, tallied as the rule says.
+    fn one_index(col: &[u64]) -> [usize; 3] {
+        if rule_says_dense(col) {
+            [1, 0, 0]
+        } else {
+            [0, 1, 0]
+        }
+    }
+
+    fn plus(a: [usize; 3], b: [usize; 3]) -> [usize; 3] {
+        [a[0] + b[0], a[1] + b[1], a[2] + b[2]]
+    }
+
+    /// `n ≥ 2` codes from `lo` to `lo + span`, evenly spread, both ends
+    /// included.
+    fn spread(n: u64, lo: u64, span: u64) -> Vec<u64> {
+        (0..n)
+            .map(|i| lo + (u128::from(span) * u128::from(i) / u128::from(n - 1)) as u64)
+            .collect()
+    }
+
+    /// The join codes of a build side, which holds each of them twice, and
+    /// the regime its one-variable key index must take.
+    fn key_regimes() -> Vec<(&'static str, Vec<u64>, bool)> {
+        vec![
+            ("dense", spread(8, 100, 7), true),
+            ("under the floor", spread(8, 5, DENSE_SPAN_FLOOR - 1), true),
+            ("at the floor", spread(8, 5, DENSE_SPAN_FLOOR), false),
+            // 520 codes twice: 1 040 rows, whose per-row span is past the floor.
+            (
+                "under the per-row span",
+                spread(520, 9, 1040 * DENSE_SPAN_PER_ROW - 1),
+                true,
+            ),
+            (
+                "at the per-row span",
+                spread(520, 9, 1040 * DENSE_SPAN_PER_ROW),
+                false,
+            ),
+            ("sparse, 0 and u64::MAX", spread(8, 0, u64::MAX), false),
+        ]
+    }
+
+    /// `(X, Y)`: every code as `X` twice, with `Y` drawn from the codes too.
+    fn build_side(codes: &[u64]) -> ColumnTable {
+        let n = codes.len();
+        let rows: Vec<[u64; 2]> = (0..2 * n)
+            .map(|r| [codes[r % n], codes[(3 * r + r / n + 1) % n]])
+            .collect();
+        t(
+            &["X", "Y"],
+            &rows.iter().map(|r| &r[..]).collect::<Vec<_>>(),
+        )
+    }
+
+    /// `(X, Z)`: three rows for three codes in four, then `X` values that
+    /// are no code — below the smallest, above the largest, between two, and
+    /// `0` and `u64::MAX` unless they are codes — so it is longer than
+    /// [`build_side`], which either argument order of a join then builds.
+    fn probe_side(codes: &[u64]) -> ColumnTable {
+        let n = codes.len();
+        let mut rows: Vec<[u64; 2]> = (0..n)
+            .filter(|i| i % 4 != 3)
+            .flat_map(|i| (0..3).map(move |j| [codes[i], codes[(5 * i + j + 2) % n]]))
+            .collect();
+        let (lo, hi) = (codes[0], codes[n - 1]);
+        let misses = [
+            lo.checked_sub(1),
+            hi.checked_add(1),
+            Some(lo + 1),
+            Some(0),
+            Some(u64::MAX),
+        ];
+        for x in misses.into_iter().flatten().filter(|x| !codes.contains(x)) {
+            rows.push([x, lo]);
+        }
+        t(
+            &["X", "Z"],
+            &rows.iter().map(|r| &r[..]).collect::<Vec<_>>(),
+        )
+    }
+
+    /// Every kernel against the nested-loop oracle, with its one-variable
+    /// join key in each regime — dense codes, spans just under and at the
+    /// selection limits, sparse codes — and probe values outside the build
+    /// side's range; each run also tallies which index it built.
+    #[test]
+    fn every_kernel_matches_the_oracle_in_both_key_regimes() {
+        let names = |vs: &[&str]| vs.iter().map(|v| v.to_string()).collect::<Vec<_>>();
+        for (regime, codes, dense) in key_regimes() {
+            let build = build_side(&codes);
+            let probe = probe_side(&codes);
+            assert!(probe.len() > build.len(), "{regime}");
+            assert_eq!(rule_says_dense(build.col(0)), dense, "{regime}");
+            let built = one_index(build.col(0));
+
+            for (a, b) in [(&build, &probe), (&probe, &build)] {
+                let (out, tally) = tallied(|| hash_join_columns(a, b));
+                let truth = oracle_join(a, b, out.vars());
+                assert_eq!(out.sorted_rows(), truth, "{regime}: join");
+                assert_eq!(tally, built, "{regime}: join");
+                let (count, tally) = tallied(|| hash_join_count(a, b));
+                assert_eq!(count, truth.len(), "{regime}: count");
+                assert_eq!(tally, built, "{regime}: count");
+            }
+
+            // A semi-join builds its right side.
+            for (left, right) in [(&probe, &build), (&build, &probe)] {
+                let (out, tally) = tallied(|| semi_join_columns(left, right));
+                let mut vars = left.vars().to_vec();
+                vars.push(right.vars()[1].clone());
+                let mut truth: Vec<Vec<u64>> = oracle_join(left, right, &vars)
+                    .into_iter()
+                    .map(|row| row[..left.vars().len()].to_vec())
+                    .collect();
+                truth.dedup();
+                assert_eq!(out.sorted_rows(), truth, "{regime}: semi-join");
+                assert_eq!(tally, one_index(right.col(0)), "{regime}: semi-join");
+            }
+
+            // Grouped joins build on `prev`, either side in turn, and number
+            // groups on a frontier of 0, 1 (from `next`, from `prev`, the
+            // join variable) or 2 variables.
+            for (prev, next) in [(&build, &probe), (&probe, &build)] {
+                let weights: Vec<u128> = (0..prev.len() as u128).map(|r| r % 2 + 1).collect();
+                let prev = weighted(prev.clone(), &weights);
+                let (own, other) = (&next.vars()[1], &prev.keys.vars()[1]);
+                let frontiers = [
+                    (vec![], [0; 3]),
+                    (vec![own.clone()], one_index(next.col(1))),
+                    (vec![other.clone()], one_index(prev.keys.col(1))),
+                    (names(&["X"]), one_index(next.col(0))),
+                    (vec![other.clone(), own.clone()], [0, 0, 1]),
+                    // All of `next`: each probe row is its own group.
+                    (vec![own.clone(), "X".to_string()], [0; 3]),
+                ];
+                let (vars, rows) = oracle_weighted_join(&prev, next);
+                for (frontier, groups_built) in frontiers {
+                    let ((total, grouped), tally) =
+                        tallied(|| hash_join_grouped(&prev, next, &frontier));
+                    let (truth, truth_groups) = group_on(&vars, &rows, &frontier);
+                    assert_eq!(total, truth, "{regime}: {frontier:?}");
+                    assert_eq!(groups(&grouped), truth_groups, "{regime}: {frontier:?}");
+                    let expect = plus(one_index(prev.keys.col(0)), groups_built);
+                    assert_eq!(tally, expect, "{regime}: {frontier:?}");
+                }
+            }
+        }
     }
 }

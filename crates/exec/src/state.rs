@@ -302,3 +302,38 @@ fn count_chain(
     }
     rows
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Seventeen relations `Rᵢ(X, Aᵢ)` of 256 rows, all on `X = 0`: the
+    /// chain's prefix after `k` of them has `256^k` rows, past `usize` from
+    /// the eighth on and past `u128` at the last.  Every recorded size
+    /// saturates rather than wraps.
+    #[test]
+    fn a_counted_chain_past_usize_records_usize_max() {
+        let reduced: Vec<ColumnTable> = (0..17)
+            .map(|i| {
+                ColumnTable::new(
+                    vec!["X".into(), format!("A{i}")],
+                    vec![vec![0; 256], (0..256).collect()],
+                )
+            })
+            .collect();
+        let mut recorded = Vec::new();
+        let rows = count_chain(reduced, &mut |i, reduced_rows, prefix_rows| {
+            recorded.push((i, reduced_rows, prefix_rows))
+        });
+        assert_eq!(rows, usize::MAX);
+        assert_eq!(recorded.len(), 17);
+        for (i, reduced_rows, prefix_rows) in recorded {
+            assert_eq!(reduced_rows, 256);
+            let exact = 256u128
+                .checked_pow(i as u32 + 1)
+                .and_then(|n| usize::try_from(n).ok());
+            let expect = (i > 0).then_some(exact.unwrap_or(usize::MAX));
+            assert_eq!(prefix_rows, expect, "step {i}");
+        }
+    }
+}

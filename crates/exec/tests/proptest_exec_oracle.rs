@@ -46,6 +46,38 @@ fn run_against_oracle(
     ))
 }
 
+/// Plan the path `R(x, y) ⋈ S(y, z) ⋈ T(z, w)` over the given pairs with
+/// the bound-driven optimizer and run it against the oracle: the plan must
+/// certify itself and violate none of its certificates.
+fn optimizer_plan_against_oracle(
+    rpairs: Vec<(u64, u64)>,
+    spairs: Vec<(u64, u64)>,
+    tpairs: Vec<(u64, u64)>,
+) -> Result<(), TestCaseError> {
+    let mut catalog = Catalog::new();
+    catalog.insert(RelationBuilder::binary_from_pairs("R", "x", "y", rpairs));
+    catalog.insert(RelationBuilder::binary_from_pairs("S", "y", "z", spairs));
+    catalog.insert(RelationBuilder::binary_from_pairs("T", "z", "w", tpairs));
+    let query = JoinQuery::path(&["R", "S", "T"]);
+    let plan = Optimizer::new().plan(&query, &catalog).unwrap();
+    let (checked, violated) = run_against_oracle(&query, &catalog, &plan.physical)?;
+    prop_assert!(checked > 0, "the planner certifies its plans");
+    prop_assert_eq!(violated, 0, "a bound is a guarantee");
+    Ok(())
+}
+
+/// An odd multiplier: `v ↦ v · SCATTER` permutes `u64`, keeps `0` and sends
+/// small codes all over the range.
+const SCATTER: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `pairs` with both codes scattered over `u64`.
+fn scattered(pairs: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
+    pairs
+        .into_iter()
+        .map(|(a, b)| (a.wrapping_mul(SCATTER), b.wrapping_mul(SCATTER)))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -58,15 +90,21 @@ proptest! {
         spairs in arb_skewed_pairs(),
         tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
     ) {
-        let mut catalog = Catalog::new();
-        catalog.insert(RelationBuilder::binary_from_pairs("R", "x", "y", rpairs));
-        catalog.insert(RelationBuilder::binary_from_pairs("S", "y", "z", spairs));
-        catalog.insert(RelationBuilder::binary_from_pairs("T", "z", "w", tpairs));
-        let query = JoinQuery::path(&["R", "S", "T"]);
-        let plan = Optimizer::new().plan(&query, &catalog).unwrap();
-        let (checked, violated) = run_against_oracle(&query, &catalog, &plan.physical)?;
-        prop_assert!(checked > 0, "the planner certifies its plans");
-        prop_assert_eq!(violated, 0, "a bound is a guarantee");
+        optimizer_plan_against_oracle(rpairs, spairs, tpairs)?;
+    }
+
+    /// The same chains with every code scattered over `u64`: one-variable
+    /// join keys that span far more values than rows, so a key index hashes
+    /// them instead of addressing them directly (unless its column holds a
+    /// single code).  The hash join's unit tests show which index each
+    /// kernel builds.
+    #[test]
+    fn optimizer_plans_on_sparse_codes_match_the_oracle(
+        rpairs in arb_skewed_pairs(),
+        spairs in arb_skewed_pairs(),
+        tpairs in proptest::collection::vec((0u64..12, 0u64..30), 1..80)
+    ) {
+        optimizer_plan_against_oracle(scattered(rpairs), scattered(spairs), scattered(tpairs))?;
     }
 
     /// Explicit degree-partitioned plans: split the skewed relation into
