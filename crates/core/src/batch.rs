@@ -102,10 +102,10 @@ impl BatchEstimator {
 
     /// Total LP bound computations this estimator (and every clone of it)
     /// has been asked for, cumulative across [`estimate`](Self::estimate)
-    /// calls.  A **delta** re-plan
-    /// ([`bound_subqueries`](Self::bound_subqueries) over only the sub-joins
-    /// touching refreshed atoms) is observable here: the counter grows by
-    /// the fresh-subset count instead of the full connected-subset count.
+    /// and [`bound_subqueries`](Self::bound_subqueries) calls: one per item
+    /// or sub-join bounded.  For a planner that is every sub-join its
+    /// enumeration bounds plus every sub-join its partition search bounds on
+    /// a part.
     pub fn lps_estimated(&self) -> usize {
         self.lps_estimated.load(Ordering::Relaxed)
     }

@@ -11,11 +11,12 @@
 //!
 //! Two system-catalog features ride on top of the cache:
 //!
-//! * **Derived sub-catalogs** ([`Catalog::derive_with`]) — a cheap copy that
+//! * **Derived sub-catalogs** ([`Catalog::derive_with`]) — a copy that
 //!   shares every relation by `Arc` but rebinds one name to a new relation
-//!   (e.g. one part of a degree partition), carrying over every cached
-//!   statistic that is still valid.  The partition-aware planner derives one
-//!   sub-catalog per part and plans against it.
+//!   (e.g. one part of a degree partition), and clones every cached
+//!   statistic that is still valid, so its cost grows with the cache.  Only
+//!   the planner's partition search (once per part per candidate) and tests
+//!   call it; the executor binds a part without a catalog.
 //! * **Persistence** ([`Catalog::save_statistics`] /
 //!   [`Catalog::load_statistics`]) — the cache serializes to a plain-text
 //!   catalog file (one statistic per line) and loads back bit-for-bit, so a
@@ -270,15 +271,17 @@ impl Catalog {
     /// A derived catalog: every relation of `self` is shared (by `Arc`, not
     /// copied) and `relation` is registered under its own name, replacing
     /// any relation previously bound to it.  Cached statistics of the
-    /// replaced name are dropped; everything else carries over, so a
-    /// derived catalog starts warm.
+    /// replaced name are dropped; every other one is **cloned** into the
+    /// derived catalog, so it starts warm and costs time and memory in
+    /// proportion to the cache.
     ///
     /// This is how the partition-aware planner builds **per-part
-    /// sub-catalogs**: one `derive_with(part)` per part of a degree
-    /// partition, each ready for per-part statistics collection and
-    /// planning without touching the base catalog.  Accepts an
-    /// `Arc<Relation>` directly so a part carried inside a plan rebinds in
-    /// O(1) — no tuple copy per execution.
+    /// sub-catalogs**: one `derive_with(part)` per part per skew candidate
+    /// of its partition search, each ready for per-part statistics
+    /// collection and planning without touching the base catalog.  Only
+    /// that search and tests call it; executing a partitioned plan binds
+    /// each part without deriving a catalog.  Accepts an `Arc<Relation>`
+    /// directly, so a part rebinds without copying a tuple.
     pub fn derive_with(&self, relation: impl Into<Arc<Relation>>) -> Catalog {
         let relation = relation.into();
         let name = relation.name().to_string();

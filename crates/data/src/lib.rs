@@ -17,8 +17,9 @@
 //!   store, mirroring the paper's assumption that ℓp-norms are precomputed
 //!   and available at estimation time; the cache persists to a plain-text
 //!   catalog file ([`Catalog::save_statistics`] /
-//!   [`Catalog::load_statistics`]) and derives cheap per-part sub-catalogs
-//!   ([`Catalog::derive_with`]) for partition-aware planning;
+//!   [`Catalog::load_statistics`]) and derives per-part sub-catalogs
+//!   ([`Catalog::derive_with`], which clones every cached statistic) for
+//!   the planner's partition search;
 //! * [`StatisticsCollector`] — the eager counterpart: materialize the
 //!   simple degree conditionals and [`Norm::standard_set`] ℓp-norms of
 //!   whole relations into the catalog cache and a

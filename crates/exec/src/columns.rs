@@ -28,11 +28,55 @@
 use crate::error::ExecError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation};
+use std::sync::Arc;
 
 /// Rows per [`ColumnBatch`]: operators process at most this many rows per
 /// inner loop, keeping the working set (a few columns × 1024 × 8 bytes) in
 /// L1/L2 while amortizing per-batch setup.
 pub(crate) const BATCH_ROWS: usize = 1024;
+
+/// Where an execution reads its relations: the base catalog, with the
+/// parts that partitioned unions rebound on the way down the plan.  A
+/// partition branch runs on `parent.with_part(&branch.relation)`, so its
+/// part answers to the part's name and every other name — an outer
+/// branch's part included — falls back to the parent view.  Binding a
+/// part copies nothing: no relation, no statistic.
+pub(crate) struct RelationView<'a> {
+    catalog: &'a Catalog,
+    /// The innermost rebound part and the view it was bound over.
+    part: Option<(&'a Arc<Relation>, &'a RelationView<'a>)>,
+}
+
+impl<'a> RelationView<'a> {
+    /// The catalog's relations, nothing rebound.
+    pub(crate) fn new(catalog: &'a Catalog) -> Self {
+        RelationView {
+            catalog,
+            part: None,
+        }
+    }
+
+    /// This view with `part` bound under its own name.
+    pub(crate) fn with_part<'b>(&'b self, part: &'b Arc<Relation>) -> RelationView<'b> {
+        RelationView {
+            catalog: self.catalog,
+            part: Some((part, self)),
+        }
+    }
+
+    /// The relation bound to `name`: the innermost part of that name, else
+    /// the catalog's relation.
+    pub(crate) fn get(&self, name: &str) -> Result<Arc<Relation>, ExecError> {
+        let mut view = self;
+        while let Some((part, parent)) = view.part {
+            if part.name() == name {
+                return Ok(Arc::clone(part));
+            }
+            view = parent;
+        }
+        Ok(self.catalog.get(name)?)
+    }
+}
 
 /// A materialized columnar intermediate: named columns (query variables),
 /// one dense `u64` vector per column.
@@ -77,20 +121,29 @@ impl ColumnTable {
         catalog: &Catalog,
         atom_idx: usize,
     ) -> Result<Self, ExecError> {
+        Self::bind(query, &RelationView::new(catalog), atom_idx)
+    }
+
+    /// [`from_atom`](Self::from_atom), reading the relation through `view`.
+    pub(crate) fn bind(
+        query: &JoinQuery,
+        view: &RelationView<'_>,
+        atom_idx: usize,
+    ) -> Result<Self, ExecError> {
         let atom = &query.atoms()[atom_idx];
-        let rel = catalog.get(&atom.relation)?;
+        let rel = view.get(&atom.relation)?;
         Self::from_relation(&rel, &atom.vars)
     }
 
-    /// The row count [`from_atom`](Self::from_atom) binds, with the same
-    /// checks, without copying a column.
+    /// The row count [`bind`](Self::bind) binds, with the same checks,
+    /// without copying a column.
     pub(crate) fn atom_len(
         query: &JoinQuery,
-        catalog: &Catalog,
+        view: &RelationView<'_>,
         atom_idx: usize,
     ) -> Result<usize, ExecError> {
         let atom = &query.atoms()[atom_idx];
-        let rel = catalog.get(&atom.relation)?;
+        let rel = view.get(&atom.relation)?;
         check_arity(&rel, &atom.vars)?;
         Ok(rel.len())
     }

@@ -10,7 +10,7 @@
 //! query-dependent constant and a polylog factor), which experiment E8
 //! verifies empirically.
 
-use crate::columns::ColumnTable;
+use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
 use crate::partition::partition_by_degree;
 use crate::trie::RunTrie;
@@ -65,6 +65,7 @@ pub fn partitioned_join_count(
 ) -> Result<PartitionedRun, ExecError> {
     // One trie per (atom, part): the parts of each partitioned atom (bound
     // to the atom's query variables), the whole relation for the others.
+    let view = RelationView::new(catalog);
     let mut tries_per_atom: Vec<Vec<RunTrie>> = Vec::with_capacity(query.n_atoms());
     let mut parts_per_atom = Vec::new();
     for j in 0..query.n_atoms() {
@@ -83,7 +84,7 @@ pub fn partitioned_join_count(
             parts_per_atom.push(tries.len());
             tries_per_atom.push(tries);
         } else {
-            tries_per_atom.push(vec![RunTrie::build(query, catalog, j)?]);
+            tries_per_atom.push(vec![RunTrie::build(query, &view, j)?]);
         }
     }
 

@@ -17,11 +17,11 @@
 //!   are recorded (and costed by the planner) — they are not free.
 //! * [`PhysicalNode::PartitionedUnion`] — one atom's relation split into
 //!   disjoint degree parts (Lemma 2.5 light/heavy), each part evaluated by
-//!   its **own** per-part plan against a derived sub-catalog and with its
-//!   own counters (rolled up into the parent), the outputs unioned without
-//!   deduplication (disjointness is asserted).  This is how the optimizer
-//!   exploits the sum-of-parts bound when a skewed relation makes the
-//!   monolithic bound loose.
+//!   its **own** per-part plan, with the atom bound to the part, and with
+//!   its own counters (rolled up into the parent), the outputs unioned
+//!   without deduplication (disjointness is asserted).  This is how the
+//!   optimizer exploits the sum-of-parts bound when a skewed relation makes
+//!   the monolithic bound loose.
 //!
 //! Every node can carry a **bound certificate**: `log₂` of a provable upper
 //! bound on what the node materializes, threaded in from the optimizer's
@@ -120,8 +120,8 @@ pub enum PhysicalNode {
 pub struct PartitionBranch {
     /// The part (same schema as the partitioned relation, uniquely named,
     /// e.g. `S#heavy`).  Carried in the plan — behind an `Arc`, so cloning
-    /// the plan or deriving the part's sub-catalog at execution time never
-    /// copies tuples.
+    /// the plan or binding the part at execution time never copies
+    /// tuples.
     pub relation: std::sync::Arc<lpb_data::Relation>,
     /// The plan for the query with the partitioned atom rebound to
     /// [`relation`](Self::relation), certified with that part's bounds.

@@ -32,8 +32,9 @@
 //!   `PlanCache` must serve **one catalog lineage** (e.g. one
 //!   [`lpb_data::SnapshotCatalog`] cell).  Epoch numbers from unrelated
 //!   catalogs are incomparable, and mixing them in one cache could alias.
-//!   Same-epoch *views* ([`lpb_data::Catalog::derive_with`]) intentionally
-//!   share entries — they are defined to carry the same statistics.
+//!   Same-epoch *views* (the planner's per-part sub-catalogs) intentionally
+//!   share entries — they are defined to carry the same statistics
+//!   (`tests/planner_quality.rs` pins the hit).
 //!
 //! Capacity is bounded, and so is how far back the cache keeps epochs: an
 //! insert evicts, oldest insert first, while the cache holds more than
@@ -495,15 +496,6 @@ mod tests {
         let (cold, hit) = plan_through(&cache, &optimizer, &q, &base).unwrap();
         assert!(!hit);
         assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
-
-        // A same-epoch derived view intentionally still hits: same stats.
-        let view = base.derive_with(RelationBuilder::binary_from_pairs(
-            "F",
-            "a",
-            "b",
-            vec![(1, 1)],
-        ));
-        assert!(plan_through(&cache, &optimizer, &q, &view).unwrap().1);
 
         // An epoch-bumping successor must miss and re-plan.
         let successor = base.successor_with(RelationBuilder::binary_from_pairs(

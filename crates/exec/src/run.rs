@@ -20,7 +20,7 @@
 //! inputs, and `tests/counted_runs.rs` pins the recording of every root
 //! kind step by step.
 
-use crate::columns::ColumnTable;
+use crate::columns::{ColumnTable, RelationView};
 use crate::counters::IntermediateCounters;
 use crate::error::ExecError;
 use crate::physical::PhysicalPlan;
@@ -94,7 +94,8 @@ pub fn execute_physical_mode(
     _mode: ExecMode,
 ) -> Result<ColumnRun, ExecError> {
     let mut counters = IntermediateCounters::new();
-    let output = walk(plan.root(), query, catalog, false, &mut counters)?.table;
+    let view = RelationView::new(catalog);
+    let output = walk(plan.root(), query, &view, false, &mut counters)?.table;
     Ok(ColumnRun { output, counters })
 }
 
@@ -114,7 +115,8 @@ pub fn count_physical(
     plan: &PhysicalPlan,
 ) -> Result<CountedRun, ExecError> {
     let mut counters = IntermediateCounters::new();
-    let output_size = walk(plan.root(), query, catalog, true, &mut counters)?.rows;
+    let view = RelationView::new(catalog);
+    let output_size = walk(plan.root(), query, &view, true, &mut counters)?.rows;
     Ok(CountedRun {
         output_size,
         counters,

@@ -9,6 +9,13 @@
 //!   [`IntermediateCounters`]; a partition branch records into its own,
 //!   which the union rolls up (re-labelled with the part's name).  A server
 //!   gets its parallelism from concurrent requests, each on its own thread.
+//! * **Relations**: every scan, trie, WCOJ and full reducer reads its
+//!   relations through one [`RelationView`] — the caller's catalog plus
+//!   the parts bound on the way down.  A partition branch runs on its
+//!   parent's view with the branch's part bound under the part's name (the
+//!   branch's query names it in place of the split atom's relation), so a
+//!   branch copies no relation and no cached statistic, and a branch nested
+//!   in another falls back to its parent's view for every other name.
 //! * **Release**: an intermediate is dropped as soon as the node that
 //!   consumes it returns, so a hash chain holds its input, the relation it
 //!   joins and its output, never the whole chain.
@@ -27,15 +34,14 @@
 //!   below the root run as usual.  The recorded steps are the materializing
 //!   run's, size for size and certificate for certificate.
 
-use crate::columns::ColumnTable;
+use crate::columns::{ColumnTable, RelationView};
 use crate::counters::IntermediateCounters;
 use crate::error::ExecError;
 use crate::hash_join::{hash_join_columns, hash_join_count, hash_join_grouped, Grouped};
 use crate::physical::{assert_parts_disjoint, PhysicalNode};
-use crate::wcoj::{wcoj_count, wcoj_materialize_columns};
+use crate::wcoj::{build_run_tries, wcoj_count_runs, wcoj_materialize_columns};
 use crate::yannakakis::full_reducer_columns;
 use lpb_core::JoinQuery;
-use lpb_data::Catalog;
 use std::collections::HashMap;
 
 /// What one node produced: its row count and, unless it was counted, its
@@ -72,16 +78,16 @@ impl Output {
 pub(crate) fn walk(
     node: &PhysicalNode,
     query: &JoinQuery,
-    catalog: &Catalog,
+    view: &RelationView<'_>,
     count: bool,
     counters: &mut IntermediateCounters,
 ) -> Result<Output, ExecError> {
     match node {
         PhysicalNode::Scan { atom, log2_bound } => {
             let out = if count {
-                Output::counted(ColumnTable::atom_len(query, catalog, *atom)?)
+                Output::counted(ColumnTable::atom_len(query, view, *atom)?)
             } else {
-                Output::table(ColumnTable::from_atom(query, catalog, *atom)?)
+                Output::table(ColumnTable::bind(query, view, *atom)?)
             };
             let label = format!("scan {}", query.atoms()[*atom].relation);
             counters.record_checked(label, out.rows, *log2_bound);
@@ -92,9 +98,9 @@ pub(crate) fn walk(
             atoms,
             step_bounds,
         } => {
-            let mut acc = walk(input, query, catalog, count && atoms.is_empty(), counters)?;
+            let mut acc = walk(input, query, view, count && atoms.is_empty(), counters)?;
             for (i, &atom) in atoms.iter().enumerate() {
-                let next = ColumnTable::from_atom(query, catalog, atom)?;
+                let next = ColumnTable::bind(query, view, atom)?;
                 acc = join(&acc.table, &next, count && i + 1 == atoms.len());
                 let label = format!("⋈ {}", query.atoms()[atom].relation);
                 counters.record_checked(label, acc.rows, step_bounds.get(i).copied().flatten());
@@ -116,8 +122,8 @@ pub(crate) fn walk(
                     .join(",")
             };
             let label = format!("⋈ bushy[{}|{}]", list(left), list(right));
-            let left = walk(left, query, catalog, false, counters)?;
-            let right = walk(right, query, catalog, false, counters)?;
+            let left = walk(left, query, view, false, counters)?;
+            let right = walk(right, query, view, false, counters)?;
             let out = join(&left.table, &right.table, count);
             counters.record_checked(label, out.rows, *log2_bound);
             Ok(out)
@@ -125,12 +131,12 @@ pub(crate) fn walk(
         PhysicalNode::Wcoj { atoms, log2_bound } => {
             let sub = query.subquery(atoms)?;
             let out = if count {
-                let rows = wcoj_count(&sub, catalog)?;
+                let rows = wcoj_count_runs(&sub, &build_run_tries(&sub, view)?);
                 Output::counted(
                     usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
                 )
             } else {
-                Output::table(wcoj_materialize_columns(&sub, catalog)?)
+                Output::table(wcoj_materialize_columns(&sub, view)?)
             };
             counters.record_checked(format!("wcoj {}", sub.name()), out.rows, *log2_bound);
             Ok(out)
@@ -141,7 +147,7 @@ pub(crate) fn walk(
             step_bounds,
         } => exec_reduced(
             query,
-            catalog,
+            view,
             atoms,
             scan_bounds,
             step_bounds,
@@ -167,12 +173,12 @@ pub(crate) fn walk(
                 // the branch's own plan into the branch's own recording.
                 let name = branch.relation.name();
                 let part_query = query.with_atom_relation(*atom, name)?;
-                let part_catalog = catalog.derive_with(branch.relation.clone());
+                let part_view = view.with_part(&branch.relation);
                 let mut part = IntermediateCounters::new();
                 let out = walk(
                     branch.plan.root(),
                     &part_query,
-                    &part_catalog,
+                    &part_view,
                     count,
                     &mut part,
                 )?;
@@ -209,7 +215,7 @@ fn join(left: &ColumnTable, right: &ColumnTable, count: bool) -> Output {
 /// step of it is materialized.
 fn exec_reduced(
     query: &JoinQuery,
-    catalog: &Catalog,
+    view: &RelationView<'_>,
     atoms: &[usize],
     scan_bounds: &[Option<f64>],
     step_bounds: &[Option<f64>],
@@ -217,7 +223,7 @@ fn exec_reduced(
     counters: &mut IntermediateCounters,
 ) -> Result<Output, ExecError> {
     let sub = query.subquery(atoms)?;
-    let reduced = full_reducer_columns(&sub, catalog, counters, scan_bounds)?;
+    let reduced = full_reducer_columns(&sub, view, counters, scan_bounds)?;
     let relation = |i: usize| &query.atoms()[atoms[i]].relation;
     // Step `i` records the reduced relation's size and, past the first, the
     // size of the chain's prefix up to it.

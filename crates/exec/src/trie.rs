@@ -6,10 +6,9 @@
 //! searches over contiguous memory ([`crate::columns::gallop_ge`]) instead
 //! of pointer-chasing tree descents.
 
-use crate::columns::{gallop_ge, ColumnTable};
+use crate::columns::{gallop_ge, ColumnTable, RelationView};
 use crate::error::ExecError;
 use lpb_core::JoinQuery;
-use lpb_data::Catalog;
 
 /// One level of a [`RunTrie`] in CSR form: all the level's keys
 /// concatenated into one sorted run per parent node, plus the offsets into
@@ -37,9 +36,14 @@ pub(crate) struct RunTrie {
 }
 
 impl RunTrie {
-    /// Build the trie for atom `atom_idx` of `query` from the catalog.
-    pub fn build(query: &JoinQuery, catalog: &Catalog, atom_idx: usize) -> Result<Self, ExecError> {
-        let cols = ColumnTable::from_atom(query, catalog, atom_idx)?;
+    /// Build the trie for atom `atom_idx` of `query`, reading its relation
+    /// through `view`.
+    pub fn build(
+        query: &JoinQuery,
+        view: &RelationView<'_>,
+        atom_idx: usize,
+    ) -> Result<Self, ExecError> {
+        let cols = ColumnTable::bind(query, view, atom_idx)?;
         Ok(Self::from_columns(query, atom_idx, &cols))
     }
 
@@ -164,7 +168,7 @@ pub(crate) struct RunRange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpb_data::RelationBuilder;
+    use lpb_data::{Catalog, RelationBuilder};
 
     #[test]
     fn run_trie_uses_global_variable_order() {
@@ -191,7 +195,7 @@ mod tests {
             vec![(2, 30)],
         ));
         let q = JoinQuery::triangle("R", "S", "T");
-        let run = RunTrie::build(&q, &catalog, 2).unwrap();
+        let run = RunTrie::build(&q, &RelationView::new(&catalog), 2).unwrap();
         // Levels are (X, Z): X ∈ {1, 2}.
         assert_eq!(run.levels.len(), 2);
         let root = run.root();
@@ -227,7 +231,7 @@ mod tests {
             vec![lpb_core::Atom::new("A", &["P", "Q", "R"])],
         )
         .unwrap();
-        let run = RunTrie::build(&q, &catalog, 0).unwrap();
+        let run = RunTrie::build(&q, &RelationView::new(&catalog), 0).unwrap();
         assert_eq!(run.levels.len(), 3);
 
         fn check(rows: &[Vec<u64>], prefix: &mut Vec<u64>, run: &RunTrie, node: RunRange) {
@@ -271,7 +275,7 @@ mod tests {
             vec![(2, 3)],
         ));
         let q = JoinQuery::triangle("R", "S", "E");
-        let run = RunTrie::build(&q, &catalog, 2).unwrap();
+        let run = RunTrie::build(&q, &RelationView::new(&catalog), 2).unwrap();
         assert!(run.keys(run.root()).is_empty());
         assert!(run.seek(run.root(), 0).is_none());
     }

@@ -9,7 +9,7 @@
 //! yields the runtime of Theorem 2.6 for the binary-relation queries we
 //! exercise.
 
-use crate::columns::ColumnTable;
+use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
 use crate::trie::{RunRange, RunTrie};
 use lpb_core::JoinQuery;
@@ -103,10 +103,14 @@ fn recurse_runs<T: Borrow<RunTrie>, F: FnMut(&[u64])>(
     }
 }
 
-/// Build the CSR run tries for every atom of the query from the catalog.
-fn build_run_tries(query: &JoinQuery, catalog: &Catalog) -> Result<Vec<RunTrie>, ExecError> {
+/// Build the CSR run tries for every atom of the query, reading relations
+/// through `view`.
+pub(crate) fn build_run_tries(
+    query: &JoinQuery,
+    view: &RelationView<'_>,
+) -> Result<Vec<RunTrie>, ExecError> {
     (0..query.n_atoms())
-        .map(|j| RunTrie::build(query, catalog, j))
+        .map(|j| RunTrie::build(query, view, j))
         .collect()
 }
 
@@ -120,7 +124,8 @@ pub(crate) fn wcoj_count_runs<T: Borrow<RunTrie>>(query: &JoinQuery, tries: &[T]
 
 /// Count the output size with the generic join.
 pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecError> {
-    Ok(wcoj_count_runs(query, &build_run_tries(query, catalog)?))
+    let tries = build_run_tries(query, &RelationView::new(catalog))?;
+    Ok(wcoj_count_runs(query, &tries))
 }
 
 /// Materialize the output with the generic join, directly into columnar
@@ -129,9 +134,9 @@ pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecErro
 /// variable-wise — no per-tuple `Vec` allocation.
 pub(crate) fn wcoj_materialize_columns(
     query: &JoinQuery,
-    catalog: &Catalog,
+    view: &RelationView<'_>,
 ) -> Result<ColumnTable, ExecError> {
-    let tries = build_run_tries(query, catalog)?;
+    let tries = build_run_tries(query, view)?;
     let vars: Vec<String> = (0..query.n_vars())
         .map(|i| query.registry().name(i).to_string())
         .collect();
@@ -205,7 +210,7 @@ mod tests {
             JoinQuery::path(&["R", "S", "T"]),
             JoinQuery::cycle(&["R", "S", "T", "R"]),
         ] {
-            let out = wcoj_materialize_columns(&q, &catalog).unwrap();
+            let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
             assert_eq!(out.vars(), q.registry().names(), "query {}", q.name());
             // The oracle's sorted rows in registry order are exactly the
             // leapfrog emission order: same rows *in the same order*.
@@ -224,7 +229,7 @@ mod tests {
     fn materialized_output_matches_count_and_has_global_column_order() {
         let catalog = clique_catalog(4);
         let q = JoinQuery::triangle("E", "E", "E");
-        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
+        let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
         assert_eq!(out.len() as u128, wcoj_count(&q, &catalog).unwrap());
         assert_eq!(
             out.vars(),
@@ -257,7 +262,7 @@ mod tests {
             catalog.insert(b.build());
         }
         let q = JoinQuery::loomis_whitney_4("A", "B", "C", "D");
-        let out = wcoj_materialize_columns(&q, &catalog).unwrap();
+        let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
         let truth = nested_loop_join(&q, &catalog, out.vars()).unwrap();
         assert_eq!(rows_in_order(&out), truth);
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), truth.len() as u128);
@@ -275,6 +280,8 @@ mod tests {
         catalog.insert(RelationBuilder::new("S", ["a", "b"]).unwrap().build());
         let q = JoinQuery::single_join("R", "S");
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), 0);
-        assert!(wcoj_materialize_columns(&q, &catalog).unwrap().is_empty());
+        assert!(wcoj_materialize_columns(&q, &RelationView::new(&catalog))
+            .unwrap()
+            .is_empty());
     }
 }

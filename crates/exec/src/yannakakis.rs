@@ -6,7 +6,7 @@
 //! the JOB-like acyclic suite (Figure 1), whose outputs are far too large to
 //! materialize.
 
-use crate::columns::ColumnTable;
+use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
 use crate::hash_join::semi_join_columns;
 use lpb_core::JoinQuery;
@@ -201,7 +201,7 @@ fn separator_positions(
 /// on each pass result.
 pub(crate) fn full_reducer_columns(
     query: &JoinQuery,
-    catalog: &Catalog,
+    view: &RelationView<'_>,
     counters: &mut crate::counters::IntermediateCounters,
     scan_bounds: &[Option<f64>],
 ) -> Result<Vec<ColumnTable>, ExecError> {
@@ -211,7 +211,7 @@ pub(crate) fn full_reducer_columns(
         });
     };
     let mut rels: Vec<ColumnTable> = (0..query.n_atoms())
-        .map(|j| ColumnTable::from_atom(query, catalog, j))
+        .map(|j| ColumnTable::bind(query, view, j))
         .collect::<Result<_, _>>()?;
     let pass = |rels: &mut Vec<ColumnTable>,
                 target: usize,
@@ -368,8 +368,13 @@ mod tests {
             vec![(10, 100), (40, 400)],
         ));
         let q = JoinQuery::single_join("R", "S");
-        let reduced =
-            full_reducer_columns(&q, &catalog, &mut IntermediateCounters::new(), &[]).unwrap();
+        let reduced = full_reducer_columns(
+            &q,
+            &RelationView::new(&catalog),
+            &mut IntermediateCounters::new(),
+            &[],
+        )
+        .unwrap();
         // Only R(1,10) and S(10,100) survive.
         assert_eq!(reduced[0].sorted_rows(), vec![vec![1, 10]]);
         assert_eq!(reduced[1].sorted_rows(), vec![vec![10, 100]]);
@@ -401,7 +406,8 @@ mod tests {
         let q = JoinQuery::path(&["R", "S", "T"]);
         let bounds = vec![Some(10.0), Some(10.0), Some(10.0)];
         let mut counters = IntermediateCounters::new();
-        let reduced = full_reducer_columns(&q, &catalog, &mut counters, &bounds).unwrap();
+        let reduced =
+            full_reducer_columns(&q, &RelationView::new(&catalog), &mut counters, &bounds).unwrap();
         // A fully reduced atom holds exactly the projection of the join
         // output onto its variables.
         let names = q.registry().names();

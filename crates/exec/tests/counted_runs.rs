@@ -13,15 +13,18 @@
 //! materializing run of the same plan writes (on the JOB-like serving
 //! shapes, the widest step's column; see there why).
 //!
-//! Two more contracts of the executor live here.  The recording of one
+//! More contracts of the executor live here.  The recording of one
 //! hand-built plan per root kind is pinned step by step (labels, sizes,
-//! certificates, tallies) in `GOLDEN`, materialized and counted.  And the
-//! same allocator keeps a per-thread high-water mark of live bytes, which
-//! shows that a materializing chain drops each intermediate once the next
-//! step has consumed it.
+//! certificates, tallies) in `GOLDEN`, materialized and counted, and so is
+//! a partitioned union nested in a partition branch (`NESTED`).  The same
+//! allocator keeps a per-thread high-water mark of live bytes, which shows
+//! that a materializing chain drops each intermediate once the next step
+//! has consumed it, and a per-thread total of bytes requested, which shows
+//! that a partition branch binds its part without copying the catalog's
+//! statistics.
 
 use lpb_core::{Atom, JoinQuery};
-use lpb_data::{Catalog, RelationBuilder};
+use lpb_data::{Catalog, Norm, RelationBuilder, StatsKey};
 use lpb_exec::oracle::nested_loop_join;
 use lpb_exec::{
     count_physical, execute_physical_mode, ExecMode, IntermediateCounters, Optimizer,
@@ -32,8 +35,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-/// The system allocator, recording the calling thread's largest block and
-/// the high-water mark of the bytes it holds.
+/// The system allocator, recording the calling thread's largest block, the
+/// high-water mark of the bytes it holds and the bytes it requested.
 struct PeakProbe;
 
 thread_local! {
@@ -46,10 +49,14 @@ thread_local! {
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
     /// The largest value [`LIVE_BYTES`] took since [`reset_live_peak`].
     static PEAK_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    /// Bytes requested on this thread: every block's size, and a grown or
+    /// shrunk block's new size.
+    static REQUESTED_BYTES: Cell<usize> = const { Cell::new(0) };
 }
 
 fn note(bytes: usize) {
     let _ = LARGEST_BLOCK.try_with(|largest| largest.set(largest.get().max(bytes)));
+    let _ = REQUESTED_BYTES.try_with(|requested| requested.set(requested.get() + bytes));
 }
 
 /// Add `delta` bytes to this thread's live count and raise its high-water
@@ -697,4 +704,160 @@ fn a_materializing_chain_releases_consumed_intermediates() {
         usize::try_from(peak).unwrap() < held_at_once,
         "the chain peaked at {peak} live bytes, its intermediates' columns sum to {held_at_once}"
     );
+}
+
+/// A counted partitioned union binds each branch's part without copying
+/// its catalog: the run requests the same bytes whether the catalog caches
+/// no statistic or 5 000 of them, and it leaves the cache as it found it.
+#[test]
+fn a_partition_branch_copies_no_cached_statistic() {
+    let (name, query, plan) = golden_shapes().pop().unwrap();
+    assert_eq!(name, "partitioned-union");
+    let catalog = catalog(2, 4);
+    let requested = |catalog: &Catalog| {
+        let before = REQUESTED_BYTES.with(Cell::get);
+        let counted = count_physical(&query, catalog, &plan).unwrap();
+        let requested = REQUESTED_BYTES.with(Cell::get) - before;
+        assert_eq!(counted.output_size, 32);
+        requested
+    };
+    let bare = requested(&catalog);
+    assert_eq!(catalog.cached_stats(), 0);
+    for i in 0..5000 {
+        let key = StatsKey::new("S", &["z"], &["y"], Norm::Finite(1.0 + f64::from(i)));
+        assert!(catalog.record_statistic(key, 1.0, false));
+    }
+    let warm = requested(&catalog);
+    assert_eq!(catalog.cached_stats(), 5000);
+    assert_eq!(warm, bare, "bytes requested with 5 000 cached statistics");
+}
+
+/// R split by the parity of `x`; the even part's plan splits T again, by
+/// `z < 8`, so the innermost branches bind T's parts over a view that binds
+/// R's.
+fn nested_union(catalog: &Catalog) -> PhysicalPlan {
+    let [r_even, r_odd] = halves(
+        &catalog.get("R").unwrap(),
+        0,
+        |x| x % 2 == 0,
+        ["even", "odd"],
+    );
+    let [t_low, t_high] = halves(&catalog.get("T").unwrap(), 0, |z| z < 8, ["low", "high"]);
+    let chain = |bounds: [f64; 3]| {
+        PhysicalPlan::from_root(PhysicalNode::HashChain {
+            input: Box::new(PhysicalNode::Scan {
+                atom: 0,
+                log2_bound: Some(bounds[0]),
+            }),
+            atoms: vec![1, 2],
+            step_bounds: vec![Some(bounds[1]), Some(bounds[2])],
+        })
+    };
+    let inner = PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+        atom: 2,
+        parts: vec![
+            PartitionBranch {
+                relation: t_low,
+                plan: PhysicalPlan::from_root(PhysicalNode::Reduced {
+                    atoms: vec![2, 1, 0],
+                    scan_bounds: vec![Some(3.0), Some(4.0), Some(3.0)],
+                    step_bounds: vec![None, Some(3.0), Some(4.0)],
+                }),
+                log2_bound: Some(4.0),
+            },
+            PartitionBranch {
+                relation: t_high,
+                plan: chain([3.0, 4.0, 2.5]),
+                log2_bound: Some(3.0),
+            },
+        ],
+        log2_bound: Some(4.0),
+    });
+    PhysicalPlan::from_root(PhysicalNode::PartitionedUnion {
+        atom: 0,
+        parts: vec![
+            PartitionBranch {
+                relation: r_even,
+                plan: inner,
+                log2_bound: Some(4.0),
+            },
+            PartitionBranch {
+                relation: r_odd,
+                plan: chain([3.0, 4.0, 3.5]),
+                log2_bound: Some(3.5),
+            },
+        ],
+        log2_bound: Some(5.0),
+    })
+}
+
+/// The recording of [`nested_union`], materialized or counted.
+const NESTED: Golden = Golden {
+    steps: &[
+        ("[R#even] [T#low] ⋉ S", 8, Some(4.0)),
+        ("[R#even] [T#low] ⋉ R#even", 8, Some(3.0)),
+        ("[R#even] [T#low] ⋉ S", 4, Some(4.0)),
+        ("[R#even] [T#low] ⋉ T#low", 4, Some(3.0)),
+        ("[R#even] [T#low] reduce T#low", 4, Some(3.0)),
+        ("[R#even] [T#low] reduce S", 4, Some(4.0)),
+        ("[R#even] [T#low] ⋈ S", 4, Some(3.0)),
+        ("[R#even] [T#low] reduce R#even", 8, Some(3.0)),
+        ("[R#even] [T#low] ⋈ R#even", 8, Some(4.0)),
+        ("[R#even] [T#low] output T#low", 8, Some(4.0)),
+        ("[R#even] [T#high] scan R#even", 8, Some(3.0)),
+        ("[R#even] [T#high] ⋈ S", 16, Some(4.0)),
+        ("[R#even] [T#high] ⋈ T#high", 8, Some(2.5)),
+        ("[R#even] [T#high] output T#high", 8, Some(3.0)),
+        ("[R#even] ∪ partitioned", 16, Some(4.0)),
+        ("[R#even] output R#even", 16, Some(4.0)),
+        ("[R#odd] scan R#odd", 8, Some(3.0)),
+        ("[R#odd] ⋈ S", 16, Some(4.0)),
+        ("[R#odd] ⋈ T", 16, Some(3.5)),
+        ("[R#odd] output R#odd", 16, Some(3.5)),
+        ("∪ partitioned", 32, Some(5.0)),
+    ],
+    certificates_checked: 21,
+    certificate_violations: 3,
+    parts_planned: 4,
+    part_peaks: &[16, 8, 16, 16],
+};
+
+/// A partitioned union inside a partition branch: the inner branches read
+/// the outer branch's part through their parent's binding.  Materialized
+/// and counted, it returns the nested-loop oracle's rows and records the
+/// golden steps.
+#[test]
+fn a_nested_partitioned_union_matches_the_oracle() {
+    let catalog = catalog(2, 4);
+    let query = JoinQuery::path(&["R", "S", "T"]);
+    let plan = nested_union(&catalog);
+    let run = execute_physical_mode(&query, &catalog, &plan, ExecMode::Vectorized).unwrap();
+    let truth = nested_loop_join(&query, &catalog, run.output.vars()).unwrap();
+    assert_eq!(run.output.sorted_rows(), truth);
+    let counted = count_physical(&query, &catalog, &plan).unwrap();
+    assert_eq!(counted.output_size, truth.len());
+    assert_golden("nested (materialized)", &run.counters, &NESTED);
+    assert_golden("nested (counted)", &counted.counters, &NESTED);
+}
+
+/// Split `relation` into two parts named `{name}#{tags[0]}` and
+/// `{name}#{tags[1]}`: the rows whose `column` passes `first`, and the rest.
+fn halves(
+    relation: &lpb_data::Relation,
+    column: usize,
+    first: impl Fn(u64) -> bool,
+    tags: [&str; 2],
+) -> [Arc<lpb_data::Relation>; 2] {
+    let mut builders = tags.map(|tag| {
+        RelationBuilder::new(
+            format!("{}#{tag}", relation.name()),
+            relation.schema().attrs().to_vec(),
+        )
+        .unwrap()
+    });
+    for row in relation.rows() {
+        let side = usize::from(!first(row[column]));
+        builders[side].push_codes(&row).unwrap();
+    }
+    builders.map(|b| Arc::new(b.build()))
 }

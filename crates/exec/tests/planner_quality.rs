@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use lpb_exec::{
     execute_physical_mode, true_cardinality, ColumnRun, ExecMode, JoinPlan, LogicalPlan, Optimizer,
-    PhysicalPlan, PlannerConfig,
+    PhysicalPlan, PlanCache, PlannerConfig,
 };
 
 fn exec(query: &JoinQuery, catalog: &Catalog, plan: &PhysicalPlan) -> ColumnRun {
@@ -506,4 +506,32 @@ fn every_planner_bound_upper_bounds_the_true_subjoin_size() {
             );
         }
     }
+}
+
+/// A same-epoch derived catalog — what the partition search plans each part
+/// on — carries its base's statistics, so it hits the plan the base cached.
+#[test]
+fn a_same_epoch_derived_view_hits_the_plan_cache() {
+    let mut base = Catalog::new();
+    base.insert(RelationBuilder::binary_from_pairs(
+        "E",
+        "a",
+        "b",
+        (0..40u64).flat_map(|i| [(i % 8, (i + 1) % 8), ((i + 3) % 8, i % 8)]),
+    ));
+    let cache = PlanCache::default();
+    let optimizer = Optimizer::new();
+    let q = JoinQuery::triangle("E", "E", "E");
+    let (_, flight) = cache
+        .get_or_plan(&q, &base, || optimizer.plan(&q, &base))
+        .unwrap();
+    assert_eq!(flight, 1, "the first probe plans");
+    let view = base.derive_with(RelationBuilder::binary_from_pairs(
+        "F",
+        "a",
+        "b",
+        vec![(1, 1)],
+    ));
+    assert_eq!(view.epoch(), base.epoch());
+    assert!(cache.get(&q, &view).is_some(), "a same-epoch view misses");
 }
