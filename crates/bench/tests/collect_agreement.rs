@@ -1,14 +1,17 @@
-//! Differential test of the statistics harvest: a sub-join's statistics
-//! assembled from one per-atom pass over the parent query
-//! ([`AtomStatistics`]) against the per-sub-query collector the product ran
-//! before — one catalog walk per sub-join, on the sub-join's own variable
-//! numbering — kept here verbatim as the reference, since the public
+//! Differential test of the statistics harvest: a sub-join assembled
+//! straight from its atom list out of one per-atom pass over the parent
+//! query ([`AtomStatistics::subjoin`]) against the reference — the
+//! [`JoinQuery::subquery`] over the same list, and on it the per-sub-query
+//! collector the product ran before, one catalog walk per sub-join on the
+//! sub-join's own variable numbering, kept here verbatim since the public
 //! [`collect_simple_statistics`] now runs through the per-atom code too.
-//! Same statistics, same order, same bits.
+//! Same variable count, same variable set per atom, same statistics in the
+//! same order with the same bits, and the same error for a list that
+//! cannot be assembled.
 
 use lpb_core::{
     collect_simple_statistics, Atom, AtomStatistics, CollectConfig, ConcreteStatistic, CoreError,
-    JoinQuery, StatisticsSet,
+    JoinQuery, StatisticsSet, SubJoin,
 };
 use lpb_data::{Catalog, Norm, RelationBuilder};
 use lpb_datagen::{job_like_catalog, job_like_queries, planner_workloads, JobLikeConfig};
@@ -120,23 +123,38 @@ fn configs() -> [CollectConfig; 2] {
     })
 }
 
+/// The reference for one atom list: the sub-query's variable count and
+/// per-atom variable sets, and the old collector's statistics on it.
+fn reference_subjoin(
+    query: &JoinQuery,
+    catalog: &Catalog,
+    atoms: &[usize],
+    config: &CollectConfig,
+) -> Result<SubJoin, CoreError> {
+    let sub = query.subquery(atoms)?;
+    Ok(SubJoin {
+        n_vars: sub.n_vars(),
+        atom_vars: (0..sub.n_atoms()).map(|i| sub.atom_vars(i)).collect(),
+        stats: reference_collect(&sub, catalog, config)?,
+    })
+}
+
 /// Assembled and reference results of one sub-join are the same value —
-/// errors included — and, when they are statistics, the same bits.
+/// errors included, variant and message — and, when they are sub-joins,
+/// their statistics carry the same bits.
 fn assert_same(
-    assembled: Result<(JoinQuery, StatisticsSet), CoreError>,
+    harvested: &AtomStatistics,
     query: &JoinQuery,
     catalog: &Catalog,
     atoms: &[usize],
     config: &CollectConfig,
     what: &str,
 ) {
-    let expected = query.subquery(atoms).and_then(|sub| {
-        let stats = reference_collect(&sub, catalog, config)?;
-        Ok((sub, stats))
-    });
+    let assembled = harvested.subjoin(atoms);
+    let expected = reference_subjoin(query, catalog, atoms, config);
     assert_eq!(assembled, expected, "{what}, atoms {atoms:?}");
-    if let (Ok((_, got)), Ok((_, want))) = (&assembled, &expected) {
-        for (g, w) in got.iter().zip(want.iter()) {
+    if let (Ok(got), Ok(want)) = (&assembled, &expected) {
+        for (g, w) in got.stats.iter().zip(want.stats.iter()) {
             assert_eq!(g.log_bound.to_bits(), w.log_bound.to_bits(), "{what}: {g}");
         }
     }
@@ -172,14 +190,7 @@ fn assembled_statistics_equal_the_per_subquery_collector_on_the_planner_corpus()
                 let atoms: Vec<usize> = (0..query.n_atoms())
                     .filter(|&j| mask >> j & 1 == 1)
                     .collect();
-                assert_same(
-                    harvested.subquery(&atoms),
-                    query,
-                    catalog,
-                    &atoms,
-                    config,
-                    name,
-                );
+                assert_same(&harvested, query, catalog, &atoms, config, name);
                 compared += 1;
             }
             assert_eq!(
@@ -214,7 +225,7 @@ fn unreadable_atoms_fail_exactly_the_subjoins_that_contain_them() {
         ],
     )
     .unwrap();
-    let lists: [&[usize]; 8] = [
+    let lists: [&[usize]; 10] = [
         &[0],
         &[0, 3],
         &[3, 0],
@@ -223,28 +234,32 @@ fn unreadable_atoms_fail_exactly_the_subjoins_that_contain_them() {
         &[1, 2],
         &[0, 7],
         &[0, 0],
+        &[],
+        &[1, 1],
     ];
     for config in &configs() {
         let harvested = AtomStatistics::collect(&query, &catalog, config);
         for atoms in lists {
-            assert_same(
-                harvested.subquery(atoms),
-                &query,
-                &catalog,
-                atoms,
-                config,
-                "broken",
-            );
+            assert_same(&harvested, &query, &catalog, atoms, config, "broken");
         }
-        assert!(harvested.subquery(&[0, 3]).is_ok());
+        assert!(harvested.subjoin(&[0, 3]).is_ok());
+        // The first listed atom that cannot be read decides the error.
         assert!(matches!(
-            harvested.subquery(&[2, 1, 0]),
+            harvested.subjoin(&[2, 1, 0]),
             Err(CoreError::AtomArityMismatch { .. })
         ));
         assert!(matches!(
-            harvested.subquery(&[1, 2]),
+            harvested.subjoin(&[1, 2]),
             Err(CoreError::Data(_))
         ));
+        // A list the sub-query rejects fails before any atom is read, even
+        // one naming an unreadable atom.
+        for bad in [&[0, 7][..], &[0, 0], &[], &[1, 1]] {
+            assert!(matches!(
+                harvested.subjoin(bad),
+                Err(CoreError::InvalidQuery { .. })
+            ));
+        }
     }
 }
 
@@ -303,7 +318,7 @@ proptest! {
                 if pick >> 32 & 1 == 1 {
                     list.reverse();
                 }
-                assert_same(harvested.subquery(&list), &query, &catalog, &list, config, "random");
+                assert_same(&harvested, &query, &catalog, &list, config, "random");
             }
             prop_assert_eq!(
                 collect_simple_statistics(&query, &catalog, config),

@@ -23,8 +23,11 @@
 //! [`BatchEstimator::bound_subqueries`] is the planner entry point: the
 //! statistics of the query are read from the catalog once per atom
 //! ([`AtomStatistics`]), and then each sub-join of the DP enumeration in
-//! turn is assembled from them, bounded and dropped — at no point do the
-//! sub-queries of an enumeration exist side by side.
+//! turn is assembled from them straight from its atom list — its variable
+//! count, its atoms' variable sets and its statistics ([`SubJoin`]) — and
+//! bounded and dropped.  No [`JoinQuery`] is built for a sub-join (no
+//! cloned atom names, no variable registry), and at no point do the
+//! sub-joins of an enumeration exist side by side.
 //! [`BatchEstimator::estimate`] bounds items a caller already holds.
 //!
 //! ```
@@ -52,8 +55,8 @@
 //! }
 //! ```
 
-use crate::bound_lp::{compute_bound, BoundResult, Cone};
-use crate::collect::{AtomStatistics, CollectConfig};
+use crate::bound_lp::{bound_over, compute_bound, BoundResult, Cone};
+use crate::collect::{AtomStatistics, CollectConfig, SubJoin};
 use crate::error::CoreError;
 use crate::query::JoinQuery;
 use crate::statistics::StatisticsSet;
@@ -142,10 +145,20 @@ impl BatchEstimator {
         compute_bound(query, stats, cone)
     }
 
+    /// One LP: a sub-join bounded on the forced or automatic cone, by the
+    /// routine behind [`compute_bound`].
+    fn bound_subjoin(&self, sub: &SubJoin) -> Result<BoundResult, CoreError> {
+        self.lps_estimated.fetch_add(1, Ordering::Relaxed);
+        let cone = self
+            .cone
+            .unwrap_or_else(|| Cone::auto_for(sub.n_vars, &sub.stats));
+        bound_over(sub.n_vars, &sub.atom_vars, &sub.stats, cone, None)
+    }
+
     /// Bound every sub-join of a plan enumeration: harvest the query's
     /// per-atom statistics with `config` once, then for each atom subset in
-    /// turn build the [`JoinQuery::subquery`] with its share of them and
-    /// bound it.
+    /// turn assemble its [`SubJoin`] from them
+    /// ([`AtomStatistics::subjoin`]) and bound it.
     ///
     /// This is the optimizer entry point: a dynamic-programming join-order
     /// enumeration asks for bounds on *every* connected sub-join at once.
@@ -162,10 +175,7 @@ impl BatchEstimator {
         let harvested = AtomStatistics::collect(query, catalog, config);
         subsets
             .iter()
-            .map(|atoms| {
-                let (sub, stats) = harvested.subquery(atoms)?;
-                self.bound(&sub, &stats)
-            })
+            .map(|atoms| self.bound_subjoin(&harvested.subjoin(atoms)?))
             .collect()
     }
 

@@ -6,7 +6,7 @@ use crate::query::JoinQuery;
 use crate::skeleton::{normal_step_coefficient, BoundLpSkeleton, StepColumnPricer};
 use crate::statistics::StatisticsSet;
 use lpb_data::Norm;
-use lpb_entropy::VarSet;
+use lpb_entropy::{VarRegistry, VarSet};
 use lpb_lp::{CoveringLp, CoveringStatus, Problem, Sense, Solution, SolverStats, Status};
 
 /// Maximum number of query variables supported by the polymatroid (Γₙ)
@@ -82,7 +82,12 @@ impl Cone {
     /// [`NORMAL_VAR_LIMIT`] — still fail in [`compute_bound`] with
     /// [`CoreError::TooManyVariables`]; no cone choice can rescue those.
     pub fn auto(query: &JoinQuery, stats: &StatisticsSet) -> Cone {
-        if !stats.is_simple() || query.n_vars() <= POLYMATROID_VAR_LIMIT {
+        Cone::auto_for(query.n_vars(), stats)
+    }
+
+    /// [`Cone::auto`] for a query of `n_vars` variables.
+    pub(crate) fn auto_for(n_vars: usize, stats: &StatisticsSet) -> Cone {
+        if !stats.is_simple() || n_vars <= POLYMATROID_VAR_LIMIT {
             Cone::Polymatroid
         } else {
             Cone::Normal
@@ -183,8 +188,29 @@ pub fn compute_bound(
     stats: &StatisticsSet,
     cone: Cone,
 ) -> Result<BoundResult, CoreError> {
-    validate_guards(query, stats)?;
-    let n = query.n_vars();
+    let atom_vars: Vec<VarSet> = (0..query.n_atoms()).map(|j| query.atom_vars(j)).collect();
+    bound_over(
+        query.n_vars(),
+        &atom_vars,
+        stats,
+        cone,
+        Some(query.registry()),
+    )
+}
+
+/// [`compute_bound`] on a query given by its variable count and the
+/// variable set of each atom — all the LP reads of a query — so a sub-join
+/// assembled from its atom list ([`crate::SubJoin`]) is bounded without
+/// building a [`JoinQuery`] for it.  `names` renders an unguarded
+/// statistic's variables in the error; without it they print as indices.
+pub(crate) fn bound_over(
+    n: usize,
+    atom_vars: &[VarSet],
+    stats: &StatisticsSet,
+    cone: Cone,
+    names: Option<&VarRegistry>,
+) -> Result<BoundResult, CoreError> {
+    validate_guards(atom_vars, stats, names)?;
     let sol = match cone {
         Cone::Normal => solve_normal(n, stats)?,
         Cone::Polymatroid | Cone::Modular => build_bound_problem(n, stats, cone)?.solve()?,
@@ -343,17 +369,22 @@ fn build_bound_problem(n: usize, stats: &StatisticsSet, cone: Cone) -> Result<Pr
     }
 }
 
-fn validate_guards(query: &JoinQuery, stats: &StatisticsSet) -> Result<(), CoreError> {
-    // Once per atom, not per statistic: `atom_vars` resolves names.
-    let atom_vars: Vec<VarSet> = (0..query.n_atoms()).map(|j| query.atom_vars(j)).collect();
+fn validate_guards(
+    atom_vars: &[VarSet],
+    stats: &StatisticsSet,
+    names: Option<&VarRegistry>,
+) -> Result<(), CoreError> {
     for s in stats.iter() {
-        let needed = s.stat.conditional.all_vars();
+        let conditional = &s.stat.conditional;
         let guarded = atom_vars
             .get(s.stat.guard_atom)
-            .is_some_and(|&vars| needed.is_subset_of(vars));
+            .is_some_and(|&vars| conditional.all_vars().is_subset_of(vars));
         if !guarded {
             return Err(CoreError::UnguardedStatistic {
-                conditional: s.stat.conditional.render(query.registry()),
+                conditional: names.map_or_else(
+                    || conditional.to_string(),
+                    |registry| conditional.render(registry),
+                ),
             });
         }
     }

@@ -13,7 +13,8 @@
 //!
 //! Every one of these is a statistic of a single atom, so the catalog is
 //! read once per atom ([`AtomStatistics`]) and the set of the query — or of
-//! any sub-join a planner wants bounded — is assembled from that.
+//! any sub-join a planner wants bounded ([`SubJoin`]) — is assembled from
+//! that.
 
 use crate::error::CoreError;
 use crate::query::JoinQuery;
@@ -101,6 +102,24 @@ struct VarEntry {
     degrees: Option<Vec<f64>>,
 }
 
+/// A sub-join of a query, assembled from its atom list: everything its
+/// bound LP reads, and no [`JoinQuery`].
+///
+/// The variables are numbered the way [`JoinQuery::subquery`] numbers them
+/// (in order of first appearance along the list), so `n_vars`, `atom_vars`
+/// and `stats` are that sub-query's `n_vars()`, `atom_vars(i)` and
+/// [`collect_simple_statistics`], bit for bit.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SubJoin {
+    /// The number of distinct variables of the sub-join.
+    pub n_vars: usize,
+    /// The variable set of each atom of the list, in list order.
+    pub atom_vars: Vec<VarSet>,
+    /// The sub-join's statistics, each guarded by its atom's position in
+    /// the list.
+    pub stats: StatisticsSet,
+}
+
 /// The simple statistics of every atom of one query, read from the catalog
 /// **once**, from which the statistics set of the query and of any of its
 /// sub-joins is assembled without going back to the catalog.
@@ -136,21 +155,20 @@ impl<'a> AtomStatistics<'a> {
         }
     }
 
-    /// The sub-join over `atoms` ([`JoinQuery::subquery`], whose errors
-    /// come first) together with its statistics: what
-    /// [`collect_simple_statistics`] returns on that sub-query, statistic
-    /// for statistic and bit for bit.
-    pub fn subquery(&self, atoms: &[usize]) -> Result<(JoinQuery, StatisticsSet), CoreError> {
-        let sub = self.query.subquery(atoms)?;
-        let stats = self.assemble(atoms)?;
-        Ok((sub, stats))
+    /// The sub-join over `atoms`, straight from the per-atom statistics.  A
+    /// list [`JoinQuery::subquery`] rejects (an index out of range or
+    /// repeated, no atom) fails with its error; otherwise the first listed
+    /// atom whose relation could not be read fails it.
+    pub fn subjoin(&self, atoms: &[usize]) -> Result<SubJoin, CoreError> {
+        self.query.check_atom_list(atoms)?;
+        self.assemble(atoms)
     }
 
-    /// The statistics of the sub-join over `atoms` (distinct, in range), in
-    /// the order of the module docs on the sub-join's own numbering: atoms
-    /// as listed; per atom its cardinality, then per variable in ascending
-    /// *sub-join* index its distinct count and degree norms.
-    fn assemble(&self, atoms: &[usize]) -> Result<StatisticsSet, CoreError> {
+    /// The sub-join over `atoms` (distinct, in range); its statistics come
+    /// in the order of the module docs on the sub-join's own numbering:
+    /// atoms as listed; per atom its cardinality, then per variable in
+    /// ascending *sub-join* index its distinct count and degree norms.
+    fn assemble(&self, atoms: &[usize]) -> Result<SubJoin, CoreError> {
         // Sub-join index of each query variable, assigned in order of first
         // appearance as `JoinQuery::new` interns them, and the number of
         // selected atoms it occurs in.
@@ -171,13 +189,15 @@ impl<'a> AtomStatistics<'a> {
         let index_of = |var: usize| renumbered[var].expect("every selected atom was renumbered");
 
         let mut stats = Vec::new();
+        let mut atom_vars = Vec::with_capacity(atoms.len());
         let mut by_index: Vec<(usize, &VarEntry)> = Vec::new();
         for (guard, &j) in atoms.iter().enumerate() {
             let entry = self.atoms[j].as_ref().expect("errors returned above");
-            let atom_vars = VarSet::from_indices(entry.vars.iter().map(|v| index_of(v.var)));
+            let vars = VarSet::from_indices(entry.vars.iter().map(|v| index_of(v.var)));
+            atom_vars.push(vars);
             if let Some(b) = entry.cardinality {
                 stats.push(ConcreteStatistic::new(
-                    Conditional::new(atom_vars, VarSet::EMPTY),
+                    Conditional::new(vars, VarSet::EMPTY),
                     Norm::L1,
                     guard,
                     b,
@@ -202,7 +222,7 @@ impl<'a> AtomStatistics<'a> {
                 if self.config.join_vars_only && occurrences[x] < 2 {
                     continue;
                 }
-                let rest = atom_vars.minus(x_set);
+                let rest = vars.minus(x_set);
                 for (&norm, &b) in self.config.norms.iter().zip(degrees) {
                     stats.push(ConcreteStatistic::new(
                         Conditional::new(rest, x_set),
@@ -213,7 +233,11 @@ impl<'a> AtomStatistics<'a> {
                 }
             }
         }
-        Ok(StatisticsSet::from_vec(stats))
+        Ok(SubJoin {
+            n_vars: next,
+            atom_vars,
+            stats: StatisticsSet::from_vec(stats),
+        })
     }
 }
 
@@ -301,7 +325,9 @@ pub fn collect_simple_statistics(
     config: &CollectConfig,
 ) -> Result<StatisticsSet, CoreError> {
     let every_atom: Vec<usize> = (0..query.n_atoms()).collect();
-    AtomStatistics::collect(query, catalog, config).assemble(&every_atom)
+    Ok(AtomStatistics::collect(query, catalog, config)
+        .assemble(&every_atom)?
+        .stats)
 }
 
 #[cfg(test)]

@@ -86,7 +86,7 @@ pub use batch::{BatchEstimator, BatchItem};
 pub use bound_lp::{
     compute_bound, BoundResult, BoundStatus, Cone, Witness, NORMAL_VAR_LIMIT, POLYMATROID_VAR_LIMIT,
 };
-pub use collect::{collect_simple_statistics, AtomStatistics, CollectConfig};
+pub use collect::{collect_simple_statistics, AtomStatistics, CollectConfig, SubJoin};
 pub use error::CoreError;
 pub use query::{Atom, JoinQuery};
 pub use skeleton::BoundLpSkeleton;

@@ -151,8 +151,16 @@ impl JoinQuery {
     /// preserved, so results join back against the parent query's
     /// intermediates; bit positions are re-interned per subquery.
     pub fn subquery(&self, atoms: &[usize]) -> Result<JoinQuery, CoreError> {
+        self.check_atom_list(atoms)?;
+        let selected = atoms.iter().map(|&j| self.atoms[j].clone()).collect();
+        let indices: Vec<String> = atoms.iter().map(|j| j.to_string()).collect();
+        JoinQuery::new(format!("{}[{}]", self.name, indices.join(",")), selected)
+    }
+
+    /// The errors [`subquery`](Self::subquery) reports for an atom list: an
+    /// index out of range or repeated, or no atom at all.
+    pub(crate) fn check_atom_list(&self, atoms: &[usize]) -> Result<(), CoreError> {
         let mut seen = vec![false; self.atoms.len()];
-        let mut selected = Vec::with_capacity(atoms.len());
         for &j in atoms {
             if j >= self.atoms.len() || seen[j] {
                 return Err(CoreError::InvalidQuery {
@@ -163,10 +171,13 @@ impl JoinQuery {
                 });
             }
             seen[j] = true;
-            selected.push(self.atoms[j].clone());
         }
-        let indices: Vec<String> = atoms.iter().map(|j| j.to_string()).collect();
-        JoinQuery::new(format!("{}[{}]", self.name, indices.join(",")), selected)
+        if atoms.is_empty() {
+            return Err(CoreError::InvalidQuery {
+                reason: "a join query needs at least one atom".into(),
+            });
+        }
+        Ok(())
     }
 
     /// The same query with atom `atom`'s relation name replaced — the query

@@ -109,24 +109,32 @@ impl LogicalPlan {
     /// Every connected atom subset, as bitmasks in ascending order.  This is
     /// the sub-join lattice a dynamic-programming join-order enumeration
     /// walks; exponential in the worst case, so callers gate on
-    /// [`n_atoms`](Self::n_atoms).
+    /// [`n_atoms`](Self::n_atoms).  The walk marks what it finds in a dense
+    /// visited map over all `2^m` masks (64 KiB at the planner's 16-atom
+    /// limit), read in mask order for the result, so it panics past 32
+    /// atoms.
     pub fn connected_subsets(&self) -> Vec<u64> {
-        let mut found = std::collections::BTreeSet::new();
-        let mut frontier: Vec<u64> = (0..self.n_atoms()).map(|j| 1u64 << j).collect();
+        let m = self.n_atoms();
+        assert!(m <= 32, "connected_subsets marks all 2^{m} masks");
+        let mut found = vec![false; 1 << m];
+        let mut frontier: Vec<u64> = (0..m).map(|j| 1u64 << j).collect();
         for &mask in &frontier {
-            found.insert(mask);
+            found[mask as usize] = true;
         }
         while let Some(mask) = frontier.pop() {
             for j in self.atoms_of(mask) {
                 for &k in &self.adjacency[j] {
                     let grown = mask | (1 << k);
-                    if grown != mask && found.insert(grown) {
+                    if !found[grown as usize] {
+                        found[grown as usize] = true;
                         frontier.push(grown);
                     }
                 }
             }
         }
-        found.into_iter().collect()
+        (0..found.len() as u64)
+            .filter(|&mask| found[mask as usize])
+            .collect()
     }
 
     /// The GYO-irreducible **cyclic core** of the query: repeatedly remove

@@ -32,6 +32,15 @@
 //! up onto a fixed grid, so which plan wins depends on what the LPs bound
 //! and not on the last bits a particular solver left in them.
 //!
+//! The lattice is addressed by atom mask from the harvest to lowering.  The
+//! estimator bounds each sub-join from its atom list (its variable count,
+//! its atoms' variable sets and its statistics, [`lpb_core::SubJoin`]; no
+//! [`JoinQuery`] is built for it), and the bound table and both DP tables
+//! are vectors indexed by the mask, with `None` where no connected sub-join
+//! sits.  They hold `2^m` slots each, so the DP stops at 16 atoms
+//! ([`PlannerConfig::max_dp_atoms`]); the split loop above already visits
+//! every submask of every connected subset.
+//!
 //! Lowering picks a strategy per subtree:
 //!
 //! * bushy split strictly better than every left-deep strategy → a
@@ -85,7 +94,6 @@ use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use lpb_core::{BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
 use lpb_data::{Catalog, Norm, Relation};
 use lpb_lp::SolverStats;
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -98,6 +106,11 @@ pub struct PlannerConfig {
     pub max_norm: u32,
     /// Most atoms for which the full subset DP runs; larger queries fall
     /// back to the greedy-by-size order (the lattice grows exponentially).
+    /// Capped at 16 whatever the value: the DP's tables hold one slot per
+    /// atom mask, `2^m` of them (4 096 at the default 12 atoms, 65 536 at
+    /// 16), and past that the planner falls back to greedy, as
+    /// [`Optimizer::harvest`] and [`Optimizer::cost_order`] answer
+    /// [`ExecError::NotApplicable`].
     pub max_dp_atoms: usize,
     /// Consider bushy splits in the bottleneck DP (both halves ≥ 2 atoms;
     /// singleton splits are dominated by left-deep extension).  Off, the DP
@@ -122,6 +135,10 @@ pub struct PlannerConfig {
     /// bound.
     pub partition_skew_log2: f64,
 }
+
+/// The most atoms any configuration lets the DP enumerate: its tables are
+/// dense over the `2^m` atom masks (see [`PlannerConfig::max_dp_atoms`]).
+const DP_ATOM_LIMIT: usize = 16;
 
 impl Default for PlannerConfig {
     fn default() -> Self {
@@ -236,11 +253,17 @@ enum Choice {
     Split(u64),
 }
 
-/// Everything the bound batch produced, keyed for the DP.
+/// Everything the bound batch produced, addressed by atom mask for the DP.
+///
+/// `log2` has one slot per mask of the query's atoms (`2^m` slots, 4 096
+/// at the default 12-atom gate), so the DP, lowering and the partition
+/// search's reuse read a sub-join's bound by indexing, never by hashing.
 struct Bounds {
-    /// `log₂` bound (or pessimistic product fallback) per connected subset
-    /// mask, plus `log₂` scan size per singleton.
-    log2: HashMap<u64, f64>,
+    /// `log₂` bound (or pessimistic product fallback) of every connected
+    /// subset at index `mask`, and `log₂` scan size at each singleton's;
+    /// `None` at every mask that is not a connected sub-join (a
+    /// cross-product), which nothing bounded.
+    log2: Vec<Option<f64>>,
     /// `log₂` scan size per atom.
     scan_log2: Vec<f64>,
     /// The enumerated connected subsets, ascending (so every proper subset
@@ -312,6 +335,12 @@ impl Optimizer {
         &self.config
     }
 
+    /// The most atoms the DP enumerates: the configured gate, capped at
+    /// [`DP_ATOM_LIMIT`].
+    fn dp_atom_gate(&self) -> usize {
+        self.config.max_dp_atoms.min(DP_ATOM_LIMIT)
+    }
+
     /// Bound every connected sub-join of `query` in one batch and fold the
     /// results into the DP's lookup table.  Singletons cost
     /// their scan size; a multi-atom subset whose bound attempt fails costs
@@ -342,7 +371,7 @@ impl Optimizer {
     ///
     /// Unlike [`Optimizer::plan`], this costs *any* permutation of *any*
     /// query (connected or not) with at most
-    /// [`PlannerConfig::max_dp_atoms`] atoms.
+    /// [`PlannerConfig::max_dp_atoms`] atoms (and never more than 16).
     pub fn cost_order(
         &self,
         query: &JoinQuery,
@@ -350,7 +379,7 @@ impl Optimizer {
         order: &[usize],
     ) -> Result<f64, ExecError> {
         validate_atom_permutation(query.n_atoms(), order)?;
-        if query.n_atoms() > self.config.max_dp_atoms.min(63) {
+        if query.n_atoms() > self.dp_atom_gate() {
             return Err(ExecError::NotApplicable {
                 reason: format!(
                     "cost_order enumerates connected sub-joins; {} atoms exceeds max_dp_atoms",
@@ -368,7 +397,7 @@ impl Optimizer {
     /// many got a finite bound.
     pub fn harvest(&self, query: &JoinQuery, catalog: &Catalog) -> Result<usize, ExecError> {
         let m = query.n_atoms();
-        if m < 2 || m > self.config.max_dp_atoms.min(63) {
+        if m < 2 || m > self.dp_atom_gate() {
             return Err(ExecError::NotApplicable {
                 reason: format!("sub-join bound harvest needs 2..=max_dp_atoms atoms, got {m}"),
             });
@@ -390,10 +419,9 @@ impl Optimizer {
         let greedy = JoinPlan::greedy_by_size(query, catalog)?;
 
         // Greedy fallback without enumeration: single atoms, queries past
-        // the DP gate (including >64 atoms, beyond the subset-mask width),
-        // and — checked below once the join graph exists — disconnected
-        // queries.
-        if m == 1 || m > self.config.max_dp_atoms.min(63) {
+        // the DP gate (at most 16 atoms, whatever the configuration), and —
+        // checked below once the join graph exists — disconnected queries.
+        if m == 1 || m > self.dp_atom_gate() {
             return Ok(Self::fallback_plan(
                 &greedy,
                 m,
@@ -523,7 +551,7 @@ impl Optimizer {
     fn choose(&self, logical: &LogicalPlan, bounds: &Bounds) -> Chosen {
         let m = logical.n_atoms();
         let full: u64 = (1u64 << m) - 1;
-        let bound_log2 = &bounds.log2;
+        let bound_log2 = bounds.log2.as_slice();
         let scan_log2 = &bounds.scan_log2;
 
         // --- Bottleneck DP over the connected-subset lattice. ---
@@ -534,31 +562,34 @@ impl Optimizer {
         // subtree is connected (split branches both materialize, so a split
         // charges both halves; extension streams its probe atom and charges
         // only the joined result).
+        // Both tables are indexed by mask; an empty slot is a subset the
+        // DP has not proved (not connected, or not reached yet).
         let subsets = &bounds.subsets;
-        let mut best_ld: HashMap<u64, (Vec<f64>, usize)> = HashMap::new();
-        let mut best: HashMap<u64, (Vec<f64>, Choice)> = HashMap::new();
+        let mut best_ld: Vec<Option<(Vec<f64>, usize)>> = vec![None; bound_log2.len()];
+        let mut best: Vec<Option<(Vec<f64>, Choice)>> = vec![None; bound_log2.len()];
         for (j, &scan) in scan_log2.iter().enumerate() {
-            best_ld.insert(1u64 << j, (vec![scan], j));
-            best.insert(1u64 << j, (vec![scan], Choice::Leaf(j)));
+            best_ld[1 << j] = Some((vec![scan], j));
+            best[1 << j] = Some((vec![scan], Choice::Leaf(j)));
         }
         let mut candidate: Vec<f64> = Vec::with_capacity(m + 1);
         for &mask in subsets {
             if mask.count_ones() < 2 {
                 continue;
             }
-            let own = bound_log2[&mask];
+            let own = bound_log2[mask as usize].expect("every connected sub-join has a bound");
             let mut ld_choice: Option<(Vec<f64>, usize)> = None;
             let mut choice: Option<(Vec<f64>, Choice)> = None;
             for j in logical.atoms_of(mask) {
-                let rest = mask & !(1u64 << j);
-                let Some((rest_cost, _)) = best_ld.get(&rest) else {
+                let rest = (mask & !(1u64 << j)) as usize;
+                let (Some((rest_ld, _)), Some((rest_best, _))) = (&best_ld[rest], &best[rest])
+                else {
                     continue; // disconnected prefix
                 };
-                materialized(rest_cost, &[], own, &mut candidate);
+                materialized(rest_ld, &[], own, &mut candidate);
                 keep_smaller(&mut ld_choice, &mut candidate, j);
                 // The bushy table may have improved the rest through an
                 // inner split.
-                materialized(&best[&rest].0, &[], own, &mut candidate);
+                materialized(rest_best, &[], own, &mut candidate);
                 keep_smaller(&mut choice, &mut candidate, Choice::Extend(j));
             }
             if self.config.enable_bushy && mask.count_ones() >= 4 {
@@ -570,7 +601,9 @@ impl Optimizer {
                 while half != 0 {
                     let other = mask & !half;
                     if half < other && half.count_ones() >= 2 && other.count_ones() >= 2 {
-                        if let (Some((a, _)), Some((b, _))) = (best.get(&half), best.get(&other)) {
+                        if let (Some((a, _)), Some((b, _))) =
+                            (&best[half as usize], &best[other as usize])
+                        {
                             materialized(a, b, own, &mut candidate);
                             keep_smaller(&mut choice, &mut candidate, Choice::Split(half));
                         }
@@ -578,19 +611,16 @@ impl Optimizer {
                     half = (half - 1) & mask;
                 }
             }
-            if let Some(c) = ld_choice {
-                best_ld.insert(mask, c);
-            }
-            if let Some(c) = choice {
-                best.insert(mask, c);
-            }
+            best_ld[mask as usize] = ld_choice;
+            best[mask as usize] = choice;
         }
-        let chain_cost = best_ld[&full].0[0];
-        let bushy_cost = best[&full].0[0];
+        let proved = "a connected query's full set is proved";
+        let chain_cost = best_ld[full as usize].as_ref().expect(proved).0[0];
+        let bushy_cost = best[full as usize].as_ref().expect(proved).0[0];
         let mut dp_order = Vec::with_capacity(m);
         let mut mask = full;
         while mask != 0 {
-            let last = best_ld[&mask].1;
+            let last = best_ld[mask as usize].as_ref().expect(proved).1;
             dp_order.push(last);
             mask &= !(1u64 << last);
         }
@@ -649,7 +679,7 @@ impl Optimizer {
             }
         } else {
             let core_mask: u64 = core.iter().map(|&j| 1u64 << j).sum();
-            let core_bound = bound_log2.get(&core_mask).copied().unwrap_or(f64::INFINITY);
+            let core_bound = bound_log2[core_mask as usize].unwrap_or(f64::INFINITY);
             // Extend the core greedily by the smallest-bound connected
             // extension; the hybrid's bottleneck is the max along the way.
             let mut tail = Vec::new();
@@ -663,7 +693,7 @@ impl Optimizer {
                     if !logical.is_connected(grown) {
                         continue;
                     }
-                    let b = bound_log2.get(&grown).copied().unwrap_or(f64::INFINITY);
+                    let b = bound_log2[grown as usize].unwrap_or(f64::INFINITY);
                     if pick.is_none_or(|(c, _)| b < c) {
                         pick = Some((b, j));
                     }
@@ -682,7 +712,7 @@ impl Optimizer {
                 order.extend_from_slice(&tail);
                 let wcoj = PhysicalNode::Wcoj {
                     atoms: core,
-                    log2_bound: bound_log2.get(&core_mask).copied(),
+                    log2_bound: bound_log2[core_mask as usize],
                 };
                 let root = if tail.is_empty() {
                     wcoj
@@ -1010,7 +1040,7 @@ fn atom_lists(logical: &LogicalPlan, masks: &[u64]) -> Vec<Vec<usize>> {
 fn reusable_bounds(
     logical: &LogicalPlan,
     subsets: &[u64],
-    prior_log2: &HashMap<u64, f64>,
+    prior_log2: &[Option<f64>],
     prior_atoms: usize,
     atom_map: &[Option<usize>],
 ) -> (Vec<(u64, f64)>, Vec<u64>) {
@@ -1023,8 +1053,8 @@ fn reusable_bounds(
                 Some(old) if old < prior_atoms => Some(acc | (1u64 << old)),
                 _ => None,
             });
-        match remapped.and_then(|old_mask| prior_log2.get(&old_mask)) {
-            Some(&v) => reused.push((mask, v)),
+        match remapped.and_then(|old_mask| prior_log2[old_mask as usize]) {
+            Some(v) => reused.push((mask, v)),
             None => fresh.push(mask),
         }
     }
@@ -1082,19 +1112,22 @@ fn fold_bounds(
 ) -> Result<Bounds, ExecError> {
     let m = logical.n_atoms();
     let mut scan_log2 = Vec::with_capacity(m);
-    let mut log2: HashMap<u64, f64> = reused.iter().copied().collect();
+    let mut log2: Vec<Option<f64>> = vec![None; 1 << m];
+    for &(mask, value) in reused {
+        log2[mask as usize] = Some(value);
+    }
     for j in 0..m {
         let size = catalog.get(&query.atoms()[j].relation)?.len();
         let s = (size.max(1) as f64).log2();
         scan_log2.push(s);
-        log2.insert(1u64 << j, s);
+        log2[1 << j] = Some(s);
     }
     debug_assert_eq!(fresh.len(), results.len());
     let mut bounded = 0usize;
     for (&mask, result) in fresh.iter().zip(results) {
         let (value, by_lp) = bound_or_product(result, mask, logical, &scan_log2);
         bounded += usize::from(by_lp);
-        log2.insert(mask, value);
+        log2[mask as usize] = Some(value);
     }
     Ok(Bounds {
         log2,
@@ -1123,17 +1156,13 @@ fn log2_sum(a: f64, b: f64) -> f64 {
 /// prefix's bound.  This is the single source of truth for step-bound
 /// alignment — `step_bounds[i]` always certifies the intermediate right
 /// after `atoms[i]` joins.
-fn prefix_step_bounds(
-    start_mask: u64,
-    atoms: &[usize],
-    log2: &HashMap<u64, f64>,
-) -> Vec<Option<f64>> {
+fn prefix_step_bounds(start_mask: u64, atoms: &[usize], log2: &[Option<f64>]) -> Vec<Option<f64>> {
     let mut prefix = start_mask;
     atoms
         .iter()
         .map(|&j| {
             prefix |= 1u64 << j;
-            log2.get(&prefix).copied()
+            log2[prefix as usize]
         })
         .collect()
 }
@@ -1172,7 +1201,7 @@ fn order_bottleneck(order: &[usize], bounds: &Bounds) -> f64 {
     let mut prefix = 0u64;
     for &j in order {
         prefix |= 1u64 << j;
-        let b = bounds.log2.get(&prefix).copied().unwrap_or_else(|| {
+        let b = bounds.log2[prefix as usize].unwrap_or_else(|| {
             bounds
                 .scan_log2
                 .iter()
@@ -1190,12 +1219,14 @@ fn order_bottleneck(order: &[usize], bounds: &Bounds) -> f64 {
 /// `mask`: scans at the leaves, left-deep [`PhysicalNode::HashChain`] runs
 /// for extension choices, [`PhysicalNode::HashJoin`] nodes for splits —
 /// every node annotated with its sub-join's bound.
-fn build_bushy(
-    mask: u64,
-    best: &HashMap<u64, (Vec<f64>, Choice)>,
-    bounds: &Bounds,
-) -> PhysicalNode {
-    match best[&mask].1 {
+fn build_bushy(mask: u64, best: &[Option<(Vec<f64>, Choice)>], bounds: &Bounds) -> PhysicalNode {
+    let choice = |mask: u64| {
+        best[mask as usize]
+            .as_ref()
+            .expect("the DP proved every subtree")
+            .1
+    };
+    match choice(mask) {
         Choice::Leaf(j) => PhysicalNode::Scan {
             atom: j,
             log2_bound: Some(bounds.scan_log2[j]),
@@ -1203,13 +1234,13 @@ fn build_bushy(
         Choice::Split(half) => PhysicalNode::HashJoin {
             left: Box::new(build_bushy(half, best, bounds)),
             right: Box::new(build_bushy(mask & !half, best, bounds)),
-            log2_bound: bounds.log2.get(&mask).copied(),
+            log2_bound: bounds.log2[mask as usize],
         },
         Choice::Extend(_) => {
             // Collect the maximal run of extensions into one chain node.
             let mut atoms_rev = Vec::new();
             let mut s = mask;
-            while let (_, Choice::Extend(j)) = best[&s] {
+            while let Choice::Extend(j) = choice(s) {
                 atoms_rev.push(j);
                 s &= !(1u64 << j);
             }
@@ -1394,6 +1425,56 @@ mod tests {
         assert!(plan.physical.certificates().is_empty());
     }
 
+    /// The DP's tables are dense over the atom masks, so 16 atoms is as far
+    /// as any configuration takes it: a 16-atom chain is planned by the DP
+    /// at `max_dp_atoms = 16`, and a 17-atom one falls back to greedy even
+    /// at `max_dp_atoms = 63`, while the harvest and `cost_order` decline it.
+    #[test]
+    fn the_dp_gate_stops_at_sixteen_atoms_whatever_the_configuration() {
+        let mut catalog = Catalog::new();
+        catalog.insert(RelationBuilder::binary_from_pairs(
+            "E",
+            "a",
+            "b",
+            (0..12u64).map(|i| (i % 4, (i * 3 + 1) % 4)),
+        ));
+        let sixteen = JoinQuery::path(&["E"; 16]);
+        let at_sixteen = Optimizer::new().with_config(PlannerConfig {
+            max_dp_atoms: 16,
+            enable_partitioning: false,
+            ..PlannerConfig::default()
+        });
+        let plan = at_sixteen.plan(&sixteen, &catalog).unwrap();
+        assert!(plan.predicted_log2_cost.is_finite());
+        assert_eq!(
+            plan.subqueries_bounded,
+            15 * 16 / 2,
+            "every multi-atom path"
+        );
+        assert_eq!(plan.bound_fallbacks, 0);
+        assert!(at_sixteen.harvest(&sixteen, &catalog).is_ok());
+
+        let seventeen = JoinQuery::path(&["E"; 17]);
+        let wide_open = Optimizer::new().with_config(PlannerConfig {
+            max_dp_atoms: 63,
+            ..PlannerConfig::default()
+        });
+        let plan = wide_open.plan(&seventeen, &catalog).unwrap();
+        assert!(plan.predicted_log2_cost.is_nan());
+        assert_eq!(plan.subqueries_bounded, 0);
+        assert_eq!(plan.order, plan.greedy_order);
+        let order: Vec<usize> = (0..17).collect();
+        assert!(matches!(
+            wide_open.cost_order(&seventeen, &catalog, &order),
+            Err(ExecError::NotApplicable { .. })
+        ));
+        assert!(matches!(
+            wide_open.harvest(&seventeen, &catalog),
+            Err(ExecError::NotApplicable { .. })
+        ));
+        assert_eq!(wide_open.estimator().lps_estimated(), 0);
+    }
+
     #[test]
     fn single_atom_queries_plan_trivially() {
         let mut catalog = Catalog::new();
@@ -1486,11 +1567,12 @@ mod tests {
                         .unwrap();
                     let chosen = self.choose(logical, &bounds);
                     cost = cost.max(chosen.predicted);
-                    union_bound = log2_sum(union_bound, bounds.log2[&full]);
+                    let output = bounds.log2[full as usize].unwrap();
+                    union_bound = log2_sum(union_bound, output);
                     branches.push(PartitionBranch {
                         relation: run.relation,
                         plan: chosen.physical,
-                        log2_bound: Some(bounds.log2[&full]),
+                        log2_bound: Some(output),
                     });
                 }
                 let total_cost = cost.max(union_bound);
