@@ -14,6 +14,11 @@ use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use lpb_entropy::VarSet;
 
+/// The most atoms whose sub-join lattice is enumerated: the lattice is
+/// stored dense over the `2^m` atom masks (64 Ki slots at 16 atoms), by
+/// [`LogicalPlan::connected_subsets`] and by the planner's DP tables.
+pub(crate) const DP_ATOM_LIMIT: usize = 16;
+
 /// Check that `order` mentions every atom index below `n_atoms` exactly
 /// once.  Shared by [`JoinPlan::with_order`] and the optimizer's order
 /// construction, so both reject malformed permutations identically.
@@ -110,12 +115,15 @@ impl LogicalPlan {
     /// the sub-join lattice a dynamic-programming join-order enumeration
     /// walks; exponential in the worst case, so callers gate on
     /// [`n_atoms`](Self::n_atoms).  The walk marks what it finds in a dense
-    /// visited map over all `2^m` masks (64 KiB at the planner's 16-atom
-    /// limit), read in mask order for the result, so it panics past 32
-    /// atoms.
+    /// visited map over all `2^m` masks (64 KiB at 16 atoms), read in mask
+    /// order for the result.  Queries of more than 16 atoms — the planner's
+    /// DP gate — are not supported: it panics on them.
     pub fn connected_subsets(&self) -> Vec<u64> {
         let m = self.n_atoms();
-        assert!(m <= 32, "connected_subsets marks all 2^{m} masks");
+        assert!(
+            m <= DP_ATOM_LIMIT,
+            "connected_subsets marks all 2^m masks; {m} atoms exceeds {DP_ATOM_LIMIT}"
+        );
         let mut found = vec![false; 1 << m];
         let mut frontier: Vec<u64> = (0..m).map(|j| 1u64 << j).collect();
         for &mask in &frontier {
@@ -270,6 +278,16 @@ mod tests {
         let t = LogicalPlan::of(&JoinQuery::triangle("R", "S", "T"));
         // Triangle: every non-empty subset is connected.
         assert_eq!(t.connected_subsets().len(), 7);
+    }
+
+    #[test]
+    fn connected_subsets_reach_sixteen_atoms_and_no_further() {
+        // A path of m atoms has m(m+1)/2 connected subsets.
+        let g = LogicalPlan::of(&JoinQuery::path(&["E"; 16]));
+        assert_eq!(g.connected_subsets().len(), 16 * 17 / 2);
+        let past = LogicalPlan::of(&JoinQuery::path(&["E"; 17]));
+        let refused = std::panic::catch_unwind(|| past.connected_subsets());
+        assert!(refused.is_err(), "17 atoms would mark 2^17 masks");
     }
 
     #[test]

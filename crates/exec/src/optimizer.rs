@@ -88,7 +88,7 @@
 //! count what the search paid.
 
 use crate::error::ExecError;
-use crate::logical::{validate_atom_permutation, JoinPlan, LogicalPlan};
+use crate::logical::{validate_atom_permutation, JoinPlan, LogicalPlan, DP_ATOM_LIMIT};
 use crate::partition::split_light_heavy;
 use crate::physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 use lpb_core::{BatchEstimator, BoundResult, CollectConfig, Cone, CoreError, JoinQuery};
@@ -135,10 +135,6 @@ pub struct PlannerConfig {
     /// bound.
     pub partition_skew_log2: f64,
 }
-
-/// The most atoms any configuration lets the DP enumerate: its tables are
-/// dense over the `2^m` atom masks (see [`PlannerConfig::max_dp_atoms`]).
-const DP_ATOM_LIMIT: usize = 16;
 
 impl Default for PlannerConfig {
     fn default() -> Self {

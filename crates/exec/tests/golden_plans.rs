@@ -8,8 +8,8 @@
 //! pivots) and the partition search's counters; then every certificate of
 //! the physical tree with the bits of its bound.  A change to how the
 //! sub-join lattice is stored, enumerated or looked up must leave all of it
-//! as it is.  To print the current rendering instead of comparing, run the
-//! test with `GOLDEN_PLANS_PRINT=1` and `--nocapture`.
+//! as it is.  On a mismatch the test prints the current rendering in the
+//! form [`GOLDEN`] is written in, then fails.
 
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
@@ -77,11 +77,10 @@ fn rendered_corpus() -> Vec<String> {
 #[test]
 fn plans_of_the_planner_corpus_and_the_served_shapes_are_golden() {
     let rendered = rendered_corpus();
-    if std::env::var_os("GOLDEN_PLANS_PRINT").is_some() {
+    if rendered != GOLDEN {
         for r in &rendered {
             println!("    r#\"{r}\"#,");
         }
-        return;
     }
     assert_eq!(rendered.len(), GOLDEN.len());
     for (got, want) in rendered.iter().zip(GOLDEN) {
