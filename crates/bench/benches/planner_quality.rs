@@ -19,11 +19,13 @@
 //!    ([`lpb_exec::execute_physical_mode`]; the output itself is pinned
 //!    against the nested-loop oracle by the `lpb-exec` tests, not here),
 //! 4. emits `BENCH_planner.json` at the workspace root with plan time and
-//!    its phases (`harvest_us`, `dp_us`, `partition_us`), the LP's dual
-//!    pivots (`lp_dual_pivots`), chosen order/strategy, chosen-vs-greedy, bushy-vs-left-deep and
-//!    partitioned-vs-monolithic peak intermediates, the planned part count,
-//!    the partition search's work counters (`partition_candidates`,
-//!    `partition_candidates_refused`, `partition_subqueries_bounded`),
+//!    its phases (`harvest_us`, `dp_us`, `partition_us`), the plan's LP
+//!    work (`lp_dual_pivots`, and `lps_solved`: the distinct sub-join LPs
+//!    its batches solved), chosen order/strategy, chosen-vs-greedy,
+//!    bushy-vs-left-deep and partitioned-vs-monolithic peak intermediates,
+//!    the planned part count, the partition search's work counters
+//!    (`partition_candidates`, `partition_candidates_refused`,
+//!    `partition_subqueries_bounded`),
 //!    certificate-violation counts (asserted zero), and the execution time
 //!    (`exec_vectorized_us`).
 //!
@@ -49,6 +51,7 @@ struct PlannerRow {
     dp_us: f64,
     partition_us: f64,
     lp_dual_pivots: u64,
+    lps_solved: usize,
     strategy: &'static str,
     order: Vec<usize>,
     chosen_max_intermediate: usize,
@@ -188,6 +191,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             dp_us: plan.dp_time.as_secs_f64() * 1e6,
             partition_us: plan.partition_time.as_secs_f64() * 1e6,
             lp_dual_pivots: plan.lp_stats.dual_pivots,
+            lps_solved: plan.lps_solved,
             strategy: plan.strategy(),
             order: plan.order.clone(),
             chosen_max_intermediate: chosen.max_intermediate(),
@@ -217,7 +221,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"plan_us\": {:.1}, \"harvest_us\": {:.1}, \
              \"dp_us\": {:.1}, \"partition_us\": {:.1}, \"lp_dual_pivots\": {}, \
-             \"strategy\": \"{}\", \
+             \"lps_solved\": {}, \"strategy\": \"{}\", \
              \"chosen_order\": [{}], \"chosen_max_intermediate\": {}, \
              \"greedy_max_intermediate\": {}, \"peak_ratio_greedy_over_chosen\": {:.2}, \
              \"leftdeep_max_intermediate\": {}, \"bushy_vs_leftdeep_peak\": {:.2}, \
@@ -233,6 +237,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.dp_us,
             r.partition_us,
             r.lp_dual_pivots,
+            r.lps_solved,
             r.strategy,
             order.join(", "),
             r.chosen_max_intermediate,

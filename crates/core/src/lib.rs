@@ -82,7 +82,7 @@ mod statistics;
 pub mod traditional;
 pub mod worst_case;
 
-pub use batch::{BatchEstimator, BatchItem};
+pub use batch::{BatchEstimator, BatchItem, SubqueryBounds};
 pub use bound_lp::{
     compute_bound, BoundResult, BoundStatus, Cone, Witness, NORMAL_VAR_LIMIT, POLYMATROID_VAR_LIMIT,
 };

@@ -36,8 +36,8 @@
 //!   `lpb-serve` answers with;
 //! * [`Optimizer`] — the bound-driven planner: every connected sub-join is
 //!   bounded through one [`lpb_core::BatchEstimator`] call (normal-cone
-//!   LPs, each solved cold, in enumeration order on the calling thread) and
-//!   a bottleneck DP over **bushy trees** (left-deep
+//!   LPs, each distinct one solved cold once, in enumeration order on the
+//!   calling thread) and a bottleneck DP over **bushy trees** (left-deep
 //!   extension *and* connected two-way splits) picks the
 //!   shape/order/strategy whose largest provable intermediate is smallest —
 //!   then whose next-largest is, and so on, reading the bounds off a fixed

@@ -99,6 +99,7 @@ fn plan_time_bounding_goes_through_the_warm_started_batch_estimator() {
         lps,
         plan.subqueries_bounded + plan.partition_subqueries_bounded
     );
+    assert_eq!(plan.lps_solved, optimizer.estimator().shape_cache_misses());
     // Nothing is carried between planning calls: a second one asks for the
     // same LPs again and returns the same plan.
     let again = optimizer.plan(&w.query, &w.catalog).unwrap();
@@ -300,6 +301,35 @@ fn hopeless_partition_candidates_are_refused_after_one_lp_per_part() {
     );
 }
 
+/// `large-mixed-12` joins `G` with itself three times and ends in a star
+/// of four leaves with equal statistics, so its harvest poses most sub-join
+/// LPs more than once: 130 of the plan's 224 (220 harvested, 4 in the
+/// partition search) repeat an earlier sub-join of their batch bit for bit
+/// and take its result, and 94 are solved.
+#[test]
+fn large_mixed_12_solves_each_distinct_subjoin_lp_once_per_batch() {
+    let w = planner_workloads(1)
+        .into_iter()
+        .find(|w| w.name == "large-mixed-12")
+        .unwrap();
+    let optimizer = Optimizer::new();
+    let plan = optimizer.plan(&w.query, &w.catalog).unwrap();
+    let estimator = optimizer.estimator();
+    assert_eq!(
+        plan.subqueries_bounded + plan.partition_subqueries_bounded,
+        224
+    );
+    assert_eq!(estimator.lps_estimated(), 224);
+    assert_eq!(estimator.shape_cache_hits(), 130);
+    assert_eq!(estimator.shape_cache_misses(), 94);
+    assert_eq!(plan.lps_solved, 94);
+    // The memo lives for one batch: planning again solves the same 94.
+    let again = optimizer.plan(&w.query, &w.catalog).unwrap();
+    assert_eq!(again.lps_solved, 94);
+    assert_eq!(estimator.shape_cache_misses(), 2 * 94);
+    assert_eq!(again.physical, plan.physical);
+}
+
 /// Planning is a function of its input, and of nothing a solver leaves in
 /// the last bits of a bound.  Fresh optimizers plan every adversary — among
 /// them `large-mixed-12`, 220 sub-join LPs over ten variable counts — and
@@ -493,7 +523,7 @@ fn every_planner_bound_upper_bounds_the_true_subjoin_size() {
             &subsets,
             &CollectConfig::with_max_norm(4),
         );
-        for (atoms, bound) in subsets.iter().zip(&bounds) {
+        for (atoms, bound) in subsets.iter().zip(&bounds.results) {
             let bound = bound.as_ref().unwrap();
             let sub = w.query.subquery(atoms).unwrap();
             let truth = true_cardinality(&sub, &w.catalog).unwrap() as f64;

@@ -130,7 +130,7 @@ proptest! {
                 &[vec![0, 1]],
                 &CollectConfig::with_max_norm(3),
             );
-            let bound = bounds[0].as_ref().unwrap();
+            let bound = bounds.results[0].as_ref().unwrap();
             prop_assert!(bound.is_bounded());
             let truth = true_cardinality(&part_query, &part_catalog).unwrap() as f64;
             prop_assert!(

@@ -36,11 +36,11 @@ fn main() -> Result<(), ExecError> {
     );
 
     // 3. Plan: every connected sub-join is bounded in one batch (one small
-    //    normal-cone LP each, solved cold), a bottleneck DP orders the
-    //    chain, and lowering picks the strategy (here: the WCOJ, because
-    //    the output bound beats any hash chain's worst prefix bound).
-    let optimizer = Optimizer::new();
-    let plan = optimizer.plan(&w.query, &w.catalog)?;
+    //    normal-cone LP per distinct sub-join, solved cold), a bottleneck
+    //    DP orders the chain, and lowering picks the strategy (here: the
+    //    WCOJ, because the output bound beats any hash chain's worst prefix
+    //    bound).
+    let plan = Optimizer::new().plan(&w.query, &w.catalog)?;
     println!(
         "chosen plan: {} (order {:?}), {} sub-joins bounded in {:?}, \
          predicted peak 2^{:.2}, {} LPs solved",
@@ -49,7 +49,7 @@ fn main() -> Result<(), ExecError> {
         plan.subqueries_bounded,
         plan.plan_time,
         plan.predicted_log2_cost,
-        optimizer.estimator().lps_estimated(),
+        plan.lps_solved,
     );
 
     // 4. Execute the chosen plan, counters threaded through every node.
