@@ -19,7 +19,9 @@
 //!    ([`lpb_exec::execute_physical_mode`]; the output itself is pinned
 //!    against the nested-loop oracle by the `lpb-exec` tests, not here),
 //! 4. emits `BENCH_planner.json` at the workspace root with plan time and
-//!    its phases (`harvest_us`, `dp_us`, `partition_us`), the plan's LP
+//!    its phases (`harvest_us`, `dp_us`, `partition_us`, and `split_us`:
+//!    the part of `partition_us` spent splitting candidates and counting
+//!    their parts' statistics), the plan's LP
 //!    work (`lp_dual_pivots`, and `lps_solved`: the distinct sub-join LPs
 //!    its batches solved), chosen order/strategy, chosen-vs-greedy,
 //!    bushy-vs-left-deep and partitioned-vs-monolithic peak intermediates,
@@ -50,6 +52,7 @@ struct PlannerRow {
     harvest_us: f64,
     dp_us: f64,
     partition_us: f64,
+    split_us: f64,
     lp_dual_pivots: u64,
     lps_solved: usize,
     strategy: &'static str,
@@ -190,6 +193,7 @@ fn measure(c: &mut Criterion, smoke: bool) -> Vec<PlannerRow> {
             harvest_us: plan.harvest_time.as_secs_f64() * 1e6,
             dp_us: plan.dp_time.as_secs_f64() * 1e6,
             partition_us: plan.partition_time.as_secs_f64() * 1e6,
+            split_us: plan.split_time.as_secs_f64() * 1e6,
             lp_dual_pivots: plan.lp_stats.dual_pivots,
             lps_solved: plan.lps_solved,
             strategy: plan.strategy(),
@@ -220,7 +224,8 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
         let order: Vec<String> = r.order.iter().map(|a| a.to_string()).collect();
         out.push_str(&format!(
             "    {{\"workload\": \"{}\", \"plan_us\": {:.1}, \"harvest_us\": {:.1}, \
-             \"dp_us\": {:.1}, \"partition_us\": {:.1}, \"lp_dual_pivots\": {}, \
+             \"dp_us\": {:.1}, \"partition_us\": {:.1}, \"split_us\": {:.1}, \
+             \"lp_dual_pivots\": {}, \
              \"lps_solved\": {}, \"strategy\": \"{}\", \
              \"chosen_order\": [{}], \"chosen_max_intermediate\": {}, \
              \"greedy_max_intermediate\": {}, \"peak_ratio_greedy_over_chosen\": {:.2}, \
@@ -236,6 +241,7 @@ fn write_bench_json(rows: &[PlannerRow], smoke: bool) {
             r.harvest_us,
             r.dp_us,
             r.partition_us,
+            r.split_us,
             r.lp_dual_pivots,
             r.lps_solved,
             r.strategy,

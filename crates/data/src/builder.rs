@@ -90,8 +90,12 @@ impl RelationBuilder {
                 columns[c].push(v);
             }
         }
-        let relation = Relation::from_columns(self.name, self.schema, columns)
-            .expect("builder produces consistent columns");
+        let relation = if self.deduplicate {
+            Relation::from_distinct_sorted_columns(self.name, self.schema, columns)
+        } else {
+            Relation::from_columns(self.name, self.schema, columns)
+                .expect("builder produces consistent columns")
+        };
         (relation, self.dictionary)
     }
 

@@ -216,9 +216,11 @@ impl Catalog {
         };
         if values.iter().any(Option::is_none) {
             let deg = self.get(relation)?.degree_sequence(v, u)?;
-            for (value, &norm) in values.iter_mut().zip(norms) {
+            let computed = deg
+                .log2_lp_norms(norms)
+                .unwrap_or_else(|| vec![0.0; norms.len()]);
+            for ((value, &norm), computed) in values.iter_mut().zip(norms).zip(computed) {
                 if value.is_none() {
-                    let computed = deg.log2_lp_norm(norm).unwrap_or(0.0);
                     key.norm_bits = norm_bits(norm);
                     self.record_statistic(key.clone(), computed, false);
                     *value = Some(computed);

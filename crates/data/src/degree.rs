@@ -80,23 +80,37 @@ impl DegreeSequence {
     /// a one-element sequence (every `|R|` and `|Π_X|` statistic) and ℓ∞
     /// are bit-identical to it.
     pub fn log2_lp_norm(&self, norm: Norm) -> Option<f64> {
+        Some(self.log2_lp_norms(&[norm])?[0])
+    }
+
+    /// [`log2_lp_norm`](Self::log2_lp_norm) for several norms,
+    /// positionally and bit for bit, finding the runs of equal degrees
+    /// once for all of them; `None` for an empty sequence.
+    pub(crate) fn log2_lp_norms(&self, norms: &[Norm]) -> Option<Vec<f64>> {
         if self.degrees.is_empty() {
             return None;
         }
-        match norm {
-            Norm::Infinity => Some((self.max_degree() as f64).log2()),
-            Norm::Finite(p) => {
-                let d1 = self.max_degree() as f64;
-                let log2_d1 = d1.log2();
-                // Σ_runs k · (d / d1)^p, each power in (0, 1].
-                let sum: f64 = self
-                    .degrees
-                    .chunk_by(|a, b| a == b)
-                    .map(|run| run.len() as f64 * ((run[0] as f64) / d1).powf(p))
-                    .sum();
-                Some(log2_d1 + sum.log2() / p)
-            }
-        }
+        let d1 = self.max_degree() as f64;
+        let log2_d1 = d1.log2();
+        // Each run as (k, d / d1), the ratio in (0, 1].
+        let runs: Vec<(f64, f64)> = self
+            .degrees
+            .chunk_by(|a, b| a == b)
+            .map(|run| (run.len() as f64, (run[0] as f64) / d1))
+            .collect();
+        Some(
+            norms
+                .iter()
+                .map(|&norm| match norm {
+                    Norm::Infinity => log2_d1,
+                    Norm::Finite(p) => {
+                        // Σ_runs k · (d / d1)^p.
+                        let sum: f64 = runs.iter().map(|&(k, ratio)| k * ratio.powf(p)).sum();
+                        log2_d1 + sum.log2() / p
+                    }
+                })
+                .collect(),
+        )
     }
 
     /// `‖d‖_p^p = Σ d_i^p` (finite p only), useful in tests and closed-form

@@ -50,8 +50,8 @@ pub use degree::DegreeSequence;
 pub use error::DataError;
 pub use index::HashIndex;
 pub use norms::Norm;
-pub use relation::Relation;
+pub use relation::{Grouping, Relation};
 pub use schema::{AttrId, Schema};
 pub use snapshot::{SnapshotCatalog, SnapshotReader};
-pub use stats::{StatisticEntry, StatisticsCollector};
+pub use stats::{SimpleStatistics, StatisticEntry, StatisticsCollector};
 pub use value::{Dictionary, Value};

@@ -15,6 +15,9 @@ pub struct Relation {
     schema: Schema,
     columns: Vec<Vec<u64>>,
     n_rows: usize,
+    /// Every row lexicographically (schema order) smaller than the next —
+    /// found once, when the relation is built.
+    strictly_increasing: bool,
 }
 
 impl Relation {
@@ -23,7 +26,8 @@ impl Relation {
     /// All columns must have equal length and there must be exactly one
     /// column per schema attribute.  Rows are **not** deduplicated here; use
     /// [`Relation::deduplicated`] or the builder when set semantics must be
-    /// enforced.
+    /// enforced.  One `O(n)` pass records whether the rows are strictly
+    /// increasing ([`is_strictly_increasing`](Self::is_strictly_increasing)).
     pub fn from_columns(
         name: impl Into<String>,
         schema: Schema,
@@ -42,12 +46,31 @@ impl Relation {
                 got: columns.iter().map(Vec::len).max().unwrap_or(0),
             });
         }
+        let strictly_increasing = strictly_increasing(&columns, n_rows);
         Ok(Relation {
             name: name.into(),
             schema,
             columns,
             n_rows,
+            strictly_increasing,
         })
+    }
+
+    /// [`from_columns`](Self::from_columns) for columns of equal length, one
+    /// per schema attribute, whose rows are sorted and distinct: no pass
+    /// over them.
+    pub(crate) fn from_distinct_sorted_columns(
+        name: String,
+        schema: Schema,
+        columns: Vec<Vec<u64>>,
+    ) -> Relation {
+        Relation {
+            name,
+            schema,
+            n_rows: columns.first().map_or(0, Vec::len),
+            columns,
+            strictly_increasing: true,
+        }
     }
 
     /// Relation name.
@@ -84,6 +107,7 @@ impl Relation {
             schema,
             columns: self.columns.clone(),
             n_rows: self.n_rows,
+            strictly_increasing: self.strictly_increasing,
         })
     }
 
@@ -100,6 +124,50 @@ impl Relation {
     /// Number of attributes.
     pub fn arity(&self) -> usize {
         self.schema.arity()
+    }
+
+    /// True when every row is lexicographically (schema order) smaller than
+    /// the next, so the rows are distinct and in the order the
+    /// [`RelationBuilder`](crate::RelationBuilder) stores them.  Recorded
+    /// when the relation is built: the builder, [`deduplicated`] and
+    /// [`project`] know it, [`from_columns`] checks it in one pass, and
+    /// [`gather`](Self::gather) reads it off its source's flag and row list
+    /// when it can.
+    ///
+    /// [`deduplicated`]: Self::deduplicated
+    /// [`project`]: Self::project
+    /// [`from_columns`]: Self::from_columns
+    pub fn is_strictly_increasing(&self) -> bool {
+        self.strictly_increasing
+    }
+
+    /// A relation named `name` with this schema holding rows `rows` of this
+    /// one, in that order.  On a strictly increasing relation the result is
+    /// strictly increasing exactly when `rows` ascends strictly, so no
+    /// value is compared to say so; gathering from any other relation
+    /// checks the gathered rows like [`from_columns`](Self::from_columns).
+    ///
+    /// # Panics
+    ///
+    /// When a row index is out of range.
+    pub fn gather(&self, name: impl Into<String>, rows: &[usize]) -> Relation {
+        let columns: Vec<Vec<u64>> = self
+            .columns
+            .iter()
+            .map(|column| rows.iter().map(|&r| column[r]).collect())
+            .collect();
+        let strictly_increasing = if self.strictly_increasing {
+            rows.is_sorted_by(|a, b| a < b)
+        } else {
+            strictly_increasing(&columns, rows.len())
+        };
+        Relation {
+            name: name.into(),
+            schema: self.schema.clone(),
+            columns,
+            n_rows: rows.len(),
+            strictly_increasing,
+        }
     }
 
     /// Borrow the column at attribute position `attr`.
@@ -129,7 +197,7 @@ impl Relation {
         attrs.iter().map(|&a| self.columns[a][row]).collect()
     }
 
-    /// Return a copy with duplicate rows removed.
+    /// Return a copy with duplicate rows removed, in lexicographic order.
     pub fn deduplicated(&self) -> Relation {
         let mut rows: Vec<Vec<u64>> = self.rows().collect();
         rows.sort_unstable();
@@ -167,62 +235,38 @@ impl Relation {
     /// one column, with no row index sorted.  `|Π_X|` is the number of runs
     /// of `X`'s sorted column; on a relation whose storage is strictly
     /// increasing (every [`RelationBuilder`](crate::RelationBuilder)
-    /// relation, every part of a degree split) `|R|` is `len()`, and
-    /// `deg(V | X)` with `{X} ∪ V` the whole schema is the run lengths of
-    /// `X`'s sorted column — one sort of a copy of that column, skipped
-    /// when it already is sorted.  Any other input (unsorted or duplicated
-    /// [`Relation::from_columns`] rows, `|U| ≥ 2`, `U ∪ V` short of the
-    /// schema) sorts row indices by `(U, V)`: `O(n log n)` row comparisons.
+    /// relation, every part of a degree split; the flag is read, not
+    /// checked, see [`is_strictly_increasing`](Self::is_strictly_increasing))
+    /// `|R|` is `len()`, and `deg(V | X)` with `{X} ∪ V` the whole schema is
+    /// the run lengths of `X`'s sorted column — one sort of a copy of that
+    /// column, skipped when it already is sorted.  Any other input
+    /// (unsorted or duplicated [`Relation::from_columns`] rows, `|U| ≥ 2`,
+    /// `U ∪ V` short of the schema) sorts row indices by `(U, V)`:
+    /// `O(n log n)` row comparisons.  A degree split counts its parts'
+    /// simple statistics while it routes their rows, so the planner asks
+    /// this for none of them.
     pub fn degree_sequence(&self, v: &[&str], u: &[&str]) -> Result<DegreeSequence, DataError> {
         if v.is_empty() {
             return Err(DataError::InvalidConditional {
                 reason: "the dependent attribute set V of deg(V | U) must be non-empty".into(),
             });
         }
+        Ok(self.grouping(v, u)?.degree_sequence())
+    }
+
+    /// `Π_{U∪V}(R)` grouped by `U`: each group's degree in `deg_R(V | U)`
+    /// and the rows that make it up — the grouping behind
+    /// [`degree_sequence`](Self::degree_sequence), at its cost.  An empty
+    /// `V` gives degree 1 everywhere (one empty tuple per `U`-value).
+    pub fn grouping(&self, v: &[&str], u: &[&str]) -> Result<Grouping<'_>, DataError> {
         let u_pos = self.schema.positions(u.iter().copied())?;
         let v_pos = self.schema.positions(v.iter().copied())?;
-        Ok(DegreeSequence::from_counts(
-            self.group_by_u(&v_pos, &u_pos).degrees,
-        ))
+        Ok(self.group_by_u(&v_pos, &u_pos))
     }
 
-    /// The degree of every **row**'s `U`-value in `deg_R(V | U)`:
-    /// `out[r]` is the number of distinct `V`-values paired with row `r`'s
-    /// `U`-value — the same grouping as
-    /// [`degree_sequence`](Self::degree_sequence), reported per row instead
-    /// of per group, at the same cost plus one pass over the rows (and a
-    /// binary search per row when the counting case sorted a copy of the
-    /// `U` column).  This is what a degree partition needs to route rows to
-    /// parts.  An empty `V` gives degree 1 everywhere (one empty tuple per
-    /// `U`-value).
-    pub fn row_degrees(&self, v: &[&str], u: &[&str]) -> Result<Vec<u64>, DataError> {
-        let u_pos = self.schema.positions(u.iter().copied())?;
-        let v_pos = self.schema.positions(v.iter().copied())?;
-        let groups = self.group_by_u(&v_pos, &u_pos);
-        let mut degrees = vec![0u64; self.n_rows];
-        groups.for_each_row(self, |row, group| degrees[row] = groups.degrees[group]);
-        Ok(degrees)
-    }
-
-    /// The row indices of the distinct rows in lexicographic (schema-order)
-    /// order — the order [`RelationBuilder`](crate::RelationBuilder) stores
-    /// rows in.  On a relation whose storage is strictly increasing (every
-    /// builder-made relation) this is `0..len()`, found in one `O(n)` check;
-    /// any other relation sorts its row indices.  Gathering any subsequence
-    /// of it yields a relation the builder would have built from the same
-    /// rows.
-    pub fn distinct_row_order(&self) -> Vec<usize> {
-        // Grouped on every attribute, a group is one distinct row.
-        let all: Vec<AttrId> = (0..self.arity()).collect();
-        let groups = self.group_by_u(&all, &all);
-        let mut first = vec![usize::MAX; groups.degrees.len()];
-        groups.for_each_row(self, |row, group| first[group] = first[group].min(row));
-        first
-    }
-
-    /// The one grouping routine behind [`degree_sequence`],
-    /// [`row_degrees`] and [`distinct_row_order`]: `Π_{U∪V}(R)` grouped by
-    /// `U`, groups in ascending `U` order.  Two cases, chosen from the
+    /// The one grouping routine behind [`grouping`] and
+    /// [`degree_sequence`]: `Π_{U∪V}(R)` grouped by `U`, groups in
+    /// ascending `U` order.  Two cases, chosen from the
     /// input:
     ///
     /// * **Counting.**  A group's degree is counted off one column when
@@ -237,13 +281,13 @@ impl Relation {
     /// * **Row order.**  Otherwise row indices are sorted by `(U, V)` and a
     ///   group's degree counts the changes of `V` inside it.
     ///
+    /// [`grouping`]: Self::grouping
     /// [`degree_sequence`]: Self::degree_sequence
-    /// [`row_degrees`]: Self::row_degrees
-    /// [`distinct_row_order`]: Self::distinct_row_order
-    fn group_by_u(&self, v_pos: &[AttrId], u_pos: &[AttrId]) -> UGroups {
+    fn group_by_u(&self, v_pos: &[AttrId], u_pos: &[AttrId]) -> Grouping<'_> {
         let n = self.n_rows;
         if n == 0 {
-            return UGroups {
+            return Grouping {
+                rel: self,
                 degrees: Vec::new(),
                 rows: GroupRows::Runs {
                     order: None,
@@ -260,7 +304,8 @@ impl Relation {
                 sorted.sort_unstable();
                 sorted.chunk_by(|a, b| a == b).count()
             };
-            return UGroups {
+            return Grouping {
+                rel: self,
                 degrees: vec![distinct as u64],
                 rows: GroupRows::Runs {
                     order: None,
@@ -270,10 +315,11 @@ impl Relation {
         }
         let covers_schema = (0..self.arity()).all(|a| u_pos.contains(&a) || v_pos.contains(&a));
         let prefix = u_pos.iter().enumerate().all(|(i, &a)| i == a);
-        if covers_schema && (prefix || u_pos.len() == 1) && self.rows_strictly_increasing() {
+        if covers_schema && (prefix || u_pos.len() == 1) && self.strictly_increasing {
             if prefix && u_pos.len() == self.arity() {
                 // Every row is a group of its own.
-                return UGroups {
+                return Grouping {
+                    rel: self,
                     degrees: vec![1; n],
                     rows: GroupRows::Runs {
                         order: None,
@@ -282,21 +328,33 @@ impl Relation {
                 };
             }
             if prefix || self.columns[u_pos[0]].is_sorted() {
-                let ends: Vec<usize> = (1..n)
-                    .filter(|&r| {
-                        u_pos
-                            .iter()
-                            .any(|&c| self.columns[c][r - 1] != self.columns[c][r])
-                    })
-                    .chain([n])
-                    .collect();
+                let ends: Vec<usize> = if let &[c] = u_pos {
+                    // One sorted column: its runs.
+                    self.columns[c]
+                        .chunk_by(|a, b| a == b)
+                        .scan(0, |end, run| {
+                            *end += run.len();
+                            Some(*end)
+                        })
+                        .collect()
+                } else {
+                    (1..n)
+                        .filter(|&r| {
+                            u_pos
+                                .iter()
+                                .any(|&c| self.columns[c][r - 1] != self.columns[c][r])
+                        })
+                        .chain([n])
+                        .collect()
+                };
                 let degrees = ends
                     .iter()
                     .scan(0, |start, &end| {
                         Some((end - std::mem::replace(start, end)) as u64)
                     })
                     .collect();
-                return UGroups {
+                return Grouping {
+                    rel: self,
                     degrees,
                     rows: GroupRows::Runs { order: None, ends },
                 };
@@ -308,7 +366,8 @@ impl Relation {
                 .chunk_by(|a, b| a == b)
                 .map(|run| (run[0], run.len() as u64))
                 .unzip();
-            return UGroups {
+            return Grouping {
+                rel: self,
                 degrees,
                 rows: GroupRows::Keyed { column, keys },
             };
@@ -329,26 +388,14 @@ impl Relation {
             degrees.push(degree);
             start = end;
         }
-        UGroups {
+        Grouping {
+            rel: self,
             degrees,
             rows: GroupRows::Runs {
                 order: Some(order),
                 ends,
             },
         }
-    }
-
-    /// True when every row is lexicographically (schema order) smaller than
-    /// the next — so the rows are distinct, as the builder leaves them.
-    /// `O(n)` column comparisons, most rows deciding on their first.
-    fn rows_strictly_increasing(&self) -> bool {
-        (1..self.n_rows).all(|r| {
-            self.columns
-                .iter()
-                .map(|c| c[r - 1].cmp(&c[r]))
-                .find(|o| o.is_ne())
-                .is_some_and(std::cmp::Ordering::is_lt)
-        })
     }
 
     /// Row indices sorted lexicographically by the values in `cols`.  The
@@ -374,6 +421,7 @@ impl Relation {
             .all(|&c| self.columns[c][a] == self.columns[c][b])
     }
 
+    /// A relation of `rows`, which must be sorted and distinct.
     fn from_sorted_rows(name: String, schema: Schema, rows: Vec<Vec<u64>>) -> Relation {
         let arity = schema.arity();
         let mut columns = vec![Vec::with_capacity(rows.len()); arity];
@@ -387,20 +435,38 @@ impl Relation {
             schema,
             n_rows: rows.len(),
             columns,
+            strictly_increasing: true,
         }
     }
 }
 
-/// `Π_{U∪V}(R)` grouped by `U`, as [`Relation::group_by_u`] finds it.
-struct UGroups {
-    /// Each group's degree (its number of distinct `V`-values), groups in
-    /// ascending `U` order.
+/// True when every one of the `n_rows` rows of `columns` is
+/// lexicographically smaller than the next: `O(n)` column comparisons, most
+/// rows deciding on their first.
+fn strictly_increasing(columns: &[Vec<u64>], n_rows: usize) -> bool {
+    (1..n_rows).all(|r| {
+        columns
+            .iter()
+            .map(|c| c[r - 1].cmp(&c[r]))
+            .find(|o| o.is_ne())
+            .is_some_and(std::cmp::Ordering::is_lt)
+    })
+}
+
+/// `Π_{U∪V}(R)` grouped by `U`, groups in ascending `U` order: what
+/// [`Relation::grouping`] returns.
+#[derive(Debug)]
+pub struct Grouping<'a> {
+    /// The relation the rows are in.
+    rel: &'a Relation,
+    /// Each group's degree (its number of distinct `V`-values).
     degrees: Vec<u64>,
     /// Which rows make up each group.
     rows: GroupRows,
 }
 
-/// Where the rows of group `g` of a [`UGroups`] are.
+/// Where the rows of group `g` of a [`Grouping`] are.
+#[derive(Debug)]
 enum GroupRows {
     /// Rows `ends[g - 1]..ends[g]` of `order`, a row order sorted by
     /// `(U, V)` — or of storage, when `order` is `None` (storage order
@@ -414,21 +480,35 @@ enum GroupRows {
     Keyed { column: AttrId, keys: Vec<u64> },
 }
 
-impl UGroups {
-    /// Calls `f(row, group)` once for every row of `rel` (the relation
-    /// these groups were found in).
-    fn for_each_row(&self, rel: &Relation, mut f: impl FnMut(usize, usize)) {
+impl Grouping<'_> {
+    /// Each group's degree: its number of distinct `V`-values.
+    pub fn degrees(&self) -> &[u64] {
+        &self.degrees
+    }
+
+    /// The groups' degrees as the degree sequence `deg_R(V | U)`.
+    pub fn degree_sequence(self) -> DegreeSequence {
+        DegreeSequence::from_counts(self.degrees)
+    }
+
+    /// Calls `f(row, group)` once for every row of the relation, `group`
+    /// indexing [`degrees`](Self::degrees).  A group of rows adjacent in
+    /// storage or in a sorted row order is visited as a run; a group found
+    /// by sorting a copy of one column costs a binary search per row.
+    pub fn for_each_row(&self, mut f: impl FnMut(usize, usize)) {
         match &self.rows {
             GroupRows::Runs { order, ends } => {
-                let starts = std::iter::once(0).chain(ends.iter().copied());
-                for (group, (start, &end)) in starts.zip(ends).enumerate() {
-                    for i in start..end {
-                        f(order.as_ref().map_or(i, |o| o[i]), group);
+                let mut start = 0;
+                for (group, &end) in ends.iter().enumerate() {
+                    match order {
+                        None => (start..end).for_each(|row| f(row, group)),
+                        Some(order) => order[start..end].iter().for_each(|&row| f(row, group)),
                     }
+                    start = end;
                 }
             }
             GroupRows::Keyed { column, keys } => {
-                for (row, value) in rel.column(*column).iter().enumerate() {
+                for (row, value) in self.rel.column(*column).iter().enumerate() {
                     let group = keys.binary_search(value).expect("every value is a key");
                     f(row, group);
                 }

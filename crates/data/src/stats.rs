@@ -21,8 +21,10 @@
 //! statistics harvest over base relations is a pure hash-map lookup.
 
 use crate::catalog::{Catalog, StatsKey};
+use crate::degree::DegreeSequence;
 use crate::error::DataError;
 use crate::norms::Norm;
+use crate::relation::Relation;
 use std::collections::HashMap;
 
 /// One materialized statistic: its identifying key and the value
@@ -70,6 +72,72 @@ impl StatisticsSet {
     fn push(&mut self, key: StatsKey, log_norm: f64) {
         self.index.insert(key.clone(), log_norm);
         self.entries.push(StatisticEntry { key, log_norm });
+    }
+}
+
+/// A relation's simple statistics before any norm is taken: its number of
+/// rows and, per attribute `x` by schema position, the degree sequence
+/// `deg(rest | x)` — whose length is `|Π_x|`.  Whoever counts them (a
+/// degree split counts its parts' while it routes their rows) holds them
+/// for a relation with distinct rows, where these are its statistics.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SimpleStatistics {
+    rows: u64,
+    degrees: Vec<DegreeSequence>,
+}
+
+impl SimpleStatistics {
+    /// `rows` rows and `degrees[x] = deg(rest | x)`, one per attribute.
+    pub fn new(rows: u64, degrees: Vec<DegreeSequence>) -> Self {
+        SimpleStatistics { rows, degrees }
+    }
+
+    /// The entries [`StatisticsCollector::with_norms`]`(norms)` would
+    /// materialize for `relation`, the relation these statistics describe,
+    /// in the same order and bit for bit: each value is the same
+    /// [`DegreeSequence::log2_lp_norm`] of the same multiset of degrees,
+    /// computed by the same code as the catalog's.
+    pub fn entries(&self, relation: &Relation, norms: &[Norm]) -> Vec<StatisticEntry> {
+        let name = relation.name();
+        let attrs: Vec<&str> = (0..relation.arity())
+            .map(|pos| relation.schema().name(pos))
+            .collect();
+        let l1 = |count: u64| {
+            DegreeSequence::from_counts(vec![count])
+                .log2_lp_norm(Norm::L1)
+                .unwrap_or(0.0)
+        };
+        let mut out = Vec::with_capacity(1 + attrs.len() * (1 + norms.len()));
+        let mut push = |v: &[&str], u: &[&str], norm: Norm, log_norm: f64| {
+            out.push(StatisticEntry {
+                key: StatsKey::new(name, v, u, norm),
+                log_norm,
+            });
+        };
+        push(&attrs, &[], Norm::L1, l1(self.rows));
+        let mut rest = Vec::with_capacity(attrs.len());
+        for (pos, degrees) in self.degrees.iter().enumerate() {
+            let x = [attrs[pos]];
+            push(&x, &[], Norm::L1, l1(degrees.len() as u64));
+            if attrs.len() < 2 {
+                continue;
+            }
+            rest.clear();
+            rest.extend(
+                attrs
+                    .iter()
+                    .enumerate()
+                    .filter(|&(p, _)| p != pos)
+                    .map(|(_, a)| *a),
+            );
+            let values = degrees
+                .log2_lp_norms(norms)
+                .unwrap_or_else(|| vec![0.0; norms.len()]);
+            for (&norm, value) in norms.iter().zip(values) {
+                push(&rest, &x, norm, value);
+            }
+        }
+        out
     }
 }
 

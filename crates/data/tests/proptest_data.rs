@@ -48,9 +48,11 @@ fn attrs_of(rel: &Relation, mask: usize) -> Vec<&str> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The one grouping routine behind `degree_sequence`, `row_degrees` and
-    /// `distinct_row_order` against a brute-force oracle: group the
-    /// distinct `(U, V)` pairs by `U` in a `BTreeMap<key, BTreeSet<key>>`.
+    /// The one grouping routine behind `grouping` and `degree_sequence`
+    /// against a brute-force oracle: group the distinct `(U, V)` pairs by
+    /// `U` in a `BTreeMap<key, BTreeSet<key>>`.  Both the degrees and the
+    /// rows of each group: `for_each_row` visits every row once, in the
+    /// group of its `U`-value, groups in ascending `U` order.
     /// Every `U ⊆ attrs` (including `∅`) and every non-empty `V` — so every
     /// simple conditional (`|R|`, `|Π_x|`, `deg(rest | x)`) and the
     /// `|U| = 2` ones.  Builder-made relations take the routine's counting
@@ -75,19 +77,87 @@ proptest! {
                 );
                 prop_assert_eq!(rel.degree_sequence(&v, &u).unwrap(), expected, "({:?} | {:?})", v, u);
 
-                let per_row: Vec<u64> = rel
-                    .rows()
-                    .map(|row| groups[&key(&row, u_mask)].len() as u64)
-                    .collect();
-                prop_assert_eq!(rel.row_degrees(&v, &u).unwrap(), per_row, "({:?} | {:?})", v, u);
+                let keys: Vec<&Vec<u64>> = groups.keys().collect();
+                let grouping = rel.grouping(&v, &u).unwrap();
+                let degrees: Vec<u64> = groups.values().map(|vs| vs.len() as u64).collect();
+                prop_assert_eq!(grouping.degrees(), &degrees[..], "({:?} | {:?})", v, u);
+                let mut group_of = vec![None; rel.len()];
+                grouping.for_each_row(|row, group| {
+                    assert!(group_of[row].replace(group).is_none(), "row {row} visited twice");
+                });
+                for (row, group) in group_of.into_iter().enumerate() {
+                    prop_assert_eq!(
+                        group.map(|g| keys[g]),
+                        Some(&key(&rel.row(row), u_mask)),
+                        "({:?} | {:?}) row {}",
+                        v,
+                        u,
+                        row
+                    );
+                }
             }
         }
 
         // The distinct rows in builder order.
-        let gathered: Vec<Vec<u64>> =
-            rel.distinct_row_order().into_iter().map(|r| rel.row(r)).collect();
         let distinct: Vec<Vec<u64>> = rel.rows().collect::<BTreeSet<_>>().into_iter().collect();
-        prop_assert_eq!(gathered, distinct);
+        prop_assert_eq!(rel.deduplicated().rows().collect::<Vec<_>>(), distinct);
+    }
+
+    /// The strictly-increasing flag a relation records when it is built
+    /// equals a brute-force check of its rows, whichever constructor built
+    /// it: the builder (deduplicating or keeping duplicates),
+    /// `binary_from_pairs`, raw `from_columns`, `deduplicated`, `project`,
+    /// `with_name`, `with_schema`, and `gather` of ascending, repeated and
+    /// descending row lists.
+    #[test]
+    fn the_strict_flag_matches_a_brute_force_check(
+        rel in arb_relation(),
+        keep in proptest::collection::vec(0u64..3, 0..60),
+    ) {
+        let brute = |r: &Relation| {
+            let rows: Vec<Vec<u64>> = r.rows().collect();
+            rows.windows(2).all(|w| w[0] < w[1])
+        };
+        let attrs: Vec<&str> = (0..rel.arity()).map(|a| rel.schema().name(a)).collect();
+        let rows: Vec<Vec<u64>> = rel.rows().collect();
+        let build = |dedup: bool| {
+            let mut builder = RelationBuilder::new("B", attrs.iter().copied()).unwrap();
+            if !dedup {
+                builder = builder.keep_duplicates();
+            }
+            for row in &rows {
+                builder.push_codes(row).unwrap();
+            }
+            builder.build()
+        };
+        let ascending: Vec<usize> =
+            (0..rel.len()).filter(|&r| keep.get(r).is_some_and(|&k| k > 0)).collect();
+        let repeated: Vec<usize> = ascending.iter().flat_map(|&r| [r, r]).collect();
+        let descending: Vec<usize> = ascending.iter().rev().copied().collect();
+        let mut made = vec![
+            rel.clone(),
+            build(true),
+            build(false),
+            rel.deduplicated(),
+            rel.project(&attrs[..1]).unwrap(),
+            rel.project(&attrs[attrs.len() - 1..]).unwrap(),
+            rel.with_name("W"),
+            rel.with_schema(Schema::new(attrs.iter().map(|a| a.to_uppercase())).unwrap()).unwrap(),
+            rel.gather("G", &ascending),
+            rel.gather("G", &repeated),
+            rel.gather("G", &descending),
+        ];
+        if rel.arity() == 2 {
+            made.push(RelationBuilder::binary_from_pairs(
+                "P",
+                "a",
+                "b",
+                rows.iter().map(|r| (r[0], r[1])),
+            ));
+        }
+        for r in &made {
+            prop_assert_eq!(r.is_strictly_increasing(), brute(r), "{}", r.name());
+        }
     }
 
     /// `log_norms` answers every norm bit-for-bit like the per-norm

@@ -44,7 +44,8 @@
 //!   grid so that ties are ties for every LP solver — costing the
 //!   Yannakakis reducer's semi-join passes rather than assuming them free;
 //!   when a skewed relation makes the monolithic bound loose, the planner
-//!   splits it light/heavy ([`split_light_heavy`]), re-runs the same DP per
+//!   splits it light/heavy ([`split_light_heavy`], which counts each
+//!   part's statistics while it routes the rows), re-runs the same DP per
 //!   part on per-part statistics (the parts' full-query bounds first, then
 //!   one batch over parts × the sub-joins through the split atom), and
 //!   emits a [`PhysicalNode::PartitionedUnion`] whenever the
@@ -99,7 +100,9 @@ pub use error::ExecError;
 pub use logical::{JoinPlan, LogicalPlan};
 pub use optimizer::{OptimizedPlan, Optimizer, PlannerConfig};
 pub use panda_eval::{partitioned_join_count, PartitionSpec, PartitionedRun};
-pub use partition::{partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart};
+pub use partition::{
+    partition_by_degree, partition_for_statistic, split_light_heavy, DegreePart, SplitPart,
+};
 pub use physical::{PartitionBranch, PhysicalNode, PhysicalPlan};
 pub use plan_cache::{FlightStats, PlanCache};
 pub use run::{count_physical, execute_physical_mode, ColumnRun, CountedRun, ExecMode};

@@ -66,7 +66,9 @@
 //! (`log₂(max/avg degree)` past [`PlannerConfig::partition_skew_log2`])
 //! the planner splits it into a light and a heavy part
 //! ([`crate::split_light_heavy`]) and derives a per-part sub-catalog
-//! ([`lpb_data::Catalog::derive_with`]) with per-part statistics.  Lemma 2.5
+//! ([`lpb_data::Catalog::derive_with`]) seeded with per-part statistics —
+//! counted by the split in the passes that route the rows, so no part is
+//! harvested cold.  Lemma 2.5
 //! bounds the split relation's query by the **sum** of its parts' bounds,
 //! and that sum is part of a partitioned plan's cost (the union
 //! materializes it), so the search computes it *first*: one batch bounds
@@ -236,6 +238,10 @@ pub struct OptimizedPlan {
     /// The degree-partition search (splits, per-part bounds, per-part DP);
     /// next to nothing when partitioning is disabled.
     pub partition_time: Duration,
+    /// The part of [`partition_time`](Self::partition_time) spent splitting
+    /// candidates — routing the rows, counting the parts' statistics and
+    /// seeding their sub-catalogs — across every candidate tried.
+    pub split_time: Duration,
     /// The LP work of the planning call that produced this plan: every LP
     /// is solved on the calling thread, so this [`SolverStats::on_thread`]
     /// delta is exact whatever other threads plan meanwhile.
@@ -514,6 +520,7 @@ impl Optimizer {
             harvest_time: harvested - started,
             dp_time: chose - harvested,
             partition_time: finished - chose,
+            split_time: partition_stats.split_time,
             lp_stats: SolverStats::thread_snapshot().since(&lp_before),
         })
     }
@@ -554,6 +561,7 @@ impl Optimizer {
             harvest_time: Duration::ZERO,
             dp_time: Duration::ZERO,
             partition_time: Duration::ZERO,
+            split_time: Duration::ZERO,
             lp_stats: SolverStats::thread_snapshot().since(lp_before),
         }
     }
@@ -820,13 +828,15 @@ impl Optimizer {
     /// behind one `Arc` shared by the sub-catalog and, later, the plan's
     /// [`PartitionBranch`].
     ///
-    /// A part exists only for this plan, so its statistics are harvested
-    /// cold and cached in its sub-catalog only — never in `catalog`.  The
-    /// parts come out strictly increasing, so that harvest is counted, not
-    /// sorted: `|R|` is the part's length, and `|Π_x|` and `deg(rest | x)`
-    /// cost one sort of a copy of `x`'s column each (none for the first
-    /// attribute, whose column is already sorted), with one `powf` per
-    /// distinct degree per norm ([`lpb_data::DegreeSequence::log2_lp_norm`]).
+    /// A part exists only for this plan, so its statistics live in its
+    /// sub-catalog only — never in `catalog`.  The split counts them while
+    /// it routes the rows ([`crate::SplitPart::statistics`]), and they are
+    /// seeded into the sub-catalog here, for every attribute and every norm
+    /// of [`PlannerConfig::max_norm`], with the norms taken from the same
+    /// degrees, by the same code, as a cold harvest would take them
+    /// ([`lpb_data::DegreeSequence::log2_lp_norm`]).  So every statistic
+    /// the part's batches ask for is a cache hit, equal bit for bit to the
+    /// value a cold harvest of the part computes.
     fn split_candidate(
         &self,
         query: &JoinQuery,
@@ -839,13 +849,17 @@ impl Optimizer {
         let Some((light, heavy)) = split_light_heavy(&rel, &v, &u)? else {
             return Ok(None);
         };
+        let norms = Norm::standard_set(self.config.max_norm);
         let mut runs = Vec::with_capacity(2);
         for part in [light, heavy] {
-            if part.is_empty() {
+            if part.relation.is_empty() {
                 continue;
             }
-            let relation = Arc::new(part);
+            let relation = Arc::new(part.relation);
             let part_catalog = catalog.derive_with(Arc::clone(&relation));
+            for entry in part.statistics.entries(&relation, &norms) {
+                part_catalog.record_statistic(entry.key, entry.log_norm, false);
+            }
             runs.push(PartRun {
                 query: query.with_atom_relation(candidate.atom, relation.name())?,
                 catalog: part_catalog,
@@ -895,7 +909,10 @@ impl Optimizer {
         let config = CollectConfig::with_max_norm(self.config.max_norm);
         let mut best: Option<PartitionedPick> = None;
         for candidate in self.skew_candidates(query, catalog)? {
-            let Some(runs) = self.split_candidate(query, catalog, &candidate)? else {
+            let splitting = Instant::now();
+            let split = self.split_candidate(query, catalog, &candidate)?;
+            stats.split_time += splitting.elapsed();
+            let Some(runs) = split else {
                 continue;
             };
             stats.candidates += 1;
@@ -1026,6 +1043,7 @@ struct PartitionSearchStats {
     bounded: usize,
     fallbacks: usize,
     solved: usize,
+    split_time: Duration,
 }
 
 /// The multi-atom masks among `subsets` — the sub-joins an LP bounds
@@ -1556,6 +1574,72 @@ mod tests {
         assert_eq!(off.parts_planned, 0);
         assert_ne!(off.strategy(), "partitioned");
         assert_eq!(off.partition_subqueries_bounded, 0);
+    }
+
+    /// A split seeds its parts' sub-catalogs with everything their batches
+    /// read: on every planner adversary's candidates, bounding the full
+    /// query on a part adds no statistic to its sub-catalog, and every
+    /// simple statistic seeded there equals a cold harvest of the part,
+    /// bit for bit.
+    #[test]
+    fn a_split_seeds_every_statistic_its_parts_are_bounded_with() {
+        let mut splits = 0;
+        for w in lpb_datagen::planner_workloads(1) {
+            let optimizer = Optimizer::new();
+            // The plan leaves the base relations' statistics cached, as
+            // the harvest before a partition search does.
+            optimizer.plan(&w.query, &w.catalog).unwrap();
+            let config = CollectConfig::with_max_norm(optimizer.config.max_norm);
+            let every_atom = [(0..w.query.n_atoms()).collect::<Vec<usize>>()];
+            for candidate in optimizer.skew_candidates(&w.query, &w.catalog).unwrap() {
+                let Some(runs) = optimizer
+                    .split_candidate(&w.query, &w.catalog, &candidate)
+                    .unwrap()
+                else {
+                    continue;
+                };
+                splits += 1;
+                for run in &runs {
+                    let seeded = run.catalog.cached_stats();
+                    let batch = optimizer.estimator.bound_subqueries(
+                        &run.query,
+                        &run.catalog,
+                        &every_atom,
+                        &config,
+                    );
+                    assert!(batch.results[0].is_ok());
+                    assert_eq!(
+                        run.catalog.cached_stats(),
+                        seeded,
+                        "{}",
+                        run.relation.name()
+                    );
+
+                    let mut cold = Catalog::new();
+                    cold.insert((*run.relation).clone());
+                    let harvest =
+                        lpb_data::StatisticsCollector::standard(optimizer.config.max_norm)
+                            .materialize_relation(&cold, run.relation.name())
+                            .unwrap();
+                    for entry in harvest.entries() {
+                        let v: Vec<&str> = entry.key.v.iter().map(String::as_str).collect();
+                        let u: Vec<&str> = entry.key.u.iter().map(String::as_str).collect();
+                        let got = run
+                            .catalog
+                            .log_norm(run.relation.name(), &v, &u, entry.key.norm())
+                            .unwrap();
+                        assert_eq!(got.to_bits(), entry.log_norm.to_bits(), "{:?}", entry.key);
+                    }
+                    assert_eq!(
+                        run.catalog.cached_stats(),
+                        seeded,
+                        "{}",
+                        run.relation.name()
+                    );
+                }
+            }
+        }
+        assert!(splits >= 3, "{splits} candidates split");
     }
 
     impl Optimizer {

@@ -21,7 +21,7 @@
 //! under a [`crate::PhysicalNode::PartitionedUnion`].
 
 use crate::error::ExecError;
-use lpb_data::{Norm, Relation};
+use lpb_data::{DegreeSequence, Norm, Relation, SimpleStatistics};
 use std::collections::HashMap;
 
 /// One part of a degree partition.
@@ -199,6 +199,18 @@ fn bucket_of(d: u64) -> u32 {
     u64::BITS - (d.max(2) - 1).leading_zeros()
 }
 
+/// One part of a [light/heavy split](split_light_heavy): its rows and its
+/// simple statistics, counted while the rows were routed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SplitPart {
+    /// The part's rows (same schema as the split relation), sorted and
+    /// distinct.
+    pub relation: Relation,
+    /// `|R|`, and `deg(rest | x)` (so `|Π_x|`) for every attribute `x` of
+    /// the part — what a statistics harvest of it would count cold.
+    pub statistics: SimpleStatistics,
+}
+
 /// Coarsen the degree buckets of `(V | U)` into a two-way **light/heavy**
 /// split: bucket the `U`-values by degree (the buckets of
 /// [`partition_by_degree`]), then merge every bucket whose maximum degree
@@ -213,24 +225,38 @@ fn bucket_of(d: u64) -> u32 {
 /// [`crate::Optimizer`] feeds per-part planning and the
 /// [`crate::PhysicalNode::PartitionedUnion`] executor.
 ///
-/// This runs once per partition candidate inside planning, so it takes its
-/// per-row degrees ([`Relation::row_degrees`]) and its distinct row order
-/// ([`Relation::distinct_row_order`]) from the relation's one grouping
-/// routine — on a builder-made relation split on one attribute that is one
-/// sort of a copy of that attribute's column and an `O(n)` check, with no
-/// row index sorted — and gathers the two parts column by column instead of
-/// materializing the buckets.  The parts come out strictly increasing, so
-/// their own statistics take the counting case too.
+/// This runs once per partition candidate inside planning, so it routes
+/// the rows and counts the parts' statistics in the same few passes.  A
+/// relation whose rows are not strictly increasing is deduplicated first;
+/// then its rows are in builder order, and a part gathers its rows in that
+/// order.  One grouping of `(V | U)` ([`Relation::grouping`]) gives each
+/// `U`-value its degree and part.  Each part's statistics come with it
+/// ([`SplitPart::statistics`]): its `|R|` is its row count; for a single
+/// `U` attribute with `U ∪ V` the schema, its `deg(rest | U)` is the
+/// degrees of the `U`-groups it took whole; for every other attribute `x`,
+/// `deg(rest | x)` is the run lengths of the part's own `x` column (its
+/// rows are distinct), and `|Π_x|` their count.  Counting a part's own
+/// column costs less than one grouping of the input with a light and a
+/// heavy count per group, which needs every row's group — a binary search
+/// per row when the column is not sorted.  On a builder-made relation each
+/// grouping is one sort of a copy of a column at most.
 pub fn split_light_heavy(
     rel: &Relation,
     v: &[&str],
     u: &[&str],
-) -> Result<Option<(Relation, Relation)>, ExecError> {
-    let degrees = rel.row_degrees(v, u)?;
-    // Maximum degree per bucket; every row of a `U`-value shares its degree,
-    // so this is the `max_degree` of the bucket's `DegreePart`.
+) -> Result<Option<(SplitPart, SplitPart)>, ExecError> {
+    let deduplicated;
+    let rel = if rel.is_strictly_increasing() {
+        rel
+    } else {
+        deduplicated = rel.deduplicated();
+        &deduplicated
+    };
+    let groups = rel.grouping(v, u)?;
+    // Maximum degree per bucket: the `max_degree` of the bucket's
+    // `DegreePart`.
     let mut bucket_max = [0u64; 65];
-    for &d in &degrees {
+    for &d in groups.degrees() {
         let slot = &mut bucket_max[bucket_of(d) as usize];
         *slot = (*slot).max(d);
     }
@@ -246,28 +272,58 @@ pub fn split_light_heavy(
     // first and last non-empty buckets and differ.
     let tau = (log_deg[0] + log_deg[log_deg.len() - 1]) / 2.0;
     let light_bucket = bucket_max.map(|d| (d as f64).log2() <= tau);
-    let is_light = |row: usize| light_bucket[bucket_of(degrees[row]) as usize];
+    let light_group: Vec<bool> = groups
+        .degrees()
+        .iter()
+        .map(|&d| light_bucket[bucket_of(d) as usize])
+        .collect();
+    let (mut light_rows, mut heavy_rows) = (Vec::new(), Vec::new());
+    groups.for_each_row(|row, group| {
+        if light_group[group] {
+            light_rows.push(row);
+        } else {
+            heavy_rows.push(row);
+        }
+    });
+    // Storage order, which a grouping that sorted row indices did not
+    // visit (a check of one pass otherwise).
+    light_rows.sort_unstable();
+    heavy_rows.sort_unstable();
 
-    let (light_rows, heavy_rows): (Vec<usize>, Vec<usize>) = rel
-        .distinct_row_order()
-        .into_iter()
-        .partition(|&row| is_light(row));
-    let gather = |label: &str, rows: &[usize]| -> Result<Relation, ExecError> {
-        let columns = (0..rel.arity())
-            .map(|c| {
-                let column = rel.column(c);
-                rows.iter().map(|&r| column[r]).collect()
-            })
-            .collect();
-        Ok(Relation::from_columns(
-            format!("{}#{label}", rel.name()),
-            rel.schema().clone(),
-            columns,
-        )?)
+    // A single `U` attribute whose groups have one row per `V`-value: each
+    // group went whole to one part, so its degree is the part's too.
+    let u_pos = rel.schema().positions(u.iter().copied())?;
+    let v_pos = rel.schema().positions(v.iter().copied())?;
+    let whole_groups = match u_pos[..] {
+        [x] if (0..rel.arity()).all(|a| a == x || v_pos.contains(&a)) => Some(x),
+        _ => None,
+    };
+    let attrs: Vec<&str> = (0..rel.arity()).map(|a| rel.schema().name(a)).collect();
+    let part = |label: &str, rows: &[usize], is_light: bool| -> Result<SplitPart, ExecError> {
+        let relation = rel.gather(format!("{}#{label}", rel.name()), rows);
+        let mut degrees = Vec::with_capacity(attrs.len());
+        for (x, name) in attrs.iter().enumerate() {
+            degrees.push(if whole_groups == Some(x) {
+                let taken = groups.degrees().iter().zip(&light_group);
+                DegreeSequence::from_counts(
+                    taken
+                        .filter(|&(_, &light)| light == is_light)
+                        .map(|(&d, _)| d)
+                        .collect(),
+                )
+            } else {
+                let rest: Vec<&str> = attrs.iter().copied().filter(|a| a != name).collect();
+                relation.grouping(&rest, &[name])?.degree_sequence()
+            });
+        }
+        Ok(SplitPart {
+            statistics: SimpleStatistics::new(rows.len() as u64, degrees),
+            relation,
+        })
     };
     Ok(Some((
-        gather("light", &light_rows)?,
-        gather("heavy", &heavy_rows)?,
+        part("light", &light_rows, true)?,
+        part("heavy", &heavy_rows, false)?,
     )))
 }
 
@@ -375,6 +431,7 @@ mod tests {
         let (light, heavy) = split_light_heavy(&rel, &["x"], &["y"])
             .unwrap()
             .expect("several degree buckets");
+        let (light, heavy) = (light.relation, heavy.relation);
         assert_eq!(light.name(), "R#light");
         assert_eq!(heavy.name(), "R#heavy");
         // Complete and disjoint: the parts' rows are exactly the input rows.
@@ -439,9 +496,8 @@ mod tests {
         /// reference (builder-made parts), in both directions of a skewed
         /// binary relation, on a raw (unsorted, duplicate-bearing) copy of
         /// it, and on a ternary relation split on one attribute and on two.
-        /// And the same statistics: a part is strictly increasing, so its
-        /// harvest is counted off its columns, and must read bit for bit
-        /// what a reversed copy of it reads by sorting row indices.
+        /// (That each part's counted statistics equal its cold harvest is
+        /// `proptest_partition`'s `counted_split_statistics_equal_the_cold_harvest`.)
         #[test]
         fn one_pass_split_equals_the_bucket_merging_reference(
             hubs in 0u64..4,
@@ -474,36 +530,15 @@ mod tests {
                 (&ternary, &["x", "z"][..], &["y"][..]),
                 (&ternary, &["y"][..], &["x", "z"][..]),
             ] {
-                let split = split_light_heavy(rel, v, u).unwrap();
+                let split = split_light_heavy(rel, v, u)
+                    .unwrap()
+                    .map(|(light, heavy)| (light.relation, heavy.relation));
                 proptest::prop_assert_eq!(&split, &split_by_merging_buckets(rel, v, u));
                 for part in split.into_iter().flat_map(|(light, heavy)| [light, heavy]) {
-                    let reversed = Relation::from_columns(
-                        part.name(),
-                        part.schema().clone(),
-                        (0..part.arity())
-                            .map(|c| part.column(c).iter().rev().copied().collect())
-                            .collect(),
-                    )
-                    .unwrap();
-                    proptest::prop_assert_eq!(
-                        simple_statistics(part),
-                        simple_statistics(reversed)
-                    );
+                    proptest::prop_assert!(part.is_strictly_increasing());
                 }
             }
         }
-    }
-
-    /// Every simple statistic of `rel` up to ℓ4 and ℓ∞, as harvested
-    /// through a catalog, by bits.
-    fn simple_statistics(rel: Relation) -> Vec<u64> {
-        let name = rel.name().to_string();
-        let mut catalog = lpb_data::Catalog::new();
-        catalog.insert(rel);
-        let set = lpb_data::StatisticsCollector::standard(4)
-            .materialize_relation(&catalog, &name)
-            .unwrap();
-        set.entries().iter().map(|e| e.log_norm.to_bits()).collect()
     }
 
     #[test]

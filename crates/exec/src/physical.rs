@@ -675,8 +675,8 @@ mod tests {
         let (light, heavy) = crate::partition::split_light_heavy(&rel, &["b"], &["a"])
             .unwrap()
             .expect("skewed relation splits");
-        let branch = |relation: lpb_data::Relation| PartitionBranch {
-            relation: relation.into(),
+        let branch = |part: crate::SplitPart| PartitionBranch {
+            relation: part.relation.into(),
             plan: PhysicalPlan::hash_chain(vec![0, 1]),
             log2_bound: Some(20.0),
         };

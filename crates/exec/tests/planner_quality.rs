@@ -89,7 +89,7 @@ fn optimizer_beats_greedy_2x_on_the_misleading_chain() {
 }
 
 #[test]
-fn plan_time_bounding_goes_through_the_warm_started_batch_estimator() {
+fn plan_time_bounding_goes_through_the_batch_estimator_and_carries_nothing() {
     let w = skewed_triangle_workload(1);
     let optimizer = Optimizer::new();
     let plan = optimizer.plan(&w.query, &w.catalog).unwrap();

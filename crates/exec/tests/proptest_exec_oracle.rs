@@ -125,8 +125,8 @@ proptest! {
             // Unsplittable (single degree bucket): nothing partitioned to test.
             return Ok(());
         };
-        let branch = |relation: lpb_data::Relation| PartitionBranch {
-            relation: relation.into(),
+        let branch = |part: lpb_exec::SplitPart| PartitionBranch {
+            relation: part.relation.into(),
             plan: PhysicalPlan::hash_chain(vec![0, 1]),
             log2_bound: Some(40.0),
         };
@@ -238,8 +238,8 @@ proptest! {
             (apart, PhysicalPlan::reduced(vec![2, 0, 1])),
         ];
         if let Some((light, heavy)) = split_light_heavy(&r, &["x"], &["y"]).unwrap() {
-            let branch = |relation: lpb_data::Relation, plan| PartitionBranch {
-                relation: relation.into(),
+            let branch = |part: lpb_exec::SplitPart, plan| PartitionBranch {
+                relation: part.relation.into(),
                 plan,
                 log2_bound: Some(40.0),
             };

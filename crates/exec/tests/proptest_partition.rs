@@ -4,10 +4,11 @@
 //! every part's true sub-join size must stay under its per-part LP bound —
 //! the soundness the partition-aware planner's certificates rest on.
 
-use lpb_core::{BatchEstimator, CollectConfig, JoinQuery};
-use lpb_data::{Catalog, Norm, RelationBuilder};
+use lpb_core::{Atom, BatchEstimator, CollectConfig, JoinQuery};
+use lpb_data::{Catalog, Norm, Relation, RelationBuilder, Schema};
 use lpb_exec::{partition_by_degree, partition_for_statistic, split_light_heavy, true_cardinality};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Random pairs with planted hubs: a few `y`-values of large `x`-fan-out on
 /// top of a uniform background, so degree buckets are non-trivial.
@@ -30,8 +31,115 @@ fn arb_skewed_pairs() -> impl Strategy<Value = Vec<(u64, u64)>> {
         })
 }
 
+/// A skewed relation `T` of arity 2 or 3 over `x, y, z`: builder-made
+/// (rows sorted and distinct) or raw `from_columns` (rows in reverse order,
+/// every row twice).
+fn arb_split_input() -> impl Strategy<Value = Relation> {
+    (arb_skewed_pairs(), 2usize..4, 0u64..2, 0u64..5).prop_map(|(pairs, arity, built, salt)| {
+        let attrs = &["x", "y", "z"][..arity];
+        let rows: Vec<Vec<u64>> = pairs
+            .iter()
+            .map(|&(x, y)| [x, y, (x + salt * y) % 3][..arity].to_vec())
+            .collect();
+        if built == 1 {
+            let mut builder = RelationBuilder::new("T", attrs.iter().copied()).unwrap();
+            for row in &rows {
+                builder.push_codes(row).unwrap();
+            }
+            return builder.build();
+        }
+        let columns = (0..arity)
+            .map(|c| rows.iter().rev().chain(&rows).map(|r| r[c]).collect())
+            .collect();
+        Relation::from_columns("T", Schema::new(attrs.iter().copied()).unwrap(), columns).unwrap()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// What a light/heavy split counts for its parts is what a cold
+    /// harvest of each part computes, bit for bit, and it is all the
+    /// part's batches ask for.  For every split direction (`U` every
+    /// non-empty proper subset of the attributes, `V` the rest) each
+    /// part's counted statistics, as the planner seeds them
+    /// (`SimpleStatistics::entries` through `Catalog::record_statistic`),
+    /// must equal `Catalog::log_norm` on a fresh catalog holding only the
+    /// part; and in the part's sub-catalog, bounding a query that joins on
+    /// every attribute of the part must add no statistic to the cache.
+    #[test]
+    fn counted_split_statistics_equal_the_cold_harvest(rel in arb_split_input()) {
+        let norms = Norm::standard_set(4);
+        let config = CollectConfig::with_max_norm(4);
+        let attrs: Vec<&str> = (0..rel.arity()).map(|a| rel.schema().name(a)).collect();
+        // T joined with `S` on each of its attributes, so every attribute
+        // is a join variable and every simple statistic is harvested.
+        let mut atoms = vec![Atom::new("T", &attrs)];
+        let others: Vec<String> = attrs.iter().map(|a| format!("{a}_s")).collect();
+        for (a, other) in attrs.iter().zip(&others) {
+            atoms.push(Atom::new("S", &[a, other.as_str()]));
+        }
+        let query = JoinQuery::new("split", atoms).unwrap();
+        let every_atom = [(0..query.n_atoms()).collect::<Vec<usize>>()];
+        let mut catalog = Catalog::new();
+        catalog.insert(rel.clone());
+        catalog.insert(RelationBuilder::binary_from_pairs("S", "a", "b", [(0, 1), (1, 2), (1000, 3)]));
+        let estimator = BatchEstimator::new();
+        // Warm the parent: its cache holds `S`'s statistics, as the
+        // harvest before a partition search leaves it.
+        estimator.bound_subqueries(&query, &catalog, &every_atom, &config);
+
+        for u_mask in 1..(1usize << attrs.len()) - 1 {
+            let pick = |inside: bool| -> Vec<&str> {
+                (0..attrs.len())
+                    .filter(|a| (u_mask & (1 << a) != 0) == inside)
+                    .map(|a| attrs[a])
+                    .collect()
+            };
+            let (u, v) = (pick(true), pick(false));
+            let Some((light, heavy)) = split_light_heavy(&rel, &v, &u).unwrap() else {
+                continue;
+            };
+            for part in [light, heavy] {
+                if part.relation.is_empty() {
+                    continue;
+                }
+                let entries = part.statistics.entries(&part.relation, &norms);
+                let mut cold = Catalog::new();
+                cold.insert(part.relation.clone());
+                for entry in &entries {
+                    let key_v: Vec<&str> = entry.key.v.iter().map(String::as_str).collect();
+                    let key_u: Vec<&str> = entry.key.u.iter().map(String::as_str).collect();
+                    let want = cold
+                        .log_norm(&entry.key.relation, &key_v, &key_u, entry.key.norm())
+                        .unwrap();
+                    prop_assert_eq!(
+                        entry.log_norm.to_bits(),
+                        want.to_bits(),
+                        "{:?} split ({:?} | {:?})",
+                        &entry.key,
+                        &v,
+                        &u
+                    );
+                }
+
+                let relation = Arc::new(part.relation);
+                let part_catalog = catalog.derive_with(Arc::clone(&relation));
+                for entry in entries {
+                    part_catalog.record_statistic(entry.key, entry.log_norm, false);
+                }
+                let part_query = query.with_atom_relation(0, relation.name()).unwrap();
+                let seeded = part_catalog.cached_stats();
+                let batch = estimator.bound_subqueries_multi(
+                    &[(&part_query, &part_catalog)],
+                    &every_atom,
+                    &config,
+                );
+                prop_assert!(batch[0].results[0].is_ok());
+                prop_assert_eq!(part_catalog.cached_stats(), seeded, "split ({:?} | {:?})", &v, &u);
+            }
+        }
+    }
 
     /// `partition_by_degree` output is a true partition: the parts' tuples
     /// are exactly the input tuples (sorted-row equality implies both
@@ -80,6 +188,7 @@ proptest! {
             // A single degree bucket: nothing to split, nothing to check.
             return Ok(());
         };
+        let (light, heavy) = (light.relation, heavy.relation);
         prop_assert_eq!(light.len() + heavy.len(), rel.len());
         let mut rows: Vec<Vec<u64>> = light.rows().chain(heavy.rows()).collect();
         rows.sort_unstable();
@@ -115,8 +224,8 @@ proptest! {
             .map(|p| p.relation)
             .collect();
         if let Some((light, heavy)) = split_light_heavy(&r, &["x"], &["y"]).unwrap() {
-            parts.push(light);
-            parts.push(heavy);
+            parts.push(light.relation);
+            parts.push(heavy.relation);
         }
         for part in parts {
             if part.is_empty() {
