@@ -9,7 +9,9 @@
 //! [`Catalog::log_norms`], which derives the degree sequence once for all
 //! of them.
 //!
-//! Two system-catalog features ride on top of the cache:
+//! Every cached value is a `log₂`-norm of the catalog's rows, except what
+//! [`Catalog::load_statistics`] or a direct [`Catalog::record_statistic`]
+//! put in.  Two system-catalog features ride on top of the cache:
 //!
 //! * **Derived sub-catalogs** ([`Catalog::derive_with`]) — a copy that
 //!   shares every relation by `Arc` but rebinds one name to a new relation
@@ -22,32 +24,13 @@
 //!   catalog file (one statistic per line) and loads back bit-for-bit, so a
 //!   system can collect statistics once and start up from the file without
 //!   rescanning any relation.
-//! * **Exact-statistics publish** ([`Catalog::absorb_observed`]) — a
-//!   relation whose rows are at hand has statistics known *exactly* (they
-//!   are ℓp-norms of real rows, not estimates).  `absorb_observed` derives
-//!   a catalog with the relation registered, its standard statistics
-//!   computed and flagged **exact**, and the statistics **epoch** bumped.  Exact entries are
-//!   write-protected: [`Catalog::record_statistic`] refuses to overwrite
-//!   them with non-exact values (recomputed approximations, stale persisted
-//!   files) until the relation itself is replaced, which clears the flags
-//!   and bumps the epoch again.
 
 use crate::error::DataError;
 use crate::norms::Norm;
 use crate::relation::Relation;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// The statistics cache: cached values plus the subset of keys whose values
-/// are **exact** (observed from real rows, not estimated or loaded from a
-/// possibly-stale file) and therefore write-protected against non-exact
-/// overwrites within the current epoch.
-#[derive(Debug, Default, Clone)]
-struct StatsCache {
-    values: HashMap<StatsKey, f64>,
-    exact: HashSet<StatsKey>,
-}
 
 /// Cache key identifying one concrete statistic
 /// `‖deg_R(V | U)‖_p` of one relation.
@@ -101,7 +84,7 @@ fn norm_bits(norm: Norm) -> u64 {
 #[derive(Debug, Default)]
 pub struct Catalog {
     relations: HashMap<String, Arc<Relation>>,
-    stats: RwLock<StatsCache>,
+    stats: RwLock<HashMap<StatsKey, f64>>,
     epoch: u64,
 }
 
@@ -112,22 +95,18 @@ impl Catalog {
     }
 
     /// The statistics epoch: bumped whenever a relation is replaced
-    /// ([`insert`](Self::insert)) or observed statistics are absorbed
-    /// ([`absorb_observed`](Self::absorb_observed)), so plan caches can
-    /// tell whether their statistics are current.
+    /// ([`insert`](Self::insert), [`successor_with`](Self::successor_with)),
+    /// so plan caches can tell whether their statistics are current.
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
     /// Register a relation under its own name, replacing any previous
-    /// relation with that name, invalidating its cached statistics (and
-    /// their exactness flags), and bumping the statistics epoch.
+    /// relation with that name, invalidating its cached statistics, and
+    /// bumping the statistics epoch.
     pub fn insert(&mut self, relation: Relation) {
         let name = relation.name().to_string();
-        let mut stats = self.stats_write();
-        stats.values.retain(|k, _| k.relation != name);
-        stats.exact.retain(|k| k.relation != name);
-        drop(stats);
+        self.stats_write().retain(|k, _| k.relation != name);
         self.epoch += 1;
         self.relations.insert(name, Arc::new(relation));
     }
@@ -135,14 +114,14 @@ impl Catalog {
     /// The statistics cache for reading.  A poisoned lock (a thread
     /// panicked while holding it) is taken over rather than propagated:
     /// the cache holds plain values, and every write under the lock is one
-    /// insert or one retain per map, so no panic leaves an entry half made.
-    fn stats_read(&self) -> RwLockReadGuard<'_, StatsCache> {
+    /// insert or one retain, so no panic leaves an entry half made.
+    fn stats_read(&self) -> RwLockReadGuard<'_, HashMap<StatsKey, f64>> {
         self.stats.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The statistics cache for writing; recovers a poisoned lock like
     /// [`stats_read`](Self::stats_read).
-    fn stats_write(&self) -> RwLockWriteGuard<'_, StatsCache> {
+    fn stats_write(&self) -> RwLockWriteGuard<'_, HashMap<StatsKey, f64>> {
         self.stats.write().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -190,9 +169,8 @@ impl Catalog {
     /// all norms under one read lock, and when any is missing the degree
     /// sequence is derived **once** and answers every missing norm — a
     /// collector asking for `{1, …, p, ∞}` pays one pass over the relation
-    /// per conditional instead of one per norm.  Computed values go through
-    /// [`record_statistic`](Self::record_statistic) as non-exact writes, so
-    /// exact observed entries stay protected.
+    /// per conditional instead of one per norm.  Only the missing norms are
+    /// computed and recorded; a cached value is returned as it stands.
     pub fn log_norms(
         &self,
         relation: &str,
@@ -210,7 +188,7 @@ impl Catalog {
                 .iter()
                 .map(|&norm| {
                     key.norm_bits = norm_bits(norm);
-                    stats.values.get(&key).copied()
+                    stats.get(&key).copied()
                 })
                 .collect()
         };
@@ -222,7 +200,7 @@ impl Catalog {
             for ((value, &norm), computed) in values.iter_mut().zip(norms).zip(computed) {
                 if value.is_none() {
                     key.norm_bits = norm_bits(norm);
-                    self.record_statistic(key.clone(), computed, false);
+                    self.record_statistic(key.clone(), computed);
                     *value = Some(computed);
                 }
             }
@@ -230,44 +208,16 @@ impl Catalog {
         Ok(values.into_iter().flatten().collect())
     }
 
-    /// Write one statistic into the cache.  Non-exact writes (recomputed
-    /// approximations, values loaded from a possibly-stale file) are
-    /// **refused** when the key already holds an exact observed value —
-    /// returns `false` and keeps the exact entry.  Exact writes always land
-    /// and flag the key exact.
-    pub fn record_statistic(&self, key: StatsKey, value: f64, exact: bool) -> bool {
-        let mut stats = self.stats_write();
-        if !exact && stats.exact.contains(&key) {
-            return false;
-        }
-        if exact {
-            stats.exact.insert(key.clone());
-        }
-        stats.values.insert(key, value);
-        true
+    /// Write one statistic into the cache, replacing any value the key
+    /// held.  The value is served as it stands until the relation is
+    /// replaced; the planner seeds a split part's counted statistics here.
+    pub fn record_statistic(&self, key: StatsKey, value: f64) {
+        self.stats_write().insert(key, value);
     }
 
     /// Number of cached statistics (for tests and instrumentation).
     pub fn cached_stats(&self) -> usize {
-        self.stats_read().values.len()
-    }
-
-    /// Number of cached statistics flagged exact (observed, not estimated).
-    pub fn exact_stats(&self) -> usize {
-        self.stats_read().exact.len()
-    }
-
-    /// Drop every **non-exact** cached statistic of one relation, forcing
-    /// recomputation from the relation's actual rows on next use.  Exact
-    /// observed entries survive (they are already the truth).  Returns the
-    /// number of entries dropped.  This is how a planner recovers from
-    /// stale persisted statistics: re-plan after refreshing them.
-    pub fn refresh_statistics(&self, relation: &str) -> usize {
-        let mut stats = self.stats_write();
-        let StatsCache { values, exact } = &mut *stats;
-        let before = values.len();
-        values.retain(|k, _| k.relation != relation || exact.contains(k));
-        before - values.len()
+        self.stats_read().len()
     }
 
     /// A derived catalog: every relation of `self` is shared (by `Arc`, not
@@ -289,8 +239,7 @@ impl Catalog {
         let name = relation.name().to_string();
         let mut relations = self.relations.clone();
         let mut stats = self.stats_read().clone();
-        stats.values.retain(|k, _| k.relation != name);
-        stats.exact.retain(|k| k.relation != name);
+        stats.retain(|k, _| k.relation != name);
         relations.insert(name, relation);
         Catalog {
             relations,
@@ -314,38 +263,6 @@ impl Catalog {
         successor
     }
 
-    /// Register a relation together with its **exact** statistics: a
-    /// derived catalog is returned with the relation registered, its
-    /// standard statistics
-    /// (`Norm::standard_set(max_norm)` conditionals, a superset of what the
-    /// planner harvests) computed from the actual rows and flagged
-    /// **exact**, and the statistics epoch bumped.  Chainable: absorbing
-    /// several intermediates derives through each in turn.
-    ///
-    /// Exact entries are write-protected until the relation is replaced —
-    /// see [`record_statistic`](Self::record_statistic) — so a collector
-    /// re-materializing the same relation in the same epoch can never
-    /// regress them to approximations.
-    pub fn absorb_observed(
-        &self,
-        relation: impl Into<Arc<Relation>>,
-        max_norm: u32,
-    ) -> Result<Catalog, DataError> {
-        let relation = relation.into();
-        let name = relation.name().to_string();
-        let mut derived = self.derive_with(relation);
-        derived.epoch = self.epoch + 1;
-        let set = crate::stats::StatisticsCollector::standard(max_norm)
-            .materialize_relation(&derived, &name)?;
-        {
-            let mut stats = derived.stats_write();
-            for entry in set.entries() {
-                stats.exact.insert(entry.key.clone());
-            }
-        }
-        Ok(derived)
-    }
-
     /// Serialize every cached statistic to a plain-text catalog file, one
     /// line per statistic (`relation \t V \t U \t norm \t log₂-norm`, with
     /// attribute sets comma-joined), sorted for determinism.  Returns the
@@ -355,8 +272,8 @@ impl Catalog {
     /// every cached value **bit for bit**.
     pub fn save_statistics<P: AsRef<Path>>(&self, path: P) -> Result<usize, DataError> {
         let stats = self.stats_read();
-        let mut lines: Vec<String> = Vec::with_capacity(stats.values.len());
-        for (key, &value) in stats.values.iter() {
+        let mut lines: Vec<String> = Vec::with_capacity(stats.len());
+        for (key, &value) in stats.iter() {
             for name in std::iter::once(&key.relation)
                 .chain(key.v.iter())
                 .chain(key.u.iter())
@@ -410,10 +327,9 @@ impl Catalog {
     /// [`save_statistics`](Self::save_statistics) into the cache, returning
     /// the number of statistics loaded.  Loaded entries are served exactly
     /// like computed ones, so a catalog whose statistics were collected in a
-    /// previous run starts up without rescanning any relation.  Loads go
-    /// through [`record_statistic`](Self::record_statistic) as non-exact
-    /// writes: a possibly-stale file can never clobber exact observed
-    /// statistics (refused entries are not counted).
+    /// previous run starts up without rescanning any relation.  Every line
+    /// goes through [`record_statistic`](Self::record_statistic) and is
+    /// counted; a loaded value replaces what the cache held for its key.
     pub fn load_statistics<P: AsRef<Path>>(&self, path: P) -> Result<usize, DataError> {
         let text = std::fs::read_to_string(path.as_ref()).map_err(|e| DataError::Persistence {
             reason: format!("reading `{}`: {e}", path.as_ref().display()),
@@ -450,13 +366,8 @@ impl Catalog {
             let value: f64 = value
                 .parse()
                 .map_err(|_| malformed("unparsable log2-norm value"))?;
-            if self.record_statistic(
-                StatsKey::new(relation, &split(v), &split(u), norm),
-                value,
-                false,
-            ) {
-                loaded += 1;
-            }
+            self.record_statistic(StatsKey::new(relation, &split(v), &split(u), norm), value);
+            loaded += 1;
         }
         Ok(loaded)
     }
@@ -644,116 +555,39 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A cached entry is served exactly as it stands: `log_norms` derives
+    /// only the misses from the rows and records nothing else.
     #[test]
-    fn absorb_observed_flags_exact_statistics_and_bumps_the_epoch() {
-        let c = catalog();
-        assert_eq!(c.epoch(), 1); // one insert
-        let observed =
-            RelationBuilder::binary_from_pairs("I", "y", "z", vec![(10, 1), (10, 2), (11, 1)]);
-        let absorbed = c.absorb_observed(observed, 4).unwrap();
-        assert_eq!(absorbed.epoch(), c.epoch() + 1);
-        assert!(absorbed.exact_stats() > 0);
-        // The observed statistics are the truth: deg_I(z|y) has ℓ∞ = 2.
-        let linf = absorbed
-            .log_norm("I", &["z"], &["y"], Norm::Infinity)
-            .unwrap();
-        assert!((linf - 1.0).abs() < 1e-12);
-        // Exact entries refuse non-exact overwrites within the epoch...
-        let key = StatsKey::new("I", &["z"], &["y"], Norm::Infinity);
-        assert!(!absorbed.record_statistic(key.clone(), 99.0, false));
-        assert_eq!(
-            absorbed
-                .log_norm("I", &["z"], &["y"], Norm::Infinity)
-                .unwrap(),
-            linf
-        );
-        // ...and survive a stale statistics file load untouched.
-        let path = std::env::temp_dir().join("lpbound_catalog_stale_exact_test.stats");
-        std::fs::write(&path, "I\tz\ty\tinf\t99.0\n").unwrap();
-        assert_eq!(absorbed.load_statistics(&path).unwrap(), 0);
-        assert_eq!(
-            absorbed
-                .log_norm("I", &["z"], &["y"], Norm::Infinity)
-                .unwrap(),
-            linf
-        );
-        std::fs::remove_file(&path).ok();
-        // A collector re-materializing the relation in the same epoch hits
-        // the cache and cannot regress the exact values either.
-        let set = crate::stats::StatisticsCollector::standard(4)
-            .materialize_relation(&absorbed, "I")
-            .unwrap();
-        assert_eq!(
-            set.log_norm("I", &["z"], &["y"], Norm::Infinity),
-            Some(linf)
-        );
-        // Replacing the relation clears the flags and bumps the epoch.
-        let mut absorbed = absorbed;
-        let epoch = absorbed.epoch();
-        absorbed.insert(RelationBuilder::binary_from_pairs(
+    fn log_norms_fills_misses_without_touching_exact_entries() {
+        let mut c = catalog();
+        c.insert(RelationBuilder::binary_from_pairs(
             "I",
             "y",
             "z",
-            vec![(1, 2)],
+            vec![(10, 1), (10, 2), (11, 1)],
         ));
-        assert_eq!(absorbed.epoch(), epoch + 1);
-        assert_eq!(absorbed.exact_stats(), 0);
-        assert!(absorbed.record_statistic(key, 99.0, false));
-    }
-
-    #[test]
-    fn log_norms_fills_misses_without_touching_exact_entries() {
-        let c = catalog();
-        let observed =
-            RelationBuilder::binary_from_pairs("I", "y", "z", vec![(10, 1), (10, 2), (11, 1)]);
-        // ℓ1, ℓ2, ℓ∞ of I's conditionals are now exact; ℓ3 is not cached.
-        let absorbed = c.absorb_observed(observed, 2).unwrap();
-        let (exact, cached) = (absorbed.exact_stats(), absorbed.cached_stats());
-        // Mark the exact ℓ2 entry with a value no recomputation would give.
+        // A sentinel no derivation from the rows would give.
         let l2 = StatsKey::new("I", &["z"], &["y"], Norm::L2);
-        assert!(absorbed.record_statistic(l2, 42.0, true));
+        c.record_statistic(l2, 42.0);
+        let cached = c.cached_stats();
 
         let norms = [Norm::L1, Norm::L2, Norm::Finite(3.0), Norm::Infinity];
-        let got = absorbed.log_norms("I", &["z"], &["y"], &norms).unwrap();
-        // The ℓ3 miss derived the degree sequence [2, 1]; the exact ℓ2
+        let got = c.log_norms("I", &["z"], &["y"], &norms).unwrap();
+        // The misses derived the degree sequence [2, 1]; the cached ℓ2
         // entry was served as it stands and not rewritten.
         assert_eq!(got[1], 42.0);
         assert!((got[0] - 3.0f64.log2()).abs() < 1e-12);
         assert!((got[2] - 9.0f64.log2() / 3.0).abs() < 1e-12);
         assert!((got[3] - 1.0).abs() < 1e-12);
-        assert_eq!(
-            absorbed.log_norm("I", &["z"], &["y"], Norm::L2).unwrap(),
-            42.0
-        );
-        assert_eq!(absorbed.exact_stats(), exact);
-        assert_eq!(absorbed.cached_stats(), cached + 1);
+        assert_eq!(c.log_norm("I", &["z"], &["y"], Norm::L2).unwrap(), 42.0);
+        assert_eq!(c.cached_stats(), cached + 3);
         // Errors surface as from `log_norm`; no norms asks for nothing.
-        assert!(absorbed
-            .log_norms("missing", &["z"], &["y"], &norms)
-            .is_err());
-        assert!(absorbed.log_norms("I", &[], &["y"], &norms).is_err());
-        assert!(absorbed
+        assert!(c.log_norms("missing", &["z"], &["y"], &norms).is_err());
+        assert!(c.log_norms("I", &[], &["y"], &norms).is_err());
+        assert!(c
             .log_norms("missing", &["z"], &["y"], &[])
             .unwrap()
             .is_empty());
-    }
-
-    #[test]
-    fn refresh_statistics_drops_only_non_exact_entries() {
-        let c = catalog();
-        // Poison R's cache with a lie (as a stale persisted file would).
-        let lie = StatsKey::new("R", &["y"], &["x"], Norm::L1);
-        assert!(c.record_statistic(lie.clone(), 99.0, false));
-        assert!((c.log_norm("R", &["y"], &["x"], Norm::L1).unwrap() - 99.0).abs() < 1e-12);
-        // An exact entry on the same relation survives the refresh.
-        let exact = StatsKey::new("R", &["x"], &["y"], Norm::Infinity);
-        assert!(c.record_statistic(exact.clone(), 1.5, true));
-        assert_eq!(c.refresh_statistics("R"), 1);
-        assert_eq!(c.exact_stats(), 1);
-        // The lie is gone: the next read recomputes the truth from rows.
-        let truth = c.log_norm("R", &["y"], &["x"], Norm::L1).unwrap();
-        assert!((truth - 3.0f64.log2()).abs() < 1e-12);
-        assert!((c.log_norm("R", &["x"], &["y"], Norm::Infinity).unwrap() - 1.5).abs() < 1e-12);
     }
 
     #[test]
@@ -800,8 +634,8 @@ mod tests {
             .unwrap();
         assert_eq!(norms, vec![3.0f64.log2(), 1.0]);
         assert_eq!(c.cached_stats(), 3);
-        assert!(c.record_statistic(StatsKey::new("R", &["x"], &[], Norm::L1), 1.0, true));
-        assert_eq!((c.cached_stats(), c.exact_stats()), (4, 1));
+        c.record_statistic(StatsKey::new("R", &["x"], &[], Norm::L1), 1.0);
+        assert_eq!(c.cached_stats(), 4);
         let derived = c.derive_with(RelationBuilder::binary_from_pairs(
             "S",
             "y",
@@ -813,6 +647,5 @@ mod tests {
             derived.log_norm("S", &["y", "z"], &[], Norm::L1).unwrap(),
             0.0
         );
-        assert_eq!(c.refresh_statistics("R"), 3);
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! A long-lived query service has many reader threads (planning and
 //! executing against the catalog) and occasional writers (replacing a
-//! relation, absorbing observed statistics).  The classic answer — one big
+//! relation).  The classic answer — one big
 //! `RwLock<Catalog>` — makes every reader pay for every writer.  This
 //! module instead uses the **snapshot publication** idiom (the left-right /
 //! epoch-swap scheme Noria uses for its reader maps):
@@ -33,7 +33,6 @@
 //! [`SnapshotCatalog::publish_with`].
 
 use crate::catalog::Catalog;
-use crate::error::DataError;
 use crate::relation::Relation;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,7 +52,6 @@ pub struct SnapshotCatalog {
     /// Serializes writers so read-modify-publish updates never lose a
     /// concurrent writer's catalog version.  Readers never touch this.
     writer: Mutex<()>,
-    publishes: AtomicU64,
 }
 
 impl SnapshotCatalog {
@@ -63,21 +61,21 @@ impl SnapshotCatalog {
             current: RwLock::new(Arc::new(catalog)),
             generation: AtomicU64::new(0),
             writer: Mutex::new(()),
-            publishes: AtomicU64::new(0),
         }
     }
 
     /// The currently published snapshot.  Never blocks on catalog
     /// construction: the read lock is only ever write-contended for the
-    /// duration of a pointer store inside [`publish`](Self::publish).
+    /// duration of a pointer store inside a publish.
     pub fn load(&self) -> Arc<Catalog> {
         Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
-    /// The publication generation: increments by one per publish.  Distinct
-    /// from the catalog's statistics [`epoch`](Catalog::epoch) — a publish
-    /// usually bumps both, but the generation is purely a reader-cache
-    /// freshness counter.
+    /// The publication generation: the number of publishes since
+    /// construction.  Distinct from the catalog's statistics
+    /// [`epoch`](Catalog::epoch) — a publish usually bumps both, but the
+    /// generation counts publishes, and readers compare it to tell whether
+    /// their cached snapshot is current.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -87,24 +85,13 @@ impl SnapshotCatalog {
         self.load().epoch()
     }
 
-    /// Number of successful publishes since construction.
-    pub fn publishes(&self) -> u64 {
-        self.publishes.load(Ordering::Relaxed)
-    }
-
-    /// Publish a successor catalog, returning its statistics epoch.  The
-    /// successor should be built via [`Catalog::successor_with`] /
-    /// [`Catalog::absorb_observed`] (or any other off-to-the-side
-    /// construction); this call only swaps the pointer.
-    pub fn publish(&self, successor: Catalog) -> u64 {
-        self.publish_with(successor, || {})
-    }
-
-    /// [`publish`](Self::publish) with an instrumentation seam: `mid` runs
-    /// while the writer lock is held and the successor `Arc` is built, but
-    /// **before** the pointer store.  A writer suspended inside `mid` is
-    /// "mid-publish" without touching anything readers use — which is
-    /// exactly what the non-blocking-readers rendezvous tests suspend on.
+    /// Publish a successor catalog built off to the side (via
+    /// [`Catalog::successor_with`], say), returning its statistics epoch;
+    /// this call only swaps the pointer.  `mid` is an instrumentation seam:
+    /// it runs while the writer lock is held and the successor `Arc` is
+    /// built, but **before** the pointer store.  A writer suspended inside
+    /// `mid` is "mid-publish" without touching anything readers use — which
+    /// is exactly what the non-blocking-readers rendezvous tests suspend on.
     pub fn publish_with(&self, successor: Catalog, mid: impl FnOnce()) -> u64 {
         let _writer = self.writer();
         let arc = Arc::new(successor);
@@ -129,21 +116,6 @@ impl SnapshotCatalog {
         self.update(|base| base.successor_with(Arc::clone(&relation)))
     }
 
-    /// Publish a relation with its exact statistics
-    /// ([`Catalog::absorb_observed`]) as a new epoch-bumped snapshot,
-    /// visible to every future reader.
-    pub fn absorb_observed(
-        &self,
-        relation: impl Into<Arc<Relation>>,
-        max_norm: u32,
-    ) -> Result<u64, DataError> {
-        let relation = relation.into();
-        let _writer = self.writer();
-        let base = self.load();
-        let successor = base.absorb_observed(Arc::clone(&relation), max_norm)?;
-        Ok(self.store(Arc::new(successor)))
-    }
-
     /// Serialize writers.  The mutex guards no data, so a writer that
     /// panicked while holding it (in `update`'s closure, say) left nothing
     /// half-done, and the next writer goes ahead.
@@ -161,7 +133,6 @@ impl SnapshotCatalog {
         // Release-publish the new generation only after the store, so a
         // reader that observes the bump refreshes to the new snapshot.
         self.generation.fetch_add(1, Ordering::Release);
-        self.publishes.fetch_add(1, Ordering::Relaxed);
         epoch
     }
 }
@@ -248,8 +219,7 @@ mod tests {
         let cell = SnapshotCatalog::new(catalog_with(3));
         let first = cell.load();
         assert_eq!(first.get("R").unwrap().len(), 3);
-        assert_eq!(cell.publishes(), 0);
-        let g0 = cell.generation();
+        assert_eq!(cell.generation(), 0);
 
         let epoch = cell.replace_relation(RelationBuilder::binary_from_pairs(
             "R",
@@ -258,8 +228,7 @@ mod tests {
             vec![(7, 8)],
         ));
         assert_eq!(epoch, first.epoch() + 1);
-        assert_eq!(cell.publishes(), 1);
-        assert_eq!(cell.generation(), g0 + 1);
+        assert_eq!(cell.generation(), 1);
         assert_eq!(cell.epoch(), epoch);
         // The new snapshot is live; the old one is untouched for holders.
         assert_eq!(cell.load().get("R").unwrap().len(), 1);
@@ -384,7 +353,7 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(cell.publishes(), 32);
+        assert_eq!(cell.generation(), 32);
         // Every update grew R by one row off the then-current version.
         assert_eq!(cell.load().get("R").unwrap().len(), 1 + 32);
     }
@@ -406,7 +375,7 @@ mod tests {
         });
         assert!(in_publish.is_err());
         assert_eq!(cell.load().get("R").unwrap().len(), 2);
-        assert_eq!((cell.epoch(), cell.publishes()), (epoch, 0));
+        assert_eq!((cell.epoch(), cell.generation()), (epoch, 0));
 
         let next = cell.replace_relation(RelationBuilder::binary_from_pairs(
             "R",
@@ -416,6 +385,6 @@ mod tests {
         ));
         assert_eq!(next, epoch + 1);
         assert_eq!(cell.load().get("R").unwrap().len(), 1);
-        assert_eq!(cell.publishes(), 1);
+        assert_eq!(cell.generation(), 1);
     }
 }

@@ -4,11 +4,11 @@
 //! (§1.2, §2.1), and [`Catalog::log_norm`] honours that lazily: the first
 //! request pays for a degree-sequence scan, later requests are cache hits.
 //! [`StatisticsCollector`] is the eager counterpart, for callers that want
-//! a relation's whole standard set at once — exact-statistics publishes
-//! ([`Catalog::absorb_observed`]), persisting a catalog's statistics, the
-//! workload generators' stale-statistics snapshots: it walks a relation's
-//! *simple* conditionals — `(rest | x)` for every attribute `x`, plus the
-//! cardinality conditionals `(all | ∅)` and `({x} | ∅)` — and materializes
+//! a relation's whole standard set at once — persisting a catalog's
+//! statistics, the workload generators' stale-statistics snapshots: it
+//! walks a relation's *simple* conditionals — `(rest | x)` for every
+//! attribute `x`, plus the cardinality conditionals `(all | ∅)` and
+//! `({x} | ∅)` — and materializes
 //! `log₂ ‖deg(V|U)‖_p` for a configurable norm set
 //! ([`Norm::standard_set`] by default) into the catalog's cache and into a
 //! [`StatisticsSet`] snapshot with direct lookup.  Each conditional's norms

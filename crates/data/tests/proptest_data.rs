@@ -1,6 +1,8 @@
 //! Property tests for degree sequences, norms and relation invariants.
 
-use lpb_data::{Catalog, DegreeSequence, Norm, Relation, RelationBuilder, Schema};
+use lpb_data::{
+    Catalog, DegreeSequence, Norm, Relation, RelationBuilder, Schema, StatisticsCollector,
+};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -21,11 +23,7 @@ fn arb_relation() -> impl Strategy<Value = Relation> {
             move |rows| {
                 let attrs = &["a", "b", "c"][..arity];
                 if built == 1 {
-                    let mut builder = RelationBuilder::new("T", attrs.iter().copied()).unwrap();
-                    for row in &rows {
-                        builder.push_codes(row).unwrap();
-                    }
-                    return builder.build();
+                    return build(attrs, &rows);
                 }
                 let columns = (0..arity)
                     .map(|c| rows.iter().map(|r| r[c]).collect())
@@ -43,6 +41,66 @@ fn attrs_of(rel: &Relation, mask: usize) -> Vec<&str> {
         .filter(|i| mask & (1 << i) != 0)
         .map(|i| rel.schema().name(i))
         .collect()
+}
+
+/// A builder-made relation `T` over `attrs` holding `rows`.
+fn build(attrs: &[&str], rows: &[Vec<u64>]) -> Relation {
+    let mut builder = RelationBuilder::new("T", attrs.iter().copied()).unwrap();
+    for row in rows {
+        builder.push_codes(row).unwrap();
+    }
+    builder.build()
+}
+
+/// A builder-made relation of arity 1–3 over attributes `a, b, c`,
+/// possibly empty.
+fn arb_built_relation() -> impl Strategy<Value = Relation> {
+    (1usize..4).prop_flat_map(|arity| {
+        proptest::collection::vec(proptest::collection::vec(0u64..6, arity), 0..60)
+            .prop_map(move |rows| build(&["a", "b", "c"][..arity], &rows))
+    })
+}
+
+/// The statistics calls the pure-statistics test makes on a catalog: the
+/// standard collector on every relation, then `log_norms` of
+/// `deg(last | rest)` at two norms, one of them outside the standard set.
+fn collect_every_relation(catalog: &Catalog) {
+    let mut names = catalog.relation_names();
+    names.sort();
+    for name in &names {
+        StatisticsCollector::standard(4)
+            .materialize_relation(catalog, name)
+            .unwrap();
+        let rel = catalog.get(name).unwrap();
+        let attrs: Vec<&str> = (0..rel.arity()).map(|a| rel.schema().name(a)).collect();
+        let (last, rest) = attrs.split_last().unwrap();
+        catalog
+            .log_norms(name, &[*last], rest, &[Norm::Finite(1.5), Norm::Infinity])
+            .unwrap();
+    }
+}
+
+/// The bytes of `catalog`'s statistics file.
+fn saved_statistics(catalog: &Catalog, label: &str) -> Vec<u8> {
+    let path = std::env::temp_dir().join(format!(
+        "lpbound_pure_statistics_{}_{label}.stats",
+        std::process::id()
+    ));
+    catalog.save_statistics(&path).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// The statistics file of a cold catalog holding the same rows as
+/// `catalog`, after the same calls.
+fn cold_statistics(catalog: &Catalog, label: &str) -> Vec<u8> {
+    let mut cold = Catalog::new();
+    for name in catalog.relation_names() {
+        cold.insert(Relation::clone(&catalog.get(&name).unwrap()));
+    }
+    collect_every_relation(&cold);
+    saved_statistics(&cold, label)
 }
 
 proptest! {
@@ -185,6 +243,36 @@ proptest! {
             prop_assert_eq!(batched.cached_stats(), one_by_one.cached_stats());
         }
         prop_assert!(batched.log_norms("R", &["y"], &["x"], &[]).unwrap().is_empty());
+    }
+
+    /// A catalog's cached statistics are a function of its rows: a base
+    /// catalog, a `derive_with` sub-catalog of it (which carries the base's
+    /// warm cache) and a `successor_with` successor, each after the
+    /// collector and a `log_norms` call, save byte for byte the statistics
+    /// file of a cold catalog built from the same rows after the same
+    /// calls.
+    #[test]
+    fn cached_statistics_are_a_function_of_the_rows(
+        r in arb_built_relation(),
+        s in arb_built_relation(),
+        part in arb_built_relation(),
+        next in arb_built_relation(),
+    ) {
+        let mut base = Catalog::new();
+        base.insert(r.with_name("R"));
+        base.insert(s.with_name("S"));
+        collect_every_relation(&base);
+        let derived = base.derive_with(part.with_name("R"));
+        let successor = base.successor_with(next.with_name("S"));
+        prop_assert_eq!(successor.epoch(), base.epoch() + 1);
+        for (label, catalog) in [("base", &base), ("derived", &derived), ("successor", &successor)] {
+            collect_every_relation(catalog);
+            prop_assert!(
+                saved_statistics(catalog, label) == cold_statistics(catalog, &format!("{label}_cold")),
+                "{} catalog's statistics differ from a cold catalog's",
+                label
+            );
+        }
     }
 
     /// ‖d‖_p is non-increasing in p and bounded between max-degree and total.

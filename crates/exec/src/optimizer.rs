@@ -858,7 +858,7 @@ impl Optimizer {
             let relation = Arc::new(part.relation);
             let part_catalog = catalog.derive_with(Arc::clone(&relation));
             for entry in part.statistics.entries(&relation, &norms) {
-                part_catalog.record_statistic(entry.key, entry.log_norm, false);
+                part_catalog.record_statistic(entry.key, entry.log_norm);
             }
             runs.push(PartRun {
                 query: query.with_atom_relation(candidate.atom, relation.name())?,

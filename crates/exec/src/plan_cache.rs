@@ -23,10 +23,10 @@
 //!   (output columns take their names from the executed query, not the
 //!   cached plan).  Query *names* are deliberately excluded.
 //! * **Statistics epoch** ([`lpb_data::Catalog::epoch`]): bounds are only
-//!   as good as the statistics behind them, so any epoch bump — a relation
-//!   replaced via [`lpb_data::Catalog::successor_with`], observed
-//!   intermediates absorbed via [`lpb_data::Catalog::absorb_observed`] —
-//!   changes the key and every stale entry misses from then on.  Epochs are
+//!   as good as the statistics behind them, and a catalog's statistics are
+//!   a function of its rows, so any epoch bump — a relation replaced via
+//!   [`lpb_data::Catalog::successor_with`] — changes the key and every
+//!   stale entry misses from then on.  Epochs are
 //!   compared, never dereferenced, so stale entries are merely dead weight
 //!   until evicted, not a correctness hazard.  The corollary: one
 //!   `PlanCache` must serve **one catalog lineage** (e.g. one
@@ -45,8 +45,8 @@
 //! publishes often fills the cache with plans nothing asks for again (on
 //! the benchmark's `serve-churn`, ~1,000 plans and 4 MiB, 40 % of the
 //! process).  The rule looks only behind the inserted epoch, so a lineage
-//! whose epoch goes back (a [`lpb_data::SnapshotCatalog::publish`] of an
-//! older catalog) keeps caching its plans; the entries ahead of it leave
+//! whose epoch goes back (a [`lpb_data::SnapshotCatalog::publish_with`] of
+//! an older catalog) keeps caching its plans; the entries ahead of it leave
 //! by capacity.
 //!
 //! ## Single-flight planning
@@ -525,29 +525,6 @@ mod tests {
         assert!(cache.get(&q, &base).is_none());
         assert!(cache.get(&q, &successor).is_some());
         assert_eq!(cache.len(), 2);
-    }
-
-    /// S3 invalidation, exact-statistics publish: an `absorb_observed`
-    /// epoch bump must invalidate exactly like a relation replace.
-    #[test]
-    fn epoch_bump_from_absorb_observed_invalidates() {
-        let base = catalog();
-        let cache = PlanCache::default();
-        let optimizer = Optimizer::new();
-        let q = JoinQuery::triangle("E", "E", "E");
-        plan_through(&cache, &optimizer, &q, &base).unwrap();
-        assert!(plan_through(&cache, &optimizer, &q, &base).unwrap().1);
-
-        let absorbed = base
-            .absorb_observed(
-                RelationBuilder::binary_from_pairs("Obs", "a", "b", (0..6u64).map(|i| (i, i))),
-                optimizer.config().max_norm,
-            )
-            .unwrap();
-        assert_eq!(absorbed.epoch(), base.epoch() + 1);
-        let (_, hit) = plan_through(&cache, &optimizer, &q, &absorbed).unwrap();
-        assert!(!hit, "stale-epoch plan served after absorb_observed");
-        assert!(plan_through(&cache, &optimizer, &q, &absorbed).unwrap().1);
     }
 
     /// The epoch rule evicts only behind the epoch being inserted: after

@@ -725,7 +725,7 @@ fn a_partition_branch_copies_no_cached_statistic() {
     assert_eq!(catalog.cached_stats(), 0);
     for i in 0..5000 {
         let key = StatsKey::new("S", &["z"], &["y"], Norm::Finite(1.0 + f64::from(i)));
-        assert!(catalog.record_statistic(key, 1.0, false));
+        catalog.record_statistic(key, 1.0);
     }
     let warm = requested(&catalog);
     assert_eq!(catalog.cached_stats(), 5000);

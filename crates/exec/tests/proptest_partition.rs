@@ -126,7 +126,7 @@ proptest! {
                 let relation = Arc::new(part.relation);
                 let part_catalog = catalog.derive_with(Arc::clone(&relation));
                 for entry in entries {
-                    part_catalog.record_statistic(entry.key, entry.log_norm, false);
+                    part_catalog.record_statistic(entry.key, entry.log_norm);
                 }
                 let part_query = query.with_atom_relation(0, relation.name()).unwrap();
                 let seeded = part_catalog.cached_stats();

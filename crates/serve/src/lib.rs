@@ -16,9 +16,8 @@
 //!    *Cache keying discipline*: the shape canon renames variables by
 //!    first appearance and drops query names, so isomorphic queries from
 //!    different users share one entry; the epoch half of the key means any
-//!    statistics change — a relation replaced, a relation published with
-//!    exact statistics — invalidates every stale entry by
-//!    construction (stale keys simply never match again).  One cache
+//!    statistics change — a relation replaced — invalidates every stale
+//!    entry by construction (stale keys simply never match again).  One cache
 //!    serves one catalog lineage; see `lpb_exec::plan_cache` for the full
 //!    argument.
 //!

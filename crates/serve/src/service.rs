@@ -104,7 +104,8 @@ pub struct ServeStats {
     pub max_batch: u64,
     /// Certificate violations summed over all executed requests.
     pub certificate_violations: u64,
-    /// Catalog versions published (writer side).
+    /// Catalog versions published (writer side): the snapshot cell's
+    /// [`generation`](SnapshotCatalog::generation).
     pub publishes: u64,
     /// Statistics epoch of the currently published snapshot.
     pub epoch: u64,
@@ -185,15 +186,6 @@ impl QueryService {
         self.cell.replace_relation(relation)
     }
 
-    /// Publish a relation with its exact statistics (computed from its rows
-    /// and write-protected, epoch bumped) as a new snapshot.  Returns the
-    /// new epoch.
-    pub fn absorb_observed(&self, relation: impl Into<Arc<Relation>>) -> Result<u64, ServeError> {
-        self.cell
-            .absorb_observed(relation, self.optimizer.config().max_norm)
-            .map_err(Into::into)
-    }
-
     /// Current service counters.
     pub fn stats(&self) -> ServeStats {
         let flights = self.plan_cache.flight_stats();
@@ -207,7 +199,7 @@ impl QueryService {
             multi_request_batches: flights.shared,
             max_batch: flights.largest,
             certificate_violations: self.violations.load(Ordering::Relaxed),
-            publishes: self.cell.publishes(),
+            publishes: self.cell.generation(),
             epoch: self.cell.epoch(),
         }
     }
@@ -406,30 +398,6 @@ mod tests {
         assert_ne!(after.output_size, before.output_size);
         // Old and new generations both cached now.
         assert!(service.execute(&q).unwrap().cache_hit);
-    }
-
-    /// S3, exact-statistics publish: an `absorb_observed` publish must
-    /// invalidate exactly like a replace.
-    #[test]
-    fn absorb_observed_invalidates_served_plans() {
-        let service = QueryService::new(catalog());
-        let q = JoinQuery::triangle("E", "E", "E");
-        let before = service.execute(&q).unwrap();
-        assert!(service.execute(&q).unwrap().cache_hit);
-        let epoch = service
-            .absorb_observed(RelationBuilder::binary_from_pairs(
-                "Obs",
-                "x",
-                "y",
-                (0..5u64).map(|i| (i, i)),
-            ))
-            .unwrap();
-        assert_eq!(epoch, before.epoch + 1);
-        let after = service.execute(&q).unwrap();
-        assert!(!after.cache_hit, "stale plan served after absorb_observed");
-        // Same base data, so the answer is unchanged — only the plan was
-        // re-proved against the new statistics epoch.
-        assert_eq!(after.output_size, before.output_size);
     }
 
     /// Every other pair of 40 nodes is an edge, loops included: 800 rows,
