@@ -558,7 +558,7 @@ mod tests {
     /// A cached entry is served exactly as it stands: `log_norms` derives
     /// only the misses from the rows and records nothing else.
     #[test]
-    fn log_norms_fills_misses_without_touching_exact_entries() {
+    fn log_norms_fills_misses_and_serves_cached_entries_as_they_stand() {
         let mut c = catalog();
         c.insert(RelationBuilder::binary_from_pairs(
             "I",

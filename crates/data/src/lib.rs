@@ -36,7 +36,6 @@ mod builder;
 mod catalog;
 mod degree;
 mod error;
-mod index;
 mod norms;
 mod relation;
 mod schema;
@@ -48,7 +47,6 @@ pub use builder::RelationBuilder;
 pub use catalog::{Catalog, StatsKey};
 pub use degree::DegreeSequence;
 pub use error::DataError;
-pub use index::HashIndex;
 pub use norms::Norm;
 pub use relation::{Grouping, Relation};
 pub use schema::{AttrId, Schema};

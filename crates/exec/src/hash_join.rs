@@ -12,12 +12,14 @@
 //! grouped on the variables later steps read ([`Grouped`]), and gets the
 //! step's exact size and the next grouping without writing the join.  The
 //! unit tests pin all four against the nested-loop oracle
-//! ([`crate::oracle`]).
+//! ([`crate::oracle`]).  [`KeyWeights`] is the Yannakakis counter's
+//! message ([`crate::yannakakis_count`]): a side's row weights summed per
+//! key, looked up by the parent's rows.
 //!
-//! Every kernel finds keys through one [`KeyIndex`], and a key of one
-//! variable — the common case: values are dictionary codes, and a chain or
-//! a full reducer joins on one variable at a time — is not hashed when it
-//! need not be.  One pass over the column the keys are drawn from finds its
+//! Every kernel, and the counter, finds keys through one [`KeyIndex`], and
+//! a key of one variable — the common case: values are dictionary codes,
+//! and a chain or a full reducer joins on one variable at a time — is not
+//! hashed when it need not be.  One pass over the column the keys are drawn from finds its
 //! span (`max − min`); when that is under [`DENSE_SPAN_PER_ROW`] values per
 //! row or under [`DENSE_SPAN_FLOOR`] values, a key's number sits in a slot
 //! table at `value − min`, and otherwise in a hash map.  The input alone
@@ -499,6 +501,47 @@ impl Grouped {
         Grouped {
             keys: table,
             weights,
+        }
+    }
+}
+
+/// Row weights summed per distinct key, numbered by a [`KeyIndex`]: a
+/// Yannakakis counter's message, a child's weight per separator value.
+pub(crate) struct KeyWeights {
+    keys: KeyIndex,
+    sums: Vec<u128>,
+}
+
+impl KeyWeights {
+    /// Sum `weights[i]` over the rows `i` of `side` with equal key columns
+    /// `key_pos` (no columns: one key, the total); every sum saturates at
+    /// `u128::MAX`.
+    pub(crate) fn sum(side: &ColumnTable, key_pos: &[usize], weights: &[u128]) -> Self {
+        let mut sums: Vec<u128> = Vec::new();
+        let mut row = 0;
+        let keys = KeyIndex::build(side, side.len(), key_pos, |k| {
+            let k = k as usize;
+            if k == sums.len() {
+                sums.push(0);
+            }
+            sums[k] = sums[k].saturating_add(weights[row]);
+            row += 1;
+        });
+        KeyWeights { keys, sums }
+    }
+
+    /// Multiply `weights[i]`, saturating, by the summed weight of row `i`'s
+    /// key in `table`'s columns `key_pos` (the summed key's variables, in
+    /// order), or by 0 when that key is not here.
+    pub(crate) fn scale(&self, table: &ColumnTable, key_pos: &[usize], weights: &mut [u128]) {
+        let mut scratch = Vec::new();
+        let mut row = 0;
+        for batch in table.batches() {
+            self.keys.probe_batch(&batch, key_pos, &mut scratch, |hit| {
+                let matched = hit.map_or(0, |k| self.sums[k as usize]);
+                weights[row] = weights[row].saturating_mul(matched);
+                row += 1;
+            });
         }
     }
 }

@@ -60,13 +60,17 @@
 //!   re-plans;
 //! * the **truth counters** the experiments compare bounds against:
 //!   [`yannakakis_count`] (weighted message passing over a GYO join tree,
-//!   for the JOB-like acyclic suite whose outputs are too large to
-//!   materialize), [`wcoj_count`] (the generic worst-case-optimal join),
+//!   each message keyed through the join kernels' key index, for the
+//!   JOB-like acyclic suite whose outputs are too large to materialize),
+//!   [`wcoj_count`] (the generic worst-case-optimal join),
 //!   [`true_cardinality`] (dispatching between the two), and the
 //!   specialized [`triangle_count`], [`path2_count`], [`cycle_count`];
-//! * [`partition_by_degree`] (Lemma 2.5) and [`partitioned_join_count`]
-//!   (Theorem 2.6) — the paper's reduction from ℓp statistics to ℓ1 + ℓ∞
-//!   statistics by degree bucketing, evaluated part-by-part with the WCOJ;
+//! * [`partition_by_degree`] / [`partition_for_statistic`] (Lemma 2.5) and
+//!   [`partitioned_join_count`] (Theorem 2.6) — the paper's reduction from
+//!   ℓp statistics to ℓ1 + ℓ∞ statistics by degree bucketing, evaluated
+//!   part-by-part with the WCOJ.  The partition is one
+//!   [`lpb_data::Relation::grouping`] and one gather per part, the same
+//!   routine [`split_light_heavy`] coarsens into two parts;
 //! * [`oracle::nested_loop_join`] — the **differential reference**: a naive
 //!   nested-loop join that shares no code with any operator, against which
 //!   the unit, integration and property tests compare every plan's output;

@@ -19,10 +19,15 @@
 //! few distinct `U`-values (small ℓ1 on the conditioning side), and the
 //! planner bounds and plans each part independently before executing them
 //! under a [`crate::PhysicalNode::PartitionedUnion`].
+//!
+//! Both run on one [`Relation::grouping`] of `(V | U)`: it gives each
+//! `U`-value its degree and so its bucket, routes the rows, and a part is
+//! one [`Relation::gather`].  A `U`-group goes whole to one part, so a
+//! part's maximum degree and `|Π_U|` are read off the grouping.
 
 use crate::error::ExecError;
 use lpb_data::{DegreeSequence, Norm, Relation, SimpleStatistics};
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// One part of a degree partition.
 #[derive(Debug, Clone)]
@@ -57,66 +62,16 @@ impl DegreePart {
 
 /// Partition `rel` into degree buckets of the conditional `(V | U)` given by
 /// attribute names.  Every input tuple lands in exactly one part; parts with
-/// no tuples are omitted, so at most `⌈log₂ N⌉ + 1` parts are returned.
+/// no tuples are omitted, so at most `⌈log₂ N⌉ + 1` parts are returned, in
+/// ascending bucket order, named `{rel}#deg{bucket}`, rows sorted and
+/// distinct.  Cost: one [`Relation::grouping`] (after a deduplication when
+/// the rows are not strictly increasing) and one gather per part.
 pub fn partition_by_degree(
     rel: &Relation,
     v: &[&str],
     u: &[&str],
 ) -> Result<Vec<DegreePart>, ExecError> {
-    let u_pos = rel.schema().positions(u.iter().copied())?;
-    let v_pos = rel.schema().positions(v.iter().copied())?;
-
-    // Degree of each U-value: number of distinct V-values.
-    let mut groups: HashMap<Vec<u64>, Vec<Vec<u64>>> = HashMap::new();
-    for row in 0..rel.len() {
-        let key = rel.key(row, &u_pos);
-        let val = rel.key(row, &v_pos);
-        groups.entry(key).or_default().push(val);
-    }
-    let mut degree_of: HashMap<Vec<u64>, u64> = HashMap::with_capacity(groups.len());
-    for (key, mut vals) in groups {
-        vals.sort_unstable();
-        vals.dedup();
-        degree_of.insert(key, vals.len() as u64);
-    }
-
-    // Distribute rows into buckets.
-    let mut rows_per_bucket: HashMap<u32, Vec<Vec<u64>>> = HashMap::new();
-    for row in 0..rel.len() {
-        let key = rel.key(row, &u_pos);
-        let d = degree_of[&key];
-        rows_per_bucket
-            .entry(bucket_of(d))
-            .or_default()
-            .push(rel.row(row));
-    }
-
-    let mut buckets: Vec<u32> = rows_per_bucket.keys().copied().collect();
-    buckets.sort_unstable();
-    let attrs: Vec<String> = rel.schema().attrs().to_vec();
-    let mut parts = Vec::with_capacity(buckets.len());
-    for bucket in buckets {
-        let rows = &rows_per_bucket[&bucket];
-        let mut builder =
-            lpb_data::RelationBuilder::new(format!("{}#deg{}", rel.name(), bucket), attrs.clone())
-                .expect("schema attribute names are valid");
-        for row in rows {
-            builder.push_codes(row).expect("row arity matches schema");
-        }
-        let relation = builder.build();
-        let part_max = relation
-            .degree_sequence(v, u)
-            .map(|d| d.max_degree())
-            .unwrap_or(0);
-        let distinct_u = relation.distinct_count(u).unwrap_or(0);
-        parts.push(DegreePart {
-            relation,
-            bucket,
-            max_degree: part_max,
-            distinct_u,
-        });
-    }
-    Ok(parts)
+    partition(rel, v, u, |_| usize::MAX)
 }
 
 /// The full Lemma 2.5 partition for one ℓp statistic `‖deg(V|U)‖_p ≤ 2^{log2_b}`:
@@ -126,7 +81,12 @@ pub fn partition_by_degree(
 /// `B^p / d^p` for `d` the part's maximum degree).
 ///
 /// The number of parts is at most `⌈2^p⌉·(⌈log₂ N⌉ + 1)`, matching the
-/// lemma.  Every input tuple lands in exactly one part.
+/// lemma.  Every input tuple lands in exactly one part.  These are
+/// [`partition_by_degree`]'s parts, except that a bucket with more
+/// `U`-values than `⌊B^p / d^p⌋` (at least 1) for its maximum degree `d` is
+/// cut, in ascending `U` order, into parts `{rel}#deg{bucket}#u{k}` of that
+/// many; for ℓ∞ none is.  Cost: as [`partition_by_degree`], one grouping
+/// and one gather per part.
 pub fn partition_for_statistic(
     rel: &Relation,
     v: &[&str],
@@ -134,63 +94,108 @@ pub fn partition_for_statistic(
     norm: Norm,
     log2_b: f64,
 ) -> Result<Vec<DegreePart>, ExecError> {
-    let buckets = partition_by_degree(rel, v, u)?;
-    let p = match norm {
+    match norm {
         // For ℓ∞ the degree buckets already strongly satisfy the statistic
         // (every degree is at most the global maximum).
-        Norm::Infinity => return Ok(buckets),
-        Norm::Finite(p) => p,
-    };
-    let mut parts = Vec::new();
-    for bucket in buckets {
-        // Largest U-value count a part with this bucket's max degree may
-        // have: ⌊B^p / d^p⌋ (at least 1 — a single U-value always fits,
-        // because its own degree contributes d^p ≤ B^p).
-        let cap = (p * (log2_b - (bucket.max_degree.max(1) as f64).log2()))
-            .exp2()
-            .floor()
-            .max(1.0) as usize;
-        if bucket.distinct_u <= cap {
-            parts.push(bucket);
-            continue;
-        }
-        // Split the bucket's U-values into chunks of at most `cap` values.
-        let u_pos = bucket.relation.schema().positions(u.iter().copied())?;
-        let mut u_values: Vec<Vec<u64>> = (0..bucket.relation.len())
-            .map(|row| bucket.relation.key(row, &u_pos))
-            .collect();
-        u_values.sort_unstable();
-        u_values.dedup();
-        let attrs: Vec<String> = bucket.relation.schema().attrs().to_vec();
-        for (chunk_idx, chunk) in u_values.chunks(cap).enumerate() {
-            let mut builder = lpb_data::RelationBuilder::new(
-                format!("{}#u{}", bucket.relation.name(), chunk_idx),
-                attrs.clone(),
-            )
-            .expect("schema attribute names are valid");
-            for row in 0..bucket.relation.len() {
-                let key = bucket.relation.key(row, &u_pos);
-                if chunk.binary_search(&key).is_ok() {
-                    builder
-                        .push_codes(&bucket.relation.row(row))
-                        .expect("row arity matches schema");
-                }
-            }
-            let relation = builder.build();
-            let max_degree = relation
-                .degree_sequence(v, u)
-                .map(|d| d.max_degree())
-                .unwrap_or(0);
-            let distinct_u = relation.distinct_count(u).unwrap_or(0);
-            parts.push(DegreePart {
+        Norm::Infinity => partition(rel, v, u, |_| usize::MAX),
+        // The largest `U`-value count a part with a bucket's maximum degree
+        // `d` may have: ⌊B^p / d^p⌋ (at least 1 — a single `U`-value always
+        // fits, because its own degree contributes d^p ≤ B^p).
+        Norm::Finite(p) => partition(rel, v, u, |d| {
+            (p * (log2_b - (d.max(1) as f64).log2()))
+                .exp2()
+                .floor()
+                .max(1.0) as usize
+        }),
+    }
+}
+
+/// The Lemma 2.5 partition behind [`partition_by_degree`] and
+/// [`partition_for_statistic`]: the `U`-groups of `(V | U)` bucketed by
+/// degree, each bucket's groups (in ascending `U` order, as the grouping
+/// lists them) cut into consecutive chunks of at most `cap(d)` groups for
+/// `d` the bucket's maximum degree — one part per chunk, one per bucket
+/// when it is not cut.
+fn partition(
+    rel: &Relation,
+    v: &[&str],
+    u: &[&str],
+    cap: impl Fn(u64) -> usize,
+) -> Result<Vec<DegreePart>, ExecError> {
+    let rel = strict_rows(rel);
+    let groups = rel.grouping(v, u)?;
+    let degrees = groups.degrees();
+    let bucket_max = bucket_maxima(degrees);
+    let mut bucket_groups = [0usize; 65];
+    for &d in degrees {
+        bucket_groups[bucket_of(d) as usize] += 1;
+    }
+    // The parts' names and buckets, in bucket order; each bucket's first
+    // part and the number of groups a part of it takes.
+    let mut parts: Vec<(String, u32)> = Vec::new();
+    let (mut first_part, mut per_part) = ([0usize; 65], [0usize; 65]);
+    for bucket in (0..65).filter(|&b| bucket_groups[b] > 0) {
+        per_part[bucket] = cap(bucket_max[bucket]).max(1);
+        first_part[bucket] = parts.len();
+        let chunks = bucket_groups[bucket].div_ceil(per_part[bucket]);
+        let name = format!("{}#deg{bucket}", rel.name());
+        parts.extend((0..chunks).map(|chunk| match chunks {
+            1 => (name.clone(), bucket as u32),
+            _ => (format!("{name}#u{chunk}"), bucket as u32),
+        }));
+    }
+    // Each group's part, and each part's maximum degree and `|Π_U|`.
+    let mut stats = vec![(0u64, 0usize); parts.len()];
+    let mut taken = [0usize; 65];
+    let part_of: Vec<usize> = degrees
+        .iter()
+        .map(|&d| {
+            let bucket = bucket_of(d) as usize;
+            let part = first_part[bucket] + taken[bucket] / per_part[bucket];
+            taken[bucket] += 1;
+            stats[part] = (stats[part].0.max(d), stats[part].1 + 1);
+            part
+        })
+        .collect();
+    let mut rows: Vec<Vec<usize>> = vec![Vec::new(); parts.len()];
+    groups.for_each_row(|row, group| rows[part_of[group]].push(row));
+    let parts = parts.into_iter().zip(stats).zip(rows);
+    Ok(parts
+        .map(|(((name, bucket), (max_degree, distinct_u)), mut rows)| {
+            // Storage order, which a grouping that sorted row indices did
+            // not visit.
+            rows.sort_unstable();
+            let relation = rel.gather(name, &rows);
+            DegreePart {
                 relation,
-                bucket: bucket.bucket,
+                bucket,
                 max_degree,
                 distinct_u,
-            });
-        }
+            }
+        })
+        .collect())
+}
+
+/// `rel` when its rows are strictly increasing, else its deduplicated copy
+/// (rows in builder order): either way a part gathers its rows sorted and
+/// distinct.
+fn strict_rows(rel: &Relation) -> Cow<'_, Relation> {
+    if rel.is_strictly_increasing() {
+        Cow::Borrowed(rel)
+    } else {
+        Cow::Owned(rel.deduplicated())
     }
-    Ok(parts)
+}
+
+/// The largest of `degrees` in each bucket ([`bucket_of`]), 0 for an empty
+/// bucket: the `max_degree` of the bucket's [`partition_by_degree`] part.
+fn bucket_maxima(degrees: &[u64]) -> [u64; 65] {
+    let mut bucket_max = [0u64; 65];
+    for &d in degrees {
+        let slot = &mut bucket_max[bucket_of(d) as usize];
+        *slot = (*slot).max(d);
+    }
+    bucket_max
 }
 
 /// Bucket index of a degree `d ≥ 1`: `⌈log₂ d⌉`, with bucket 1 for
@@ -212,12 +217,12 @@ pub struct SplitPart {
 }
 
 /// Coarsen the degree buckets of `(V | U)` into a two-way **light/heavy**
-/// split: bucket the `U`-values by degree (the buckets of
-/// [`partition_by_degree`]), then merge every bucket whose maximum degree
-/// is at most the geometric mean of the extreme bucket maxima into the
-/// *light* part and the rest into the *heavy* part.  Returns `None` when
-/// the relation has fewer than two degree buckets (no skew worth
-/// splitting).
+/// split: bucket the `U`-values by degree — the buckets of
+/// [`partition_by_degree`], from the same deduplication, grouping and
+/// bucket rule — then merge every bucket whose maximum degree is at most
+/// the geometric mean of the extreme bucket maxima into the *light* part
+/// and the rest into the *heavy* part.  Returns `None` when the relation
+/// has fewer than two degree buckets (no skew worth splitting).
 ///
 /// The parts are named `{rel}#light` / `{rel}#heavy`, keep the input
 /// schema, hold their rows sorted and deduplicated like any built relation,
@@ -245,21 +250,9 @@ pub fn split_light_heavy(
     v: &[&str],
     u: &[&str],
 ) -> Result<Option<(SplitPart, SplitPart)>, ExecError> {
-    let deduplicated;
-    let rel = if rel.is_strictly_increasing() {
-        rel
-    } else {
-        deduplicated = rel.deduplicated();
-        &deduplicated
-    };
+    let rel = strict_rows(rel);
     let groups = rel.grouping(v, u)?;
-    // Maximum degree per bucket: the `max_degree` of the bucket's
-    // `DegreePart`.
-    let mut bucket_max = [0u64; 65];
-    for &d in groups.degrees() {
-        let slot = &mut bucket_max[bucket_of(d) as usize];
-        *slot = (*slot).max(d);
-    }
+    let bucket_max = bucket_maxima(groups.degrees());
     let log_deg: Vec<f64> = bucket_max
         .iter()
         .filter(|&&d| d > 0)
@@ -331,6 +324,145 @@ pub fn split_light_heavy(
 mod tests {
     use super::*;
     use lpb_data::RelationBuilder;
+    use std::collections::BTreeMap;
+
+    /// The degree buckets as they were first written — each `U`-value's
+    /// `V`-values collected, deduplicated and counted in ordered maps, each
+    /// bucket's rows pushed through the builder, each part's maximum degree
+    /// and `|Π_U|` recounted on it — kept as the reference that shares no
+    /// code with [`partition`].
+    fn reference_partition(rel: &Relation, v: &[&str], u: &[&str]) -> Vec<DegreePart> {
+        let u_pos = rel.schema().positions(u.iter().copied()).unwrap();
+        let v_pos = rel.schema().positions(v.iter().copied()).unwrap();
+
+        // Degree of each U-value: number of distinct V-values.
+        let mut groups: BTreeMap<Vec<u64>, Vec<Vec<u64>>> = BTreeMap::new();
+        for row in 0..rel.len() {
+            let key = rel.key(row, &u_pos);
+            let val = rel.key(row, &v_pos);
+            groups.entry(key).or_default().push(val);
+        }
+        let mut degree_of: BTreeMap<Vec<u64>, u64> = BTreeMap::new();
+        for (key, mut vals) in groups {
+            vals.sort_unstable();
+            vals.dedup();
+            degree_of.insert(key, vals.len() as u64);
+        }
+
+        // Distribute rows into buckets.
+        let mut rows_per_bucket: BTreeMap<u32, Vec<Vec<u64>>> = BTreeMap::new();
+        for row in 0..rel.len() {
+            let key = rel.key(row, &u_pos);
+            let d = degree_of[&key];
+            rows_per_bucket
+                .entry(bucket_of(d))
+                .or_default()
+                .push(rel.row(row));
+        }
+
+        let attrs: Vec<String> = rel.schema().attrs().to_vec();
+        let mut parts = Vec::with_capacity(rows_per_bucket.len());
+        for (bucket, rows) in rows_per_bucket {
+            let mut builder =
+                RelationBuilder::new(format!("{}#deg{}", rel.name(), bucket), attrs.clone())
+                    .unwrap();
+            for row in &rows {
+                builder.push_codes(row).unwrap();
+            }
+            let relation = builder.build();
+            let part_max = relation
+                .degree_sequence(v, u)
+                .map(|d| d.max_degree())
+                .unwrap_or(0);
+            let distinct_u = relation.distinct_count(u).unwrap_or(0);
+            parts.push(DegreePart {
+                relation,
+                bucket,
+                max_degree: part_max,
+                distinct_u,
+            });
+        }
+        parts
+    }
+
+    /// [`partition_for_statistic`] as it was first written: the reference
+    /// buckets, each with more `U`-values than its cap cut into sorted
+    /// chunks of `U`-values, every row of the bucket binary-searched in
+    /// every chunk and each chunk rebuilt and recounted.
+    fn reference_for_statistic(
+        rel: &Relation,
+        v: &[&str],
+        u: &[&str],
+        norm: Norm,
+        log2_b: f64,
+    ) -> Vec<DegreePart> {
+        let buckets = reference_partition(rel, v, u);
+        let p = match norm {
+            Norm::Infinity => return buckets,
+            Norm::Finite(p) => p,
+        };
+        let mut parts = Vec::new();
+        for bucket in buckets {
+            let cap = (p * (log2_b - (bucket.max_degree.max(1) as f64).log2()))
+                .exp2()
+                .floor()
+                .max(1.0) as usize;
+            if bucket.distinct_u <= cap {
+                parts.push(bucket);
+                continue;
+            }
+            let u_pos = bucket
+                .relation
+                .schema()
+                .positions(u.iter().copied())
+                .unwrap();
+            let mut u_values: Vec<Vec<u64>> = (0..bucket.relation.len())
+                .map(|row| bucket.relation.key(row, &u_pos))
+                .collect();
+            u_values.sort_unstable();
+            u_values.dedup();
+            let attrs: Vec<String> = bucket.relation.schema().attrs().to_vec();
+            for (chunk_idx, chunk) in u_values.chunks(cap).enumerate() {
+                let mut builder = RelationBuilder::new(
+                    format!("{}#u{}", bucket.relation.name(), chunk_idx),
+                    attrs.clone(),
+                )
+                .unwrap();
+                for row in 0..bucket.relation.len() {
+                    let key = bucket.relation.key(row, &u_pos);
+                    if chunk.binary_search(&key).is_ok() {
+                        builder.push_codes(&bucket.relation.row(row)).unwrap();
+                    }
+                }
+                let relation = builder.build();
+                let max_degree = relation
+                    .degree_sequence(v, u)
+                    .map(|d| d.max_degree())
+                    .unwrap_or(0);
+                let distinct_u = relation.distinct_count(u).unwrap_or(0);
+                parts.push(DegreePart {
+                    relation,
+                    bucket: bucket.bucket,
+                    max_degree,
+                    distinct_u,
+                });
+            }
+        }
+        parts
+    }
+
+    /// Everything a part holds — its relation (name, rows in order, strict
+    /// flag), bucket, maximum degree and `|Π_U|` — for a bit-for-bit
+    /// comparison.
+    fn contents(parts: Vec<DegreePart>) -> Vec<(Relation, bool, u32, u64, usize)> {
+        parts
+            .into_iter()
+            .map(|p| {
+                let strict = p.relation.is_strictly_increasing();
+                (p.relation, strict, p.bucket, p.max_degree, p.distinct_u)
+            })
+            .collect()
+    }
 
     /// A relation whose y-degrees span several powers of two.
     fn skewed_relation() -> Relation {
@@ -458,14 +590,14 @@ mod tests {
     }
 
     /// The split as it was first written — merge the materialized
-    /// [`partition_by_degree`] buckets through the builder — kept as the
+    /// [`reference_partition`] buckets through the builder — kept as the
     /// reference the one-pass gather must reproduce exactly.
     fn split_by_merging_buckets(
         rel: &Relation,
         v: &[&str],
         u: &[&str],
     ) -> Option<(Relation, Relation)> {
-        let parts = partition_by_degree(rel, v, u).unwrap();
+        let parts = reference_partition(rel, v, u);
         if parts.len() < 2 {
             return None;
         }
@@ -536,6 +668,69 @@ mod tests {
                 proptest::prop_assert_eq!(&split, &split_by_merging_buckets(rel, v, u));
                 for part in split.into_iter().flat_map(|(light, heavy)| [light, heavy]) {
                     proptest::prop_assert!(part.is_strictly_increasing());
+                }
+            }
+        }
+
+        /// The degree buckets and their Lemma 2.5 chunks equal the
+        /// reference's bit for bit — every part's relation (name, rows in
+        /// order, strict flag), bucket, maximum degree and `|Π_U|` — for ℓ1,
+        /// ℓ2, ℓ3 and ℓ∞ at the relation's own norm and below it (where
+        /// buckets are cut), on a skewed binary relation in both
+        /// directions, a raw (reversed, every row twice) copy of it, a
+        /// ternary relation with `|U| = 2` and with `|V| = 2`, and an empty
+        /// relation.
+        #[test]
+        fn the_partition_equals_the_reference(
+            hubs in 0u64..4,
+            fanout in 1u64..40,
+            background in 0usize..120,
+            seed in 0u64..1_000_000,
+            slack in 0.0f64..3.0,
+        ) {
+            let pairs = lpb_datagen::skewed_pairs(hubs, fanout, background, seed);
+            let built = RelationBuilder::binary_from_pairs("R", "x", "y", pairs.clone());
+            let raw = Relation::from_columns(
+                "R",
+                built.schema().clone(),
+                (0..2)
+                    .map(|c| {
+                        pairs.iter().rev().chain(pairs.iter()).map(|p| [p.0, p.1][c]).collect()
+                    })
+                    .collect(),
+            )
+            .unwrap();
+            let mut ternary = RelationBuilder::new("T", ["x", "y", "z"]).unwrap();
+            for &(x, y) in &pairs {
+                ternary.push_codes(&[x, y, (x + y) % 3]).unwrap();
+            }
+            let ternary = ternary.build();
+            let empty = RelationBuilder::new("E", ["x", "y"]).unwrap().build();
+            for (rel, v, u) in [
+                (&built, &["x"][..], &["y"][..]),
+                (&built, &["y"][..], &["x"][..]),
+                (&raw, &["x"][..], &["y"][..]),
+                (&raw, &["y"][..], &["x"][..]),
+                (&ternary, &["y"][..], &["z", "x"][..]),
+                (&ternary, &["x", "z"][..], &["y"][..]),
+                (&empty, &["x"][..], &["y"][..]),
+            ] {
+                proptest::prop_assert_eq!(
+                    contents(partition_by_degree(rel, v, u).unwrap()),
+                    contents(reference_partition(rel, v, u))
+                );
+                for norm in [Norm::finite(1.0), Norm::L2, Norm::finite(3.0), Norm::Infinity] {
+                    let own = rel
+                        .degree_sequence(v, u)
+                        .unwrap()
+                        .log2_lp_norm(norm)
+                        .unwrap_or(0.0);
+                    for log2_b in [own, own - slack] {
+                        proptest::prop_assert_eq!(
+                            contents(partition_for_statistic(rel, v, u, norm, log2_b).unwrap()),
+                            contents(reference_for_statistic(rel, v, u, norm, log2_b))
+                        );
+                    }
                 }
             }
         }

@@ -4,15 +4,16 @@
 //!
 //! The counter is how the benchmark harness obtains true cardinalities for
 //! the JOB-like acyclic suite (Figure 1), whose outputs are far too large to
-//! materialize.
+//! materialize.  It passes weighted messages up the join tree, each keyed
+//! through the same `KeyIndex` as the join kernels in `hash_join.rs`, and
+//! the full reducer's passes are that module's bitmap semi-joins.
 
 use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
-use crate::hash_join::semi_join_columns;
+use crate::hash_join::{semi_join_columns, KeyWeights};
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use lpb_entropy::VarSet;
-use std::collections::HashMap;
 
 /// A join tree over the query atoms: `parent[i]` is the parent atom of atom
 /// `i` (`None` for the root).
@@ -111,6 +112,13 @@ pub fn is_acyclic(query: &JoinQuery) -> bool {
 /// messages) grouped by the child–parent separator variables, with weights
 /// summed.  At the root the total weight of the root relation joined with
 /// its messages is `|Q(D)|`.
+///
+/// A message sums the child's row weights per key of its separator
+/// columns, numbered by the join kernels' `KeyIndex`, and the parent probes
+/// it batch-at-a-time: no key is allocated per row, and the work stays
+/// linear in the relations on any join tree, where a counted chain (the
+/// `Reduced` plan's) can group superlinearly.  Products and sums saturate
+/// at `u128::MAX`.
 pub fn yannakakis_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecError> {
     let Some(tree) = gyo_join_tree(query) else {
         return Err(ExecError::NotApplicable {
@@ -121,49 +129,32 @@ pub fn yannakakis_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, Ex
         });
     };
 
-    // messages[child] : separator key -> total weight.
-    let mut messages: Vec<Option<HashMap<Vec<u64>, u128>>> = vec![None; query.n_atoms()];
+    // messages[child]: the child's weight per separator key.
+    let mut messages: Vec<Option<KeyWeights>> = (0..query.n_atoms()).map(|_| None).collect();
     let children = tree.children();
 
     for &atom in &tree.elimination_order {
         let cols = ColumnTable::from_atom(query, catalog, atom)?;
-        let key_of = |positions: &[usize], row: usize| -> Vec<u64> {
-            positions.iter().map(|&p| cols.col(p)[row]).collect()
-        };
-        let child_separators: Vec<(usize, Vec<usize>)> = children[atom]
-            .iter()
-            .map(|&c| (c, separator_positions(query, atom, c, &cols)))
-            .collect();
-        let parent_separator =
-            tree.parent[atom].map(|p| separator_positions(query, atom, p, &cols));
-
+        // Weight of each tuple: the product of its children's message
+        // weights for its separator keys (0 when a child has no matching
+        // key).
+        let mut weights = vec![1u128; cols.len()];
+        for &c in &children[atom] {
+            let message = messages[c].take().expect("children processed first");
+            message.scale(
+                &cols,
+                &separator_positions(query, atom, c, &cols),
+                &mut weights,
+            );
+        }
         // Group the atom's weighted tuples by the separator with the parent
         // (at the root: sum them).
-        let mut message: HashMap<Vec<u64>, u128> = HashMap::new();
-        let mut total: u128 = 0;
-        for row in 0..cols.len() {
-            // Weight of the tuple: the product of child-message weights for
-            // its separator keys (0 when a child has no matching key).
-            let mut weight: u128 = 1;
-            for (c, separator) in &child_separators {
-                let msg = messages[*c].as_ref().expect("children processed first");
-                let matched = msg.get(&key_of(separator, row)).copied().unwrap_or(0);
-                weight = weight.saturating_mul(matched);
-                if weight == 0 {
-                    break;
-                }
+        match tree.parent[atom] {
+            Some(p) => {
+                let separator = separator_positions(query, atom, p, &cols);
+                messages[atom] = Some(KeyWeights::sum(&cols, &separator, &weights));
             }
-            if weight == 0 {
-                continue;
-            }
-            match &parent_separator {
-                Some(separator) => *message.entry(key_of(separator, row)).or_insert(0) += weight,
-                None => total += weight,
-            }
-        }
-        match parent_separator {
-            Some(_) => messages[atom] = Some(message),
-            None => return Ok(total),
+            None => return Ok(weights.iter().fold(0, |t: u128, &w| t.saturating_add(w))),
         }
     }
     unreachable!("the elimination order always ends at the root")
@@ -244,6 +235,7 @@ pub(crate) fn full_reducer_columns(
 mod tests {
     use super::*;
     use crate::counters::IntermediateCounters;
+    use crate::hash_join::key_index_builds;
     use crate::oracle::nested_loop_join;
     use lpb_data::RelationBuilder;
 
@@ -296,15 +288,53 @@ mod tests {
 
     #[test]
     fn count_matches_materialized_join_on_paths() {
-        let catalog = catalog_with_edges("E", (0..60u64).map(|i| (i % 7, (i * 3) % 11)).collect());
-        for q in [
-            JoinQuery::single_join("E", "E"),
-            JoinQuery::path(&["E", "E", "E"]),
-            JoinQuery::path(&["E", "E", "E", "E"]),
+        let edges: Vec<(u64, u64)> = (0..60u64).map(|i| (i % 7, (i * 3) % 11)).collect();
+        // The same edges with their codes scattered over `u64`: far past 4
+        // values per row and past the dense floor, so every one-variable
+        // message is hashed.
+        let scatter = |c: u64| (c + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let sparse = edges
+            .iter()
+            .map(|&(a, b)| (scatter(a), scatter(b)))
+            .collect();
+        // A path of two beside a third edge: a disconnected acyclic query,
+        // joined across its components on an empty separator.
+        let cross = JoinQuery::new(
+            "path-times-edge",
+            vec![
+                lpb_core::Atom::new("E", &["A", "B"]),
+                lpb_core::Atom::new("E", &["B", "C"]),
+                lpb_core::Atom::new("E", &["D", "F"]),
+            ],
+        )
+        .unwrap();
+        for (catalog, hashed) in [
+            (catalog_with_edges("E", edges), false),
+            (catalog_with_edges("E", sparse), true),
         ] {
-            let truth = oracle_count(&q, &catalog);
-            let counted = yannakakis_count(&q, &catalog).unwrap();
-            assert_eq!(counted, truth, "query {}", q.name());
+            for q in [
+                JoinQuery::single_join("E", "E"),
+                JoinQuery::path(&["E", "E", "E"]),
+                JoinQuery::path(&["E", "E", "E", "E"]),
+                cross.clone(),
+            ] {
+                let truth = oracle_count(&q, &catalog);
+                let before = key_index_builds();
+                let counted = yannakakis_count(&q, &catalog).unwrap();
+                let after = key_index_builds();
+                assert_eq!(counted, truth, "query {}", q.name());
+                assert!(truth > 0, "query {}", q.name());
+                // One message per join-tree edge: `[dense, hashed, composite]`.
+                let built = [0, 1, 2].map(|r| after[r] - before[r]);
+                let composite = usize::from(q.name() == cross.name());
+                let single = q.n_atoms() - 1 - composite;
+                let expect = if hashed {
+                    [0, single, composite]
+                } else {
+                    [single, 0, composite]
+                };
+                assert_eq!(built, expect, "query {}", q.name());
+            }
         }
     }
 
@@ -328,6 +358,12 @@ mod tests {
             "y",
             (0..9u64).map(|i| (i % 3, i)),
         ));
+        // A dimension keyed by two of the fact's variables.
+        let mut d3 = RelationBuilder::new("D3", ["a", "b", "z"]).unwrap();
+        for i in 0..40u64 {
+            d3.push_codes(&[i % 6, i % 4, i]).unwrap();
+        }
+        catalog.insert(d3.build());
         let q = JoinQuery::new(
             "star",
             vec![
@@ -339,6 +375,23 @@ mod tests {
         .unwrap();
         let truth = oracle_count(&q, &catalog);
         assert_eq!(yannakakis_count(&q, &catalog).unwrap(), truth);
+        assert!(truth > 0);
+
+        // The fact joins `D3` on `(A, B)`: a composite separator.
+        let q = JoinQuery::new(
+            "star-on-two",
+            vec![
+                lpb_core::Atom::new("F", &["K", "A", "B"]),
+                lpb_core::Atom::new("D1", &["A", "X"]),
+                lpb_core::Atom::new("D2", &["B", "Y"]),
+                lpb_core::Atom::new("D3", &["A", "B", "Z"]),
+            ],
+        )
+        .unwrap();
+        let truth = oracle_count(&q, &catalog);
+        let before = key_index_builds()[2];
+        assert_eq!(yannakakis_count(&q, &catalog).unwrap(), truth);
+        assert_eq!(key_index_builds()[2] - before, 1, "one composite message");
         assert!(truth > 0);
     }
 
