@@ -20,8 +20,9 @@
 //! generated bound at n = 3..15 on the statistics of the first table, with
 //! pricing rounds, working-set size and dual pivots, against the fully
 //! enumerated `2^n − 1`-column LP up to n = 12), and a mixed
-//! `BatchEstimator` batch on the normal cone (the planner's choice: the
-//! statistics are simple) against the same batch on the polymatroid cone.
+//! batch of `compute_bound` calls on the normal cone (the planner's choice:
+//! the statistics are simple) against the same batch on the polymatroid
+//! cone.
 //!
 //! Passing `--smoke` (the CI mode: `cargo bench --bench lp_scaling --
 //! --smoke`) runs the same code over the end sizes of each table (and
@@ -31,8 +32,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lpb_core::{
-    collect_simple_statistics, compute_bound, BatchEstimator, BatchItem, CollectConfig, Cone,
-    JoinQuery, StatisticsSet,
+    collect_simple_statistics, compute_bound, CollectConfig, Cone, JoinQuery, StatisticsSet,
 };
 use lpb_datagen::{graph_catalog, PowerLawGraphConfig};
 use lpb_entropy::{elemental_inequalities, VarSet};
@@ -279,29 +279,26 @@ fn batch_comparison(smoke: bool) -> BatchTiming {
                 &CollectConfig::with_max_norm(3 + (round % 3) as u32),
             )
             .unwrap();
-            items.push(BatchItem::new(q, stats));
+            items.push((q, stats));
         }
     }
-    let normal = BatchEstimator::new().with_cone(Cone::Normal);
-    let polymatroid = BatchEstimator::new().with_cone(Cone::Polymatroid);
-    for (a, p) in normal
-        .estimate(&items)
-        .iter()
-        .zip(&polymatroid.estimate(&items))
+    let bound_all = |cone: Cone| -> Vec<f64> {
+        items
+            .iter()
+            .map(|(q, s)| compute_bound(q, s, cone).unwrap().log2_bound)
+            .collect()
+    };
+    for (a, p) in bound_all(Cone::Normal)
+        .into_iter()
+        .zip(bound_all(Cone::Polymatroid))
     {
-        let (a, p) = (a.as_ref().unwrap(), p.as_ref().unwrap());
-        assert!(
-            (a.log2_bound - p.log2_bound).abs() <= 1e-6,
-            "normal {} vs polymatroid {}",
-            a.log2_bound,
-            p.log2_bound
-        );
+        assert!((a - p).abs() <= 1e-6, "normal {a} vs polymatroid {p}");
     }
     let normal_ms = median_us(|| {
-        normal.estimate(&items);
+        bound_all(Cone::Normal);
     }) / 1e3;
     let polymatroid_ms = median_us(|| {
-        polymatroid.estimate(&items);
+        bound_all(Cone::Polymatroid);
     }) / 1e3;
     BatchTiming {
         items: items.len(),

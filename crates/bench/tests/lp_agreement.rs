@@ -7,8 +7,8 @@
 //!
 //! 1. the revised simplex behind `Problem::solve` and the reference tableau
 //!    (`solve_dense`) agree on the `log₂` bound to `1e-6`;
-//! 2. a second solve through the globally cached Shannon skeleton (and the
-//!    `BatchEstimator`) equals the from-scratch bound;
+//! 2. a second solve through the globally cached Shannon skeleton equals
+//!    the from-scratch bound;
 //! 3. the witness stays a valid dual: `Σ wᵢ·bᵢ == log₂ bound`;
 //! 4. the column-generated normal-cone bound equals the fully enumerated
 //!    `2^n − 1`-column LP ([`direct_normal_problem`], which shares no code
@@ -23,8 +23,8 @@
 
 use lpb_bench::experiments::e7_nonshannon;
 use lpb_core::{
-    collect_simple_statistics, compute_bound, BatchEstimator, BatchItem, BoundLpSkeleton,
-    CollectConfig, Conditional, Cone, JoinQuery, Norm, StatisticsSet, VarSet,
+    collect_simple_statistics, compute_bound, BoundLpSkeleton, CollectConfig, Conditional, Cone,
+    JoinQuery, Norm, StatisticsSet, VarSet,
 };
 use lpb_data::Catalog;
 use lpb_datagen::{
@@ -200,26 +200,6 @@ fn the_six_cycle_refactorizes_by_pivots_taken() {
         work.refactorizations <= work.primal_pivots / 512 + 1,
         "{work:?}"
     );
-}
-
-#[test]
-fn batch_estimator_matches_single_estimates_on_experiment_queries() {
-    let cases = experiment_cases();
-    let items: Vec<BatchItem> = cases
-        .iter()
-        .map(|(_, q, s)| BatchItem::new(q.clone(), s.clone()))
-        .collect();
-    let batch = BatchEstimator::new().estimate(&items);
-    for ((name, query, stats), result) in cases.iter().zip(batch) {
-        let single = compute_bound(query, stats, Cone::auto(query, stats)).unwrap();
-        let got = result.unwrap_or_else(|e| panic!("{name}: batch failed: {e}"));
-        assert!(
-            (got.log2_bound - single.log2_bound).abs() <= 1e-6,
-            "{name}: batch {} vs single {}",
-            got.log2_bound,
-            single.log2_bound
-        );
-    }
 }
 
 /// The fully enumerated normal-cone LP, built the way the seed did — one

@@ -1,96 +1,74 @@
-//! Batch evaluation of cardinality bounds.
+//! Batch evaluation of cardinality bounds over a plan enumeration.
 //!
 //! A query optimizer does not ask for one bound — it asks for bounds on
-//! *every candidate plan's* subqueries, often hundreds per optimization
-//! call.  [`BatchEstimator`] is that entry point: a cone override and
-//! [`crate::compute_bound`] applied to one item after the other, in input
-//! order, on the calling thread.  There is no solver choice: each cone has
-//! one engine (see [`crate::compute_bound`]).
+//! *every candidate plan's* sub-joins, often hundreds per optimization
+//! call.  [`BatchEstimator::bound_subqueries`] is that entry point: the
+//! statistics of the query are read from the catalog once per atom
+//! ([`AtomStatistics`]), and then each sub-join of the enumeration in turn
+//! is assembled from them straight from its atom list — its variable count,
+//! its atoms' variable sets and its statistics ([`SubJoin`]) — and bounded
+//! on the calling thread, in input order, under [`Cone::auto`] or a forced
+//! cone.  No [`JoinQuery`] is built for a sub-join (no cloned atom names,
+//! no variable registry).  There is no solver choice: each cone has one
+//! engine, the one behind [`crate::compute_bound`], which also bounds one
+//! query on its own.
 //!
-//! [`BatchEstimator::estimate`] shares no state between items and carries
-//! none between calls: each item is one LP, solved cold.  The planner's
-//! statistics are simple
-//! ([`collect_simple_statistics`](crate::collect_simple_statistics)
-//! harvests nothing else), so `lpb-exec`'s optimizer builds its estimator
+//! The planner's statistics are simple ([`AtomStatistics`] harvests nothing
+//! else), so `lpb-exec`'s optimizer builds its estimator
 //! [`with_cone`](BatchEstimator::with_cone)`(`[`Cone::Normal`]`)`: a bound
 //! there is one small dual-simplex tableau over a few dozen step functions
-//! of the sub-join, grown in place across its pricing rounds.  Items on the
-//! polymatroid cone ([`Cone::auto`] up to 8 variables, a forced cone,
-//! non-simple statistics) are each solved cold as well.  A server gets its
-//! parallelism from concurrent requests, each planning on its own thread.
+//! of the sub-join, grown in place across its pricing rounds.  Sub-joins on
+//! the polymatroid cone ([`Cone::auto`] up to 8 variables, a forced cone)
+//! are each solved cold as well.  A server gets its parallelism from
+//! concurrent requests, each planning on its own thread.
 //!
-//! [`BatchEstimator::bound_subqueries`] is the planner entry point: the
-//! statistics of the query are read from the catalog once per atom
-//! ([`AtomStatistics`]), and then each sub-join of the DP enumeration in
-//! turn is assembled from them straight from its atom list — its variable
-//! count, its atoms' variable sets and its statistics ([`SubJoin`]) — and
-//! bounded.  No [`JoinQuery`] is built for a sub-join (no cloned atom
-//! names, no variable registry).
-//!
-//! Within one such call each distinct LP is solved once.  A sub-join's
-//! bound is a function of its [`SubJoin`] alone — the variable count, each
-//! atom's variable set and each statistic's conditional, norm, guard and
-//! `log₂` bound — and self-joins and symmetric stars pose the same one
-//! again and again (the variables are numbered in order of first
-//! appearance, so the leaves of a star over one relation coincide).  A
-//! sub-join equal bit for bit to an earlier one of the call gets a clone of
-//! that one's result, which is what a fresh solve would return: the
-//! solvers' pivot sequences are functions of their input.  The memo lives
-//! for the one call and holds a 64-bit fingerprint per distinct sub-join,
-//! neither the sub-join nor its result: a fingerprint match is confirmed by
-//! assembling the earlier sub-join again and comparing the two, and every
-//! result is stored once, in the output.
+//! Within one call each distinct LP is solved once, and nothing is carried
+//! from one call to the next.  A sub-join's bound is a function of its
+//! [`SubJoin`] alone — the variable count, each atom's variable set and
+//! each statistic's conditional, norm, guard and `log₂` bound — and
+//! self-joins and symmetric stars pose the same one again and again (the
+//! variables are numbered in order of first appearance, so the leaves of a
+//! star over one relation coincide).  A sub-join equal bit for bit to an
+//! earlier one of the call gets a clone of that one's result, which is what
+//! a fresh solve would return: the solvers' pivot sequences are functions
+//! of their input.  The memo lives for the one call and holds a 64-bit
+//! fingerprint per distinct sub-join, neither the sub-join nor its result:
+//! a fingerprint match is confirmed by assembling the earlier sub-join
+//! again and comparing the two, and every result is stored once, in the
+//! output.
 //!
 //! ```
-//! use lpb_core::{BatchEstimator, BatchItem, CollectConfig, JoinQuery};
-//! use lpb_core::{collect_simple_statistics, Catalog, RelationBuilder};
+//! use lpb_core::{BatchEstimator, CollectConfig, JoinQuery};
+//! use lpb_core::{Catalog, RelationBuilder};
 //!
 //! let mut catalog = Catalog::new();
 //! catalog.insert(RelationBuilder::binary_from_pairs(
 //!     "E", "src", "dst",
 //!     (0..40u64).map(|i| (i % 7, (i * 3 + 1) % 9)),
 //! ));
-//! let items: Vec<BatchItem> = ["R", "S", "T"]
-//!     .iter()
-//!     .map(|_| {
-//!         let query = JoinQuery::triangle("E", "E", "E");
-//!         let stats = collect_simple_statistics(
-//!             &query, &catalog, &CollectConfig::with_max_norm(3)).unwrap();
-//!         BatchItem::new(query, stats)
-//!     })
-//!     .collect();
-//! let results = BatchEstimator::new().estimate(&items);
-//! assert_eq!(results.len(), 3);
-//! for r in results {
-//!     assert!(r.unwrap().is_bounded());
+//! let query = JoinQuery::triangle("E", "E", "E");
+//! // The three pairs and the whole triangle, positionally.
+//! let subsets = [vec![0, 1], vec![1, 2], vec![0, 2], vec![0, 1, 2]];
+//! let estimator = BatchEstimator::new();
+//! let batch = estimator.bound_subqueries(
+//!     &query, &catalog, &subsets, &CollectConfig::with_max_norm(3));
+//! assert_eq!(batch.results.len(), 4);
+//! for r in &batch.results {
+//!     assert!(r.as_ref().unwrap().is_bounded());
 //! }
+//! // `E(X,Y) ⋈ E(Y,Z)` and `E(Y,Z) ⋈ E(Z,X)` are one LP, solved once.
+//! assert_eq!(batch.solved, 3);
+//! assert_eq!(estimator.lps_estimated(), 4);
 //! ```
 
-use crate::bound_lp::{bound_over, compute_bound, BoundResult, Cone};
+use crate::bound_lp::{bound_over, BoundResult, Cone};
 use crate::collect::{AtomStatistics, CollectConfig, SubJoin};
 use crate::error::CoreError;
 use crate::query::JoinQuery;
-use crate::statistics::StatisticsSet;
 use lpb_data::Catalog;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// One unit of work for [`BatchEstimator::estimate`].
-#[derive(Debug, Clone)]
-pub struct BatchItem {
-    /// The query whose output size is being bounded.
-    pub query: JoinQuery,
-    /// The statistics to bound it with.
-    pub stats: StatisticsSet,
-}
-
-impl BatchItem {
-    /// Bundle a query with its statistics.
-    pub fn new(query: JoinQuery, stats: StatisticsSet) -> Self {
-        BatchItem { query, stats }
-    }
-}
 
 /// What one [`BatchEstimator::bound_subqueries`] call produced.
 #[derive(Debug, Clone)]
@@ -102,8 +80,8 @@ pub struct SubqueryBounds {
     pub solved: usize,
 }
 
-/// Bounds many `(query, statistics)` pairs in input order; see the module
-/// docs for an example.
+/// Bounds the sub-joins of a plan enumeration in input order; see the
+/// module docs for an example.
 ///
 /// Clones share the LP counters ([`lps_estimated`](Self::lps_estimated),
 /// [`shape_cache_hits`](Self::shape_cache_hits),
@@ -121,16 +99,16 @@ impl BatchEstimator {
         Self::default()
     }
 
-    /// Force one cone for every item instead of [`Cone::auto`].
+    /// Force one cone for every sub-join instead of [`Cone::auto`].
     pub fn with_cone(mut self, cone: Cone) -> Self {
         self.cone = Some(cone);
         self
     }
 
     /// Total LP bound computations this estimator (and every clone of it)
-    /// has been asked for, cumulative across [`estimate`](Self::estimate)
-    /// and [`bound_subqueries`](Self::bound_subqueries) calls: one per item
-    /// or sub-join bounded, solved or answered from the memo
+    /// has been asked for, cumulative across
+    /// [`bound_subqueries`](Self::bound_subqueries) calls: one per sub-join
+    /// that reached the memo, solved or answered from it
     /// ([`shape_cache_hits`](Self::shape_cache_hits) +
     /// [`shape_cache_misses`](Self::shape_cache_misses)).  For a planner
     /// that is every sub-join its enumeration bounds plus every sub-join its
@@ -147,36 +125,15 @@ impl BatchEstimator {
         self.shape_cache_hits.load(Ordering::Relaxed)
     }
 
-    /// LPs actually solved, each of them cold: every
-    /// [`estimate`](Self::estimate) item and every distinct sub-join of a
+    /// LPs actually solved, each of them cold: every distinct sub-join of a
     /// [`bound_subqueries`](Self::bound_subqueries) call.  Cumulative over
     /// every call of this estimator and its clones.
     pub fn shape_cache_misses(&self) -> usize {
         self.shape_cache_misses.load(Ordering::Relaxed)
     }
 
-    /// Compute the bound for every item, in input order.  Every item is
-    /// solved: this entry point keeps no memo.
-    ///
-    /// Per-item failures (unguarded statistics, oversized queries,
-    /// inconsistent statistics) are reported positionally and do not abort
-    /// the rest of the batch.
-    pub fn estimate(&self, items: &[BatchItem]) -> Vec<Result<BoundResult, CoreError>> {
-        items
-            .iter()
-            .map(|item| self.bound(&item.query, &item.stats))
-            .collect()
-    }
-
-    /// One LP: `query` bounded with `stats` on the forced or automatic cone.
-    fn bound(&self, query: &JoinQuery, stats: &StatisticsSet) -> Result<BoundResult, CoreError> {
-        self.shape_cache_misses.fetch_add(1, Ordering::Relaxed);
-        let cone = self.cone.unwrap_or_else(|| Cone::auto(query, stats));
-        compute_bound(query, stats, cone)
-    }
-
     /// One LP: a sub-join bounded on the forced or automatic cone, by the
-    /// routine behind [`compute_bound`].
+    /// routine behind [`crate::compute_bound`].
     fn bound_subjoin(&self, sub: &SubJoin) -> Result<BoundResult, CoreError> {
         self.shape_cache_misses.fetch_add(1, Ordering::Relaxed);
         let cone = self
@@ -192,11 +149,13 @@ impl BatchEstimator {
     /// of an identical sub-join earlier in this call when there is one (see
     /// the module docs), by its LP otherwise.
     ///
-    /// This is the optimizer entry point: a dynamic-programming join-order
-    /// enumeration asks for bounds on *every* connected sub-join at once.
-    /// Results are positional; a subset whose statistics cannot be
-    /// harvested or whose LP exceeds the cone limits reports its error
-    /// without aborting the rest.
+    /// A dynamic-programming join-order enumeration asks for bounds on
+    /// *every* connected sub-join at once; a degree-partitioned plan asks
+    /// again once per part, with the same sub-joins over the part's
+    /// sub-catalog (the same LPs, other right-hand sides).  Results are
+    /// positional; a subset whose statistics cannot be harvested or whose
+    /// LP exceeds the cone limits reports its error without aborting the
+    /// rest.
     pub fn bound_subqueries(
         &self,
         query: &JoinQuery,
@@ -229,27 +188,6 @@ impl BatchEstimator {
             results.push(result);
         }
         SubqueryBounds { results, solved }
-    }
-
-    /// Bound the **cross product** of runs × sub-joins: every
-    /// `(query, catalog)` run is bounded on every atom subset, run by run
-    /// through [`bound_subqueries`](Self::bound_subqueries) (one call, and
-    /// one memo, per run).
-    ///
-    /// This is the partition-aware planner entry point.  The runs of a
-    /// degree partition pose the *same* query over per-part sub-catalogs:
-    /// their sub-join LPs differ only in the right-hand sides (each part's
-    /// statistics).  Results are positional: `out[r].results[s]` is run
-    /// `r`'s bound on subset `s`.
-    pub fn bound_subqueries_multi(
-        &self,
-        runs: &[(&JoinQuery, &Catalog)],
-        subsets: &[Vec<usize>],
-        config: &CollectConfig,
-    ) -> Vec<SubqueryBounds> {
-        runs.iter()
-            .map(|&(query, catalog)| self.bound_subqueries(query, catalog, subsets, config))
-            .collect()
     }
 }
 
@@ -284,7 +222,7 @@ fn fingerprint(sub: &SubJoin) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect_simple_statistics;
+    use crate::{collect_simple_statistics, compute_bound, StatisticsSet};
     use lpb_data::RelationBuilder;
     use lpb_entropy::VarSet;
 
@@ -299,69 +237,70 @@ mod tests {
         c
     }
 
-    fn items() -> Vec<BatchItem> {
+    /// Paths of two to four `E` atoms with their simple statistics.
+    fn paths() -> Vec<(JoinQuery, StatisticsSet)> {
         let catalog = catalog();
-        let mut out = Vec::new();
-        for len in [2usize, 3, 4] {
-            let query = JoinQuery::path(&vec!["E"; len]);
-            let stats =
-                collect_simple_statistics(&query, &catalog, &CollectConfig::with_max_norm(3))
-                    .unwrap();
-            out.push(BatchItem::new(query, stats));
-        }
-        out
-    }
-
-    /// A batch returns bit for bit what `compute_bound` returns one item at
-    /// a time, under the automatic cone and under each forced one, and the
-    /// counters the benchmark's probe reads say "that many LPs, all cold".
-    #[test]
-    fn batch_matches_one_at_a_time() {
-        let items = items();
-        for forced in [None, Some(Cone::Normal), Some(Cone::Polymatroid)] {
-            let est = forced.map_or_else(BatchEstimator::new, |cone| {
-                BatchEstimator::new().with_cone(cone)
-            });
-            let batch = est.estimate(&items);
-            assert_eq!(batch.len(), items.len());
-            for (item, result) in items.iter().zip(&batch) {
-                let cone = forced.unwrap_or_else(|| Cone::auto(&item.query, &item.stats));
-                let single = compute_bound(&item.query, &item.stats, cone).unwrap();
-                assert_eq!(
-                    result.as_ref().unwrap().log2_bound.to_bits(),
-                    single.log2_bound.to_bits(),
-                    "{} on {cone:?}",
-                    item.query.name()
-                );
-            }
-            assert_eq!(est.lps_estimated(), items.len());
-            assert_eq!(est.clone().lps_estimated(), items.len());
-            assert_eq!(
-                (est.shape_cache_hits(), est.shape_cache_misses()),
-                (0, items.len())
-            );
-        }
+        [2usize, 3, 4]
+            .into_iter()
+            .map(|len| {
+                let query = JoinQuery::path(&vec!["E"; len]);
+                let stats =
+                    collect_simple_statistics(&query, &catalog, &CollectConfig::with_max_norm(3))
+                        .unwrap();
+                (query, stats)
+            })
+            .collect()
     }
 
     /// The automatic cone and — the statistics being simple (Theorem 6.1)
-    /// — each of the two sound cones forced give the same bounds.
+    /// — each of the two sound cones forced give the same bounds, one query
+    /// at a time through `compute_bound` and per sub-join through
+    /// `bound_subqueries`, whose counters say "that many LPs, all cold" when
+    /// no two sub-joins coincide.
     #[test]
     fn solvers_and_cones_agree() {
-        let items = items();
-        let reference = BatchEstimator::new().estimate(&items);
-        for other in [
+        for (query, stats) in paths() {
+            let reference = compute_bound(&query, &stats, Cone::auto(&query, &stats)).unwrap();
+            for cone in [Cone::Normal, Cone::Polymatroid] {
+                let other = compute_bound(&query, &stats, cone).unwrap();
+                assert!(
+                    (reference.log2_bound - other.log2_bound).abs() < 1e-6,
+                    "{} on {cone:?}: {} vs {}",
+                    query.name(),
+                    other.log2_bound,
+                    reference.log2_bound
+                );
+            }
+        }
+
+        let catalog = catalog();
+        let query = JoinQuery::path(&["E"; 4]);
+        // Three prefixes of the path: three distinct LPs.
+        let subsets = vec![vec![0, 1], vec![0, 1, 2], vec![0, 1, 2, 3]];
+        let config = CollectConfig::with_max_norm(3);
+        let reference = BatchEstimator::new().bound_subqueries(&query, &catalog, &subsets, &config);
+        for est in [
+            BatchEstimator::new(),
             BatchEstimator::new().with_cone(Cone::Normal),
             BatchEstimator::new().with_cone(Cone::Polymatroid),
         ] {
-            for (r, o) in reference.iter().zip(&other.estimate(&items)) {
+            let batch = est.bound_subqueries(&query, &catalog, &subsets, &config);
+            for (r, o) in reference.results.iter().zip(&batch.results) {
                 let (r, o) = (r.as_ref().unwrap(), o.as_ref().unwrap());
                 assert!(
                     (r.log2_bound - o.log2_bound).abs() < 1e-6,
-                    "{other:?}: {} vs {}",
+                    "{est:?}: {} vs {}",
                     o.log2_bound,
                     r.log2_bound
                 );
             }
+            assert_eq!(batch.solved, subsets.len());
+            assert_eq!(est.lps_estimated(), subsets.len());
+            assert_eq!(est.clone().lps_estimated(), subsets.len());
+            assert_eq!(
+                (est.shape_cache_hits(), est.shape_cache_misses()),
+                (0, subsets.len())
+            );
         }
     }
 
@@ -402,75 +341,26 @@ mod tests {
         assert_eq!(est.clone().shape_cache_hits(), 1);
     }
 
-    #[test]
-    fn bound_subqueries_multi_covers_runs_times_subsets_in_one_batch() {
-        // Two "parts" of E (derived sub-catalogs rebinding E to a subset of
-        // its rows) plus the base: same query shape, different RHS — the
-        // exact cross product the partition-aware planner batches.
-        let catalog = catalog();
-        let rows: Vec<Vec<u64>> = catalog.get("E").unwrap().rows().collect();
-        // Parts keep the original name so the query binds them.
-        let part = |range: std::ops::Range<usize>| {
-            let mut b = RelationBuilder::new("E", ["src", "dst"]).unwrap();
-            for row in &rows[range] {
-                b.push_codes(row).unwrap();
-            }
-            catalog.derive_with(b.build())
-        };
-        let light = part(0..40);
-        let heavy = part(40..rows.len());
-        let query = JoinQuery::triangle("E", "E", "E");
-        let subsets = vec![vec![0, 1], vec![0, 1, 2]];
-        let est = BatchEstimator::new();
-        let runs: Vec<(&JoinQuery, &Catalog)> =
-            vec![(&query, &catalog), (&query, &light), (&query, &heavy)];
-        let grouped = est.bound_subqueries_multi(&runs, &subsets, &CollectConfig::with_max_norm(3));
-        assert_eq!(grouped.len(), 3);
-        assert!(grouped.iter().all(|g| g.results.len() == subsets.len()));
-        // Positional results match per-run bound_subqueries calls.
-        for ((q, c), group) in runs.iter().zip(&grouped) {
-            let single = BatchEstimator::new().bound_subqueries(
-                q,
-                c,
-                &subsets,
-                &CollectConfig::with_max_norm(3),
-            );
-            for (a, b) in group.results.iter().zip(&single.results) {
-                let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
-                assert!((a.log2_bound - b.log2_bound).abs() < 1e-6);
-            }
-        }
-    }
-
+    /// A sub-join the cone cannot bound reports its error in its own slot
+    /// and leaves its neighbours bounded: on the polymatroid cone a 12-atom
+    /// path (13 variables) is past the ceiling, and an atom index out of
+    /// range never reaches an LP.
     #[test]
     fn per_item_errors_are_positional() {
         let catalog = catalog();
-        let good_query = JoinQuery::path(&["E", "E"]);
-        let good_stats =
-            collect_simple_statistics(&good_query, &catalog, &CollectConfig::with_max_norm(2))
-                .unwrap();
-        // A wide query that exceeds the polymatroid limit.
-        let atoms: Vec<crate::query::Atom> = (0..12)
-            .map(|i| {
-                crate::query::Atom::new(
-                    format!("R{i}"),
-                    &[format!("A{i}").as_str(), format!("A{}", i + 1).as_str()],
-                )
-            })
-            .collect();
-        let wide = JoinQuery::new("wide", atoms).unwrap();
-        let items = vec![
-            BatchItem::new(good_query, good_stats),
-            BatchItem::new(wide, StatisticsSet::new()),
-        ];
-        let results = BatchEstimator::new()
-            .with_cone(Cone::Polymatroid)
-            .estimate(&items);
+        let wide = JoinQuery::path(&["E"; 12]);
+        let subsets = vec![vec![0, 1], (0..12).collect(), vec![0, 12], vec![1, 2, 3]];
+        let est = BatchEstimator::new().with_cone(Cone::Polymatroid);
+        let batch =
+            est.bound_subqueries(&wide, &catalog, &subsets, &CollectConfig::with_max_norm(2));
+        let results = &batch.results;
         assert!(results[0].is_ok());
         assert!(matches!(
             results[1],
             Err(CoreError::TooManyVariables { .. })
         ));
+        assert!(matches!(results[2], Err(CoreError::InvalidQuery { .. })));
+        assert!(results[3].is_ok());
     }
 
     /// A catalog of three binary relations of different shapes, from

@@ -1016,10 +1016,10 @@ mod tests {
     /// One variable past [`POLYMATROID_VAR_LIMIT`] the polymatroid cone
     /// refuses, typed and at once, whatever the statistics and whoever
     /// asks: a forced cone on simple or non-simple statistics, `auto` on
-    /// non-simple ones, and a batch, where the refusal is positional.
+    /// non-simple ones, and `auto` on a run of queries, where the refusal
+    /// is positional.
     #[test]
     fn the_polymatroid_ceiling_fails_typed_and_fast() {
-        use crate::batch::{BatchEstimator, BatchItem};
         use crate::query::Atom;
         use std::time::{Duration, Instant};
         // R0(A0, A1, A2), then R1(A2, A3), …, R6(A7, A8): nine variables.
@@ -1080,11 +1080,14 @@ mod tests {
         let forced_non_simple = || vec![compute_bound(&q, &non_simple, Cone::Polymatroid)];
         let auto_non_simple = || vec![compute_bound(&q, &non_simple, Cone::auto(&q, &non_simple))];
         let batch = || {
-            BatchEstimator::new().estimate(&[
-                BatchItem::new(small.clone(), small_stats.clone()),
-                BatchItem::new(q.clone(), non_simple.clone()),
-                BatchItem::new(small.clone(), small_stats.clone()),
-            ])
+            [
+                (&small, &small_stats),
+                (&q, &non_simple),
+                (&small, &small_stats),
+            ]
+            .into_iter()
+            .map(|(q, s)| compute_bound(q, s, Cone::auto(q, s)))
+            .collect()
         };
         type Run<'a> = &'a dyn Fn() -> Vec<Result<BoundResult, CoreError>>;
         let cases: [(&str, Run, &[bool]); 4] = [

@@ -41,9 +41,10 @@
 //!   so repeated estimates only fill in `O(#stats)` rows, and the normal
 //!   cone's coefficient function and column-pricing oracle, which store
 //!   nothing.
-//! * [`batch`] — [`BatchEstimator`], the planner's entry point: many
-//!   `(query, statistics)` pairs bounded in input order on the calling
-//!   thread, each LP solved cold, under [`Cone::auto`] or a forced cone.
+//! * [`batch`] — [`BatchEstimator`], the planner's entry point: every
+//!   sub-join of a plan enumeration bounded in input order on the calling
+//!   thread, each distinct LP solved once and cold, under [`Cone::auto`] or
+//!   a forced cone.
 //!
 //! ## Which LP a bound solves
 //!
@@ -82,7 +83,7 @@ mod statistics;
 pub mod traditional;
 pub mod worst_case;
 
-pub use batch::{BatchEstimator, BatchItem, SubqueryBounds};
+pub use batch::{BatchEstimator, SubqueryBounds};
 pub use bound_lp::{
     compute_bound, BoundResult, BoundStatus, Cone, Witness, NORMAL_VAR_LIMIT, POLYMATROID_VAR_LIMIT,
 };

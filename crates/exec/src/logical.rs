@@ -14,9 +14,9 @@ use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use lpb_entropy::VarSet;
 
-/// The most atoms whose sub-join lattice is enumerated: the lattice is
-/// stored dense over the `2^m` atom masks (64 Ki slots at 16 atoms), by
-/// [`LogicalPlan::connected_subsets`] and by the planner's DP tables.
+/// The most atoms whose sub-join lattice [`LogicalPlan::connected_subsets`]
+/// enumerates: it marks the lattice in a dense map over the `2^m` atom
+/// masks (64 Ki slots at 16 atoms).  The planner's DP gate is lower.
 pub(crate) const DP_ATOM_LIMIT: usize = 16;
 
 /// Check that `order` mentions every atom index below `n_atoms` exactly
@@ -116,8 +116,8 @@ impl LogicalPlan {
     /// walks; exponential in the worst case, so callers gate on
     /// [`n_atoms`](Self::n_atoms).  The walk marks what it finds in a dense
     /// visited map over all `2^m` masks (64 KiB at 16 atoms), read in mask
-    /// order for the result.  Queries of more than 16 atoms — the planner's
-    /// DP gate — are not supported: it panics on them.
+    /// order for the result.  Queries of more than 16 atoms are not
+    /// supported: it panics on them.
     pub fn connected_subsets(&self) -> Vec<u64> {
         let m = self.n_atoms();
         assert!(

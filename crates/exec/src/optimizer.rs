@@ -38,9 +38,9 @@
 //! its atoms' variable sets and its statistics, [`lpb_core::SubJoin`]; no
 //! [`JoinQuery`] is built for it), and the bound table and both DP tables
 //! are vectors indexed by the mask, with `None` where no connected sub-join
-//! sits.  They hold `2^m` slots each, so the DP stops at 16 atoms
-//! ([`PlannerConfig::max_dp_atoms`]); the split loop above already visits
-//! every submask of every connected subset.
+//! sits.  They hold `2^m` slots each, so the DP stops at 12 atoms (4 096
+//! slots); a larger query is planned greedily by size.  The split loop
+//! above already visits every submask of every connected subset.
 //!
 //! Lowering picks a strategy per subtree:
 //!
@@ -63,19 +63,19 @@
 //! **Degree-partitioned planning** (the paper's Lemma 2.5 put to work at
 //! plan time): ℓp bounds are dramatically tighter on relations whose
 //! degrees are homogeneous, so when an atom's relation is skewed
-//! (`log₂(max/avg degree)` past [`PlannerConfig::partition_skew_log2`])
-//! the planner splits it into a light and a heavy part
+//! (`log₂(max/avg degree)` of at least 2, the heaviest value past 4× the
+//! average fan-out) the planner splits it into a light and a heavy part
 //! ([`crate::split_light_heavy`]) and derives a per-part sub-catalog
 //! ([`lpb_data::Catalog::derive_with`]) seeded with per-part statistics —
 //! counted by the split in the passes that route the rows, so no part is
 //! harvested cold.  Lemma 2.5
 //! bounds the split relation's query by the **sum** of its parts' bounds,
 //! and that sum is part of a partitioned plan's cost (the union
-//! materializes it), so the search computes it *first*: one batch bounds
-//! the full query on each part, and a candidate whose sum already reaches
-//! the monolithic bottleneck is refused for the price of one LP per part.
-//! A surviving candidate re-bounds — in one more batch, same LPs with
-//! per-part right-hand sides — only the connected sub-joins
+//! materializes it), so the search computes it *first*: it bounds the full
+//! query on each part, and a candidate whose sum already reaches the
+//! monolithic bottleneck is refused for the price of one LP per part.
+//! A surviving candidate re-bounds — in one more batch per part, same LPs
+//! with per-part right-hand sides — only the connected sub-joins
 //! **through the split atom**; every other sub-join is the same sub-join in
 //! every part and keeps its bound from the monolithic table.  The same
 //! bottleneck DP then runs independently per part, and each part may
@@ -102,57 +102,53 @@ use lpb_lp::SolverStats;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Planner knobs.
+/// Planner settings: the two a caller varies.  The rest is fixed: the DP
+/// runs on queries of up to 12 atoms and always considers bushy splits, and
+/// the partition search tries the two most skewed candidates whose
+/// `log₂(max/avg degree)` is at least 2.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
     /// Norm budget for the costing statistics (`{1, …, max_norm, ∞}`).
     /// Small budgets keep the LPs tiny; the default of 4 already separates
     /// skewed from flat workloads.
     pub max_norm: u32,
-    /// Most atoms for which the full subset DP runs; larger queries fall
-    /// back to the greedy-by-size order (the lattice grows exponentially).
-    /// Capped at 16 whatever the value: the DP's tables hold one slot per
-    /// atom mask, `2^m` of them (4 096 at the default 12 atoms, 65 536 at
-    /// 16), and past that the planner falls back to greedy, as
-    /// [`Optimizer::harvest`] and [`Optimizer::cost_order`] answer
-    /// [`ExecError::NotApplicable`].
-    pub max_dp_atoms: usize,
-    /// Consider bushy splits in the bottleneck DP (both halves ≥ 2 atoms;
-    /// singleton splits are dominated by left-deep extension).  Off, the DP
-    /// is the classic left-deep-only enumeration.
-    pub enable_bushy: bool,
     /// Consider degree-partitioned plans: split a skewed relation into a
     /// light and a heavy part ([`crate::split_light_heavy`]), plan each part
     /// independently on per-part statistics, and pick the partitioned plan
     /// when its max-over-parts bottleneck (plus the sum-of-parts output
-    /// bound) beats the monolithic one.
+    /// bound) beats the monolithic one.  Off, the planner returns its best
+    /// monolithic plan, the baseline a partitioned plan is measured against.
     pub enable_partitioning: bool,
-    /// How many skew candidates (atom, conditional) the partitioned search
-    /// tries per planning call, most-skewed first.  Each candidate costs the
-    /// split, the parts' statistics and one LP per part; only a candidate
-    /// whose sum-of-parts output bound beats the cost so far also costs a
-    /// batch over parts × the connected sub-joins through the split atom.
-    pub max_partition_candidates: usize,
-    /// Minimum skew — `log₂(max degree / average degree)` of a conditional —
-    /// before an atom is considered for partitioning.  The default of 2
-    /// requires the heaviest value to exceed 4× the average fan-out; below
-    /// that, per-part bounds cannot meaningfully undercut the monolithic
-    /// bound.
-    pub partition_skew_log2: f64,
 }
 
 impl Default for PlannerConfig {
     fn default() -> Self {
         PlannerConfig {
             max_norm: 4,
-            max_dp_atoms: 12,
-            enable_bushy: true,
             enable_partitioning: true,
-            max_partition_candidates: 2,
-            partition_skew_log2: 2.0,
         }
     }
 }
+
+/// Most atoms for which the full subset DP runs; larger queries fall back
+/// to the greedy-by-size order, and [`Optimizer::harvest`] and
+/// [`Optimizer::cost_order`] answer [`ExecError::NotApplicable`].  The DP's
+/// tables hold one slot per atom mask, `2^m` of them: 4 096 here.
+const MAX_DP_ATOMS: usize = 12;
+const _: () = assert!(MAX_DP_ATOMS <= DP_ATOM_LIMIT);
+
+/// How many skew candidates (atom, conditional) the partition search tries
+/// per planning call, most-skewed first.  Each candidate costs the split,
+/// the parts' statistics and one LP per part; only a candidate whose
+/// sum-of-parts output bound beats the cost so far also costs a batch per
+/// part over the connected sub-joins through the split atom.
+const MAX_PARTITION_CANDIDATES: usize = 2;
+
+/// Minimum skew — `log₂(max degree / average degree)` of a conditional —
+/// before an atom is considered for partitioning: the heaviest value must
+/// reach 4× the average fan-out; below that, per-part bounds cannot
+/// meaningfully undercut the monolithic bound.
+const PARTITION_SKEW_LOG2: f64 = 2.0;
 
 /// The chosen plan plus everything a caller (or benchmark) wants to report
 /// about how it was chosen.
@@ -202,8 +198,7 @@ pub struct OptimizedPlan {
     /// monolithic plans, the light/heavy part count otherwise).
     pub parts_planned: usize,
     /// Partition candidates the search split and bounded (skewed atoms whose
-    /// light/heavy split left two non-empty parts), at most
-    /// [`PlannerConfig::max_partition_candidates`].
+    /// light/heavy split left two non-empty parts): at most two.
     pub partition_candidates: usize,
     /// Candidates refused by the bound-first test: the sum of their parts'
     /// full-query bounds alone already reached the cost to beat, so no
@@ -348,17 +343,6 @@ impl Optimizer {
         &self.estimator
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &PlannerConfig {
-        &self.config
-    }
-
-    /// The most atoms the DP enumerates: the configured gate, capped at
-    /// [`DP_ATOM_LIMIT`].
-    fn dp_atom_gate(&self) -> usize {
-        self.config.max_dp_atoms.min(DP_ATOM_LIMIT)
-    }
-
     /// Bound every connected sub-join of `query` in one batch and fold the
     /// results into the DP's lookup table.  Singletons cost
     /// their scan size; a multi-atom subset whose bound attempt fails costs
@@ -388,8 +372,7 @@ impl Optimizer {
     /// skipped them would understate the order's bottleneck.
     ///
     /// Unlike [`Optimizer::plan`], this costs *any* permutation of *any*
-    /// query (connected or not) with at most
-    /// [`PlannerConfig::max_dp_atoms`] atoms (and never more than 16).
+    /// query (connected or not) with at most 12 atoms, the DP's gate.
     pub fn cost_order(
         &self,
         query: &JoinQuery,
@@ -397,10 +380,10 @@ impl Optimizer {
         order: &[usize],
     ) -> Result<f64, ExecError> {
         validate_atom_permutation(query.n_atoms(), order)?;
-        if query.n_atoms() > self.dp_atom_gate() {
+        if query.n_atoms() > MAX_DP_ATOMS {
             return Err(ExecError::NotApplicable {
                 reason: format!(
-                    "cost_order enumerates connected sub-joins; {} atoms exceeds max_dp_atoms",
+                    "cost_order enumerates connected sub-joins; {} atoms exceeds {MAX_DP_ATOMS}",
                     query.n_atoms()
                 ),
             });
@@ -412,12 +395,13 @@ impl Optimizer {
 
     /// Bound every connected sub-join of `query` in one batch — the
     /// planner's harvest phase on its own, without the DP — and return how
-    /// many got a finite bound.
+    /// many got a finite bound.  Like the DP, it takes connected queries of
+    /// 2 to 12 atoms.
     pub fn harvest(&self, query: &JoinQuery, catalog: &Catalog) -> Result<usize, ExecError> {
         let m = query.n_atoms();
-        if m < 2 || m > self.dp_atom_gate() {
+        if !(2..=MAX_DP_ATOMS).contains(&m) {
             return Err(ExecError::NotApplicable {
-                reason: format!("sub-join bound harvest needs 2..=max_dp_atoms atoms, got {m}"),
+                reason: format!("sub-join bound harvest needs 2..={MAX_DP_ATOMS} atoms, got {m}"),
             });
         }
         let logical = LogicalPlan::of(query);
@@ -437,9 +421,9 @@ impl Optimizer {
         let greedy = JoinPlan::greedy_by_size(query, catalog)?;
 
         // Greedy fallback without enumeration: single atoms, queries past
-        // the DP gate (at most 16 atoms, whatever the configuration), and —
-        // checked below once the join graph exists — disconnected queries.
-        if m == 1 || m > self.dp_atom_gate() {
+        // the DP gate, and — checked below once the join graph exists —
+        // disconnected queries.
+        if m == 1 || m > MAX_DP_ATOMS {
             return Ok(Self::fallback_plan(
                 &greedy,
                 m,
@@ -614,7 +598,7 @@ impl Optimizer {
                 materialized(rest_best, &[], own, &mut candidate);
                 keep_smaller(&mut choice, &mut candidate, Choice::Extend(j));
             }
-            if self.config.enable_bushy && mask.count_ones() >= 4 {
+            if mask.count_ones() >= 4 {
                 // Both halves ≥ 2 atoms: singleton splits are dominated by
                 // extension (they additionally charge the singleton's scan).
                 // Connected halves of a connected set always share a
@@ -752,7 +736,7 @@ impl Optimizer {
         };
 
         // --- A strictly better bushy tree overrides the left-deep pick. ---
-        if self.config.enable_bushy && bushy_cost < predicted {
+        if bushy_cost < predicted {
             let root = build_bushy(full, &best, bounds);
             let plan = PhysicalPlan::from_root(root);
             order = plan.atom_order();
@@ -771,8 +755,8 @@ impl Optimizer {
 
     /// The atoms worth splitting: every `(atom, conditional)` whose relation
     /// has a skewed simple conditional (`log₂(max/avg degree) ≥`
-    /// [`PlannerConfig::partition_skew_log2`]), most-skewed first, cut to
-    /// [`PlannerConfig::max_partition_candidates`].  A join attribute's
+    /// [`PARTITION_SKEW_LOG2`]), most-skewed first, cut to
+    /// [`MAX_PARTITION_CANDIDATES`].  A join attribute's
     /// norms are lookups (the harvest cached them); any other attribute
     /// costs one degree sequence here — on a builder-made relation one sort
     /// of a copy of that attribute's column
@@ -803,7 +787,7 @@ impl Optimizer {
                 let distinct_u = catalog.log_norm(rel_name, &u, &[], Norm::L1)?;
                 // log₂(max degree / average degree).
                 let skew = linf - (l1 - distinct_u);
-                if skew >= self.config.partition_skew_log2 {
+                if skew >= PARTITION_SKEW_LOG2 {
                     candidates.push((
                         skew,
                         SkewCandidate {
@@ -816,7 +800,7 @@ impl Optimizer {
             }
         }
         candidates.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.atom.cmp(&b.1.atom)));
-        candidates.truncate(self.config.max_partition_candidates);
+        candidates.truncate(MAX_PARTITION_CANDIDATES);
         Ok(candidates.into_iter().map(|(_, c)| c).collect())
     }
 
@@ -876,14 +860,14 @@ impl Optimizer {
     /// [split](Self::split_candidate):
     ///
     /// 1. **Bound first.**  Only the *full* query is bounded on each part
-    ///    (one batch of `parts` LPs).  Their `log₂`-sum is the union bound
+    ///    (one LP per part).  Their `log₂`-sum is the union bound
     ///    the partitioned plan is charged anyway, so a candidate whose
     ///    union bound already reaches the monolithic bottleneck — or the
     ///    best candidate so far — can never be picked and is refused here.
-    /// 2. **Reuse.**  A surviving candidate bounds, in one more batch, only
-    ///    the connected sub-joins that contain the split atom.  Every other
-    ///    sub-join has the same atoms, relations and statistics in every
-    ///    part, so its entry is the monolithic table's
+    /// 2. **Reuse.**  A surviving candidate bounds, in one more batch per
+    ///    part, only the connected sub-joins that contain the split atom.
+    ///    Every other sub-join has the same atoms, relations and statistics
+    ///    in every part, so its entry is the monolithic table's
     ///    ([`reusable_bounds`]).
     /// 3. The shared [`Optimizer::choose`] DP plans each part on its table.
     ///
@@ -917,16 +901,15 @@ impl Optimizer {
             };
             stats.candidates += 1;
             let j = candidate.atom;
-            let run_refs: Vec<(&JoinQuery, &Catalog)> =
-                runs.iter().map(|r| (&r.query, &r.catalog)).collect();
 
             // --- Bound first: the full query on every part. ---
-            let full_results =
-                self.estimator
-                    .bound_subqueries_multi(&run_refs, &[(0..m).collect()], &config);
+            let every_atom = [(0..m).collect()];
             let mut union_bound = f64::NEG_INFINITY;
             let mut part_output_bounds = Vec::with_capacity(runs.len());
-            for (run, batch) in runs.iter().zip(&full_results) {
+            for run in &runs {
+                let batch =
+                    self.estimator
+                        .bound_subqueries(&run.query, &run.catalog, &every_atom, &config);
                 let mut scan_log2 = monolithic.scan_log2.clone();
                 scan_log2[j] = (run.relation.len().max(1) as f64).log2();
                 let (value, by_lp) = bound_or_product(&batch.results[0], full, logical, &scan_log2);
@@ -945,22 +928,19 @@ impl Optimizer {
             }
 
             // --- Reuse: only sub-joins through atom `j` are re-bounded. ---
-            let atom_map: Vec<Option<usize>> = (0..m).map(|a| (a != j).then_some(a)).collect();
-            let (reused, mut fresh) =
-                reusable_bounds(logical, &monolithic.subsets, &monolithic.log2, m, &atom_map);
-            fresh.retain(|&mask| mask != full);
-            let fresh_results = self.estimator.bound_subqueries_multi(
-                &run_refs,
-                &atom_lists(logical, &fresh),
-                &config,
-            );
+            let (reused, fresh) = reusable_bounds(monolithic, j);
+            let fresh_atoms = atom_lists(logical, &fresh);
 
             // Plan each part independently with the shared DP.
             let mut cost = f64::NEG_INFINITY;
             let mut branches = Vec::with_capacity(runs.len());
-            for ((run, batch), output_bound) in
-                runs.into_iter().zip(&fresh_results).zip(part_output_bounds)
-            {
+            for (run, output_bound) in runs.into_iter().zip(part_output_bounds) {
+                let batch = self.estimator.bound_subqueries(
+                    &run.query,
+                    &run.catalog,
+                    &fresh_atoms,
+                    &config,
+                );
                 let mut known = reused.clone();
                 known.push((full, output_bound));
                 let bounds = fold_bounds(
@@ -970,7 +950,7 @@ impl Optimizer {
                     monolithic.subsets.clone(),
                     &known,
                     &fresh,
-                    batch,
+                    &batch,
                 )?;
                 stats.solved += bounds.solved;
                 stats.bounded += bounds.bounded;
@@ -1064,33 +1044,24 @@ fn atom_lists(logical: &LogicalPlan, masks: &[u64]) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// Split the connected multi-atom `subsets` of a re-posed query into the
-/// entries a prior bound table already proved and the masks to bound
-/// afresh.  `atom_map[j]` is atom `j`'s index in the prior query, `None`
-/// for an atom whose relation (hence statistics) changed.  A subset whose
-/// atoms all map kept its atoms, relations and shared variables, so the
-/// sub-join — and its LP — is literally the one the prior table bounded,
-/// and its entry is copied through a mask remap.  The partition search
-/// (one atom rebound to a degree part) goes through here.
-fn reusable_bounds(
-    logical: &LogicalPlan,
-    subsets: &[u64],
-    prior_log2: &[Option<f64>],
-    prior_atoms: usize,
-    atom_map: &[Option<usize>],
-) -> (Vec<(u64, f64)>, Vec<u64>) {
+/// Split the connected multi-atom sub-joins of a query whose atom
+/// `split_atom` is rebound to a degree part into the entries the monolithic
+/// table already proved and the masks to bound per part.  A sub-join
+/// without the split atom has the same atoms, relations and statistics in
+/// every part, so its LP is literally the one the monolithic table bounded
+/// and its entry is reused.  Every other one but the full query (bounded
+/// first, on its own) is to be bounded per part, in enumeration order.
+fn reusable_bounds(monolithic: &Bounds, split_atom: usize) -> (Vec<(u64, f64)>, Vec<u64>) {
+    let full = (1u64 << monolithic.scan_log2.len()) - 1;
     let mut reused = Vec::new();
     let mut fresh = Vec::new();
-    for mask in multi_atom(subsets) {
-        let remapped = logical
-            .atoms_of(mask)
-            .try_fold(0u64, |acc, j| match atom_map[j] {
-                Some(old) if old < prior_atoms => Some(acc | (1u64 << old)),
-                _ => None,
-            });
-        match remapped.and_then(|old_mask| prior_log2[old_mask as usize]) {
-            Some(v) => reused.push((mask, v)),
-            None => fresh.push(mask),
+    for mask in multi_atom(&monolithic.subsets) {
+        if mask & (1u64 << split_atom) == 0 {
+            let value =
+                monolithic.log2[mask as usize].expect("every connected sub-join has a bound");
+            reused.push((mask, value));
+        } else if mask != full {
+            fresh.push(mask);
         }
     }
     (reused, fresh)
@@ -1437,21 +1408,36 @@ mod tests {
         assert_eq!(canonical(f64::NEG_INFINITY), f64::NEG_INFINITY);
     }
 
+    /// The DP gate is [`MAX_DP_ATOMS`]: a 12-atom chain is planned by the
+    /// DP, and a 13-atom one falls back to the greedy order, uncertified,
+    /// while the harvest and `cost_order` decline it before any LP.
     #[test]
-    fn oversized_queries_fall_back_to_greedy() {
+    fn the_dp_gate_plans_twelve_atoms_and_falls_back_to_greedy_at_thirteen() {
         let mut catalog = Catalog::new();
         catalog.insert(RelationBuilder::binary_from_pairs(
             "E",
             "a",
             "b",
-            (0..30u64).map(|i| (i % 5, (i + 1) % 5)),
+            (0..12u64).map(|i| (i % 4, (i * 3 + 1) % 4)),
         ));
-        let q = JoinQuery::path(&["E"; 4]);
+        let twelve = JoinQuery::path(&["E"; 12]);
         let optimizer = Optimizer::new().with_config(PlannerConfig {
-            max_dp_atoms: 2,
+            enable_partitioning: false,
             ..PlannerConfig::default()
         });
-        let plan = optimizer.plan(&q, &catalog).unwrap();
+        let plan = optimizer.plan(&twelve, &catalog).unwrap();
+        assert!(plan.predicted_log2_cost.is_finite());
+        assert_eq!(
+            plan.subqueries_bounded,
+            11 * 12 / 2,
+            "every multi-atom path"
+        );
+        assert_eq!(plan.bound_fallbacks, 0);
+        assert!(optimizer.harvest(&twelve, &catalog).is_ok());
+
+        let thirteen = JoinQuery::path(&["E"; 13]);
+        let optimizer = Optimizer::new();
+        let plan = optimizer.plan(&thirteen, &catalog).unwrap();
         assert!(plan.predicted_log2_cost.is_nan());
         assert!(plan.leftdeep_predicted_log2_cost.is_nan());
         assert_eq!(plan.subqueries_bounded, 0);
@@ -1460,56 +1446,16 @@ mod tests {
         assert_eq!(plan.order, plan.greedy_order);
         // Fallback plans carry no certificates.
         assert!(plan.physical.certificates().is_empty());
-    }
-
-    /// The DP's tables are dense over the atom masks, so 16 atoms is as far
-    /// as any configuration takes it: a 16-atom chain is planned by the DP
-    /// at `max_dp_atoms = 16`, and a 17-atom one falls back to greedy even
-    /// at `max_dp_atoms = 63`, while the harvest and `cost_order` decline it.
-    #[test]
-    fn the_dp_gate_stops_at_sixteen_atoms_whatever_the_configuration() {
-        let mut catalog = Catalog::new();
-        catalog.insert(RelationBuilder::binary_from_pairs(
-            "E",
-            "a",
-            "b",
-            (0..12u64).map(|i| (i % 4, (i * 3 + 1) % 4)),
-        ));
-        let sixteen = JoinQuery::path(&["E"; 16]);
-        let at_sixteen = Optimizer::new().with_config(PlannerConfig {
-            max_dp_atoms: 16,
-            enable_partitioning: false,
-            ..PlannerConfig::default()
-        });
-        let plan = at_sixteen.plan(&sixteen, &catalog).unwrap();
-        assert!(plan.predicted_log2_cost.is_finite());
-        assert_eq!(
-            plan.subqueries_bounded,
-            15 * 16 / 2,
-            "every multi-atom path"
-        );
-        assert_eq!(plan.bound_fallbacks, 0);
-        assert!(at_sixteen.harvest(&sixteen, &catalog).is_ok());
-
-        let seventeen = JoinQuery::path(&["E"; 17]);
-        let wide_open = Optimizer::new().with_config(PlannerConfig {
-            max_dp_atoms: 63,
-            ..PlannerConfig::default()
-        });
-        let plan = wide_open.plan(&seventeen, &catalog).unwrap();
-        assert!(plan.predicted_log2_cost.is_nan());
-        assert_eq!(plan.subqueries_bounded, 0);
-        assert_eq!(plan.order, plan.greedy_order);
-        let order: Vec<usize> = (0..17).collect();
+        let order: Vec<usize> = (0..13).collect();
         assert!(matches!(
-            wide_open.cost_order(&seventeen, &catalog, &order),
+            optimizer.cost_order(&thirteen, &catalog, &order),
             Err(ExecError::NotApplicable { .. })
         ));
         assert!(matches!(
-            wide_open.harvest(&seventeen, &catalog),
+            optimizer.harvest(&thirteen, &catalog),
             Err(ExecError::NotApplicable { .. })
         ));
-        assert_eq!(wide_open.estimator().lps_estimated(), 0);
+        assert_eq!(optimizer.estimator().lps_estimated(), 0);
     }
 
     #[test]

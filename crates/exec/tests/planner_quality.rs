@@ -203,9 +203,10 @@ fn partitioned_plan_beats_the_best_monolithic_plan_on_partition_skew() {
 /// split atom only.  A 6-atom chain around partition-skew's `S` — key
 /// relations (one row per join value) extend both ends, so the partition
 /// still wins exactly as on the 3-atom chain — has 15 connected multi-atom
-/// sub-joins, 11 of them through `S`: with one candidate the search solves
-/// `parts × 11` LPs (full query first, the other ten after the bound-first
-/// test), not `parts × 15`.
+/// sub-joins, 11 of them through `S`: for the candidate it picks the search
+/// solves `parts × 11` LPs (full query first, the other ten after the
+/// bound-first test), not `parts × 15`, and for its second candidate, which
+/// the bound-first test refuses, one LP per part.
 #[test]
 fn partition_search_bounds_only_subjoins_through_the_split_atom() {
     let w = partition_skew_workload(1);
@@ -248,13 +249,7 @@ fn partition_search_bounds_only_subjoins_through_the_split_atom() {
         .count();
     assert_eq!(through_split, 11);
 
-    let plan = Optimizer::new()
-        .with_config(PlannerConfig {
-            max_partition_candidates: 1,
-            ..PlannerConfig::default()
-        })
-        .plan(&query, &catalog)
-        .unwrap();
+    let plan = Optimizer::new().plan(&query, &catalog).unwrap();
     assert_eq!(
         plan.strategy(),
         "partitioned",
@@ -263,12 +258,12 @@ fn partition_search_bounds_only_subjoins_through_the_split_atom() {
     );
     assert_eq!(plan.parts_planned, 2);
     assert_eq!(plan.subqueries_bounded, 15);
-    assert_eq!(plan.partition_candidates, 1);
-    assert_eq!(plan.partition_candidates_refused, 0);
+    assert_eq!(plan.partition_candidates, 2);
+    assert_eq!(plan.partition_candidates_refused, 1);
     assert_eq!(plan.partition_bound_fallbacks, 0);
     assert_eq!(
         plan.partition_subqueries_bounded,
-        plan.parts_planned * through_split
+        plan.parts_planned * through_split + 2
     );
     let run = exec(&query, &catalog, &plan.physical);
     assert_eq!(run.certificate_violations(), 0);
@@ -381,23 +376,32 @@ fn cold_plans_of_one_query_are_identical() {
     assert_eq!(cross_checked, 4 + 12);
 }
 
-/// With bushy splits disabled the planner must still work (and report the
-/// same left-deep order it would otherwise compare against).
+/// The left-deep DP is the baseline every other pick must beat: on every
+/// planner workload the chosen plan's predicted bottleneck is at most the
+/// best left-deep order's, and a bushy tree is chosen only when it is
+/// strictly better.
 #[test]
-fn disabling_bushy_falls_back_to_the_left_deep_dp() {
-    let w = bridged_chains_workload(1);
-    let config = lpb_exec::PlannerConfig {
-        enable_bushy: false,
-        ..lpb_exec::PlannerConfig::default()
-    };
-    let plan = Optimizer::new()
-        .with_config(config)
-        .plan(&w.query, &w.catalog)
-        .unwrap();
-    assert_ne!(plan.strategy(), "bushy");
-    assert_eq!(plan.predicted_log2_cost, plan.leftdeep_predicted_log2_cost);
-    let run = exec(&w.query, &w.catalog, &plan.physical);
-    assert_eq!(run.certificate_violations(), 0);
+fn the_chosen_plan_never_predicts_worse_than_the_best_left_deep_order() {
+    let mut bushy = 0;
+    for w in planner_workloads(1) {
+        let plan = Optimizer::new().plan(&w.query, &w.catalog).unwrap();
+        assert!(
+            plan.predicted_log2_cost <= plan.leftdeep_predicted_log2_cost,
+            "{}: {} > {}",
+            w.name,
+            plan.predicted_log2_cost,
+            plan.leftdeep_predicted_log2_cost
+        );
+        if plan.strategy() == "bushy" {
+            bushy += 1;
+            assert!(
+                plan.predicted_log2_cost < plan.leftdeep_predicted_log2_cost,
+                "{}: a bushy tree that only ties the left-deep order",
+                w.name
+            );
+        }
+    }
+    assert!(bushy >= 1, "bridged-chains is planned bushy");
 }
 
 /// All sub-join bound attempts must succeed on the healthy planner corpus:

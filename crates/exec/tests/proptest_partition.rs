@@ -130,12 +130,9 @@ proptest! {
                 }
                 let part_query = query.with_atom_relation(0, relation.name()).unwrap();
                 let seeded = part_catalog.cached_stats();
-                let batch = estimator.bound_subqueries_multi(
-                    &[(&part_query, &part_catalog)],
-                    &every_atom,
-                    &config,
-                );
-                prop_assert!(batch[0].results[0].is_ok());
+                let batch =
+                    estimator.bound_subqueries(&part_query, &part_catalog, &every_atom, &config);
+                prop_assert!(batch.results[0].is_ok());
                 prop_assert_eq!(part_catalog.cached_stats(), seeded, "split ({:?} | {:?})", &v, &u);
             }
         }

@@ -9,9 +9,9 @@
 //! *per-fleet* amortization.  Three layers:
 //!
 //! 1. **Plan cache** ([`lpb_exec::PlanCache`], owned by [`QueryService`]) —
-//!    [`lpb_exec::OptimizedPlan`]s keyed by canonicalized query shape +
-//!    catalog statistics epoch.  The hit path skips LP and DP entirely:
-//!    one canonicalization, one map probe, one `Arc` clone.
+//!    up to 1 024 [`lpb_exec::OptimizedPlan`]s keyed by canonicalized query
+//!    shape + catalog statistics epoch.  The hit path skips LP and DP
+//!    entirely: one canonicalization, one map probe, one `Arc` clone.
 //!
 //!    *Cache keying discipline*: the shape canon renames variables by
 //!    first appearance and drops query names, so isomorphic queries from
@@ -63,14 +63,17 @@
 //!
 //! Entry points: [`QueryService`] (shared, `Arc` it across threads) and
 //! [`Worker`] (one per serving thread; adds the lock-free
-//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition).
+//! [`lpb_data::SnapshotReader`] fast path for snapshot acquisition).  The
+//! service has no settings: [`QueryService::new`] takes the catalog and
+//! plans with the default planner ([`lpb_exec::Optimizer::new`]), the same
+//! one a library caller gets.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod service;
 
-pub use service::{QueryResponse, QueryService, ServeConfig, ServeStats, Worker};
+pub use service::{QueryResponse, QueryService, ServeStats, Worker};
 
 /// A serve-layer failure.  Wraps the underlying planner/executor/data error
 /// message.

@@ -22,30 +22,11 @@
 use crate::ServeError;
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, SnapshotCatalog, SnapshotReader};
-use lpb_exec::{count_physical, OptimizedPlan, Optimizer, PlanCache, PlannerConfig};
+use lpb_exec::{count_physical, OptimizedPlan, Optimizer, PlanCache};
 use lpb_lp::SolverStats;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Service knobs.
-#[derive(Debug, Clone)]
-pub struct ServeConfig {
-    /// Planner configuration for the shared [`Optimizer`].
-    pub planner: PlannerConfig,
-    /// Plan-cache capacity (plans of the newest two statistics epochs;
-    /// oldest-insert eviction).
-    pub plan_cache_capacity: usize,
-}
-
-impl Default for ServeConfig {
-    fn default() -> Self {
-        ServeConfig {
-            planner: PlannerConfig::default(),
-            plan_cache_capacity: 1024,
-        }
-    }
-}
 
 /// What one served request reports back.
 #[derive(Debug, Clone)]
@@ -124,23 +105,18 @@ pub struct QueryService {
 }
 
 impl QueryService {
-    /// A service over `catalog` with the default [`ServeConfig`].
-    pub fn new(catalog: Catalog) -> Self {
-        Self::with_config(ServeConfig::default(), catalog)
-    }
-
-    /// A service over `catalog` with explicit knobs.
+    /// A service over `catalog`: the default planner ([`Optimizer::new`])
+    /// and a plan cache of 1 024 plans ([`PlanCache::default`]).
     ///
     /// Concurrency lives *across* requests (worker threads), not within
     /// one: a miss plans on the thread that took it, so the plan's
     /// [`SolverStats::on_thread`] delta accounts it exactly, and every
     /// request executes on the thread that submitted it.
-    pub fn with_config(config: ServeConfig, catalog: Catalog) -> Self {
-        let optimizer = Optimizer::new().with_config(config.planner);
+    pub fn new(catalog: Catalog) -> Self {
         QueryService {
             cell: Arc::new(SnapshotCatalog::new(catalog)),
-            optimizer,
-            plan_cache: PlanCache::with_capacity(config.plan_cache_capacity),
+            optimizer: Optimizer::new(),
+            plan_cache: PlanCache::default(),
             requests: AtomicU64::new(0),
             violations: AtomicU64::new(0),
         }

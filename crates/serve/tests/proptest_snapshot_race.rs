@@ -15,7 +15,7 @@
 use lpb_core::JoinQuery;
 use lpb_data::{Catalog, Relation, RelationBuilder};
 use lpb_exec::true_cardinality;
-use lpb_serve::{QueryService, ServeConfig, Worker};
+use lpb_serve::{QueryService, Worker};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -71,7 +71,7 @@ proptest! {
 
         let mut initial = Catalog::new();
         initial.insert(versions[0].clone());
-        let service = Arc::new(QueryService::with_config(ServeConfig::default(), initial));
+        let service = Arc::new(QueryService::new(initial));
         let base_epoch = service.snapshot().epoch();
 
         let done = AtomicBool::new(false);
