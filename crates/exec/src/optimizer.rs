@@ -1408,11 +1408,41 @@ mod tests {
         assert_eq!(canonical(f64::NEG_INFINITY), f64::NEG_INFINITY);
     }
 
-    /// The DP gate is [`MAX_DP_ATOMS`]: a 12-atom chain is planned by the
-    /// DP, and a 13-atom one falls back to the greedy order, uncertified,
-    /// while the harvest and `cost_order` decline it before any LP.
+    /// A query past [`MAX_DP_ATOMS`] is planned on the greedy-by-size order:
+    /// no predicted cost, no bounded sub-join, no certificate.
     #[test]
-    fn the_dp_gate_plans_twelve_atoms_and_falls_back_to_greedy_at_thirteen() {
+    fn oversized_queries_fall_back_to_greedy() {
+        let mut catalog = Catalog::new();
+        catalog.insert(RelationBuilder::binary_from_pairs(
+            "E",
+            "a",
+            "b",
+            (0..30u64).map(|i| (i % 5, (i + 1) % 5)),
+        ));
+        let q = JoinQuery::path(&["E"; MAX_DP_ATOMS + 1]);
+        let optimizer = Optimizer::new();
+        let plan = optimizer.plan(&q, &catalog).unwrap();
+        assert!(plan.predicted_log2_cost.is_nan());
+        assert!(plan.leftdeep_predicted_log2_cost.is_nan());
+        assert_eq!(plan.subqueries_bounded, 0);
+        assert_eq!(plan.bound_fallbacks, 0);
+        assert_eq!(plan.strategy(), "yannakakis");
+        assert_eq!(plan.order, plan.greedy_order);
+        // Fallback plans carry no certificates.
+        assert!(plan.physical.certificates().is_empty());
+        assert_eq!(optimizer.estimator().lps_estimated(), 0);
+    }
+
+    /// The DP's tables are dense over the atom masks, so 16 atoms is as far
+    /// as it can go, and the planner's own gate, [`MAX_DP_ATOMS`], sits at
+    /// or below that and no configuration moves it: a 12-atom chain is
+    /// planned by the DP, while 13-, 16- and 17-atom chains fall back to
+    /// greedy under every configuration, and the harvest and `cost_order`
+    /// decline them before any LP.
+    #[test]
+    fn the_dp_gate_stops_at_sixteen_atoms_whatever_the_configuration() {
+        assert_eq!(DP_ATOM_LIMIT, 16);
+        assert_eq!(MAX_DP_ATOMS, 12);
         let mut catalog = Catalog::new();
         catalog.insert(RelationBuilder::binary_from_pairs(
             "E",
@@ -1435,27 +1465,41 @@ mod tests {
         assert_eq!(plan.bound_fallbacks, 0);
         assert!(optimizer.harvest(&twelve, &catalog).is_ok());
 
-        let thirteen = JoinQuery::path(&["E"; 13]);
-        let optimizer = Optimizer::new();
-        let plan = optimizer.plan(&thirteen, &catalog).unwrap();
-        assert!(plan.predicted_log2_cost.is_nan());
-        assert!(plan.leftdeep_predicted_log2_cost.is_nan());
-        assert_eq!(plan.subqueries_bounded, 0);
-        assert_eq!(plan.bound_fallbacks, 0);
-        assert_eq!(plan.strategy(), "yannakakis");
-        assert_eq!(plan.order, plan.greedy_order);
-        // Fallback plans carry no certificates.
-        assert!(plan.physical.certificates().is_empty());
-        let order: Vec<usize> = (0..13).collect();
-        assert!(matches!(
-            optimizer.cost_order(&thirteen, &catalog, &order),
-            Err(ExecError::NotApplicable { .. })
-        ));
-        assert!(matches!(
-            optimizer.harvest(&thirteen, &catalog),
-            Err(ExecError::NotApplicable { .. })
-        ));
-        assert_eq!(optimizer.estimator().lps_estimated(), 0);
+        let configurations = [
+            PlannerConfig::default(),
+            PlannerConfig {
+                enable_partitioning: false,
+                ..PlannerConfig::default()
+            },
+            PlannerConfig {
+                max_norm: 1,
+                ..PlannerConfig::default()
+            },
+            PlannerConfig {
+                max_norm: 8,
+                ..PlannerConfig::default()
+            },
+        ];
+        for n in [MAX_DP_ATOMS + 1, DP_ATOM_LIMIT, DP_ATOM_LIMIT + 1] {
+            let q = JoinQuery::path(&vec!["E"; n]);
+            let order: Vec<usize> = (0..n).collect();
+            for config in &configurations {
+                let optimizer = Optimizer::new().with_config(config.clone());
+                let plan = optimizer.plan(&q, &catalog).unwrap();
+                assert!(plan.predicted_log2_cost.is_nan(), "{n} atoms");
+                assert_eq!(plan.subqueries_bounded, 0, "{n} atoms");
+                assert_eq!(plan.order, plan.greedy_order, "{n} atoms");
+                assert!(matches!(
+                    optimizer.cost_order(&q, &catalog, &order),
+                    Err(ExecError::NotApplicable { .. })
+                ));
+                assert!(matches!(
+                    optimizer.harvest(&q, &catalog),
+                    Err(ExecError::NotApplicable { .. })
+                ));
+                assert_eq!(optimizer.estimator().lps_estimated(), 0, "{n} atoms");
+            }
+        }
     }
 
     #[test]
