@@ -14,7 +14,7 @@
 //!   Loomis–Whitney).
 //! * [`StatisticsSet`] / [`collect_simple_statistics`] — abstract statistics
 //!   `τ = ((V|U), p)` with concrete log-bounds `b = log₂ B` harvested from a
-//!   [`Catalog`](lpb_data::Catalog).
+//!   [`Catalog`].
 //! * [`compute_bound`] / [`Cone`] — the bound `Log-L-Bound_K` of §5, over the
 //!   polymatroid cone Γₙ (Shannon inequalities), the normal cone Nₙ
 //!   (step-function combinations; exact for simple statistics by Theorem

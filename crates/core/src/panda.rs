@@ -3,7 +3,7 @@
 //!
 //! This is the strongest previously-known pessimistic estimator (Abo Khamis,
 //! Ngo, Suciu, PODS 2017) and the main baseline the paper improves on.  In
-//! our framework it is simply [`compute_bound`](crate::compute_bound) applied
+//! our framework it is simply [`compute_bound`] applied
 //! to the `{1, ∞}`-restriction of a statistics set, so this module is a thin
 //! layer: restriction helpers plus a convenience entry point that harvests
 //! the statistics itself.

@@ -277,7 +277,7 @@ impl ColumnTable {
 }
 
 /// An atom binds a relation only under one variable per column.
-fn check_arity(rel: &Relation, vars: &[String]) -> Result<(), ExecError> {
+pub(crate) fn check_arity(rel: &Relation, vars: &[String]) -> Result<(), ExecError> {
     if rel.arity() != vars.len() {
         return Err(ExecError::AtomArityMismatch {
             relation: rel.name().to_string(),

@@ -90,8 +90,10 @@ const NO_KEY: u32 = u32::MAX;
 /// finds its `min` and `max`), its number is direct-addressed in a slot
 /// table at `value − min` (`Dense`); otherwise it is hashed (`Single`).
 /// Dictionary codes are dense, so one-variable joins take the slot table.  A
-/// key of several variables is hashed as a composite (`Multi`).  The regime
-/// changes how a key is found, never its number.
+/// key of several variables is hashed as a composite (`Multi`).  A key of
+/// no variable (a cross product, an empty separator) is the one empty key,
+/// number 0, found with no table at all (`Keyless`).  The regime changes
+/// how a key is found, never its number.
 enum KeyIndex {
     /// Keyed by one column's value `v`, direct-addressed: its number is
     /// `slots[v − min]` unless that is [`NO_KEY`], and a value outside
@@ -105,6 +107,9 @@ enum KeyIndex {
     Single(KeyMap<u64>),
     /// Keyed by a composite of several columns.
     Multi(KeyMap<Vec<u64>>),
+    /// Keyed by no column: every row has the empty key, number 0, which
+    /// exists once `len` is 1.
+    Keyless { len: usize },
 }
 
 impl KeyIndex {
@@ -159,6 +164,16 @@ impl KeyIndex {
         key_pos: &[usize],
         mut key_of_row: impl FnMut(u32),
     ) -> KeyIndex {
+        if key_pos.is_empty() {
+            #[cfg(test)]
+            tally(Regime::Keyless);
+            for _ in 0..rows {
+                key_of_row(0);
+            }
+            return KeyIndex::Keyless {
+                len: usize::from(rows > 0),
+            };
+        }
         if let [pos] = key_pos {
             let col = side.col(*pos);
             let mut keys = KeyIndex::single(col, col.len());
@@ -184,6 +199,7 @@ impl KeyIndex {
             KeyIndex::Dense { len, .. } => *len,
             KeyIndex::Single(keys) => keys.len(),
             KeyIndex::Multi(keys) => keys.len(),
+            KeyIndex::Keyless { len } => *len,
         }
     }
 
@@ -205,7 +221,9 @@ impl KeyIndex {
                 let next = keys.len() as u32;
                 *keys.entry(v).or_insert(next)
             }
-            KeyIndex::Multi(_) => unreachable!("a composite key has several values"),
+            KeyIndex::Multi(_) | KeyIndex::Keyless { .. } => {
+                unreachable!("a composite or empty key is not one value")
+            }
         }
     }
 
@@ -265,6 +283,11 @@ impl KeyIndex {
                     found(keys.get(scratch.as_slice()).copied());
                 }
             }
+            KeyIndex::Keyless { len } => {
+                for _ in 0..batch.len() {
+                    found((*len > 0).then_some(0));
+                }
+            }
         }
     }
 }
@@ -276,12 +299,13 @@ enum Regime {
     Dense,
     Hashed,
     Multi,
+    Keyless,
 }
 
 #[cfg(test)]
 thread_local! {
     /// The key indexes this thread built, by [`Regime`].
-    static BUILDS: std::cell::Cell<[usize; 3]> = const { std::cell::Cell::new([0; 3]) };
+    static BUILDS: std::cell::Cell<[usize; 4]> = const { std::cell::Cell::new([0; 4]) };
 }
 
 /// Count a key index of `regime` built on this thread.
@@ -295,9 +319,9 @@ fn tally(regime: Regime) {
 }
 
 /// The key indexes the calling thread built so far: `[dense, hashed on one
-/// variable, hashed on several]`.
+/// variable, hashed on several, keyless]`.
 #[cfg(test)]
-pub(crate) fn key_index_builds() -> [usize; 3] {
+pub(crate) fn key_index_builds() -> [usize; 4] {
     BUILDS.with(std::cell::Cell::get)
 }
 
@@ -1030,6 +1054,62 @@ mod tests {
         check(&["X"], vec![(vec![1], u128::MAX), (vec![2], 10)]);
         check(&["Z"], vec![(vec![5], u128::MAX), (vec![6], 5)]);
         check(&["Y"], vec![(vec![7], u128::MAX), (vec![8], near)]);
+    }
+
+    /// A key of no variable (a cross product, an empty Yannakakis
+    /// separator) is the one empty key: the join, its count, a grouped
+    /// join with an empty frontier and the counter's message each build a
+    /// keyless index and no composite map, and match the oracle.  A
+    /// message summed over no rows has no key, so it scales every weight
+    /// to 0.
+    #[test]
+    fn an_empty_key_builds_no_composite_index() {
+        let keyless = [0, 0, 0, 1];
+        let builds = |f: &mut dyn FnMut()| {
+            let before = key_index_builds();
+            f();
+            let after = key_index_builds();
+            [0, 1, 2, 3].map(|r| after[r] - before[r])
+        };
+        let left = t(&["X", "Y"], &[&[1, 2], &[3, 4], &[5, 6]]);
+        let right = t(&["Z"], &[&[7], &[8]]);
+        let mut out = ColumnTable::default();
+        assert_eq!(
+            builds(&mut || out = hash_join_columns(&left, &right)),
+            keyless
+        );
+        assert_eq!(out.sorted_rows(), oracle_join(&left, &right, out.vars()));
+        assert_eq!(out.len(), 6);
+        let mut count = 0;
+        assert_eq!(
+            builds(&mut || count = hash_join_count(&left, &right)),
+            keyless
+        );
+        assert_eq!(count, 6);
+        let prev = weighted(left.clone(), &[1, 2, 3]);
+        let mut total = 0;
+        assert_eq!(
+            builds(&mut || total = hash_join_grouped(&prev, &right, &[]).0),
+            keyless
+        );
+        assert_eq!(total, 12);
+
+        let mut weights = vec![2u128, 5];
+        assert_eq!(
+            builds(&mut || KeyWeights::sum(&left, &[], &[1, 2, 3]).scale(
+                &right,
+                &[],
+                &mut weights
+            )),
+            keyless
+        );
+        assert_eq!(weights, [12, 30]);
+        let nothing = t(&["X", "Y"], &[]);
+        assert_eq!(
+            builds(&mut || KeyWeights::sum(&nothing, &[], &[]).scale(&right, &[], &mut weights)),
+            keyless
+        );
+        assert_eq!(weights, [0, 0]);
     }
 
     /// The key indexes `f` built on this thread, by regime: `[dense, hashed

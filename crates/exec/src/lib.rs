@@ -16,7 +16,8 @@
 //! * **one engine, one schedule** — [`execute_physical_mode`] runs a plan
 //!   to its output.  Every intermediate is a columnar [`ColumnTable`] and
 //!   every operator is columnar: batch-at-a-time hash joins, galloping
-//!   leapfrog over CSR run tries, bitmap semi-joins.  A plan runs by one
+//!   leapfrog over CSR run tries (built from the relations' columns, one
+//!   per relation and level order), bitmap semi-joins.  A plan runs by one
 //!   depth-first walk over its [`PhysicalNode`] tree on the calling thread
 //!   (children before their parent, each intermediate dropped as soon as
 //!   its consumer returns) and records into one [`IntermediateCounters`]; a

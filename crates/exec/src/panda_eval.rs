@@ -10,7 +10,6 @@
 //! query-dependent constant and a polylog factor), which experiment E8
 //! verifies empirically.
 
-use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
 use crate::partition::partition_by_degree;
 use crate::trie::RunTrie;
@@ -65,26 +64,21 @@ pub fn partitioned_join_count(
 ) -> Result<PartitionedRun, ExecError> {
     // One trie per (atom, part): the parts of each partitioned atom (bound
     // to the atom's query variables), the whole relation for the others.
-    let view = RelationView::new(catalog);
     let mut tries_per_atom: Vec<Vec<RunTrie>> = Vec::with_capacity(query.n_atoms());
     let mut parts_per_atom = Vec::new();
     for j in 0..query.n_atoms() {
-        let atom = &query.atoms()[j];
+        let rel = catalog.get(&query.atoms()[j].relation)?;
         if let Some(spec) = specs.iter().find(|s| s.atom == j) {
-            let rel = catalog.get(&atom.relation)?;
             let v: Vec<&str> = spec.v.iter().map(String::as_str).collect();
             let u: Vec<&str> = spec.u.iter().map(String::as_str).collect();
             let tries: Vec<RunTrie> = partition_by_degree(&rel, &v, &u)?
                 .iter()
-                .map(|p| {
-                    let cols = ColumnTable::from_relation(&p.relation, &atom.vars)?;
-                    Ok(RunTrie::from_columns(query, j, &cols))
-                })
+                .map(|p| RunTrie::for_atom(query, j, &p.relation))
                 .collect::<Result<_, ExecError>>()?;
             parts_per_atom.push(tries.len());
             tries_per_atom.push(tries);
         } else {
-            tries_per_atom.push(vec![RunTrie::build(query, &view, j)?]);
+            tries_per_atom.push(vec![RunTrie::for_atom(query, j, &rel)?]);
         }
     }
 

@@ -130,13 +130,14 @@ pub(crate) fn walk(
         }
         PhysicalNode::Wcoj { atoms, log2_bound } => {
             let sub = query.subquery(atoms)?;
+            let tries = build_run_tries(&sub, view)?;
             let out = if count {
-                let rows = wcoj_count_runs(&sub, &build_run_tries(&sub, view)?);
+                let rows = wcoj_count_runs(&sub, &tries);
                 Output::counted(
                     usize::try_from(rows).expect("the leapfrog counts emissions one by one"),
                 )
             } else {
-                Output::table(wcoj_materialize_columns(&sub, view)?)
+                Output::table(wcoj_materialize_columns(&sub, &tries))
             };
             counters.record_checked(format!("wcoj {}", sub.name()), out.rows, *log2_bound);
             Ok(out)

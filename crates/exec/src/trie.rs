@@ -5,10 +5,29 @@
 //! `u64` run plus a child-offset array, so leapfrog seeks are galloping
 //! searches over contiguous memory ([`crate::columns::gallop_ge`]) instead
 //! of pointer-chasing tree descents.
+//!
+//! A trie is built straight from its relation's columns, with no copy of
+//! them and no allocation per row, in at most one sort:
+//!
+//! * **No sort** when the level order is the stored attribute order and the
+//!   rows are strictly increasing
+//!   ([`Relation::is_strictly_increasing`]): storage order already is the
+//!   trie's order, duplicates none.
+//! * **One sort** otherwise: of the column's values for a unary atom, of
+//!   packed `(first, second)` pairs for a binary one, and of row indices
+//!   compared column by column in level order for a wider one.
+//!
+//! One pass over the rows in that order then fills every level: a row's
+//! keys from the first level where it differs from the previous row down
+//! are new, and a row equal to the previous one adds nothing.  The WCOJ
+//! builds one trie per (relation, level order) of a query
+//! ([`crate::wcoj`]), so self-join atoms that read a relation in the same
+//! order share it.
 
-use crate::columns::{gallop_ge, ColumnTable, RelationView};
+use crate::columns::{check_arity, gallop_ge};
 use crate::error::ExecError;
 use lpb_core::JoinQuery;
+use lpb_data::Relation;
 
 /// One level of a [`RunTrie`] in CSR form: all the level's keys
 /// concatenated into one sorted run per parent node, plus the offsets into
@@ -35,69 +54,92 @@ pub(crate) struct RunTrie {
     levels: Vec<RunLevel>,
 }
 
+/// Atom `atom_idx`'s attribute positions in the trie's level order: by
+/// ascending global index of the query variable each one binds.
+pub(crate) fn level_order(query: &JoinQuery, atom_idx: usize) -> Vec<usize> {
+    let reg = query.registry();
+    let vars = &query.atoms()[atom_idx].vars;
+    let mut order: Vec<usize> = (0..vars.len()).collect();
+    order.sort_unstable_by_key(|&a| reg.index_of(&vars[a]).expect("atom variable is registered"));
+    order
+}
+
 impl RunTrie {
-    /// Build the trie for atom `atom_idx` of `query`, reading its relation
-    /// through `view`.
-    pub fn build(
-        query: &JoinQuery,
-        view: &RelationView<'_>,
-        atom_idx: usize,
-    ) -> Result<Self, ExecError> {
-        let cols = ColumnTable::bind(query, view, atom_idx)?;
-        Ok(Self::from_columns(query, atom_idx, &cols))
+    /// Build the trie for atom `atom_idx` of `query` over `rel` (its
+    /// relation, or a partition of it).
+    pub fn for_atom(query: &JoinQuery, atom_idx: usize, rel: &Relation) -> Result<Self, ExecError> {
+        check_arity(rel, &query.atoms()[atom_idx].vars)?;
+        Ok(Self::from_relation(rel, &level_order(query, atom_idx)))
     }
 
-    /// Build the trie for atom `atom_idx` from already-materialized columns
-    /// (possibly a partition of the relation) named by the atom's variables.
-    pub fn from_columns(query: &JoinQuery, atom_idx: usize, cols: &ColumnTable) -> Self {
-        let reg = query.registry();
-        let mut var_order: Vec<usize> = query.atom_vars(atom_idx).iter().collect();
-        var_order.sort_unstable();
-        let level_positions: Vec<usize> = var_order
-            .iter()
-            .map(|&v| {
-                cols.position(reg.name(v))
-                    .expect("atom variable is a column")
-            })
-            .collect();
-
-        // Project onto the level order and sort+dedup lexicographically:
-        // afterwards each node's key slice is sorted and duplicate-free by
-        // construction.
-        let mut rows: Vec<Vec<u64>> = (0..cols.len())
-            .map(|i| level_positions.iter().map(|&p| cols.col(p)[i]).collect())
-            .collect();
-        rows.sort_unstable();
-        rows.dedup();
-
-        let depth = var_order.len();
-        let mut levels = vec![RunLevel::default(); depth];
-        if depth == 0 || rows.is_empty() {
-            return RunTrie { levels };
+    /// The trie over `rel`'s distinct rows whose level `l` holds attribute
+    /// `order[l]`; `order` is a permutation of the attribute positions.
+    pub fn from_relation(rel: &Relation, order: &[usize]) -> Self {
+        let cols: Vec<&[u64]> = order.iter().map(|&a| rel.column(a)).collect();
+        let n = rel.len();
+        let stored = order.iter().enumerate().all(|(l, &a)| l == a);
+        if n == 0 || (stored && rel.is_strictly_increasing()) {
+            return Self::fill(cols.len(), n, |i, l| cols[l][i]);
         }
-        // Level l's keys are the distinct prefixes of length l+1, in order;
-        // a key's children are the level-(l+1) keys extending its prefix.
-        // One pass per level over the sorted rows builds both arrays.
-        for l in 0..depth {
-            let (head, tail) = levels.split_at_mut(l);
-            let level = &mut tail[0];
-            for (i, row) in rows.iter().enumerate() {
-                // A new level-l key starts where the length-(l+1) prefix
-                // first differs from the previous row's.
-                if i == 0 || rows[i - 1][..=l] != row[..=l] {
-                    if l > 0 && (i == 0 || rows[i - 1][..l] != row[..l]) {
-                        // New parent too: close the parent's child slice.
-                        head[l - 1].child_start.push(level.keys.len() as u32);
-                    }
-                    level.keys.push(row[l]);
-                }
+        match cols[..] {
+            [col] => {
+                let mut keys = col.to_vec();
+                keys.sort_unstable();
+                Self::fill(1, n, |i, _| keys[i])
+            }
+            [first, second] => {
+                let mut pairs: Vec<u128> = first
+                    .iter()
+                    .zip(second)
+                    .map(|(&a, &b)| u128::from(a) << 64 | u128::from(b))
+                    .collect();
+                pairs.sort_unstable();
+                Self::fill(2, n, |i, l| (pairs[i] >> (64 * (1 - l))) as u64)
+            }
+            _ => {
+                let rows = u32::try_from(n).expect("a trie's rows are numbered in u32");
+                let mut perm: Vec<u32> = (0..rows).collect();
+                perm.sort_unstable_by(|&x, &y| {
+                    cols.iter()
+                        .map(|c| c[x as usize].cmp(&c[y as usize]))
+                        .find(|o| o.is_ne())
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                Self::fill(cols.len(), n, |i, l| cols[l][perm[i] as usize])
             }
         }
-        // Close the CSR offsets: after the passes, level l's `child_start`
-        // holds one slice *start* per key (every key has at least one child
-        // since all prefixes come from full rows); append the final end.
+    }
+
+    /// Fill the levels of a `depth`-level trie in one pass over `n` rows
+    /// that `value(row, level)` reads in sorted order, equal rows adjacent.
+    /// A row's keys from the first level where it differs from the previous
+    /// row down are new; each new key but the deepest opens its child slice
+    /// at the next level's current end.
+    fn fill(depth: usize, n: usize, value: impl Fn(usize, usize) -> u64) -> Self {
+        let mut levels = vec![RunLevel::default(); depth];
+        if depth == 0 || n == 0 {
+            return RunTrie { levels };
+        }
+        levels[depth - 1].keys.reserve(n);
+        for i in 0..n {
+            let first = if i == 0 {
+                0
+            } else {
+                match (0..depth).find(|&l| value(i, l) != value(i - 1, l)) {
+                    Some(l) => l,
+                    None => continue,
+                }
+            };
+            for l in first..depth {
+                if l + 1 < depth {
+                    let start = levels[l + 1].keys.len() as u32;
+                    levels[l].child_start.push(start);
+                }
+                levels[l].keys.push(value(i, l));
+            }
+        }
+        // Every level but the deepest closes its last child slice.
         for l in 0..depth - 1 {
-            debug_assert_eq!(levels[l].child_start.len(), levels[l].keys.len());
             let end = levels[l + 1].keys.len() as u32;
             levels[l].child_start.push(end);
         }
@@ -168,7 +210,157 @@ pub(crate) struct RunRange {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lpb_data::{Catalog, RelationBuilder};
+    use crate::columns::RelationView;
+    use crate::wcoj::build_run_tries;
+    use lpb_data::{Catalog, RelationBuilder, Schema};
+    use std::rc::Rc;
+
+    /// The reference builder: every row copied into a `Vec<u64>` in level
+    /// order, the rows sorted and deduplicated, then one pass per level.
+    fn reference(rel: &Relation, order: &[usize]) -> RunTrie {
+        let mut rows: Vec<Vec<u64>> = (0..rel.len())
+            .map(|i| order.iter().map(|&a| rel.column(a)[i]).collect())
+            .collect();
+        rows.sort_unstable();
+        rows.dedup();
+
+        let depth = order.len();
+        let mut levels = vec![RunLevel::default(); depth];
+        if depth == 0 || rows.is_empty() {
+            return RunTrie { levels };
+        }
+        // Level l's keys are the distinct prefixes of length l+1, in order;
+        // a key's children are the level-(l+1) keys extending its prefix.
+        for l in 0..depth {
+            let (head, tail) = levels.split_at_mut(l);
+            let level = &mut tail[0];
+            for (i, row) in rows.iter().enumerate() {
+                // A new level-l key starts where the length-(l+1) prefix
+                // first differs from the previous row's.
+                if i == 0 || rows[i - 1][..=l] != row[..=l] {
+                    if l > 0 && (i == 0 || rows[i - 1][..l] != row[..l]) {
+                        // New parent too: close the parent's child slice.
+                        head[l - 1].child_start.push(level.keys.len() as u32);
+                    }
+                    level.keys.push(row[l]);
+                }
+            }
+        }
+        // Close the CSR offsets: every key has at least one child, so level
+        // l's `child_start` holds one slice start per key; append the end.
+        for l in 0..depth - 1 {
+            let end = levels[l + 1].keys.len() as u32;
+            levels[l].child_start.push(end);
+        }
+        RunTrie { levels }
+    }
+
+    /// A trie's levels as `(keys, child_start)`, top down.
+    fn layout(trie: &RunTrie) -> Vec<(Vec<u64>, Vec<u32>)> {
+        trie.levels
+            .iter()
+            .map(|l| (l.keys.clone(), l.child_start.clone()))
+            .collect()
+    }
+
+    /// Every permutation of `0..k`.
+    fn permutations(k: usize) -> Vec<Vec<usize>> {
+        if k == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for shorter in permutations(k - 1) {
+            for at in 0..k {
+                let mut p = shorter.clone();
+                p.insert(at, k - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The trie built from the columns equals the reference builder's,
+        /// keys and `child_start` level by level: arity 1–3, every level
+        /// order, over builder-made rows (strictly increasing, so the
+        /// stored order is not sorted) and over a raw copy of them (the
+        /// rows reversed, then again: neither sorted nor distinct), and
+        /// over the empty relation.  Through a query of three self-join
+        /// atoms (the stored order, its reverse, and the stored order on
+        /// shifted variables) the WCOJ's tries are one per level order:
+        /// atoms share a trie exactly when their level orders agree, and
+        /// each equals the reference for its atom's order.
+        #[test]
+        fn the_trie_equals_the_reference_builder(
+            arity in 1usize..4,
+            rows in proptest::collection::vec((0u64..6, 0u64..6, 0u64..6), 0..40),
+            built in 0u64..2,
+        ) {
+            let attrs = &["a", "b", "c"][..arity];
+            let rows: Vec<Vec<u64>> = rows
+                .iter()
+                .map(|&(x, y, z)| [x, y, z][..arity].to_vec())
+                .collect();
+            let schema = Schema::new(attrs.iter().copied()).unwrap();
+            let rel = if built == 1 {
+                let mut builder = RelationBuilder::new("T", attrs.iter().copied()).unwrap();
+                for row in &rows {
+                    builder.push_codes(row).unwrap();
+                }
+                builder.build()
+            } else {
+                let columns = (0..arity)
+                    .map(|c| rows.iter().rev().chain(&rows).map(|r| r[c]).collect())
+                    .collect();
+                Relation::from_columns("T", schema.clone(), columns).unwrap()
+            };
+            let empty = Relation::from_columns("T", schema, vec![Vec::new(); arity]).unwrap();
+            for r in [&rel, &empty] {
+                for order in permutations(arity) {
+                    proptest::prop_assert_eq!(
+                        layout(&RunTrie::from_relation(r, &order)),
+                        layout(&reference(r, &order)),
+                        "{} rows, strict {}, order {:?}",
+                        r.len(),
+                        r.is_strictly_increasing(),
+                        order
+                    );
+                }
+            }
+
+            let stored: Vec<String> = (0..arity).map(|i| format!("X{i}")).collect();
+            let reversed: Vec<String> = stored.iter().rev().cloned().collect();
+            let shifted: Vec<String> = (1..=arity).map(|i| format!("X{i}")).collect();
+            let atoms = [stored, reversed, shifted]
+                .iter()
+                .map(|v| {
+                    let names: Vec<&str> = v.iter().map(String::as_str).collect();
+                    lpb_core::Atom::new("T", &names)
+                })
+                .collect();
+            let query = JoinQuery::new("self-join", atoms).unwrap();
+            let mut catalog = Catalog::new();
+            catalog.insert(rel.clone());
+            let tries = build_run_tries(&query, &RelationView::new(&catalog)).unwrap();
+            let orders: Vec<Vec<usize>> = (0..3).map(|j| level_order(&query, j)).collect();
+            let reversed_order: Vec<usize> = (0..arity).rev().collect();
+            proptest::prop_assert_eq!(&orders[1], &reversed_order);
+            for j in 0..3 {
+                proptest::prop_assert_eq!(layout(&tries[j]), layout(&reference(&rel, &orders[j])), "atom {}", j);
+                for i in 0..j {
+                    proptest::prop_assert_eq!(
+                        Rc::ptr_eq(&tries[i], &tries[j]),
+                        orders[i] == orders[j],
+                        "atoms {} and {}",
+                        i,
+                        j
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn run_trie_uses_global_variable_order() {
@@ -195,7 +387,7 @@ mod tests {
             vec![(2, 30)],
         ));
         let q = JoinQuery::triangle("R", "S", "T");
-        let run = RunTrie::build(&q, &RelationView::new(&catalog), 2).unwrap();
+        let run = RunTrie::for_atom(&q, 2, &catalog.get("T").unwrap()).unwrap();
         // Levels are (X, Z): X ∈ {1, 2}.
         assert_eq!(run.levels.len(), 2);
         let root = run.root();
@@ -231,7 +423,7 @@ mod tests {
             vec![lpb_core::Atom::new("A", &["P", "Q", "R"])],
         )
         .unwrap();
-        let run = RunTrie::build(&q, &RelationView::new(&catalog), 0).unwrap();
+        let run = RunTrie::for_atom(&q, 0, &catalog.get("A").unwrap()).unwrap();
         assert_eq!(run.levels.len(), 3);
 
         fn check(rows: &[Vec<u64>], prefix: &mut Vec<u64>, run: &RunTrie, node: RunRange) {
@@ -275,7 +467,7 @@ mod tests {
             vec![(2, 3)],
         ));
         let q = JoinQuery::triangle("R", "S", "E");
-        let run = RunTrie::build(&q, &RelationView::new(&catalog), 2).unwrap();
+        let run = RunTrie::for_atom(&q, 2, &catalog.get("E").unwrap()).unwrap();
         assert!(run.keys(run.root()).is_empty());
         assert!(run.seek(run.root(), 0).is_none());
     }

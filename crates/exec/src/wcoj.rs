@@ -8,13 +8,22 @@
 //! statistic into an ℓ1 + ℓ∞ pair on each part, running a WCOJ per part
 //! yields the runtime of Theorem 2.6 for the binary-relation queries we
 //! exercise.
+//!
+//! A WCOJ node builds its tries once, then counts or materializes over
+//! them ([`build_run_tries`]): one trie per (relation, level order), read
+//! straight from the relation's columns through the executor's
+//! [`RelationView`], with at most one sort and none when the level order is
+//! the stored one and the rows are strictly increasing ([`crate::trie`]).
+//! Self-join atoms that read a relation in the same level order — the
+//! `G(X0, X1)` and `G(X1, X2)` of a chain — share one trie.
 
 use crate::columns::{ColumnTable, RelationView};
 use crate::error::ExecError;
-use crate::trie::{RunRange, RunTrie};
+use crate::trie::{level_order, RunRange, RunTrie};
 use lpb_core::JoinQuery;
 use lpb_data::Catalog;
 use std::borrow::Borrow;
+use std::rc::Rc;
 
 /// Run the generic join over CSR [`RunTrie`]s, invoking `on_tuple` once per
 /// output tuple (in ascending lexicographic order of the global variable
@@ -103,15 +112,33 @@ fn recurse_runs<T: Borrow<RunTrie>, F: FnMut(&[u64])>(
     }
 }
 
-/// Build the CSR run tries for every atom of the query, reading relations
-/// through `view`.
+/// The CSR run tries of the query's atoms, in atom order, reading
+/// relations through `view`: one trie per (relation, level order), so
+/// atoms that read one relation in the same level order share it (the
+/// relation is looked up, its arity checked and its trie built once).
 pub(crate) fn build_run_tries(
     query: &JoinQuery,
     view: &RelationView<'_>,
-) -> Result<Vec<RunTrie>, ExecError> {
-    (0..query.n_atoms())
-        .map(|j| RunTrie::build(query, view, j))
-        .collect()
+) -> Result<Vec<Rc<RunTrie>>, ExecError> {
+    let mut built: Vec<(&str, Vec<usize>, Rc<RunTrie>)> = Vec::new();
+    let mut tries = Vec::with_capacity(query.n_atoms());
+    for (j, atom) in query.atoms().iter().enumerate() {
+        let order = level_order(query, j);
+        let shared = built
+            .iter()
+            .find(|(relation, o, _)| *relation == atom.relation && *o == order);
+        let trie = match shared {
+            Some((_, _, trie)) => Rc::clone(trie),
+            None => {
+                let rel = view.get(&atom.relation)?;
+                let trie = Rc::new(RunTrie::for_atom(query, j, &rel)?);
+                built.push((&atom.relation, order, Rc::clone(&trie)));
+                trie
+            }
+        };
+        tries.push(trie);
+    }
+    Ok(tries)
 }
 
 /// Count the output size with the generic join over pre-built tries (the
@@ -128,21 +155,21 @@ pub fn wcoj_count(query: &JoinQuery, catalog: &Catalog) -> Result<u128, ExecErro
     Ok(wcoj_count_runs(query, &tries))
 }
 
-/// Materialize the output with the generic join, directly into columnar
-/// form: columns are the query variables in registry order, rows are in
-/// ascending lexicographic order, and each output assignment is appended
-/// variable-wise — no per-tuple `Vec` allocation.
-pub(crate) fn wcoj_materialize_columns(
+/// Materialize the output with the generic join over pre-built tries,
+/// directly into columnar form: columns are the query variables in
+/// registry order, rows are in ascending lexicographic order, and each
+/// output assignment is appended variable-wise — no per-tuple `Vec`
+/// allocation.
+pub(crate) fn wcoj_materialize_columns<T: Borrow<RunTrie>>(
     query: &JoinQuery,
-    view: &RelationView<'_>,
-) -> Result<ColumnTable, ExecError> {
-    let tries = build_run_tries(query, view)?;
+    tries: &[T],
+) -> ColumnTable {
     let vars: Vec<String> = (0..query.n_vars())
         .map(|i| query.registry().name(i).to_string())
         .collect();
     let mut out = ColumnTable::empty(vars);
-    generic_join_runs(query, &tries, &mut |t| out.push_row(t));
-    Ok(out)
+    generic_join_runs(query, tries, &mut |t| out.push_row(t));
+    out
 }
 
 #[cfg(test)]
@@ -163,6 +190,12 @@ mod tests {
         let mut catalog = Catalog::new();
         catalog.insert(RelationBuilder::binary_from_pairs("E", "a", "b", edges));
         catalog
+    }
+
+    /// The WCOJ's materialized output over the catalog's relations.
+    fn materialize(q: &JoinQuery, catalog: &Catalog) -> ColumnTable {
+        let tries = build_run_tries(q, &RelationView::new(catalog)).unwrap();
+        wcoj_materialize_columns(q, &tries)
     }
 
     /// The table's rows in emission order (the WCOJ promises ascending
@@ -210,7 +243,7 @@ mod tests {
             JoinQuery::path(&["R", "S", "T"]),
             JoinQuery::cycle(&["R", "S", "T", "R"]),
         ] {
-            let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
+            let out = materialize(&q, &catalog);
             assert_eq!(out.vars(), q.registry().names(), "query {}", q.name());
             // The oracle's sorted rows in registry order are exactly the
             // leapfrog emission order: same rows *in the same order*.
@@ -225,11 +258,60 @@ mod tests {
         }
     }
 
+    /// A triangle over one relation, `E(X, Y) ⋈ E(Y, Z) ⋈ E(Z, X)`, whose
+    /// last atom reads `E` in reversed attribute order, with that atom
+    /// degree-partitioned on `(b | a)` (Lemma 2.5) and each part bound
+    /// into the view under its own name, as a partition branch runs it.
+    /// Per part, the first two atoms share one trie, the rows and their
+    /// order equal the oracle's, and `wcoj_count_runs` counts them; the
+    /// parts' counts sum to the whole triangle's.
+    #[test]
+    fn a_partitioned_self_join_triangle_matches_the_oracle_part_by_part() {
+        // A background of edges plus a hub `0 → b` of high degree.
+        let edges = (0..70u64)
+            .map(|i| (i % 11, (i * 7) % 13))
+            .chain((0..30).map(|b| (0, b)))
+            .chain((1..12).map(|a| (a, 0)));
+        let mut catalog = Catalog::new();
+        catalog.insert(RelationBuilder::binary_from_pairs("E", "a", "b", edges));
+        let q = JoinQuery::triangle("E", "E", "E");
+        let whole = catalog.get("E").unwrap();
+        let parts = crate::partition::partition_by_degree(&whole, &["b"], &["a"]).unwrap();
+        assert!(parts.len() >= 2, "{} parts", parts.len());
+
+        let view = RelationView::new(&catalog);
+        let mut total = 0;
+        for part in parts {
+            let part = std::sync::Arc::new(part.relation);
+            let part_query = q.with_atom_relation(2, part.name()).unwrap();
+            let tries = build_run_tries(&part_query, &view.with_part(&part)).unwrap();
+            assert!(Rc::ptr_eq(&tries[0], &tries[1]), "part {}", part.name());
+            assert!(!Rc::ptr_eq(&tries[0], &tries[2]), "part {}", part.name());
+            let out = wcoj_materialize_columns(&part_query, &tries);
+            let mut part_catalog = Catalog::new();
+            part_catalog.insert((*whole).clone());
+            part_catalog.insert((*part).clone());
+            let truth = nested_loop_join(&part_query, &part_catalog, out.vars()).unwrap();
+            assert_eq!(rows_in_order(&out), truth, "part {}", part.name());
+            assert_eq!(
+                wcoj_count_runs(&part_query, &tries),
+                truth.len() as u128,
+                "part {}",
+                part.name()
+            );
+            total += truth.len() as u128;
+        }
+        let truth = nested_loop_join(&q, &catalog, q.registry().names()).unwrap();
+        assert!(!truth.is_empty());
+        assert_eq!(total, truth.len() as u128);
+        assert_eq!(wcoj_count(&q, &catalog).unwrap(), total);
+    }
+
     #[test]
     fn materialized_output_matches_count_and_has_global_column_order() {
         let catalog = clique_catalog(4);
         let q = JoinQuery::triangle("E", "E", "E");
-        let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
+        let out = materialize(&q, &catalog);
         assert_eq!(out.len() as u128, wcoj_count(&q, &catalog).unwrap());
         assert_eq!(
             out.vars(),
@@ -262,7 +344,7 @@ mod tests {
             catalog.insert(b.build());
         }
         let q = JoinQuery::loomis_whitney_4("A", "B", "C", "D");
-        let out = wcoj_materialize_columns(&q, &RelationView::new(&catalog)).unwrap();
+        let out = materialize(&q, &catalog);
         let truth = nested_loop_join(&q, &catalog, out.vars()).unwrap();
         assert_eq!(rows_in_order(&out), truth);
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), truth.len() as u128);
@@ -280,8 +362,6 @@ mod tests {
         catalog.insert(RelationBuilder::new("S", ["a", "b"]).unwrap().build());
         let q = JoinQuery::single_join("R", "S");
         assert_eq!(wcoj_count(&q, &catalog).unwrap(), 0);
-        assert!(wcoj_materialize_columns(&q, &RelationView::new(&catalog))
-            .unwrap()
-            .is_empty());
+        assert!(materialize(&q, &catalog).is_empty());
     }
 }

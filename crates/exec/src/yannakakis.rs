@@ -324,14 +324,15 @@ mod tests {
                 let after = key_index_builds();
                 assert_eq!(counted, truth, "query {}", q.name());
                 assert!(truth > 0, "query {}", q.name());
-                // One message per join-tree edge: `[dense, hashed, composite]`.
-                let built = [0, 1, 2].map(|r| after[r] - before[r]);
-                let composite = usize::from(q.name() == cross.name());
-                let single = q.n_atoms() - 1 - composite;
+                // One message per join-tree edge: `[dense, hashed, composite,
+                // keyless]`; the empty separator builds no composite map.
+                let built = [0, 1, 2, 3].map(|r| after[r] - before[r]);
+                let keyless = usize::from(q.name() == cross.name());
+                let single = q.n_atoms() - 1 - keyless;
                 let expect = if hashed {
-                    [0, single, composite]
+                    [0, single, 0, keyless]
                 } else {
-                    [single, 0, composite]
+                    [single, 0, 0, keyless]
                 };
                 assert_eq!(built, expect, "query {}", q.name());
             }

@@ -180,8 +180,8 @@ impl CoveringLp {
     /// are `dual_pivots`.
     ///
     /// Fails with [`LpError::IterationLimit`] past `200·max(rows + weights,
-    /// 100)` pivots, which under a rule that cannot cycle (see
-    /// [`run`](Self::run)) means a numerical failure.
+    /// 100)` pivots, which under a pivoting rule that cannot cycle (Bland's
+    /// rule once the objective stalls) means a numerical failure.
     pub fn solve(&mut self) -> Result<CoveringStatus, LpError> {
         stats::record_solve(SolvePath::Covering, self.n_cols);
         if self.negative_cost {
