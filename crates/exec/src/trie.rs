@@ -13,9 +13,9 @@
 //!   rows are strictly increasing
 //!   ([`Relation::is_strictly_increasing`]): storage order already is the
 //!   trie's order, duplicates none.
-//! * **One sort** otherwise: of the column's values for a unary atom, of
-//!   packed `(first, second)` pairs for a binary one, and of row indices
-//!   compared column by column in level order for a wider one.
+//! * **One sort** otherwise: of packed `(first, second)` pairs for a binary
+//!   atom, and of row indices compared column by column in level order for
+//!   any other arity.
 //!
 //! One pass over the rows in that order then fills every level: a row's
 //! keys from the first level where it differs from the previous row down
@@ -82,11 +82,6 @@ impl RunTrie {
             return Self::fill(cols.len(), n, |i, l| cols[l][i]);
         }
         match cols[..] {
-            [col] => {
-                let mut keys = col.to_vec();
-                keys.sort_unstable();
-                Self::fill(1, n, |i, _| keys[i])
-            }
             [first, second] => {
                 let mut pairs: Vec<u128> = first
                     .iter()
@@ -140,6 +135,7 @@ impl RunTrie {
         }
         // Every level but the deepest closes its last child slice.
         for l in 0..depth - 1 {
+            debug_assert_eq!(levels[l].child_start.len(), levels[l].keys.len());
             let end = levels[l + 1].keys.len() as u32;
             levels[l].child_start.push(end);
         }
